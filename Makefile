@@ -3,7 +3,7 @@
 # experiment harness is exercised by tests, so -race guards the per-cell
 # isolation contract).
 
-.PHONY: ci test bench snapshots chaos-smoke profile-smoke tlb-smoke chain-smoke policy-smoke fleet-smoke obs-smoke par-smoke fuzz
+.PHONY: ci test bench hostbench hostbench-quick snapshots chaos-smoke profile-smoke tlb-smoke chain-smoke policy-smoke fleet-smoke obs-smoke par-smoke fuzz
 
 ci:
 	./scripts/ci.sh
@@ -94,6 +94,20 @@ fuzz:
 
 bench:
 	go test -bench . -benchtime 1x ./...
+
+# The host-time benchmark (bench/README.md, BENCHMARK.json): how fast the
+# simulator runs its six workloads, what it allocates, where the time
+# goes. Every cell's simulated result is checked against bench/golden/,
+# so a non-zero exit means a result moved or a unit of work failed.
+# hostbench is the full run (~2.5 min); hostbench-quick drives the
+# no-network workload and the most allocation-sensitive one for a few
+# seconds each, end-to-end metrics only — a correctness drive, too short
+# to compare timings with.
+hostbench:
+	bash bench/run.sh
+
+hostbench-quick:
+	bash bench/run.sh -workload sysmicro,fleet_drills -seconds 3 -trace 0
 
 # Regenerate the machine-readable benchmark snapshots (BENCH_*.json).
 snapshots:

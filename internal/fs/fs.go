@@ -99,13 +99,20 @@ func New(clock func() uint64) *FS {
 	return f
 }
 
-// split normalises an absolute path into components.
-func split(path string) ([]string, error) {
+// inlineComps is how many path components resolve without allocating:
+// lookups pass split a stack array of this size to append into.
+const inlineComps = 16
+
+// split normalises an absolute path into components, appended to comps.
+// The components are substrings of path, so with a stack-backed comps
+// (see inlineComps) an open or stat allocates nothing for its path.
+func split(path string, comps []string) ([]string, error) {
 	if path == "" || path[0] != '/' {
 		return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
 	}
-	var comps []string
-	for _, c := range strings.Split(path, "/") {
+	for rest := path[1:]; rest != ""; {
+		var c string
+		c, rest, _ = strings.Cut(rest, "/")
 		switch c {
 		case "", ".":
 		case "..":
@@ -124,7 +131,8 @@ func split(path string) ([]string, error) {
 
 // walk resolves path to an inode.
 func (f *FS) walk(path string) (*Inode, error) {
-	comps, err := split(path)
+	var buf [inlineComps]string
+	comps, err := split(path, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +153,8 @@ func (f *FS) walk(path string) (*Inode, error) {
 // walkParent resolves the parent directory of path and returns it with
 // the final component.
 func (f *FS) walkParent(path string) (*Inode, string, error) {
-	comps, err := split(path)
+	var buf [inlineComps]string
+	comps, err := split(path, buf[:0])
 	if err != nil {
 		return nil, "", err
 	}
@@ -222,7 +231,7 @@ func (f *FS) Mkdir(path string, perm Mode) error {
 
 // MkdirAll creates path and any missing parents.
 func (f *FS) MkdirAll(path string, perm Mode) error {
-	comps, err := split(path)
+	comps, err := split(path, nil)
 	if err != nil {
 		return err
 	}
@@ -538,6 +547,33 @@ func (h *File) Stat() Stat {
 	return statOf(h.inode)
 }
 
+// Offset returns the current file offset.
+func (h *File) Offset() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.off
+}
+
+// Avail reports how many bytes a ReadAt of up to max bytes at off would
+// return — ReadAt's checks and its EOF rule (0, nil) without the copy.
+// It is how the kernel sizes a transfer before moving it: a sendfile
+// bounded by socket space can tell "nothing left in the file" from
+// "no room in the socket", and never copies more than it can send.
+func (h *File) Avail(off, max uint64) (uint64, error) {
+	if h.flags&OpenRead == 0 {
+		return 0, ErrReadOnly
+	}
+	h.fs.mu.RLock()
+	defer h.fs.mu.RUnlock()
+	if h.inode.IsDir() {
+		return 0, ErrIsDir
+	}
+	if off >= h.inode.Size {
+		return 0, nil
+	}
+	return min(max, h.inode.Size-off), nil
+}
+
 // Read reads from the current offset.
 func (h *File) Read(p []byte) (int, error) {
 	h.mu.Lock()
@@ -606,10 +642,20 @@ func (h *File) WriteAt(p []byte, off uint64) (int, error) {
 		return 0, ErrIsDir
 	}
 	end := off + uint64(len(p))
-	if end > uint64(len(h.inode.Data)) {
-		grown := make([]byte, end)
-		copy(grown, h.inode.Data)
-		h.inode.Data = grown
+	if old := uint64(len(h.inode.Data)); end > old {
+		if c := uint64(cap(h.inode.Data)); end > c {
+			// Double the capacity so appending in small chunks copies the
+			// file a logarithmic number of times, not once per chunk. A
+			// file written in one piece gets exactly its size.
+			grown := make([]byte, end, max(end, 2*c))
+			copy(grown, h.inode.Data)
+			h.inode.Data = grown
+		} else {
+			h.inode.Data = h.inode.Data[:end]
+			if off > old {
+				clear(h.inode.Data[old:off]) // a hole reads as zeros
+			}
+		}
 	}
 	copy(h.inode.Data[off:end], p)
 	if end > h.inode.Size {

@@ -565,8 +565,8 @@ func (k *Kernel) gateEpollWait(t *Task, fdn int) bool {
 	if fd.Epoll.shared.Load() {
 		return true
 	}
-	for _, wfd := range fd.Epoll.sortedFds() {
-		w, ok := t.Files.Get(wfd)
+	for _, watch := range fd.Epoll.snapshot() {
+		w, ok := t.Files.Get(watch.fd)
 		if !ok {
 			continue
 		}

@@ -3,7 +3,6 @@ package kernel
 import (
 	"encoding/binary"
 	"errors"
-	"sort"
 
 	"lazypoline/internal/netstack"
 )
@@ -107,7 +106,10 @@ func (k *Kernel) sysEpollWait(t *Task, args [6]uint64) sysResult {
 	if maxEvents <= 0 {
 		return sysErr(EINVAL)
 	}
-	ready := k.epollReady(t, ep.Epoll, maxEvents)
+	// The guests ask for 16 events; up to that many are collected on the
+	// stack, more spill to the heap.
+	var events [16]epollEvent
+	ready := k.epollReady(t, ep.Epoll, maxEvents, events[:0])
 	if len(ready) == 0 {
 		timeout := int64(args[3])
 		if timeout == 0 {
@@ -116,14 +118,18 @@ func (k *Kernel) sysEpollWait(t *Task, args [6]uint64) sysResult {
 		// Block until anything in the watch set is ready. (Timeouts other
 		// than 0 and -1 behave as infinite; our guests use -1.)
 		epoll := ep.Epoll
-		return sysBlock(func() bool { return len(k.epollReady(t, epoll, 1)) > 0 })
+		return sysBlock(func() bool {
+			var one [1]epollEvent
+			return len(k.epollReady(t, epoll, 1, one[:0])) > 0
+		})
 	}
-	var buf []byte
-	for _, ev := range ready {
-		rec := make([]byte, EpollEventSize)
+	// Every byte of a record is written: the staging memory is not zeroed.
+	buf := t.ioBuf(len(ready) * EpollEventSize)
+	for i, ev := range ready {
+		rec := buf[i*EpollEventSize:]
 		binary.LittleEndian.PutUint32(rec[0:], ev.events)
+		binary.LittleEndian.PutUint32(rec[4:], 0) // padding
 		binary.LittleEndian.PutUint64(rec[8:], uint64(ev.fd))
-		buf = append(buf, rec...)
 	}
 	if err := t.AS.WriteAt(args[1], buf); err != nil {
 		return sysErr(EFAULT)
@@ -136,42 +142,32 @@ type epollEvent struct {
 	events uint32
 }
 
-// epollReady polls the watch set against current readiness. The watch
-// set is scanned in ascending fd order: iterating the map directly would
-// return ready events — and hence the guest's connection-handling
-// order — in randomized map order, breaking the simulation's
-// run-to-run determinism on loaded multi-connection cells.
-func (k *Kernel) epollReady(t *Task, ep *Epoll, max int) []epollEvent {
-	var out []epollEvent
-	snap := ep.Snapshot()
-	fds := make([]int, 0, len(snap))
-	for fd := range snap {
-		fds = append(fds, fd)
-	}
-	sort.Ints(fds)
-	for _, fd := range fds {
-		want := snap[fd]
+// epollReady polls the watch set against current readiness and appends
+// the ready events to out (callers pass a stack-backed slice, so a poll
+// allocates nothing). The watch set is walked in ascending fd order, the
+// order Epoll keeps it in: any other order would return ready events —
+// and hence the guest's connection-handling order — differently from run
+// to run, breaking determinism on loaded multi-connection cells.
+func (k *Kernel) epollReady(t *Task, ep *Epoll, limit int, out []epollEvent) []epollEvent {
+	for _, w := range ep.snapshot() {
+		fd, want := w.fd, w.events
 		f, ok := t.Files.Get(fd)
 		if !ok {
 			continue
 		}
-		var p netstack.Pollable
-		switch f.Kind {
-		case FDListener:
-			p = f.Listener
-		case FDSocket:
-			p = f.Sock
-		case FDFile, FDConsole:
+		var r netstack.Readiness
+		switch {
+		case f.Kind == FDListener && f.Listener != nil:
+			r = f.Listener.Ready()
+		case f.Kind == FDSocket && f.Sock != nil:
+			r = f.Sock.Ready()
+		case f.Kind == FDFile, f.Kind == FDConsole:
 			// Regular files are always ready.
 			out = append(out, epollEvent{fd: fd, events: want & (EpollIn | EpollOut)})
 			continue
 		default:
 			continue
 		}
-		if p == nil {
-			continue
-		}
-		r := p.Ready()
 		var ev uint32
 		if want&EpollIn != 0 && r&netstack.ReadyIn != 0 {
 			ev |= EpollIn
@@ -184,7 +180,7 @@ func (k *Kernel) epollReady(t *Task, ep *Epoll, max int) []epollEvent {
 		}
 		if ev != 0 {
 			out = append(out, epollEvent{fd: fd, events: ev})
-			if len(out) >= max {
+			if len(out) >= limit {
 				break
 			}
 		}

@@ -282,3 +282,64 @@ func TestBindTwiceFails(t *testing.T) {
 		t.Errorf("exit = %d, want -EADDRINUSE", task.ExitCode)
 	}
 }
+
+// TestEpollReadyOrderAscendingFd: whatever order fds were added, modified,
+// removed and re-added in, ready events come out in ascending fd order,
+// with the masks last set, and max cuts the walk at the lowest fds.
+func TestEpollReadyOrderAscendingFd(t *testing.T) {
+	k := New(Config{})
+	task := idleTask(t, k)
+	// Readable pipe ends at scattered descriptor numbers.
+	fds := []int{23, 5, 17, 9, 40, 12, 31}
+	for _, fd := range fds {
+		r, w := netstack.NewPipe()
+		if _, err := w.Write([]byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		task.Files.Install(fd, &FD{Kind: FDSocket, Sock: r})
+	}
+	ep := NewEpoll()
+	ctl := func(op, fd int, events uint32) {
+		t.Helper()
+		if err := ep.Ctl(op, fd, events); err != nil {
+			t.Fatalf("Ctl(%d, %d): %v", op, fd, err)
+		}
+	}
+	const add, del, mod = 1, 2, 3
+	for _, fd := range fds {
+		ctl(add, fd, EpollIn)
+	}
+	ctl(del, 17, 0)
+	ctl(mod, 9, EpollIn|EpollOut)
+	ctl(del, 5, 0)
+	ctl(add, 5, EpollOut) // re-added at the front, watching only writability
+	ctl(del, 40, 0)
+	ctl(add, 3, EpollIn) // not in the fd table: skipped
+	ctl(del, 99, 0)      // deleting an unwatched fd is a no-op
+	if err := ep.Ctl(add, 9, EpollIn); err == nil {
+		t.Error("adding a watched fd twice succeeded")
+	}
+	if err := ep.Ctl(mod, 17, EpollIn); err == nil {
+		t.Error("modifying an unwatched fd succeeded")
+	}
+
+	want := []epollEvent{
+		{fd: 5, events: EpollOut},
+		{fd: 9, events: EpollIn | EpollOut},
+		{fd: 12, events: EpollIn},
+		{fd: 23, events: EpollIn},
+		{fd: 31, events: EpollIn},
+	}
+	got := k.epollReady(task, ep, 16, nil)
+	if len(got) != len(want) {
+		t.Fatalf("ready = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ready[%d] = %+v, want %+v (all: %v)", i, got[i], want[i], got)
+		}
+	}
+	if cut := k.epollReady(task, ep, 2, nil); len(cut) != 2 || cut[0].fd != 5 || cut[1].fd != 9 {
+		t.Fatalf("max=2 returned %v, want fds 5 and 9", cut)
+	}
+}

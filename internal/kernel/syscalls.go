@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 
@@ -166,18 +167,29 @@ func (k *Kernel) AttachSeccomp(t *Task, p *bpf.Program) {
 	t.Seccomp = append(t.Seccomp, p)
 }
 
-// readPath reads a NUL-terminated path from guest memory.
+// maxPathLen bounds a guest path, terminator excluded (PATH_MAX).
+const maxPathLen = 4096
+
+// readPath reads a NUL-terminated path from guest memory, a chunk at a
+// time into a stack array. A chunk never crosses a page boundary: a path
+// that ends just before an unmapped page must not fault on it, and
+// within one page a chunk faults exactly when its first byte would.
 func (k *Kernel) readPath(t *Task, addr uint64) (string, bool) {
-	var out []byte
-	var b [1]byte
-	for len(out) < 4096 {
-		if err := t.AS.ReadAt(addr+uint64(len(out)), b[:]); err != nil {
+	var chunk [256]byte
+	var long []byte // only for paths that outgrow one chunk
+	for len(long) < maxPathLen {
+		at := addr + uint64(len(long))
+		n := min(len(chunk), maxPathLen-len(long), int(mem.PageSize-at%mem.PageSize))
+		if err := t.AS.ReadAt(at, chunk[:n]); err != nil {
 			return "", false
 		}
-		if b[0] == 0 {
-			return string(out), true
+		if i := bytes.IndexByte(chunk[:n], 0); i >= 0 {
+			if long == nil {
+				return string(chunk[:i]), true
+			}
+			return string(append(long, chunk[:i]...)), true
 		}
-		out = append(out, b[0])
+		long = append(long, chunk[:n]...)
 	}
 	return "", false
 }
@@ -254,13 +266,19 @@ func (k *Kernel) sysRead(t *Task, args [6]uint64) sysResult {
 	// actually received. Short reads are legal for every byte stream —
 	// hardened guests loop until satisfied or EOF.
 	count = k.chaosShortIO(t, chaos.SiteShortRead, count)
-	buf := make([]byte, count)
+	var buf []byte
 	var n int
 	switch fd.Kind {
 	case FDConsole:
 		return sysRet(0) // console EOF
 	case FDFile:
-		var err error
+		// Sized first: stage what the file still holds, not what the
+		// guest's buffer could take.
+		avail, err := fd.File.Avail(fd.File.Offset(), count)
+		if err != nil {
+			return sysErr(fsErrno(err))
+		}
+		buf = t.ioBuf(int(avail))
 		n, err = fd.File.Read(buf)
 		if err != nil {
 			return sysErr(fsErrno(err))
@@ -270,6 +288,9 @@ func (k *Kernel) sysRead(t *Task, args [6]uint64) sysResult {
 			return sysErr(EBADF)
 		}
 		t.telAdoptCtx(fd.Sock.TraceCtx())
+		// What a socket holds is only known once Read has aged the
+		// segments in flight, so the staging is sized by count.
+		buf = t.ioBuf(int(count))
 		var err error
 		n, err = fd.Sock.Read(buf)
 		if errors.Is(err, netstack.ErrWouldBlock) {
@@ -310,7 +331,7 @@ func (k *Kernel) sysWrite(t *Task, args [6]uint64) sysResult {
 	// return less than requested at any time; hardened guests advance
 	// the buffer and loop.
 	count = k.chaosShortIO(t, chaos.SiteShortWrite, count)
-	buf := make([]byte, count)
+	buf := t.ioBuf(int(count))
 	if count > 0 {
 		if err := t.AS.ReadAt(args[1], buf); err != nil {
 			return sysErr(EFAULT)
@@ -361,10 +382,22 @@ func (k *Kernel) sysWrite(t *Task, args [6]uint64) sysResult {
 
 // sysSendfile implements sendfile(out_fd, in_fd, offset_ptr, count):
 // an in-kernel file-to-socket copy — one syscall moves up to count bytes
-// with a single data copy, which is why real web servers use it and why
-// per-byte interposition overhead vanishes for large responses. A null
-// offset pointer uses (and advances) the file offset, like Linux.
-// Returns the number of bytes sent; blocks while the socket is full.
+// without a round trip through guest memory, which is why real web
+// servers use it and why per-byte interposition overhead vanishes for
+// large responses. With a null offset pointer the file offset is used
+// and advanced; otherwise the u64 it points at is, and the file offset
+// stays put, like Linux. Returns the number of bytes sent; blocks while
+// the socket is full.
+//
+// The transfer is sized before anything moves — the least of count, what
+// the file still holds and what the socket has room for — so a 512-byte
+// file asked for with count = 256 KiB stages 512 bytes. The order of
+// observable effects is fixed (DESIGN.md §16): fd checks, offset
+// pointer, chaos short write, file error or EOF (0 is returned before
+// the socket is consulted at all), then Endpoint.Write's own order —
+// fault-plan Reset once per call that gets this far, full socket or
+// not, then space, then Drop/Delay — and finally the offset advances by
+// exactly the bytes sent.
 func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 	out, ok := t.Files.Get(int(args[0]))
 	if !ok || out.Kind != FDSocket || out.Sock == nil {
@@ -375,6 +408,16 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 	if !ok || in.Kind != FDFile {
 		return sysErr(EBADF)
 	}
+	offPtr := args[2]
+	var off uint64
+	if offPtr == 0 {
+		off = in.File.Offset()
+	} else {
+		var err error
+		if off, err = t.AS.ReadU64(offPtr); err != nil {
+			return sysErr(EFAULT)
+		}
+	}
 	count := args[3]
 	if count > maxIOChunk {
 		count = maxIOChunk
@@ -382,42 +425,49 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 	// Chaos short write: sendfile may legally send any prefix of count;
 	// servers loop on the returned byte count.
 	count = k.chaosShortIO(t, chaos.SiteShortWrite, count)
-	buf := make([]byte, count)
-	n, err := in.File.Read(buf)
+	avail, err := in.File.Avail(off, count)
 	if err != nil {
 		return sysErr(fsErrno(err))
 	}
-	if n == 0 {
+	if avail == 0 {
 		return sysRet(0) // EOF
 	}
+	// A full socket sizes the transfer to nothing; Write is still called,
+	// with no bytes, so that the fault plan is consulted and a dead peer
+	// reported exactly as for a write that had something to send.
+	buf := t.ioBuf(min(int(avail), out.Sock.WriteSpace()))
+	n, err := in.File.ReadAt(buf, off)
+	if err != nil {
+		return sysErr(fsErrno(err))
+	}
+	if n == 0 && len(buf) > 0 {
+		return sysRet(0) // truncated under us since Avail: EOF after all
+	}
 	sent, werr := out.Sock.Write(buf[:n])
-	if sent > 0 {
-		// Unconsumed bytes return to the file offset (Linux keeps the
-		// offset consistent with what was actually sent).
-		if sent < n {
-			if _, err := in.File.Seek(int64(sent-n), 1); err != nil {
+	switch {
+	case sent > 0:
+		if offPtr == 0 {
+			if _, err := in.File.Seek(int64(sent), 1); err != nil {
 				return sysErr(EINVAL)
 			}
+		} else if err := t.AS.WriteU64(offPtr, off+uint64(sent)); err != nil {
+			return sysErr(EFAULT)
 		}
 		// One kernel-internal copy instead of read+write's two.
 		t.CPU.Cycles += k.Costs.CopyCost(sent)
 		return sysRet(int64(sent))
-	}
-	if errors.Is(werr, netstack.ErrWouldBlock) {
-		// Nothing sent: rewind the read and block until writable.
-		if _, err := in.File.Seek(int64(-n), 1); err != nil {
-			return sysErr(EINVAL)
-		}
+	case errors.Is(werr, netstack.ErrWouldBlock), werr == nil:
+		// (nil: the socket was full when the transfer was sized and a
+		// concurrent reader made room before Write looked. Nothing was
+		// sent; the retry sizes it again.)
 		if out.Nonblock {
 			return sysErr(EAGAIN)
 		}
 		sock := out.Sock
 		return sysBlock(func() bool { return sock.Ready()&(netstack.ReadyOut|netstack.ReadyHup) != 0 })
-	}
-	if errors.Is(werr, netstack.ErrPipe) {
+	case errors.Is(werr, netstack.ErrPipe):
 		return sysErr(EPIPE)
-	}
-	if errors.Is(werr, netstack.ErrReset) {
+	case errors.Is(werr, netstack.ErrReset):
 		return sysErr(ECONNRESET)
 	}
 	return sysErr(EBADF)
@@ -733,9 +783,18 @@ func (k *Kernel) sysGetdents64(t *Task, args [6]uint64) sysResult {
 		return sysErr(fsErrno(err))
 	}
 	// Simplified dirent packing: [ino u64][type u8][namelen u8][name].
-	var out []byte
+	// Sized first: the records that fit in the guest's buffer.
+	fit, size := 0, 0
 	for _, e := range ents {
-		rec := make([]byte, 10+len(e.Name))
+		if uint64(size+10+len(e.Name)) > args[2] {
+			break
+		}
+		size += 10 + len(e.Name)
+		fit++
+	}
+	out := t.ioBuf(size)
+	rec := out
+	for _, e := range ents[:fit] {
 		binary.LittleEndian.PutUint64(rec[0:], e.Ino)
 		if e.IsDir {
 			rec[8] = 4 // DT_DIR
@@ -744,10 +803,7 @@ func (k *Kernel) sysGetdents64(t *Task, args [6]uint64) sysResult {
 		}
 		rec[9] = byte(len(e.Name))
 		copy(rec[10:], e.Name)
-		if uint64(len(out)+len(rec)) > args[2] {
-			break
-		}
-		out = append(out, rec...)
+		rec = rec[10+len(e.Name):]
 	}
 	if len(out) > 0 {
 		if err := t.AS.WriteAt(args[1], out); err != nil {
@@ -781,7 +837,8 @@ func (k *Kernel) sysGetrandom(t *Task, args [6]uint64) sysResult {
 	if count > 256 {
 		count = 256
 	}
-	buf := make([]byte, count)
+	var random [256]byte
+	buf := random[:count]
 	for i := range buf {
 		if i%8 == 0 {
 			k.nextRand()

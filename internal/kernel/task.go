@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -276,24 +278,32 @@ func (f *FD) addRefs() {
 
 // Epoll is an epoll instance: a set of watched fds.
 type Epoll struct {
-	mu      sync.Mutex
-	watches map[int]uint32 // fd -> event mask
+	mu sync.Mutex
+	// watches is kept in ascending fd order — the order ready events are
+	// reported in, which run-to-run determinism depends on — so a poll
+	// walks it as it is instead of collecting and sorting fds. Ctl
+	// replaces the slice and never edits it in place: a poll takes the
+	// current one under mu (snapshot) and walks it with no lock held,
+	// through fd-table and endpoint locks of its own.
+	watches []epollWatch
 	// shared is set when the instance crosses a fork boundary (the
 	// parent and child then race on the watch set from the parallel
 	// scheduler's point of view — see kernel/parallel.go).
 	shared atomic.Bool
 }
 
-// sortedFds returns the watched fds in ascending order.
-func (e *Epoll) sortedFds() []int {
+// epollWatch is one watched fd and the events it is watched for.
+type epollWatch struct {
+	fd     int
+	events uint32
+}
+
+// snapshot returns the watch set, ascending by fd. The slice is never
+// written again; the caller may walk it without the lock.
+func (e *Epoll) snapshot() []epollWatch {
 	e.mu.Lock()
-	fds := make([]int, 0, len(e.watches))
-	for fd := range e.watches {
-		fds = append(fds, fd)
-	}
-	e.mu.Unlock()
-	sort.Ints(fds)
-	return fds
+	defer e.mu.Unlock()
+	return e.watches
 }
 
 // Epoll event bits (subset of the Linux ABI).
@@ -304,40 +314,38 @@ const (
 )
 
 // NewEpoll returns an empty instance.
-func NewEpoll() *Epoll { return &Epoll{watches: make(map[int]uint32)} }
+func NewEpoll() *Epoll { return &Epoll{} }
 
 // Ctl implements EPOLL_CTL_ADD/MOD/DEL (op 1/3/2).
 func (e *Epoll) Ctl(op int, fd int, events uint32) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	old := e.watches
+	i, watched := slices.BinarySearchFunc(old, fd, func(w epollWatch, fd int) int { return cmp.Compare(w.fd, fd) })
 	switch op {
 	case 1: // EPOLL_CTL_ADD
-		if _, ok := e.watches[fd]; ok {
+		if watched {
 			return fmt.Errorf("epoll: fd %d already watched", fd)
 		}
-		e.watches[fd] = events
+		next := make([]epollWatch, 0, len(old)+1)
+		next = append(next, old[:i]...)
+		next = append(next, epollWatch{fd: fd, events: events})
+		e.watches = append(next, old[i:]...)
 	case 2: // EPOLL_CTL_DEL
-		delete(e.watches, fd)
+		if watched {
+			e.watches = slices.Delete(slices.Clone(old), i, i+1)
+		}
 	case 3: // EPOLL_CTL_MOD
-		if _, ok := e.watches[fd]; !ok {
+		if !watched {
 			return fmt.Errorf("epoll: fd %d not watched", fd)
 		}
-		e.watches[fd] = events
+		next := slices.Clone(old)
+		next[i].events = events
+		e.watches = next
 	default:
 		return fmt.Errorf("epoll: bad op %d", op)
 	}
 	return nil
-}
-
-// Snapshot returns the watch set.
-func (e *Epoll) Snapshot() map[int]uint32 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[int]uint32, len(e.watches))
-	for k, v := range e.watches {
-		out[k] = v
-	}
-	return out
 }
 
 // blockedState carries a parked task's wake-up condition and its
@@ -391,6 +399,9 @@ type Task struct {
 	// ConsoleOut accumulates console writes (fd 1/2).
 	ConsoleOut []byte
 
+	// io is the staging memory behind ioBuf.
+	io []byte
+
 	// policyRegions is the task's privileged-code-range set (nil when the
 	// region layer is off); sfipLast is the SFIP automaton state (the
 	// previous tracked syscall number, or policy.Start).
@@ -442,6 +453,27 @@ type Task struct {
 	pendingNext []pendingSignal
 
 	k *Kernel
+}
+
+// ioBuf returns n bytes of staging memory for a syscall that moves data
+// between guest memory and a file, socket or the console. It is the one
+// place such memory is handed out, so these rules hold for every user:
+//
+//   - It belongs to the task, not the kernel: parallel rounds run tasks
+//     of different share groups at the same time, and a task runs one
+//     syscall at a time, so a task-local buffer needs no lock.
+//   - It is allocated on a task's first transfer (a task that moves no
+//     data never has one), grows to the largest transfer seen, and is
+//     reused unzeroed: callers must fill every byte they pass on.
+//   - It is valid until the task's next ioBuf call. No callee keeps it:
+//     fs.File.Write, the ConsoleOut append, guest memory and the
+//     netstack receive buffer all copy, and a segment the fault plan
+//     holds back is copied into a slice of its own by Endpoint.Write.
+func (t *Task) ioBuf(n int) []byte {
+	if n > cap(t.io) {
+		t.io = make([]byte, max(n, 2*cap(t.io)))
+	}
+	return t.io[:n]
 }
 
 // State returns the scheduler state.

@@ -466,7 +466,7 @@ type Endpoint struct {
 	notif notifier
 
 	mu     sync.Mutex
-	buf    []byte // receive buffer
+	rx     ring // receive buffer
 	peer   *Endpoint
 	closed bool
 	reset  bool // hard-closed by an injected RST
@@ -552,6 +552,66 @@ func (e *Endpoint) bumpHub() {
 	}
 }
 
+// ring is an endpoint's receive buffer: a byte queue over one backing
+// array that is kept for the life of the connection. Nothing is
+// allocated until the first byte arrives (idle connections and unused
+// pipe ends cost nothing); the array then doubles on demand up to
+// RecvBufSize — all that Write's space check ever admits — and past it
+// only for the one case that overfills by design, a close flushing held
+// segments. Guarded by the owning endpoint's mu.
+type ring struct {
+	buf  []byte // backing array; len(buf) is the capacity
+	head int    // index of the oldest unread byte
+	n    int    // unread bytes
+}
+
+// minRingSize is the first backing array's size: room for a request
+// line or a response header without a second allocation.
+const minRingSize = 512
+
+// write queues p, growing the backing array if p does not fit.
+func (r *ring) write(p []byte) {
+	if need := r.n + len(p); need > len(r.buf) {
+		r.grow(need)
+	}
+	tail := r.head + r.n
+	if tail >= len(r.buf) {
+		tail -= len(r.buf)
+	}
+	c := copy(r.buf[tail:], p)
+	copy(r.buf, p[c:]) // the part that wraps
+	r.n += len(p)
+}
+
+// grow moves the queue to the front of an array of at least need bytes.
+func (r *ring) grow(need int) {
+	size := max(2*len(r.buf), need, minRingSize)
+	if size > RecvBufSize && need <= RecvBufSize {
+		size = RecvBufSize
+	}
+	buf := make([]byte, size)
+	c := copy(buf[:r.n], r.buf[r.head:])
+	copy(buf[c:r.n], r.buf)
+	r.buf, r.head = buf, 0
+}
+
+// read dequeues up to len(p) bytes into p.
+func (r *ring) read(p []byte) int {
+	n := min(len(p), r.n)
+	c := copy(p[:n], r.buf[r.head:])
+	copy(p[c:n], r.buf) // the part that wrapped
+	r.n -= n
+	r.head += n
+	if r.n == 0 {
+		// Restart an emptied queue at the front, so that the next
+		// segment lands (and is read back) in one piece.
+		r.head = 0
+	} else if r.head >= len(r.buf) {
+		r.head -= len(r.buf)
+	}
+	return n
+}
+
 // stagedSegment is an in-flight segment awaiting (re)delivery.
 type stagedSegment struct {
 	data []byte
@@ -592,7 +652,7 @@ func (e *Endpoint) Read(p []byte) (int, error) {
 		}
 		return 0, ErrClosed
 	}
-	if len(e.buf) == 0 {
+	if e.rx.n == 0 {
 		peer := e.peer
 		e.mu.Unlock()
 		// Peer state is checked with our own lock released so that two
@@ -602,8 +662,7 @@ func (e *Endpoint) Read(p []byte) (int, error) {
 		}
 		return 0, ErrWouldBlock
 	}
-	n := copy(p, e.buf)
-	e.buf = e.buf[n:]
+	n := e.rx.read(p)
 	peer := e.peer
 	e.mu.Unlock()
 	if peer != nil {
@@ -641,7 +700,7 @@ func (e *Endpoint) Write(p []byte) (int, error) {
 		return 0, ErrPipe
 	}
 	peer.mu.Lock()
-	space := RecvBufSize - len(peer.buf)
+	space := RecvBufSize - peer.rx.n
 	if space <= 0 {
 		peer.mu.Unlock()
 		return 0, ErrWouldBlock
@@ -683,8 +742,8 @@ func (e *Endpoint) Write(p []byte) (int, error) {
 	e.mu.Unlock()
 
 	peer.mu.Lock()
-	peer.buf = append(peer.buf, p[:n]...)
-	depth := uint64(len(peer.buf))
+	peer.rx.write(p[:n])
+	depth := uint64(peer.rx.n)
 	peer.mu.Unlock()
 	if e.stats != nil {
 		e.stats.setMax(&e.stats.RecvHighWater, depth)
@@ -692,6 +751,21 @@ func (e *Endpoint) Write(p []byte) (int, error) {
 	peer.notif.wake()
 	e.bumpHub()
 	return n, nil
+}
+
+// WriteSpace reports how many bytes a Write could hand the peer right
+// now: the room in its receive buffer, 0 when that is full (or overfull).
+// It is for sizing a transfer before producing its bytes and decides
+// nothing — it asks no fault plan and reports no closed or reset state;
+// the Write that follows does, also when given no bytes at all.
+func (e *Endpoint) WriteSpace() int {
+	e.mu.Lock()
+	peer := e.peer
+	e.mu.Unlock()
+	if peer == nil {
+		return 0
+	}
+	return max(peer.space(), 0)
 }
 
 // tickStaged ages the segments the fault plan is holding back on the
@@ -719,10 +793,15 @@ func (e *Endpoint) tickStaged() {
 		return
 	}
 	e.mu.Lock()
-	for _, d := range due {
-		e.buf = append(e.buf, d...)
+	if e.closed {
+		// Nobody can read these any more; a closed endpoint keeps no buffer.
+		e.mu.Unlock()
+		return
 	}
-	depth := uint64(len(e.buf))
+	for _, d := range due {
+		e.rx.write(d)
+	}
+	depth := uint64(e.rx.n)
 	e.mu.Unlock()
 	if e.stats != nil {
 		e.stats.setMax(&e.stats.RecvHighWater, depth)
@@ -738,7 +817,7 @@ func (e *Endpoint) injectReset() {
 	e.refs = 0
 	e.closed = true
 	e.reset = true
-	e.buf = nil
+	e.rx = ring{}
 	e.stage = nil
 	e.mu.Unlock()
 	if peer != nil {
@@ -746,7 +825,7 @@ func (e *Endpoint) injectReset() {
 		peer.refs = 0
 		peer.closed = true
 		peer.reset = true
-		peer.buf = nil
+		peer.rx = ring{}
 		peer.stage = nil
 		peer.mu.Unlock()
 	}
@@ -792,6 +871,7 @@ func (e *Endpoint) Close() {
 	}
 	e.refs = 0
 	e.closed = true
+	e.rx = ring{} // unread input dies with the last descriptor
 	peer := e.peer
 	stage := e.stage
 	e.stage = nil
@@ -802,7 +882,7 @@ func (e *Endpoint) Close() {
 		peer.mu.Lock()
 		if !peer.closed {
 			for _, seg := range stage {
-				peer.buf = append(peer.buf, seg.data...)
+				peer.rx.write(seg.data)
 			}
 		}
 		peer.mu.Unlock()
@@ -824,7 +904,7 @@ func (e *Endpoint) isClosed() bool {
 func (e *Endpoint) Buffered() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.buf)
+	return e.rx.n
 }
 
 // Ready implements Pollable. It never holds its own lock while taking the
@@ -834,7 +914,7 @@ func (e *Endpoint) Buffered() int {
 func (e *Endpoint) Ready() Readiness {
 	e.tickStaged()
 	e.mu.Lock()
-	bufLen := len(e.buf)
+	bufLen := e.rx.n
 	closed := e.closed
 	peer := e.peer
 	e.mu.Unlock()
@@ -860,7 +940,7 @@ func (e *Endpoint) Ready() Readiness {
 func (e *Endpoint) space() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return RecvBufSize - len(e.buf)
+	return RecvBufSize - e.rx.n
 }
 
 // Subscribe implements Pollable.

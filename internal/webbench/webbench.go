@@ -31,6 +31,10 @@ type Client struct {
 	completed int
 	sent      int
 
+	// sink is where response bytes are read to and never looked at. One
+	// goroutine steps every connection, so one buffer serves them all.
+	sink []byte
+
 	// Request-plane tracing (nil trace = off): IDs derive from
 	// (traceSeed, request index); now supplies virtual time.
 	trace     *otrace.Tracer
@@ -41,7 +45,6 @@ type Client struct {
 type clientConn struct {
 	ep       *netstack.Endpoint
 	awaiting int // bytes of the current response still expected; 0 = idle
-	buf      []byte
 	request  []byte
 	retries  int // reconnects performed after injected RSTs (bounded)
 	backoff  int // Step() calls to sit out before the next reconnect
@@ -65,10 +68,10 @@ const maxReconnects = 8
 // NewClient prepares nconns connections that will collectively issue
 // `target` requests, each expecting a response of respSize bytes.
 func NewClient(stack *netstack.Stack, port uint16, nconns, respSize, target int) *Client {
-	c := &Client{stack: stack, port: port, respSize: respSize, target: target}
+	c := &Client{stack: stack, port: port, respSize: respSize, target: target,
+		sink: make([]byte, 64*1024)}
 	for i := 0; i < nconns; i++ {
 		c.conns = append(c.conns, &clientConn{
-			buf:        make([]byte, 64*1024),
 			request:    []byte(requestLine),
 			reqIdx:     -1,
 			deadReqIdx: -1,
@@ -146,7 +149,7 @@ func (c *Client) Step() {
 			// EAGAIN: the peer's buffer is full, retry on a later step.
 		}
 		for cc.awaiting > 0 {
-			n, err := cc.ep.Read(cc.buf)
+			n, err := cc.ep.Read(c.sink)
 			if errors.Is(err, netstack.ErrWouldBlock) {
 				break
 			}
@@ -450,14 +453,10 @@ func Symbols(cfg Config) (map[string]uint64, error) {
 	return prog.Image.Symbols, nil
 }
 
-// Run executes one benchmark configuration.
-func Run(cfg Config) (Result, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.Connections <= 0 {
-		cfg.Connections = 36
-	}
+// boot builds the kernel and its static content, spawns and attaches
+// the server, and runs until the client's connections are established.
+// cfg.Workers and cfg.Connections are set (Run defaults them).
+func boot(cfg Config) (*kernel.Kernel, *kernel.Task, *Client, error) {
 	k := kernel.New(kernel.Config{
 		Costs:              cfg.Costs,
 		DisableDecodeCache: cfg.DisableDecodeCache,
@@ -479,10 +478,10 @@ func Run(cfg Config) (Result, error) {
 		content[i] = byte('a' + i%26)
 	}
 	if err := k.FS.MkdirAll("/www", 0o755); err != nil {
-		return Result{}, err
+		return nil, nil, nil, err
 	}
 	if err := k.FS.WriteFile("/www/static", content, 0o644); err != nil {
-		return Result{}, err
+		return nil, nil, nil, err
 	}
 	// Content is final: seal the filesystem so worker file reads are
 	// pure and can run concurrently (kernel/parallel.go).
@@ -495,15 +494,15 @@ func Run(cfg Config) (Result, error) {
 		Workers: cfg.Workers,
 	})
 	if err != nil {
-		return Result{}, err
+		return nil, nil, nil, err
 	}
 	master, err := prog.Spawn(k)
 	if err != nil {
-		return Result{}, err
+		return nil, nil, nil, err
 	}
 	if cfg.Attach != nil {
 		if err := cfg.Attach(k, master); err != nil {
-			return Result{}, err
+			return nil, nil, nil, err
 		}
 	}
 
@@ -521,7 +520,22 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	if !booted {
-		return Result{}, errors.New("webbench: server did not start listening")
+		return nil, nil, nil, errors.New("webbench: server did not start listening")
+	}
+	return k, master, client, nil
+}
+
+// Run executes one benchmark configuration.
+func Run(cfg Config) (Result, error) {
+	if cfg.Workers <= 0 {
+		cfg.Workers = 1
+	}
+	if cfg.Connections <= 0 {
+		cfg.Connections = 36
+	}
+	k, master, client, err := boot(cfg)
+	if err != nil {
+		return Result{}, err
 	}
 
 	// Snapshot worker cycles after boot so startup (fork, lazy-rewrite

@@ -224,3 +224,10 @@ diff -u /tmp/ci_otr_a.jsonl /tmp/ci_otr_cores4.jsonl
 go run ./cmd/parbench -requests 300 -conns 8 -workers 4 -mechs baseline,lazypoline \
     -cores 1,2,4 -repeat 2 -minscale 2.5 -out /tmp/ci_BENCH_parallel.json
 grep -q '"parallel_rounds"' /tmp/ci_BENCH_parallel.json
+
+# Host-time benchmark (bench/README.md): its unit tests, then a quick
+# drive of two workloads. Only the exit status is gated — every cell's
+# simulated result must match bench/golden/ and no unit of work may fail;
+# timings on a shared CI host are printed, never compared.
+go test ./bench -count 1
+make hostbench-quick
