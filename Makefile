@@ -100,14 +100,14 @@ bench:
 # goes. Every cell's simulated result is checked against bench/golden/,
 # so a non-zero exit means a result moved or a unit of work failed.
 # hostbench is the full run (~2.5 min); hostbench-quick drives the
-# no-network workload and the most allocation-sensitive one for a few
-# seconds each, end-to-end metrics only — a correctness drive, too short
-# to compare timings with.
+# no-network workload, the most allocation-sensitive one and the cold
+# path (whose passes take 0.2 s) for a few seconds each, end-to-end
+# metrics only — a correctness drive, too short to compare timings with.
 hostbench:
 	bash bench/run.sh
 
 hostbench-quick:
-	bash bench/run.sh -workload sysmicro,fleet_drills -seconds 3 -trace 0
+	bash bench/run.sh -workload sysmicro,fleet_drills,coldstart -seconds 3 -trace 0
 
 # Regenerate the machine-readable benchmark snapshots (BENCH_*.json).
 snapshots:

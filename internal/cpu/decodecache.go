@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"slices"
+
 	"lazypoline/internal/isa"
 	"lazypoline/internal/mem"
 )
@@ -120,6 +122,11 @@ type decodeCache struct {
 	fifo     []*cachedBlock
 	fifoHead int
 	buildBuf [mem.PageSize + maxInsnLen]byte
+	// buildPcs and buildInsts are build's decode scratch: a block is
+	// decoded here, where the slices keep their grown capacity from build
+	// to build, and then copied into slices allocated once at its length.
+	buildPcs   []uint64
+	buildInsts []isa.Inst
 }
 
 func newDecodeCache(as *mem.AddressSpace) *decodeCache {
@@ -332,7 +339,7 @@ func (dc *decodeCache) build(pc uint64) *cachedBlock {
 	if n == 0 {
 		return nil
 	}
-	b := &cachedBlock{entry: pc, pages: pages, npages: npages, mut: mut}
+	pcs, insts := dc.buildPcs[:0], dc.buildInsts[:0]
 	off := 0
 	for off < limit && off < n {
 		in, err := isa.Decode(buf[off:n])
@@ -341,17 +348,22 @@ func (dc *decodeCache) build(pc uint64) *cachedBlock {
 			// path re-derives the fault with its proper address every time.
 			break
 		}
-		b.pcs = append(b.pcs, pc+uint64(off))
-		b.insts = append(b.insts, in)
+		pcs = append(pcs, pc+uint64(off))
+		insts = append(insts, in)
 		off += in.Len
 		if blockTerminator(&in) {
 			break
 		}
 	}
-	if len(b.insts) == 0 {
+	dc.buildPcs, dc.buildInsts = pcs, insts
+	if len(insts) == 0 {
 		return nil
 	}
-	b.end = pc + uint64(off)
+	b := &cachedBlock{
+		entry: pc, end: pc + uint64(off),
+		pcs: slices.Clone(pcs), insts: slices.Clone(insts),
+		pages: pages, npages: npages, mut: mut,
+	}
 	if off <= limit && b.npages > 1 {
 		// No instruction straddled into the next page; do not tie the
 		// block's validity to it.

@@ -38,14 +38,44 @@ type Inst struct {
 	Len int
 }
 
-// ErrBadOpcode is returned by Decode when the bytes do not form a valid
-// instruction.
+// ErrBadOpcode is matched (errors.Is) by every error Decode returns for
+// bytes that do not form a valid instruction.
 var ErrBadOpcode = errors.New("isa: invalid opcode")
 
 // ErrTruncated is returned by Decode when the buffer ends mid-instruction.
 var ErrTruncated = errors.New("isa: truncated instruction")
 
-// Decode decodes a single instruction from the beginning of b.
+// badOpcodeError names the offending byte(s): "isa: invalid opcode: 0f 3a"
+// for a bad second byte after a prefix, "isa: invalid opcode: 00" for a bad
+// first byte. Decode hands out pointers into badOpcodes, one prebuilt value
+// per possible error, so rejecting a byte allocates nothing — a linear scan
+// resynchronising over an image's zero padding rejects every byte of it.
+type badOpcodeError struct {
+	prefix byte // Byte0F, ByteFF, or 0 when the first byte itself is bad
+	b      byte
+}
+
+func (e *badOpcodeError) Error() string {
+	if e.prefix != 0 {
+		return fmt.Sprintf("%v: %02x %02x", ErrBadOpcode, e.prefix, e.b)
+	}
+	return fmt.Sprintf("%v: %02x", ErrBadOpcode, e.b)
+}
+
+func (e *badOpcodeError) Unwrap() error { return ErrBadOpcode }
+
+// badOpcodes rows: bad first byte, bad byte after 0F, bad byte after FF.
+var badOpcodes = func() (t [3][256]badOpcodeError) {
+	for row, prefix := range [3]byte{0, Byte0F, ByteFF} {
+		for b := range t[row] {
+			t[row][b] = badOpcodeError{prefix: prefix, b: byte(b)}
+		}
+	}
+	return t
+}()
+
+// Decode decodes a single instruction from the beginning of b. It does
+// not allocate, whatever it returns.
 func Decode(b []byte) (Inst, error) {
 	if len(b) == 0 {
 		return Inst{}, ErrTruncated
@@ -62,7 +92,7 @@ func Decode(b []byte) (Inst, error) {
 		case ByteSysent:
 			return Inst{Mnem: MSysenter, Len: 2}, nil
 		default:
-			return Inst{}, fmt.Errorf("%w: 0f %02x", ErrBadOpcode, b[1])
+			return Inst{}, &badOpcodes[1][b[1]]
 		}
 	case OpPrefixFF:
 		if len(b) < 2 {
@@ -75,20 +105,19 @@ func Decode(b []byte) (Inst, error) {
 		case m >= ByteJmpReg && m < ByteJmpReg+NumRegs:
 			return Inst{Mnem: MJmpReg, A: Reg(m - ByteJmpReg), Len: 2}, nil
 		default:
-			return Inst{}, fmt.Errorf("%w: ff %02x", ErrBadOpcode, m)
+			return Inst{}, &badOpcodes[2][m]
 		}
 	}
 
-	_, kind, ok := Info(op)
-	if !ok {
-		return Inst{}, fmt.Errorf("%w: %02x", ErrBadOpcode, b[0])
+	kind := opTable[op].kind
+	need := int(kindLen[kind])
+	if need == 0 {
+		return Inst{}, &badOpcodes[0][b[0]]
 	}
-	in := Inst{Mnem: MOp, Op: op}
-	need := encodedLen(kind)
 	if len(b) < need {
 		return Inst{}, ErrTruncated
 	}
-	in.Len = need
+	in := Inst{Mnem: MOp, Op: op, Len: need}
 	switch kind {
 	case KindNone:
 	case KindReg:
@@ -109,9 +138,7 @@ func Decode(b []byte) (Inst, error) {
 		in.A = Reg(b[1] >> 4)
 		in.B = Reg(b[1] & 0x0F)
 		in.Imm = int64(int32(binary.LittleEndian.Uint32(b[2:6])))
-	case KindRel32, KindD32:
-		in.Imm = int64(int32(binary.LittleEndian.Uint32(b[1:5])))
-	case KindImm32:
+	case KindRel32, KindD32, KindImm32:
 		in.Imm = int64(int32(binary.LittleEndian.Uint32(b[1:5])))
 	case KindImm8D32:
 		in.Imm = int64(b[1]) // immediate byte
@@ -119,32 +146,27 @@ func Decode(b []byte) (Inst, error) {
 	case KindD32Imm32, KindD32D32:
 		in.Imm = int64(int32(binary.LittleEndian.Uint32(b[1:5])))
 		in.Imm2 = int64(int32(binary.LittleEndian.Uint32(b[5:9])))
-	default:
-		return Inst{}, fmt.Errorf("%w: %02x (unhandled kind)", ErrBadOpcode, b[0])
 	}
 	return in, nil
 }
 
-// encodedLen returns the byte length of an encoding kind.
-func encodedLen(kind Kind) int {
-	switch kind {
-	case KindNone:
-		return 1
-	case KindReg, KindRegReg, KindPrefix0F, KindPrefixFF:
-		return 2
-	case KindRegImm8:
-		return 3
-	case KindRel32, KindD32, KindImm32:
-		return 5
-	case KindRegImm32, KindRegRegD32, KindImm8D32:
-		return 6
-	case KindD32Imm32, KindD32D32:
-		return 9
-	case KindRegImm64:
-		return 10
-	default:
-		return 0
-	}
+// kindLen is the byte length of each operand encoding; 0 marks the kinds
+// no opTable entry carries (the zero Kind of a non-opcode, and the two
+// prefix kinds Decode handles before the table).
+var kindLen = [KindPrefixFF + 1]uint8{
+	KindNone:      1,
+	KindReg:       2,
+	KindRegReg:    2,
+	KindRegImm8:   3,
+	KindRel32:     5,
+	KindD32:       5,
+	KindImm32:     5,
+	KindRegImm32:  6,
+	KindRegRegD32: 6,
+	KindImm8D32:   6,
+	KindD32Imm32:  9,
+	KindD32D32:    9,
+	KindRegImm64:  10,
 }
 
 // String renders the instruction in assembler-like syntax.

@@ -284,7 +284,10 @@ type opInfo struct {
 	kind Kind
 }
 
-var opTable = map[Op]opInfo{
+// opTable is indexed by opcode byte; an entry with kind 0 is not an
+// opcode. Decode runs once per byte of every image zpoline scans, so the
+// lookup is an array index.
+var opTable = [256]opInfo{
 	OpNop:         {"nop", KindNone},
 	OpRet:         {"ret", KindNone},
 	OpTrap:        {"int3", KindNone},
@@ -352,11 +355,8 @@ var opTable = map[Op]opInfo{
 // for unknown opcodes and for the 0F/FF prefix bytes (which are not
 // standalone opcodes).
 func Info(op Op) (name string, kind Kind, ok bool) {
-	in, ok := opTable[op]
-	if !ok {
-		return "", 0, false
-	}
-	return in.name, in.kind, true
+	in := &opTable[op]
+	return in.name, in.kind, in.kind != 0
 }
 
 // Sizes of the x86-faithful special encodings.

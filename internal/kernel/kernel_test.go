@@ -1,11 +1,13 @@
 package kernel
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"lazypoline/internal/asm"
 	"lazypoline/internal/loader"
+	"lazypoline/internal/mem"
 )
 
 // guestHeader defines the syscall-number constants test programs use.
@@ -142,6 +144,48 @@ func TestMmapMprotectFromGuest(t *testing.T) {
 	mustRun(t, k)
 	if task.ExitCode != 0 {
 		t.Fatalf("exit = %d", task.ExitCode)
+	}
+}
+
+// TestMapLengthsFromGuest: the length of an mmap or munmap is the guest's
+// to choose. One that would exhaust the host (1 TiB, page by page) or that
+// rounds to zero pages (within 4095 of 2^64, formerly "mapped" at an
+// address with nothing behind it) must come back as -ENOMEM with nothing
+// mapped, with and without MAP_FIXED.
+func TestMapLengthsFromGuest(t *testing.T) {
+	k := New(Config{})
+	task := idleTask(t, k)
+	before := task.AS.Regions()
+	for _, length := range []uint64{1 << 40, (mem.MaxPages + 1) * mem.PageSize, 1 << 63, ^uint64(0) - mem.PageSize, ^uint64(0) - 4094, ^uint64(0)} {
+		for _, fixed := range []uint64{0, MapFixedBit} {
+			res := k.sysMmap(task, [6]uint64{0x6000_0000, length, ProtReadBit | ProtWriteBit, MapAnonBit | fixed})
+			if res.ret != -ENOMEM {
+				t.Errorf("mmap(length %#x, fixed %#x) = %d, want -ENOMEM", length, fixed, res.ret)
+			}
+		}
+	}
+	if after := task.AS.Regions(); !reflect.DeepEqual(before, after) {
+		t.Errorf("rejected mmaps changed the address space:\n before %v\n after  %v", before, after)
+	}
+	res := k.sysMmap(task, [6]uint64{0, 3 * mem.PageSize, ProtReadBit | ProtWriteBit, MapAnonBit})
+	if res.ret <= 0 || !task.AS.Mapped(uint64(res.ret), 3*mem.PageSize) {
+		t.Fatalf("an ordinary mmap after the rejected ones = %d", res.ret)
+	}
+	// munmap's length is as hostile: 2^51 pages must not be walked one by
+	// one. Everything from the address up goes (the stack too), the image
+	// below it stays.
+	addr := uint64(res.ret)
+	if res := k.dispatch(task, SysMunmap, [6]uint64{addr, 1 << 63}); res.ret != 0 {
+		t.Errorf("munmap(addr, 1<<63) = %d, want 0", res.ret)
+	}
+	var below []mem.Region
+	for _, r := range before {
+		if r.Addr < addr {
+			below = append(below, r)
+		}
+	}
+	if after := task.AS.Regions(); len(below) == 0 || !reflect.DeepEqual(below, after) {
+		t.Errorf("munmap(%#x, 1<<63) left %v, want %v", addr, after, below)
 	}
 }
 

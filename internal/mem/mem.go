@@ -108,12 +108,27 @@ var ErrOverlap = errors.New("mem: range already mapped")
 
 // ErrNoMem is returned when an allocation is denied by the AllocGate —
 // the deterministic fault-injection analogue of a transient
-// out-of-memory condition.
+// out-of-memory condition — or would take the address space past
+// MaxPages.
 var ErrNoMem = errors.New("mem: cannot allocate memory")
+
+// MaxPages is the most pages one address space may have mapped at once
+// (1 GiB of guest memory). A mapped page costs the host a header and a map
+// entry even while untouched, and the length of an mmap is guest-chosen,
+// so without a ceiling one syscall could exhaust the host. The largest
+// guest in the tree maps a few hundred pages.
+const MaxPages = 1 << 18
 
 // page is one 4 KiB page.
 type page struct {
-	data [PageSize]byte
+	// data is the page's backing array, nil until the page is first
+	// written or handed out by PageForAccess (demand-zero): an untouched
+	// page reads as zeros and costs no backing memory. Materialising it
+	// issues no generation, because nothing can be stale: no PageHandle
+	// aliases a page without backing, and the bytes every reader saw
+	// before (zeros) are the bytes the new array holds. Set under the
+	// write lock only.
+	data *[PageSize]byte
 	prot Prot
 	pkey uint8
 	// gen is the page's generation: a value unique within the address
@@ -199,15 +214,39 @@ func (as *AddressSpace) Clone() *AddressSpace {
 		genSeq:     as.genSeq,
 	}
 	c.codeMut.Store(as.codeMut.Load())
+	hdrs := make([]page, len(as.pages))
 	for pn, pg := range as.pages {
 		// Field-by-field: the page embeds an atomic generation, which must
 		// not be copied as a struct (go vet copylocks).
-		cp := &page{prot: pg.prot, pkey: pg.pkey}
-		cp.data = pg.data
+		cp := &hdrs[len(c.pages)]
+		cp.prot, cp.pkey = pg.prot, pg.pkey
+		if pg.data != nil {
+			d := *pg.data
+			cp.data = &d
+		}
 		cp.gen.Store(pg.gen.Load())
 		c.pages[pn] = cp
 	}
 	return c
+}
+
+// read copies len(dst) bytes of the page from offset po; an untouched page
+// reads as zeros. Caller holds mu.
+func (pg *page) read(dst []byte, po int) {
+	if pg.data == nil {
+		clear(dst)
+		return
+	}
+	copy(dst, pg.data[po:])
+}
+
+// backing returns the page's backing array, allocating it on first use.
+// Caller holds mu for writing.
+func (pg *page) backing() *[PageSize]byte {
+	if pg.data == nil {
+		pg.data = new([PageSize]byte)
+	}
+	return pg.data
 }
 
 // nextGen issues a fresh, never-reused page generation. Caller holds mu.
@@ -216,37 +255,52 @@ func (as *AddressSpace) nextGen() uint64 {
 	return as.genSeq
 }
 
+// mapPages installs n untouched pages starting at page number first, each
+// with a fresh generation. The headers of one call share one slice; no
+// backing array is allocated (see page.data). Caller holds mu and has
+// checked the range is free and within MaxPages.
+func (as *AddressSpace) mapPages(first, n uint64, prot Prot) {
+	hdrs := make([]page, n)
+	for i := range hdrs {
+		pg := &hdrs[i]
+		pg.prot = prot
+		pg.gen.Store(as.nextGen())
+		as.pages[first+uint64(i)] = pg
+	}
+	as.codeMut.Add(1)
+}
+
 // MapFixed maps [addr, addr+length) with the given protection. addr and
-// length must be page-aligned. It fails with ErrOverlap if any page in the
-// range is already mapped.
+// length must be page-aligned and the range must not wrap the address
+// space. It fails with ErrOverlap if any page in the range is already
+// mapped and with ErrNoMem past MaxPages.
 func (as *AddressSpace) MapFixed(addr, length uint64, prot Prot) error {
-	if addr%PageSize != 0 || length == 0 || length%PageSize != 0 {
+	if addr%PageSize != 0 || length == 0 || length%PageSize != 0 || addr+length-1 < addr {
 		return ErrBadRange
 	}
-	if as.AllocGate != nil && !as.AllocGate(length>>PageShift) {
+	first, n := addr>>PageShift, length>>PageShift
+	if as.AllocGate != nil && !as.AllocGate(n) {
 		return ErrNoMem
 	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	first, n := addr>>PageShift, length>>PageShift
+	if n > MaxPages-uint64(len(as.pages)) {
+		return ErrNoMem
+	}
 	for i := uint64(0); i < n; i++ {
 		if _, ok := as.pages[first+i]; ok {
 			return fmt.Errorf("%w: page %#x", ErrOverlap, (first+i)<<PageShift)
 		}
 	}
-	for i := uint64(0); i < n; i++ {
-		pg := &page{prot: prot}
-		pg.gen.Store(as.nextGen())
-		as.pages[first+i] = pg
-	}
-	as.codeMut.Add(1)
+	as.mapPages(first, n, prot)
 	return nil
 }
 
 // MapAnon maps length bytes (rounded up to pages) at a kernel-chosen
-// address and returns that address.
+// address and returns that address. A length that rounds past 2^64 is
+// ErrBadRange; one that would exceed MaxPages is ErrNoMem.
 func (as *AddressSpace) MapAnon(length uint64, prot Prot) (uint64, error) {
-	if length == 0 {
+	if length == 0 || length > ^uint64(0)-(PageSize-1) {
 		return 0, ErrBadRange
 	}
 	length = (length + PageSize - 1) &^ (PageSize - 1)
@@ -255,6 +309,9 @@ func (as *AddressSpace) MapAnon(length uint64, prot Prot) (uint64, error) {
 	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
+	if length>>PageShift > MaxPages-uint64(len(as.pages)) {
+		return 0, ErrNoMem
+	}
 	// Find a free run starting at brk.
 	addr := as.brk
 	for {
@@ -268,13 +325,8 @@ func (as *AddressSpace) MapAnon(length uint64, prot Prot) (uint64, error) {
 			}
 		}
 		if free {
-			for i := uint64(0); i < n; i++ {
-				pg := &page{prot: prot}
-				pg.gen.Store(as.nextGen())
-				as.pages[first+i] = pg
-			}
+			as.mapPages(first, n, prot)
 			as.brk = addr + length
-			as.codeMut.Add(1)
 			return addr, nil
 		}
 	}
@@ -312,13 +364,26 @@ func (as *AddressSpace) Unmap(addr, length uint64) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	first, n := addr>>PageShift, length>>PageShift
-	for i := uint64(0); i < n; i++ {
-		if pg, ok := as.pages[first+i]; ok {
-			// Tombstone: generation 0 is never issued, so any PageHandle
-			// still aliasing this page object can never validate again —
-			// even if the address is later remapped to a fresh page.
-			pg.gen.Store(0)
-			delete(as.pages, first+i)
+	unmap := func(pn uint64, pg *page) {
+		// Tombstone: generation 0 is never issued, so any PageHandle
+		// still aliasing this page object can never validate again —
+		// even if the address is later remapped to a fresh page.
+		pg.gen.Store(0)
+		delete(as.pages, pn)
+	}
+	if n <= uint64(len(as.pages)) {
+		for i := uint64(0); i < n; i++ {
+			if pg, ok := as.pages[first+i]; ok {
+				unmap(first+i, pg)
+			}
+		}
+	} else {
+		// The length is guest-chosen (munmap) and may span 2^52 pages;
+		// visit the at most MaxPages that exist instead.
+		for pn, pg := range as.pages {
+			if pn-first < n {
+				unmap(pn, pg)
+			}
 		}
 	}
 	as.codeMut.Add(1)
@@ -369,7 +434,7 @@ func (as *AddressSpace) accessRead(addr uint64, dst []byte, need Prot, kind Acce
 		if rem := n - off; chunk > rem {
 			chunk = rem
 		}
-		copy(dst[off:off+chunk], pg.data[po:po+chunk])
+		pg.read(dst[off:off+chunk], po)
 		off += chunk
 	}
 	return nil
@@ -405,7 +470,7 @@ func (as *AddressSpace) accessWrite(addr uint64, src []byte, need Prot, kind Acc
 		if rem := n - off; chunk > rem {
 			chunk = rem
 		}
-		copy(pg.data[po:po+chunk], src[off:off+chunk])
+		copy(pg.backing()[po:po+chunk], src[off:off+chunk])
 		pg.gen.Store(as.nextGen())
 		if pg.prot&ProtExec != 0 {
 			execTouched = true
@@ -518,7 +583,7 @@ func (as *AddressSpace) fetchExecLocked(addr uint64, p []byte, wantGens bool) (n
 		if rem := total - off; chunk > rem {
 			chunk = rem
 		}
-		copy(p[off:off+chunk], pg.data[po:po+chunk])
+		pg.read(p[off:off+chunk], po)
 		off += chunk
 	}
 	return total, pages, npages, as.codeMut.Load(), nil
@@ -583,22 +648,39 @@ func (h *PageHandle) Valid() bool { return h.gen != nil && h.gen.Load() == h.Gen
 // PageForAccess looks up the page `pn` for the data-access fast path and
 // returns a PageHandle aliasing it. ok is false when the page is
 // unmapped. This is the TLB-miss fill path: one read-lock walk amortised
-// over every subsequent zero-lock hit.
+// over every subsequent zero-lock hit. A handle needs bytes to alias, so
+// an untouched page gets its backing here, under the write lock.
 func (as *AddressSpace) PageForAccess(pn uint64) (PageHandle, bool) {
 	as.mu.RLock()
-	defer as.mu.RUnlock()
 	pg, ok := as.pages[pn]
+	if ok && pg.data != nil {
+		h := pg.handle()
+		as.mu.RUnlock()
+		return h, true
+	}
+	as.mu.RUnlock()
 	if !ok {
 		return PageHandle{}, false
 	}
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	if pg, ok = as.pages[pn]; !ok { // unmapped between the two locks
+		return PageHandle{}, false
+	}
+	pg.backing()
+	return pg.handle(), true
+}
+
+// handle builds the PageHandle of a page that has backing. Caller holds mu.
+func (pg *page) handle() PageHandle {
 	return PageHandle{
-		Data:        &pg.data,
+		Data:        pg.data,
 		Gen:         pg.gen.Load(),
 		Prot:        pg.prot,
 		Pkey:        pg.pkey,
 		DirectWrite: pg.prot&ProtWrite != 0 && pg.prot&ProtExec == 0,
 		gen:         &pg.gen,
-	}, true
+	}
 }
 
 // WriteForce writes p at addr ignoring page protections (kernel-privileged

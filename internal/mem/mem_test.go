@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -127,6 +128,20 @@ func TestUnmap(t *testing.T) {
 	// munmap over holes is fine.
 	if err := as.Unmap(0x1000, 2*PageSize); err != nil {
 		t.Errorf("unmap over hole: %v", err)
+	}
+	// A guest-sized length must cost what is mapped, not what it spans
+	// (page by page, 2^51 iterations), and spare what lies outside it.
+	if err := as.MapFixed(0x1000, PageSize, ProtRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.MapFixed(0x9000, 2*PageSize, ProtRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Unmap(0x2000, 1<<63); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Region{{Addr: 0x1000, Length: PageSize, Prot: ProtRW}}; !reflect.DeepEqual(as.Regions(), want) {
+		t.Errorf("after a huge unmap from 0x2000: %v, want %v", as.Regions(), want)
 	}
 }
 
@@ -273,5 +288,52 @@ func TestU64RoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMapLengthLimits: a mapping length is guest-chosen (mmap), so neither
+// a length that rounds past 2^64 nor one past the MaxPages ceiling may
+// succeed, allocate without bound or map nothing while claiming success.
+func TestMapLengthLimits(t *testing.T) {
+	as := NewAddressSpace()
+	for _, length := range []uint64{^uint64(0), ^uint64(0) - PageSize + 2} {
+		if addr, err := as.MapAnon(length, ProtRW); !errors.Is(err, ErrBadRange) {
+			t.Errorf("MapAnon(%#x) = %#x, %v; want ErrBadRange (rounds to 0 pages)", length, addr, err)
+		}
+	}
+	for _, length := range []uint64{1 << 40, (MaxPages + 1) * PageSize, ^uint64(0) - PageSize + 1} {
+		if addr, err := as.MapAnon(length, ProtRW); !errors.Is(err, ErrNoMem) {
+			t.Errorf("MapAnon(%#x) = %#x, %v; want ErrNoMem", length, addr, err)
+		}
+	}
+	if err := as.MapFixed(0x10000, 1<<40, ProtRW); !errors.Is(err, ErrNoMem) {
+		t.Errorf("MapFixed(0x10000, 1<<40) = %v; want ErrNoMem", err)
+	}
+	if err := as.MapFixed(^uint64(0)-PageSize+1, 2*PageSize, ProtRW); !errors.Is(err, ErrBadRange) {
+		t.Errorf("MapFixed wrapping the address space = %v; want ErrBadRange", err)
+	}
+	if got := len(as.Regions()); got != 0 {
+		t.Fatalf("%d regions mapped by rejected calls", got)
+	}
+
+	// The ceiling counts what is already mapped, and exactly MaxPages fit.
+	if err := as.MapFixed(0x10000, PageSize, ProtRW); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.MapAnon(MaxPages*PageSize, ProtRW); !errors.Is(err, ErrNoMem) {
+		t.Errorf("MapAnon(MaxPages) with a page mapped = %v; want ErrNoMem", err)
+	}
+	addr, err := as.MapAnon((MaxPages-1)*PageSize, ProtRW)
+	if err != nil {
+		t.Fatalf("MapAnon up to the ceiling: %v", err)
+	}
+	if err := as.MapFixed(0x20000, PageSize, ProtRW); !errors.Is(err, ErrNoMem) {
+		t.Errorf("MapFixed at the ceiling = %v; want ErrNoMem", err)
+	}
+	if err := as.Unmap(addr, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.MapFixed(0x20000, PageSize, ProtRW); err != nil {
+		t.Errorf("MapFixed after freeing a page: %v", err)
 	}
 }

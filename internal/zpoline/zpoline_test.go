@@ -5,8 +5,10 @@ import (
 
 	"lazypoline/internal/asm"
 	"lazypoline/internal/interpose"
+	"lazypoline/internal/isa"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/loader"
+	"lazypoline/internal/mem"
 	"lazypoline/internal/trace"
 )
 
@@ -246,6 +248,23 @@ func TestNaiveScanCorruptsImmediates(t *testing.T) {
 	_, naive := run(ScanNaive)
 	if naive.Stats.Rewritten <= 2 {
 		t.Errorf("naive scan rewrote %d, want >2 (false positive inside the immediate)", naive.Stats.Rewritten)
+	}
+}
+
+// TestScanOfPaddingAllocatesOnlyTheSites: a loaded image is mostly zero
+// padding, which the linear scan steps over one rejected byte at a time;
+// a rejection that built an error value made the scan the largest
+// allocator of a zpoline cold start.
+func TestScanOfPaddingAllocatesOnlyTheSites(t *testing.T) {
+	code := (&isa.Enc{}).MovImm64(isa.RAX, 60).Syscall().Buf
+	code = append(code, make([]byte, 16*mem.PageSize)...)
+	var sites []uint64
+	allocs := testing.AllocsPerRun(10, func() { sites = FindSyscallSites(code, 0x10000, ScanLinear) })
+	if len(sites) != 1 || sites[0] != 0x10000+10 {
+		t.Fatalf("sites = %#x, want the one syscall at 0x1000a", sites)
+	}
+	if allocs != 1 {
+		t.Errorf("scan allocates %v objects, want 1 (the result slice)", allocs)
 	}
 }
 

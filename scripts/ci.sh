@@ -11,10 +11,17 @@ go build ./...
 go test -race ./...
 
 # The data fast path's concurrency surface (lock-free TLB hits against
-# locked invalidation, the RLock'd read walk) gets an explicit -race
-# pass even though the full-suite run above covers these packages: a
-# future narrowing of the suite must not silently drop this gate.
-go test -race ./internal/cpu/... ./internal/mem/...
+# locked invalidation, the RLock'd read walk) and the cold path's
+# (DESIGN.md §17: demand-zero pages gaining their backing under readers,
+# the decoder, block builds) get an explicit -race pass even though the
+# full-suite run above covers these packages: a future narrowing of the
+# suite must not silently drop this gate.
+go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/...
+
+# Cold-path allocation gate: a coreutil run in a fresh kernel must stay
+# inside its byte/object budget — an eager page array or a per-byte
+# decode error object would break it.
+go test ./internal/experiments -run 'TestColdStartAllocs' -count 1
 
 # Benchmark smoke run: the interpreter benchmarks must still execute, and
 # cpubench must still clear its cache-speedup and fast-path-speedup
@@ -226,7 +233,7 @@ go run ./cmd/parbench -requests 300 -conns 8 -workers 4 -mechs baseline,lazypoli
 grep -q '"parallel_rounds"' /tmp/ci_BENCH_parallel.json
 
 # Host-time benchmark (bench/README.md): its unit tests, then a quick
-# drive of two workloads. Only the exit status is gated — every cell's
+# drive of three workloads. Only the exit status is gated — every cell's
 # simulated result must match bench/golden/ and no unit of work may fail;
 # timings on a shared CI host are printed, never compared.
 go test ./bench -count 1
