@@ -23,6 +23,7 @@ import (
 	"lazypoline/internal/benchfmt"
 	"lazypoline/internal/experiments"
 	"lazypoline/internal/guest"
+	"lazypoline/internal/kernel"
 	"lazypoline/internal/otrace"
 	"lazypoline/internal/telemetry"
 	"lazypoline/internal/webbench"
@@ -53,7 +54,10 @@ func main() {
 	profileOut := flag.String("profile-out", "", "write folded flamegraph stacks of one instrumented webserver run")
 	flag.Parse()
 
+	// Costs is named rather than left zero (which selects the same model)
+	// so the snapshot header echoes the prices the cells ran under.
 	cfg := experiments.Figure5Config{
+		Costs:              kernel.DefaultCostModel(),
 		Requests:           *requests,
 		Connections:        *conns,
 		ClientCapFactor:    *capFactor,

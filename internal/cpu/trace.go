@@ -11,10 +11,11 @@ import "lazypoline/internal/isa"
 // at entry and after any code mutation, and a per-instruction pc match
 // catches branches that leave the recorded path mid-trace. Two guest
 // idioms hot enough to show up in every macrobenchmark get fused
-// handlers instead: straight NOP runs (the zpoline sled) execute with
-// closed-form batch accounting, and self-looping load/store bodies
-// (memcpy-style) re-run whole iterations without re-entering the
-// dispatch machinery.
+// handlers instead: straight NOP runs (the zpoline sled) and the counted
+// loop `addi r,-1 ; jnz` (the web servers' per-request app work) retire
+// in closed form, one O(1) update per visit (DESIGN.md §18), and
+// self-looping load/store bodies (memcpy-style) re-run whole iterations
+// without re-entering the dispatch machinery.
 
 // tracePromoteThreshold is the chained-entry count at which a block head
 // is promoted (and re-attempted on later multiples if promotion found
@@ -38,6 +39,9 @@ const (
 	// fusedLoop: a self-looping block — an ALU/load/store body whose
 	// terminator is a Jnz straight back to the block entry.
 	fusedLoop
+	// fusedCountdown: exactly `addi r,-1 ; jnz <block entry>`. The only
+	// self-loop the serving guests execute; retired in closed form.
+	fusedCountdown
 )
 
 // TraceStats counts hot-trace and fused-handler activity.
@@ -52,8 +56,8 @@ type TraceStats struct {
 	Runs  uint64
 	Insts uint64
 	// FusedLoopIters counts whole loop iterations retired by the fused
-	// loop handler; FusedNopInsts counts NOPs retired by the fused sled
-	// handler.
+	// loop handlers (per-instruction and closed-form alike); FusedNopInsts
+	// counts NOPs retired by the fused sled handler.
 	FusedLoopIters uint64
 	FusedNopInsts  uint64
 }
@@ -122,6 +126,9 @@ func classifyFused(b *cachedBlock) {
 		}
 	}
 	b.fused = fusedLoop
+	if first := &b.insts[0]; n == 2 && first.Op == isa.OpAddImm && first.Imm == -1 {
+		b.fused = fusedCountdown
+	}
 }
 
 // fusedLoopOp reports whether op may appear in a fused loop body. The
@@ -185,6 +192,8 @@ func (c *CPU) runSpecialized(b *cachedBlock, max uint64, steps *uint64, pre *uin
 		return c.runFusedNops(b, max, steps, pre)
 	case fusedLoop:
 		return c.runFusedLoop(b, max, steps, pre)
+	case fusedCountdown:
+		return c.runCountdown(b, max, steps, pre)
 	}
 	if tr := b.trace; tr != nil && !tr.dead {
 		return c.runTrace(tr, max, steps, pre)
@@ -377,6 +386,46 @@ func (c *CPU) runFusedLoop(b *cachedBlock, max uint64, steps *uint64, pre *uint6
 		return EvNone, true
 	}
 	return EvNone, false
+}
+
+// runCountdown retires whole iterations of `addi r,-1 ; jnz entry` in one
+// O(1) update. m is the number of iterations the interpreter would run
+// before either r reaches zero (r itself, or 2^64 when r is already zero:
+// the first addi wraps it) or the budget cannot fit another whole pass;
+// every piece of state is then set to what m trips through execInst leave
+// behind (DESIGN.md §18 argues each identity). The body has no store and
+// cannot fault or raise an event, so the entry revalidation covers all m
+// iterations. With m == 0 nothing is retired and the caller's
+// per-instruction path finishes the quantum, as with runFusedLoop.
+func (c *CPU) runCountdown(b *cachedBlock, max uint64, steps *uint64, pre *uint64) (Event, bool) {
+	dc := c.cache
+	if b.mut != dc.as.CodeMutations() && !dc.revalidate(b) {
+		dc.drop(b)
+		return EvNone, false
+	}
+	reg := b.insts[0].A
+	r := c.Regs[reg]
+	m := (max - *steps) / 2
+	if r != 0 && r < m {
+		m = r
+	}
+	if m > 0 {
+		// The first addi ends any NOP run; nothing after it starts one.
+		c.FlushNopBatch()
+		c.Cycles += 2 * m * c.Costs.Insn
+		*pre = c.Cycles - c.Costs.Insn
+		c.setArith(reg, r-m)
+		c.RIP = b.entry
+		if c.ZF {
+			c.RIP = b.end
+		}
+		dc.curIdx = 2
+		*steps += 2 * m
+		c.SuperblockInsts += 2 * m
+		dc.stats.Hits += 2 * m
+		dc.tstats.FusedLoopIters += m
+	}
+	return EvNone, *steps >= max
 }
 
 // runFusedNops retires a leading NOP run with closed-form batch

@@ -202,35 +202,51 @@ func WriteSavedReg(t *kernel.Task, r isa.Reg, v uint64) error {
 	return t.AS.WriteU64(t.CPU.Regs[isa.RSP]+uint64(SavedRegOffset(r)), v)
 }
 
-// ReadCall extracts the interposed Call from the stub's save area.
+// argRegs are the syscall argument registers, in ABI order.
+var argRegs = [6]isa.Reg{isa.RDI, isa.RSI, isa.RDX, isa.R10, isa.R8, isa.R9}
+
+// The save slots of a Call's registers — RAX and argRegs — lie in one
+// contiguous span of the save area, R10 (lowest) through RAX (highest),
+// with R11/RBP/RBX/RCX slots in between that a Call does not carry.
+const (
+	callSpanOff = 40 // SavedRegOffset(isa.R10)
+	callSpanLen = 80 // through SavedRegOffset(isa.RAX) + 8
+)
+
+// ReadCall extracts the interposed Call from the stub's save area with a
+// single read of the span holding its seven registers.
 func ReadCall(t *kernel.Task) (*Call, error) {
-	c := &Call{Task: t}
-	nr, err := ReadSavedReg(t, isa.RAX)
-	if err != nil {
+	var span [callSpanLen]byte
+	if err := t.AS.ReadAt(t.CPU.Regs[isa.RSP]+callSpanOff, span[:]); err != nil {
 		return nil, err
 	}
-	c.Nr = int64(nr)
-	argRegs := [6]isa.Reg{isa.RDI, isa.RSI, isa.RDX, isa.R10, isa.R8, isa.R9}
+	slot := func(r isa.Reg) uint64 {
+		return binary.LittleEndian.Uint64(span[SavedRegOffset(r)-callSpanOff:])
+	}
+	c := &Call{Task: t, Nr: int64(slot(isa.RAX))}
 	for i, r := range argRegs {
-		v, err := ReadSavedReg(t, r)
-		if err != nil {
-			return nil, err
-		}
-		c.Args[i] = v
+		c.Args[i] = slot(r)
 	}
 	return c, nil
 }
 
-// WriteCall stores (possibly modified) call registers back into the save
-// area.
-func WriteCall(t *kernel.Task, c *Call) error {
-	if err := WriteSavedReg(t, isa.RAX, uint64(c.Nr)); err != nil {
-		return err
-	}
-	argRegs := [6]isa.Reg{isa.RDI, isa.RSI, isa.RDX, isa.R10, isa.R8, isa.R9}
-	for i, r := range argRegs {
-		if err := WriteSavedReg(t, r, c.Args[i]); err != nil {
+// WriteCall stores into the save area the call registers of c that differ
+// from before, the Call as ReadCall returned it — for an interposer that
+// rewrote nothing, no store at all. Writing back an unchanged value would
+// leave the same bytes but still cost a locked page walk and a page-
+// generation bump, which drops the CPU's D-TLB handle on the stack page
+// at every interposed syscall (DESIGN.md §18).
+func WriteCall(t *kernel.Task, c, before *Call) error {
+	if c.Nr != before.Nr {
+		if err := WriteSavedReg(t, isa.RAX, uint64(c.Nr)); err != nil {
 			return err
+		}
+	}
+	for i, r := range argRegs {
+		if c.Args[i] != before.Args[i] {
+			if err := WriteSavedReg(t, r, c.Args[i]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -167,8 +167,9 @@ func (b *Binder) Enter(hc *kernel.HcallCtx) error {
 	if err != nil {
 		return fmt.Errorf("interpose: read call: %w", err)
 	}
+	before := *c
 	action := b.ip.Enter(c)
-	if err := WriteCall(t, c); err != nil {
+	if err := WriteCall(t, c, &before); err != nil {
 		return fmt.Errorf("interpose: write call: %w", err)
 	}
 	if action == Emulate {
@@ -223,5 +224,8 @@ func (b *Binder) Exit(hc *kernel.HcallCtx) error {
 	}
 	c.Ret = int64(ret)
 	b.ip.Exit(c)
+	if c.Ret == int64(ret) {
+		return nil
+	}
 	return WriteSavedReg(t, isa.RAX, uint64(c.Ret))
 }

@@ -13,10 +13,11 @@ go test -race ./...
 # The data fast path's concurrency surface (lock-free TLB hits against
 # locked invalidation, the RLock'd read walk) and the cold path's
 # (DESIGN.md §17: demand-zero pages gaining their backing under readers,
-# the decoder, block builds) get an explicit -race pass even though the
-# full-suite run above covers these packages: a future narrowing of the
+# the decoder, block builds), plus the interposer binder's hcall payloads
+# (shard-concurrent under -cores), get an explicit -race pass even though
+# the full-suite run above covers these packages: a future narrowing of the
 # suite must not silently drop this gate.
-go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/...
+go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/... ./internal/interpose/...
 
 # Cold-path allocation gate: a coreutil run in a fresh kernel must stay
 # inside its byte/object budget — an eager page array or a per-byte
@@ -25,11 +26,12 @@ go test ./internal/experiments -run 'TestColdStartAllocs' -count 1
 
 # Benchmark smoke run: the interpreter benchmarks must still execute, and
 # cpubench must still clear its cache-speedup and fast-path-speedup
-# floors — the raw-loop floor is pinned explicitly at 4.0x, the ratchet
-# block chaining + fused handlers must sustain (written to a scratch
-# file; the checked-in BENCH_cpu.json snapshot is refreshed manually).
+# floors — the load/store sweep's is pinned explicitly at 2.0x, the
+# ratchet block chaining + fused handlers must sustain on a loop that
+# still executes per instruction (written to a scratch file; the
+# checked-in BENCH_cpu.json snapshot is refreshed manually).
 go test ./internal/cpu/ -run '^$' -bench 'BenchmarkCPUStep|BenchmarkDecodeCache' -benchtime 100ms
-go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -minrawloop 4.0 -out /tmp/ci_BENCH_cpu.json
+go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -minmemloop 2.0 -out /tmp/ci_BENCH_cpu.json
 
 # Decode-cache determinism: a small Figure 5 sweep must produce
 # byte-identical snapshots with the cache enabled and disabled —
@@ -108,6 +110,15 @@ go test ./internal/isa/ -run '^$' -fuzz FuzzDecode -fuzztime 5s
 # Memory-access fuzz smoke: the single-walk ReadAt/WriteAt must match
 # the byte-at-a-time oracle on arbitrary spans and PKRU values.
 go test ./internal/mem/ -run '^$' -fuzz FuzzAccess -fuzztime 5s
+
+# Demand-zero fuzz smoke: random mapping/access programs against the
+# eager flat model (DESIGN.md §17).
+go test ./internal/mem/ -run '^$' -fuzz FuzzDemandZeroModel -fuzztime 5s
+
+# Counted-loop fuzz smoke: the closed form, the per-instruction fused pass
+# and plain Step must agree on any counter, budget sequence and preceding
+# NOP run (DESIGN.md §18).
+go test ./internal/cpu/ -run '^$' -fuzz FuzzCountedLoop -fuzztime 5s
 
 # Syscall-policy layer (DESIGN.md §12). A Figure 5 sweep with the policy
 # flags explicitly off must be byte-identical to one that never mentions
@@ -233,7 +244,8 @@ go run ./cmd/parbench -requests 300 -conns 8 -workers 4 -mechs baseline,lazypoli
 grep -q '"parallel_rounds"' /tmp/ci_BENCH_parallel.json
 
 # Host-time benchmark (bench/README.md): its unit tests, then a quick
-# drive of three workloads. Only the exit status is gated — every cell's
+# drive of four workloads, the small-file serving cells among them. Only
+# the exit status is gated — every cell's
 # simulated result must match bench/golden/ and no unit of work may fail;
 # timings on a shared CI host are printed, never compared.
 go test ./bench -count 1
