@@ -95,6 +95,7 @@ fuzz:
 	go test ./internal/mem/ -run '^$$' -fuzz FuzzAccess -fuzztime 30s
 	go test ./internal/mem/ -run '^$$' -fuzz FuzzDemandZeroModel -fuzztime 30s
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzCountedLoop -fuzztime 30s
+	go test ./internal/kernel/ -run '^$$' -fuzz FuzzTaskAccessors -fuzztime 30s
 
 bench:
 	go test -bench . -benchtime 1x ./...

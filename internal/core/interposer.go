@@ -86,11 +86,11 @@ func (ci *coreInterposer) enterClone(c *interpose.Call) {
 	t := c.Task
 	const frameSize = 16 * 8 // 15 saved GPRs + the call-rax return address
 	frame := make([]byte, frameSize)
-	if err := t.AS.ReadForce(t.CPU.Regs[isa.RSP], frame); err != nil {
+	if err := t.ReadForce(t.CPU.Regs[isa.RSP], frame); err != nil {
 		return
 	}
 	newSP := (c.Args[1] - frameSize) &^ 7
-	if err := t.AS.WriteForce(newSP, frame); err != nil {
+	if err := t.WriteForce(newSP, frame); err != nil {
 		return
 	}
 	c.Args[1] = newSP
@@ -119,14 +119,14 @@ func (ci *coreInterposer) enterSigaction(c *interpose.Call) interpose.Action {
 	// Transparency: report the previously registered *application*
 	// handler, not our wrapper.
 	if oldPtr != 0 {
-		prev, err := t.AS.ReadU64(tableSlot)
+		prev, err := t.ReadU64(tableSlot)
 		if err != nil {
 			c.Ret = -kernel.EFAULT
 			return interpose.Emulate
 		}
 		var old [kernel.SigactionSize]byte
 		binary.LittleEndian.PutUint64(old[0:], prev)
-		if err := t.AS.WriteForce(oldPtr, old[:]); err != nil {
+		if err := t.WriteForce(oldPtr, old[:]); err != nil {
 			c.Ret = -kernel.EFAULT
 			return interpose.Emulate
 		}
@@ -137,7 +137,7 @@ func (ci *coreInterposer) enterSigaction(c *interpose.Call) interpose.Action {
 	}
 
 	var act [kernel.SigactionSize]byte
-	if err := t.AS.ReadForce(actPtr, act[:]); err != nil {
+	if err := t.ReadForce(actPtr, act[:]); err != nil {
 		c.Ret = -kernel.EFAULT
 		return interpose.Emulate
 	}
@@ -146,7 +146,7 @@ func (ci *coreInterposer) enterSigaction(c *interpose.Call) interpose.Action {
 	flags := binary.LittleEndian.Uint64(act[16:24])
 
 	// Record the app handler.
-	if err := t.AS.WriteU64(tableSlot, handler); err != nil {
+	if err := t.WriteU64(tableSlot, handler); err != nil {
 		c.Ret = -kernel.EFAULT
 		return interpose.Emulate
 	}
@@ -169,7 +169,7 @@ func (ci *coreInterposer) enterSigaction(c *interpose.Call) interpose.Action {
 	binary.LittleEndian.PutUint64(staged[0:], rt.wrapperAddr)
 	binary.LittleEndian.PutUint64(staged[8:], mask)
 	binary.LittleEndian.PutUint64(staged[16:], flags)
-	if err := t.AS.WriteForce(scratch, staged[:]); err != nil {
+	if err := t.WriteForce(scratch, staged[:]); err != nil {
 		c.Ret = -kernel.EFAULT
 		return interpose.Emulate
 	}
@@ -193,20 +193,20 @@ func (ci *coreInterposer) enterSigreturn(c *interpose.Call) {
 	if !ok {
 		return // stray sigreturn; the kernel will SIGSEGV it
 	}
-	srsTop, err := t.AS.ReadU64(t.CPU.GSBase + interpose.GSSigretTop)
+	srsTop, err := t.ReadU64(t.CPU.GSBase + interpose.GSSigretTop)
 	if err != nil || srsTop < interpose.GSSigretStack+16 {
 		return // no wrapper frame: an unwrapped sigreturn, leave it alone
 	}
-	resume, err := t.AS.ReadU64(ucAddr + kernel.UCRip)
+	resume, err := t.ReadU64(ucAddr + kernel.UCRip)
 	if err != nil {
 		return
 	}
 	// frame.rip = original resume address.
-	if err := t.AS.WriteU64(t.CPU.GSBase+srsTop-16+8, resume); err != nil {
+	if err := t.WriteU64(t.CPU.GSBase+srsTop-16+8, resume); err != nil {
 		return
 	}
 	// The restored context enters the trampoline instead.
-	if err := t.AS.WriteU64(ucAddr+kernel.UCRip, rt.sigretTramp); err != nil {
+	if err := t.WriteU64(ucAddr+kernel.UCRip, rt.sigretTramp); err != nil {
 		return
 	}
 	rt.Stats.SigreturnsRouted++

@@ -36,13 +36,13 @@ func (rt *Runtime) slowPath(hc *kernel.HcallCtx) error {
 
 	// The selector goes to ALLOW first: everything the slow path itself
 	// does (mprotect syscalls, the final sigreturn) must dispatch.
-	if err := t.AS.WriteForce(t.CPU.GSBase+interpose.GSSelector,
+	if err := t.WriteForce(t.CPU.GSBase+interpose.GSSelector,
 		[]byte{kernel.SyscallDispatchFilterAllow}); err != nil {
 		return err
 	}
 
 	// The saved RIP points just past the trapping syscall instruction.
-	savedRIP, err := t.AS.ReadU64(ucAddr + kernel.UCRip)
+	savedRIP, err := t.ReadU64(ucAddr + kernel.UCRip)
 	if err != nil {
 		return err
 	}
@@ -64,18 +64,18 @@ func (rt *Runtime) slowPath(hc *kernel.HcallCtx) error {
 	// point, after pushing the return address a real `call rax` would
 	// have pushed. The saved RAX still holds the syscall number, exactly
 	// what the entry stub expects.
-	savedRSP, err := t.AS.ReadU64(ucAddr + kernel.UCGRegs + 8*uint64(isa.RSP))
+	savedRSP, err := t.ReadU64(ucAddr + kernel.UCGRegs + 8*uint64(isa.RSP))
 	if err != nil {
 		return err
 	}
 	savedRSP -= 8
-	if err := t.AS.WriteU64(savedRSP, savedRIP); err != nil {
+	if err := t.WriteU64(savedRSP, savedRIP); err != nil {
 		return err
 	}
-	if err := t.AS.WriteU64(ucAddr+kernel.UCGRegs+8*uint64(isa.RSP), savedRSP); err != nil {
+	if err := t.WriteU64(ucAddr+kernel.UCGRegs+8*uint64(isa.RSP), savedRSP); err != nil {
 		return err
 	}
-	return t.AS.WriteU64(ucAddr+kernel.UCRip, rt.entryAddr)
+	return t.WriteU64(ucAddr+kernel.UCRip, rt.entryAddr)
 }
 
 // rewriteSiteLocked takes the in-guest rewrite spinlock, then rewrites.
@@ -86,13 +86,13 @@ func (rt *Runtime) slowPath(hc *kernel.HcallCtx) error {
 func (rt *Runtime) rewriteSiteLocked(t *kernel.Task, site uint64) error {
 	lockAddr := uint64(RuntimeDataBase + spinlockOff)
 	for {
-		old, err := t.AS.ReadU64(lockAddr)
+		old, err := t.ReadU64(lockAddr)
 		if err != nil {
 			return err
 		}
 		t.CPU.Cycles += 2 // xchg
 		if old == 0 {
-			if err := t.AS.WriteU64(lockAddr, 1); err != nil {
+			if err := t.WriteU64(lockAddr, 1); err != nil {
 				return err
 			}
 			break
@@ -102,7 +102,7 @@ func (rt *Runtime) rewriteSiteLocked(t *kernel.Task, site uint64) error {
 		return fmt.Errorf("lazypoline: rewrite lock held")
 	}
 	rerr := rt.rewriteSite(t, site)
-	if err := t.AS.WriteU64(lockAddr, 0); err != nil {
+	if err := t.WriteU64(lockAddr, 0); err != nil {
 		return err
 	}
 	t.CPU.Cycles += 2 // unlock store
@@ -115,7 +115,7 @@ func (rt *Runtime) rewriteSiteLocked(t *kernel.Task, site uint64) error {
 // everything else). Already-rewritten sites are fine (idempotent).
 func (rt *Runtime) rewriteSite(t *kernel.Task, site uint64) error {
 	var cur [2]byte
-	if err := t.AS.ReadForce(site, cur[:]); err != nil {
+	if err := t.ReadForce(site, cur[:]); err != nil {
 		return err
 	}
 	if !isa.IsSyscallBytes(cur[:]) {
@@ -146,7 +146,7 @@ func (rt *Runtime) rewriteSite(t *kernel.Task, site uint64) error {
 		}
 	}
 	patch := isa.CallRaxBytes()
-	if err := t.AS.WriteAt(site, patch[:]); err != nil {
+	if err := t.WriteAt(site, patch[:]); err != nil {
 		return err
 	}
 	if needFlip {

@@ -34,35 +34,36 @@ type XState struct {
 	Top uint8
 }
 
+// Serialized layout: the vector registers, then the x87 slots, then the
+// top-of-stack byte; the rest of the area is zero.
+const (
+	xstateX87Off = isa.NumXRegs * 16
+	xstateTopOff = xstateX87Off + 8*8
+)
+
 // Marshal serializes the state into a XStateSize-byte buffer.
 func (x *XState) Marshal(dst []byte) {
-	off := 0
+	dst = dst[:XStateSize]
 	for i := range x.X {
-		copy(dst[off:off+16], x.X[i][:])
-		off += 16
+		*(*[16]byte)(dst[16*i:]) = x.X[i]
 	}
-	for i := range x.X87 {
-		binary.LittleEndian.PutUint64(dst[off:off+8], x.X87[i])
-		off += 8
+	for i, v := range x.X87 {
+		binary.LittleEndian.PutUint64(dst[xstateX87Off+8*i:], v)
 	}
-	dst[off] = x.Top
-	for i := off + 1; i < XStateSize; i++ {
-		dst[i] = 0
-	}
+	dst[xstateTopOff] = x.Top
+	clear(dst[xstateTopOff+1:])
 }
 
 // Unmarshal deserializes the state from a XStateSize-byte buffer.
 func (x *XState) Unmarshal(src []byte) {
-	off := 0
+	src = src[:XStateSize]
 	for i := range x.X {
-		copy(x.X[i][:], src[off:off+16])
-		off += 16
+		x.X[i] = *(*[16]byte)(src[16*i:])
 	}
 	for i := range x.X87 {
-		x.X87[i] = binary.LittleEndian.Uint64(src[off : off+8])
-		off += 8
+		x.X87[i] = binary.LittleEndian.Uint64(src[xstateX87Off+8*i:])
 	}
-	x.Top = src[off]
+	x.Top = src[xstateTopOff]
 }
 
 // Event is the reason Step returned control to the kernel.
@@ -262,12 +263,12 @@ func (c *CPU) cmpVals(a, b uint64) {
 // push pushes v onto the stack.
 func (c *CPU) push(v uint64) error {
 	c.Regs[isa.RSP] -= 8
-	return c.writeU64(c.Regs[isa.RSP], v)
+	return c.WriteU64(c.Regs[isa.RSP], v)
 }
 
 // pop pops the stack top.
 func (c *CPU) pop() (uint64, error) {
-	v, err := c.readU64(c.Regs[isa.RSP])
+	v, err := c.ReadU64(c.Regs[isa.RSP])
 	if err != nil {
 		return 0, err
 	}
@@ -388,29 +389,29 @@ func (c *CPU) execInst(pc uint64, in *isa.Inst) Event {
 	case isa.OpMovReg:
 		c.Regs[in.A] = c.Regs[in.B]
 	case isa.OpLoad:
-		v, err := c.readU64(c.Regs[in.B] + uint64(in.Imm))
+		v, err := c.ReadU64(c.Regs[in.B] + uint64(in.Imm))
 		if err != nil {
 			return c.fault(pc, err)
 		}
 		c.Regs[in.A] = v
 	case isa.OpStore:
-		if err := c.writeU64(c.Regs[in.A]+uint64(in.Imm), c.Regs[in.B]); err != nil {
+		if err := c.WriteU64(c.Regs[in.A]+uint64(in.Imm), c.Regs[in.B]); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.OpLoadB:
 		var b [1]byte
-		if err := c.readAt(c.Regs[in.B]+uint64(in.Imm), b[:]); err != nil {
+		if err := c.ReadAt(c.Regs[in.B]+uint64(in.Imm), b[:]); err != nil {
 			return c.fault(pc, err)
 		}
 		c.Regs[in.A] = uint64(b[0])
 	case isa.OpStoreB:
 		b := [1]byte{byte(c.Regs[in.B])}
-		if err := c.writeAt(c.Regs[in.A]+uint64(in.Imm), b[:]); err != nil {
+		if err := c.WriteAt(c.Regs[in.A]+uint64(in.Imm), b[:]); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.OpLoad32:
 		var b [4]byte
-		if err := c.readAt(c.Regs[in.B]+uint64(in.Imm), b[:]); err != nil {
+		if err := c.ReadAt(c.Regs[in.B]+uint64(in.Imm), b[:]); err != nil {
 			return c.fault(pc, err)
 		}
 		c.Regs[in.A] = uint64(binary.LittleEndian.Uint32(b[:]))
@@ -491,11 +492,11 @@ func (c *CPU) execInst(pc uint64, in *isa.Inst) Event {
 		x := isa.XReg(in.A)
 		copy(c.X.X[x][8:], c.X.X[x][:8])
 	case isa.OpMovupsStore:
-		if err := c.writeAt(c.Regs[in.B]+uint64(in.Imm), c.X.X[isa.XReg(in.A)][:]); err != nil {
+		if err := c.WriteAt(c.Regs[in.B]+uint64(in.Imm), c.X.X[isa.XReg(in.A)][:]); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.OpMovupsLoad:
-		if err := c.readAt(c.Regs[in.B]+uint64(in.Imm), c.X.X[isa.XReg(in.A)][:]); err != nil {
+		if err := c.ReadAt(c.Regs[in.B]+uint64(in.Imm), c.X.X[isa.XReg(in.A)][:]); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.OpXorps:
@@ -512,33 +513,33 @@ func (c *CPU) execInst(pc uint64, in *isa.Inst) Event {
 	case isa.OpRdCycle:
 		c.Regs[in.A] = c.Cycles
 	case isa.OpGsLoad:
-		v, err := c.readU64(c.GSBase + uint64(in.Imm))
+		v, err := c.ReadU64(c.GSBase + uint64(in.Imm))
 		if err != nil {
 			return c.fault(pc, err)
 		}
 		c.Regs[in.A] = v
 	case isa.OpGsStore:
-		if err := c.writeU64(c.GSBase+uint64(in.Imm), c.Regs[in.A]); err != nil {
+		if err := c.WriteU64(c.GSBase+uint64(in.Imm), c.Regs[in.A]); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.OpGsLoadB:
 		var b [1]byte
-		if err := c.readAt(c.GSBase+uint64(in.Imm), b[:]); err != nil {
+		if err := c.ReadAt(c.GSBase+uint64(in.Imm), b[:]); err != nil {
 			return c.fault(pc, err)
 		}
 		c.Regs[in.A] = uint64(b[0])
 	case isa.OpGsStoreB:
 		b := [1]byte{byte(c.Regs[in.A])}
-		if err := c.writeAt(c.GSBase+uint64(in.Imm), b[:]); err != nil {
+		if err := c.WriteAt(c.GSBase+uint64(in.Imm), b[:]); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.OpGsStoreBI:
 		b := [1]byte{byte(in.Imm)}
-		if err := c.writeAt(c.GSBase+uint64(in.Imm2), b[:]); err != nil {
+		if err := c.WriteAt(c.GSBase+uint64(in.Imm2), b[:]); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.OpGsPush:
-		v, err := c.readU64(c.GSBase + uint64(in.Imm))
+		v, err := c.ReadU64(c.GSBase + uint64(in.Imm))
 		if err != nil {
 			return c.fault(pc, err)
 		}
@@ -547,47 +548,47 @@ func (c *CPU) execInst(pc uint64, in *isa.Inst) Event {
 		}
 	case isa.OpGsAddI:
 		addr := c.GSBase + uint64(in.Imm)
-		v, err := c.readU64(addr)
+		v, err := c.ReadU64(addr)
 		if err != nil {
 			return c.fault(pc, err)
 		}
-		if err := c.writeU64(addr, v+uint64(in.Imm2)); err != nil {
+		if err := c.WriteU64(addr, v+uint64(in.Imm2)); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.OpGsMovB:
 		var b [1]byte
-		if err := c.readAt(c.GSBase+uint64(in.Imm2), b[:]); err != nil {
+		if err := c.ReadAt(c.GSBase+uint64(in.Imm2), b[:]); err != nil {
 			return c.fault(pc, err)
 		}
-		if err := c.writeAt(c.GSBase+uint64(in.Imm), b[:]); err != nil {
+		if err := c.WriteAt(c.GSBase+uint64(in.Imm), b[:]); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.OpGsMov:
-		v, err := c.readU64(c.GSBase + uint64(in.Imm2))
+		v, err := c.ReadU64(c.GSBase + uint64(in.Imm2))
 		if err != nil {
 			return c.fault(pc, err)
 		}
-		if err := c.writeU64(c.GSBase+uint64(in.Imm), v); err != nil {
+		if err := c.WriteU64(c.GSBase+uint64(in.Imm), v); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.OpGsLoadIdxB:
 		var b [1]byte
-		if err := c.readAt(c.GSBase+c.Regs[in.B], b[:]); err != nil {
+		if err := c.ReadAt(c.GSBase+c.Regs[in.B], b[:]); err != nil {
 			return c.fault(pc, err)
 		}
 		c.Regs[in.A] = uint64(b[0])
 	case isa.OpXchg:
 		addr := c.Regs[in.A]
-		old, err := c.readU64(addr)
+		old, err := c.ReadU64(addr)
 		if err != nil {
 			return c.fault(pc, err)
 		}
-		if err := c.writeU64(addr, c.Regs[in.B]); err != nil {
+		if err := c.WriteU64(addr, c.Regs[in.B]); err != nil {
 			return c.fault(pc, err)
 		}
 		c.Regs[in.B] = old
 	case isa.OpGsLoadIdx:
-		v, err := c.readU64(c.GSBase + c.Regs[in.B] + uint64(in.Imm))
+		v, err := c.ReadU64(c.GSBase + c.Regs[in.B] + uint64(in.Imm))
 		if err != nil {
 			return c.fault(pc, err)
 		}
@@ -595,7 +596,7 @@ func (c *CPU) execInst(pc uint64, in *isa.Inst) Event {
 	case isa.OpXsave:
 		var buf [XStateSize]byte
 		c.X.Marshal(buf[:])
-		if err := c.writeAt(c.Regs[in.A], buf[:]); err != nil {
+		if err := c.WriteAt(c.Regs[in.A], buf[:]); err != nil {
 			return c.fault(pc, err)
 		}
 		c.Cycles += c.Costs.Xsave
@@ -606,7 +607,7 @@ func (c *CPU) execInst(pc uint64, in *isa.Inst) Event {
 		c.Regs[in.A] = uint64(c.PKRU)
 	case isa.OpXrstor:
 		var buf [XStateSize]byte
-		if err := c.readAt(c.Regs[in.A], buf[:]); err != nil {
+		if err := c.ReadAt(c.Regs[in.A], buf[:]); err != nil {
 			return c.fault(pc, err)
 		}
 		c.X.Unmarshal(buf[:])

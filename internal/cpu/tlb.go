@@ -95,7 +95,12 @@ func (d *dtlb) reset(as *mem.AddressSpace) {
 // protection, pkey denial, or a write to an executable page). The slow
 // path re-derives any fault with its proper address and accounting, so
 // lookup never needs to construct one.
-func (c *CPU) lookup(addr uint64, n int, write bool) *mem.PageHandle {
+//
+// priv selects the kernel-privileged rules of AS.ReadForce/WriteForce:
+// protection bits and protection keys are ignored, but a PROT_NONE page
+// still faults. A store to an executable page stays on the locked path
+// either way, so the generation and code-mutation counters advance.
+func (c *CPU) lookup(addr uint64, n int, write, priv bool) *mem.PageHandle {
 	d := c.tlb
 	if d == nil {
 		return nil
@@ -124,15 +129,19 @@ func (c *CPU) lookup(addr uint64, n int, write bool) *mem.PageHandle {
 		}
 		e.pn, e.h = pn, h
 	}
-	if write {
-		if !e.h.DirectWrite {
+	switch {
+	case priv:
+		if e.h.Prot == mem.ProtNone || write && e.h.Prot&mem.ProtExec != 0 {
 			return nil
 		}
-	} else if e.h.Prot&mem.ProtRead == 0 {
-		return nil
-	}
-	if !mem.PkeyAllows(c.PKRU, e.h.Pkey, write) {
-		return nil
+	case write:
+		if !e.h.DirectWrite || !mem.PkeyAllows(c.PKRU, e.h.Pkey, true) {
+			return nil
+		}
+	default:
+		if e.h.Prot&mem.ProtRead == 0 || !mem.PkeyAllows(c.PKRU, e.h.Pkey, false) {
+			return nil
+		}
 	}
 	if hit {
 		d.stats.Hits++
@@ -140,43 +149,66 @@ func (c *CPU) lookup(addr uint64, n int, write bool) *mem.PageHandle {
 	return &e.h
 }
 
-// readAt is the TLB-aware counterpart of AS.ReadAt for guest data reads.
-func (c *CPU) readAt(addr uint64, p []byte) error {
-	if h := c.lookup(addr, len(p), false); h != nil {
-		off := addr & (mem.PageSize - 1)
-		copy(p, h.Data[off:int(off)+len(p)])
+// The accessors below are the TLB-aware counterparts of the address
+// space's ReadAt/WriteAt/ReadU64/WriteU64/ReadForce/WriteForce: the same
+// bytes, errors, fault addresses and fault/code-mutation counts, but
+// lock-free on a TLB hit and without a page-generation bump for a store
+// to a non-executable page (see mem.PageHandle.DirectWrite). Guest loads
+// and stores use them, and so does the kernel on behalf of the task
+// (kernel.Task's accessors, DESIGN.md §19). Only the goroutine running
+// the CPU's quantum may call them: the TLB is not synchronised.
+
+// ReadAt reads len(p) bytes at addr, enforcing read permission.
+func (c *CPU) ReadAt(addr uint64, p []byte) error {
+	if h := c.lookup(addr, len(p), false, false); h != nil {
+		copy(p, h.Data[addr&(mem.PageSize-1):])
 		return nil
 	}
 	return c.AS.ReadAt(addr, p)
 }
 
-// writeAt is the TLB-aware counterpart of AS.WriteAt for guest data
-// writes. Writes to executable pages always fall through to the locked
-// path so generation and code-mutation bookkeeping stays exact.
-func (c *CPU) writeAt(addr uint64, p []byte) error {
-	if h := c.lookup(addr, len(p), true); h != nil {
-		off := addr & (mem.PageSize - 1)
-		copy(h.Data[off:int(off)+len(p)], p)
+// WriteAt writes p at addr, enforcing write permission.
+func (c *CPU) WriteAt(addr uint64, p []byte) error {
+	if h := c.lookup(addr, len(p), true, false); h != nil {
+		copy(h.Data[addr&(mem.PageSize-1):], p)
 		return nil
 	}
 	return c.AS.WriteAt(addr, p)
 }
 
-// readU64 reads a little-endian uint64 with read permission.
-func (c *CPU) readU64(addr uint64) (uint64, error) {
-	if h := c.lookup(addr, 8, false); h != nil {
+// ReadU64 reads a little-endian uint64 with read permission.
+func (c *CPU) ReadU64(addr uint64) (uint64, error) {
+	if h := c.lookup(addr, 8, false, false); h != nil {
 		off := addr & (mem.PageSize - 1)
 		return binary.LittleEndian.Uint64(h.Data[off : off+8]), nil
 	}
 	return c.AS.ReadU64(addr)
 }
 
-// writeU64 writes a little-endian uint64 with write permission.
-func (c *CPU) writeU64(addr, v uint64) error {
-	if h := c.lookup(addr, 8, true); h != nil {
+// WriteU64 writes a little-endian uint64 with write permission.
+func (c *CPU) WriteU64(addr, v uint64) error {
+	if h := c.lookup(addr, 8, true, false); h != nil {
 		off := addr & (mem.PageSize - 1)
 		binary.LittleEndian.PutUint64(h.Data[off:off+8], v)
 		return nil
 	}
 	return c.AS.WriteU64(addr, v)
+}
+
+// ReadForce reads ignoring protections (kernel-privileged read).
+func (c *CPU) ReadForce(addr uint64, p []byte) error {
+	if h := c.lookup(addr, len(p), false, true); h != nil {
+		copy(p, h.Data[addr&(mem.PageSize-1):])
+		return nil
+	}
+	return c.AS.ReadForce(addr, p)
+}
+
+// WriteForce writes ignoring protections (kernel-privileged write).
+func (c *CPU) WriteForce(addr uint64, p []byte) error {
+	if h := c.lookup(addr, len(p), true, true); h != nil {
+		copy(h.Data[addr&(mem.PageSize-1):], p)
+		return nil
+	}
+	return c.AS.WriteForce(addr, p)
 }

@@ -1,6 +1,10 @@
 package cpu
 
-import "lazypoline/internal/isa"
+import (
+	"slices"
+
+	"lazypoline/internal/isa"
+)
 
 // Hot traces (DESIGN.md §11): once a block head has been entered through
 // the chain tracePromoteThreshold times, its hottest successor path is
@@ -207,28 +211,28 @@ func (c *CPU) runSpecialized(b *cachedBlock, max uint64, steps *uint64, pre *uin
 // buildTrace promotes head into a trace by walking its hottest chained
 // successors. Promotion requires at least two blocks; fused blocks and
 // revisits (other than closing back to head, which simply ends the walk)
-// stop the extension.
+// stop the extension. A head that cannot be promoted is offered again
+// every tracePromoteThreshold entries, so a failed walk allocates nothing.
 func (dc *decodeCache) buildTrace(head *cachedBlock) {
-	blocks := []*cachedBlock{head}
-	seen := map[*cachedBlock]bool{head: true}
+	var walk [maxTraceBlocks]*cachedBlock
+	blocks := append(walk[:0], head)
 	b := head
 	for len(blocks) < maxTraceBlocks {
 		if kernelTerminator(b) {
 			break
 		}
 		next := hotSucc(b)
-		if next == nil || next.dropped || seen[next] || next.fused != fusedNone {
+		if next == nil || next.dropped || slices.Contains(blocks, next) || next.fused != fusedNone {
 			break
 		}
 		blocks = append(blocks, next)
-		seen[next] = true
 		b = next
 	}
 	if len(blocks) < 2 {
 		return
 	}
-	tr := &traceRun{blocks: blocks}
-	for _, bb := range blocks {
+	tr := &traceRun{blocks: slices.Clone(blocks)}
+	for _, bb := range tr.blocks {
 		tr.starts = append(tr.starts, len(tr.pcs))
 		tr.pcs = append(tr.pcs, bb.pcs...)
 		tr.insts = append(tr.insts, bb.insts...)

@@ -1,6 +1,7 @@
 package interpose
 
 import (
+	"strings"
 	"testing"
 
 	"lazypoline/internal/asm"
@@ -172,5 +173,94 @@ func TestCallStringHelpers(t *testing.T) {
 	s, _ = c.ReadString(addr)
 	if s != "HELLO" {
 		t.Errorf("after WriteMem: %q", s)
+	}
+}
+
+// TestReadStringChunks: ReadString reads page-bounded chunks, so a string
+// may end on the last byte before an unmapped page, run across mapped
+// pages and several chunks, and is refused past the cap or when
+// it runs off the mapping unterminated.
+func TestReadStringChunks(t *testing.T) {
+	k := kernel.New(kernel.Config{})
+	task := spawn(t, k, "_start:\n hlt\n")
+	const base = 0x50000 // two mapped pages, then a hole
+	if err := task.AS.MapFixed(base, 2*mem.PageSize, mem.ProtRW); err != nil {
+		t.Fatal(err)
+	}
+	end := uint64(base + 2*mem.PageSize)
+	put := func(addr uint64, s string) {
+		t.Helper()
+		if err := task.AS.WriteAt(addr, []byte(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := &Call{Task: task}
+
+	long := strings.Repeat("abcdefg", 700)[:maxStringLen-1] // the longest string accepted
+	put(end-6, "hello\x00")
+	put(base+100, long[:1000]+"\x00") // four chunks
+	for _, tc := range []struct {
+		name string
+		addr uint64
+		want string
+	}{
+		{"ends at the hole", end - 6, "hello"},
+		{"terminator is the last mapped byte", end - 1, ""},
+		{"several chunks", base + 100, long[:1000]},
+	} {
+		if s, ok := c.ReadString(tc.addr); !ok || s != tc.want {
+			t.Errorf("%s: ReadString = %d bytes %.20q, %v; want %d bytes", tc.name, len(s), s, ok, len(tc.want))
+		}
+	}
+
+	put(base, strings.Repeat("x", 2*mem.PageSize)) // no terminator anywhere
+	if _, ok := c.ReadString(end - 10); ok {
+		t.Error("ReadString ran off the mapping and succeeded")
+	}
+	put(base+8, long+"\x00")
+	if s, ok := c.ReadString(base + 8); !ok || s != long {
+		t.Errorf("a string of %d bytes: got %d bytes, %v", len(long), len(s), ok)
+	}
+	put(base+8, long+"y\x00")
+	if _, ok := c.ReadString(base + 8); ok {
+		t.Errorf("a string of %d bytes was accepted", len(long)+1)
+	}
+}
+
+// TestCallStack: a task's in-flight calls nest, are recycled, belong to
+// one mechanism and one task, and a task that resumes in a stub it never
+// entered (a fork child) gets the synthetic call.
+func TestCallStack(t *testing.T) {
+	k := kernel.New(kernel.Config{})
+	task, other := spawn(t, k, "_start:\n hlt\n"), spawn(t, k, "_start:\n hlt\n")
+	mechA, mechB := NewBinder(Dummy{}), NewBinder(Dummy{})
+
+	s := Pending(task, mechA)
+	if Pending(task, mechA) != s {
+		t.Error("a second lookup found a different stack")
+	}
+	if Pending(task, mechB) == s || Pending(other, mechA) == s {
+		t.Error("stacks are shared between mechanisms or tasks")
+	}
+	if c := s.Top(task); c.Nr != -1 || c.Task != task {
+		t.Errorf("Top of an empty stack = %+v, want the synthetic call", c)
+	}
+	s.Pop() // nothing in flight: no effect
+	outer := s.Push(task)
+	outer.Nr, outer.Ret = 1, 11
+	inner := s.Push(task)
+	if inner == outer || s.Depth() != 2 || s.Top(task) != inner {
+		t.Fatalf("nested Push: depth %d, inner == outer: %v", s.Depth(), inner == outer)
+	}
+	s.Pop()
+	if s.Top(task) != outer || outer.Nr != 1 {
+		t.Error("Pop did not uncover the outer call intact")
+	}
+	again := s.Push(task)
+	if again != inner {
+		t.Error("Push allocated a new Call with a free one at hand")
+	}
+	if *again != (Call{Task: task}) {
+		t.Errorf("a recycled Call carries its old contents: %+v", *again)
 	}
 }

@@ -11,10 +11,12 @@
 package interpose
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"lazypoline/internal/isa"
 	"lazypoline/internal/kernel"
+	"lazypoline/internal/mem"
 )
 
 // Action tells the mechanism what to do after Enter.
@@ -29,7 +31,8 @@ const (
 )
 
 // Call is one interposed syscall. Mutations to Nr/Args before execution
-// and to Ret after are honoured by every mechanism.
+// and to Ret after are honoured by every mechanism. The mechanism owns
+// the Call and reuses it for a later syscall: see Interposer.
 type Call struct {
 	// Nr is the syscall number.
 	Nr int64
@@ -45,28 +48,44 @@ type Call struct {
 }
 
 // ReadMem reads guest memory (e.g. to inspect a path argument).
-func (c *Call) ReadMem(addr uint64, p []byte) error { return c.Task.AS.ReadForce(addr, p) }
+func (c *Call) ReadMem(addr uint64, p []byte) error { return c.Task.ReadForce(addr, p) }
 
 // WriteMem writes guest memory (e.g. to rewrite a path argument).
-func (c *Call) WriteMem(addr uint64, p []byte) error { return c.Task.AS.WriteForce(addr, p) }
+func (c *Call) WriteMem(addr uint64, p []byte) error { return c.Task.WriteForce(addr, p) }
 
-// ReadString reads a NUL-terminated guest string (capped at 4096 bytes).
+// maxStringLen caps ReadString, terminator included.
+const maxStringLen = 4096
+
+// ReadString reads a NUL-terminated guest string (capped at 4096 bytes
+// with its terminator), a chunk at a time. A chunk never crosses a page
+// boundary, so a string that ends just before an unmapped page does not
+// fault on it (the shape of kernel.readPath).
 func (c *Call) ReadString(addr uint64) (string, bool) {
-	var out []byte
-	var b [1]byte
-	for len(out) < 4096 {
-		if err := c.Task.AS.ReadForce(addr+uint64(len(out)), b[:]); err != nil {
+	var chunk [256]byte
+	var long []byte // only for strings that outgrow one chunk
+	for len(long) < maxStringLen {
+		at := addr + uint64(len(long))
+		n := min(len(chunk), maxStringLen-len(long), int(mem.PageSize-at%mem.PageSize))
+		if err := c.Task.ReadForce(at, chunk[:n]); err != nil {
 			return "", false
 		}
-		if b[0] == 0 {
-			return string(out), true
+		if i := bytes.IndexByte(chunk[:n], 0); i >= 0 {
+			if long == nil {
+				return string(chunk[:i]), true
+			}
+			return string(append(long, chunk[:i]...)), true
 		}
-		out = append(out, b[0])
+		long = append(long, chunk[:n]...)
 	}
 	return "", false
 }
 
 // Interposer is the user-supplied syscall handler.
+//
+// The *Call handed to Enter is the one handed to the matching Exit, and
+// it is valid only from Enter until that Exit returns: the mechanism
+// recycles it for a later syscall of the task. An interposer that wants
+// to remember a call copies the fields it needs.
 type Interposer interface {
 	// Enter runs before the syscall. Return Continue to execute it (with
 	// any modifications to c.Nr/c.Args) or Emulate to skip it and use
@@ -169,6 +188,62 @@ func InitGSRegion(t *kernel.Task, base uint64) error {
 	return t.AS.WriteForce(base, buf[:])
 }
 
+// CallStack is one task's stack of in-flight Calls under one mechanism.
+// More than one is in flight when a signal handler makes syscalls while
+// the interrupted syscall's Exit is still to come. The stack keeps the
+// Calls it has handed out and reuses them, so a steady stream of
+// syscalls allocates nothing.
+type CallStack struct {
+	calls []*Call // calls[:n] are in flight, calls[n:] free for reuse
+	n     int
+}
+
+// Pending returns t's call stack under the mechanism identified by owner
+// (the mechanism's own pointer), creating it on the task's first call.
+// It is stored on the task (kernel.Task.Local): nothing of a task stays
+// behind in the mechanism, whichever way the task dies.
+func Pending(t *kernel.Task, owner any) *CallStack {
+	if s, ok := t.Local(owner).(*CallStack); ok {
+		return s
+	}
+	s := &CallStack{}
+	t.SetLocal(owner, s)
+	return s
+}
+
+// Push opens a new innermost call of t, zeroed but for Task.
+func (s *CallStack) Push(t *kernel.Task) *Call {
+	if s.n == len(s.calls) {
+		s.calls = append(s.calls, new(Call))
+	}
+	c := s.calls[s.n]
+	s.n++
+	*c = Call{Task: t}
+	return c
+}
+
+// Top returns t's innermost in-flight call. With none in flight — the
+// stub context was resumed without a matching Enter, as in a clone child
+// continuing past its parent's fork — it returns a synthetic call marked
+// by Nr = -1.
+func (s *CallStack) Top(t *kernel.Task) *Call {
+	if s.n == 0 {
+		return &Call{Task: t, Nr: -1}
+	}
+	return s.calls[s.n-1]
+}
+
+// Pop closes the innermost in-flight call, if there is one. The Call is
+// reused by the next Push, so Pop comes after its last use.
+func (s *CallStack) Pop() {
+	if s.n > 0 {
+		s.n--
+	}
+}
+
+// Depth returns the number of calls in flight.
+func (s *CallStack) Depth() int { return s.n }
+
 // Saved-register layout of the generic entry stub. The stub pushes the 15
 // non-RSP registers in this order (RAX first), so the LAST pushed (R15)
 // is at [rsp+0] and RAX at [rsp+112]; the call-rax return address sits at
@@ -194,12 +269,12 @@ const SavedRetAddrOffset = int64(len(saveOrder)) * 8
 
 // ReadSavedReg reads a saved register from the stub's save area.
 func ReadSavedReg(t *kernel.Task, r isa.Reg) (uint64, error) {
-	return t.AS.ReadU64(t.CPU.Regs[isa.RSP] + uint64(SavedRegOffset(r)))
+	return t.ReadU64(t.CPU.Regs[isa.RSP] + uint64(SavedRegOffset(r)))
 }
 
 // WriteSavedReg writes a saved register in the stub's save area.
 func WriteSavedReg(t *kernel.Task, r isa.Reg, v uint64) error {
-	return t.AS.WriteU64(t.CPU.Regs[isa.RSP]+uint64(SavedRegOffset(r)), v)
+	return t.WriteU64(t.CPU.Regs[isa.RSP]+uint64(SavedRegOffset(r)), v)
 }
 
 // argRegs are the syscall argument registers, in ABI order.
@@ -213,29 +288,27 @@ const (
 	callSpanLen = 80 // through SavedRegOffset(isa.RAX) + 8
 )
 
-// ReadCall extracts the interposed Call from the stub's save area with a
-// single read of the span holding its seven registers.
-func ReadCall(t *kernel.Task) (*Call, error) {
+// ReadCall fills c's Nr and Args from the stub's save area of c.Task, with
+// a single read of the span holding the seven registers.
+func ReadCall(c *Call) error {
 	var span [callSpanLen]byte
-	if err := t.AS.ReadAt(t.CPU.Regs[isa.RSP]+callSpanOff, span[:]); err != nil {
-		return nil, err
+	if err := c.Task.ReadAt(c.Task.CPU.Regs[isa.RSP]+callSpanOff, span[:]); err != nil {
+		return err
 	}
 	slot := func(r isa.Reg) uint64 {
 		return binary.LittleEndian.Uint64(span[SavedRegOffset(r)-callSpanOff:])
 	}
-	c := &Call{Task: t, Nr: int64(slot(isa.RAX))}
+	c.Nr = int64(slot(isa.RAX))
 	for i, r := range argRegs {
 		c.Args[i] = slot(r)
 	}
-	return c, nil
+	return nil
 }
 
 // WriteCall stores into the save area the call registers of c that differ
-// from before, the Call as ReadCall returned it — for an interposer that
-// rewrote nothing, no store at all. Writing back an unchanged value would
-// leave the same bytes but still cost a locked page walk and a page-
-// generation bump, which drops the CPU's D-TLB handle on the stack page
-// at every interposed syscall (DESIGN.md §18).
+// from before, the Call as ReadCall filled it — for an interposer that
+// rewrote nothing, no store at all, so a read-only save area is no error
+// for it (DESIGN.md §18).
 func WriteCall(t *kernel.Task, c, before *Call) error {
 	if c.Nr != before.Nr {
 		if err := WriteSavedReg(t, isa.RAX, uint64(c.Nr)); err != nil {

@@ -42,7 +42,24 @@ func spawn(t *testing.T, k *kernel.Kernel, src string) *kernel.Task {
 	return task
 }
 
+// newSaveArea parks a task with its save area on one page of the given
+// protection.
 func newSaveArea(t *testing.T, ip Interposer, prot mem.Prot) *saveArea {
+	t.Helper()
+	return newSaveAreaAt(t, ip, saveAreaBase+0x800, prot, prot)
+}
+
+// newSplitSaveArea parks a task whose save area straddles two pages: the
+// RAX slot (and the return address) on the upper one, every other slot on
+// the lower one. With the lower page read-only, a store to any slot but
+// RAX faults — which is how these tests see a store that should not have
+// happened.
+func newSplitSaveArea(t *testing.T, ip Interposer, lo, hi mem.Prot) *saveArea {
+	t.Helper()
+	return newSaveAreaAt(t, ip, saveAreaBase+mem.PageSize-uint64(SavedRegOffset(isa.RAX)), lo, hi)
+}
+
+func newSaveAreaAt(t *testing.T, ip Interposer, rsp uint64, lo, hi mem.Prot) *saveArea {
 	t.Helper()
 	k := kernel.New(kernel.Config{})
 	task := spawn(t, k, "_start:\n hlt\n")
@@ -54,14 +71,16 @@ func newSaveArea(t *testing.T, ip Interposer, prot mem.Prot) *saveArea {
 	if err := InitGSRegion(task, gs); err != nil {
 		t.Fatal(err)
 	}
-	if err := task.AS.MapFixed(saveAreaBase, mem.PageSize, prot); err != nil {
-		t.Fatal(err)
+	for i, prot := range []mem.Prot{lo, hi} {
+		if err := task.AS.MapFixed(saveAreaBase+uint64(i)*mem.PageSize, mem.PageSize, prot); err != nil {
+			t.Fatal(err)
+		}
 	}
-	task.CPU.Regs[isa.RSP] = saveAreaBase + 0x800
+	task.CPU.Regs[isa.RSP] = rsp
 	for _, r := range saveOrder {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], slotSeed(r))
-		if err := task.AS.WriteForce(saveAreaBase+0x800+uint64(SavedRegOffset(r)), b[:]); err != nil {
+		if err := task.AS.WriteForce(rsp+uint64(SavedRegOffset(r)), b[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,11 +105,13 @@ func (s *saveArea) wantSlots(t *testing.T, changed map[isa.Reg]uint64) {
 	}
 }
 
-// stores counts page stores in the task's address space since the last
-// call: every locked write bumps one generation per page it touches.
-func (s *saveArea) stores() func() uint64 {
-	base := s.task.AS.Stats().Generations
-	return func() uint64 { return s.task.AS.Stats().Generations - base }
+// protectUpper changes the protection of the page holding the RAX slot
+// of a split save area.
+func (s *saveArea) protectUpper(t *testing.T, prot mem.Prot) {
+	t.Helper()
+	if err := s.task.AS.Protect(saveAreaBase+mem.PageSize, mem.PageSize, prot); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCallSpanCoversTheCallRegisters(t *testing.T) {
@@ -105,78 +126,79 @@ func TestCallSpanCoversTheCallRegisters(t *testing.T) {
 }
 
 func TestReadCallDecodesEverySlot(t *testing.T) {
-	s := newSaveArea(t, Dummy{}, mem.ProtRW)
-	c, err := ReadCall(s.task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Nr != int64(slotSeed(isa.RAX)) {
-		t.Errorf("Nr = %#x", c.Nr)
-	}
-	for i, r := range []isa.Reg{isa.RDI, isa.RSI, isa.RDX, isa.R10, isa.R8, isa.R9} {
-		if c.Args[i] != slotSeed(r) {
-			t.Errorf("Args[%d] = %#x, want %v's %#x", i, c.Args[i], r, slotSeed(r))
+	for name, s := range map[string]*saveArea{
+		"one page":     newSaveArea(t, Dummy{}, mem.ProtRW),
+		"across pages": newSplitSaveArea(t, Dummy{}, mem.ProtRW, mem.ProtRW),
+	} {
+		c := &Call{Task: s.task}
+		if err := ReadCall(c); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if c.Task != s.task {
-		t.Error("Call.Task not set")
+		if c.Nr != int64(slotSeed(isa.RAX)) {
+			t.Errorf("%s: Nr = %#x", name, c.Nr)
+		}
+		for i, r := range []isa.Reg{isa.RDI, isa.RSI, isa.RDX, isa.R10, isa.R8, isa.R9} {
+			if c.Args[i] != slotSeed(r) {
+				t.Errorf("%s: Args[%d] = %#x, want %v's %#x", name, i, c.Args[i], r, slotSeed(r))
+			}
+		}
 	}
 }
 
 // TestDummyLeavesTheSaveAreaAlone: the benchmark interposer changes
-// nothing, so Enter+Exit store nothing — the save-area page keeps its
-// generation, and with it every D-TLB handle on the stack page stays
-// valid across the syscall.
+// nothing, so Enter+Exit store nothing — a save area that cannot take a
+// store at all is no obstacle.
 func TestDummyLeavesTheSaveAreaAlone(t *testing.T) {
-	s := newSaveArea(t, Dummy{}, mem.ProtRW)
-	h, ok := s.task.AS.PageForAccess(saveAreaBase >> mem.PageShift)
-	if !ok {
-		t.Fatal("save-area page unmapped")
-	}
-	stores := s.stores()
+	s := newSaveArea(t, Dummy{}, mem.ProtRead)
 	if err := s.b.Enter(s.hc); err != nil {
-		t.Fatal(err)
+		t.Errorf("Enter: %v", err)
 	}
 	if err := s.b.Exit(s.hc); err != nil {
-		t.Fatal(err)
-	}
-	if !h.Valid() {
-		t.Error("save-area page generation moved under Dummy")
-	}
-	if n := stores(); n != 0 {
-		t.Errorf("Dummy caused %d page stores", n)
+		t.Errorf("Exit: %v", err)
 	}
 	s.wantSlots(t, nil)
 }
 
 func TestRewritesStoreOnlyWhatChanged(t *testing.T) {
-	ip := FuncInterposer{
+	exit := func(c *Call) { c.Ret = -38 }
+	// Every slot writable: what the interposer changed is what is there.
+	s := newSaveArea(t, FuncInterposer{
 		OnEnter: func(c *Call) Action {
 			c.Nr = 999
 			c.Args[2] = 0xabcdef
 			c.Args[4] = slotSeed(isa.R8) // assigned, not changed
 			return Continue
 		},
-		OnExit: func(c *Call) { c.Ret = -38 },
-	}
-	s := newSaveArea(t, ip, mem.ProtRW)
-	stores := s.stores()
+		OnExit: exit,
+	}, mem.ProtRW)
 	if err := s.b.Enter(s.hc); err != nil {
 		t.Fatal(err)
 	}
-	if n := stores(); n != 2 {
-		t.Errorf("Enter made %d stores, want 2 (Nr and Args[2])", n)
-	}
 	s.wantSlots(t, map[isa.Reg]uint64{isa.RAX: 999, isa.RDX: 0xabcdef})
-
-	stores = s.stores()
 	if err := s.b.Exit(s.hc); err != nil {
 		t.Fatal(err)
 	}
-	if n := stores(); n != 1 {
-		t.Errorf("Exit made %d stores, want 1 (the rewritten result)", n)
-	}
 	s.wantSlots(t, map[isa.Reg]uint64{isa.RAX: uint64(1<<64 - 38), isa.RDX: 0xabcdef})
+
+	// Only the RAX slot writable: rewriting the number and the result
+	// works, because no argument slot is stored to — not even the one
+	// that was assigned its old value.
+	s = newSplitSaveArea(t, FuncInterposer{
+		OnEnter: func(c *Call) Action {
+			c.Nr = 999
+			c.Args[4] = slotSeed(isa.R8)
+			return Continue
+		},
+		OnExit: exit,
+	}, mem.ProtRead, mem.ProtRW)
+	if err := s.b.Enter(s.hc); err != nil {
+		t.Fatalf("Enter stored to an argument slot it did not change: %v", err)
+	}
+	s.wantSlots(t, map[isa.Reg]uint64{isa.RAX: 999})
+	if err := s.b.Exit(s.hc); err != nil {
+		t.Fatal(err)
+	}
+	s.wantSlots(t, map[isa.Reg]uint64{isa.RAX: uint64(1<<64 - 38)})
 }
 
 func TestEmulateStoresResultAndFlag(t *testing.T) {
@@ -184,13 +206,9 @@ func TestEmulateStoresResultAndFlag(t *testing.T) {
 		c.Ret = 777
 		return Emulate
 	}}
-	s := newSaveArea(t, ip, mem.ProtRW)
-	stores := s.stores()
+	s := newSplitSaveArea(t, ip, mem.ProtRead, mem.ProtRW)
 	if err := s.b.Enter(s.hc); err != nil {
 		t.Fatal(err)
-	}
-	if n := stores(); n != 2 {
-		t.Errorf("emulating Enter made %d stores, want 2 (RAX slot and the flag)", n)
 	}
 	s.wantSlots(t, map[isa.Reg]uint64{isa.RAX: 777})
 	var flag [1]byte
@@ -198,21 +216,19 @@ func TestEmulateStoresResultAndFlag(t *testing.T) {
 		t.Errorf("emulate flag = %d, %v", flag[0], err)
 	}
 	// The result Exit reads back is the emulated one, and an Exit that
-	// keeps it stores nothing.
-	stores = s.stores()
+	// keeps it stores nothing: the slot may have gone read-only meanwhile.
+	s.protectUpper(t, mem.ProtRead)
 	if err := s.b.Exit(s.hc); err != nil {
-		t.Fatal(err)
+		t.Errorf("Exit stored an unchanged result: %v", err)
 	}
-	if n := stores(); n != 0 {
-		t.Errorf("Exit made %d stores", n)
-	}
+	s.wantSlots(t, map[isa.Reg]uint64{isa.RAX: 777})
 }
 
 // TestBadSaveAreaIsAnError: the payloads still fail — and the kernel
 // still kills the task with SIGABRT — when the save area cannot be read,
 // or cannot take a store the interposer asked for. A read-only save area
-// under an interposer that changes nothing is no longer an error: nothing
-// is stored. The stub cannot get there (it pushed the area itself).
+// under an interposer that changes nothing is no error (above). The stub
+// cannot get there (it pushed the area itself).
 func TestBadSaveAreaIsAnError(t *testing.T) {
 	rewrite := FuncInterposer{
 		OnEnter: func(c *Call) Action { c.Args[0]++; return Continue },
@@ -220,8 +236,8 @@ func TestBadSaveAreaIsAnError(t *testing.T) {
 	}
 	t.Run("unreadable", func(t *testing.T) {
 		s := newSaveArea(t, Dummy{}, mem.ProtRW)
-		// The span's last slot (RAX) falls off the mapped page.
-		s.task.CPU.Regs[isa.RSP] = saveAreaBase + mem.PageSize - 112
+		// The span's last slot (RAX) falls off the mapped pages.
+		s.task.CPU.Regs[isa.RSP] = saveAreaBase + 2*mem.PageSize - 112
 		if err := s.b.Enter(s.hc); err == nil {
 			t.Error("Enter read a save area running off the page")
 		}
@@ -238,15 +254,6 @@ func TestBadSaveAreaIsAnError(t *testing.T) {
 			t.Error("Exit stored a rewritten result into a read-only page")
 		}
 		s.wantSlots(t, nil)
-	})
-	t.Run("read-only and unchanged", func(t *testing.T) {
-		s := newSaveArea(t, Dummy{}, mem.ProtRead)
-		if err := s.b.Enter(s.hc); err != nil {
-			t.Errorf("Enter: %v", err)
-		}
-		if err := s.b.Exit(s.hc); err != nil {
-			t.Errorf("Exit: %v", err)
-		}
 	})
 
 	// End to end: a guest that reaches the hcalls with RSP somewhere

@@ -2,7 +2,6 @@ package interpose
 
 import (
 	"fmt"
-	"sync"
 
 	"lazypoline/internal/isa"
 	"lazypoline/internal/kernel"
@@ -130,22 +129,18 @@ func patchRel32(e *isa.Enc, insnOff, target int) {
 	e.Buf[insnOff+4] = byte(rel >> 24)
 }
 
-// Binder connects an Interposer to the entry stub's two hcalls, keeping
-// a per-task stack of in-flight calls (nested interposition happens when
-// a signal arrives during an interposed syscall).
+// Binder connects an Interposer to the entry stub's two hcalls. The
+// in-flight calls (nested interposition happens when a signal arrives
+// during an interposed syscall) are kept on each task (Pending), so the
+// Binder itself holds no per-task state and its payloads touch nothing
+// but the invoking task.
 type Binder struct {
 	ip Interposer
-	// pending is keyed by task ID; a task's frames are pushed and
-	// popped only from that task's own quanta, so under concurrent
-	// shards the per-key operation streams commute and the mutex alone
-	// keeps the map deterministic (DESIGN.md §15).
-	mu      sync.Mutex
-	pending map[int][]*Call
 }
 
 // NewBinder returns a Binder for ip.
 func NewBinder(ip Interposer) *Binder {
-	return &Binder{ip: ip, pending: make(map[int][]*Call)}
+	return &Binder{ip: ip}
 }
 
 // Interposer returns the bound interposer.
@@ -154,7 +149,7 @@ func (b *Binder) Interposer() Interposer { return b.ip }
 // Concurrent reports whether the Binder's hcall payloads may be
 // registered shard-concurrent: true only when the bound interposer
 // vouches for itself via ConcurrentSafe. The Binder's own state is
-// safe either way (see pending).
+// safe either way (it has none).
 func (b *Binder) Concurrent() bool {
 	cs, ok := b.ip.(ConcurrentSafe)
 	return ok && cs.ConcurrentInterposer()
@@ -163,32 +158,35 @@ func (b *Binder) Concurrent() bool {
 // Enter is the stub's pre-syscall hcall payload.
 func (b *Binder) Enter(hc *kernel.HcallCtx) error {
 	t := hc.Task
-	c, err := ReadCall(t)
-	if err != nil {
-		return fmt.Errorf("interpose: read call: %w", err)
+	stack := Pending(t, b)
+	keep, err := b.enter(stack.Push(t))
+	if err != nil || !keep {
+		stack.Pop()
+	}
+	return err
+}
+
+// enter runs the interposer on the call in the save area. keep reports
+// whether the stub will reach the Exit hcall with it.
+func (b *Binder) enter(c *Call) (keep bool, err error) {
+	t := c.Task
+	if err := ReadCall(c); err != nil {
+		return false, fmt.Errorf("interpose: read call: %w", err)
 	}
 	before := *c
 	action := b.ip.Enter(c)
 	if err := WriteCall(t, c, &before); err != nil {
-		return fmt.Errorf("interpose: write call: %w", err)
+		return false, fmt.Errorf("interpose: write call: %w", err)
 	}
 	if action == Emulate {
 		if err := WriteSavedReg(t, isa.RAX, uint64(c.Ret)); err != nil {
-			return err
+			return false, err
 		}
-		if err := t.AS.WriteForce(t.CPU.GSBase+GSEmulate, []byte{1}); err != nil {
-			return err
-		}
+		return true, t.WriteForce(t.CPU.GSBase+GSEmulate, []byte{1})
 	}
 	// Syscalls that never return to the stub (the context is destroyed or
-	// replaced) would leak a pending frame: don't push one.
-	if action != Emulate && noReturnSyscall(c.Nr) {
-		return nil
-	}
-	b.mu.Lock()
-	b.pending[t.ID] = append(b.pending[t.ID], c)
-	b.mu.Unlock()
-	return nil
+	// replaced) would leave their call in flight for good.
+	return !noReturnSyscall(c.Nr), nil
 }
 
 // noReturnSyscall reports whether a successful nr abandons the stub
@@ -204,20 +202,9 @@ func noReturnSyscall(nr int64) bool {
 // Exit is the stub's post-syscall hcall payload.
 func (b *Binder) Exit(hc *kernel.HcallCtx) error {
 	t := hc.Task
-	b.mu.Lock()
-	stack := b.pending[t.ID]
-	var c *Call
-	if n := len(stack); n > 0 {
-		c = stack[n-1]
-		b.pending[t.ID] = stack[:n-1]
-	}
-	b.mu.Unlock()
-	if c == nil {
-		// No pending frame: the stub context was resumed without a
-		// matching Enter (a clone child continuing past its parent's
-		// fork). Nr -1 marks the call as synthetic.
-		c = &Call{Task: t, Nr: -1}
-	}
+	stack := Pending(t, b)
+	defer stack.Pop()
+	c := stack.Top(t)
 	ret, err := ReadSavedReg(t, isa.RAX)
 	if err != nil {
 		return err

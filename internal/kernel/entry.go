@@ -64,7 +64,7 @@ func (k *Kernel) syscallEntry(t *Task) {
 	if t.tracer != nil {
 		t.CPU.Cycles += 2 * c.ContextSwitch
 		if t.tracer.OnEnter != nil {
-			t.tracer.OnEnter(&PtraceStop{Task: t})
+			t.tracer.OnEnter(&t.stop)
 		}
 		if !t.Alive() {
 			return
@@ -125,7 +125,7 @@ func (k *Kernel) syscallEntry(t *Task) {
 		if !inRange {
 			t.CPU.Cycles += c.SUDSelectorRead
 			var sel [1]byte
-			if err := t.AS.ReadForce(t.SUD.SelectorAddr, sel[:]); err != nil {
+			if err := t.ReadForce(t.SUD.SelectorAddr, sel[:]); err != nil {
 				k.exitGroup(t, 128+SIGSEGV)
 				return
 			}
@@ -247,7 +247,7 @@ func (k *Kernel) finishSyscall(t *Task, nr int64, args [6]uint64, res sysResult)
 		if t.tracer != nil && t.Alive() {
 			t.CPU.Cycles += 2 * k.Costs.ContextSwitch
 			if t.tracer.OnExit != nil {
-				t.tracer.OnExit(&PtraceStop{Task: t})
+				t.tracer.OnExit(&t.stop)
 			}
 		}
 		k.telSyscallEnd(t, nr)

@@ -67,13 +67,13 @@ func (s *PtraceStop) SetRegs(r [isa.NumRegs]uint64) {
 // PeekData reads tracee memory (one PTRACE_PEEKDATA per call).
 func (s *PtraceStop) PeekData(addr uint64, p []byte) error {
 	s.charge()
-	return s.Task.AS.ReadForce(addr, p)
+	return s.Task.ReadForce(addr, p)
 }
 
 // PokeData writes tracee memory (one PTRACE_POKEDATA per call).
 func (s *PtraceStop) PokeData(addr uint64, p []byte) error {
 	s.charge()
-	return s.Task.AS.WriteForce(addr, p)
+	return s.Task.WriteForce(addr, p)
 }
 
 func (s *PtraceStop) charge() {
@@ -405,6 +405,7 @@ func (k *Kernel) newTask(name string, as *mem.AddressSpace) *Task {
 		state: TaskRunnable,
 		k:     k,
 	}
+	t.hc, t.stop = HcallCtx{Task: t, K: k}, PtraceStop{Task: t}
 	t.CPU = cpu.New(as)
 	t.CPU.Costs = cpu.Costs{Insn: k.Costs.Insn, Xsave: k.Costs.Xsave, Xrstor: k.Costs.Xrstor, NopsPerCycle: k.Costs.NopsPerCycle}
 	if k.noDecodeCache {
@@ -733,7 +734,7 @@ func (k *Kernel) handleHcall(t *Task) {
 		k.serialize(t)
 	}
 	t.CPU.Cycles += k.Costs.HcallBody
-	if err := e.h(&HcallCtx{Task: t, K: k}); err != nil {
+	if err := e.h(&t.hc); err != nil {
 		// A failing interposer payload is a guest bug: surface it like a
 		// fault rather than silently continuing.
 		k.postSignal(t, pendingSignal{sig: SIGABRT, force: true})

@@ -158,30 +158,23 @@ func (k *Kernel) deliverSignal(t *Task, ps pendingSignal, act SigAction) {
 		t.CPU.Cycles += k.chaos.Pick(chaos.SiteSignalDelay, uint64(t.ID), k.Costs.SignalDeliver)
 	}
 
+	// The frame is one contiguous run of the stack — return address,
+	// siginfo, ucontext, lowest address first — built here and stored once.
 	const redZone = 128
-	sp := t.CPU.Regs[isa.RSP] - redZone
-	sp -= UContextSize
-	ucAddr := sp &^ 15
-	sp = ucAddr - SigInfoSize
-	siAddr := sp &^ 15
-	sp = siAddr - 8 // return address slot
+	const siOff, ucOff = 8, 8 + SigInfoSize
+	ucAddr := (t.CPU.Regs[isa.RSP] - redZone - UContextSize) &^ 15
+	siAddr := ucAddr - SigInfoSize
+	sp := siAddr - 8 // return address slot
 
-	if err := k.writeUContext(t, ucAddr); err != nil {
-		k.exitGroup(t, 128+SIGSEGV)
-		return
-	}
-	var si [SigInfoSize]byte
+	var frame [ucOff + UContextSize]byte
+	binary.LittleEndian.PutUint64(frame[0:], VdsoBase+VdsoSigreturnOffset)
+	si := frame[siOff:ucOff]
 	binary.LittleEndian.PutUint64(si[SISigno:], uint64(ps.sig))
 	binary.LittleEndian.PutUint64(si[SICode:], uint64(ps.code))
 	binary.LittleEndian.PutUint64(si[SISyscall:], uint64(ps.nr))
 	binary.LittleEndian.PutUint64(si[SICallAddr:], ps.callAddr)
-	if err := t.AS.WriteForce(siAddr, si[:]); err != nil {
-		k.exitGroup(t, 128+SIGSEGV)
-		return
-	}
-	var ret [8]byte
-	binary.LittleEndian.PutUint64(ret[:], VdsoBase+VdsoSigreturnOffset)
-	if err := t.AS.WriteForce(sp, ret[:]); err != nil {
+	t.putUContext(frame[ucOff:])
+	if err := t.WriteForce(sp, frame[:]); err != nil {
 		k.exitGroup(t, 128+SIGSEGV)
 		return
 	}
@@ -199,9 +192,8 @@ func (k *Kernel) deliverSignal(t *Task, ps pendingSignal, act SigAction) {
 	t.CPU.RIP = act.Handler
 }
 
-// writeUContext snapshots the task context into guest memory at addr.
-func (k *Kernel) writeUContext(t *Task, addr uint64) error {
-	var buf [UContextSize]byte
+// putUContext snapshots the task context into buf, UContextSize bytes.
+func (t *Task) putUContext(buf []byte) {
 	for i := 0; i < isa.NumRegs; i++ {
 		binary.LittleEndian.PutUint64(buf[UCReg(i):], t.CPU.Regs[i])
 	}
@@ -212,14 +204,13 @@ func (k *Kernel) writeUContext(t *Task, addr uint64) error {
 	t.CPU.X.Marshal(buf[UCXState : UCXState+cpu.XStateSize])
 	// PKRU lives in the xstate area, as with x86 XSAVE.
 	binary.LittleEndian.PutUint32(buf[UCPkru:], t.CPU.PKRU)
-	return t.AS.WriteForce(addr, buf[:])
 }
 
 // readUContext restores the task context from guest memory at addr,
 // honouring any modifications made by signal handlers or interposers.
 func (k *Kernel) readUContext(t *Task, addr uint64) error {
 	var buf [UContextSize]byte
-	if err := t.AS.ReadForce(addr, buf[:]); err != nil {
+	if err := t.ReadForce(addr, buf[:]); err != nil {
 		return err
 	}
 	for i := 0; i < isa.NumRegs; i++ {
@@ -250,14 +241,11 @@ func (k *Kernel) sigreturn(t *Task) {
 	fr := t.frames[len(t.frames)-1]
 	t.frames = t.frames[:len(t.frames)-1]
 	k.telSigreturn(t, fr.sig)
+	// The signal mask restored from the ucontext is authoritative: the
+	// handler may have edited it.
 	if err := k.readUContext(t, fr.ucAddr); err != nil {
 		k.exitGroup(t, 128+SIGSEGV)
-		return
 	}
-	// The mask restored from the ucontext is authoritative (the handler
-	// may have edited it); fall back to the kernel record if the saved
-	// mask looks untouched.
-	_ = fr
 }
 
 // CurrentSigFrame exposes the top signal frame's ucontext address, if a

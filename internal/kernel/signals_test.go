@@ -1,6 +1,13 @@
 package kernel
 
-import "testing"
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+
+	"lazypoline/internal/isa"
+	"lazypoline/internal/mem"
+)
 
 func TestSigprocmaskDefersDelivery(t *testing.T) {
 	k := New(Config{})
@@ -232,5 +239,105 @@ func TestHandlerMaskFromSigaction(t *testing.T) {
 	mustRun(t, k)
 	if task.ExitCode != 11 {
 		t.Errorf("exit = %d, want 11 (USR2 deferred by handler mask)", task.ExitCode)
+	}
+}
+
+// signalAt runs a guest that moves its stack pointer to rsp, raises
+// SIGUSR1 at itself with r12 = 0x1234 and, if the handler runs, checks
+// the frame from inside: the signal number in rdi and in the siginfo, r12
+// in the saved context. The handler leaves the siginfo address at
+// 0x7fef8000 and rewrites the saved rbx, so after sigreturn the guest
+// exits with 77; a frame that reads wrong exits with 1, 2 or 3.
+func signalAt(t *testing.T, rsp uint64) (*Kernel, *Task) {
+	t.Helper()
+	k := New(Config{})
+	task := buildTask(t, k, fmt.Sprintf(`
+	.equ SEEN 0x7fef8000
+	_start:
+		mov64 rax, SYS_rt_sigaction
+		mov64 rdi, 10
+		lea rsi, act
+		mov64 rdx, 0
+		syscall
+		mov64 rsp, %d
+		mov64 r12, 0x1234
+		mov64 rbx, 5
+		mov64 rax, SYS_getpid
+		syscall
+		mov rdi, rax
+		mov64 rsi, 10
+		mov64 rax, SYS_kill
+		syscall
+		mov rdi, rbx             ; 77 if the handler's edit came back
+		mov64 rax, SYS_exit
+		syscall
+	handler:
+		mov64 r15, SEEN
+		store [r15], rsi
+		cmpi rdi, 10
+		jnz bad1
+		load r14, [rsi+%d]       ; siginfo.signo
+		cmpi r14, 10
+		jnz bad2
+		load r14, [rdx+%d]       ; ucontext r12
+		cmpi r14, 0x1234
+		jnz bad3
+		mov64 r14, 77
+		store [rdx+%d], r14      ; ucontext rbx
+		ret
+	bad1:
+		mov64 rdi, 1
+		jmp die
+	bad2:
+		mov64 rdi, 2
+		jmp die
+	bad3:
+		mov64 rdi, 3
+	die:
+		mov64 rax, SYS_exit
+		syscall
+	.align 8
+	act:
+		.quad handler, 0, 0
+	`, rsp, SISigno, UCReg(int(isa.R12)), UCReg(int(isa.RBX))))
+	mustRun(t, k)
+	return k, task
+}
+
+// TestSignalFrameAcrossPages: the frame is stored in one piece, and a
+// piece that crosses a page boundary arrives as intact as one that does
+// not (it takes the locked path; the bytes are the same).
+func TestSignalFrameAcrossPages(t *testing.T) {
+	const boundary = 0x7fef0000 // inside the main stack
+	for _, rsp := range []uint64{boundary + 0x800 + 0x400, boundary + 0x1a0} {
+		_, task := signalAt(t, rsp)
+		if task.ExitCode != 77 {
+			t.Errorf("rsp %#x: exit = %d, want 77 (frame read and edited by the handler)", rsp, task.ExitCode)
+		}
+		var b [8]byte
+		if err := task.AS.ReadAt(0x7fef8000, b[:]); err != nil {
+			t.Fatal(err)
+		}
+		// The frame: return address, siginfo, ucontext.
+		lo := binary.LittleEndian.Uint64(b[:]) - 8
+		hi := lo + 8 + SigInfoSize + UContextSize - 1
+		if crosses := lo>>mem.PageShift != hi>>mem.PageShift; crosses != (rsp < boundary+0x800) {
+			t.Errorf("rsp %#x: frame [%#x, %#x] crosses a page: %v", rsp, lo, hi, crosses)
+		}
+	}
+}
+
+// TestSignalFrameOnUnmappedPageKills: a frame whose lowest page is not
+// mapped cannot be delivered, and the task dies of SIGSEGV without its
+// handler having run — whether or not the rest of the frame would fit.
+func TestSignalFrameOnUnmappedPageKills(t *testing.T) {
+	const stackBottom = stackTop - DefaultStackSize
+	_, task := signalAt(t, stackBottom+0x1a0)
+	if task.ExitCode != 128+SIGSEGV {
+		t.Errorf("exit = %d, want death by SIGSEGV (%d)", task.ExitCode, 128+SIGSEGV)
+	}
+	var b [8]byte
+	if err := task.AS.ReadAt(0x7fef8000, b[:]); err != nil || b != [8]byte{} {
+		t.Errorf("the handler ran (saw siginfo at %x, %v)", b, err)
 	}
 }

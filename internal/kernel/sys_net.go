@@ -17,7 +17,7 @@ func (k *Kernel) sysBind(t *Task, args [6]uint64) sysResult {
 		return sysErr(EBADF)
 	}
 	var sa [sockaddrSize]byte
-	if err := t.AS.ReadAt(args[1], sa[:]); err != nil {
+	if err := t.ReadAt(args[1], sa[:]); err != nil {
 		return sysErr(EFAULT)
 	}
 	fd.Path = "" // not a file
@@ -82,7 +82,7 @@ func (k *Kernel) sysEpollCtl(t *Task, args [6]uint64) sysResult {
 	var events uint32 = EpollIn
 	if args[3] != 0 {
 		var buf [4]byte
-		if err := t.AS.ReadAt(args[3], buf[:]); err != nil {
+		if err := t.ReadAt(args[3], buf[:]); err != nil {
 			return sysErr(EFAULT)
 		}
 		events = binary.LittleEndian.Uint32(buf[:])
@@ -131,7 +131,7 @@ func (k *Kernel) sysEpollWait(t *Task, args [6]uint64) sysResult {
 		binary.LittleEndian.PutUint32(rec[4:], 0) // padding
 		binary.LittleEndian.PutUint64(rec[8:], uint64(ev.fd))
 	}
-	if err := t.AS.WriteAt(args[1], buf); err != nil {
+	if err := t.WriteAt(args[1], buf); err != nil {
 		return sysErr(EFAULT)
 	}
 	return sysRet(int64(len(ready)))

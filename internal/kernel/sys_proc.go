@@ -179,7 +179,7 @@ func (k *Kernel) sysWait4(t *Task, args [6]uint64) sysResult {
 	if args[1] != 0 {
 		var buf [4]byte
 		binary.LittleEndian.PutUint32(buf[:], uint32(z.ExitCode))
-		if err := t.AS.WriteAt(args[1], buf[:]); err != nil {
+		if err := t.WriteAt(args[1], buf[:]); err != nil {
 			return sysErr(EFAULT)
 		}
 	}

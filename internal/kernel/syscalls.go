@@ -180,7 +180,7 @@ func (k *Kernel) readPath(t *Task, addr uint64) (string, bool) {
 	for len(long) < maxPathLen {
 		at := addr + uint64(len(long))
 		n := min(len(chunk), maxPathLen-len(long), int(mem.PageSize-at%mem.PageSize))
-		if err := t.AS.ReadAt(at, chunk[:n]); err != nil {
+		if err := t.ReadAt(at, chunk[:n]); err != nil {
 			return "", false
 		}
 		if i := bytes.IndexByte(chunk[:n], 0); i >= 0 {
@@ -310,7 +310,7 @@ func (k *Kernel) sysRead(t *Task, args [6]uint64) sysResult {
 		return sysErr(EBADF)
 	}
 	if n > 0 {
-		if err := t.AS.WriteAt(args[1], buf[:n]); err != nil {
+		if err := t.WriteAt(args[1], buf[:n]); err != nil {
 			return sysErr(EFAULT)
 		}
 	}
@@ -333,7 +333,7 @@ func (k *Kernel) sysWrite(t *Task, args [6]uint64) sysResult {
 	count = k.chaosShortIO(t, chaos.SiteShortWrite, count)
 	buf := t.ioBuf(int(count))
 	if count > 0 {
-		if err := t.AS.ReadAt(args[1], buf); err != nil {
+		if err := t.ReadAt(args[1], buf); err != nil {
 			return sysErr(EFAULT)
 		}
 	}
@@ -414,7 +414,7 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 		off = in.File.Offset()
 	} else {
 		var err error
-		if off, err = t.AS.ReadU64(offPtr); err != nil {
+		if off, err = t.ReadU64(offPtr); err != nil {
 			return sysErr(EFAULT)
 		}
 	}
@@ -450,7 +450,7 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 			if _, err := in.File.Seek(int64(sent), 1); err != nil {
 				return sysErr(EINVAL)
 			}
-		} else if err := t.AS.WriteU64(offPtr, off+uint64(sent)); err != nil {
+		} else if err := t.WriteU64(offPtr, off+uint64(sent)); err != nil {
 			return sysErr(EFAULT)
 		}
 		// One kernel-internal copy instead of read+write's two.
@@ -500,7 +500,7 @@ func (k *Kernel) writeStat(t *Task, addr uint64, st fs.Stat) sysResult {
 	binary.LittleEndian.PutUint64(buf[8:], uint64(st.Mode))
 	binary.LittleEndian.PutUint64(buf[16:], st.Size)
 	binary.LittleEndian.PutUint64(buf[24:], st.Mtime)
-	if err := t.AS.WriteAt(addr, buf[:]); err != nil {
+	if err := t.WriteAt(addr, buf[:]); err != nil {
 		return sysErr(EFAULT)
 	}
 	return sysRet(0)
@@ -574,13 +574,13 @@ func (k *Kernel) sysRtSigaction(t *Task, args [6]uint64) sysResult {
 		binary.LittleEndian.PutUint64(buf[0:], old.Handler)
 		binary.LittleEndian.PutUint64(buf[8:], old.Mask)
 		binary.LittleEndian.PutUint64(buf[16:], old.Flags)
-		if err := t.AS.WriteAt(args[2], buf[:]); err != nil {
+		if err := t.WriteAt(args[2], buf[:]); err != nil {
 			return sysErr(EFAULT)
 		}
 	}
 	if args[1] != 0 { // act
 		var buf [24]byte
-		if err := t.AS.ReadAt(args[1], buf[:]); err != nil {
+		if err := t.ReadAt(args[1], buf[:]); err != nil {
 			return sysErr(EFAULT)
 		}
 		t.Sig.Set(sig, SigAction{
@@ -601,13 +601,13 @@ func (k *Kernel) sysRtSigprocmask(t *Task, args [6]uint64) sysResult {
 	if args[2] != 0 {
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], t.SigMask)
-		if err := t.AS.WriteAt(args[2], buf[:]); err != nil {
+		if err := t.WriteAt(args[2], buf[:]); err != nil {
 			return sysErr(EFAULT)
 		}
 	}
 	if args[1] != 0 {
 		var buf [8]byte
-		if err := t.AS.ReadAt(args[1], buf[:]); err != nil {
+		if err := t.ReadAt(args[1], buf[:]); err != nil {
 			return sysErr(EFAULT)
 		}
 		set := binary.LittleEndian.Uint64(buf[:])
@@ -674,7 +674,7 @@ func (k *Kernel) sysPipe2(t *Task, args [6]uint64) sysResult {
 	var buf [8]byte
 	binary.LittleEndian.PutUint32(buf[0:], uint32(rfd))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(wfd))
-	if err := t.AS.WriteAt(args[0], buf[:]); err != nil {
+	if err := t.WriteAt(args[0], buf[:]); err != nil {
 		t.Files.Close(rfd)
 		t.Files.Close(wfd)
 		return sysErr(EFAULT)
@@ -684,7 +684,7 @@ func (k *Kernel) sysPipe2(t *Task, args [6]uint64) sysResult {
 
 func (k *Kernel) sysNanosleep(t *Task, args [6]uint64) sysResult {
 	var buf [16]byte
-	if err := t.AS.ReadAt(args[0], buf[:]); err != nil {
+	if err := t.ReadAt(args[0], buf[:]); err != nil {
 		return sysErr(EFAULT)
 	}
 	sec := binary.LittleEndian.Uint64(buf[0:])
@@ -699,7 +699,7 @@ func (k *Kernel) sysGetcwd(t *Task, args [6]uint64) sysResult {
 	if args[1] < 2 {
 		return sysErr(EINVAL)
 	}
-	if err := t.AS.WriteAt(args[0], []byte{'/', 0}); err != nil {
+	if err := t.WriteAt(args[0], []byte{'/', 0}); err != nil {
 		return sysErr(EFAULT)
 	}
 	return sysRet(2)
@@ -760,11 +760,11 @@ func (k *Kernel) sysArchPrctl(t *Task, args [6]uint64) sysResult {
 	case ArchSetFs:
 		t.CPU.FSBase = args[1]
 	case ArchGetGs:
-		if err := t.AS.WriteU64(args[1], t.CPU.GSBase); err != nil {
+		if err := t.WriteU64(args[1], t.CPU.GSBase); err != nil {
 			return sysErr(EFAULT)
 		}
 	case ArchGetFs:
-		if err := t.AS.WriteU64(args[1], t.CPU.FSBase); err != nil {
+		if err := t.WriteU64(args[1], t.CPU.FSBase); err != nil {
 			return sysErr(EFAULT)
 		}
 	default:
@@ -806,7 +806,7 @@ func (k *Kernel) sysGetdents64(t *Task, args [6]uint64) sysResult {
 		rec = rec[10+len(e.Name):]
 	}
 	if len(out) > 0 {
-		if err := t.AS.WriteAt(args[1], out); err != nil {
+		if err := t.WriteAt(args[1], out); err != nil {
 			return sysErr(EFAULT)
 		}
 	}
@@ -845,7 +845,7 @@ func (k *Kernel) sysGetrandom(t *Task, args [6]uint64) sysResult {
 		}
 		buf[i] = byte(k.randState >> (8 * (uint(i) % 8)))
 	}
-	if err := t.AS.WriteAt(args[0], buf); err != nil {
+	if err := t.WriteAt(args[0], buf); err != nil {
 		return sysErr(EFAULT)
 	}
 	t.CPU.Cycles += k.Costs.CopyCost(len(buf))

@@ -402,6 +402,14 @@ type Task struct {
 	// io is the staging memory behind ioBuf.
 	io []byte
 
+	// hc is the environment handleHcall hands to payloads, and stop the
+	// one a tracer's callbacks get. They live in the task, filled in when
+	// it is created, so that an hcall or a ptrace stop allocates nothing.
+	hc   HcallCtx
+	stop PtraceStop
+	// locals is the storage behind Local and SetLocal.
+	locals []taskLocal
+
 	// policyRegions is the task's privileged-code-range set (nil when the
 	// region layer is off); sfipLast is the SFIP automaton state (the
 	// previous tracked syscall number, or policy.Start).
@@ -474,6 +482,36 @@ func (t *Task) ioBuf(n int) []byte {
 		t.io = make([]byte, max(n, 2*cap(t.io)))
 	}
 	return t.io[:n]
+}
+
+// taskLocal is one value a mechanism keeps on a task.
+type taskLocal struct{ key, val any }
+
+// Local returns the value stored on the task under key by SetLocal, or
+// nil. It is where an interposition mechanism keeps its per-task
+// bookkeeping (its stack of in-flight calls): the storage is reachable
+// only through the task, so it needs no lock — a task runs on one
+// goroutine at a time — and it goes away with the task, however the task
+// dies. A clone child starts with none. Keys are compared with ==; a
+// mechanism uses its own pointer.
+func (t *Task) Local(key any) any {
+	for i := range t.locals {
+		if t.locals[i].key == key {
+			return t.locals[i].val
+		}
+	}
+	return nil
+}
+
+// SetLocal stores val on the task under key, replacing any previous value.
+func (t *Task) SetLocal(key, val any) {
+	for i := range t.locals {
+		if t.locals[i].key == key {
+			t.locals[i].val = val
+			return
+		}
+	}
+	t.locals = append(t.locals, taskLocal{key, val})
 }
 
 // State returns the scheduler state.

@@ -19,19 +19,30 @@ type Mechanism struct {
 	// Stops counts syscall-enter stops.
 	Stops int
 
-	ip       interpose.Interposer
-	k        *kernel.Kernel
-	pending  map[int][]*interpose.Call
-	emulated map[*interpose.Call]bool
+	ip interpose.Interposer
+	k  *kernel.Kernel
+}
+
+// taskCalls is one tracee's in-flight calls, kept on the task.
+type taskCalls struct {
+	interpose.CallStack
+	// emulated[i] reports whether the call at depth i+1 is being emulated.
+	emulated []bool
+}
+
+// calls returns t's in-flight calls under m.
+func (m *Mechanism) calls(t *kernel.Task) *taskCalls {
+	if s, ok := t.Local(m).(*taskCalls); ok {
+		return s
+	}
+	s := &taskCalls{}
+	t.SetLocal(m, s)
+	return s
 }
 
 // Attach attaches a tracer to the task.
 func Attach(k *kernel.Kernel, t *kernel.Task, ip interpose.Interposer) *Mechanism {
-	m := &Mechanism{
-		ip: ip, k: k,
-		pending:  make(map[int][]*interpose.Call),
-		emulated: make(map[*interpose.Call]bool),
-	}
+	m := &Mechanism{ip: ip, k: k}
 	k.AttachTracer(t, &kernel.Tracer{
 		OnEnter: m.onEnter,
 		OnExit:  m.onExit,
@@ -50,52 +61,39 @@ func (m *Mechanism) onEnter(stop *kernel.PtraceStop) {
 	m.Stops++
 	t := stop.Task
 	regs := stop.GetRegs()
-	c := &interpose.Call{
-		Task: t,
-		Nr:   int64(regs[isa.RAX]),
-		Args: [6]uint64{
-			regs[isa.RDI], regs[isa.RSI], regs[isa.RDX],
-			regs[isa.R10], regs[isa.R8], regs[isa.R9],
-		},
+	calls := m.calls(t)
+	c := calls.Push(t)
+	c.Nr = int64(regs[isa.RAX])
+	c.Args = [6]uint64{
+		regs[isa.RDI], regs[isa.RSI], regs[isa.RDX],
+		regs[isa.R10], regs[isa.R8], regs[isa.R9],
 	}
-	action := m.ip.Enter(c)
-	if action == interpose.Emulate {
+	emulate := m.ip.Enter(c) == interpose.Emulate
+	calls.emulated = append(calls.emulated[:calls.Depth()-1], emulate)
+	if emulate {
 		// ptrace emulation idiom: rewrite the syscall number to an
 		// invalid one so the kernel fails it, then patch the return value
 		// at the exit stop.
 		regs[isa.RAX] = uint64(int64(kernel.NonexistentSyscall))
 		stop.SetRegs(regs)
-		c.Task = t
-		m.emulated[c] = true
-		m.pending[t.ID] = append(m.pending[t.ID], c)
 		return
 	}
 	regs[isa.RAX] = uint64(c.Nr)
 	regs[isa.RDI], regs[isa.RSI], regs[isa.RDX] = c.Args[0], c.Args[1], c.Args[2]
 	regs[isa.R10], regs[isa.R8], regs[isa.R9] = c.Args[3], c.Args[4], c.Args[5]
 	stop.SetRegs(regs)
-	m.pending[t.ID] = append(m.pending[t.ID], c)
 }
 
-// onExit handles a syscall-exit stop. In-flight emulated calls are
-// tracked in the per-mechanism `emulated` registry: ptrace stops are
-// synchronous per task, so no lock is needed within one machine, and
-// keeping the registry on the Mechanism (not package-level) keeps
-// concurrently running machines — the parallel experiment harness runs
-// one per sweep cell — fully isolated.
+// onExit handles a syscall-exit stop. Ptrace stops are synchronous per
+// task and the in-flight calls live on the task, so nothing here is
+// shared between tasks or between concurrently running machines.
 func (m *Mechanism) onExit(stop *kernel.PtraceStop) {
 	t := stop.Task
-	stack := m.pending[t.ID]
-	var c *interpose.Call
-	if n := len(stack); n > 0 {
-		c = stack[n-1]
-		m.pending[t.ID] = stack[:n-1]
-	} else {
-		c = &interpose.Call{Task: t, Nr: -1}
-	}
+	calls := m.calls(t)
+	defer calls.Pop()
+	c := calls.Top(t)
 	regs := stop.GetRegs()
-	if m.emulated[c] {
-		delete(m.emulated, c)
+	if d := calls.Depth(); d > 0 && calls.emulated[d-1] {
 		// Force the interposer-chosen result over the kernel's -ENOSYS.
 		regs[isa.RAX] = uint64(c.Ret)
 		stop.SetRegs(regs)

@@ -19,7 +19,6 @@ import (
 
 	"lazypoline/internal/bpf"
 	"lazypoline/internal/interpose"
-	"lazypoline/internal/isa"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/mem"
 )
@@ -64,10 +63,6 @@ func AttachBPF(k *kernel.Kernel, t *kernel.Task, policy BPFPolicy) error {
 type UserMechanism struct {
 	// Traps counts SIGSYS activations.
 	Traps int
-
-	ip      interpose.Interposer
-	k       *kernel.Kernel
-	pending map[int][]*interpose.Call
 }
 
 // handlerBase places the seccomp-user SIGSYS stub next to the vdso; its
@@ -78,56 +73,13 @@ const handlerBase = kernel.VdsoBase + 2*mem.PageSize
 
 // AttachUser installs seccomp-user interposition: every syscall outside
 // the handler/vdso range traps to a SIGSYS handler that interposes it
-// with full expressiveness.
+// with full expressiveness — the handler SUD uses, behind a different
+// trap.
 func AttachUser(k *kernel.Kernel, t *kernel.Task, ip interpose.Interposer) (*UserMechanism, error) {
-	m := &UserMechanism{ip: ip, k: k, pending: make(map[int][]*interpose.Call)}
-	preID := k.RegisterHcall(m.enter)
-	postID := k.RegisterHcall(m.exit)
-
-	gsBase, err := t.AS.MapAnon(interpose.GSSize, mem.ProtRW)
-	if err != nil {
-		return nil, err
+	m := &UserMechanism{}
+	if err := interpose.InstallSigsysHandler(k, t, ip, handlerBase, &m.Traps); err != nil {
+		return nil, fmt.Errorf("seccomputil: %w", err)
 	}
-	t.CPU.GSBase = gsBase
-	if err := interpose.InitGSRegion(t, gsBase); err != nil {
-		return nil, err
-	}
-
-	scr := int64(interpose.GSSudScratch)
-	var e isa.Enc
-	e.Hcall(preID)
-	e.GsLoadB(isa.RBX, interpose.GSEmulate)
-	e.CmpImm(isa.RBX, 1)
-	jzAt := e.Len()
-	e.Jz(0)
-	e.GsLoad(isa.RAX, scr+0)
-	e.GsLoad(isa.RDI, scr+8)
-	e.GsLoad(isa.RSI, scr+16)
-	e.GsLoad(isa.RDX, scr+24)
-	e.GsLoad(isa.R10, scr+32)
-	e.GsLoad(isa.R8, scr+40)
-	e.GsLoad(isa.R9, scr+48)
-	e.Syscall() // IP inside the exempted range: the filter allows it
-	e.GsStore(scr+0, isa.RAX)
-	rel := int32(e.Len() - (jzAt + 5))
-	e.Buf[jzAt+1] = byte(rel)
-	e.Buf[jzAt+2] = byte(rel >> 8)
-	e.Buf[jzAt+3] = byte(rel >> 16)
-	e.Buf[jzAt+4] = byte(rel >> 24)
-	e.GsStoreBI(interpose.GSEmulate, 0)
-	e.Hcall(postID)
-	e.Ret()
-
-	if err := t.AS.MapFixed(handlerBase, mem.PageSize, mem.ProtRW); err != nil {
-		return nil, err
-	}
-	if err := t.AS.WriteAt(handlerBase, e.Buf); err != nil {
-		return nil, err
-	}
-	if err := t.AS.Protect(handlerBase, mem.PageSize, mem.ProtRX); err != nil {
-		return nil, err
-	}
-	t.Sig.Set(kernel.SIGSYS, kernel.SigAction{Handler: handlerBase})
 
 	// The filter: trap everything invoked outside [VdsoBase, +3 pages)
 	// (vdso sigreturn + the SUD handler slot + our handler page).
@@ -137,71 +89,4 @@ func AttachUser(k *kernel.Kernel, t *kernel.Task, ip interpose.Interposer) (*Use
 	}
 	k.AttachSeccomp(t, prog)
 	return m, nil
-}
-
-// enter mirrors the SUD handler's pre-payload.
-func (m *UserMechanism) enter(hc *kernel.HcallCtx) error {
-	t := hc.Task
-	ucAddr, sig, ok := t.CurrentSigFrame()
-	if !ok || sig != kernel.SIGSYS {
-		return fmt.Errorf("seccomputil: handler outside SIGSYS")
-	}
-	m.Traps++
-	c := &interpose.Call{Task: t}
-	rax, err := t.AS.ReadU64(ucAddr + kernel.UCReg(int(isa.RAX)))
-	if err != nil {
-		return err
-	}
-	c.Nr = int64(rax)
-	argRegs := [6]isa.Reg{isa.RDI, isa.RSI, isa.RDX, isa.R10, isa.R8, isa.R9}
-	for i, r := range argRegs {
-		v, err := t.AS.ReadU64(ucAddr + kernel.UCReg(int(r)))
-		if err != nil {
-			return err
-		}
-		c.Args[i] = v
-	}
-	action := m.ip.Enter(c)
-	scr := t.CPU.GSBase + interpose.GSSudScratch
-	if action == interpose.Emulate {
-		if err := t.AS.WriteU64(scr, uint64(c.Ret)); err != nil {
-			return err
-		}
-		if err := t.AS.WriteForce(t.CPU.GSBase+interpose.GSEmulate, []byte{1}); err != nil {
-			return err
-		}
-	} else {
-		vals := [7]uint64{uint64(c.Nr), c.Args[0], c.Args[1], c.Args[2], c.Args[3], c.Args[4], c.Args[5]}
-		for i, v := range vals {
-			if err := t.AS.WriteU64(scr+uint64(8*i), v); err != nil {
-				return err
-			}
-		}
-	}
-	m.pending[t.ID] = append(m.pending[t.ID], c)
-	return nil
-}
-
-// exit mirrors the SUD handler's post-payload.
-func (m *UserMechanism) exit(hc *kernel.HcallCtx) error {
-	t := hc.Task
-	ucAddr, _, ok := t.CurrentSigFrame()
-	if !ok {
-		return fmt.Errorf("seccomputil: exit outside signal frame")
-	}
-	stack := m.pending[t.ID]
-	var c *interpose.Call
-	if n := len(stack); n > 0 {
-		c = stack[n-1]
-		m.pending[t.ID] = stack[:n-1]
-	} else {
-		c = &interpose.Call{Task: t, Nr: -1}
-	}
-	ret, err := t.AS.ReadU64(t.CPU.GSBase + interpose.GSSudScratch)
-	if err != nil {
-		return err
-	}
-	c.Ret = int64(ret)
-	m.ip.Exit(c)
-	return t.AS.WriteU64(ucAddr+kernel.UCReg(int(isa.RAX)), uint64(c.Ret))
 }

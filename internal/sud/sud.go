@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"lazypoline/internal/interpose"
-	"lazypoline/internal/isa"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/mem"
 	"lazypoline/internal/telemetry"
@@ -32,62 +31,16 @@ const HandlerBase = kernel.VdsoBase + mem.PageSize
 type Mechanism struct {
 	// Hits counts SIGSYS activations (one per application syscall).
 	Hits int
-
-	ip      interpose.Interposer
-	k       *kernel.Kernel
-	pending map[int][]*interpose.Call
 }
 
 // Attach installs the typical SUD deployment on a task.
 func Attach(k *kernel.Kernel, t *kernel.Task, ip interpose.Interposer) (*Mechanism, error) {
-	m := &Mechanism{ip: ip, k: k, pending: make(map[int][]*interpose.Call)}
-	preID := k.RegisterHcall(m.enter)
-	postID := k.RegisterHcall(m.exit)
-
-	// Per-task selector byte lives in a gs region (shared layout).
-	gsBase, err := t.AS.MapAnon(interpose.GSSize, mem.ProtRW)
-	if err != nil {
-		return nil, fmt.Errorf("sud: map gs region: %w", err)
+	m := &Mechanism{}
+	// The SIGSYS handler and the gs region holding the selector byte.
+	if err := interpose.InstallSigsysHandler(k, t, ip, HandlerBase, &m.Hits); err != nil {
+		return nil, fmt.Errorf("sud: %w", err)
 	}
-	t.CPU.GSBase = gsBase
-	if err := interpose.InitGSRegion(t, gsBase); err != nil {
-		return nil, err
-	}
-
-	// The SIGSYS handler stub. Registers are free to clobber: sigreturn
-	// restores the full saved context, and the result is written into the
-	// saved RAX by the post-payload.
-	scr := int64(interpose.GSSudScratch)
-	var e isa.Enc
-	e.Hcall(preID) // read call from ucontext, ip.Enter, stage into gs scratch
-	e.GsLoadB(isa.RBX, interpose.GSEmulate)
-	e.CmpImm(isa.RBX, 1)
-	jzAt := e.Len()
-	e.Jz(0) // patched to skip
-	e.GsLoad(isa.RAX, scr+0)
-	e.GsLoad(isa.RDI, scr+8)
-	e.GsLoad(isa.RSI, scr+16)
-	e.GsLoad(isa.RDX, scr+24)
-	e.GsLoad(isa.R10, scr+32)
-	e.GsLoad(isa.R8, scr+40)
-	e.GsLoad(isa.R9, scr+48)
-	e.Syscall() // inside the allowlisted range: dispatches, may block
-	e.GsStore(scr+0, isa.RAX)
-	patchJz(&e, jzAt, e.Len())
-	e.GsStoreBI(interpose.GSEmulate, 0)
-	e.Hcall(postID) // ip.Exit, write result into the saved context
-	e.Ret()         // into the vdso sigreturn stub (also allowlisted)
-
-	if err := t.AS.MapFixed(HandlerBase, mem.PageSize, mem.ProtRW); err != nil {
-		return nil, fmt.Errorf("sud: map handler page: %w", err)
-	}
-	if err := t.AS.WriteAt(HandlerBase, e.Buf); err != nil {
-		return nil, err
-	}
-	if err := t.AS.Protect(HandlerBase, mem.PageSize, mem.ProtRX); err != nil {
-		return nil, err
-	}
-	t.Sig.Set(kernel.SIGSYS, kernel.SigAction{Handler: HandlerBase})
+	gsBase := t.CPU.GSBase
 
 	// SUD with the contiguous vdso+handler range allowlisted.
 	if err := k.ConfigSUD(t, kernel.SUDConfig{
@@ -133,85 +86,4 @@ func Attach(k *kernel.Kernel, t *kernel.Task, ip interpose.Interposer) (*Mechani
 // Symbols names the mechanism's injected code for profiler output.
 func (m *Mechanism) Symbols() map[string]uint64 {
 	return map[string]uint64{"sud_handler": HandlerBase}
-}
-
-func patchJz(e *isa.Enc, insnOff, target int) {
-	rel := int32(target - (insnOff + 5))
-	e.Buf[insnOff+1] = byte(rel)
-	e.Buf[insnOff+2] = byte(rel >> 8)
-	e.Buf[insnOff+3] = byte(rel >> 16)
-	e.Buf[insnOff+4] = byte(rel >> 24)
-}
-
-// enter is the pre-syscall payload: pull the aborted syscall out of the
-// saved ucontext, run the interposer, stage the (possibly modified)
-// call — or the emulated result — for the stub.
-func (m *Mechanism) enter(hc *kernel.HcallCtx) error {
-	t := hc.Task
-	ucAddr, sig, ok := t.CurrentSigFrame()
-	if !ok || sig != kernel.SIGSYS {
-		return fmt.Errorf("sud: handler outside SIGSYS")
-	}
-	m.Hits++
-
-	c := &interpose.Call{Task: t}
-	rax, err := t.AS.ReadU64(ucAddr + kernel.UCReg(int(isa.RAX)))
-	if err != nil {
-		return err
-	}
-	c.Nr = int64(rax)
-	argRegs := [6]isa.Reg{isa.RDI, isa.RSI, isa.RDX, isa.R10, isa.R8, isa.R9}
-	for i, r := range argRegs {
-		v, err := t.AS.ReadU64(ucAddr + kernel.UCReg(int(r)))
-		if err != nil {
-			return err
-		}
-		c.Args[i] = v
-	}
-
-	action := m.ip.Enter(c)
-	scr := t.CPU.GSBase + interpose.GSSudScratch
-	if action == interpose.Emulate {
-		if err := t.AS.WriteU64(scr, uint64(c.Ret)); err != nil {
-			return err
-		}
-		if err := t.AS.WriteForce(t.CPU.GSBase+interpose.GSEmulate, []byte{1}); err != nil {
-			return err
-		}
-	} else {
-		vals := [7]uint64{uint64(c.Nr), c.Args[0], c.Args[1], c.Args[2], c.Args[3], c.Args[4], c.Args[5]}
-		for i, v := range vals {
-			if err := t.AS.WriteU64(scr+uint64(8*i), v); err != nil {
-				return err
-			}
-		}
-	}
-	m.pending[t.ID] = append(m.pending[t.ID], c)
-	return nil
-}
-
-// exit is the post-syscall payload: finish the interposition and write
-// the result into the saved context so the application resumes as if the
-// syscall had returned normally.
-func (m *Mechanism) exit(hc *kernel.HcallCtx) error {
-	t := hc.Task
-	ucAddr, _, ok := t.CurrentSigFrame()
-	if !ok {
-		return fmt.Errorf("sud: exit outside signal frame")
-	}
-	stack := m.pending[t.ID]
-	var c *interpose.Call
-	if n := len(stack); n > 0 {
-		c = stack[n-1]
-		m.pending[t.ID] = stack[:n-1]
-	} else {
-		c = &interpose.Call{Task: t, Nr: -1}
-	}
-	ret, err := t.AS.ReadU64(t.CPU.GSBase + interpose.GSSudScratch)
-	if err != nil {
-		return err
-	}
-	c.Ret = int64(ret)
-	m.ip.Exit(c)
-	return t.AS.WriteU64(ucAddr+kernel.UCReg(int(isa.RAX)), uint64(c.Ret))
 }

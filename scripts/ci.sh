@@ -14,15 +14,22 @@ go test -race ./...
 # locked invalidation, the RLock'd read walk) and the cold path's
 # (DESIGN.md §17: demand-zero pages gaining their backing under readers,
 # the decoder, block builds), plus the interposer binder's hcall payloads
-# (shard-concurrent under -cores), get an explicit -race pass even though
-# the full-suite run above covers these packages: a future narrowing of the
-# suite must not silently drop this gate.
-go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/... ./internal/interpose/...
+# (shard-concurrent under -cores) and the kernel and the mechanisms that
+# now reach guest memory through the task's unsynchronised D-TLB (DESIGN.md
+# §19), get an explicit -race pass even though the full-suite run above
+# covers these packages: a future narrowing of the suite must not silently
+# drop this gate.
+go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/... ./internal/interpose/... \
+    ./internal/kernel/... ./internal/sud/... ./internal/seccomputil/... ./internal/ptracer/...
 
 # Cold-path allocation gate: a coreutil run in a fresh kernel must stay
 # inside its byte/object budget — an eager page array or a per-byte
 # decode error object would break it.
 go test ./internal/experiments -run 'TestColdStartAllocs' -count 1
+
+# Steady-state allocation gate (DESIGN.md §19): once warm, an interposed
+# syscall allocates nothing under any mechanism.
+go test ./internal/experiments -run 'TestInterposedSyscallAllocs' -count 1
 
 # Benchmark smoke run: the interpreter benchmarks must still execute, and
 # cpubench must still clear its cache-speedup and fast-path-speedup
@@ -120,6 +127,11 @@ go test ./internal/mem/ -run '^$' -fuzz FuzzDemandZeroModel -fuzztime 5s
 # NOP run (DESIGN.md §18).
 go test ./internal/cpu/ -run '^$' -fuzz FuzzCountedLoop -fuzztime 5s
 
+# Task-accessor fuzz smoke: random mapping changes, kernel-side spans and
+# guest stores through the task's D-TLB against the locked AddressSpace
+# path (DESIGN.md §19).
+go test ./internal/kernel/ -run '^$' -fuzz FuzzTaskAccessors -fuzztime 5s
+
 # Syscall-policy layer (DESIGN.md §12). A Figure 5 sweep with the policy
 # flags explicitly off must be byte-identical to one that never mentions
 # them — an all-off PolicyConfig normalizes to a policy-free kernel — and
@@ -207,7 +219,9 @@ diff -u /tmp/ci_otr_a.jsonl /tmp/ci_otr_rt.jsonl
 # byte-identical to -cores 1 on every invariance surface. The dedicated
 # suites run under -race with shards engaged (the kernel/webbench tests
 # assert engagement via ParallelRounds, so a silent fallback to the
-# sequential scheduler fails CI rather than passing vacuously).
+# sequential scheduler fails CI rather than passing vacuously). Every
+# kernel-side guest access in them goes through the tasks' own D-TLBs, one
+# goroutine per shard (DESIGN.md §19).
 go test -race ./internal/kernel -run 'TestRound|TestMidRound|TestPlanShards|TestParallel|TestRunParks|TestRunDeadlock' -count 1
 go test -race ./internal/webbench -run 'TestCores' -count 1
 go test -race ./internal/mem ./internal/netstack -count 1
