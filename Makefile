@@ -95,6 +95,8 @@ fuzz:
 	go test ./internal/mem/ -run '^$$' -fuzz FuzzAccess -fuzztime 30s
 	go test ./internal/mem/ -run '^$$' -fuzz FuzzDemandZeroModel -fuzztime 30s
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzCountedLoop -fuzztime 30s
+	go test ./internal/cpu/ -run '^$$' -fuzz FuzzBlockBuild -fuzztime 30s
+	go test ./internal/zpoline/ -run '^$$' -fuzz FuzzFindSyscallSites -fuzztime 30s
 	go test ./internal/kernel/ -run '^$$' -fuzz FuzzTaskAccessors -fuzztime 30s
 
 bench:

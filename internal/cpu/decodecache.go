@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"slices"
+	"sync"
 
 	"lazypoline/internal/isa"
 	"lazypoline/internal/mem"
@@ -121,13 +122,24 @@ type decodeCache struct {
 	// blocks linger until popped or compacted.
 	fifo     []*cachedBlock
 	fifoHead int
-	buildBuf [mem.PageSize + maxInsnLen]byte
-	// buildPcs and buildInsts are build's decode scratch: a block is
-	// decoded here, where the slices keep their grown capacity from build
-	// to build, and then copied into slices allocated once at its length.
-	buildPcs   []uint64
-	buildInsts []isa.Inst
+	// sledBase is the entry of the last block decoded that starts with a
+	// NOP sled; later entries inside its sled are views of it (sledSuffix).
+	sledBase uint64
 }
+
+// buildScratch is build's working memory: the fetch buffer, and the
+// decode scratch a block is decoded into — where the slices keep their
+// grown capacity from build to build — before it is copied into slices
+// allocated once at its length. It is taken from buildScratchPool for
+// one build, so the fresh CPU every cold run creates does not allocate
+// and grow scratch of its own.
+type buildScratch struct {
+	buf   [mem.PageSize + maxInsnLen - 1]byte
+	pcs   []uint64
+	insts []isa.Inst
+}
+
+var buildScratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 func newDecodeCache(as *mem.AddressSpace) *decodeCache {
 	return &decodeCache{as: as, blocks: make(map[uint64]*cachedBlock)}
@@ -328,21 +340,54 @@ func (dc *decodeCache) compactFIFO() {
 	dc.fifoHead = 0
 }
 
-// build predecodes a block starting at pc. The fetch covers pc through
-// the end of its page plus maxInsnLen-1 straddle bytes, all snapshotted
-// (bytes, page generations, mutation count) under one lock acquisition,
-// so the block can never embed a torn view of a concurrent code write.
+// firstWindow is how many bytes build fetches before it knows how long
+// the block is. Most blocks end at a control transfer a few instructions
+// in, so fetching through the page end up front would copy up to 4 KiB
+// no block decodes. A block still undecided at the window's end
+// refetches through its page end.
+const firstWindow = 128
+
+// build predecodes a block starting at pc: pc through the first
+// terminator, undecodable bytes or the end of pc's page, plus a final
+// instruction straddling into the next page. It fetches firstWindow bytes
+// first and the rest of the page (plus maxInsnLen-1 straddle bytes) only
+// for a block that runs past them. Each fetch snapshots bytes, page
+// generations and mutation count under one lock acquisition; the second
+// re-copies the window too, and decoding restarts if pc's page changed
+// in between, so a block never embeds a torn view of a concurrent code
+// write.
+//
+// A block entered inside a NOP sled decoded before — the zpoline sled,
+// entered at a different offset for every syscall number — is not
+// decoded at all: it is a view of the block that sled starts
+// (sledSuffix).
 func (dc *decodeCache) build(pc uint64) *cachedBlock {
+	if b := dc.sledSuffix(pc); b != nil {
+		return b
+	}
+	s := buildScratchPool.Get().(*buildScratch)
+	defer buildScratchPool.Put(s)
 	limit := int(mem.PageSize - pc&(mem.PageSize-1)) // bytes from pc to its page end
-	buf := dc.buildBuf[:limit+maxInsnLen-1]
-	n, pages, npages, mut, _ := dc.as.FetchExecGen(pc, buf)
+	full := limit + maxInsnLen - 1
+	want := min(full, firstWindow)
+	n, pages, npages, mut, _ := dc.as.FetchExecGen(pc, s.buf[:want])
 	if n == 0 {
 		return nil
 	}
-	pcs, insts := dc.buildPcs[:0], dc.buildInsts[:0]
+	pcs, insts := s.pcs[:0], s.insts[:0]
 	off := 0
-	for off < limit && off < n {
-		in, err := isa.Decode(buf[off:n])
+	for off < limit {
+		in, err := isa.Decode(s.buf[off:n])
+		if err == isa.ErrTruncated && n == want && want < full {
+			// The window ended, not executable memory: fetch the rest.
+			gen := pages[0].Gen
+			want = full
+			n, pages, npages, mut, _ = dc.as.FetchExecGen(pc, s.buf[:want])
+			if pages[0].Gen != gen {
+				pcs, insts, off = pcs[:0], insts[:0], 0
+			}
+			continue
+		}
 		if err != nil {
 			// Undecodable or truncated bytes are never cached: the uncached
 			// path re-derives the fault with its proper address every time.
@@ -355,7 +400,7 @@ func (dc *decodeCache) build(pc uint64) *cachedBlock {
 			break
 		}
 	}
-	dc.buildPcs, dc.buildInsts = pcs, insts
+	s.pcs, s.insts = pcs, insts
 	if len(insts) == 0 {
 		return nil
 	}
@@ -370,16 +415,58 @@ func (dc *decodeCache) build(pc uint64) *cachedBlock {
 		b.npages = 1
 	}
 	classifyFused(b)
+	if b.fused == fusedNopSled {
+		dc.sledBase = pc
+	}
+	dc.insert(b)
+	return b
+}
+
+// sledSuffix returns the block at pc as a view of the sled base — the
+// last block decoded that starts with a NOP sled (fusedNopSled) — when pc
+// lies inside the base's leading NOPs; nil otherwise, and build decodes
+// pc. NOPs are one byte long, so decoding from the base passes through
+// pc, and from there on it is the decode of the same bytes up to the same
+// page end: the suffix of the base from pc is exactly the block a decode
+// at pc would build, valid for as long as the base's pages are. Blocks
+// are immutable once built, so the view shares the base's slices.
+//
+// Every block is still one the guest entered, so builds count as before.
+// zpoline's VA-0 sled is decoded at its first entry and again only at an
+// entry below all earlier ones (the microbenchmark's exit, 60, after its
+// syscall 500); every other entry is a view.
+func (dc *decodeCache) sledSuffix(pc uint64) *cachedBlock {
+	h := dc.blocks[dc.sledBase]
+	if h == nil || h.fused != fusedNopSled || pc <= h.entry || pc-h.entry >= uint64(h.nopLen) {
+		return nil
+	}
+	if h.mut != dc.as.CodeMutations() && !dc.revalidate(h) {
+		dc.drop(h)
+		return nil
+	}
+	k := pc - h.entry
+	b := &cachedBlock{
+		entry: pc, end: h.end,
+		pcs: h.pcs[k:], insts: h.insts[k:],
+		pages: h.pages, npages: h.npages, mut: h.mut,
+	}
+	classifyFused(b)
+	dc.insert(b)
+	return b
+}
+
+// insert adds a freshly built block to the map and the eviction FIFO,
+// evicting first if the map is full.
+func (dc *decodeCache) insert(b *cachedBlock) {
 	if len(dc.blocks) >= maxCacheBlocks {
 		dc.evictForSpace()
 	}
-	dc.blocks[pc] = b
+	dc.blocks[b.entry] = b
 	dc.fifo = append(dc.fifo, b)
 	if len(dc.fifo) >= 2*maxCacheBlocks {
 		dc.compactFIFO()
 	}
 	dc.stats.Builds++
-	return b
 }
 
 // blockTerminator reports whether in ends a predecoded block: control

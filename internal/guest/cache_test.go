@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,6 +49,59 @@ func TestBuildCachedMemoizes(t *testing.T) {
 	}
 	if fresh == first {
 		t.Error("Build returned the cached Program; it must stay private")
+	}
+}
+
+// TestCoreutilLookupIsFree: a repeated Coreutil call returns the Program
+// the first one built and allocates nothing — no source text is put
+// together or hashed once a (utility, libc) pair is known.
+func TestCoreutilLookupIsFree(t *testing.T) {
+	for _, libc := range []Libc{LibcUbuntu2004(false), LibcClearLinux()} {
+		first, err := Coreutil("cat", libc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again *Program
+		if n := testing.AllocsPerRun(100, func() { again, _ = Coreutil("cat", libc) }); n != 0 {
+			t.Errorf("%s: a repeated Coreutil call allocates %.0f objects, want 0", libc.Name, n)
+		}
+		if again != first {
+			t.Errorf("%s: a repeated Coreutil call returned a different Program", libc.Name)
+		}
+	}
+	if _, err := Coreutil("nosuchutil", LibcClearLinux()); err == nil {
+		t.Error("unknown utility: no error")
+	}
+}
+
+// TestCoreutilConcurrent (for -race): the parallel harness looks
+// utilities up from many goroutines; each (utility, libc) still yields
+// one Program.
+func TestCoreutilConcurrent(t *testing.T) {
+	libcs := []Libc{LibcUbuntu2004(false), LibcClearLinux()}
+	got := make([][]*Program, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range CoreutilNames {
+				for _, libc := range libcs {
+					p, err := Coreutil(name, libc)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[g] = append(got[g], p)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 1; g < len(got); g++ {
+		if !slices.Equal(got[g], got[0]) {
+			t.Errorf("goroutine %d got different Programs than goroutine 0", g)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package guest
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // CoreutilNames lists the ten utilities of Table III, in the paper's
 // order.
@@ -15,9 +18,26 @@ var threadedUtils = map[string]bool{
 	"ls": true, "mkdir": true, "mv": true, "cp": true,
 }
 
+// coreutilKey names one built utility: the libc is the variant after
+// Coreutil has applied threadedUtils.
+type coreutilKey struct {
+	name string
+	libc Libc
+}
+
+// coreutils memoizes Coreutil by (utility, libc), so a lookup neither
+// concatenates nor hashes the multi-KB source. It is the only cache the
+// utilities go through.
+var (
+	coreutilsMu sync.Mutex
+	coreutils   = map[coreutilKey]*Program{}
+)
+
 // Coreutil builds one of the ten utilities against a libc variant. For
 // the Ubuntu variant, thread support follows the utility (threadedUtils);
-// the Clear Linux variant affects every program via ptmalloc_init.
+// the Clear Linux variant affects every program via ptmalloc_init. The
+// Program is built, and its source text put together, on the first call
+// for a (utility, libc); later calls share it, immutable.
 func Coreutil(name string, libc Libc) (*Program, error) {
 	body, ok := coreutilBodies[name]
 	if !ok {
@@ -26,8 +46,18 @@ func Coreutil(name string, libc Libc) (*Program, error) {
 	if !libc.clearLinux {
 		libc.ThreadedInit = threadedUtils[name]
 	}
-	src := Header + Crt0 + libc.Source() + body
-	return BuildCached(name+"-"+libc.Name, src)
+	key := coreutilKey{name, libc}
+	coreutilsMu.Lock()
+	defer coreutilsMu.Unlock()
+	if p, ok := coreutils[key]; ok {
+		return p, nil
+	}
+	p, err := Build(name+"-"+libc.Name, Header+Crt0+libc.Source()+body)
+	if err != nil {
+		return nil, err
+	}
+	coreutils[key] = p
+	return p, nil
 }
 
 // SetupCoreutilFS populates the filesystem the utilities operate on.

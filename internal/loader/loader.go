@@ -65,8 +65,15 @@ func FromProgram(p *asm.Program, entrySymbol string, extra ...Segment) (*Image, 
 	return img, nil
 }
 
+// zeroPage is what a freshly mapped page reads as.
+var zeroPage [mem.PageSize]byte
+
 // Load maps every segment into as. Segment sizes are rounded up to whole
-// pages; the pages get the segment's protection.
+// pages; the pages get the segment's protection. Only the page-sized
+// chunks of a segment that hold a nonzero byte are written: a fresh page
+// already reads as zero and is left without backing (demand-zero,
+// DESIGN.md §17), so a guest's all-zero data segment costs nothing until
+// the guest touches it.
 func (img *Image) Load(as *mem.AddressSpace) error {
 	if len(img.Segments) == 0 {
 		return ErrNoSegments
@@ -82,8 +89,14 @@ func (img *Image) Load(as *mem.AddressSpace) error {
 		if err := as.MapFixed(seg.Addr, size, mem.ProtRW); err != nil {
 			return fmt.Errorf("loader: map %#x: %w", seg.Addr, err)
 		}
-		if err := as.WriteAt(seg.Addr, seg.Data); err != nil {
-			return fmt.Errorf("loader: populate %#x: %w", seg.Addr, err)
+		for off := 0; off < len(seg.Data); off += mem.PageSize {
+			chunk := seg.Data[off:min(off+mem.PageSize, len(seg.Data))]
+			if bytes.Equal(chunk, zeroPage[:len(chunk)]) {
+				continue
+			}
+			if err := as.WriteAt(seg.Addr+uint64(off), chunk); err != nil {
+				return fmt.Errorf("loader: populate %#x: %w", seg.Addr, err)
+			}
 		}
 		if err := as.Protect(seg.Addr, size, seg.Prot); err != nil {
 			return fmt.Errorf("loader: protect %#x: %w", seg.Addr, err)

@@ -3,6 +3,8 @@ package loader
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -58,6 +60,85 @@ func TestFromProgramAndLoad(t *testing.T) {
 	as.ReadAt(0x10000, got)
 	if string(got[1:]) != "eap seed" {
 		t.Errorf("heap contents: %q", got)
+	}
+}
+
+// eagerLoad is Load as it was before zero chunks were skipped: every
+// segment byte written. The oracle for what Load leaves in memory.
+func eagerLoad(t *testing.T, img *Image) *mem.AddressSpace {
+	t.Helper()
+	as := mem.NewAddressSpace()
+	for _, seg := range img.Segments {
+		size := (uint64(len(seg.Data)) + mem.PageSize - 1) &^ (mem.PageSize - 1)
+		if err := as.MapFixed(seg.Addr, size, mem.ProtRW); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.WriteAt(seg.Addr, seg.Data); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Protect(seg.Addr, size, seg.Prot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return as
+}
+
+// sparseImage has a code segment, a data segment of zero pages around two
+// nonzero ones (one in its last, partial page), and an all-zero segment.
+func sparseImage(t *testing.T) *Image {
+	img := sampleImage(t)
+	data := make([]byte, 6*mem.PageSize+100)
+	data[2*mem.PageSize+7] = 0x11
+	data[len(data)-1] = 0x22
+	img.Segments = append(img.Segments,
+		Segment{Addr: 0x40000, Prot: mem.ProtRW, Data: data},
+		Segment{Addr: 0x50000, Prot: mem.ProtRX, Data: make([]byte, 3*mem.PageSize)})
+	return img
+}
+
+func TestLoadMatchesEagerLoad(t *testing.T) {
+	img := sparseImage(t)
+	got, want := mem.NewAddressSpace(), eagerLoad(t, img)
+	if err := img.Load(got); err != nil {
+		t.Fatal(err)
+	}
+	if g, w := got.Regions(), want.Regions(); !slices.Equal(g, w) {
+		t.Fatalf("regions %v, eager load maps %v", g, w)
+	}
+	for _, r := range want.Regions() {
+		g, w := make([]byte, r.Length), make([]byte, r.Length)
+		if err := got.ReadForce(r.Addr, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.ReadForce(r.Addr, w); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("region %#x: bytes differ from the eager load", r.Addr)
+		}
+	}
+	var last [1]byte
+	if err := got.ReadAt(0x40000+6*mem.PageSize+99, last[:]); err != nil || last[0] != 0x22 {
+		t.Errorf("last byte of the data segment = %#x (%v), want 0x22", last[0], err)
+	}
+}
+
+// TestLoadLeavesZeroPagesUnbacked: Load gives backing only to the pages
+// it writes, so a segment's all-zero pages cost headers, not 4 KiB each.
+func TestLoadLeavesZeroPagesUnbacked(t *testing.T) {
+	img := &Image{Segments: []Segment{{Addr: 0x40000, Prot: mem.ProtRW, Data: make([]byte, 64*mem.PageSize)}}}
+	img.Segments[0].Data[5*mem.PageSize] = 1
+	var before, after runtime.MemStats
+	as := mem.NewAddressSpace()
+	runtime.ReadMemStats(&before)
+	if err := img.Load(as); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	// One page of backing plus headers and map entries (~100 B a page),
+	// against 64 pages of backing (256 KiB) when every byte was written.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*mem.PageSize+16<<10 {
+		t.Errorf("loading a 64-page segment with one nonzero page allocated %d bytes, want one page of backing", got)
 	}
 }
 

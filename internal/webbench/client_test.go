@@ -54,7 +54,7 @@ func TestMidResponseEOFReconnects(t *testing.T) {
 		t.Fatalf("request read: %d, %v", n, err)
 	}
 	srv.Write(make([]byte, respSize/2)) // half the response...
-	srv.Close()                        // ...then crash
+	srv.Close()                         // ...then crash
 
 	c.Step() // drains the half response, then hits EOF
 	if cc := c.conns[0]; cc.ep != nil || cc.retries != 1 || cc.awaiting != 0 {

@@ -191,6 +191,15 @@ func FindSyscallSites(code []byte, base uint64, mode ScanMode) []uint64 {
 		}
 	default: // ScanLinear
 		for off := 0; off < len(code); {
+			if code[off] == 0 {
+				// No instruction starts with a zero byte, so a run of
+				// them — page padding — resynchronises in one step
+				// instead of one rejected Decode per byte.
+				for off < len(code) && code[off] == 0 {
+					off++
+				}
+				continue
+			}
 			in, err := isa.Decode(code[off:])
 			if err != nil {
 				off++ // resynchronise — the heuristic real rewriters need

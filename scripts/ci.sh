@@ -6,6 +6,12 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: not formatted:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test -race ./...
@@ -13,14 +19,17 @@ go test -race ./...
 # The data fast path's concurrency surface (lock-free TLB hits against
 # locked invalidation, the RLock'd read walk) and the cold path's
 # (DESIGN.md §17: demand-zero pages gaining their backing under readers,
-# the decoder, block builds), plus the interposer binder's hcall payloads
+# the decoder, block builds sharing one scratch pool across CPUs, the
+# loader, the syscall-site scan and the coreutil lookup), plus the
+# interposer binder's hcall payloads
 # (shard-concurrent under -cores) and the kernel and the mechanisms that
 # now reach guest memory through the task's unsynchronised D-TLB (DESIGN.md
 # §19), get an explicit -race pass even though the full-suite run above
 # covers these packages: a future narrowing of the suite must not silently
 # drop this gate.
 go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/... ./internal/interpose/... \
-    ./internal/kernel/... ./internal/sud/... ./internal/seccomputil/... ./internal/ptracer/...
+    ./internal/kernel/... ./internal/sud/... ./internal/seccomputil/... ./internal/ptracer/... \
+    ./internal/loader/... ./internal/zpoline/... ./internal/guest/...
 
 # Cold-path allocation gate: a coreutil run in a fresh kernel must stay
 # inside its byte/object budget — an eager page array or a per-byte
@@ -126,6 +135,14 @@ go test ./internal/mem/ -run '^$' -fuzz FuzzDemandZeroModel -fuzztime 5s
 # and plain Step must agree on any counter, budget sequence and preceding
 # NOP run (DESIGN.md §18).
 go test ./internal/cpu/ -run '^$' -fuzz FuzzCountedLoop -fuzztime 5s
+
+# Block-build fuzz smoke: windowed and NOP-run-aliased blocks must equal a
+# decode of the whole page remainder on arbitrary code pages (DESIGN.md §17).
+go test ./internal/cpu/ -run '^$' -fuzz FuzzBlockBuild -fuzztime 5s
+
+# Syscall-site scan fuzz smoke: the padding-skipping linear sweep must find
+# the sites the per-offset sweep finds, on arbitrary bytes.
+go test ./internal/zpoline/ -run '^$' -fuzz FuzzFindSyscallSites -fuzztime 5s
 
 # Task-accessor fuzz smoke: random mapping changes, kernel-side spans and
 # guest stores through the task's D-TLB against the locked AddressSpace
