@@ -34,13 +34,14 @@ tlb-smoke:
 	go test ./internal/experiments -run 'TestTLBInvariance(Microbench|SMC|Telemetry)' -count 1
 	go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -out /tmp/tlb_smoke_BENCH_cpu.json
 
-# Fast chaining/trace check: the chain and trace unit tests under -race,
-# the cheapest chain-invariance matrix, and a cpubench run that must
-# clear the 2.0x floor the chained fast path sustains on the load/store
-# sweep (the raw register loop is a counted loop, retired in closed form:
-# its fast side is too short to take a ratio against).
+# Fast chaining/trace check: the chain, trace and fused-handler unit tests
+# (Lockstep included) under -race, the cheapest chain-invariance matrix,
+# and a cpubench run that must clear the 2.0x floor the chained fast path
+# sustains on the load/store sweep (the raw register loop is a counted
+# loop, retired in closed form: its fast side is too short to take a
+# ratio against).
 chain-smoke:
-	go test -race ./internal/cpu -run 'TestChain|TestStepBlock|TestSMC|TestDecodeCache|TestFused|TestCountedLoop' -count 1
+	go test -race ./internal/cpu -run 'TestChain|TestStepBlock|TestSMC|TestDecodeCache|TestSelfLoop|TestCountedLoop|StackRun|TestLockstep' -count 1
 	go test ./internal/experiments -run 'TestChainInvariance(Microbench|SMC|Telemetry)' -count 1
 	go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -minmemloop 2.0 -out /tmp/chain_smoke_BENCH_cpu.json
 
@@ -96,6 +97,7 @@ fuzz:
 	go test ./internal/mem/ -run '^$$' -fuzz FuzzDemandZeroModel -fuzztime 30s
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzCountedLoop -fuzztime 30s
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzBlockBuild -fuzztime 30s
+	go test ./internal/cpu/ -run '^$$' -fuzz FuzzStackRun -fuzztime 30s
 	go test ./internal/zpoline/ -run '^$$' -fuzz FuzzFindSyscallSites -fuzztime 30s
 	go test ./internal/kernel/ -run '^$$' -fuzz FuzzTaskAccessors -fuzztime 30s
 

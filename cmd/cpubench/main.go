@@ -357,8 +357,8 @@ func reportFastpath(name string, w FastpathResult) {
 	}
 	fmt.Printf("  speedup       %s   (tlb: %d hits, %d misses; superblock insts: %d)\n",
 		ratio, w.TLB.Hits, w.TLB.Misses, w.SuperblockInsts)
-	fmt.Printf("                            (chain: %d links, %d transitions; trace insts: %d, fused loop iters: %d, fused nops: %d)\n\n",
-		w.Chain.Links, w.Chain.Transitions, w.Trace.Insts, w.Trace.FusedLoopIters, w.Trace.FusedNopInsts)
+	fmt.Printf("                            (chain: %d links, %d transitions; trace insts: %d, fused loop iters: %d, fused nops: %d, fused stack insts: %d)\n\n",
+		w.Chain.Links, w.Chain.Transitions, w.Trace.Insts, w.Trace.FusedLoopIters, w.Trace.FusedNopInsts, w.Trace.FusedStackInsts)
 }
 
 // runSample is one measured run of a fast-path workload.

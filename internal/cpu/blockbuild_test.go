@@ -73,6 +73,8 @@ func diffBlock(got, want *cachedBlock) string {
 		return fmt.Sprintf("pages %v, want %v", got.pages[:got.npages], want.pages[:want.npages])
 	case got.fused != want.fused || got.nopLen != want.nopLen:
 		return fmt.Sprintf("fused %d/%d, want %d/%d", got.fused, got.nopLen, want.fused, want.nopLen)
+	case got.run != want.run:
+		return fmt.Sprintf("stack run %+v, want %+v", got.run, want.run)
 	}
 	return ""
 }

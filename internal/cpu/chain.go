@@ -179,6 +179,13 @@ func (c *CPU) runChained(max uint64, steps *uint64, pre *uint64) (Event, bool) {
 				// The previous instruction jumped; leave the straight line.
 				break
 			}
+			if int32(dc.curIdx) == b.run.at {
+				// A stack run cannot write code, so mut stays current.
+				if end := dc.curIdx + int(b.run.n); c.runStack(b.pcs[dc.curIdx:end], b.insts[dc.curIdx:end], max, steps, pre) {
+					dc.curIdx = end
+					continue
+				}
+			}
 			in := &b.insts[dc.curIdx]
 			dc.curIdx++
 			dc.stats.Hits++

@@ -32,8 +32,8 @@ func chainedProgram() []byte {
 	return e.Buf
 }
 
-// selfLoopProgram is the fused-loop shape: a self-contained block whose
-// body is ALU/memory work and whose Jnz lands back on the block entry.
+// selfLoopProgram is a self-contained block whose body is ALU/memory work
+// and whose Jnz lands back on the block entry.
 func selfLoopProgram(iters int64) []byte {
 	var e isa.Enc
 	e.MovImm64(isa.RCX, iters)
@@ -138,24 +138,31 @@ func TestChainCountsWork(t *testing.T) {
 	}
 }
 
-// TestFusedLoopCountsWork: a memcpy-shaped self-loop must land in the
-// fused loop handler, and execute identically to the all-off reference.
-func TestFusedLoopCountsWork(t *testing.T) {
-	c := load(t, selfLoopProgram(500))
+// TestSelfLoopRunsChained: a memcpy-shaped self-loop is no fused idiom;
+// it runs through the chained core, following its link to itself once per
+// iteration, and executes identically to the all-off reference.
+func TestSelfLoopRunsChained(t *testing.T) {
+	const iters = 500
+	c := load(t, selfLoopProgram(iters))
 	if ev := runBlocks(t, c, 1<<20, 100); ev != EvSyscall {
 		t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
 	}
-	if ts := c.TraceStats(); ts.FusedLoopIters == 0 {
-		t.Errorf("fused loop did no work: %+v", ts)
+	if ts := c.TraceStats(); ts.FusedLoopIters != 0 || ts.FusedStackInsts != 0 {
+		t.Errorf("a fused handler retired part of the loop: %+v", ts)
 	}
-	ref := load(t, selfLoopProgram(500))
+	// The first back edges resolve through dispatched Steps, which plant
+	// the link.
+	if cs := c.ChainStats(); cs.Transitions < iters-3 {
+		t.Errorf("%d chained transitions for %d iterations", cs.Transitions, iters)
+	}
+	ref := load(t, selfLoopProgram(iters))
 	ref.SetDecodeCache(false)
 	ref.SetSuperblocks(false)
 	if ev := run(t, ref, 50000); ev != EvSyscall {
 		t.Fatalf("ref event = %v", ev)
 	}
 	if c.Cycles != ref.Cycles || c.Regs != ref.Regs {
-		t.Errorf("fused loop diverged: cycles %d vs %d", c.Cycles, ref.Cycles)
+		t.Errorf("self-loop diverged: cycles %d vs %d", c.Cycles, ref.Cycles)
 	}
 }
 

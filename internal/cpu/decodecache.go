@@ -62,15 +62,17 @@ type cachedBlock struct {
 	// traces lists every live trace this block is a constituent of, so
 	// dropping the block can invalidate them.
 	traces []*traceRun
-	// fused classifies the block as one of the specialized hot idioms
-	// (NOP sled, self-looping load/store loop); fusedNone otherwise.
-	// nopLen is the leading-NOP run length for fusedNopSled blocks.
-	fused  fusedKind
-	nopLen int
+	// fused classifies the block's head as one of the specialized hot
+	// idioms (NOP sled, countdown); fusedNone otherwise.
+	fused fusedKind
 	// dropped marks a block that left the map (invalidation or overflow
 	// eviction); a dropped block must never be linked to or executed
 	// through a chain.
 	dropped bool
+	// run is the block's first stack run (stackrun.go), at == -1 if none.
+	run stackRun
+	// nopLen is the leading-NOP run length of a fusedNopSled block.
+	nopLen int32
 }
 
 // predLink is one incoming chain edge: from.succ[slot] == the block

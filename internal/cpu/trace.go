@@ -13,13 +13,12 @@ import (
 // work. Traces are shortcuts with the same validation discipline as
 // chain links — every constituent block's page generations are checked
 // at entry and after any code mutation, and a per-instruction pc match
-// catches branches that leave the recorded path mid-trace. Two guest
-// idioms hot enough to show up in every macrobenchmark get fused
-// handlers instead: straight NOP runs (the zpoline sled) and the counted
-// loop `addi r,-1 ; jnz` (the web servers' per-request app work) retire
-// in closed form, one O(1) update per visit (DESIGN.md §18), and
-// self-looping load/store bodies (memcpy-style) re-run whole iterations
-// without re-entering the dispatch machinery.
+// catches branches that leave the recorded path mid-trace. Three guest
+// idioms hot enough to show up in every benchmark retire in closed form
+// instead: straight NOP runs (the zpoline sled) and the counted loop
+// `addi r,-1 ; jnz` (the web servers' per-request app work), one O(1)
+// update per visit (DESIGN.md §18), and stack runs (the interposer stub's
+// register save/restore), one page access per run (stackrun.go).
 
 // tracePromoteThreshold is the chained-entry count at which a block head
 // is promoted (and re-attempted on later multiples if promotion found
@@ -40,9 +39,6 @@ const (
 	fusedNone fusedKind = iota
 	// fusedNopSled: the block starts with >= minNopSled consecutive NOPs.
 	fusedNopSled
-	// fusedLoop: a self-looping block — an ALU/load/store body whose
-	// terminator is a Jnz straight back to the block entry.
-	fusedLoop
 	// fusedCountdown: exactly `addi r,-1 ; jnz <block entry>`. The only
 	// self-loop the serving guests execute; retired in closed form.
 	fusedCountdown
@@ -59,11 +55,12 @@ type TraceStats struct {
 	// traces.
 	Runs  uint64
 	Insts uint64
-	// FusedLoopIters counts whole loop iterations retired by the fused
-	// loop handlers (per-instruction and closed-form alike); FusedNopInsts
-	// counts NOPs retired by the fused sled handler.
-	FusedLoopIters uint64
-	FusedNopInsts  uint64
+	// FusedLoopIters counts countdown iterations retired in closed form;
+	// FusedNopInsts counts NOPs retired by the fused sled handler, and
+	// FusedStackInsts instructions retired as stack runs.
+	FusedLoopIters  uint64
+	FusedNopInsts   uint64
+	FusedStackInsts uint64
 }
 
 // SetTraces enables or disables hot-trace compilation and the fused
@@ -88,7 +85,8 @@ func (c *CPU) TraceStats() TraceStats {
 // traceRun is a promoted trace: the constituent blocks in execution
 // order, with their instructions flattened into one pcs/insts pair.
 // starts[j] is the flat index of blocks[j]'s first instruction, used to
-// map a flat position back to (block, offset) when the trace bails.
+// map a flat position back to (block, offset) when the trace bails. The
+// constituents' stack runs are read off the blocks themselves (runAfter).
 type traceRun struct {
 	blocks []*cachedBlock
 	starts []int
@@ -97,58 +95,45 @@ type traceRun struct {
 	dead   bool
 }
 
+// runAfter returns the flat position and length of the first stack run in
+// blocks[j:], and the index of the block after the one holding it; at is
+// -1, which no position matches, when there is none.
+func (tr *traceRun) runAfter(j int) (at, n, next int) {
+	for ; j < len(tr.blocks); j++ {
+		if r := tr.blocks[j].run; r.at >= 0 {
+			return tr.starts[j] + int(r.at), int(r.n), j + 1
+		}
+	}
+	return -1, 0, j
+}
+
 // classifyFused inspects a freshly built block and records which fused
-// handler (if any) may execute it.
+// handler (if any) may execute its head, and where its stack run is.
 func classifyFused(b *cachedBlock) {
 	n := len(b.insts)
-	run := 0
-	for run < n {
-		in := &b.insts[run]
-		if in.Mnem != isa.MOp || in.Op != isa.OpNop {
-			break
-		}
-		run++
+	nops := 0
+	for nops < n && isNop(&b.insts[nops]) {
+		nops++
 	}
-	if run >= minNopSled {
-		b.fused, b.nopLen = fusedNopSled, run
-		return
-	}
-	if n < 2 {
-		return
-	}
-	last := &b.insts[n-1]
-	if last.Mnem != isa.MOp || last.Op != isa.OpJnz {
-		return
-	}
-	if b.pcs[n-1]+uint64(last.Len)+uint64(last.Imm) != b.entry {
-		return
-	}
-	for i := 0; i < n-1; i++ {
-		in := &b.insts[i]
-		if in.Mnem != isa.MOp || !fusedLoopOp(in.Op) {
-			return
-		}
-	}
-	b.fused = fusedLoop
-	if first := &b.insts[0]; n == 2 && first.Op == isa.OpAddImm && first.Imm == -1 {
+	// NOPs are never part of a stack run, so the search starts after them.
+	b.run = findStackRun(b.insts, nops)
+	switch {
+	case nops >= minNopSled:
+		b.fused, b.nopLen = fusedNopSled, int32(nops)
+	case n == 2 && isCountdown(b):
 		b.fused = fusedCountdown
 	}
 }
 
-// fusedLoopOp reports whether op may appear in a fused loop body. The
-// set is restricted to operations whose only possible memory writes are
-// OpStore/OpStoreB — the handler re-checks the code-mutation counter
-// only after those, so admitting any other writing op (push, gs stores,
-// xchg) would let self-modifying code slip past validation.
-func fusedLoopOp(op isa.Op) bool {
-	switch op {
-	case isa.OpLoad, isa.OpStore, isa.OpLoadB, isa.OpStoreB, isa.OpLoad32,
-		isa.OpMovImm64, isa.OpMovImm32, isa.OpMovReg,
-		isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpAnd, isa.OpOr, isa.OpXor,
-		isa.OpAddImm, isa.OpCmp, isa.OpCmpImm, isa.OpShlImm, isa.OpShrImm:
-		return true
-	}
-	return false
+func isNop(in *isa.Inst) bool { return in.Mnem == isa.MOp && in.Op == isa.OpNop }
+
+// isCountdown reports whether the two-instruction block b is exactly
+// `addi r,-1 ; jnz <b.entry>`.
+func isCountdown(b *cachedBlock) bool {
+	first, last := &b.insts[0], &b.insts[1]
+	return first.Mnem == isa.MOp && first.Op == isa.OpAddImm && first.Imm == -1 &&
+		last.Mnem == isa.MOp && last.Op == isa.OpJnz &&
+		b.pcs[1]+uint64(last.Len)+uint64(last.Imm) == b.entry
 }
 
 // kernelTerminator reports whether b's final instruction always hands
@@ -194,8 +179,6 @@ func (c *CPU) runSpecialized(b *cachedBlock, max uint64, steps *uint64, pre *uin
 	switch b.fused {
 	case fusedNopSled:
 		return c.runFusedNops(b, max, steps, pre)
-	case fusedLoop:
-		return c.runFusedLoop(b, max, steps, pre)
 	case fusedCountdown:
 		return c.runCountdown(b, max, steps, pre)
 	}
@@ -306,6 +289,7 @@ func (c *CPU) runTrace(tr *traceRun, max uint64, steps *uint64, pre *uint64) (Ev
 	dc.tstats.Runs++
 	n := len(tr.pcs)
 	i := 0
+	runAt, runN, runNext := tr.runAfter(0)
 	for {
 		if i >= n {
 			// Clean completion: leave the interpreter at the end of the
@@ -321,6 +305,15 @@ func (c *CPU) runTrace(tr *traceRun, max uint64, steps *uint64, pre *uint64) (Ev
 			// A branch left the recorded path.
 			tr.restore(dc, i)
 			return EvNone, false
+		}
+		if i == runAt {
+			end := i + runN
+			runAt, runN, runNext = tr.runAfter(runNext)
+			if c.runStack(tr.pcs[i:end], tr.insts[i:end], max, steps, pre) {
+				dc.tstats.Insts += uint64(end - i)
+				i = end
+				continue
+			}
 		}
 		*pre = c.Cycles
 		ev := c.execInst(tr.pcs[i], &tr.insts[i])
@@ -347,51 +340,6 @@ func (c *CPU) runTrace(tr *traceRun, max uint64, steps *uint64, pre *uint64) (Ev
 	}
 }
 
-// runFusedLoop re-runs a self-looping block whole iterations at a time.
-// Instructions still retire through execInst — semantics, cycle charges
-// and fault behaviour are exactly the interpreter's — but the per-
-// instruction pc match and mutation check are replaced by the loop
-// invariant (straight-line body, Jnz back to entry) and a recheck after
-// the only ops able to write code (OpStore/OpStoreB). Partial iterations
-// are never fused: if the remaining budget cannot fit a whole pass, the
-// caller's per-instruction path finishes the quantum.
-func (c *CPU) runFusedLoop(b *cachedBlock, max uint64, steps *uint64, pre *uint64) (Event, bool) {
-	dc := c.cache
-	n := len(b.insts)
-	mut := dc.as.CodeMutations()
-	if b.mut != mut && !dc.revalidate(b) {
-		dc.drop(b)
-		return EvNone, false
-	}
-	for c.RIP == b.entry && *steps+uint64(n) <= max {
-		for i := 0; i < n; i++ {
-			dc.curIdx = i + 1
-			*pre = c.Cycles
-			ev := c.execInst(b.pcs[i], &b.insts[i])
-			*steps++
-			c.SuperblockInsts++
-			dc.stats.Hits++
-			if ev != EvNone {
-				return ev, true
-			}
-			op := b.insts[i].Op
-			if op == isa.OpStore || op == isa.OpStoreB {
-				if m := dc.as.CodeMutations(); m != b.mut {
-					if !dc.revalidate(b) {
-						dc.drop(b)
-						return EvNone, false
-					}
-				}
-			}
-		}
-		dc.tstats.FusedLoopIters++
-	}
-	if *steps >= max {
-		return EvNone, true
-	}
-	return EvNone, false
-}
-
 // runCountdown retires whole iterations of `addi r,-1 ; jnz entry` in one
 // O(1) update. m is the number of iterations the interpreter would run
 // before either r reaches zero (r itself, or 2^64 when r is already zero:
@@ -400,7 +348,7 @@ func (c *CPU) runFusedLoop(b *cachedBlock, max uint64, steps *uint64, pre *uint6
 // behind (DESIGN.md §18 argues each identity). The body has no store and
 // cannot fault or raise an event, so the entry revalidation covers all m
 // iterations. With m == 0 nothing is retired and the caller's
-// per-instruction path finishes the quantum, as with runFusedLoop.
+// per-instruction path finishes the quantum.
 func (c *CPU) runCountdown(b *cachedBlock, max uint64, steps *uint64, pre *uint64) (Event, bool) {
 	dc := c.cache
 	if b.mut != dc.as.CodeMutations() && !dc.revalidate(b) {

@@ -378,7 +378,7 @@ func TestChainInvarianceTelemetry(t *testing.T) {
 			snap.Counters["cpu.chain.links"], snap.Counters["cpu.chain.transitions"])
 	}
 	traceWork := snap.Counters["cpu.trace.insts"] + snap.Counters["cpu.trace.fused_nop_insts"] +
-		snap.Counters["cpu.trace.fused_loop_iters"]
+		snap.Counters["cpu.trace.fused_loop_iters"] + snap.Counters["cpu.trace.fused_stack_insts"]
 	if traceWork == 0 {
 		t.Error("sink saw zero trace/fused activity on a traces-on run")
 	}
@@ -389,7 +389,7 @@ func TestChainInvarianceTelemetry(t *testing.T) {
 		for _, key := range []string{
 			"cpu.chain.links", "cpu.chain.unlinks", "cpu.chain.transitions",
 			"cpu.trace.promotions", "cpu.trace.runs", "cpu.trace.insts",
-			"cpu.trace.fused_nop_insts", "cpu.trace.fused_loop_iters",
+			"cpu.trace.fused_nop_insts", "cpu.trace.fused_loop_iters", "cpu.trace.fused_stack_insts",
 		} {
 			if n := snap.Counters[key]; n != 0 {
 				t.Errorf("chaining disabled but sink reported %s=%d", key, n)

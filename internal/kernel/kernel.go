@@ -155,9 +155,15 @@ type Kernel struct {
 	order   []*Task // scheduling order
 	nextTID int
 
-	hcalls        map[int64]hcallEntry
-	hcallsMu      sync.RWMutex
-	nextHcall     int64
+	// hcalls is the registered-callback table, indexed by HCALL id (id 0
+	// is never issued), and nhcalls the number of ids published. A
+	// published entry never changes: registration fills the next slot
+	// under hcallsMu — in a copy of the table when it is full — and only
+	// then publishes the count, so dispatching an hcall, on shard
+	// goroutines too, is two atomic loads and an index, with no lock.
+	hcalls        atomic.Pointer[[]hcallEntry]
+	nhcalls       atomic.Int64
+	hcallsMu      sync.Mutex
 	rrOffset      int
 	images        map[string]*loader.Image
 	randState     uint64
@@ -236,8 +242,6 @@ func New(cfg Config) *Kernel {
 		Net:           cfg.Net,
 		tasks:         make(map[int]*Task),
 		nextTID:       1000,
-		hcalls:        make(map[int64]hcallEntry),
-		nextHcall:     1,
 		images:        make(map[string]*loader.Image),
 		randState:     cfg.RandSeed | 1,
 		noDecodeCache: cfg.DisableDecodeCache,
@@ -291,8 +295,9 @@ type hcallEntry struct {
 
 // RegisterHcall installs a host callback and returns its HCALL id.
 // Registration happens at serialised points (attach-time setup, clone
-// and execve hooks); the lock exists because parallel rounds dispatch
-// hcalls from shard goroutines while a frontier task may register one.
+// and execve hooks); the table is published atomically because parallel
+// rounds dispatch hcalls from shard goroutines while a frontier task may
+// register one (see the hcalls field).
 //
 // Payloads registered here are serialised: during a parallel round the
 // invoking task is parked until the deterministic frontier reaches it
@@ -320,10 +325,29 @@ func (k *Kernel) RegisterHcallConcurrent(h HcallHandler) int64 {
 func (k *Kernel) registerHcall(h HcallHandler, concurrent bool) int64 {
 	k.hcallsMu.Lock()
 	defer k.hcallsMu.Unlock()
-	id := k.nextHcall
-	k.nextHcall++
-	k.hcalls[id] = hcallEntry{h: h, concurrent: concurrent}
+	id := max(k.nhcalls.Load(), 1)
+	var table []hcallEntry
+	if p := k.hcalls.Load(); p != nil {
+		table = *p
+	}
+	if id >= int64(len(table)) {
+		grown := make([]hcallEntry, max(2*len(table), 4))
+		copy(grown, table)
+		k.hcalls.Store(&grown)
+		table = grown
+	}
+	table[id] = hcallEntry{h: h, concurrent: concurrent}
+	k.nhcalls.Store(id + 1)
 	return id
+}
+
+// hcall returns the callback registered under id, if any. The count is
+// loaded first: a table loaded after it holds every entry it counts.
+func (k *Kernel) hcall(id int64) (hcallEntry, bool) {
+	if id <= 0 || id >= k.nhcalls.Load() {
+		return hcallEntry{}, false
+	}
+	return (*k.hcalls.Load())[id], true
 }
 
 // Serialize parks the calling task's shard until the deterministic
@@ -722,9 +746,7 @@ func (k *Kernel) runQuantum(t *Task) int64 {
 // invoking task is serialised on the frontier first — the payload then
 // sees all cross-task host state in canonical schedule order.
 func (k *Kernel) handleHcall(t *Task) {
-	k.hcallsMu.RLock()
-	e, ok := k.hcalls[t.CPU.HcallID]
-	k.hcallsMu.RUnlock()
+	e, ok := k.hcall(t.CPU.HcallID)
 	if !ok {
 		k.postSignal(t, pendingSignal{sig: SIGILL, force: true})
 		k.checkSignals(t)

@@ -341,6 +341,7 @@ func (k *Kernel) telCollect(r *telemetry.Registry) {
 		tts.insts += trs.Insts
 		tts.fusedLoopIters += trs.FusedLoopIters
 		tts.fusedNopInsts += trs.FusedNopInsts
+		tts.fusedStackInsts += trs.FusedStackInsts
 		ls := t.CPU.TLBStats()
 		ts.hits += ls.Hits
 		ts.misses += ls.Misses
@@ -374,6 +375,7 @@ func (k *Kernel) telCollect(r *telemetry.Registry) {
 	r.Counter("cpu.trace.insts").Set(tts.insts)
 	r.Counter("cpu.trace.fused_loop_iters").Set(tts.fusedLoopIters)
 	r.Counter("cpu.trace.fused_nop_insts").Set(tts.fusedNopInsts)
+	r.Counter("cpu.trace.fused_stack_insts").Set(tts.fusedStackInsts)
 	r.Counter("cpu.tlb.hits").Set(ts.hits)
 	r.Counter("cpu.tlb.misses").Set(ts.misses)
 	r.Counter("cpu.tlb.evictions").Set(ts.evictions)
@@ -430,6 +432,7 @@ type cpuChainTotals struct {
 type cpuTraceTotals struct {
 	promotions, invalidations, runs, insts uint64
 	fusedLoopIters, fusedNopInsts          uint64
+	fusedStackInsts                        uint64
 }
 
 type cpuTLBTotals struct {

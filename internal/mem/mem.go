@@ -152,10 +152,13 @@ type page struct {
 //
 // Multiple tasks may share one AddressSpace (CLONE_VM); fork copies it.
 type AddressSpace struct {
-	mu         sync.RWMutex
-	pages      map[uint64]*page // keyed by page number (addr >> PageShift)
-	brk        uint64           // next unreserved address for anonymous mmap
-	activePKRU uint32           // PKRU of the currently scheduled task
+	mu    sync.RWMutex
+	pages map[uint64]*page // keyed by page number (addr >> PageShift)
+	brk   uint64           // next unreserved address for anonymous mmap
+	// activePKRU is the PKRU of the currently scheduled task. Atomic, not
+	// under mu: WRPKRU stores it twice per syscall under lazypoline's MPK
+	// option, and the locked access paths only load it.
+	activePKRU atomic.Uint32
 
 	// genSeq issues page generations (under mu). Generations are never
 	// reused, so a page unmapped and remapped at the same address can
@@ -208,11 +211,11 @@ func (as *AddressSpace) Clone() *AddressSpace {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
 	c := &AddressSpace{
-		pages:      make(map[uint64]*page, len(as.pages)),
-		brk:        as.brk,
-		activePKRU: as.activePKRU,
-		genSeq:     as.genSeq,
+		pages:  make(map[uint64]*page, len(as.pages)),
+		brk:    as.brk,
+		genSeq: as.genSeq,
 	}
+	c.activePKRU.Store(as.activePKRU.Load())
 	c.codeMut.Store(as.codeMut.Load())
 	hdrs := make([]page, len(as.pages))
 	for pn, pg := range as.pages {
@@ -417,6 +420,7 @@ func (as *AddressSpace) accessRead(addr uint64, dst []byte, need Prot, kind Acce
 	// Force (kernel-privileged) accesses pass need == ProtRWX and bypass
 	// protection keys, like ring-0 accesses with SMAP/PKS aside.
 	privileged := need == ProtRWX
+	pkru := as.activePKRU.Load()
 	off := 0
 	for off < n {
 		a := addr + uint64(off)
@@ -425,7 +429,7 @@ func (as *AddressSpace) accessRead(addr uint64, dst []byte, need Prot, kind Acce
 			as.faults.Add(1)
 			return &Fault{Addr: a, Kind: kind}
 		}
-		if !privileged && kind != AccessExec && !pkeyAllows(as.activePKRU, pg.pkey, kind == AccessWrite) {
+		if !privileged && kind != AccessExec && !pkeyAllows(pkru, pg.pkey, kind == AccessWrite) {
 			as.faults.Add(1)
 			return &Fault{Addr: a, Kind: kind, Pkey: true}
 		}
@@ -452,6 +456,7 @@ func (as *AddressSpace) accessWrite(addr uint64, src []byte, need Prot, kind Acc
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	privileged := need == ProtRWX
+	pkru := as.activePKRU.Load()
 	off := 0
 	execTouched := false
 	for off < n {
@@ -461,7 +466,7 @@ func (as *AddressSpace) accessWrite(addr uint64, src []byte, need Prot, kind Acc
 			as.faults.Add(1)
 			return &Fault{Addr: a, Kind: kind}
 		}
-		if !privileged && !pkeyAllows(as.activePKRU, pg.pkey, true) {
+		if !privileged && !pkeyAllows(pkru, pg.pkey, true) {
 			as.faults.Add(1)
 			return &Fault{Addr: a, Kind: kind, Pkey: true}
 		}

@@ -73,19 +73,11 @@ func (as *AddressSpace) PkeyAt(addr uint64) (uint8, bool) {
 // SetActivePKRU installs the PKRU value guest data accesses are checked
 // against. The simulator schedules one task at a time, so the kernel
 // loads the running task's PKRU here on every quantum (on hardware PKRU
-// is per logical CPU).
-func (as *AddressSpace) SetActivePKRU(v uint32) {
-	as.mu.Lock()
-	as.activePKRU = v
-	as.mu.Unlock()
-}
+// is per logical CPU). One atomic store: no page state changes.
+func (as *AddressSpace) SetActivePKRU(v uint32) { as.activePKRU.Store(v) }
 
 // ActivePKRU returns the currently installed PKRU value.
-func (as *AddressSpace) ActivePKRU() uint32 {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	return as.activePKRU
-}
+func (as *AddressSpace) ActivePKRU() uint32 { return as.activePKRU.Load() }
 
 // PkeyAllows checks a guest data access against a PKRU value. Exported
 // for the CPU's software-TLB hit path, which checks its own (per-task)

@@ -43,9 +43,9 @@ go test ./internal/experiments -run 'TestInterposedSyscallAllocs' -count 1
 # Benchmark smoke run: the interpreter benchmarks must still execute, and
 # cpubench must still clear its cache-speedup and fast-path-speedup
 # floors — the load/store sweep's is pinned explicitly at 2.0x, the
-# ratchet block chaining + fused handlers must sustain on a loop that
-# still executes per instruction (written to a scratch file; the
-# checked-in BENCH_cpu.json snapshot is refreshed manually).
+# ratchet the chained engine must sustain on a loop no fused handler
+# retires (written to a scratch file; the checked-in BENCH_cpu.json
+# snapshot is refreshed manually).
 go test ./internal/cpu/ -run '^$' -bench 'BenchmarkCPUStep|BenchmarkDecodeCache' -benchtime 100ms
 go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -minmemloop 2.0 -out /tmp/ci_BENCH_cpu.json
 
@@ -131,14 +131,19 @@ go test ./internal/mem/ -run '^$' -fuzz FuzzAccess -fuzztime 5s
 # eager flat model (DESIGN.md §17).
 go test ./internal/mem/ -run '^$' -fuzz FuzzDemandZeroModel -fuzztime 5s
 
-# Counted-loop fuzz smoke: the closed form, the per-instruction fused pass
-# and plain Step must agree on any counter, budget sequence and preceding
-# NOP run (DESIGN.md §18).
+# Counted-loop fuzz smoke: the closed form, plain chained execution and
+# plain Step must agree on any counter, budget sequence and preceding NOP
+# run (DESIGN.md §18).
 go test ./internal/cpu/ -run '^$' -fuzz FuzzCountedLoop -fuzztime 5s
 
 # Block-build fuzz smoke: windowed and NOP-run-aliased blocks must equal a
 # decode of the whole page remainder on arbitrary code pages (DESIGN.md §17).
 go test ./internal/cpu/ -run '^$' -fuzz FuzzBlockBuild -fuzztime 5s
+
+# Stack-run fuzz smoke: push/pop/reload runs of any length near page edges,
+# under every page protection and budgets ending mid-run, must agree with
+# Step at every block boundary under Lockstep (DESIGN.md §11).
+go test ./internal/cpu/ -run '^$' -fuzz FuzzStackRun -fuzztime 5s
 
 # Syscall-site scan fuzz smoke: the padding-skipping linear sweep must find
 # the sites the per-offset sweep finds, on arbitrary bytes.
