@@ -204,10 +204,10 @@ func (rt *Runtime) EntryAddr() uint64 { return rt.entryAddr }
 // injectImage builds the guest-side runtime in t's address space: the
 // VA-0 trampoline + entry stub, the runtime code page, and the data page.
 func (rt *Runtime) injectImage(t *kernel.Task) error {
-	// Trampoline page at VA 0 (zpoline fast path).
-	if err := t.AS.MapFixed(0, mem.PageSize, mem.ProtRW); err != nil {
-		return fmt.Errorf("lazypoline: map trampoline: %w", err)
-	}
+	// Trampoline page at VA 0 (zpoline fast path). Both code pages are
+	// the same bytes in every task attached with the same options, so they
+	// map as process-wide frames (mem.FramesOf) and share their decoded
+	// blocks.
 	var e isa.Enc
 	e.Nop(kernel.MaxSyscallNr + 1)
 	rt.entryAddr = uint64(e.Len())
@@ -221,11 +221,8 @@ func (rt *Runtime) injectImage(t *kernel.Task) error {
 	if len(e.Buf) > mem.PageSize {
 		return fmt.Errorf("lazypoline: trampoline too large (%d bytes)", len(e.Buf))
 	}
-	if err := t.AS.WriteAt(0, e.Buf); err != nil {
-		return err
-	}
-	if err := t.AS.Protect(0, mem.PageSize, mem.ProtRX); err != nil {
-		return err
+	if err := t.AS.MapFrames(0, mem.FramesOf(e.Buf, mem.PageSize), mem.ProtRX); err != nil {
+		return fmt.Errorf("lazypoline: map trampoline: %w", err)
 	}
 
 	// Runtime code page: SIGSYS stub, signal wrapper, sigreturn
@@ -237,14 +234,8 @@ func (rt *Runtime) injectImage(t *kernel.Task) error {
 	buildSignalWrapper(&r, RuntimeDataBase+handlerTableOff, rt.Opts.ProtectSelector)
 	rt.sigretTramp = RuntimeBase + uint64(r.Len())
 	buildSigreturnTrampoline(&r, rt.Opts.ProtectSelector)
-	if err := t.AS.MapFixed(RuntimeBase, mem.PageSize, mem.ProtRW); err != nil {
+	if err := t.AS.MapFrames(RuntimeBase, mem.FramesOf(r.Buf, mem.PageSize), mem.ProtRX); err != nil {
 		return fmt.Errorf("lazypoline: map runtime page: %w", err)
-	}
-	if err := t.AS.WriteAt(RuntimeBase, r.Buf); err != nil {
-		return err
-	}
-	if err := t.AS.Protect(RuntimeBase, mem.PageSize, mem.ProtRX); err != nil {
-		return err
 	}
 
 	// Runtime data page.

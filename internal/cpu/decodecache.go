@@ -107,10 +107,13 @@ type DecodeCacheStats struct {
 	OverflowEvictions uint64
 }
 
-// decodeCache is the per-CPU decoded-block cache. It is private to its
-// CPU; all sharing runs through the AddressSpace generation counters, so
-// two CPUs over one address space (CLONE_VM) each observe the other's
-// code writes.
+// decodeCache is the per-CPU decoded-block cache. Its map, chain links,
+// traces and counters are private to its CPU, and every block is
+// validated against the AddressSpace generation counters, so two CPUs
+// over one address space (CLONE_VM) each observe the other's code writes.
+// What CPUs share is the decoded code of frame-backed pages (sharedCode):
+// a block built on such a page is a private header over instructions
+// decoded once per process and published in the frame.
 type decodeCache struct {
 	as     *mem.AddressSpace
 	blocks map[uint64]*cachedBlock // keyed by block entry pc
@@ -351,22 +354,43 @@ const firstWindow = 128
 
 // build predecodes a block starting at pc: pc through the first
 // terminator, undecodable bytes or the end of pc's page, plus a final
-// instruction straddling into the next page. It fetches firstWindow bytes
-// first and the rest of the page (plus maxInsnLen-1 straddle bytes) only
-// for a block that runs past them. Each fetch snapshots bytes, page
-// generations and mutation count under one lock acquisition; the second
-// re-copies the window too, and decoding restarts if pc's page changed
-// in between, so a block never embeds a torn view of a concurrent code
-// write.
-//
-// A block entered inside a NOP sled decoded before — the zpoline sled,
-// entered at a different offset for every syscall number — is not
-// decoded at all: it is a view of the block that sled starts
-// (sledSuffix).
+// instruction straddling into the next page. A block entered inside a
+// NOP sled decoded before — the zpoline sled, entered at a different
+// offset for every syscall number — is not decoded at all: it is a view
+// of the block that sled starts (sledSuffix). A block on a frame-backed
+// page is not decoded either once any CPU has decoded it: it is a header
+// over the code published in the frame (sharedBlock). Everything else —
+// private pages, written by a rewriter, a JIT or ptrace, and blocks that
+// straddle into one — is decoded from a fetch (decode).
 func (dc *decodeCache) build(pc uint64) *cachedBlock {
 	if b := dc.sledSuffix(pc); b != nil {
 		return b
 	}
+	f, pg, mut := dc.as.ExecFrame(pc)
+	b := dc.sharedBlock(f, pc, pg, mut)
+	if b == nil {
+		if b = dc.decode(pc); b == nil {
+			return nil
+		}
+		if f != nil {
+			dc.publish(f, pg, b)
+		}
+	}
+	if b.fused == fusedNopSled {
+		dc.sledBase = pc
+	}
+	dc.insert(b)
+	return b
+}
+
+// decode builds the block at pc from fetched bytes. It fetches
+// firstWindow bytes first and the rest of the page (plus maxInsnLen-1
+// straddle bytes) only for a block that runs past them. Each fetch
+// snapshots bytes, page generations and mutation count under one lock
+// acquisition; the second re-copies the window too, and decoding restarts
+// if pc's page changed in between, so a block never embeds a torn view of
+// a concurrent code write.
+func (dc *decodeCache) decode(pc uint64) *cachedBlock {
 	s := buildScratchPool.Get().(*buildScratch)
 	defer buildScratchPool.Put(s)
 	limit := int(mem.PageSize - pc&(mem.PageSize-1)) // bytes from pc to its page end
@@ -417,11 +441,83 @@ func (dc *decodeCache) build(pc uint64) *cachedBlock {
 		b.npages = 1
 	}
 	classifyFused(b)
-	if b.fused == fusedNopSled {
-		dc.sledBase = pc
-	}
-	dc.insert(b)
 	return b
+}
+
+// sharedCode is the immutable part of a block decoded from a frame-backed
+// page, published in the frame (mem.Frame.Publish) under the block's
+// entry pc. A frame's bytes never change, so the decode is the block of
+// every address space whose page at that pc is still backed by the
+// frame; each CPU that enters it builds only its own cachedBlock header —
+// chain links, traces, execCount, generations — over these slices and
+// this classification, the way sledSuffix views share their base's.
+type sharedCode struct {
+	end    uint64
+	pcs    []uint64
+	insts  []isa.Inst
+	fused  fusedKind
+	run    stackRun
+	nopLen int32
+	// next is the frame of the following page for a block whose final
+	// instruction straddles into it; the block is shared only while that
+	// page is backed by the same frame, and validates against both pages.
+	next *mem.Frame
+}
+
+// sharedBlock returns a header over the code published in frame f for
+// pc, whose page generation pg and mutation count mut were observed with
+// f; nil when f is nil, nothing is published for pc, or the page after a
+// straddling block is not backed by the frame it was decoded from.
+func (dc *decodeCache) sharedBlock(f *mem.Frame, pc uint64, pg mem.PageGen, mut uint64) *cachedBlock {
+	if f == nil {
+		return nil
+	}
+	sc, _ := f.Decoded(pc).(*sharedCode)
+	if sc == nil {
+		return nil
+	}
+	b := &cachedBlock{
+		entry: pc, end: sc.end, pcs: sc.pcs, insts: sc.insts,
+		pages: [2]mem.PageGen{pg}, npages: 1, mut: mut,
+		fused: sc.fused, run: sc.run, nopLen: sc.nopLen,
+	}
+	if sc.next != nil {
+		f2, pg2, _ := dc.as.ExecFrame(sc.end - 1)
+		if f2 != sc.next {
+			return nil
+		}
+		b.pages[1], b.npages = pg2, 2
+	}
+	return b
+}
+
+// publish records a block decoded at frame f's page — whose generation
+// was pg when f was observed — as the frame's shared code, when the
+// decode provably read only f and, for a straddling block, the frame
+// backing the next page. A block that ends on undecodable bytes close
+// enough to the page end that their decode may have looked past it is
+// not published: it depends on the next page in a way no generation
+// records.
+func (dc *decodeCache) publish(f *mem.Frame, pg mem.PageGen, b *cachedBlock) {
+	if b.pages[0] != pg {
+		return // the page was written or remapped since f was observed
+	}
+	sc := &sharedCode{
+		end: b.end, pcs: b.pcs, insts: b.insts,
+		fused: b.fused, run: b.run, nopLen: b.nopLen,
+	}
+	pageEnd := b.entry&^(mem.PageSize-1) + mem.PageSize
+	switch {
+	case b.end > pageEnd:
+		f2, pg2, _ := dc.as.ExecFrame(pageEnd)
+		if f2 == nil || b.pages[1] != pg2 {
+			return
+		}
+		sc.next = f2
+	case b.end < pageEnd && b.end+maxInsnLen > pageEnd && !blockTerminator(&b.insts[len(b.insts)-1]):
+		return
+	}
+	f.Publish(b.entry, sc)
 }
 
 // sledSuffix returns the block at pc as a view of the sled base — the

@@ -99,7 +99,9 @@ func (d *dtlb) reset(as *mem.AddressSpace) {
 // priv selects the kernel-privileged rules of AS.ReadForce/WriteForce:
 // protection bits and protection keys are ignored, but a PROT_NONE page
 // still faults. A store to an executable page stays on the locked path
-// either way, so the generation and code-mutation counters advance.
+// either way, so the generation and code-mutation counters advance, and
+// so does a store to a page that aliases a shared frame, which the locked
+// path privatizes first.
 func (c *CPU) lookup(addr uint64, n int, write, priv bool) *mem.PageHandle {
 	d := c.tlb
 	if d == nil {
@@ -131,7 +133,7 @@ func (c *CPU) lookup(addr uint64, n int, write, priv bool) *mem.PageHandle {
 	}
 	switch {
 	case priv:
-		if e.h.Prot == mem.ProtNone || write && e.h.Prot&mem.ProtExec != 0 {
+		if e.h.Prot == mem.ProtNone || write && (e.h.Prot&mem.ProtExec != 0 || e.h.Shared) {
 			return nil
 		}
 	case write:

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -8,43 +9,51 @@ import (
 	"lazypoline/internal/kernel"
 )
 
-// coldStartAllocs reports what one run of `cat` to exit allocates, fresh
-// kernel, file system, load, attach and all — the unit of the benchmark's
-// coldstart workload. The first run, which also fills the guest package's
-// program cache, is not counted.
+// coldCat runs `cat` to exit in a fresh kernel and file system under
+// mech — load, attach and all: the unit of the benchmark's coldstart
+// workload.
+func coldCat(mech string) (*kernel.Kernel, *kernel.Task, error) {
+	k := kernel.New(kernel.Config{})
+	for _, dir := range []string{"/tmp", "/etc", "/var/log"} {
+		if err := k.FS.MkdirAll(dir, 0o755); err != nil {
+			return nil, nil, err
+		}
+	}
+	for path, contents := range guest.CoreutilFSFiles {
+		if err := k.FS.WriteFile(path, []byte(contents), 0o644); err != nil {
+			return nil, nil, err
+		}
+	}
+	prog, err := guest.Coreutil("cat", guest.LibcUbuntu2004(false))
+	if err != nil {
+		return nil, nil, err
+	}
+	task, err := prog.Spawn(k)
+	if err != nil {
+		return nil, nil, err
+	}
+	if attach := AttachFunc(mech); attach != nil {
+		if err := attach(k, task); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := k.Run(50_000_000); err != nil {
+		return nil, nil, err
+	}
+	if task.ExitCode != 0 {
+		return nil, nil, fmt.Errorf("%s: cat exited %d", mech, task.ExitCode)
+	}
+	return k, task, nil
+}
+
+// coldStartAllocs reports what one coldCat allocates. The first run,
+// which also fills the guest package's program cache, is not counted.
 func coldStartAllocs(t *testing.T, mech string) (bytesPerRun, objsPerRun float64) {
 	t.Helper()
 	const measured = 8
 	run := func() {
-		k := kernel.New(kernel.Config{})
-		for _, dir := range []string{"/tmp", "/etc", "/var/log"} {
-			if err := k.FS.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for path, contents := range guest.CoreutilFSFiles {
-			if err := k.FS.WriteFile(path, []byte(contents), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		prog, err := guest.Coreutil("cat", guest.LibcUbuntu2004(false))
-		if err != nil {
+		if _, _, err := coldCat(mech); err != nil {
 			t.Fatal(err)
-		}
-		task, err := prog.Spawn(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if attach := AttachFunc(mech); attach != nil {
-			if err := attach(k, task); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := k.Run(50_000_000); err != nil {
-			t.Fatal(err)
-		}
-		if task.ExitCode != 0 {
-			t.Fatalf("%s: cat exited %d", mech, task.ExitCode)
 		}
 	}
 	run()
@@ -60,32 +69,30 @@ func coldStartAllocs(t *testing.T, mech string) (bytesPerRun, objsPerRun float64
 
 // TestColdStartAllocs is the allocation gate of the cold path (DESIGN.md
 // §17): a coreutil run pays for the pages it touches and the blocks it
-// executes, not for what it maps, loads as zeros or scans. Measured: 46 KiB
-// in 248 objects under baseline, 125 KiB in 326 under zpoline (whose extra
-// is the trampoline page and three decodes of its nop sled, at each entry
-// below all earlier ones; the other entries are views). While the loader wrote
-// the all-zero data segment (16 pages of backing), each block build
-// fetched the rest of its page into a per-CPU 4 KiB buffer and every sled
-// entry point decoded the sled again, the same runs took 120 KiB in 306
-// objects and 347 KiB in 415; the budgets sit between the two, so any of
-// those coming back fails here.
+// executes, not for what it maps, loads as zeros or scans, and not for the
+// image, vDSO and stub pages it shares with every other run. Measured:
+// 33 KiB in 163 objects under baseline, 55 KiB in 288 under zpoline (whose
+// extra is the private copies of the code pages its attach rewrites and
+// the blocks decoded from them). While every load copied the image into
+// fresh pages and every CPU decoded every block it entered, the same runs
+// took 46 KiB in 248 objects and 125 KiB in 326; the budgets sit just
+// above the new numbers, so a load that copies or a build that decodes a
+// shared page again fails here.
 //
 // Under -race, sync.Pool drops a share of what is put back and builds
-// allocate fresh scratch for it: 85–88 KiB in 300–303 objects and
-// 283–337 KiB in 406–439. There the budgets are the looser ones from
-// before those changes, which still catch eager page arrays or per-byte
-// decode errors (433 KiB / 424 and 1048 KiB / 7942) coming back.
+// allocate fresh scratch for it: 34 KiB in 163 objects and 90–105 KiB in
+// 334–347, so the zpoline budget there is looser.
 func TestColdStartAllocs(t *testing.T) {
 	budgets := []struct {
 		mech              string
 		maxBytes, maxObjs float64
 	}{
-		{MechBaseline, 80 << 10, 300},
-		{MechZpoline, 160 << 10, 380},
+		{MechBaseline, 40 << 10, 190},
+		{MechZpoline, 68 << 10, 320},
 	}
 	if raceEnabled {
-		budgets[0].maxBytes, budgets[0].maxObjs = 192<<10, 400
-		budgets[1].maxBytes, budgets[1].maxObjs = 512<<10, 600
+		budgets[0].maxBytes, budgets[0].maxObjs = 48<<10, 220
+		budgets[1].maxBytes, budgets[1].maxObjs = 144<<10, 400
 	}
 	for _, c := range budgets {
 		b, n := coldStartAllocs(t, c.mech)

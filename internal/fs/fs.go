@@ -131,6 +131,26 @@ func split(path string, comps []string) ([]string, error) {
 
 // walk resolves path to an inode.
 func (f *FS) walk(path string) (*Inode, error) {
+	ino, err := f.lookup(path)
+	if err != nil {
+		return nil, withPath(err, path)
+	}
+	return ino, nil
+}
+
+// withPath names path in a bare ErrNotExist, as walk and walkParent
+// report a missing path; other errors pass through.
+func withPath(err error, path string) error {
+	if err == ErrNotExist {
+		return fmt.Errorf("%w: %q", ErrNotExist, path)
+	}
+	return err
+}
+
+// lookup is walk returning the bare ErrNotExist for a missing path, so a
+// caller that acts on a missing file — Open creating one — builds no
+// error it discards.
+func (f *FS) lookup(path string) (*Inode, error) {
 	var buf [inlineComps]string
 	comps, err := split(path, buf[:0])
 	if err != nil {
@@ -143,7 +163,7 @@ func (f *FS) walk(path string) (*Inode, error) {
 		}
 		next, ok := cur.Children[c]
 		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNotExist, path)
+			return nil, ErrNotExist
 		}
 		cur = next
 	}
@@ -165,7 +185,7 @@ func (f *FS) walkParent(path string) (*Inode, string, error) {
 	for _, c := range comps[:len(comps)-1] {
 		next, ok := cur.Children[c]
 		if !ok {
-			return nil, "", fmt.Errorf("%w: %q", ErrNotExist, path)
+			return nil, "", withPath(ErrNotExist, path)
 		}
 		if !next.IsDir() {
 			return nil, "", ErrNotDir
@@ -466,8 +486,8 @@ func (f *FS) Open(path string, flags OpenFlag, perm Mode) (*File, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ino, err := f.walk(path)
-	if errors.Is(err, ErrNotExist) && flags&OpenCreate != 0 {
+	ino, err := f.lookup(path)
+	if err == ErrNotExist && flags&OpenCreate != 0 {
 		parent, name, perr := f.walkParent(path)
 		if perr != nil {
 			return nil, perr
@@ -483,7 +503,7 @@ func (f *FS) Open(path string, flags OpenFlag, perm Mode) (*File, error) {
 		parent.Children[name] = ino
 		parent.Mtime = now
 	} else if err != nil {
-		return nil, err
+		return nil, withPath(err, path)
 	} else if flags&(OpenCreate|OpenExcl) == OpenCreate|OpenExcl {
 		return nil, ErrExist
 	}
@@ -508,12 +528,11 @@ func (f *FS) Open(path string, flags OpenFlag, perm Mode) (*File, error) {
 func (f *FS) openSealed(path string, flags OpenFlag) (*File, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	ino, err := f.walk(path)
-	if err != nil {
-		if errors.Is(err, ErrNotExist) && flags&OpenCreate != 0 {
-			return nil, ErrSealed
-		}
-		return nil, err
+	ino, err := f.lookup(path)
+	if err == ErrNotExist && flags&OpenCreate != 0 {
+		return nil, ErrSealed
+	} else if err != nil {
+		return nil, withPath(err, path)
 	}
 	if flags&(OpenCreate|OpenExcl) == OpenCreate|OpenExcl {
 		return nil, ErrExist

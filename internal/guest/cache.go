@@ -11,10 +11,10 @@ import "sync"
 // assembly into a process-wide immutable cache instead.
 //
 // Immutability contract: a cached Program (and its Image) is shared by
-// every caller, concurrently. Spawning is safe — loader.Image.Load
-// copies every segment's bytes into the task's private address space —
-// but callers must never mutate Image.Segments[].Data or the symbol
-// table. Callers needing a private image must use Build.
+// every caller, concurrently. Spawning is safe — loader.Image.Load maps
+// the image's immutable page frames, and a task that writes a page gets
+// a private copy of it — but callers must never mutate
+// Image.Segments[].Data or the symbol table. Callers needing a private image must use Build.
 var (
 	cacheMu sync.Mutex
 	cache   = map[string]*Program{}

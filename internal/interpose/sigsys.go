@@ -60,14 +60,8 @@ func InstallSigsysHandler(k *kernel.Kernel, t *kernel.Task, ip Interposer, base 
 	e.Hcall(postID) // ip.Exit, write result into the saved context
 	e.Ret()         // into the vdso sigreturn stub
 
-	if err := t.AS.MapFixed(base, mem.PageSize, mem.ProtRW); err != nil {
+	if err := t.AS.MapFrames(base, mem.FramesOf(e.Buf, mem.PageSize), mem.ProtRX); err != nil {
 		return fmt.Errorf("interpose: map SIGSYS handler page: %w", err)
-	}
-	if err := t.AS.WriteAt(base, e.Buf); err != nil {
-		return err
-	}
-	if err := t.AS.Protect(base, mem.PageSize, mem.ProtRX); err != nil {
-		return err
 	}
 	t.Sig.Set(kernel.SIGSYS, kernel.SigAction{Handler: base})
 	return nil

@@ -486,18 +486,20 @@ func (k *Kernel) installAllocGate(as *mem.AddressSpace) {
 // BLOCK, returning from a signal handler through this stub would itself
 // trigger SIGSYS. A typical SUD deployment therefore allowlists this
 // page; lazypoline instead sigreturns with the selector at ALLOW.
+//
+// The page is one process-wide frame (vdsoFrame) mapped by reference:
+// every address space shares its bytes and its decoded stub block.
 func (k *Kernel) mapVdso(as *mem.AddressSpace) error {
+	return as.MapFrames(VdsoBase, vdsoFrame(), mem.ProtRX)
+}
+
+// vdsoFrame is the vDSO page's one-frame mapping, built once.
+var vdsoFrame = sync.OnceValue(func() []*mem.Frame {
 	var e isa.Enc
 	e.MovImm32(isa.RAX, SysRtSigreturn)
 	e.Syscall()
-	if err := as.MapFixed(VdsoBase, mem.PageSize, mem.ProtRW); err != nil {
-		return err
-	}
-	if err := as.WriteAt(VdsoBase+VdsoSigreturnOffset, e.Buf); err != nil {
-		return err
-	}
-	return as.Protect(VdsoBase, mem.PageSize, mem.ProtRX)
-}
+	return mem.FramesOf(append(make([]byte, VdsoSigreturnOffset), e.Buf...), mem.PageSize)
+})
 
 // Task returns a task by id.
 func (k *Kernel) Task(id int) (*Task, bool) {

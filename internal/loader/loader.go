@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"lazypoline/internal/asm"
 	"lazypoline/internal/mem"
@@ -31,11 +32,18 @@ type Segment struct {
 	Data []byte
 }
 
-// Image is a loadable executable.
+// Image is a loadable executable. Its segments must not change once it
+// has been loaded: the first Load builds the image's page frames from
+// them, and every later Load maps those frames.
 type Image struct {
 	Entry    uint64
 	Segments []Segment
 	Symbols  map[string]uint64
+
+	framesOnce sync.Once
+	// frames holds, per segment, the frame of each of its pages, nil for
+	// an all-zero page (see Load).
+	frames [][]*mem.Frame
 }
 
 // Errors.
@@ -65,44 +73,43 @@ func FromProgram(p *asm.Program, entrySymbol string, extra ...Segment) (*Image, 
 	return img, nil
 }
 
-// zeroPage is what a freshly mapped page reads as.
-var zeroPage [mem.PageSize]byte
-
-// Load maps every segment into as. Segment sizes are rounded up to whole
-// pages; the pages get the segment's protection. Only the page-sized
-// chunks of a segment that hold a nonzero byte are written: a fresh page
-// already reads as zero and is left without backing (demand-zero,
+// Load maps every segment into as with the segment's protection. Segment
+// sizes are rounded up to whole pages. Nothing is copied: each page that
+// holds a nonzero byte is an immutable frame (mem.FramesOf), built on the
+// image's first Load and mapped by reference (mem.AddressSpace.MapFrames),
+// so every address space that loads the image shares its bytes — and the
+// blocks the CPUs decode from them — until it writes a page, which then
+// gets a private copy. An all-zero page is an untouched page (demand-zero,
 // DESIGN.md §17), so a guest's all-zero data segment costs nothing until
 // the guest touches it.
 func (img *Image) Load(as *mem.AddressSpace) error {
 	if len(img.Segments) == 0 {
 		return ErrNoSegments
 	}
-	for _, seg := range img.Segments {
+	img.framesOnce.Do(func() {
+		img.frames = make([][]*mem.Frame, len(img.Segments))
+		for i, seg := range img.Segments {
+			img.frames[i] = mem.FramesOf(seg.Data, pageRound(len(seg.Data)))
+		}
+	})
+	for i, seg := range img.Segments {
 		if seg.Addr%mem.PageSize != 0 {
 			return fmt.Errorf("loader: segment at %#x not page aligned", seg.Addr)
 		}
-		size := (uint64(len(seg.Data)) + mem.PageSize - 1) &^ (mem.PageSize - 1)
-		if size == 0 {
-			size = mem.PageSize
-		}
-		if err := as.MapFixed(seg.Addr, size, mem.ProtRW); err != nil {
+		if err := as.MapFrames(seg.Addr, img.frames[i], seg.Prot); err != nil {
 			return fmt.Errorf("loader: map %#x: %w", seg.Addr, err)
-		}
-		for off := 0; off < len(seg.Data); off += mem.PageSize {
-			chunk := seg.Data[off:min(off+mem.PageSize, len(seg.Data))]
-			if bytes.Equal(chunk, zeroPage[:len(chunk)]) {
-				continue
-			}
-			if err := as.WriteAt(seg.Addr+uint64(off), chunk); err != nil {
-				return fmt.Errorf("loader: populate %#x: %w", seg.Addr, err)
-			}
-		}
-		if err := as.Protect(seg.Addr, size, seg.Prot); err != nil {
-			return fmt.Errorf("loader: protect %#x: %w", seg.Addr, err)
 		}
 	}
 	return nil
+}
+
+// pageRound is the mapped size of a segment of n bytes: n rounded up to
+// whole pages, and at least one page.
+func pageRound(n int) uint64 {
+	if n == 0 {
+		return mem.PageSize
+	}
+	return (uint64(n) + mem.PageSize - 1) &^ (mem.PageSize - 1)
 }
 
 // Symbol looks up a symbol address.
@@ -126,11 +133,7 @@ func (img *Image) ExecRanges() []ExecRange {
 		if seg.Prot&mem.ProtExec == 0 {
 			continue
 		}
-		size := (uint64(len(seg.Data)) + mem.PageSize - 1) &^ (mem.PageSize - 1)
-		if size == 0 {
-			size = mem.PageSize
-		}
-		out = append(out, ExecRange{Addr: seg.Addr, Length: size})
+		out = append(out, ExecRange{Addr: seg.Addr, Length: pageRound(len(seg.Data))})
 	}
 	return out
 }

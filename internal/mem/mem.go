@@ -119,6 +119,102 @@ var ErrNoMem = errors.New("mem: cannot allocate memory")
 // guest in the tree maps a few hundred pages.
 const MaxPages = 1 << 18
 
+// Frame is an immutable page of bytes that any number of address spaces
+// map by reference (MapFrames): a loaded image's pages, the kernel's
+// vDSO page and the mechanisms' stub pages are built once per process
+// and shared by every task that maps them, instead of copied into each
+// address space. Its bytes never change; the first write to a page
+// backed by a frame gives that page a private copy (page.backing).
+//
+// A frame also carries a table of values derived from its bytes, which
+// the CPUs' decode caches use to share decoded blocks (DESIGN.md §17):
+// because the bytes are fixed, a value published for a key stays correct
+// for every address space that still maps the frame. The table is opaque
+// to this package and safe for concurrent use.
+type Frame struct {
+	data    [PageSize]byte
+	mu      sync.Mutex
+	decoded map[uint64]any
+}
+
+// maxInterned bounds the frames FramesOf keeps in its table (4 MiB of
+// page bytes). Past it, FramesOf builds frames it does not intern: they
+// are shared by whoever holds them — an image keeps its own — but not
+// found again by content.
+const maxInterned = 1024
+
+// interned maps page contents to their frame, so equal bytes built
+// anywhere in the process — the same stub encoded by the same attach in
+// another kernel — are one frame and share its decoded blocks.
+var interned struct {
+	sync.Mutex
+	frames map[string]*Frame
+}
+
+// FramesOf returns the frames of a length-byte mapping holding b
+// followed by zeros, for MapFrames: one per page, nil for a page that
+// holds no nonzero byte (it stays untouched: demand-zero, DESIGN.md §17).
+// Pages are interned by content.
+func FramesOf(b []byte, length uint64) []*Frame {
+	frames := make([]*Frame, (length+PageSize-1)>>PageShift)
+	for off := 0; off < len(b); off += PageSize {
+		chunk := b[off:min(off+PageSize, len(b))]
+		if !allZero(chunk) {
+			frames[off>>PageShift] = intern(chunk)
+		}
+	}
+	return frames
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// intern returns the interned frame holding b (at most PageSize bytes)
+// followed by zeros.
+func intern(b []byte) *Frame {
+	interned.Lock()
+	defer interned.Unlock()
+	if f := interned.frames[string(b)]; f != nil {
+		return f
+	}
+	f := new(Frame)
+	copy(f.data[:], b)
+	if len(interned.frames) < maxInterned {
+		if interned.frames == nil {
+			interned.frames = make(map[string]*Frame)
+		}
+		interned.frames[string(b)] = f
+	}
+	return f
+}
+
+// Decoded returns the value published for key, or nil.
+func (f *Frame) Decoded(key uint64) any {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.decoded[key]
+}
+
+// Publish records v for key unless a value is recorded already: the
+// first publisher wins, so every reader of key sees one value.
+func (f *Frame) Publish(key uint64, v any) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, ok := f.decoded[key]; ok {
+		return
+	}
+	if f.decoded == nil {
+		f.decoded = make(map[uint64]any)
+	}
+	f.decoded[key] = v
+}
+
 // page is one 4 KiB page.
 type page struct {
 	// data is the page's backing array, nil until the page is first
@@ -129,8 +225,14 @@ type page struct {
 	// before (zeros) are the bytes the new array holds. Set under the
 	// write lock only.
 	data *[PageSize]byte
-	prot Prot
-	pkey uint8
+	// frame, if non-nil, is the shared frame data aliases: the page's
+	// bytes are read in place and never written. The first locked write
+	// privatizes the page (backing): it copies the frame, drops it and,
+	// like every write, issues a fresh generation, so blocks decoded from
+	// the frame stop validating for this address space alone.
+	frame *Frame
+	prot  Prot
+	pkey  uint8
 	// gen is the page's generation: a value unique within the address
 	// space's lifetime, replaced on every locked write to the page and on
 	// every protection or pkey change, and set to the never-issued value 0
@@ -165,7 +267,7 @@ type AddressSpace struct {
 	// never revalidate a stale cached decode.
 	genSeq uint64
 	// codeMut counts code-affecting mutations: writes that touch an
-	// executable page, and every Protect/Unmap/MapFixed/MapAnon. It is
+	// executable page, and every Protect/Unmap/MapFixed/MapFrames/MapAnon. It is
 	// read lock-free by the CPU's decode-cache fast path; while it is
 	// unchanged, every previously validated block is still valid.
 	codeMut atomic.Uint64
@@ -175,7 +277,7 @@ type AddressSpace struct {
 	faults atomic.Uint64
 
 	// AllocGate, if set, is consulted before every page allocation
-	// (MapFixed, MapAnon). Returning false denies the allocation with
+	// (MapFixed, MapFrames, MapAnon). Returning false denies the allocation with
 	// ErrNoMem. The kernel wires this to the chaos engine's allocation-
 	// failure stream; the gate must be deterministic for a given call
 	// sequence. Clone does not copy it — the owner re-installs it on
@@ -197,16 +299,23 @@ func (as *AddressSpace) SetOwner(v any) { as.owner = v }
 // Owner returns the scheduler cookie (see the owner field).
 func (as *AddressSpace) Owner() any { return as.owner }
 
+// spawnPages sizes a new address space's page map for what a spawned task
+// maps: its 64-page stack, the vDSO page, an image of a few code pages and
+// a 16-page data segment, and the pages a mechanism adds at attach. The
+// map then never rehashes as they are mapped one region at a time.
+const spawnPages = 96
+
 // NewAddressSpace returns an empty address space. Anonymous (non-fixed)
 // mappings are placed from 0x4000_0000 upward.
 func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{
-		pages: make(map[uint64]*page),
+		pages: make(map[uint64]*page, spawnPages),
 		brk:   0x4000_0000,
 	}
 }
 
-// Clone returns a deep copy of the address space (fork semantics).
+// Clone returns a copy of the address space (fork semantics): private
+// pages are copied, frame-backed pages alias the same frame.
 func (as *AddressSpace) Clone() *AddressSpace {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
@@ -223,7 +332,10 @@ func (as *AddressSpace) Clone() *AddressSpace {
 		// not be copied as a struct (go vet copylocks).
 		cp := &hdrs[len(c.pages)]
 		cp.prot, cp.pkey = pg.prot, pg.pkey
-		if pg.data != nil {
+		switch {
+		case pg.frame != nil:
+			cp.data, cp.frame = pg.data, pg.frame
+		case pg.data != nil:
 			d := *pg.data
 			cp.data = &d
 		}
@@ -243,10 +355,15 @@ func (pg *page) read(dst []byte, po int) {
 	copy(dst, pg.data[po:])
 }
 
-// backing returns the page's backing array, allocating it on first use.
-// Caller holds mu for writing.
+// backing returns the page's private backing array for writing: it
+// allocates one on first use and privatizes a frame-backed page by
+// copying its frame. Caller holds mu for writing.
 func (pg *page) backing() *[PageSize]byte {
-	if pg.data == nil {
+	switch {
+	case pg.frame != nil:
+		d := pg.frame.data
+		pg.data, pg.frame = &d, nil
+	case pg.data == nil:
 		pg.data = new([PageSize]byte)
 	}
 	return pg.data
@@ -258,15 +375,19 @@ func (as *AddressSpace) nextGen() uint64 {
 	return as.genSeq
 }
 
-// mapPages installs n untouched pages starting at page number first, each
-// with a fresh generation. The headers of one call share one slice; no
-// backing array is allocated (see page.data). Caller holds mu and has
-// checked the range is free and within MaxPages.
-func (as *AddressSpace) mapPages(first, n uint64, prot Prot) {
+// mapPages installs n pages starting at page number first, each with a
+// fresh generation. Page i is backed by frames[i] when frames is non-nil
+// and that entry is; every other page is untouched, with no backing array
+// allocated (see page.data). The headers of one call share one slice.
+// Caller holds mu and has checked the range is free and within MaxPages.
+func (as *AddressSpace) mapPages(first, n uint64, prot Prot, frames []*Frame) {
 	hdrs := make([]page, n)
 	for i := range hdrs {
 		pg := &hdrs[i]
 		pg.prot = prot
+		if frames != nil && frames[i] != nil {
+			pg.frame, pg.data = frames[i], &frames[i].data
+		}
 		pg.gen.Store(as.nextGen())
 		as.pages[first+uint64(i)] = pg
 	}
@@ -278,6 +399,18 @@ func (as *AddressSpace) mapPages(first, n uint64, prot Prot) {
 // space. It fails with ErrOverlap if any page in the range is already
 // mapped and with ErrNoMem past MaxPages.
 func (as *AddressSpace) MapFixed(addr, length uint64, prot Prot) error {
+	return as.mapFixed(addr, length, prot, nil)
+}
+
+// MapFrames maps len(frames) pages from addr with the given protection,
+// page i backed by frames[i] by reference — no bytes are copied — or,
+// where frames[i] is nil, untouched like a MapFixed page. The checks,
+// errors and AllocGate consultation are MapFixed's for the same range.
+func (as *AddressSpace) MapFrames(addr uint64, frames []*Frame, prot Prot) error {
+	return as.mapFixed(addr, uint64(len(frames))<<PageShift, prot, frames)
+}
+
+func (as *AddressSpace) mapFixed(addr, length uint64, prot Prot, frames []*Frame) error {
 	if addr%PageSize != 0 || length == 0 || length%PageSize != 0 || addr+length-1 < addr {
 		return ErrBadRange
 	}
@@ -295,7 +428,7 @@ func (as *AddressSpace) MapFixed(addr, length uint64, prot Prot) error {
 			return fmt.Errorf("%w: page %#x", ErrOverlap, (first+i)<<PageShift)
 		}
 	}
-	as.mapPages(first, n, prot)
+	as.mapPages(first, n, prot, frames)
 	return nil
 }
 
@@ -328,7 +461,7 @@ func (as *AddressSpace) MapAnon(length uint64, prot Prot) (uint64, error) {
 			}
 		}
 		if free {
-			as.mapPages(first, n, prot)
+			as.mapPages(first, n, prot, nil)
 			as.brk = addr + length
 			return addr, nil
 		}
@@ -514,7 +647,7 @@ type PageGen struct {
 
 // CodeMutations returns the code-mutation counter: it advances on every
 // write that touches an executable page and on every
-// MapFixed/MapAnon/Protect/Unmap. It is safe to read lock-free; a decoded
+// MapFixed/MapFrames/MapAnon/Protect/Unmap. It is safe to read lock-free; a decoded
 // block validated at mutation count m stays valid while the counter
 // still reads m.
 func (as *AddressSpace) CodeMutations() uint64 {
@@ -594,6 +727,22 @@ func (as *AddressSpace) fetchExecLocked(addr uint64, p []byte, wantGens bool) (n
 	return total, pages, npages, as.codeMut.Load(), nil
 }
 
+// ExecFrame returns the frame backing the page containing addr when that
+// page is executable and frame-backed, with, under the same lock, the
+// page's generation and the current code-mutation count; f is nil
+// otherwise. A decode cache uses it to look blocks up in the frame's
+// table without fetching: while the generation is unchanged the page is
+// still backed by f, whose bytes never change.
+func (as *AddressSpace) ExecFrame(addr uint64) (f *Frame, g PageGen, mut uint64) {
+	pn := addr >> PageShift
+	as.mu.RLock()
+	defer as.mu.RUnlock()
+	if pg, ok := as.pages[pn]; ok && pg.frame != nil && pg.prot&ProtExec != 0 {
+		return pg.frame, PageGen{PN: pn, Gen: pg.gen.Load()}, as.codeMut.Load()
+	}
+	return nil, PageGen{}, 0
+}
+
 // ValidatePages reports whether every recorded page still exists with an
 // unchanged generation. On success it also returns the code-mutation
 // count observed under the same lock: the caller's decode is current as
@@ -633,14 +782,19 @@ type PageHandle struct {
 	Prot Prot
 	Pkey uint8
 	// DirectWrite reports whether the holder may store through Data
-	// without going back through WriteAt: the page is writable and NOT
-	// executable. Writes to executable pages must take the locked path so
-	// the generation and code-mutation counters advance and decoded-code
-	// caches observe the self-modification. Direct stores to data pages
-	// deliberately skip the generation bump: nothing stale can result,
-	// because every other view of the page (other TLBs, ReadAt, tracers)
-	// aliases the same backing array, and prot/pkey did not change.
+	// without going back through WriteAt: the page is writable, NOT
+	// executable and not Shared. Writes to executable pages must take the
+	// locked path so the generation and code-mutation counters advance and
+	// decoded-code caches observe the self-modification. Direct stores to
+	// data pages deliberately skip the generation bump: nothing stale can
+	// result, because every other view of the page (other TLBs, ReadAt,
+	// tracers) aliases the same backing array, and prot/pkey did not
+	// change.
 	DirectWrite bool
+	// Shared reports that Data aliases an immutable Frame that other
+	// address spaces map too: no store may go through it, privileged or
+	// not. The locked write path gives the page a private copy first.
+	Shared bool
 
 	gen *atomic.Uint64
 }
@@ -683,7 +837,8 @@ func (pg *page) handle() PageHandle {
 		Gen:         pg.gen.Load(),
 		Prot:        pg.prot,
 		Pkey:        pg.pkey,
-		DirectWrite: pg.prot&ProtWrite != 0 && pg.prot&ProtExec == 0,
+		DirectWrite: pg.prot&ProtWrite != 0 && pg.prot&ProtExec == 0 && pg.frame == nil,
+		Shared:      pg.frame != nil,
 		gen:         &pg.gen,
 	}
 }

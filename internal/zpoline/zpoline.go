@@ -108,10 +108,9 @@ func Attach(k *kernel.Kernel, t *kernel.Task, ip interpose.Interposer, opts Opti
 	}
 
 	// Trampoline at VA 0: nop sled over [0, MaxSyscallNr], then the
-	// generic entry stub.
-	if err := t.AS.MapFixed(0, TrampolineSize, mem.ProtRW); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTrampolineArea, err)
-	}
+	// generic entry stub. Every attach with the same options encodes the
+	// same page, so it maps as one process-wide frame (mem.FramesOf) and
+	// its sled is decoded once per process, not once per task.
 	var e isa.Enc
 	e.Nop(kernel.MaxSyscallNr + 1)
 	m.entry = uint64(e.Len())
@@ -124,11 +123,8 @@ func Attach(k *kernel.Kernel, t *kernel.Task, ip interpose.Interposer, opts Opti
 	if len(e.Buf) > TrampolineSize {
 		return nil, fmt.Errorf("zpoline: trampoline too large: %d", len(e.Buf))
 	}
-	if err := t.AS.WriteAt(0, e.Buf); err != nil {
-		return nil, err
-	}
-	if err := t.AS.Protect(0, TrampolineSize, mem.ProtRX); err != nil {
-		return nil, err
+	if err := t.AS.MapFrames(0, mem.FramesOf(e.Buf, TrampolineSize), mem.ProtRX); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrTrampolineArea, err)
 	}
 
 	// Static rewriting pass over everything currently executable.

@@ -31,6 +31,13 @@ go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/... ./interna
     ./internal/kernel/... ./internal/sud/... ./internal/seccomputil/... ./internal/ptracer/... \
     ./internal/loader/... ./internal/zpoline/... ./internal/guest/...
 
+# Shared image frames and decoded blocks (DESIGN.md §17): address spaces
+# aliasing one frame while another privatizes its copy, CPUs publishing
+# and reusing one frame's blocks, and a -j 2 sweep of kernels over one
+# memoized image with lazypoline and zpoline rewriting their own copies.
+go test -race ./internal/mem ./internal/cpu ./internal/experiments \
+    -run 'Frame|TestShared|TestLockstepShared' -count 1
+
 # Cold-path allocation gate: a coreutil run in a fresh kernel must stay
 # inside its byte/object budget — an eager page array or a per-byte
 # decode error object would break it.
