@@ -3,7 +3,7 @@
 # experiment harness is exercised by tests, so -race guards the per-cell
 # isolation contract).
 
-.PHONY: ci test bench hostbench hostbench-quick snapshots chaos-smoke profile-smoke tlb-smoke chain-smoke policy-smoke fleet-smoke obs-smoke fuzz
+.PHONY: ci test bench hostbench hostbench-quick snapshots chaos-smoke profile-smoke exec-smoke policy-smoke fleet-smoke obs-smoke fuzz
 
 ci:
 	./scripts/ci.sh
@@ -11,46 +11,43 @@ ci:
 test:
 	go test ./...
 
-# Fast chaos-determinism check: the invariance suite plus the kernel's
-# injection-semantics tests (scripts/ci.sh runs the cross-binary diffs).
+# Fast chaos-determinism check: the invariance suite, the chaos cells of
+# the equivalence matrix, and the kernel's injection-semantics tests
+# (scripts/ci.sh runs the cross-binary diffs).
 chaos-smoke:
 	go test ./internal/experiments -run 'TestChaosInvariance' -count 1
+	go test ./internal/experiments -run 'TestExecEquivalence/chaos' -count 1
 	go test ./internal/kernel -run 'TestChaos|TestBlockingRead|TestSigactionReportsFlags' -count 1
 
 # Quick telemetry sanity pass: profile the microbenchmark under
-# lazypoline, run the inertness suite's fastest matrix, and show the
-# hottest folded stacks (see the EXPERIMENTS.md telemetry walkthrough).
+# lazypoline, run the microbenchmark's telemetry cells of the equivalence
+# matrix, and show the hottest folded stacks (see the EXPERIMENTS.md
+# telemetry walkthrough).
 profile-smoke:
-	go test ./internal/experiments -run 'TestTelemetryInvarianceMicrobench' -count 1
+	go test ./internal/experiments -run 'TestExecEquivalence/^microbench$$//telemetry' -count 1
 	go run ./cmd/runsim -builtin microbench -mech lazypoline -trace=false \
 		-stats=false -profile-out /tmp/profile_smoke.folded
 	head -10 /tmp/profile_smoke.folded
 
-# Fast data-fast-path check: the TLB/superblock unit tests under -race,
-# the cheapest invariance matrix, and a small cpubench run that must
-# clear the fast-path speedup floor (scripts/ci.sh runs the full gate).
-tlb-smoke:
+# Fast execution-engine check: the CPU and memory unit tests (Lockstep
+# included) under -race, the microbenchmark and JIT cells of the
+# equivalence matrix, and a small cpubench run that must clear its
+# fast-vs-reference floors, the load/store sweep's pinned at 2.0x (the
+# raw register loop is a counted loop, retired in closed form: its fast
+# side is too short to take a ratio against).
+exec-smoke:
 	go test -race ./internal/cpu ./internal/mem -count 1
-	go test ./internal/experiments -run 'TestTLBInvariance(Microbench|SMC|Telemetry)' -count 1
-	go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -out /tmp/tlb_smoke_BENCH_cpu.json
-
-# Fast chaining/trace check: the chain, trace and fused-handler unit tests
-# (Lockstep included) under -race, the cheapest chain-invariance matrix,
-# and a cpubench run that must clear the 2.0x floor the chained fast path
-# sustains on the load/store sweep (the raw register loop is a counted
-# loop, retired in closed form: its fast side is too short to take a
-# ratio against).
-chain-smoke:
-	go test -race ./internal/cpu -run 'TestChain|TestStepBlock|TestSMC|TestDecodeCache|TestSelfLoop|TestCountedLoop|StackRun|TestLockstep' -count 1
-	go test ./internal/experiments -run 'TestChainInvariance(Microbench|SMC|Telemetry)' -count 1
-	go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -minmemloop 2.0 -out /tmp/chain_smoke_BENCH_cpu.json
+	go test ./internal/experiments -run 'TestExecEquivalence/^(microbench|jit)$$' -count 1
+	go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -minmemloop 2.0 -out /tmp/exec_smoke_BENCH_cpu.json
 
 # Fast syscall-policy check: the kernel policy and seccomp-hardening
-# tests, the invariance matrix, and one attack demo per layer
-# (scripts/ci.sh runs the full cross-mechanism diffs).
+# tests, the invariance suite, the policy-off cells of the equivalence
+# matrix, and one attack demo per layer (scripts/ci.sh runs the full
+# cross-mechanism diffs).
 policy-smoke:
 	go test ./internal/kernel -run 'TestPolicy|TestSeccompUnknown|TestSeccompFaulting|TestSeccompPrecedence|TestChaosRetryInjection' -count 1
-	go test ./internal/experiments -run 'TestPolicyInvariance' -count 1
+	go test ./internal/experiments -run 'TestPolicyInvariance(Attacks|Benign)' -count 1
+	go test ./internal/experiments -run 'TestExecEquivalence/(microbench|attack)//policy-off' -count 1
 	go run ./cmd/runsim -builtin attack-jit -mech lazypoline -policy regions -trace=false -stats=false
 	go run ./cmd/runsim -builtin attack-seq -mech sud -policy sfip -trace=false -stats=false
 

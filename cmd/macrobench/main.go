@@ -37,11 +37,6 @@ func main() {
 	servers := flag.String("servers", "nginx,lighttpd", "server styles")
 	capFactor := flag.Float64("clientcap", 10, "client capacity as a multiple of the 1-worker baseline (0 disables)")
 	parallel := flag.Int("j", experiments.DefaultParallelism(), "sweep cells measured concurrently")
-	decodeCache := flag.Bool("decodecache", true, "run the simulated CPUs with the decoded-instruction cache (results are identical either way; false re-measures without it)")
-	tlb := flag.Bool("tlb", true, "run the simulated CPUs with the software D-TLB (results are identical either way; false re-measures without it)")
-	superblock := flag.Bool("superblock", true, "run the simulated CPUs with superblock execution (results are identical either way; false re-measures without it)")
-	chain := flag.Bool("chain", true, "run the simulated CPUs with block chaining (results are identical either way; false re-measures without it)")
-	traces := flag.Bool("traces", true, "run the simulated CPUs with hot-trace compilation and fused handlers (results are identical either way; false re-measures without them)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "deterministic fault-injection seed (see internal/chaos)")
 	chaosRate := flag.Float64("chaos-rate", 0, "fault-injection rate in [0,1]; 0 disables chaos entirely")
 	policyRegions := flag.Bool("policy-regions", false, "enforce the privilege-region syscall policy in every cell")
@@ -56,22 +51,17 @@ func main() {
 	// Costs is named rather than left zero (which selects the same model)
 	// so the snapshot header echoes the prices the cells ran under.
 	cfg := experiments.Figure5Config{
-		Costs:              kernel.DefaultCostModel(),
-		Requests:           *requests,
-		Connections:        *conns,
-		ClientCapFactor:    *capFactor,
-		Parallelism:        *parallel,
-		Mechanisms:         experiments.Figure5Mechanisms,
-		DisableDecodeCache: !*decodeCache,
-		DisableTLB:         !*tlb,
-		DisableSuperblocks: !*superblock,
-		DisableChaining:    !*chain,
-		DisableTraces:      !*traces,
-		ChaosSeed:          *chaosSeed,
-		ChaosRate:          *chaosRate,
-		PolicyRegions:      *policyRegions,
-		PolicySFIP:         *policySFIP,
-		RequestTraces:      *reqTrace,
+		Costs:           kernel.DefaultCostModel(),
+		Requests:        *requests,
+		Connections:     *conns,
+		ClientCapFactor: *capFactor,
+		Parallelism:     *parallel,
+		Mechanisms:      experiments.Figure5Mechanisms,
+		ChaosSeed:       *chaosSeed,
+		ChaosRate:       *chaosRate,
+		PolicyRegions:   *policyRegions,
+		PolicySFIP:      *policySFIP,
+		RequestTraces:   *reqTrace,
 	}
 	var err error
 	if cfg.FileSizes, err = parseInts(*sizes); err != nil {

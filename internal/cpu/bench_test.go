@@ -61,9 +61,9 @@ func BenchmarkStepMemoryOps(b *testing.B) {
 	}
 }
 
-// stepLoopCPU builds the register-only loop used to compare cached and
-// uncached execution.
-func stepLoopCPU(b *testing.B, cache bool) *CPU {
+// stepLoopCPU builds the register-only loop used to compare the fast and
+// reference engines.
+func stepLoopCPU(b *testing.B, mode ExecMode) *CPU {
 	b.Helper()
 	var e isa.Enc
 	e.MovImm64(isa.RCX, 1<<60)
@@ -77,22 +77,18 @@ func stepLoopCPU(b *testing.B, cache bool) *CPU {
 	if err := as.WriteAt(0x1000, e.Buf); err != nil {
 		b.Fatal(err)
 	}
-	c := New(as)
-	c.SetDecodeCache(cache)
+	c := NewExec(as, mode)
 	c.RIP = 0x1000
 	return c
 }
 
-// BenchmarkCPUStep measures per-Step cost with and without the decode
-// cache on the same loop; the ratio is the cache's speedup (the
+// BenchmarkCPUStep measures per-Step cost on the fast and reference
+// engines on the same loop; the ratio is the decode cache's speedup (the
 // acceptance bar is >= 1.5x, checked by cmd/cpubench).
 func BenchmarkCPUStep(b *testing.B) {
-	for _, tt := range []struct {
-		name  string
-		cache bool
-	}{{"cache", true}, {"nocache", false}} {
-		b.Run(tt.name, func(b *testing.B) {
-			c := stepLoopCPU(b, tt.cache)
+	for _, mode := range []ExecMode{ExecFast, ExecReference} {
+		b.Run(mode.String(), func(b *testing.B) {
+			c := stepLoopCPU(b, mode)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if ev := c.Step(); ev != EvNone {
@@ -108,7 +104,7 @@ func BenchmarkCPUStep(b *testing.B) {
 // an invalidating write.
 func BenchmarkDecodeCache(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
-		c := stepLoopCPU(b, true)
+		c := stepLoopCPU(b, ExecFast)
 		for i := 0; i < 8; i++ { // warm the blocks
 			c.Step()
 		}
@@ -118,7 +114,7 @@ func BenchmarkDecodeCache(b *testing.B) {
 		}
 	})
 	b.Run("revalidate", func(b *testing.B) {
-		c := stepLoopCPU(b, true)
+		c := stepLoopCPU(b, ExecFast)
 		// A second executable page mutated each iteration: every Step sees
 		// a changed mutation counter and must revalidate its block's pages.
 		if err := c.AS.MapFixed(0x9000, mem.PageSize, mem.ProtRWX); err != nil {
@@ -137,7 +133,7 @@ func BenchmarkDecodeCache(b *testing.B) {
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {
-		c := stepLoopCPU(b, true)
+		c := stepLoopCPU(b, ExecFast)
 		for i := 0; i < 8; i++ {
 			c.Step()
 		}

@@ -280,7 +280,9 @@ func TestSledWriteDropsBaseAndSuffix(t *testing.T) {
 	entry := uint64(codeBase + 100)
 	exec := func(cache bool) (*CPU, []*cachedBlock) {
 		c := load(t, e.Buf)
-		c.SetDecodeCache(cache)
+		if !cache {
+			c = cloneCPU(c)
+		}
 		// The second entry is served as a view of the first.
 		for _, pc := range []uint64{codeBase + 50, entry} {
 			c.RIP = pc

@@ -33,22 +33,11 @@ type ChainStats struct {
 	Transitions uint64
 }
 
-// SetChaining enables or disables block chaining. Chaining rides on
-// superblock execution; disabling superblocks or the decode cache makes
-// this toggle inert (see ChainingEnabled).
-func (c *CPU) SetChaining(on bool) { c.chaining = on }
-
-// ChainingEnabled reports whether chained block→block execution is
-// effective — the toggle is on AND the layers it depends on are live.
-func (c *CPU) ChainingEnabled() bool {
-	return c.chaining && c.SuperblocksEnabled()
-}
-
-// ChainStats returns a snapshot of the chaining counters, surviving
-// decode-cache toggles the same way DecodeCacheStats does.
+// ChainStats returns a snapshot of the chaining counters; zero on a
+// reference CPU.
 func (c *CPU) ChainStats() ChainStats {
 	if c.cache == nil {
-		return c.savedChainStats
+		return ChainStats{}
 	}
 	return c.cache.cstats
 }
@@ -132,9 +121,8 @@ func (b *cachedBlock) chainSucc(rip uint64) *cachedBlock {
 }
 
 // runChained is the superblock execution core: it retires instructions
-// from the current cached block and, when chaining is enabled, follows
-// successor links block→block without returning to the caller's
-// Step-based dispatch. It returns (event, done); done=false means the
+// from the current cached block and follows successor links block→block
+// without returning to the caller's Step-based dispatch. It returns (event, done); done=false means the
 // caller should fall back to one dispatched Step (miss, invalidation,
 // un-chained transfer) and re-enter if budget remains.
 //
@@ -207,10 +195,10 @@ func (c *CPU) runChained(max uint64, steps *uint64, pre *uint64) (Event, bool) {
 			}
 			mut = dc.as.CodeMutations()
 		}
-		if dc.curIdx < len(b.pcs) || !c.chaining {
+		if dc.curIdx < len(b.pcs) {
 			// Left the straight line early (taken branch with no chance to
-			// chain from here — the block isn't finished), or chaining off:
-			// let the dispatcher look the target up and plant the link.
+			// chain from here — the block isn't finished): let the
+			// dispatcher look the target up and plant the link.
 			break
 		}
 		// b finished. Try the chained successor for the live RIP.
@@ -238,7 +226,7 @@ func (c *CPU) runChained(max uint64, steps *uint64, pre *uint64) (Event, bool) {
 		// fused idiom handlers. Both bail to normal chained execution when
 		// preconditions fail, leaving (cur, curIdx) at the exact resume
 		// position.
-		if c.traces && c.Hook == nil {
+		if c.Hook == nil {
 			if ev, done := c.runSpecialized(b, max, steps, pre); done {
 				if *steps > entered {
 					c.SuperblockRuns++

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"lazypoline/internal/isa"
@@ -48,99 +47,37 @@ func selfLoopProgram(iters int64) []byte {
 	return e.Buf
 }
 
-// TestChainToggleCombinations: every {cache, superblock, chain, traces}
-// combination must (a) report effective state from the getters — a layer
-// is only "enabled" if everything it rides on is live — and (b) execute
-// identically to the everything-off reference.
-func TestChainToggleCombinations(t *testing.T) {
-	ref := load(t, chainedProgram())
-	ref.SetDecodeCache(false)
-	ref.SetSuperblocks(false)
-	ref.SetChaining(false)
-	ref.SetTraces(false)
+// TestChainedMatchesReference: the fast engine runs the chained program
+// through superblocks, chained blocks, a promoted trace and the fused
+// sled, and ends in the reference engine's state; the reference does none
+// of that work.
+func TestChainedMatchesReference(t *testing.T) {
+	ref := loadRef(t, chainedProgram())
 	if ev := run(t, ref, 50000); ev != EvSyscall {
 		t.Fatalf("ref event = %v (fault: %v)", ev, ref.FaultErr)
 	}
-	for i := 0; i < 16; i++ {
-		cache := i&1 != 0
-		superblock := i&2 != 0
-		chain := i&4 != 0
-		traces := i&8 != 0
-		name := fmt.Sprintf("cache=%v,superblock=%v,chain=%v,traces=%v", cache, superblock, chain, traces)
-		t.Run(name, func(t *testing.T) {
-			c := load(t, chainedProgram())
-			c.SetDecodeCache(cache)
-			c.SetSuperblocks(superblock)
-			c.SetChaining(chain)
-			c.SetTraces(traces)
-
-			if got := c.DecodeCacheEnabled(); got != cache {
-				t.Errorf("DecodeCacheEnabled() = %v, want %v", got, cache)
-			}
-			wantSB := superblock && cache
-			if got := c.SuperblocksEnabled(); got != wantSB {
-				t.Errorf("SuperblocksEnabled() = %v, want %v (effective state)", got, wantSB)
-			}
-			wantChain := chain && wantSB
-			if got := c.ChainingEnabled(); got != wantChain {
-				t.Errorf("ChainingEnabled() = %v, want %v (effective state)", got, wantChain)
-			}
-			wantTraces := traces && wantChain
-			if got := c.TracesEnabled(); got != wantTraces {
-				t.Errorf("TracesEnabled() = %v, want %v (effective state)", got, wantTraces)
-			}
-
-			if ev := runBlocks(t, c, 1<<20, 50000); ev != EvSyscall {
-				t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
-			}
-			if c.Cycles != ref.Cycles {
-				t.Errorf("cycles = %d, want %d", c.Cycles, ref.Cycles)
-			}
-			if c.Regs != ref.Regs {
-				t.Error("register files differ from reference")
-			}
-			// Counters must reflect effective state, not just the toggles.
-			cs := c.ChainStats()
-			if wantChain && cs.Transitions == 0 {
-				t.Error("chaining effective but zero chained transitions (vacuous)")
-			}
-			if !wantChain && cs != (ChainStats{}) {
-				t.Errorf("chaining ineffective but counters advanced: %+v", cs)
-			}
-			ts := c.TraceStats()
-			if wantTraces && ts.Promotions == 0 {
-				t.Error("traces effective but zero promotions (vacuous)")
-			}
-			if !wantTraces && ts != (TraceStats{}) {
-				t.Errorf("traces ineffective but counters advanced: %+v", ts)
-			}
-		})
-	}
-}
-
-// TestChainCountsWork: the full fast path on the chained program must
-// actually link blocks, follow chains, promote a trace, run it, and
-// retire NOPs through the fused sled handler.
-func TestChainCountsWork(t *testing.T) {
 	c := load(t, chainedProgram())
-	if ev := runBlocks(t, c, 1<<20, 100); ev != EvSyscall {
+	if ev := runBlocks(t, c, 1<<20, 50000); ev != EvSyscall {
 		t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
 	}
-	cs, ts := c.ChainStats(), c.TraceStats()
-	if cs.Links == 0 || cs.Transitions == 0 {
-		t.Errorf("chain did no work: %+v", cs)
+	if c.Cycles != ref.Cycles || c.Regs != ref.Regs {
+		t.Errorf("cycles %d, regs %v; reference %d, %v", c.Cycles, c.Regs, ref.Cycles, ref.Regs)
 	}
-	if ts.Promotions == 0 || ts.Runs == 0 || ts.Insts == 0 {
-		t.Errorf("traces did no work: %+v", ts)
+	if cs, ts := c.ChainStats(), c.TraceStats(); c.SuperblockRuns == 0 || c.SuperblockInsts == 0 ||
+		cs.Links == 0 || cs.Transitions == 0 || ts.Promotions == 0 || ts.Runs == 0 || ts.Insts == 0 || ts.FusedNopInsts == 0 {
+		t.Errorf("the fast engine did not batch, chain, trace and fuse the sled (vacuous): superblock runs %d insts %d, %+v %+v",
+			c.SuperblockRuns, c.SuperblockInsts, cs, ts)
 	}
-	if ts.FusedNopInsts == 0 {
-		t.Errorf("fused NOP sled did no work: %+v", ts)
+	if ref.DecodeCacheStats() != (DecodeCacheStats{}) || ref.TLBStats() != (TLBStats{}) ||
+		ref.ChainStats() != (ChainStats{}) || ref.TraceStats() != (TraceStats{}) || ref.SuperblockInsts != 0 {
+		t.Errorf("the reference engine used a fast-path tier: %+v %+v %+v %+v superblock insts %d",
+			ref.DecodeCacheStats(), ref.TLBStats(), ref.ChainStats(), ref.TraceStats(), ref.SuperblockInsts)
 	}
 }
 
 // TestSelfLoopRunsChained: a memcpy-shaped self-loop is no fused idiom;
 // it runs through the chained core, following its link to itself once per
-// iteration, and executes identically to the all-off reference.
+// iteration, and executes identically to the reference engine.
 func TestSelfLoopRunsChained(t *testing.T) {
 	const iters = 500
 	c := load(t, selfLoopProgram(iters))
@@ -155,9 +92,7 @@ func TestSelfLoopRunsChained(t *testing.T) {
 	if cs := c.ChainStats(); cs.Transitions < iters-3 {
 		t.Errorf("%d chained transitions for %d iterations", cs.Transitions, iters)
 	}
-	ref := load(t, selfLoopProgram(iters))
-	ref.SetDecodeCache(false)
-	ref.SetSuperblocks(false)
+	ref := loadRef(t, selfLoopProgram(iters))
 	if ev := run(t, ref, 50000); ev != EvSyscall {
 		t.Fatalf("ref event = %v", ev)
 	}
@@ -166,55 +101,26 @@ func TestSelfLoopRunsChained(t *testing.T) {
 	}
 }
 
-// TestStepBlockBoundaryAcrossChaining: sweeping the budget across a
-// multi-block program, every StepBlock call must report the identical
-// (event, steps, pre) triple and leave identical CPU state whether
-// chaining and traces are on or off — including the boundary case where
-// the block's final instruction raises its event exactly as steps
-// reaches max.
-func TestStepBlockBoundaryAcrossChaining(t *testing.T) {
-	type call struct {
-		ev     Event
-		steps  uint64
-		pre    uint64
-		cycles uint64
-		rip    uint64
-	}
-	exec := func(chain, traces bool, max uint64) []call {
-		c := load(t, chainedProgram())
-		c.SetChaining(chain)
-		c.SetTraces(traces)
-		var calls []call
-		for i := 0; i < 50000; i++ {
-			ev, steps, pre := c.StepBlock(max)
-			calls = append(calls, call{ev, steps, pre, c.Cycles, c.RIP})
-			if ev != EvNone {
-				if ev != EvSyscall {
-					t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
-				}
-				return calls
-			}
-		}
-		t.Fatal("no syscall")
-		return nil
-	}
+// TestStepBlockBoundaryMatchesStep: sweeping the budget across a
+// multi-block program, every StepBlock call must report the (event,
+// steps, pre) triple of StepBlock's contract spelled with Step on the
+// reference engine, and leave the same cycles and rip — including the
+// boundary case where the block's final instruction raises its event
+// exactly as steps reaches max.
+func TestStepBlockBoundaryMatchesStep(t *testing.T) {
 	for _, max := range []uint64{1, 2, 3, 5, 7, 8, 9, 64, 1 << 20} {
-		ref := exec(false, false, max)
-		for _, mode := range []struct {
-			name          string
-			chain, traces bool
-		}{
-			{"chain", true, false},
-			{"chain+traces", true, true},
-		} {
-			got := exec(mode.chain, mode.traces, max)
-			if len(got) != len(ref) {
-				t.Fatalf("max %d %s: %d StepBlock calls, want %d", max, mode.name, len(got), len(ref))
+		fast, ref := load(t, chainedProgram()), loadRef(t, chainedProgram())
+		for i := 0; ; i++ {
+			got, want := stepBlock(fast, max), stepOnly(ref, max)
+			if got != want || fast.Cycles != ref.Cycles || fast.RIP != ref.RIP {
+				t.Fatalf("max %d: call %d = %+v cycles %d rip %#x, want %+v cycles %d rip %#x",
+					max, i, got, fast.Cycles, fast.RIP, want, ref.Cycles, ref.RIP)
 			}
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("max %d %s: call %d = %+v, want %+v", max, mode.name, i, got[i], ref[i])
-				}
+			if got.ev == EvSyscall {
+				break
+			}
+			if got.ev != EvNone || i == 50000 {
+				t.Fatalf("max %d: event = %v after %d calls (fault: %v)", max, got.ev, i, fast.FaultErr)
 			}
 		}
 	}
@@ -223,35 +129,30 @@ func TestStepBlockBoundaryAcrossChaining(t *testing.T) {
 // TestStepBlockEventAtBudgetBoundary: when a chained block's final
 // instruction raises the event exactly as the budget is consumed, the
 // pre cycle-replay value must be the cycle count through the
-// second-to-last instruction, with chaining on and off.
+// second-to-last instruction.
 func TestStepBlockEventAtBudgetBoundary(t *testing.T) {
 	var e isa.Enc
 	e.AddImm(isa.RBX, 1)
 	e.Jmp(0) // force a chained transition right before the event block
 	e.AddImm(isa.RBX, 1)
 	e.Syscall()
-	for _, chain := range []bool{true, false} {
-		t.Run(fmt.Sprintf("chain=%v", chain), func(t *testing.T) {
-			c := load(t, e.Buf)
-			c.SetChaining(chain)
-			// Warm the cache and the chain link, then rerun the same code.
-			ev, steps, _ := c.StepBlock(100)
-			if ev != EvSyscall || steps != 4 {
-				t.Fatalf("warmup: ev = %v steps = %d", ev, steps)
-			}
-			warmCycles := c.Cycles
-			c.RIP = codeBase
-			ev, steps, pre := c.StepBlock(4) // event lands exactly on max
-			if ev != EvSyscall || steps != 4 {
-				t.Fatalf("ev = %v steps = %d, want syscall at exactly 4", ev, steps)
-			}
-			if want := warmCycles + 3; pre != want {
-				t.Errorf("pre-event cycles = %d, want %d", pre, want)
-			}
-			if want := warmCycles + 4; c.Cycles != want {
-				t.Errorf("cycles = %d, want %d", c.Cycles, want)
-			}
-		})
+	c := load(t, e.Buf)
+	// Warm the cache and the chain link, then rerun the same code.
+	ev, steps, _ := c.StepBlock(100)
+	if ev != EvSyscall || steps != 4 {
+		t.Fatalf("warmup: ev = %v steps = %d", ev, steps)
+	}
+	warmCycles := c.Cycles
+	c.RIP = codeBase
+	ev, steps, pre := c.StepBlock(4) // event lands exactly on max
+	if ev != EvSyscall || steps != 4 {
+		t.Fatalf("ev = %v steps = %d, want syscall at exactly 4", ev, steps)
+	}
+	if want := warmCycles + 3; pre != want {
+		t.Errorf("pre-event cycles = %d, want %d", pre, want)
+	}
+	if want := warmCycles + 4; c.Cycles != want {
+		t.Errorf("cycles = %d, want %d", c.Cycles, want)
 	}
 }
 
@@ -384,57 +285,6 @@ func TestSMCGuestStoreThroughChain(t *testing.T) {
 	// iterations 5-10 add 2.
 	if want := uint64(4 + 2*(iters-4)); c.Regs[isa.RSI] != want {
 		t.Errorf("rsi = %d, want %d (stale chained block after guest store)", c.Regs[isa.RSI], want)
-	}
-}
-
-// TestDecodeCacheStatsSurviveToggle pins the counter-lifetime semantics:
-// SetDecodeCache(false) then (true) must preserve the cumulative
-// DecodeCacheStats/ChainStats/TraceStats rather than silently zeroing
-// them mid-run, while a cache disabled from birth still reports zeros.
-func TestDecodeCacheStatsSurviveToggle(t *testing.T) {
-	c := load(t, chainedProgram())
-	var retired uint64
-	for retired < 600 {
-		ev, n, _ := c.StepBlock(600 - retired)
-		if ev != EvNone {
-			t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
-		}
-		retired += n
-	}
-	mid, midChain, midTrace := c.DecodeCacheStats(), c.ChainStats(), c.TraceStats()
-	if mid.Hits == 0 || midChain.Transitions == 0 {
-		t.Fatalf("warmup did no cached work: %+v %+v", mid, midChain)
-	}
-
-	c.SetDecodeCache(false)
-	if got := c.DecodeCacheStats(); got != mid {
-		t.Errorf("stats after disable = %+v, want preserved %+v", got, mid)
-	}
-	if got := c.ChainStats(); got != midChain {
-		t.Errorf("chain stats after disable = %+v, want preserved %+v", got, midChain)
-	}
-	if got := c.TraceStats(); got != midTrace {
-		t.Errorf("trace stats after disable = %+v, want preserved %+v", got, midTrace)
-	}
-
-	// Uncached execution must not advance the preserved counters.
-	if ev, _, _ := c.StepBlock(60); ev != EvNone {
-		t.Fatalf("uncached stretch hit event %v", ev)
-	}
-	if got := c.DecodeCacheStats(); got != mid {
-		t.Errorf("stats advanced while disabled: %+v vs %+v", got, mid)
-	}
-
-	c.SetDecodeCache(true)
-	if ev := runBlocks(t, c, 1<<20, 100); ev != EvSyscall {
-		t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
-	}
-	fin := c.DecodeCacheStats()
-	if fin.Hits <= mid.Hits || fin.Builds < mid.Builds {
-		t.Errorf("re-enabled stats did not continue from preserved values: %+v vs %+v", fin, mid)
-	}
-	if got := c.ChainStats(); got.Transitions < midChain.Transitions {
-		t.Errorf("chain stats restarted: %+v vs %+v", got, midChain)
 	}
 }
 

@@ -182,38 +182,50 @@ type CPU struct {
 	SuperblockRuns  uint64
 	SuperblockInsts uint64
 
-	nopAccum   uint64
-	fetchBuf   [16]byte
-	cache      *decodeCache
-	tlb        *dtlb
-	superblock bool
-	chaining   bool
-	traces     bool
-
-	// savedCacheStats/savedChainStats/savedTraceStats hold the cumulative
-	// counters across SetDecodeCache(false)/(true) toggles, so a mid-run
-	// toggle cannot silently zero a harness's per-cell stats.
-	savedCacheStats DecodeCacheStats
-	savedChainStats ChainStats
-	savedTraceStats TraceStats
+	nopAccum uint64
+	fetchBuf [16]byte
+	// cache and tlb are the fast engine's decode cache and D-TLB; both
+	// are nil on a reference CPU (NewExec).
+	cache *decodeCache
+	tlb   *dtlb
 }
 
-// New returns a CPU bound to an address space with default costs. The
-// whole execution fast path is enabled — decoded-instruction cache,
-// software D-TLB, superblock execution, block chaining and hot traces;
-// SetDecodeCache(false), SetTLB(false), SetSuperblocks(false),
-// SetChaining(false) and SetTraces(false) turn the layers off
-// individually.
-func New(as *mem.AddressSpace) *CPU {
-	return &CPU{
-		AS:         as,
-		Costs:      DefaultCosts(),
-		cache:      newDecodeCache(as),
-		tlb:        newDTLB(as),
-		superblock: true,
-		chaining:   true,
-		traces:     true,
+// ExecMode selects a CPU's execution engine. It is chosen once, when the
+// CPU is built, and the two engines are semantically identical: events,
+// faults, guest memory and cycle counts match instruction for instruction.
+type ExecMode uint8
+
+const (
+	// ExecFast is the default engine: the decode cache, the software
+	// D-TLB, chained blocks, hot traces and the fused NOP-sled, countdown
+	// and stack-run handlers.
+	ExecFast ExecMode = iota
+	// ExecReference is Step alone: every instruction is fetched and
+	// decoded from guest memory, and every data access takes the address
+	// space's locked path. It is the oracle the fast engine is checked
+	// against.
+	ExecReference
+)
+
+func (m ExecMode) String() string {
+	if m == ExecReference {
+		return "reference"
 	}
+	return "fast"
+}
+
+// New returns a CPU bound to an address space with default costs, running
+// the fast engine.
+func New(as *mem.AddressSpace) *CPU { return NewExec(as, ExecFast) }
+
+// NewExec returns a CPU bound to an address space with default costs,
+// running the given engine.
+func NewExec(as *mem.AddressSpace, mode ExecMode) *CPU {
+	c := &CPU{AS: as, Costs: DefaultCosts()}
+	if mode == ExecFast {
+		c.cache, c.tlb = newDecodeCache(as), newDTLB(as)
+	}
+	return c
 }
 
 // CloneState copies the register state (not the address space binding or
@@ -288,8 +300,8 @@ func (c *CPU) Step() Event {
 }
 
 // stepUncached fetches, decodes and executes the instruction at pc when
-// no valid cached block covers it (cache disabled, or bytes that do not
-// decode into at least one instruction).
+// no valid cached block covers it (the reference engine, or bytes that do
+// not decode into at least one instruction).
 func (c *CPU) stepUncached(pc uint64) Event {
 	// Uncached fetch: one locked walk computes how many executable
 	// bytes are available at pc (the tail of a mapping may hold fewer

@@ -41,6 +41,12 @@ func load(t *testing.T, code []byte) *CPU {
 	return c
 }
 
+// loadRef is load on the reference engine.
+func loadRef(t *testing.T, code []byte) *CPU {
+	t.Helper()
+	return cloneCPU(load(t, code))
+}
+
 // run steps until a non-EvNone event or the step limit.
 func run(t *testing.T, c *CPU, limit int) Event {
 	t.Helper()

@@ -82,11 +82,9 @@ type predLink struct {
 	slot int
 }
 
-// DecodeCacheStats counts decode-cache activity, exposed for tests and the
-// cpubench tool. Counters are cumulative for the CPU's lifetime: toggling
-// the cache off and back on (SetDecodeCache) preserves them, so long-run
-// harnesses that re-measure cold-start behaviour mid-run cannot
-// under-report (the macrobench per-cell stats rely on this).
+// DecodeCacheStats counts decode-cache activity, exposed for tests, the
+// telemetry layer and the cpubench tool. Counters are cumulative for the
+// CPU's lifetime.
 type DecodeCacheStats struct {
 	// Hits are Steps served from a cached block.
 	Hits uint64
@@ -150,55 +148,18 @@ func newDecodeCache(as *mem.AddressSpace) *decodeCache {
 	return &decodeCache{as: as, blocks: make(map[uint64]*cachedBlock)}
 }
 
-// SetDecodeCache enables or disables the decoded-instruction cache. The
-// cache is semantically invisible — events, traces, faults and cycle
-// counts are identical either way — so disabling it is only useful for
-// differential testing and for measuring the cache itself.
-//
-// Counter lifetimes: disabling stashes the cache's cumulative counters
-// and re-enabling restores them, so DecodeCacheStats / ChainStats /
-// TraceStats report per-CPU totals across toggles rather than silently
-// restarting from zero mid-run.
-func (c *CPU) SetDecodeCache(on bool) {
-	switch {
-	case on && c.cache == nil:
-		dc := newDecodeCache(c.AS)
-		dc.stats = c.savedCacheStats
-		dc.cstats = c.savedChainStats
-		dc.tstats = c.savedTraceStats
-		c.cache = dc
-	case !on && c.cache != nil:
-		c.savedCacheStats = c.cache.stats
-		c.savedChainStats = c.cache.cstats
-		c.savedTraceStats = c.cache.tstats
-		c.cache = nil
-	}
-}
-
-// DecodeCacheEnabled reports whether the decoded-instruction cache is on.
-func (c *CPU) DecodeCacheEnabled() bool { return c.cache != nil }
-
-// InvalidateDecodeCache discards every cached block. Correctness never
-// requires calling it — generation validation catches every code
-// mutation — but it is useful to re-measure cold-start behaviour.
-func (c *CPU) InvalidateDecodeCache() {
-	if c.cache != nil {
-		c.cache.reset(c.AS)
-	}
-}
-
-// DecodeCacheStats returns a snapshot of the cache counters. With the
-// cache toggled off it returns the totals accumulated up to the toggle.
+// DecodeCacheStats returns a snapshot of the cache counters; zero on a
+// reference CPU.
 func (c *CPU) DecodeCacheStats() DecodeCacheStats {
 	if c.cache == nil {
-		return c.savedCacheStats
+		return DecodeCacheStats{}
 	}
 	return c.cache.stats
 }
 
 // cachedInst returns the decoded instruction at pc if a validated cached
 // block covers it, building a new block on miss. nil means the caller
-// must use the uncached fetch+decode path (cache disabled, or the bytes
+// must use the uncached fetch+decode path (a reference CPU, or the bytes
 // at pc do not decode into at least one instruction).
 func (c *CPU) cachedInst(pc uint64) *isa.Inst {
 	dc := c.cache
@@ -226,10 +187,8 @@ func (c *CPU) cachedInst(pc uint64) *isa.Inst {
 	// just transferred control to pc (if the previous position was
 	// exactly a completed block).
 	var prev *cachedBlock
-	if c.chaining && c.superblock {
-		if p := dc.cur; p != nil && !p.dropped && dc.curIdx == len(p.pcs) {
-			prev = p
-		}
+	if p := dc.cur; p != nil && !p.dropped && dc.curIdx == len(p.pcs) {
+		prev = p
 	}
 	// Control-transfer hit: pc is the entry of a cached block.
 	if b := dc.blocks[pc]; b != nil {

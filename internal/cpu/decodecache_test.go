@@ -56,10 +56,12 @@ func smcProgram(t *testing.T) []byte {
 }
 
 func TestSelfModifyingCodeDirectStore(t *testing.T) {
-	for _, cache := range []bool{true, false} {
-		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
+	for _, mode := range []ExecMode{ExecFast, ExecReference} {
+		t.Run(mode.String(), func(t *testing.T) {
 			c := loadProt(t, smcProgram(t), mem.ProtRWX)
-			c.SetDecodeCache(cache)
+			if mode == ExecReference {
+				c = cloneCPU(c)
+			}
 			if ev := run(t, c, 100); ev != EvHlt {
 				t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
 			}
@@ -261,9 +263,7 @@ func TestDecodeCacheInvisible(t *testing.T) {
 		regs   [isa.NumRegs]uint64
 		stats  DecodeCacheStats
 	}
-	exec := func(cache bool) result {
-		c := load(t, build())
-		c.SetDecodeCache(cache)
+	exec := func(c *CPU) result {
 		var r result
 		c.Hook = func(pc uint64, in isa.Inst) {
 			r.trace = append(r.trace, fmt.Sprintf("%#x %s", pc, in))
@@ -274,7 +274,7 @@ func TestDecodeCacheInvisible(t *testing.T) {
 		r.cycles, r.regs, r.stats = c.Cycles, c.Regs, c.DecodeCacheStats()
 		return r
 	}
-	on, off := exec(true), exec(false)
+	on, off := exec(load(t, build())), exec(loadRef(t, build()))
 	if len(on.trace) != len(off.trace) {
 		t.Fatalf("trace lengths differ: %d cached vs %d uncached", len(on.trace), len(off.trace))
 	}
@@ -293,7 +293,7 @@ func TestDecodeCacheInvisible(t *testing.T) {
 		t.Errorf("cache did no work: %+v", on.stats)
 	}
 	if off.stats != (DecodeCacheStats{}) {
-		t.Errorf("disabled cache reported activity: %+v", off.stats)
+		t.Errorf("reference engine reported cache activity: %+v", off.stats)
 	}
 }
 
@@ -336,8 +336,8 @@ func TestUncachedTailFetchFaultAddress(t *testing.T) {
 	// A mov64 whose encoding runs off the end of the last executable page
 	// must fault as an exec page fault at the first unfetchable byte —
 	// not as an illegal instruction at pc, and not at a retried width.
-	for _, cache := range []bool{true, false} {
-		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
+	for _, mode := range []ExecMode{ExecFast, ExecReference} {
+		t.Run(mode.String(), func(t *testing.T) {
 			as := mem.NewAddressSpace()
 			if err := as.MapFixed(0x1000, mem.PageSize, mem.ProtRX); err != nil {
 				t.Fatal(err)
@@ -348,8 +348,7 @@ func TestUncachedTailFetchFaultAddress(t *testing.T) {
 			if err := as.WriteForce(start, e.Buf[:6]); err != nil {
 				t.Fatal(err)
 			}
-			c := New(as)
-			c.SetDecodeCache(cache)
+			c := NewExec(as, mode)
 			c.RIP = start
 			if ev := c.Step(); ev != EvFault {
 				t.Fatalf("event = %v, want fault", ev)

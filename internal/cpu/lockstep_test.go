@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"slices"
+	"testing"
 
 	"lazypoline/internal/isa"
 	"lazypoline/internal/mem"
@@ -82,7 +83,7 @@ func lockstep(ref, fast *CPU, run func(*CPU, uint64) stepCall, budgets []uint64)
 // whose links are not planted) the segment is a single instruction.
 func nextSegment(c *CPU, left uint64) uint64 {
 	dc := c.cache
-	if dc == nil || !c.superblock {
+	if dc == nil {
 		return 1
 	}
 	b, i := dc.cur, dc.curIdx
@@ -114,10 +115,10 @@ func nextSegment(c *CPU, left uint64) uint64 {
 	return min(max(n+unit, 1), left)
 }
 
-// cloneCPU copies c's architectural state onto a fresh CPU over a copy of
-// its address space.
+// cloneCPU copies c's architectural state onto a fresh reference-engine
+// CPU over a copy of its address space.
 func cloneCPU(c *CPU) *CPU {
-	d := New(c.AS.Clone())
+	d := NewExec(c.AS.Clone(), ExecReference)
 	d.CloneState(c)
 	d.Costs, d.Cycles, d.NopBatches, d.nopAccum, d.FaultErr = c.Costs, c.Cycles, c.NopBatches, c.nopAccum, c.FaultErr
 	return d
@@ -304,4 +305,170 @@ func disasm(as *mem.AddressSpace, pc uint64) string {
 		return fmt.Sprintf("undecodable % x", buf[:n])
 	}
 	return in.String()
+}
+
+// TestLockstepNamesBrokenEngine: each way the fast engine has been wrong
+// before, reproduced by a run that breaks it on purpose, is reported at
+// the first instruction whose effect differs from the reference.
+func TestLockstepNamesBrokenEngine(t *testing.T) {
+	// sledLoop is `top: nop*16 ; addi rcx,-1 ; jnz top ; hlt`: from its
+	// second pass the sled is a chained block head the fused handler runs.
+	sledLoop := func() []byte {
+		var e isa.Enc
+		e.Nop(16)
+		e.AddImm(isa.RCX, -1)
+		e.Jnz(-(16 + 6 + 5))
+		e.Hlt()
+		return e.Buf
+	}
+	// storeTwice stores rbx at [rax] and [rax+8] and halts.
+	storeTwice := func() []byte {
+		var e isa.Enc
+		e.MovImm64(isa.RAX, stackBase)
+		e.MovImm64(isa.RBX, 7)
+		e.Store(isa.RAX, 0, isa.RBX)
+		e.Store(isa.RAX, 8, isa.RBX)
+		e.Hlt()
+		return e.Buf
+	}
+	// fused wraps StepBlock: after a call in which the fused counter grew,
+	// bug corrupts what the handler left behind, given the call's result
+	// and the rsp it started with.
+	fused := func(counter func(TraceStats) uint64, bug func(c *CPU, r *stepCall, sp uint64)) func(*CPU, uint64) stepCall {
+		return func(c *CPU, max uint64) stepCall {
+			sp, before := c.Regs[isa.RSP], counter(c.TraceStats())
+			r := stepBlock(c, max)
+			if counter(c.TraceStats()) > before {
+				bug(c, &r, sp)
+			}
+			return r
+		}
+	}
+	stackRuns := func(s TraceStats) uint64 { return s.FusedStackInsts }
+	pushRun := func(t *testing.T) *CPU { c := load(t, pushRunProgram()); seedRegs(c); return c }
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T) *CPU
+		run   func(*CPU, uint64) stepCall
+		index uint64
+		pc    uint64
+		inst  string
+		field string
+	}{
+		{
+			// The stack-run handler stores the eight pushes in reverse: slot
+			// i gets the value of push 7-i. Four NOPs, then the first push
+			// (rax), which the reference stores at the top slot.
+			name:  "reversed push order",
+			setup: pushRun,
+			run: fused(stackRuns, func(c *CPU, _ *stepCall, sp uint64) {
+				var slots [8 * 8]byte
+				if err := c.AS.ReadAt(sp-64, slots[:]); err != nil {
+					panic(err)
+				}
+				for i := 0; i < 4; i++ {
+					a, b := slots[8*i:8*i+8], slots[8*(7-i):8*(7-i)+8]
+					for k := range a {
+						a[k], b[k] = b[k], a[k]
+					}
+				}
+				if err := c.AS.WriteAt(sp-64, slots[:]); err != nil {
+					panic(err)
+				}
+			}),
+			index: 4, pc: codeBase + 4, inst: "push rax", field: fmt.Sprintf("mem[%#x]", stackBase+stackSize-8),
+		},
+		{
+			// The stack-run handler's pre is off by one: reported at the
+			// run's last push (r9).
+			name:  "pre off by one",
+			setup: pushRun,
+			run:   fused(stackRuns, func(c *CPU, r *stepCall, _ uint64) { r.pre -= c.Costs.Insn }),
+			index: 11, pc: codeBase + 4 + 14, inst: "push r9", field: "pre",
+		},
+		{
+			// The sled handler charges one batch too many.
+			name:  "miscounted NOP batch",
+			setup: func(t *testing.T) *CPU { c := load(t, sledLoop()); c.Regs[isa.RCX] = 5; return c },
+			run: fused(func(s TraceStats) uint64 { return s.FusedNopInsts }, func(c *CPU, _ *stepCall, _ uint64) {
+				c.NopBatches++
+				c.Cycles += c.Costs.Insn
+			}),
+			// A pass is 18 instructions and the sled first runs fused on the
+			// third; its sixteenth NOP completes the batch the handler
+			// miscounts.
+			index: 2*18 + 15, pc: codeBase + 15, inst: "nop", field: "nop_batches",
+		},
+		{
+			// The D-TLB keeps serving a write-capable entry for a page made
+			// read-only after the entry was filled.
+			name: "stale D-TLB entry after mprotect",
+			setup: func(t *testing.T) *CPU {
+				c := load(t, storeTwice())
+				c.StepBlock(3) // through the first store: the entry is filled
+				if err := c.AS.Protect(stackBase, mem.PageSize, mem.ProtRead); err != nil {
+					t.Fatal(err)
+				}
+				return c
+			},
+			run: func(c *CPU, max uint64) stepCall {
+				for i := range c.tlb.entries {
+					if e := &c.tlb.entries[i]; e.h.Data != nil {
+						fresh, _ := c.AS.PageForAccess(e.pn)
+						e.h.Gen = fresh.Gen
+					}
+				}
+				return stepBlock(c, max)
+			},
+			// The store the reference faults on is the first instruction
+			// Lockstep runs.
+			index: 0, pc: codeBase + 26, inst: "store rax, [rbx+8]", field: "event",
+		},
+		{
+			// The decode cache misses the guest's store into its own code:
+			// every cached block is taken as current.
+			name:  "missed SMC invalidation",
+			setup: func(t *testing.T) *CPU { return loadProt(t, smcProgram(t), mem.ProtRWX) },
+			run: func(c *CPU, max uint64) stepCall {
+				for _, b := range c.cache.blocks {
+					b.mut = c.AS.CodeMutations()
+				}
+				return stepBlock(c, max)
+			},
+			// The first pass is ten instructions; the second starts by
+			// executing the stale decode of the rewritten target.
+			index: 10, pc: codeBase, inst: "mov64 rdi, 2", field: "rdi",
+		},
+		{
+			// The countdown's closed form, stopped by the budget mid-loop,
+			// leaves the counter one too low.
+			name: "off-by-one countdown",
+			setup: func(t *testing.T) *CPU {
+				c := load(t, countdownProgram(3))
+				c.Regs[isa.R8], c.Regs[isa.R9] = 1, 900
+				return c
+			},
+			run: fused(func(s TraceStats) uint64 { return s.FusedLoopIters }, func(c *CPU, _ *stepCall, _ uint64) {
+				if c.RIP >= loopAddr && c.RIP < tailAddr {
+					c.Regs[isa.R8]--
+				}
+			}),
+			// The budget ends on an addi, the counter's last writer.
+			index: 1<<10 - 1, pc: loopAddr, inst: "addi r8, -1", field: "r8",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if sound := tc.setup(t); Lockstep(cloneCPU(sound), sound, 1<<10) != nil {
+				t.Fatal("the unbroken engine diverges")
+			}
+			fast := tc.setup(t)
+			d := lockstep(cloneCPU(fast), fast, tc.run, []uint64{1 << 10})
+			if d == nil {
+				t.Fatal("the broken engine went unnoticed")
+			}
+			if d.Index != tc.index || d.PC != tc.pc || d.Inst != tc.inst || d.Field != tc.field {
+				t.Errorf("reported %v\nwant instruction #%d at %#x (%s), field %s", d, tc.index, tc.pc, tc.inst, tc.field)
+			}
+		})
+	}
 }

@@ -220,7 +220,6 @@ func TestLockstepSharedBlocksSelfModifying(t *testing.T) {
 		t.Run(fmt.Sprint(budgets), func(t *testing.T) {
 			fast := frameCPU(t, frames, prots...)
 			ref := cloneCPU(fast)
-			ref.SetDecodeCache(false)
 			if d := Lockstep(ref, fast, budgets...); d != nil {
 				t.Fatal(d)
 			}

@@ -67,14 +67,14 @@ func findStackRun(insts []isa.Inst, from int) stackRun {
 // the bytes it touches, leaving every piece of state as len(ins) trips
 // through execInst would; DESIGN.md §11 argues each one. It returns false
 // with nothing retired — the caller then executes the run per
-// instruction — when fused handlers are off or a hook is attached, when
-// the whole run does not fit the remaining budget, or when the span is
-// not one page the fast path may access (TLB off, page crossing,
-// unmapped, protection or pkey denied, or a store to an executable page).
+// instruction — when a hook is attached, when the whole run does not fit
+// the remaining budget, or when the span is not one page the fast path
+// may access (page crossing, unmapped, protection or pkey denied, or a
+// store to an executable page).
 // The caller advances its own position in the block or trace.
 func (c *CPU) runStack(pcs []uint64, ins []isa.Inst, max uint64, steps, pre *uint64) bool {
 	n := uint64(len(ins))
-	if !c.traces || !c.chaining || c.Hook != nil || *steps+n > max {
+	if c.Hook != nil || *steps+n > max {
 		return false
 	}
 	sp := c.Regs[isa.RSP]

@@ -89,15 +89,19 @@ func TestLockstepFusedHandlers(t *testing.T) {
 }
 
 // TestStackRunHostCounters: a stack run moves no host counter but its
-// own and the D-TLB's. With the TLB off every run falls back, and the
-// decode-cache, superblock, chain and trace counters — runs inside traces
-// included — come out the same; with a hook attached nothing fuses and
-// the hook sees every instruction.
+// own and the D-TLB's. With rsp placed so that every run straddles a page
+// boundary every run falls back, and the decode-cache, superblock, chain
+// and trace counters — runs inside traces included — come out the same;
+// with a hook attached nothing fuses and the hook sees every instruction.
 func TestStackRunHostCounters(t *testing.T) {
-	run := func(tlb bool, hook InsnHook) (*CPU, uint64) {
+	run := func(straddle bool, hook InsnHook) (*CPU, uint64) {
 		c := load(t, stubShapedProgram(100))
 		seedRegs(c)
-		c.SetTLB(tlb)
+		if straddle {
+			// The pushes span [rsp-120, rsp), the reloads and pops the same
+			// bytes after them: all across the page boundary 56 bytes down.
+			c.Regs[isa.RSP] = stackBase + stackSize - mem.PageSize + 56
+		}
 		c.Hook = hook
 		var retired uint64
 		for ev := EvNone; ev == EvNone; {
@@ -107,13 +111,13 @@ func TestStackRunHostCounters(t *testing.T) {
 		}
 		return c, retired
 	}
-	fused, retired := run(true, nil)
-	plain, _ := run(false, nil)
+	fused, retired := run(false, nil)
+	plain, _ := run(true, nil)
 	if fused.TraceStats().FusedStackInsts == 0 || fused.TraceStats().Insts == 0 {
 		t.Fatalf("no stack run or no trace ran (vacuous): %+v", fused.TraceStats())
 	}
 	if plain.TraceStats().FusedStackInsts != 0 {
-		t.Errorf("%d stack-run instructions fused with the TLB off", plain.TraceStats().FusedStackInsts)
+		t.Errorf("%d stack-run instructions fused across a page boundary", plain.TraceStats().FusedStackInsts)
 	}
 	ft, pt := fused.TraceStats(), plain.TraceStats()
 	ft.FusedStackInsts, pt.FusedStackInsts = 0, 0
@@ -122,7 +126,7 @@ func TestStackRunHostCounters(t *testing.T) {
 			hostOf(fused), ft, fused.ChainStats(), hostOf(plain), pt, plain.ChainStats())
 	}
 	seen := uint64(0)
-	hooked, _ := run(true, func(uint64, isa.Inst) { seen++ })
+	hooked, _ := run(false, func(uint64, isa.Inst) { seen++ })
 	if n := hooked.TraceStats().FusedStackInsts; n != 0 || seen != retired {
 		t.Errorf("with a hook: %d fused, hook saw %d of %d instructions", n, seen, retired)
 	}
@@ -130,7 +134,7 @@ func TestStackRunHostCounters(t *testing.T) {
 
 // pushRunProgram is four NOPs and a run of eight pushes ending a block: a
 // lockstep boundary falls right behind the run, so StepBlock's pre there
-// is the run's own.
+// is the run's own (TestLockstepNamesBrokenEngine).
 func pushRunProgram() []byte {
 	var e isa.Enc
 	e.Nop(4)
@@ -140,70 +144,6 @@ func pushRunProgram() []byte {
 	e.Jmp(0)
 	e.Hlt()
 	return e.Buf
-}
-
-// TestLockstepNamesBrokenStackRun: a stack-run handler that gets one thing
-// wrong is reported at the first instruction whose effect it got wrong —
-// the first push for a reversed store order, the run's last push for a
-// pre off by one — not at the end of the stretch it ran in.
-func TestLockstepNamesBrokenStackRun(t *testing.T) {
-	const runPC = codeBase + 4
-	// brokenRuns wraps StepBlock: after a call that retired a push run, it
-	// applies the bug to what the run left behind.
-	brokenRuns := func(bug func(c *CPU, r *stepCall, sp uint64)) func(*CPU, uint64) stepCall {
-		return func(c *CPU, max uint64) stepCall {
-			sp, fused := c.Regs[isa.RSP], c.TraceStats().FusedStackInsts
-			r := stepBlock(c, max)
-			if c.TraceStats().FusedStackInsts > fused {
-				bug(c, &r, sp)
-			}
-			return r
-		}
-	}
-	reversed := brokenRuns(func(c *CPU, _ *stepCall, sp uint64) {
-		// Store the eight registers in reverse: slot i gets the value of
-		// push 7-i.
-		var slots [8 * 8]byte
-		if err := c.AS.ReadAt(sp-64, slots[:]); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 4; i++ {
-			a, b := slots[8*i:8*i+8], slots[8*(7-i):8*(7-i)+8]
-			for k := range a {
-				a[k], b[k] = b[k], a[k]
-			}
-		}
-		if err := c.AS.WriteAt(sp-64, slots[:]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	preOffByOne := brokenRuns(func(c *CPU, r *stepCall, _ uint64) { r.pre -= c.Costs.Insn })
-
-	for _, tc := range []struct {
-		name  string
-		run   func(*CPU, uint64) stepCall
-		index uint64
-		pc    uint64
-		inst  string
-		field string
-	}{
-		// Four NOPs, then the first push (rax), which the reference stores
-		// at the top slot; the eighth push (r9) is the run's last.
-		{"reversed push order", reversed, 4, runPC, "push rax", fmt.Sprintf("mem[%#x]", stackBase+stackSize-8)},
-		{"pre off by one", preOffByOne, 11, runPC + 14, "push r9", "pre"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fast := load(t, pushRunProgram())
-			seedRegs(fast)
-			d := lockstep(cloneCPU(fast), fast, tc.run, []uint64{100})
-			if d == nil {
-				t.Fatal("the broken handler went unnoticed")
-			}
-			if d.Index != tc.index || d.PC != tc.pc || d.Inst != tc.inst || d.Field != tc.field {
-				t.Errorf("reported %v\nwant instruction #%d at %#x (%s), field %s", d, tc.index, tc.pc, tc.inst, tc.field)
-			}
-		})
-	}
 }
 
 // Stack-run fuzz layout: three stack pages; the middle one takes the

@@ -146,60 +146,35 @@ func TestStepBlockSelfModifyingCode(t *testing.T) {
 	}
 }
 
-// TestStepBlockDisabledFallsBack: with superblocks (or the decode cache)
-// off, StepBlock degrades to single-instruction batches with identical
-// results, and the superblock counters stay untouched.
-func TestStepBlockDisabledFallsBack(t *testing.T) {
-	for _, mode := range []struct {
-		name              string
-		cache, superblock bool
-	}{
-		{"no-superblock", true, false},
-		{"no-cache", false, true},
-		{"neither", false, false},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			c := load(t, mixedProgram())
-			c.SetDecodeCache(mode.cache)
-			c.SetSuperblocks(mode.superblock)
-			ref := load(t, mixedProgram())
-			if ev := run(t, ref, 5000); ev != EvSyscall {
-				t.Fatalf("ref event = %v", ev)
-			}
-			for i := 0; i < 5000; i++ {
-				ev, steps, _ := c.StepBlock(20000)
-				if ev == EvSyscall {
-					break
-				}
-				if ev != EvNone {
-					t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
-				}
-				if (!mode.cache || !mode.superblock) && steps != 1 {
-					t.Fatalf("fallback batch retired %d instructions, want 1", steps)
-				}
-			}
-			if c.Cycles != ref.Cycles {
-				t.Errorf("cycles = %d, want %d", c.Cycles, ref.Cycles)
-			}
-			if c.Regs != ref.Regs {
-				t.Error("register files differ")
-			}
-			if c.SuperblockInsts != 0 || c.SuperblockRuns != 0 {
-				t.Errorf("superblock counters advanced while disabled: runs=%d insts=%d",
-					c.SuperblockRuns, c.SuperblockInsts)
-			}
-		})
+// TestStepBlockReferenceSingleSteps: on the reference engine StepBlock
+// is one Step per call, with the fast engine's results and the
+// superblock counters untouched.
+func TestStepBlockReferenceSingleSteps(t *testing.T) {
+	c := loadRef(t, mixedProgram())
+	ref := load(t, mixedProgram())
+	if ev := run(t, ref, 5000); ev != EvSyscall {
+		t.Fatalf("ref event = %v", ev)
 	}
-}
-
-// TestStepBlockCountsWork: a hot loop must actually execute inside the
-// tight loop (the speedup claim is vacuous otherwise).
-func TestStepBlockCountsWork(t *testing.T) {
-	c := load(t, mixedProgram())
-	if ev := runBlocks(t, c, 20000, 100); ev != EvSyscall {
-		t.Fatalf("event = %v", ev)
+	for i := 0; i < 5000; i++ {
+		ev, steps, _ := c.StepBlock(20000)
+		if ev == EvSyscall {
+			break
+		}
+		if ev != EvNone {
+			t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
+		}
+		if steps != 1 {
+			t.Fatalf("reference batch retired %d instructions, want 1", steps)
+		}
 	}
-	if c.SuperblockInsts == 0 || c.SuperblockRuns == 0 {
-		t.Errorf("superblock did no work: runs=%d insts=%d", c.SuperblockRuns, c.SuperblockInsts)
+	if c.Cycles != ref.Cycles {
+		t.Errorf("cycles = %d, want %d", c.Cycles, ref.Cycles)
+	}
+	if c.Regs != ref.Regs {
+		t.Error("register files differ")
+	}
+	if c.SuperblockInsts != 0 || c.SuperblockRuns != 0 {
+		t.Errorf("superblock counters advanced on the reference engine: runs=%d insts=%d",
+			c.SuperblockRuns, c.SuperblockInsts)
 	}
 }

@@ -50,37 +50,13 @@ func newDTLB(as *mem.AddressSpace) *dtlb {
 	return &dtlb{as: as}
 }
 
-// SetTLB enables or disables the software D-TLB. Like the decode cache it
-// is semantically invisible — faults, traces and cycle counts are
-// identical either way — so disabling it only exists for differential
-// testing and for measuring the TLB itself.
-func (c *CPU) SetTLB(on bool) {
-	switch {
-	case on && c.tlb == nil:
-		c.tlb = newDTLB(c.AS)
-	case !on:
-		c.tlb = nil
-	}
-}
-
-// TLBEnabled reports whether the software D-TLB is on.
-func (c *CPU) TLBEnabled() bool { return c.tlb != nil }
-
-// TLBStats returns a snapshot of the TLB counters.
+// TLBStats returns a snapshot of the TLB counters; zero on a reference
+// CPU.
 func (c *CPU) TLBStats() TLBStats {
 	if c.tlb == nil {
 		return TLBStats{}
 	}
 	return c.tlb.stats
-}
-
-// FlushTLB drops every entry. Correctness never requires calling it —
-// generation validation catches every mutation — but it is useful to
-// re-measure cold-start behaviour.
-func (c *CPU) FlushTLB() {
-	if c.tlb != nil {
-		c.tlb.reset(c.AS)
-	}
 }
 
 func (d *dtlb) reset(as *mem.AddressSpace) {
@@ -91,10 +67,10 @@ func (d *dtlb) reset(as *mem.AddressSpace) {
 
 // lookup returns a handle for an n-byte data access at addr that lies
 // entirely within one page, or nil when the caller must take the locked
-// slow path (TLB off, page-crossing access, unmapped page, insufficient
-// protection, pkey denial, or a write to an executable page). The slow
-// path re-derives any fault with its proper address and accounting, so
-// lookup never needs to construct one.
+// slow path (a reference CPU, page-crossing access, unmapped page,
+// insufficient protection, pkey denial, or a write to an executable
+// page). The slow path re-derives any fault with its proper address and
+// accounting, so lookup never needs to construct one.
 //
 // priv selects the kernel-privileged rules of AS.ReadForce/WriteForce:
 // protection bits and protection keys are ignored, but a PROT_NONE page

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"lazypoline/internal/isa"
@@ -22,9 +21,9 @@ func storeLoadProgram(val int64) []byte {
 	return e.Buf
 }
 
-func TestTLBServesHitsAndIsOffWhenDisabled(t *testing.T) {
-	for _, tlb := range []bool{true, false} {
-		t.Run(fmt.Sprintf("tlb=%v", tlb), func(t *testing.T) {
+func TestTLBServesHitsOnlyOnFastEngine(t *testing.T) {
+	for _, mode := range []ExecMode{ExecFast, ExecReference} {
+		t.Run(mode.String(), func(t *testing.T) {
 			var e isa.Enc
 			e.MovImm64(isa.RAX, stackBase)
 			e.MovImm64(isa.RCX, 50)
@@ -36,7 +35,9 @@ func TestTLBServesHitsAndIsOffWhenDisabled(t *testing.T) {
 			e.Jnz(int64(loop) - int64(e.Len()) - 5)
 			e.Hlt()
 			c := load(t, e.Buf)
-			c.SetTLB(tlb)
+			if mode == ExecReference {
+				c = cloneCPU(c)
+			}
 			if ev := run(t, c, 10_000); ev != EvHlt {
 				t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
 			}
@@ -44,11 +45,11 @@ func TestTLBServesHitsAndIsOffWhenDisabled(t *testing.T) {
 				t.Errorf("rbx = %d, want %d", c.Regs[isa.RBX], want)
 			}
 			s := c.TLBStats()
-			if tlb && s.Hits == 0 {
-				t.Errorf("TLB enabled but recorded no hits: %+v", s)
+			if mode == ExecFast && s.Hits == 0 {
+				t.Errorf("fast engine recorded no TLB hits: %+v", s)
 			}
-			if !tlb && s != (TLBStats{}) {
-				t.Errorf("TLB disabled but recorded activity: %+v", s)
+			if mode == ExecReference && s != (TLBStats{}) {
+				t.Errorf("reference engine recorded TLB activity: %+v", s)
 			}
 		})
 	}

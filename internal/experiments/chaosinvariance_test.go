@@ -14,7 +14,8 @@ package experiments
 //
 //   2. Zero-rate transparency — chaos configured with rate 0 is
 //      byte-identical to chaos never having been configured, down to
-//      per-task cycle counts and the argument-level ground-truth trace.
+//      per-task cycle counts and the argument-level ground-truth trace
+//      (TestExecEquivalence's chaos-rate-0 variant).
 //
 // The multi-task web servers cannot promise cross-mechanism invariance
 // (scheduling interleavings are mechanism-dependent), so for them the
@@ -22,8 +23,6 @@ package experiments
 // is tested here too.
 
 import (
-	"sort"
-	"strings"
 	"testing"
 
 	"lazypoline/internal/guest"
@@ -45,62 +44,11 @@ const (
 // given fault plan and returns the full observable outcome.
 func chaosCoreutilRun(t *testing.T, name, mech string, cfg kernel.Config) (runOutcome, *kernel.Task) {
 	t.Helper()
-	k := kernel.New(cfg)
-	for _, dir := range []string{"/tmp", "/etc", "/var/log"} {
-		if err := k.FS.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	paths := make([]string, 0, len(guest.CoreutilFSFiles))
-	for path := range guest.CoreutilFSFiles {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if err := k.FS.WriteFile(path, []byte(guest.CoreutilFSFiles[path]), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var ground strings.Builder
-	k.OnDispatch = groundHook(&ground)
-	prog, err := guest.Coreutil(name, guest.LibcUbuntu2004(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	task, err := prog.Spawn(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := attachForTrace(mech, k, task, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Run(100_000_000); err != nil {
-		t.Fatal(err)
-	}
+	out, task := runGuest(t, mech, cfg, guestSpec{spawn: spawnCoreutil(name, guest.LibcUbuntu2004(false)), budget: 100_000_000})
 	if task.ExitCode != 0 {
 		t.Fatalf("%s under %s exited %d (guest not chaos-hardened?)", name, mech, task.ExitCode)
 	}
-	return finishOutcome(k, task, &ground, rec), task
-}
-
-// TestChaosInvarianceZeroRateMatchesDisabled: a zero-rate chaos config
-// must be indistinguishable from no chaos config at all — full outcome
-// including cycle counts and the argument-level ground trace.
-func TestChaosInvarianceZeroRateMatchesDisabled(t *testing.T) {
-	for _, mech := range invarianceMechs {
-		mech := mech
-		t.Run(mech, func(t *testing.T) {
-			off, _ := chaosCoreutilRun(t, "cat", mech, kernel.Config{})
-			zero, _ := chaosCoreutilRun(t, "cat", mech, kernel.Config{
-				ChaosSeed: chaosInvSeed, ChaosRate: 0,
-			})
-			if off != zero {
-				t.Errorf("zero-rate chaos differs from chaos-disabled:\n--- disabled ---\n%s\n--- rate 0 ---\n%s\nfirst diff: %s",
-					off, zero, firstDiff(off.String(), zero.String()))
-			}
-		})
-	}
+	return out, task
 }
 
 // TestChaosInvarianceCrossMech: with a fixed fault plan, every mechanism
@@ -146,21 +94,7 @@ func TestChaosInvarianceCrossMechTraces(t *testing.T) {
 
 	runTraced := func(mech string, c kernel.Config) []int64 {
 		k := kernel.New(c)
-		for _, dir := range []string{"/tmp", "/etc", "/var/log"} {
-			if err := k.FS.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for path, contents := range guest.CoreutilFSFiles {
-			if err := k.FS.WriteFile(path, []byte(contents), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		prog, err := guest.Coreutil("cat", guest.LibcUbuntu2004(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		task, err := prog.Spawn(k)
+		task, err := spawnCoreutil("cat", guest.LibcUbuntu2004(false))(k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,21 +17,7 @@ func TestAllMechanismsAgreeOnCoreutils(t *testing.T) {
 	traces := make(map[string][]int64, len(mechs))
 	for _, mech := range mechs {
 		k := kernel.New(kernel.Config{})
-		for _, dir := range []string{"/tmp", "/etc", "/var/log"} {
-			if err := k.FS.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for path, contents := range guest.CoreutilFSFiles {
-			if err := k.FS.WriteFile(path, []byte(contents), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		prog, err := guest.Coreutil("cat", guest.LibcUbuntu2004(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		task, err := prog.Spawn(k)
+		task, err := spawnCoreutil("cat", guest.LibcUbuntu2004(false))(k)
 		if err != nil {
 			t.Fatal(err)
 		}

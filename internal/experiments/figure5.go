@@ -62,26 +62,9 @@ type Figure5Config struct {
 	// default). CostModel is a value type: each cell's kernel receives
 	// its own copy.
 	Costs kernel.CostModel
-	// DisableDecodeCache turns off every cell's decoded-instruction
-	// cache. The sweep's points are byte-identical either way; the CI
-	// determinism check runs a small sweep in both modes to enforce that.
-	// It selects execution machinery rather than an experiment parameter,
-	// so it is excluded from BENCH_figure5.json — cache-on and cache-off
-	// runs must produce identical snapshots (modulo wall_seconds).
-	DisableDecodeCache bool `json:"-"`
-	// DisableTLB and DisableSuperblocks turn off the data-path fast path
-	// (software D-TLB, superblock execution) in every cell. Like
-	// DisableDecodeCache they select execution machinery, are excluded
-	// from snapshots, and must not change a single point.
-	DisableTLB         bool `json:"-"`
-	DisableSuperblocks bool `json:"-"`
-	// DisableChaining and DisableTraces switch off the block-chaining and
-	// hot-trace layers; excluded from the snapshot for the same reason.
-	DisableChaining bool `json:"-"`
-	DisableTraces   bool `json:"-"`
 	// ChaosSeed and ChaosRate enable deterministic fault injection in
-	// every cell (see internal/chaos). Unlike DisableDecodeCache these
-	// ARE experiment parameters — injected faults change throughput — so
+	// every cell (see internal/chaos). Unlike RequestTraces these ARE
+	// experiment parameters — injected faults change throughput — so
 	// they stay JSON-visible and land in benchmark snapshots.
 	ChaosSeed uint64  `json:"chaos_seed,omitempty"`
 	ChaosRate float64 `json:"chaos_rate,omitempty"`
@@ -202,21 +185,16 @@ func figure5Run(cfg Figure5Config, withMetrics bool) ([]Figure5Point, []Figure5C
 			sink = &telemetry.Sink{Metrics: telemetry.NewRegistry()}
 		}
 		wcfg := webbench.Config{
-			Style:              c.server,
-			Workers:            c.workers,
-			FileSize:           c.fileSize,
-			Connections:        cfg.Connections,
-			Requests:           cfg.Requests,
-			Attach:             AttachFunc(c.mech),
-			Costs:              cfg.Costs,
-			DisableDecodeCache: cfg.DisableDecodeCache,
-			DisableTLB:         cfg.DisableTLB,
-			DisableSuperblocks: cfg.DisableSuperblocks,
-			DisableChaining:    cfg.DisableChaining,
-			DisableTraces:      cfg.DisableTraces,
-			ChaosSeed:          cfg.ChaosSeed,
-			ChaosRate:          cfg.ChaosRate,
-			Telemetry:          sink,
+			Style:       c.server,
+			Workers:     c.workers,
+			FileSize:    c.fileSize,
+			Connections: cfg.Connections,
+			Requests:    cfg.Requests,
+			Attach:      AttachFunc(c.mech),
+			Costs:       cfg.Costs,
+			ChaosSeed:   cfg.ChaosSeed,
+			ChaosRate:   cfg.ChaosRate,
+			Telemetry:   sink,
 		}
 		if cfg.RequestTraces {
 			wcfg.Trace = otrace.New(otrace.Config{})

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"lazypoline/internal/guest"
@@ -14,8 +13,9 @@ import (
 //
 //  1. policy OFF is free and invisible: a kernel with Policy nil and one
 //     with an all-off &PolicyConfig{} produce byte-identical outcomes,
-//     for benign AND attack guests, under every mechanism, with the
-//     chaos/telemetry/fast-path toggles exercised;
+//     for benign AND attack guests, under every mechanism, with chaos,
+//     telemetry and the reference engine exercised (TestExecEquivalence's
+//     policy-off variants);
 //  2. both attack guests are killed with the SAME violation record under
 //     all nine mechanisms — the policy verdict is a property of the
 //     application, not of the interposition technology;
@@ -23,8 +23,7 @@ import (
 //     SFIP profile learned under a DIFFERENT mechanism, paying a
 //     nonzero but exit-invisible cost.
 
-// spawnAttackJIT, spawnAttackSeq, spawnMicro, spawnCat build one guest
-// each; cat needs its corpus files in the kernel FS.
+// spawnAttackJIT, spawnAttackSeq and spawnMicro build one guest each.
 func spawnAttackJIT(k *kernel.Kernel) (*kernel.Task, error) {
 	prog, err := guest.AttackJIT()
 	if err != nil {
@@ -49,89 +48,11 @@ func spawnMicro(k *kernel.Kernel) (*kernel.Task, error) {
 	return prog.Spawn(k)
 }
 
-func spawnCat(k *kernel.Kernel) (*kernel.Task, error) {
-	for _, dir := range []string{"/tmp", "/etc", "/var/log"} {
-		if err := k.FS.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	for path, contents := range guest.CoreutilFSFiles {
-		if err := k.FS.WriteFile(path, []byte(contents), 0o644); err != nil {
-			return nil, err
-		}
-	}
-	prog, err := guest.Coreutil("cat", guest.LibcUbuntu2004(false))
-	if err != nil {
-		return nil, err
-	}
-	return prog.Spawn(k)
-}
-
 // runPolicyGuest runs one guest under one mechanism and configuration
-// and returns the full observable outcome.
+// and returns the full observable outcome, whatever the guest's exit.
 func runPolicyGuest(t *testing.T, mech string, cfg kernel.Config, spawn func(*kernel.Kernel) (*kernel.Task, error)) (runOutcome, *kernel.Task) {
 	t.Helper()
-	k := kernel.New(cfg)
-	var ground strings.Builder
-	k.OnDispatch = groundHook(&ground)
-	task, err := spawn(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := attachForTrace(mech, k, task, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Run(-1); err != nil {
-		t.Fatal(err)
-	}
-	return finishOutcome(k, task, &ground, rec), task
-}
-
-// TestPolicyInvarianceOff: Policy nil vs &PolicyConfig{} (all layers
-// off) must be byte-identical for every guest × mechanism × toggle
-// combination, and the attack guests must reach their benign escape
-// exits — the suite is vacuous if the attacks never actually fire.
-func TestPolicyInvarianceOff(t *testing.T) {
-	guests := []struct {
-		name  string
-		spawn func(*kernel.Kernel) (*kernel.Task, error)
-		exit  int
-	}{
-		{"attack-jit", spawnAttackJIT, guest.AttackJITExit},
-		{"attack-seq", spawnAttackSeq, guest.AttackSeqExit},
-		{"microbench", spawnMicro, 0},
-	}
-	toggles := []struct {
-		name string
-		mod  func(*kernel.Config)
-	}{
-		{"default", func(*kernel.Config) {}},
-		{"chaos", func(c *kernel.Config) { c.ChaosSeed, c.ChaosRate = 7, 0.3 }},
-		{"telemetry", func(c *kernel.Config) { c.Telemetry = telemetry.NewSink() }},
-		{"nofastpath", func(c *kernel.Config) { c.DisableTLB, c.DisableSuperblocks = true, true }},
-	}
-	for _, g := range guests {
-		for _, tog := range toggles {
-			t.Run(g.name+"/"+tog.name, func(t *testing.T) {
-				for _, mech := range invarianceMechs {
-					var nilCfg, offCfg kernel.Config
-					tog.mod(&nilCfg)
-					tog.mod(&offCfg)
-					offCfg.Policy = &kernel.PolicyConfig{}
-					got, _ := runPolicyGuest(t, mech, nilCfg, g.spawn)
-					off, _ := runPolicyGuest(t, mech, offCfg, g.spawn)
-					if got != off {
-						t.Errorf("%s: Policy nil and all-off differ:\n--- nil ---\n%s\n--- off ---\n%s\nfirst diff: %s",
-							mech, got, off, firstDiff(got.String(), off.String()))
-					}
-					if got.Exit != g.exit {
-						t.Errorf("%s: policy-off exit = %d, want %d", mech, got.Exit, g.exit)
-					}
-				}
-			})
-		}
-	}
+	return runGuest(t, mech, cfg, guestSpec{spawn: spawn, preRewrite: true, budget: -1})
 }
 
 // violationRecord is the mechanism-invariant slice of a policy kill:
@@ -206,7 +127,7 @@ func TestPolicyInvarianceBenign(t *testing.T) {
 		track []int64 // extra alphabet entries beyond SFIPAlphabet
 	}{
 		{"microbench", spawnMicro, []int64{kernel.NonexistentSyscall}},
-		{"cat", spawnCat, nil},
+		{"cat", spawnCoreutil("cat", guest.LibcUbuntu2004(false)), nil},
 	}
 	for _, g := range guests {
 		t.Run(g.name, func(t *testing.T) {

@@ -8,12 +8,13 @@ const MemBenchPages = 16
 
 // MemBench builds the data-path stress guest: `iters` sweeps over the
 // full 16-page data segment at a 64-byte stride, each step a store
-// followed by a dependent load and an accumulate — the workload the
-// software D-TLB and superblock execution exist for. The only syscall is
-// the final exit, so the measurement isolates the data path from
-// dispatch cost. The guest self-checks: the accumulated load sum must
-// match the closed-form value or it exits 1, so a TLB serving stale or
-// misdirected bytes fails the run rather than just skewing it.
+// followed by a dependent load and an accumulate — the workload the fast
+// engine's software D-TLB and superblock execution exist for, and the one
+// cpubench times against the reference engine. The only syscall is the
+// final exit, so the measurement isolates the data path from dispatch
+// cost. The guest self-checks: the accumulated load sum must match the
+// closed-form value or it exits 1, so a TLB serving stale or misdirected
+// bytes fails the run rather than just skewing it.
 func MemBench(iters int64) (*Program, error) {
 	const stride = 64
 	steps := int64(MemBenchPages) * 4096 / stride

@@ -3,24 +3,17 @@ package guest
 import (
 	"testing"
 
+	"lazypoline/internal/cpu"
 	"lazypoline/internal/kernel"
 )
 
 // TestMemBenchSelfCheck: the guest's accumulated load sum must match the
-// closed-form expectation with the data fast path on, off, and under an
-// attached mechanism-free kernel — the bench workload is only useful if
-// a wrong byte anywhere fails it loudly.
+// closed-form expectation on both execution engines — the bench workload
+// is only useful if a wrong byte anywhere fails it loudly.
 func TestMemBenchSelfCheck(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  kernel.Config
-	}{
-		{"fastpath-on", kernel.Config{}},
-		{"fastpath-off", kernel.Config{DisableTLB: true, DisableSuperblocks: true}},
-		{"interpreter-only", kernel.Config{DisableDecodeCache: true, DisableTLB: true, DisableSuperblocks: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			k := kernel.New(tc.cfg)
+	for _, mode := range []cpu.ExecMode{cpu.ExecFast, cpu.ExecReference} {
+		t.Run(mode.String(), func(t *testing.T) {
+			k := kernel.New(kernel.Config{Exec: mode})
 			prog, err := MemBench(5)
 			if err != nil {
 				t.Fatal(err)
@@ -35,7 +28,7 @@ func TestMemBenchSelfCheck(t *testing.T) {
 			if task.ExitCode != 0 {
 				t.Fatalf("membench exited %d (self-check failed)", task.ExitCode)
 			}
-			if tc.cfg == (kernel.Config{}) && task.CPU.TLBStats().Hits == 0 {
+			if mode == cpu.ExecFast && task.CPU.TLBStats().Hits == 0 {
 				t.Error("membench retired with zero TLB hits; it does not exercise the data path")
 			}
 		})

@@ -90,23 +90,11 @@ type Config struct {
 	Net *netstack.Stack
 	// RandSeed seeds the deterministic getrandom stream.
 	RandSeed uint64
-	// DisableDecodeCache turns off the CPUs' decoded-instruction cache.
-	// The cache is semantically invisible, so this only trades speed for
-	// nothing — it exists for differential tests and CI determinism
-	// checks that prove exactly that.
-	DisableDecodeCache bool
-	// DisableTLB turns off the CPUs' software D-TLB and DisableSuperblocks
-	// turns off superblock execution. Both layers are semantically
-	// invisible like the decode cache; the toggles exist for the same
-	// differential tests and for measuring each layer in isolation.
-	DisableTLB         bool
-	DisableSuperblocks bool
-	// DisableChaining turns off block→block chaining inside superblock
-	// execution, and DisableTraces turns off hot-trace promotion and the
-	// fused idiom handlers built on top of chaining. Semantically
-	// invisible like every other fast-path layer.
-	DisableChaining bool
-	DisableTraces   bool
+	// Exec selects the tasks' CPU engine: the zero value is the fast
+	// engine, cpu.ExecReference the reference one. The engines are
+	// semantically identical, so this only trades speed for an oracle
+	// (TestExecEquivalence).
+	Exec cpu.ExecMode
 	// ChaosSeed / ChaosRate configure the deterministic fault-injection
 	// engine (see internal/chaos). A rate of 0 constructs no engine at
 	// all, so a zero-rate run is byte-identical to a chaos-disabled run:
@@ -134,7 +122,7 @@ type Config struct {
 	// nil Policy — or a PolicyConfig with both layers off — charges no
 	// cycles and takes no branches beyond one nil check, so policy-off
 	// runs are byte-identical to a kernel without the layer
-	// (TestPolicyInvarianceOff).
+	// (TestExecEquivalence).
 	Policy *PolicyConfig
 }
 
@@ -150,17 +138,13 @@ type Kernel struct {
 
 	// hcalls is the registered-callback table, indexed by HCALL id; slot
 	// 0 is never issued.
-	hcalls        []HcallHandler
-	rrOffset      int
-	images        map[string]*loader.Image
-	randState     uint64
-	maxCycles     uint64
-	extWaiters    int32
-	noDecodeCache bool
-	noTLB         bool
-	noSuperblocks bool
-	noChaining    bool
-	noTraces      bool
+	hcalls     []HcallHandler
+	rrOffset   int
+	images     map[string]*loader.Image
+	randState  uint64
+	maxCycles  uint64
+	extWaiters int32
+	exec       cpu.ExecMode
 
 	// inRound is true while a scheduling round is visiting task slots.
 	// Cross-task signals posted during a round are deferred to the round
@@ -207,22 +191,18 @@ type Kernel struct {
 // New creates a kernel.
 func New(cfg Config) *Kernel {
 	k := &Kernel{
-		Costs:         cfg.Costs,
-		FS:            cfg.FS,
-		Net:           cfg.Net,
-		tasks:         make(map[int]*Task),
-		nextTID:       1000,
-		images:        make(map[string]*loader.Image),
-		randState:     cfg.RandSeed | 1,
-		noDecodeCache: cfg.DisableDecodeCache,
-		noTLB:         cfg.DisableTLB,
-		noSuperblocks: cfg.DisableSuperblocks,
-		noChaining:    cfg.DisableChaining,
-		noTraces:      cfg.DisableTraces,
-		chaos:         chaos.New(cfg.ChaosSeed, cfg.ChaosRate),
-		tel:           cfg.Telemetry,
-		trace:         cfg.Trace,
-		policy:        cfg.Policy.normalize(),
+		Costs:     cfg.Costs,
+		FS:        cfg.FS,
+		Net:       cfg.Net,
+		tasks:     make(map[int]*Task),
+		nextTID:   1000,
+		images:    make(map[string]*loader.Image),
+		randState: cfg.RandSeed | 1,
+		exec:      cfg.Exec,
+		chaos:     chaos.New(cfg.ChaosSeed, cfg.ChaosRate),
+		tel:       cfg.Telemetry,
+		trace:     cfg.Trace,
+		policy:    cfg.Policy.normalize(),
 	}
 	if k.Costs == (CostModel{}) {
 		k.Costs = DefaultCostModel()
@@ -349,23 +329,8 @@ func (k *Kernel) newTask(name string, as *mem.AddressSpace) *Task {
 		k:     k,
 	}
 	t.hc, t.stop = HcallCtx{Task: t, K: k}, PtraceStop{Task: t}
-	t.CPU = cpu.New(as)
+	t.CPU = cpu.NewExec(as, k.exec)
 	t.CPU.Costs = cpu.Costs{Insn: k.Costs.Insn, Xsave: k.Costs.Xsave, Xrstor: k.Costs.Xrstor, NopsPerCycle: k.Costs.NopsPerCycle}
-	if k.noDecodeCache {
-		t.CPU.SetDecodeCache(false)
-	}
-	if k.noTLB {
-		t.CPU.SetTLB(false)
-	}
-	if k.noSuperblocks {
-		t.CPU.SetSuperblocks(false)
-	}
-	if k.noChaining {
-		t.CPU.SetChaining(false)
-	}
-	if k.noTraces {
-		t.CPU.SetTraces(false)
-	}
 	k.initTaskPolicy(t)
 	k.installAllocGate(as)
 	k.tasks[t.ID] = t

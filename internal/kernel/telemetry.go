@@ -3,13 +3,14 @@ package kernel
 // Telemetry wiring. Everything here is observational: hooks read task
 // state (cycles, RIP, syscall numbers) and publish into the configured
 // telemetry.Sink, but never charge cycles, touch guest memory, or alter
-// control flow. The TestTelemetryInvariance* suite in
-// internal/experiments holds the kernel to that contract byte-for-byte.
+// control flow. The telemetry variants of TestExecEquivalence in
+// internal/experiments hold the kernel to that contract byte-for-byte.
 
 import (
 	"fmt"
 
 	"lazypoline/internal/chaos"
+	"lazypoline/internal/cpu"
 	"lazypoline/internal/isa"
 	"lazypoline/internal/mem"
 	"lazypoline/internal/otrace"
@@ -300,43 +301,13 @@ func (k *Kernel) telSigreturn(t *Task, sig int) {
 // independent, so iterating tasks in scheduling order and address
 // spaces through a seen-set is deterministic.
 func (k *Kernel) telCollect(r *telemetry.Registry) {
-	var cs cpuCacheTotals
-	var chs cpuChainTotals
-	var tts cpuTraceTotals
-	var ts cpuTLBTotals
-	var fetchWalks, nopBatches, cycles, sbRuns, sbInsts uint64
+	var sums [len(cpuCounterNames)]uint64
 	seen := make(map[*mem.AddressSpace]bool)
 	var faults, gens, codeMut uint64
 	for _, t := range k.order {
-		s := t.CPU.DecodeCacheStats()
-		cs.hits += s.Hits
-		cs.misses += s.Misses
-		cs.builds += s.Builds
-		cs.invalidations += s.Invalidations
-		cs.rebindFlushes += s.RebindFlushes
-		cs.overflowEvictions += s.OverflowEvictions
-		hs := t.CPU.ChainStats()
-		chs.links += hs.Links
-		chs.unlinks += hs.Unlinks
-		chs.transitions += hs.Transitions
-		trs := t.CPU.TraceStats()
-		tts.promotions += trs.Promotions
-		tts.invalidations += trs.Invalidations
-		tts.runs += trs.Runs
-		tts.insts += trs.Insts
-		tts.fusedLoopIters += trs.FusedLoopIters
-		tts.fusedNopInsts += trs.FusedNopInsts
-		tts.fusedStackInsts += trs.FusedStackInsts
-		ls := t.CPU.TLBStats()
-		ts.hits += ls.Hits
-		ts.misses += ls.Misses
-		ts.evictions += ls.Evictions
-		ts.flushes += ls.Flushes
-		fetchWalks += t.CPU.FetchWalks
-		nopBatches += t.CPU.NopBatches
-		sbRuns += t.CPU.SuperblockRuns
-		sbInsts += t.CPU.SuperblockInsts
-		cycles += t.CPU.Cycles
+		for i, v := range cpuCounters(t.CPU) {
+			sums[i] += v
+		}
 		if !seen[t.AS] {
 			seen[t.AS] = true
 			ms := t.AS.Stats()
@@ -345,31 +316,9 @@ func (k *Kernel) telCollect(r *telemetry.Registry) {
 			codeMut += ms.CodeMutations
 		}
 	}
-	r.Counter("cpu.decode_cache.hits").Set(cs.hits)
-	r.Counter("cpu.decode_cache.misses").Set(cs.misses)
-	r.Counter("cpu.decode_cache.builds").Set(cs.builds)
-	r.Counter("cpu.decode_cache.invalidations").Set(cs.invalidations)
-	r.Counter("cpu.decode_cache.rebind_flushes").Set(cs.rebindFlushes)
-	r.Counter("cpu.decode_cache.overflow_evictions").Set(cs.overflowEvictions)
-	r.Counter("cpu.chain.links").Set(chs.links)
-	r.Counter("cpu.chain.unlinks").Set(chs.unlinks)
-	r.Counter("cpu.chain.transitions").Set(chs.transitions)
-	r.Counter("cpu.trace.promotions").Set(tts.promotions)
-	r.Counter("cpu.trace.invalidations").Set(tts.invalidations)
-	r.Counter("cpu.trace.runs").Set(tts.runs)
-	r.Counter("cpu.trace.insts").Set(tts.insts)
-	r.Counter("cpu.trace.fused_loop_iters").Set(tts.fusedLoopIters)
-	r.Counter("cpu.trace.fused_nop_insts").Set(tts.fusedNopInsts)
-	r.Counter("cpu.trace.fused_stack_insts").Set(tts.fusedStackInsts)
-	r.Counter("cpu.tlb.hits").Set(ts.hits)
-	r.Counter("cpu.tlb.misses").Set(ts.misses)
-	r.Counter("cpu.tlb.evictions").Set(ts.evictions)
-	r.Counter("cpu.tlb.flushes").Set(ts.flushes)
-	r.Counter("cpu.superblock.runs").Set(sbRuns)
-	r.Counter("cpu.superblock.insts").Set(sbInsts)
-	r.Counter("cpu.fetch_walks").Set(fetchWalks)
-	r.Counter("cpu.nop_batches").Set(nopBatches)
-	r.Counter("cpu.cycles_total").Set(cycles)
+	for i, name := range cpuCounterNames {
+		r.Counter(name).Set(sums[i])
+	}
 	r.Counter("mem.page_faults").Set(faults)
 	r.Counter("mem.generation_bumps").Set(gens)
 	r.Counter("mem.code_mutations").Set(codeMut)
@@ -405,21 +354,28 @@ func (k *Kernel) telCollect(r *telemetry.Registry) {
 	}
 }
 
-type cpuCacheTotals struct {
-	hits, misses, builds, invalidations uint64
-	rebindFlushes, overflowEvictions    uint64
+// cpuCounterNames names the per-CPU counters telCollect sums over tasks,
+// in cpuCounters' order.
+var cpuCounterNames = [...]string{
+	"cpu.decode_cache.hits", "cpu.decode_cache.misses", "cpu.decode_cache.builds",
+	"cpu.decode_cache.invalidations", "cpu.decode_cache.rebind_flushes", "cpu.decode_cache.overflow_evictions",
+	"cpu.chain.links", "cpu.chain.unlinks", "cpu.chain.transitions",
+	"cpu.trace.promotions", "cpu.trace.invalidations", "cpu.trace.runs", "cpu.trace.insts",
+	"cpu.trace.fused_loop_iters", "cpu.trace.fused_nop_insts", "cpu.trace.fused_stack_insts",
+	"cpu.tlb.hits", "cpu.tlb.misses", "cpu.tlb.evictions", "cpu.tlb.flushes",
+	"cpu.superblock.runs", "cpu.superblock.insts",
+	"cpu.fetch_walks", "cpu.nop_batches", "cpu.cycles_total",
 }
 
-type cpuChainTotals struct {
-	links, unlinks, transitions uint64
-}
-
-type cpuTraceTotals struct {
-	promotions, invalidations, runs, insts uint64
-	fusedLoopIters, fusedNopInsts          uint64
-	fusedStackInsts                        uint64
-}
-
-type cpuTLBTotals struct {
-	hits, misses, evictions, flushes uint64
+// cpuCounters reads c's counters in cpuCounterNames' order.
+func cpuCounters(c *cpu.CPU) [len(cpuCounterNames)]uint64 {
+	cs, hs, ts, ls := c.DecodeCacheStats(), c.ChainStats(), c.TraceStats(), c.TLBStats()
+	return [...]uint64{
+		cs.Hits, cs.Misses, cs.Builds, cs.Invalidations, cs.RebindFlushes, cs.OverflowEvictions,
+		hs.Links, hs.Unlinks, hs.Transitions,
+		ts.Promotions, ts.Invalidations, ts.Runs, ts.Insts, ts.FusedLoopIters, ts.FusedNopInsts, ts.FusedStackInsts,
+		ls.Hits, ls.Misses, ls.Evictions, ls.Flushes,
+		c.SuperblockRuns, c.SuperblockInsts,
+		c.FetchWalks, c.NopBatches, c.Cycles,
+	}
 }

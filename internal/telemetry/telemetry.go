@@ -7,10 +7,10 @@
 // guest cycles, touches guest memory, or perturbs scheduling; a kernel
 // built with a Sink must produce byte-identical guest-visible behaviour
 // to one built without (the inertness contract, enforced by the
-// TestTelemetryInvariance* suite in internal/experiments). To keep the
-// dependency graph acyclic the package imports only the standard
-// library, so cpu/mem/netstack/kernel and every mechanism can publish
-// into it.
+// telemetry variants of TestExecEquivalence in internal/experiments). To
+// keep the dependency graph acyclic the package imports only the
+// standard library, so cpu/mem/netstack/kernel and every mechanism can
+// publish into it.
 //
 // All hot-path handles (Counter, Gauge, Histogram) update with
 // sync/atomic operations, so substrate code may publish from the

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lazypoline/internal/cpu"
 	"lazypoline/internal/guest"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/netstack"
@@ -361,20 +362,9 @@ type Config struct {
 	Attach AttachFunc
 	// Costs overrides the cost model (zero value = default).
 	Costs kernel.CostModel
-	// DisableDecodeCache runs the simulated CPUs without the decoded-
-	// instruction cache. Results are identical either way (the cache is
-	// semantically invisible); CI uses this to prove it.
-	DisableDecodeCache bool
-	// DisableTLB and DisableSuperblocks switch off the data-path fast
-	// path (the per-task software D-TLB and superblock execution). Like
-	// the decode cache, both are semantically invisible; CI uses these
-	// to prove it.
-	DisableTLB         bool
-	DisableSuperblocks bool
-	// DisableChaining and DisableTraces switch off the block-chaining and
-	// hot-trace layers, with the same invisibility contract.
-	DisableChaining bool
-	DisableTraces   bool
+	// Exec selects the simulated CPUs' engine (kernel.Config.Exec).
+	// Result is identical with either engine.
+	Exec cpu.ExecMode
 	// ChaosSeed and ChaosRate configure deterministic fault injection
 	// (see internal/chaos). Rate 0 disables it entirely. The multi-task
 	// server makes scheduling mechanism-dependent, so chaos webbench runs
@@ -452,17 +442,13 @@ func Symbols(cfg Config) (map[string]uint64, error) {
 // cfg.Workers and cfg.Connections are set (Run defaults them).
 func boot(cfg Config) (*kernel.Kernel, *kernel.Task, *Client, error) {
 	k := kernel.New(kernel.Config{
-		Costs:              cfg.Costs,
-		DisableDecodeCache: cfg.DisableDecodeCache,
-		DisableTLB:         cfg.DisableTLB,
-		DisableSuperblocks: cfg.DisableSuperblocks,
-		DisableChaining:    cfg.DisableChaining,
-		DisableTraces:      cfg.DisableTraces,
-		ChaosSeed:          cfg.ChaosSeed,
-		ChaosRate:          cfg.ChaosRate,
-		Telemetry:          cfg.Telemetry,
-		Policy:             cfg.Policy,
-		Trace:              cfg.Trace,
+		Costs:     cfg.Costs,
+		Exec:      cfg.Exec,
+		ChaosSeed: cfg.ChaosSeed,
+		ChaosRate: cfg.ChaosRate,
+		Telemetry: cfg.Telemetry,
+		Policy:    cfg.Policy,
+		Trace:     cfg.Trace,
 	})
 
 	// Static content.

@@ -31,12 +31,16 @@ go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/... ./interna
     ./internal/kernel/... ./internal/sud/... ./internal/seccomputil/... ./internal/ptracer/... \
     ./internal/loader/... ./internal/zpoline/... ./internal/guest/... ./internal/netstack/...
 
-# The in-kernel parallel scheduler is gone (DESIGN.md §15); its flags,
-# tools and hooks must not creep back into the docs or tooling. (The
-# bracketed letters keep this line from matching itself.)
+# The in-kernel parallel scheduler is gone (DESIGN.md §15), and so are
+# the five fast-path toggles (one fast engine, one reference engine:
+# DESIGN.md §7); their flags, tools and hooks must not creep back into
+# the docs or tooling. (The bracketed letters keep this line from
+# matching itself.)
 if grep -rnE -e 'par[b]ench|par-[s]moke|RegisterHcall[C]oncurrent|Concurrent[S]afe|-[c]ores' \
+    -e '-[d]ecodecache|-[s]uperblock|-[c]hain=|-[t]races|[t]lb-smoke|[c]hain-smoke' \
+    -e 'Disabl[e](DecodeCache|TLB|Superblocks|Chaining|Traces)' \
     README.md DESIGN.md Makefile scripts .claude; then
-    echo "removed parallel-scheduler surface is still named above" >&2
+    echo "removed parallel-scheduler or fast-path-toggle surface is still named above" >&2
     exit 1
 fi
 
@@ -57,45 +61,24 @@ go test ./internal/experiments -run 'TestColdStartAllocs' -count 1
 go test ./internal/experiments -run 'TestInterposedSyscallAllocs' -count 1
 
 # Benchmark smoke run: the interpreter benchmarks must still execute, and
-# cpubench must still clear its cache-speedup and fast-path-speedup
-# floors — the load/store sweep's is pinned explicitly at 2.0x, the
-# ratchet the chained engine must sustain on a loop no fused handler
-# retires (written to a scratch file; the checked-in BENCH_cpu.json
-# snapshot is refreshed manually).
+# cpubench must still clear its three fast-vs-reference floors (the
+# load/store sweep's pinned at 2.0x) and show every fast-engine tier at
+# work (written to a scratch file; the checked-in BENCH_cpu.json snapshot
+# is refreshed manually).
 go test ./internal/cpu/ -run '^$' -bench 'BenchmarkCPUStep|BenchmarkDecodeCache' -benchtime 100ms
 go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -minmemloop 2.0 -out /tmp/ci_BENCH_cpu.json
 
-# Decode-cache determinism: a small Figure 5 sweep must produce
-# byte-identical snapshots with the cache enabled and disabled —
-# wall_seconds is the one field allowed to differ.
+# Engine equivalence (DESIGN.md §7): every guest cell under every
+# mechanism must be byte-identical on the reference engine, with a
+# telemetry sink, with chaos at rate 0 and with an all-off policy.
+go test ./internal/experiments -run TestExecEquivalence -count 1
+
+# The default Figure 5 smoke sweep the policy-off diff below compares
+# against.
 smoke="-requests 60 -conns 8 -sizes 1024,65536 -workers 1 -servers nginx,lighttpd"
-go run ./cmd/macrobench $smoke -decodecache=true -out /tmp/ci_fig5_cache_on.json
-go run ./cmd/macrobench $smoke -decodecache=false -out /tmp/ci_fig5_cache_off.json
+go run ./cmd/macrobench $smoke -out /tmp/ci_fig5_default.json
 strip_wall() { grep -v '"wall_seconds"' "$1"; }
-strip_wall /tmp/ci_fig5_cache_on.json > /tmp/ci_fig5_cache_on.stripped
-strip_wall /tmp/ci_fig5_cache_off.json > /tmp/ci_fig5_cache_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_cache_off.stripped
-
-# Data-fast-path determinism (DESIGN.md §10): the same sweep must be
-# byte-identical with the software D-TLB and with superblock execution
-# disabled — the fast path changes how fast points are produced, never
-# the points.
-go run ./cmd/macrobench $smoke -tlb=false -out /tmp/ci_fig5_tlb_off.json
-go run ./cmd/macrobench $smoke -superblock=false -out /tmp/ci_fig5_sb_off.json
-strip_wall /tmp/ci_fig5_tlb_off.json > /tmp/ci_fig5_tlb_off.stripped
-strip_wall /tmp/ci_fig5_sb_off.json > /tmp/ci_fig5_sb_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_tlb_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_sb_off.stripped
-
-# Chaining/trace determinism (DESIGN.md §11): block chaining and
-# hot-trace compilation are routing shortcuts over the superblock layer
-# and must not move a single point either.
-go run ./cmd/macrobench $smoke -chain=false -out /tmp/ci_fig5_chain_off.json
-go run ./cmd/macrobench $smoke -traces=false -out /tmp/ci_fig5_traces_off.json
-strip_wall /tmp/ci_fig5_chain_off.json > /tmp/ci_fig5_chain_off.stripped
-strip_wall /tmp/ci_fig5_traces_off.json > /tmp/ci_fig5_traces_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_chain_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_traces_off.stripped
+strip_wall /tmp/ci_fig5_default.json > /tmp/ci_fig5_default.stripped
 
 # Chaos determinism (DESIGN.md §8): a fixed fault plan must be
 # mechanism-invariant on a single-task guest — identical strace log,
@@ -107,11 +90,6 @@ go run ./cmd/runsim -mech sud $chaos > /tmp/ci_chaos_sud.txt
 diff -u /tmp/ci_chaos_lazypoline.txt /tmp/ci_chaos_sud.txt
 grep -q ' = -4 (EINTR)$' /tmp/ci_chaos_sud.txt   # an injected EINTR was retried
 grep -q ' = -11 (EAGAIN)$' /tmp/ci_chaos_sud.txt # an injected EAGAIN was retried
-
-# Zero-rate chaos must be byte-identical to chaos never configured.
-go run ./cmd/runsim -mech sud -builtin cat > /tmp/ci_chaos_off.txt
-go run ./cmd/runsim -mech sud -builtin cat -chaos-seed 7 -chaos-rate 0 > /tmp/ci_chaos_zero.txt
-diff -u /tmp/ci_chaos_off.txt /tmp/ci_chaos_zero.txt
 
 # Telemetry inertness (DESIGN.md §9): a Figure 5 row instrumented with
 # the metrics registry must produce a byte-identical BENCH snapshot to
@@ -173,12 +151,12 @@ go test ./internal/kernel/ -run '^$' -fuzz FuzzTaskAccessors -fuzztime 5s
 # Syscall-policy layer (DESIGN.md §12). A Figure 5 sweep with the policy
 # flags explicitly off must be byte-identical to one that never mentions
 # them — an all-off PolicyConfig normalizes to a policy-free kernel — and
-# the invariance gate (off-inertness, mechanism-invariant violation
-# records, benign enforcement) must pass.
+# the invariance gate (mechanism-invariant violation records, benign
+# enforcement; off-inertness is TestExecEquivalence's) must pass.
 go run ./cmd/macrobench $smoke -policy-regions=false -policy-sfip=false -out /tmp/ci_fig5_policy_off.json
 strip_wall /tmp/ci_fig5_policy_off.json > /tmp/ci_fig5_policy_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_policy_off.stripped
-go test ./internal/experiments -run 'TestPolicyInvariance' -count 1
+diff -u /tmp/ci_fig5_default.stripped /tmp/ci_fig5_policy_off.stripped
+go test ./internal/experiments -run 'TestPolicyInvariance(Attacks|Benign)' -count 1
 
 # Attack-guest smoke: with the matching layer on, both attacks die with
 # 128+SIGSYS and a violation record that is byte-identical across
