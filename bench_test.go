@@ -18,11 +18,6 @@ import (
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/pin"
 	"lazypoline/internal/webbench"
-
-	"lazypoline/internal/core"
-	"lazypoline/internal/interpose"
-	"lazypoline/internal/sud"
-	"lazypoline/internal/zpoline"
 )
 
 // benchIters is the microbenchmark loop length per b.N unit. The paper
@@ -68,7 +63,7 @@ func BenchmarkFigure4(b *testing.B) {
 // efficiency classification is the measured part).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(1000); err != nil {
+		if _, err := experiments.Table1(1000, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,7 +92,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkExhaustiveness(b *testing.B) {
 	var lazySaw, zpolineSaw bool
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.Exhaustiveness()
+		results, err := experiments.Exhaustiveness(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,47 +110,16 @@ func BenchmarkExhaustiveness(b *testing.B) {
 	}
 }
 
-// figure5Attach builds the per-mechanism attach functions used by the
-// Figure 5 benchmarks.
-func figure5Attach(mech string) webbench.AttachFunc {
-	switch mech {
-	case "baseline":
-		return nil
-	case "zpoline":
-		return func(k *kernel.Kernel, t *kernel.Task) error {
-			_, err := zpoline.Attach(k, t, interpose.Dummy{}, zpoline.Options{})
-			return err
-		}
-	case "lazypoline-noxstate":
-		return func(k *kernel.Kernel, t *kernel.Task) error {
-			_, err := core.Attach(k, t, interpose.Dummy{}, core.Options{NoXStateDefault: true})
-			return err
-		}
-	case "lazypoline":
-		return func(k *kernel.Kernel, t *kernel.Task) error {
-			_, err := core.Attach(k, t, interpose.Dummy{}, core.Options{})
-			return err
-		}
-	case "SUD":
-		return func(k *kernel.Kernel, t *kernel.Task) error {
-			_, err := sud.Attach(k, t, interpose.Dummy{})
-			return err
-		}
-	}
-	panic("unknown mechanism " + mech)
-}
-
 // BenchmarkFigure5 reproduces the web-server macrobenchmark on a
 // representative grid: both servers, 1 and 4 workers (12 in the paper;
-// reduced to keep bench wall-time reasonable — cmd/macrobench runs the
+// reduced to keep bench wall-time reasonable — `lazysim figure5` runs the
 // full sweep), small and large files, all mechanisms.
 func BenchmarkFigure5(b *testing.B) {
 	servers := []guest.ServerStyle{guest.StyleNginx, guest.StyleLighttpd}
-	mechs := []string{"baseline", "zpoline", "lazypoline-noxstate", "lazypoline", "SUD"}
 	for _, server := range servers {
 		for _, workers := range []int{1, 4} {
 			for _, fileSize := range []int{1024, 65536} {
-				for _, mech := range mechs {
+				for _, mech := range experiments.Figure5Mechanisms {
 					name := fmt.Sprintf("%s/%dw/%dB/%s", server, workers, fileSize, mech)
 					b.Run(name, func(b *testing.B) {
 						var tput float64
@@ -166,7 +130,7 @@ func BenchmarkFigure5(b *testing.B) {
 								FileSize:    fileSize,
 								Connections: 12,
 								Requests:    120,
-								Attach:      figure5Attach(mech),
+								Attach:      experiments.AttachFunc(mech),
 							})
 							if err != nil {
 								b.Fatal(err)

@@ -1,15 +1,8 @@
-// Command sasm is the assembler/disassembler for the simulated ISA.
-//
-// Usage:
-//
-//	sasm -o prog.self prog.s        assemble to a SELF image
-//	sasm -d prog.self               disassemble an image's text segment
-//	sasm -d prog.s                  assemble + disassemble (round trip)
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,31 +13,32 @@ import (
 	"lazypoline/internal/mem"
 )
 
-func main() {
-	out := flag.String("o", "", "output SELF image path")
-	dis := flag.Bool("d", false, "disassemble instead of assembling")
-	base := flag.Uint64("base", guest.CodeBase, "load address for assembly")
-	flag.Parse()
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: sasm [-o out.self] [-d] prog.s|prog.self")
-		os.Exit(2)
+// asmCmd is the assembler/disassembler for the simulated ISA. Programs
+// assemble at guest.CodeBase.
+//
+//	lazysim asm -o prog.self prog.s        assemble to a SELF image
+//	lazysim asm -d prog.self               disassemble an image's text segment
+//	lazysim asm -d prog.s                  assemble + disassemble (round trip)
+func asmCmd(args []string, w io.Writer) error {
+	var out string
+	var dis bool
+	f := newFlags("asm")
+	f.StringVar(&out, "o", "", "output SELF image path (default: the source path with a .self suffix)")
+	f.BoolVar(&dis, "d", false, "disassemble instead of assembling")
+	if err := f.parse(args, 1); err != nil {
+		return err
 	}
-	if err := run(flag.Arg(0), *out, *dis, *base); err != nil {
-		fmt.Fprintln(os.Stderr, "sasm:", err)
-		os.Exit(1)
+	if f.NArg() != 1 {
+		return fmt.Errorf("usage: lazysim asm [-o out.self] [-d] prog.s|prog.self")
 	}
-}
-
-func run(path, out string, dis bool, base uint64) error {
+	path := f.Arg(0)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-
 	var img *loader.Image
 	if strings.HasSuffix(path, ".s") || strings.HasSuffix(path, ".asm") {
-		p, err := asm.Assemble(guest.Header+string(data), base)
+		p, err := asm.Assemble(guest.Header+string(data), guest.CodeBase)
 		if err != nil {
 			return err
 		}
@@ -65,7 +59,8 @@ func run(path, out string, dis bool, base uint64) error {
 	}
 
 	if dis {
-		return disassemble(img)
+		disassemble(w, img)
+		return nil
 	}
 	if out == "" {
 		out = strings.TrimSuffix(path, ".s") + ".self"
@@ -73,13 +68,13 @@ func run(path, out string, dis bool, base uint64) error {
 	if err := os.WriteFile(out, img.Marshal(), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (entry %#x, %d segment(s), %d symbol(s))\n",
+	fmt.Fprintf(w, "wrote %s (entry %#x, %d segment(s), %d symbol(s))\n",
 		out, img.Entry, len(img.Segments), len(img.Symbols))
 	return nil
 }
 
 // disassemble prints every executable segment with symbol annotations.
-func disassemble(img *loader.Image) error {
+func disassemble(w io.Writer, img *loader.Image) {
 	// Invert the symbol table for labels.
 	labels := make(map[uint64][]string)
 	for name, addr := range img.Symbols {
@@ -89,21 +84,20 @@ func disassemble(img *loader.Image) error {
 		if seg.Prot&mem.ProtExec == 0 {
 			continue
 		}
-		fmt.Printf("; segment %#x (%d bytes, %s)\n", seg.Addr, len(seg.Data), seg.Prot)
+		fmt.Fprintf(w, "; segment %#x (%d bytes, %s)\n", seg.Addr, len(seg.Data), seg.Prot)
 		for off := 0; off < len(seg.Data); {
 			addr := seg.Addr + uint64(off)
 			for _, l := range labels[addr] {
-				fmt.Printf("%s:\n", l)
+				fmt.Fprintf(w, "%s:\n", l)
 			}
 			in, err := isa.Decode(seg.Data[off:])
 			if err != nil {
-				fmt.Printf("  %08x:  .byte %#02x\n", addr, seg.Data[off])
+				fmt.Fprintf(w, "  %08x:  .byte %#02x\n", addr, seg.Data[off])
 				off++
 				continue
 			}
-			fmt.Printf("  %08x:  % -24x %s\n", addr, seg.Data[off:off+in.Len], in)
+			fmt.Fprintf(w, "  %08x:  % -24x %s\n", addr, seg.Data[off:off+in.Len], in)
 			off += in.Len
 		}
 	}
-	return nil
 }

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"lazypoline/internal/guest"
 	"lazypoline/internal/loader"
 )
 
@@ -22,7 +24,7 @@ _start:
 `), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(src, out, false, 0x10000); err != nil {
+	if err := asmCmd([]string{"-o", out, src}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -33,14 +35,14 @@ _start:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img.Entry != 0x10000 {
+	if img.Entry != guest.CodeBase {
 		t.Errorf("entry = %#x", img.Entry)
 	}
 	if _, ok := img.Symbol("_start"); !ok {
 		t.Error("_start symbol missing from image")
 	}
 	// Disassembly path must succeed on the produced image.
-	if err := run(out, "", true, 0x10000); err != nil {
+	if err := asmCmd([]string{"-d", out}, io.Discard); err != nil {
 		t.Errorf("disassemble: %v", err)
 	}
 }
@@ -51,7 +53,7 @@ func TestRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not an image"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(bad, "", true, 0); err == nil {
+	if err := asmCmd([]string{"-d", bad}, io.Discard); err == nil {
 		t.Error("garbage image accepted")
 	}
 }

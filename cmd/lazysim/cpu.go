@@ -1,7 +1,9 @@
-// Command cpubench measures interpreter throughput — host nanoseconds per
-// simulated instruction and simulated MIPS — of the fast execution engine
-// against the reference engine (cpu.ExecReference: per-instruction fetch,
-// decode and locked memory access) on four workloads:
+package main
+
+// cpuCmd measures interpreter throughput — host nanoseconds per simulated
+// instruction and simulated MIPS — of the fast execution engine against
+// the reference engine (cpu.ExecReference: per-instruction fetch, decode
+// and locked memory access) on four workloads:
 //
 //   - a raw register loop driven through StepBlock — the counted loop
 //     `addi r,-1 ; jnz`, which the fast engine retires in closed form, so
@@ -15,8 +17,8 @@
 //
 // Every workload reports the same comparison: the speedup is the
 // reference engine's wall time over the fast engine's. The run fails if
-// the load/store sweep's speedup falls below -minmemloop, the
-// microbenchmark's below -minspeedup, or MemBench's below -minfastpath.
+// the load/store sweep's speedup falls below minMemLoop, the
+// microbenchmark's below minSpeedup, or MemBench's below minFastpath.
 // The decode cache alone is worth most of these floors, so the tiers
 // above it are guarded by counters, not timing: the run also fails unless
 // every fast run hit the decode cache, retired instructions in superblocks
@@ -24,22 +26,13 @@
 // hit the D-TLB, and every reference run advanced none of these. It
 // writes BENCH_cpu.json so performance is tracked across commits. The
 // simulation is deterministic, so both engines retire the same
-// instructions and cycles; cpubench verifies that as a side effect.
-//
-// Usage:
-//
-//	cpubench [-steps N] [-iters N] [-memsweeps N] [-repeat N]
-//	         [-minmemloop X] [-minspeedup X] [-minfastpath X]
-//	         [-out BENCH_cpu.json]
-package main
+// instructions and cycles; the run verifies that as a side effect.
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
-	"lazypoline/internal/benchfmt"
 	"lazypoline/internal/cpu"
 	"lazypoline/internal/guest"
 	"lazypoline/internal/isa"
@@ -95,20 +88,27 @@ type config struct {
 	MinFastpath float64 `json:"min_fastpath_speedup"`
 }
 
-func main() {
-	steps := flag.Int64("steps", 5_000_000, "instructions to retire in the raw register loop")
-	iters := flag.Int64("iters", 100_000, "microbenchmark guest loop iterations")
-	memSweeps := flag.Int64("memsweeps", 500, "data-segment sweeps in the memory workloads")
-	repeat := flag.Int("repeat", 3, "timed repetitions per engine (best is kept)")
-	minMemLoop := flag.Float64("minmemloop", 2.0, "fail if the load/store sweep's fast-vs-reference speedup is below this (0 disables)")
-	minSpeedup := flag.Float64("minspeedup", 1.5, "fail if the microbenchmark's fast-vs-reference speedup is below this (0 disables)")
-	minFastpath := flag.Float64("minfastpath", 2.0, "fail if MemBench's fast-vs-reference speedup is below this (0 disables)")
-	out := flag.String("out", "BENCH_cpu.json", "machine-readable result file (empty disables)")
-	flag.Parse()
+// The fast-vs-reference speedup floors.
+const (
+	minMemLoop  = 2.0 // the load/store sweep
+	minSpeedup  = 1.5 // the microbenchmark guest
+	minFastpath = 2.0 // the MemBench guest
+)
 
+func cpuCmd(args []string, w io.Writer) error {
 	cfg := config{
-		Steps: *steps, Iters: *iters, MemSweeps: *memSweeps, Repeat: *repeat,
-		MinMemLoop: *minMemLoop, MinSpeedup: *minSpeedup, MinFastpath: *minFastpath,
+		Steps: 5_000_000, Iters: 100_000, MemSweeps: 500, Repeat: 3,
+		MinMemLoop: minMemLoop, MinSpeedup: minSpeedup, MinFastpath: minFastpath,
+	}
+	var out string
+	f := newFlags("cpu")
+	f.Int64Var(&cfg.Steps, "steps", cfg.Steps, "instructions to retire in the raw register loop")
+	f.iters(&cfg.Iters)
+	f.Int64Var(&cfg.MemSweeps, "memsweeps", cfg.MemSweeps, "data-segment sweeps in the memory workloads")
+	f.IntVar(&cfg.Repeat, "repeat", cfg.Repeat, "timed repetitions per engine (best is kept)")
+	f.out(&out, "BENCH_cpu.json")
+	if err := f.parse(args, 0); err != nil {
+		return err
 	}
 
 	begin := time.Now()
@@ -118,34 +118,27 @@ func main() {
 		data      bool // touches data memory, so its fast run must hit the D-TLB
 	}{
 		{"raw_loop", "raw register loop", rawLoop, false},
-		{"microbench", "microbench guest (full kernel)", microbench, true},
+		{"microbench", "microbench guest (full kernel)", guestRun(func(cfg config) (*guest.Program, error) {
+			return guest.Microbench(kernel.NonexistentSyscall, cfg.Iters)
+		}), true},
 		{"mem_loop", "raw load/store sweep", memLoop, true},
-		{"membench", "membench guest (full kernel)", memBench, true},
+		// A nonzero MemBench exit means its self-check failed.
+		{"membench", "membench guest (full kernel)", guestRun(func(cfg config) (*guest.Program, error) {
+			return guest.MemBench(cfg.MemSweeps)
+		}), true},
 	}
 	results := make(map[string]Result, len(workloads))
-	fmt.Printf("CPU interpreter throughput, fast vs reference engine (best of %d)\n\n", cfg.Repeat)
-	for _, w := range workloads {
-		r, err := measure(cfg, w.run, w.data)
+	fmt.Fprintf(w, "CPU interpreter throughput, fast vs reference engine (best of %d)\n\n", cfg.Repeat)
+	for _, wl := range workloads {
+		r, err := measure(cfg, wl.run, wl.data)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", w.key, err))
+			return fmt.Errorf("%s: %w", wl.key, err)
 		}
-		report(w.name, r)
-		results[w.key] = r
+		report(w, wl.name, r)
+		results[wl.key] = r
 	}
-	wall := time.Since(begin)
-
-	if *out != "" {
-		err := benchfmt.Write(*out, benchfmt.File{
-			Name:        "cpu",
-			Parallelism: 1,
-			WallSeconds: wall.Seconds(),
-			Config:      cfg,
-			Results:     results,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *out)
+	if err := writeSnapshot(w, out, "cpu", 1, time.Since(begin), cfg, results); err != nil {
+		return err
 	}
 
 	for _, floor := range []struct {
@@ -157,26 +150,27 @@ func main() {
 		{"microbench", cfg.MinSpeedup, "microbench"},
 		{"membench", cfg.MinFastpath, "membench"},
 	} {
-		if got := results[floor.key].Speedup; floor.min > 0 && got < floor.min {
-			fatal(fmt.Errorf("%s fast-vs-reference speedup %.2fx is below the %.2fx floor", floor.name, got, floor.min))
+		if got := results[floor.key].Speedup; got < floor.min {
+			return fmt.Errorf("%s fast-vs-reference speedup %.2fx is below the %.2fx floor", floor.name, got, floor.min)
 		}
 	}
+	return nil
 }
 
-func report(name string, w Result) {
-	fmt.Printf("%s — %d instructions\n", name, w.Instructions)
-	fmt.Printf("  fast       %8.2f ns/insn  %8.1f simulated MIPS\n",
-		w.Fast.NsPerInstruction, w.Fast.SimulatedMIPS)
-	fmt.Printf("  reference  %8.2f ns/insn  %8.1f simulated MIPS\n",
-		w.Reference.NsPerInstruction, w.Reference.SimulatedMIPS)
-	ratio := fmt.Sprintf("%8.2fx", w.Speedup)
-	if w.Speedup == 0 {
-		ratio = fmt.Sprintf("      n/a (fast side ran %.0f µs, too short to time)", w.Fast.WallSeconds*1e6)
+func report(w io.Writer, name string, r Result) {
+	fmt.Fprintf(w, "%s — %d instructions\n", name, r.Instructions)
+	fmt.Fprintf(w, "  fast       %8.2f ns/insn  %8.1f simulated MIPS\n",
+		r.Fast.NsPerInstruction, r.Fast.SimulatedMIPS)
+	fmt.Fprintf(w, "  reference  %8.2f ns/insn  %8.1f simulated MIPS\n",
+		r.Reference.NsPerInstruction, r.Reference.SimulatedMIPS)
+	ratio := fmt.Sprintf("%8.2fx", r.Speedup)
+	if r.Speedup == 0 {
+		ratio = fmt.Sprintf("      n/a (fast side ran %.0f µs, too short to time)", r.Fast.WallSeconds*1e6)
 	}
-	fmt.Printf("  speedup    %s   (cache: %d hits, %d builds; tlb: %d hits, %d misses; superblock insts: %d)\n",
-		ratio, w.DecodeCache.Hits, w.DecodeCache.Builds, w.TLB.Hits, w.TLB.Misses, w.SuperblockInsts)
-	fmt.Printf("                         (chain: %d links, %d transitions; trace insts: %d, fused loop iters: %d, fused nops: %d, fused stack insts: %d)\n\n",
-		w.Chain.Links, w.Chain.Transitions, w.Trace.Insts, w.Trace.FusedLoopIters, w.Trace.FusedNopInsts, w.Trace.FusedStackInsts)
+	fmt.Fprintf(w, "  speedup    %s   (cache: %d hits, %d builds; tlb: %d hits, %d misses; superblock insts: %d)\n",
+		ratio, r.DecodeCache.Hits, r.DecodeCache.Builds, r.TLB.Hits, r.TLB.Misses, r.SuperblockInsts)
+	fmt.Fprintf(w, "                         (chain: %d links, %d transitions; trace insts: %d, fused loop iters: %d, fused nops: %d, fused stack insts: %d)\n\n",
+		r.Chain.Links, r.Chain.Transitions, r.Trace.Insts, r.Trace.FusedLoopIters, r.Trace.FusedNopInsts, r.Trace.FusedStackInsts)
 }
 
 // runSample is one measured run of a workload.
@@ -229,45 +223,33 @@ func rawLoop(cfg config, mode cpu.ExecMode, instrument bool) (s runSample, err e
 	return s, nil
 }
 
-// runGuest runs prog to exit under the full kernel and samples its task.
-func runGuest(prog *guest.Program, mode cpu.ExecMode, instrument bool) (s runSample, err error) {
-	k := kernel.New(kernel.Config{Exec: mode})
-	task, err := prog.Spawn(k)
-	if err != nil {
-		return s, err
+// guestRun runs the program build makes to exit under the full kernel
+// and samples its task.
+func guestRun(build func(config) (*guest.Program, error)) func(config, cpu.ExecMode, bool) (runSample, error) {
+	return func(cfg config, mode cpu.ExecMode, instrument bool) (s runSample, err error) {
+		prog, err := build(cfg)
+		if err != nil {
+			return s, err
+		}
+		k := kernel.New(kernel.Config{Exec: mode})
+		task, err := prog.Spawn(k)
+		if err != nil {
+			return s, err
+		}
+		if instrument {
+			task.CPU.Hook = func(uint64, isa.Inst) { s.insns++ }
+		}
+		start := time.Now()
+		if err := k.Run(-1); err != nil {
+			return s, err
+		}
+		s.wall = time.Since(start).Seconds()
+		if task.ExitCode != 0 {
+			return s, fmt.Errorf("guest exited %d", task.ExitCode)
+		}
+		s.sample(task.CPU)
+		return s, nil
 	}
-	if instrument {
-		task.CPU.Hook = func(uint64, isa.Inst) { s.insns++ }
-	}
-	start := time.Now()
-	if err := k.Run(-1); err != nil {
-		return s, err
-	}
-	s.wall = time.Since(start).Seconds()
-	if task.ExitCode != 0 {
-		return s, fmt.Errorf("guest exited %d", task.ExitCode)
-	}
-	s.sample(task.CPU)
-	return s, nil
-}
-
-// microbench runs the paper's microbenchmark guest under the full kernel.
-func microbench(cfg config, mode cpu.ExecMode, instrument bool) (runSample, error) {
-	prog, err := guest.Microbench(kernel.NonexistentSyscall, cfg.Iters)
-	if err != nil {
-		return runSample{}, err
-	}
-	return runGuest(prog, mode, instrument)
-}
-
-// memBench runs the MemBench guest under the full kernel; a nonzero exit
-// means its self-check failed.
-func memBench(cfg config, mode cpu.ExecMode, instrument bool) (runSample, error) {
-	prog, err := guest.MemBench(cfg.MemSweeps)
-	if err != nil {
-		return runSample{}, err
-	}
-	return runGuest(prog, mode, instrument)
 }
 
 // minTimedWall is the shortest wall time worth dividing by: below it a
@@ -414,9 +396,4 @@ func checkEngines(fast, slow runSample, data bool) error {
 		return fmt.Errorf("the reference engine used a fast-engine tier: %+v", slow.Counters)
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cpubench:", err)
-	os.Exit(1)
 }

@@ -1,20 +1,8 @@
-// Command runsim runs a guest program on the simulated machine under a
-// chosen syscall interposition mechanism and prints an strace-style log.
-//
-// The program may be an assembly source file (.s, assembled on the fly)
-// or a serialized SELF image produced by sasm. A few built-in demo
-// programs are available via -builtin.
-//
-// Usage:
-//
-//	runsim [-mech lazypoline|zpoline|sud|seccomp-user|ptrace|none] [-trace] program.s
-//	runsim -builtin jit -mech zpoline -trace
-//	runsim -builtin attack-jit -mech lazypoline -policy regions
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -34,105 +22,41 @@ import (
 	"lazypoline/internal/zpoline"
 )
 
-// telemetryOuts holds the telemetry output paths; empty = surface off.
-type telemetryOuts struct {
-	metrics string
-	trace   string
-	profile string
-}
+// runCmd runs a guest program on the simulated machine under a chosen
+// syscall interposition mechanism and prints an strace-style log. The
+// program is an assembly source file (.s, assembled on the fly), a
+// serialized SELF image produced by `lazysim asm`, or a built-in demo
+// guest named with -builtin:
+//
+//	lazysim run [-mech lazypoline|zpoline|sud|seccomp-user|ptrace|none] program.s
+//	lazysim run -builtin jit -mech zpoline
+//	lazysim run -builtin attack-jit -mech lazypoline -policy regions
+func runCmd(args []string, w io.Writer) error {
+	var mech, builtin, policyMode string
+	var doTrace, stats bool
+	var chaosSeed uint64
+	var chaosRate float64
+	var o outputs
+	f := newFlags("run")
+	f.StringVar(&mech, "mech", "lazypoline", "interposition mechanism: lazypoline, lazypoline-noxstate, zpoline, sud, seccomp-user, ptrace, ldpreload, none")
+	f.BoolVar(&doTrace, "trace", true, "print an strace-style syscall log")
+	f.StringVar(&builtin, "builtin", "", "run a built-in demo guest: jit, microbench, cat, attack-jit, attack-seq")
+	f.BoolVar(&stats, "stats", true, "print cycle and mechanism statistics")
+	f.StringVar(&policyMode, "policy", "", "syscall policy enforcement: regions, sfip, both (empty = off)")
+	f.chaos(&chaosSeed, &chaosRate)
+	f.telemetry(&o)
+	if err := f.parse(args, 1); err != nil {
+		return err
+	}
+	progArgs := f.Args()
 
-func (o telemetryOuts) sink() *telemetry.Sink {
-	if o.metrics == "" && o.trace == "" && o.profile == "" {
-		return nil
-	}
-	s := &telemetry.Sink{}
-	if o.metrics != "" {
-		s.Metrics = telemetry.NewRegistry()
-	}
-	if o.trace != "" {
-		s.Timeline = telemetry.NewTimeline()
-	}
-	if o.profile != "" {
-		s.Profiler = telemetry.NewProfiler()
-	}
-	return s
-}
-
-// write emits the requested telemetry files. Trace format follows the
-// extension: .jsonl gets the compact line form, everything else the
-// Chrome trace-event JSON Perfetto loads.
-func (o telemetryOuts) write(s *telemetry.Sink, symbols map[string]uint64) error {
-	if o.metrics != "" {
-		data, err := s.Metrics.Snapshot().MarshalIndent()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.metrics, data, 0o644); err != nil {
-			return err
-		}
-	}
-	if o.trace != "" {
-		f, err := os.Create(o.trace)
-		if err != nil {
-			return err
-		}
-		evs := s.Timeline.Events()
-		if strings.HasSuffix(o.trace, ".jsonl") {
-			err = telemetry.EncodeJSONL(f, evs)
-		} else {
-			err = telemetry.EncodeChrome(f, evs)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if o.profile != "" {
-		f, err := os.Create(o.profile)
-		if err != nil {
-			return err
-		}
-		err = s.Profiler.WriteFolded(f, symbols)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func main() {
-	mech := flag.String("mech", "lazypoline", "interposition mechanism: lazypoline, lazypoline-noxstate, zpoline, sud, seccomp-user, ptrace, ldpreload, none")
-	doTrace := flag.Bool("trace", true, "print an strace-style syscall log")
-	builtin := flag.String("builtin", "", "run a built-in demo guest: jit, microbench, cat, attack-jit, attack-seq")
-	stats := flag.Bool("stats", true, "print cycle and mechanism statistics")
-	policyMode := flag.String("policy", "", "syscall policy enforcement: regions, sfip, both (empty = off)")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "deterministic fault-injection seed (see internal/chaos)")
-	chaosRate := flag.Float64("chaos-rate", 0, "fault-injection rate in [0,1]; 0 disables chaos entirely")
-	var outs telemetryOuts
-	flag.StringVar(&outs.metrics, "metrics-out", "", "write a telemetry metrics snapshot (JSON) to this file")
-	flag.StringVar(&outs.trace, "trace-out", "", "write a timeline trace to this file (.jsonl = compact lines, else Chrome/Perfetto JSON)")
-	flag.StringVar(&outs.profile, "profile-out", "", "write folded flamegraph stacks of the virtual-cycle profile to this file")
-	flag.Parse()
-
-	if err := run(*mech, *doTrace, *builtin, *stats, *policyMode, *chaosSeed, *chaosRate, outs, flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, "runsim:", err)
-		os.Exit(1)
-	}
-}
-
-func run(mech string, doTrace bool, builtin string, stats bool, policyMode string, chaosSeed uint64, chaosRate float64, outs telemetryOuts, args []string) error {
-	pol, err := buildPolicy(policyMode, builtin, args)
+	pol, err := buildPolicy(policyMode, builtin, progArgs)
 	if err != nil {
 		return err
 	}
-	sink := outs.sink()
+	sink := o.sink()
 	k := kernel.New(kernel.Config{ChaosSeed: chaosSeed, ChaosRate: chaosRate, Telemetry: sink, Policy: pol})
-	prog, err := loadProgram(k, builtin, args)
+	prog, err := loadProgram(k, builtin, progArgs)
 	if err != nil {
 		return err
 	}
@@ -169,7 +93,7 @@ func run(mech string, doTrace bool, builtin string, stats bool, policyMode strin
 		if err == nil {
 			mechSyms = lp.Symbols()
 			if len(lp.Hooked) == 0 {
-				fmt.Fprintln(os.Stderr, "runsim: warning: no known wrappers found; nothing hooked")
+				fmt.Fprintln(os.Stderr, "lazysim run: warning: no known wrappers found; nothing hooked")
 			}
 		}
 	case "none":
@@ -193,35 +117,35 @@ func run(mech string, doTrace bool, builtin string, stats bool, policyMode strin
 	if sink != nil {
 		symbols := telemetry.MergeSymbols(prog.Image.Symbols, mechSyms,
 			map[string]uint64{"vdso_sigreturn": kernel.VdsoBase})
-		if err := outs.write(sink, symbols); err != nil {
+		if err := o.write(w, sink, nil, symbols); err != nil {
 			return err
 		}
 	}
 
 	if doTrace && mech != "none" {
 		for _, e := range rec.Entries() {
-			fmt.Println(e)
+			fmt.Fprintln(w, e)
 		}
 	}
 	if out := task.ConsoleOut; len(out) > 0 {
-		fmt.Printf("--- console ---\n%s", out)
+		fmt.Fprintf(w, "--- console ---\n%s", out)
 		if out[len(out)-1] != '\n' {
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 	if task.PolicyViolation != "" {
-		fmt.Printf("--- policy violation: %s ---\n", task.PolicyViolation)
+		fmt.Fprintf(w, "--- policy violation: %s ---\n", task.PolicyViolation)
 	}
-	fmt.Printf("--- exit code %d ---\n", task.ExitCode)
+	fmt.Fprintf(w, "--- exit code %d ---\n", task.ExitCode)
 	if stats {
-		fmt.Printf("cycles: %d\n", task.CPU.Cycles)
+		fmt.Fprintf(w, "cycles: %d\n", task.CPU.Cycles)
 		if lpStats != nil {
 			s := lpStats.Stats
-			fmt.Printf("lazypoline: %d slow-path hits, %d sites rewritten, %d signals wrapped, %d sigreturns routed\n",
+			fmt.Fprintf(w, "lazypoline: %d slow-path hits, %d sites rewritten, %d signals wrapped, %d sigreturns routed\n",
 				s.SlowPathHits, s.Rewrites, s.WrappedSignals, s.SigreturnsRouted)
 		}
 		if zpStats != nil {
-			fmt.Printf("zpoline: %d sites rewritten at load time (%d bytes scanned)\n",
+			fmt.Fprintf(w, "zpoline: %d sites rewritten at load time (%d bytes scanned)\n",
 				zpStats.Stats.Rewritten, zpStats.Stats.ScannedBytes)
 		}
 	}
@@ -275,7 +199,7 @@ func buildPolicy(mode, builtin string, args []string) (*kernel.PolicyConfig, err
 		return nil, err
 	}
 	if task.ExitCode != 0 {
-		fmt.Fprintf(os.Stderr, "runsim: warning: SFIP learning run exited %d; the enforced run may differ\n", task.ExitCode)
+		fmt.Fprintf(os.Stderr, "lazysim run: warning: SFIP learning run exited %d; the enforced run may differ\n", task.ExitCode)
 	}
 	pol.SFIP = prof
 	return pol, nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,7 +11,7 @@ func TestRunBuiltins(t *testing.T) {
 	for _, builtin := range []string{"jit", "microbench", "cat", "attack-jit", "attack-seq"} {
 		for _, mech := range []string{"lazypoline", "zpoline", "sud", "ldpreload", "none"} {
 			t.Run(builtin+"/"+mech, func(t *testing.T) {
-				if err := run(mech, false, builtin, false, "", 0, 0, telemetryOuts{}, nil); err != nil {
+				if err := runCmd([]string{"-mech", mech, "-builtin", builtin, "-trace=false", "-stats=false"}, io.Discard); err != nil {
 					t.Errorf("run(%s under %s): %v", builtin, mech, err)
 				}
 			})
@@ -36,19 +37,21 @@ msg:
 `), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("lazypoline", false, "", false, "", 0, 0, telemetryOuts{}, []string{src}); err != nil {
+	if err := runCmd([]string{"-trace=false", "-stats=false", src}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if err := run("bogus-mech", false, "jit", false, "", 0, 0, telemetryOuts{}, nil); err == nil {
-		t.Error("unknown mechanism accepted")
-	}
-	if err := run("none", false, "bogus-builtin", false, "", 0, 0, telemetryOuts{}, nil); err == nil {
-		t.Error("unknown builtin accepted")
-	}
-	if err := run("none", false, "", false, "", 0, 0, telemetryOuts{}, nil); err == nil {
-		t.Error("missing program accepted")
+	for _, args := range [][]string{
+		{"-mech", "bogus-mech", "-builtin", "jit"},           // unknown mechanism
+		{"-mech", "none", "-builtin", "bogus"},               // unknown builtin
+		{"-mech", "none"},                                    // missing program
+		{"-mech", "none", "a.s", "b.s"},                      // two programs
+		{"-mech", "none", "-policy", "x", "-builtin", "cat"}, // unknown policy
+	} {
+		if err := runCmd(args, io.Discard); err == nil {
+			t.Errorf("run %q accepted", args)
+		}
 	}
 }

@@ -1,22 +1,7 @@
-// Command tracecat pretty-prints and converts telemetry timeline traces
-// produced by runsim/macrobench/fleetbench -trace-out. Both on-disk
-// forms are accepted and sniffed automatically: Chrome trace-event JSON
-// (the Perfetto-loadable envelope) and the compact JSONL form.
-//
-// Usage:
-//
-//	tracecat trace.json               # pretty-print a table
-//	tracecat -requests trace.json     # request span trees (otrace)
-//	tracecat -format jsonl trace.json # convert to compact JSONL
-//	tracecat -format chrome -o trace.json trace.jsonl
-//
-// A malformed or truncated trace file is a hard error: tracecat exits
-// non-zero naming the offending line, so CI round-trip gates fail loud.
 package main
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -27,22 +12,32 @@ import (
 	"lazypoline/internal/telemetry"
 )
 
-func main() {
-	format := flag.String("format", "pretty", "output format: pretty, chrome, jsonl")
-	out := flag.String("o", "", "write output to file instead of stdout")
-	requests := flag.Bool("requests", false, "render request span trees (otrace export) instead of the event table")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecat [-format pretty|chrome|jsonl] [-requests] [-o file] trace-file")
-		os.Exit(2)
+// traceCmd pretty-prints and converts the telemetry traces -trace-out
+// writes. Both on-disk forms are accepted and sniffed automatically:
+// Chrome trace-event JSON (the Perfetto-loadable envelope) and the
+// compact JSONL form.
+//
+//	lazysim trace trace.json               # pretty-print a table
+//	lazysim trace -requests trace.json     # request span trees (otrace)
+//	lazysim trace -format jsonl trace.json # convert to compact JSONL
+//	lazysim trace -format chrome -o trace.json trace.jsonl
+//
+// A malformed or truncated trace file is a hard error naming the
+// offending line, so round-trip checks fail loud.
+func traceCmd(args []string, w io.Writer) (err error) {
+	var format, outPath string
+	var requests bool
+	f := newFlags("trace")
+	f.StringVar(&format, "format", "pretty", "output format: pretty, chrome, jsonl")
+	f.StringVar(&outPath, "o", "", "write output to file instead of stdout")
+	f.BoolVar(&requests, "requests", false, "render request span trees (otrace export) instead of the event table")
+	if err := f.parse(args, 1); err != nil {
+		return err
 	}
-	if err := run(*format, *out, *requests, flag.Arg(0)); err != nil {
-		fmt.Fprintln(os.Stderr, "tracecat:", err)
-		os.Exit(1)
+	if f.NArg() != 1 {
+		return fmt.Errorf("usage: lazysim trace [-format pretty|chrome|jsonl] [-requests] [-o file] trace-file")
 	}
-}
-
-func run(format, outPath string, requests bool, path string) error {
+	path := f.Arg(0)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -51,15 +46,20 @@ func run(format, outPath string, requests bool, path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	var w io.Writer = os.Stdout
 	if outPath != "" {
-		f, err := os.Create(outPath)
+		file, err := os.Create(outPath)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		bw := bufio.NewWriter(f)
-		defer bw.Flush()
+		bw := bufio.NewWriter(file)
+		defer func() {
+			if ferr := bw.Flush(); err == nil {
+				err = ferr
+			}
+			if cerr := file.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		w = bw
 	}
 	if requests {

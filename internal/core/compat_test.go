@@ -52,9 +52,7 @@ func TestListing1UtilBreaksWithoutXState(t *testing.T) {
 			t.Fatal(err)
 		}
 		clobber := clobberingInterposer()
-		if _, err := Attach(k, task, clobber, Options{
-			NoXStateDefault: noXState, SaveXState: !noXState,
-		}); err != nil {
+		if _, err := Attach(k, task, clobber, Options{NoXStateDefault: noXState}); err != nil {
 			t.Fatal(err)
 		}
 		mustRun(t, k)

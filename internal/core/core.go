@@ -61,12 +61,10 @@ const (
 
 // Options configures Attach.
 type Options struct {
-	// SaveXState preserves all SSE/AVX/x87 state across interposition
-	// (the default, as in the paper; turning it off reproduces the
-	// "lazypoline without xstate preservation" configuration).
-	SaveXState bool
-	// NoXStateDefault inverts the SaveXState zero value: Options{} means
-	// SaveXState=true. Set NoXStateDefault to honour SaveXState=false.
+	// NoXStateDefault turns off the preservation of all SSE/AVX/x87 state
+	// across interposition, reproducing the "lazypoline without xstate
+	// preservation" configuration. The zero value preserves it, as in the
+	// paper.
 	NoXStateDefault bool
 	// PreRewrite statically rewrites all currently mapped code up front,
 	// so no slow-path activations occur for preexisting sites. The
@@ -83,13 +81,6 @@ type Options struct {
 	// ERIM-style binary scanning, which is out of scope here, as in the
 	// paper.
 	ProtectSelector bool
-}
-
-func (o Options) saveXState() bool {
-	if o.NoXStateDefault {
-		return o.SaveXState
-	}
-	return true
 }
 
 // Stats counts runtime activity.
@@ -205,7 +196,7 @@ func (rt *Runtime) injectImage(t *kernel.Task) error {
 	rt.entryAddr = uint64(e.Len())
 	interpose.BuildEntryStub(&e, interpose.StubOpts{
 		UseSUD:     true,
-		SaveXState: rt.Opts.saveXState(),
+		SaveXState: !rt.Opts.NoXStateDefault,
 		EnterHcall: rt.enterID,
 		ExitHcall:  rt.exitID,
 		ProtectGS:  rt.Opts.ProtectSelector,

@@ -430,7 +430,7 @@ func TestNoXStateVariantClobbers(t *testing.T) {
 	}
 	k := kernel.New(kernel.Config{})
 	task := spawn(t, k, src)
-	if _, err := Attach(k, task, clobber, Options{NoXStateDefault: true, SaveXState: false}); err != nil {
+	if _, err := Attach(k, task, clobber, Options{NoXStateDefault: true}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, k)

@@ -83,7 +83,7 @@ type predLink struct {
 }
 
 // DecodeCacheStats counts decode-cache activity, exposed for tests, the
-// telemetry layer and the cpubench tool. Counters are cumulative for the
+// telemetry layer and `lazysim cpu`. Counters are cumulative for the
 // CPU's lifetime.
 type DecodeCacheStats struct {
 	// Hits are Steps served from a cached block.
@@ -100,8 +100,8 @@ type DecodeCacheStats struct {
 	RebindFlushes uint64
 	// OverflowEvictions counts blocks evicted by the FIFO overflow
 	// policy when the map reached maxCacheBlocks. Formerly overflow and
-	// rebind were conflated in one Flushes counter, which made cpubench
-	// flush numbers unattributable.
+	// rebind were conflated in one Flushes counter, which made the CPU
+	// benchmark's flush numbers unattributable.
 	OverflowEvictions uint64
 }
 

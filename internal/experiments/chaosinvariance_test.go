@@ -92,27 +92,8 @@ func TestChaosInvarianceCrossMechTraces(t *testing.T) {
 	cfg := kernel.Config{ChaosSeed: chaosInvSeed, ChaosRate: chaosInvRate}
 	mechs := []string{MechLazypoline, MechLazypolineNX, MechZpoline, MechSUD, MechSeccompUser, MechPtrace}
 
-	runTraced := func(mech string, c kernel.Config) []int64 {
-		k := kernel.New(c)
-		task, err := spawnCoreutil("cat", guest.LibcUbuntu2004(false))(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := &trace.Recorder{}
-		if err := attachTracing(mech, k, task, rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := k.Run(100_000_000); err != nil {
-			t.Fatal(err)
-		}
-		if task.ExitCode != 0 {
-			t.Fatalf("%s: cat exited %d under chaos", mech, task.ExitCode)
-		}
-		return rec.Nrs()
-	}
-
-	ref := runTraced(MechSUD, cfg)
-	clean := runTraced(MechSUD, kernel.Config{})
+	ref := catTrace(t, MechSUD, cfg)
+	clean := catTrace(t, MechSUD, kernel.Config{})
 	if len(ref) <= len(clean) {
 		t.Fatalf("chaos trace (%d syscalls) not longer than clean trace (%d): no injected retries — vacuous",
 			len(ref), len(clean))
@@ -121,7 +102,7 @@ func TestChaosInvarianceCrossMechTraces(t *testing.T) {
 		if mech == MechSUD {
 			continue
 		}
-		if d := trace.DiffNrs(runTraced(mech, cfg), ref); d != "" {
+		if d := trace.DiffNrs(catTrace(t, mech, cfg), ref); d != "" {
 			t.Errorf("%s trace differs from SUD under identical fault plan: %s", mech, d)
 		}
 	}

@@ -45,7 +45,7 @@ func TestPtraceSlowestOfAll(t *testing.T) {
 // IDENTICAL traces on the JIT workload — the paper's strongest §V-A
 // statement ("print the exact same syscalls, in the same order").
 func TestExhaustiveMechanismsAgreeExactly(t *testing.T) {
-	results, err := Exhaustiveness()
+	results, err := Exhaustiveness(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,22 +16,7 @@ func TestAllMechanismsAgreeOnCoreutils(t *testing.T) {
 	mechs := []string{MechLazypoline, MechLazypolineNX, MechSUD, MechSeccompUser, MechPtrace}
 	traces := make(map[string][]int64, len(mechs))
 	for _, mech := range mechs {
-		k := kernel.New(kernel.Config{})
-		task, err := spawnCoreutil("cat", guest.LibcUbuntu2004(false))(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := &trace.Recorder{}
-		if err := attachTracing(mech, k, task, rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := k.Run(50_000_000); err != nil {
-			t.Fatal(err)
-		}
-		if task.ExitCode != 0 {
-			t.Fatalf("%s: cat exited %d", mech, task.ExitCode)
-		}
-		traces[mech] = rec.Nrs()
+		traces[mech] = catTrace(t, mech, kernel.Config{})
 	}
 	ref := traces[MechSUD]
 	if len(ref) < 8 {
@@ -42,4 +27,26 @@ func TestAllMechanismsAgreeOnCoreutils(t *testing.T) {
 			t.Errorf("%s trace differs from SUD: %s", mech, d)
 		}
 	}
+}
+
+// catTrace runs `cat` to a clean exit under mech with a tracing
+// interposer and returns the syscall numbers it observed.
+func catTrace(t *testing.T, mech string, cfg kernel.Config) []int64 {
+	t.Helper()
+	k := kernel.New(cfg)
+	task, err := spawnCoreutil("cat", guest.LibcUbuntu2004(false))(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &trace.Recorder{}
+	if _, err := attach(mech, k, task, rec, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(100_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if task.ExitCode != 0 {
+		t.Fatalf("%s: cat exited %d", mech, task.ExitCode)
+	}
+	return rec.Nrs()
 }

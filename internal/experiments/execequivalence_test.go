@@ -24,6 +24,7 @@ import (
 
 	"lazypoline/internal/cpu"
 	"lazypoline/internal/guest"
+	"lazypoline/internal/interpose"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/telemetry"
 	"lazypoline/internal/trace"
@@ -122,9 +123,11 @@ func firstDiff(a, b string) string {
 func attachForTrace(mech string, k *kernel.Kernel, task *kernel.Task, preRewrite bool) (*trace.Recorder, error) {
 	if tracingMechs[mech] {
 		rec := &trace.Recorder{}
-		return rec, attachTracing(mech, k, task, rec)
+		_, err := attach(mech, k, task, rec, false)
+		return rec, err
 	}
-	return nil, attach(mech, k, task, preRewrite)
+	_, err := attach(mech, k, task, interpose.Dummy{}, preRewrite)
+	return nil, err
 }
 
 // guestSpec is one single-machine guest and how a cell runs it.

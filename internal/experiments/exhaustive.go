@@ -3,41 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"lazypoline/internal/core"
 	"lazypoline/internal/guest"
 	"lazypoline/internal/kernel"
-	"lazypoline/internal/ptracer"
-	"lazypoline/internal/seccomputil"
-	"lazypoline/internal/sud"
 	"lazypoline/internal/trace"
-	"lazypoline/internal/zpoline"
 )
-
-// attachTracing installs a tracing Recorder through the named mechanism.
-func attachTracing(mech string, k *kernel.Kernel, t *kernel.Task, rec *trace.Recorder) error {
-	switch mech {
-	case MechZpoline:
-		_, err := zpoline.Attach(k, t, rec, zpoline.Options{})
-		return err
-	case MechLazypoline, MechLazypolineNX:
-		_, err := core.Attach(k, t, rec, core.Options{
-			NoXStateDefault: mech == MechLazypolineNX,
-			SaveXState:      mech == MechLazypoline,
-		})
-		return err
-	case MechSUD:
-		_, err := sud.Attach(k, t, rec)
-		return err
-	case MechSeccompUser:
-		_, err := seccomputil.AttachUser(k, t, rec)
-		return err
-	case MechPtrace:
-		ptracer.Attach(k, t, rec)
-		return nil
-	default:
-		return fmt.Errorf("experiments: no tracing attach for %q", mech)
-	}
-}
 
 // ExhaustivenessResult is the §V-A experiment outcome for one mechanism.
 type ExhaustivenessResult struct {
@@ -60,16 +29,10 @@ type ExhaustivenessResult struct {
 // program with a singular, non-libc getpid at run time; the same
 // workload runs under SUD, zpoline and lazypoline with a tracing
 // interposer. SUD and lazypoline must produce the exact same (complete)
-// trace; zpoline misses the JIT syscall.
-func Exhaustiveness() ([]ExhaustivenessResult, error) {
-	return ExhaustivenessParallel(0)
-}
-
-// ExhaustivenessParallel is Exhaustiveness with an explicit worker-pool
-// width (<=0 selects DefaultParallelism). Each mechanism traces the JIT
-// workload in its own kernel, so the runs proceed concurrently with
-// identical output at any parallelism.
-func ExhaustivenessParallel(parallelism int) ([]ExhaustivenessResult, error) {
+// trace; zpoline misses the JIT syscall. The runs use a pool of
+// `parallelism` workers (<=0 selects DefaultParallelism); each traces the
+// JIT workload in its own kernel, so the output is identical at any width.
+func Exhaustiveness(parallelism int) ([]ExhaustivenessResult, error) {
 	mechs := []string{MechSUD, MechZpoline, MechLazypoline}
 	out := make([]ExhaustivenessResult, len(mechs))
 	err := runSweep(len(mechs), parallelism, func(i int) error {
@@ -105,7 +68,7 @@ func exhaustivenessRun(mech string) (ExhaustivenessResult, error) {
 	gt := &trace.GroundTruth{}
 	k.OnDispatch = gt.Hook()
 	rec := &trace.Recorder{}
-	if err := attachTracing(mech, k, task, rec); err != nil {
+	if _, err := attach(mech, k, task, rec, false); err != nil {
 		return ExhaustivenessResult{}, err
 	}
 	if err := k.Run(50_000_000); err != nil {

@@ -2,13 +2,14 @@
 // evaluation: the characteristics matrix (Table I), the microbenchmark
 // (Table II), the overhead breakdown (Figure 4), the coreutils xstate
 // analysis (Table III, via package pin), the web-server macrobenchmark
-// (Figure 5), and the §V-A JIT exhaustiveness experiment. The cmd/
-// binaries and the repository benchmarks are thin wrappers over this
+// (Figure 5), and the §V-A JIT exhaustiveness experiment. The lazysim
+// command and the repository benchmarks are thin wrappers over this
 // package.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"lazypoline/internal/core"
 	"lazypoline/internal/guest"
@@ -31,58 +32,55 @@ const (
 	MechSUD          = "SUD"
 	MechSeccompUser  = "seccomp-user"
 	MechPtrace       = "ptrace"
+	// MechSeccompBPF is Table I's in-kernel allow-all filter: it runs no
+	// user-space interposer, so attach ignores the one it is given.
+	MechSeccompBPF = "seccomp-bpf"
 	// MechLazypolineMPK is the §VI ablation: lazypoline with the selector
 	// byte isolated behind a memory protection key (two extra WRPKRU
 	// pairs per interposed syscall).
 	MechLazypolineMPK = "lazypoline+MPK"
 )
 
-// attach installs the named mechanism (with a Dummy interposer) on a
-// task. MechBaseline attaches nothing; MechBaselineSUD arms SUD with the
-// selector parked at ALLOW, isolating the kernel entry-path tax.
+// attach installs the named mechanism on a task with interposer ip (the
+// benchmarks pass interpose.Dummy, the traced experiments a
+// trace.Recorder) and returns the mechanism's runtime, nil for the two
+// baselines. MechBaseline attaches nothing; MechBaselineSUD arms SUD with
+// the selector parked at ALLOW, isolating the kernel entry-path tax.
 // preRewrite selects lazypoline's up-front rewriting pass: on for the
 // microbenchmark (pure steady state, as in the paper), off for the
-// macrobenchmark (the deployed lazy configuration).
-func attach(name string, k *kernel.Kernel, t *kernel.Task, preRewrite bool) error {
+// macrobenchmark (the deployed lazy configuration) and for tracing, whose
+// sites go through the SIGSYS slow path.
+func attach(name string, k *kernel.Kernel, t *kernel.Task, ip interpose.Interposer, preRewrite bool) (any, error) {
 	switch name {
 	case MechBaseline:
-		return nil
+		return nil, nil
 	case MechBaselineSUD:
 		selPage, err := t.AS.MapAnon(4096, mem.ProtRW)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := t.AS.WriteForce(selPage, []byte{kernel.SyscallDispatchFilterAllow}); err != nil {
-			return err
+			return nil, err
 		}
-		return k.ConfigSUD(t, kernel.SUDConfig{Enabled: true, SelectorAddr: selPage})
+		return nil, k.ConfigSUD(t, kernel.SUDConfig{Enabled: true, SelectorAddr: selPage})
 	case MechZpoline:
-		_, err := zpoline.Attach(k, t, interpose.Dummy{}, zpoline.Options{})
-		return err
+		return zpoline.Attach(k, t, ip, zpoline.Options{})
 	case MechLazypolineNX:
-		_, err := core.Attach(k, t, interpose.Dummy{}, core.Options{
-			NoXStateDefault: true, PreRewrite: preRewrite,
-		})
-		return err
+		return core.Attach(k, t, ip, core.Options{NoXStateDefault: true, PreRewrite: preRewrite})
 	case MechLazypoline:
-		_, err := core.Attach(k, t, interpose.Dummy{}, core.Options{PreRewrite: preRewrite})
-		return err
+		return core.Attach(k, t, ip, core.Options{PreRewrite: preRewrite})
 	case MechLazypolineMPK:
-		_, err := core.Attach(k, t, interpose.Dummy{}, core.Options{
-			PreRewrite: preRewrite, ProtectSelector: true,
-		})
-		return err
+		return core.Attach(k, t, ip, core.Options{PreRewrite: preRewrite, ProtectSelector: true})
 	case MechSUD:
-		_, err := sud.Attach(k, t, interpose.Dummy{})
-		return err
+		return sud.Attach(k, t, ip)
 	case MechSeccompUser:
-		_, err := seccomputil.AttachUser(k, t, interpose.Dummy{})
-		return err
+		return seccomputil.AttachUser(k, t, ip)
+	case MechSeccompBPF:
+		return nil, seccomputil.AttachBPF(k, t, seccomputil.BPFPolicy{})
 	case MechPtrace:
-		ptracer.Attach(k, t, interpose.Dummy{})
-		return nil
+		return ptracer.Attach(k, t, ip), nil
 	default:
-		return fmt.Errorf("experiments: unknown mechanism %q", name)
+		return nil, fmt.Errorf("experiments: unknown mechanism %q", name)
 	}
 }
 
@@ -102,22 +100,17 @@ var Table2Mechanisms = []string{
 // Table2 runs the microbenchmark — syscall 500, `iters` times — under
 // every Table II configuration and returns cycles/call plus overheads.
 // For the lazypoline rows the sites are rewritten up front, exactly as
-// in the paper, so the numbers are pure steady state.
-func Table2(iters int64) ([]MicroResult, error) {
-	return Table2Parallel(iters, 0)
-}
-
-// Table2Parallel is Table2 with an explicit worker-pool width (<=0
-// selects DefaultParallelism). Each row owns its own kernel, so the rows
-// run concurrently and the output is identical at any parallelism.
-func Table2Parallel(iters int64, parallelism int) ([]MicroResult, error) {
+// in the paper, so the numbers are pure steady state. The rows run on a
+// pool of `parallelism` workers (<=0 selects DefaultParallelism); each
+// owns its own kernel, so the output is identical at any width.
+func Table2(iters int64, parallelism int) ([]MicroResult, error) {
 	return microbench(Table2Mechanisms, iters, parallelism)
 }
 
 // Table2Single measures one mechanism's cycles/call (for benchmarks that
 // report a single configuration per run).
 func Table2Single(mech string, iters int64) (float64, error) {
-	cycles, err := microCycles(mech, iters)
+	cycles, err := microCycles(mech, iters, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -125,36 +118,24 @@ func Table2Single(mech string, iters int64) (float64, error) {
 }
 
 func microbench(mechs []string, iters int64, parallelism int) ([]MicroResult, error) {
-	// The baseline row anchors every Overhead; measure it explicitly so
-	// the result does not depend on where (or whether) MechBaseline
-	// appears in the row order.
 	perCall := make([]float64, len(mechs))
-	err := runSweep(len(mechs), parallelism, func(i int) error {
-		cycles, err := microCycles(mechs[i], iters)
-		if err != nil {
+	err := runSweep(len(mechs), parallelism, func(i int) (err error) {
+		if perCall[i], err = Table2Single(mechs[i], iters); err != nil {
 			return fmt.Errorf("experiments: %s: %w", mechs[i], err)
 		}
-		perCall[i] = float64(cycles) / float64(iters)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	// The baseline row anchors every Overhead, wherever it sits in the
+	// row order.
 	var baseline float64
-	for i, mech := range mechs {
-		if mech == MechBaseline {
-			baseline = perCall[i]
-		}
-	}
-	if baseline == 0 {
-		cycles, err := microCycles(MechBaseline, iters)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", MechBaseline, err)
-		}
-		baseline = float64(cycles) / float64(iters)
+	if i := slices.Index(mechs, MechBaseline); i >= 0 {
+		baseline = perCall[i]
 	}
 	if baseline <= 0 {
-		return nil, fmt.Errorf("experiments: baseline measured no cycles; cannot normalise overheads")
+		return nil, fmt.Errorf("experiments: baseline row missing or measured no cycles; cannot normalise overheads")
 	}
 	out := make([]MicroResult, 0, len(mechs))
 	for i, mech := range mechs {
@@ -167,9 +148,10 @@ func microbench(mechs []string, iters int64, parallelism int) ([]MicroResult, er
 	return out, nil
 }
 
-// microCycles measures total guest cycles for the microbench loop.
-func microCycles(mech string, iters int64) (uint64, error) {
-	k := kernel.New(kernel.Config{})
+// microCycles measures total guest cycles for the microbench loop under
+// mech, with the syscall policy pol (nil = none).
+func microCycles(mech string, iters int64, pol *kernel.PolicyConfig) (uint64, error) {
+	k := kernel.New(kernel.Config{Policy: pol})
 	prog, err := guest.Microbench(kernel.NonexistentSyscall, iters)
 	if err != nil {
 		return 0, err
@@ -178,14 +160,14 @@ func microCycles(mech string, iters int64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := attach(mech, k, task, true); err != nil {
+	if _, err := attach(mech, k, task, interpose.Dummy{}, true); err != nil {
 		return 0, err
 	}
 	if err := k.Run(-1); err != nil {
 		return 0, err
 	}
 	if task.ExitCode != 0 {
-		return 0, fmt.Errorf("microbench exited %d", task.ExitCode)
+		return 0, fmt.Errorf("microbench exited %d (policy violation: %q)", task.ExitCode, task.PolicyViolation)
 	}
 	return task.CPU.Cycles, nil
 }
@@ -220,22 +202,9 @@ func Figure4(iters int64) (Figure4Result, error) {
 
 	// "lazypoline's fast path with SUD disabled": structurally the same
 	// stub as zpoline's; measured through the zpoline attach (UseSUD off).
-	k := kernel.New(kernel.Config{})
-	prog, err := guest.Microbench(kernel.NonexistentSyscall, iters)
-	if err != nil {
+	if r.FastPathNoSUD, err = Table2Single(MechZpoline, iters); err != nil {
 		return r, err
 	}
-	task, err := prog.Spawn(k)
-	if err != nil {
-		return r, err
-	}
-	if _, err := zpoline.Attach(k, task, interpose.Dummy{}, zpoline.Options{}); err != nil {
-		return r, err
-	}
-	if err := k.Run(-1); err != nil {
-		return r, err
-	}
-	r.FastPathNoSUD = float64(task.CPU.Cycles) / float64(iters)
 
 	r.RewritingOver = r.ZpolineCycles - r.BaselineCycles
 	r.EnablingSUDOver = r.NoXStateCycles - r.ZpolineCycles

@@ -14,7 +14,7 @@ const microIters = 2000
 // against the paper's Table II with generous bands — the shape must
 // hold, not the exact decimals.
 func TestTable2Calibration(t *testing.T) {
-	rows, err := Table2(microIters)
+	rows, err := Table2(microIters, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFigure4Breakdown(t *testing.T) {
 }
 
 func TestExhaustivenessMatchesPaper(t *testing.T) {
-	results, err := Exhaustiveness()
+	results, err := Exhaustiveness(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestExhaustivenessMatchesPaper(t *testing.T) {
 }
 
 func TestTable1Matrix(t *testing.T) {
-	rows, err := Table1(500)
+	rows, err := Table1(500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"lazypoline/internal/guest"
+	"lazypoline/internal/interpose"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/otrace"
 	"lazypoline/internal/telemetry"
@@ -72,19 +74,10 @@ type Figure5Config struct {
 	// to every cell, exercising the full request-tracing plane: ID
 	// stamping, kernel span attribution, tail sampling. The collected
 	// trees are discarded — the field exists to prove the plane is inert
-	// (DESIGN.md §14). Execution machinery, excluded from snapshots: the
-	// CI gate diffs a -reqtrace sweep against a plain one.
+	// (DESIGN.md §14). Execution machinery, excluded from snapshots:
+	// TestFigure5ParallelDeterminism compares a traced sweep against a
+	// plain one.
 	RequestTraces bool `json:"-"`
-	// PolicyRegions and PolicySFIP enable the syscall-policy layers in
-	// every cell (DESIGN.md §12). Like chaos they are experiment
-	// parameters — the checks cost cycles — but the omitempty tags keep
-	// a policy-off sweep's snapshot byte-identical to one from a build
-	// without the fields. PolicySFIP runs each cell twice: a learning
-	// pass populates the cell's transition profile, then the measured
-	// pass enforces it (the learning pass charges identical cycles, so
-	// its schedule is the enforce run's schedule).
-	PolicyRegions bool `json:"policy_regions,omitempty"`
-	PolicySFIP    bool `json:"policy_sfip,omitempty"`
 }
 
 // DefaultFigure5Config mirrors the paper's sweep at simulation-friendly
@@ -139,8 +132,8 @@ func Figure5(cfg Figure5Config) ([]Figure5Point, error) {
 // Figure5WithMetrics is Figure5 with a per-cell telemetry registry
 // attached, additionally returning each cell's dispatch-path cycle
 // breakdown (in cell enumeration order). The points are byte-identical
-// to a plain Figure5 run — telemetry is strictly observational, and the
-// CI invariance step diffs the two to prove it.
+// to a plain Figure5 run — telemetry is strictly observational, and
+// TestFigure5ParallelDeterminism compares the two to prove it.
 func Figure5WithMetrics(cfg Figure5Config) ([]Figure5Point, []Figure5CellMetrics, error) {
 	return figure5Run(cfg, true)
 }
@@ -149,11 +142,11 @@ func figure5Run(cfg Figure5Config, withMetrics bool) ([]Figure5Point, []Figure5C
 	if len(cfg.Mechanisms) == 0 {
 		cfg.Mechanisms = Figure5Mechanisms
 	}
-	if !containsStr(cfg.Mechanisms, MechBaseline) {
+	if !slices.Contains(cfg.Mechanisms, MechBaseline) {
 		return nil, nil, fmt.Errorf("experiments: figure5: mechanism list %v lacks %q — every point's Relative is normalised to the same-configuration baseline cell",
 			cfg.Mechanisms, MechBaseline)
 	}
-	if cfg.ClientCapFactor > 0 && containsGreater(cfg.Workers, 1) && !containsInt(cfg.Workers, 1) {
+	if cfg.ClientCapFactor > 0 && slices.ContainsFunc(cfg.Workers, func(w int) bool { return w > 1 }) && !slices.Contains(cfg.Workers, 1) {
 		return nil, nil, fmt.Errorf("experiments: figure5: ClientCapFactor=%g needs a workers==1 configuration to anchor the client capacity cap (got workers %v)",
 			cfg.ClientCapFactor, cfg.Workers)
 	}
@@ -200,18 +193,6 @@ func figure5Run(cfg Figure5Config, withMetrics bool) ([]Figure5Point, []Figure5C
 			wcfg.Trace = otrace.New(otrace.Config{})
 			wcfg.TraceSeed = uint64(i) + 1
 		}
-		pol, err := cellPolicy(cfg.PolicyRegions, cfg.PolicySFIP, func(learn *kernel.PolicyConfig) error {
-			lcfg := wcfg
-			lcfg.Policy = learn
-			lcfg.Telemetry = nil // the learning pass is never measured
-			_, lerr := webbench.Run(lcfg)
-			return lerr
-		})
-		if err != nil {
-			return fmt.Errorf("experiments: figure5 %s/%dw/%dB/%s: learn: %w",
-				c.server, c.workers, c.fileSize, c.mech, err)
-		}
-		wcfg.Policy = pol
 		res, err := webbench.Run(wcfg)
 		if err != nil {
 			return fmt.Errorf("experiments: figure5 %s/%dw/%dB/%s: %w",
@@ -296,40 +277,14 @@ func dispatchBreakdown(snap telemetry.Snapshot) []Figure5PathMetric {
 	return out
 }
 
-func containsStr(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
-}
-
-func containsInt(xs []int, want int) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
-}
-
-func containsGreater(xs []int, floor int) bool {
-	for _, x := range xs {
-		if x > floor {
-			return true
-		}
-	}
-	return false
-}
-
 // AttachFunc adapts the mechanism registry to webbench, for callers
-// (macrobench's instrumented run) that assemble their own Config.
+// (lazysim figure5's instrumented run) that assemble their own Config.
 func AttachFunc(mech string) webbench.AttachFunc {
 	if mech == MechBaseline {
 		return nil
 	}
 	return func(k *kernel.Kernel, t *kernel.Task) error {
-		return attach(mech, k, t, false)
+		_, err := attach(mech, k, t, interpose.Dummy{}, false)
+		return err
 	}
 }

@@ -97,7 +97,9 @@ func TestFigure5SweepOrderIndependence(t *testing.T) {
 }
 
 // TestFigure5ParallelDeterminism: the same sweep at pool widths 1 and 8
-// yields identical points — the per-cell isolation contract in action.
+// yields identical points — the per-cell isolation contract in action —
+// and so do a sweep with a request tracer in every cell and one with a
+// telemetry registry in every cell (DESIGN.md §9 and §14).
 func TestFigure5ParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("macro sweep")
@@ -115,6 +117,33 @@ func TestFigure5ParallelDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("parallel sweep diverged from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	}
+
+	traced := cfg
+	traced.RequestTraces = true
+	if got, err := Figure5(traced); err != nil {
+		t.Fatal(err)
+	} else if !reflect.DeepEqual(serial, got) {
+		t.Errorf("request-traced sweep diverged from plain:\nplain:  %+v\ntraced: %+v", serial, got)
+	}
+
+	got, metrics, err := Figure5WithMetrics(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, got) {
+		t.Errorf("instrumented sweep diverged from plain:\nplain:        %+v\ninstrumented: %+v", serial, got)
+	}
+	// The breakdown was recorded: zpoline's cells dispatch through the
+	// trampoline.
+	trampoline := false
+	for _, m := range metrics {
+		for _, p := range m.Paths {
+			trampoline = trampoline || (m.Mechanism == MechZpoline && p.Path == "trampoline" && p.Calls > 0)
+		}
+	}
+	if !trampoline {
+		t.Errorf("no zpoline cell recorded trampoline dispatches: %+v", metrics)
 	}
 }
 

@@ -62,7 +62,7 @@ type FleetBenchConfig struct {
 	// Trace, when non-nil, supplies a request tracer per cell (nil
 	// return = that cell untraced). Observability machinery, excluded
 	// from the snapshot: rows are byte-identical with tracing on or off
-	// (DESIGN.md §14), and CI diffs the two to prove it.
+	// (DESIGN.md §14), and TestFleetBenchDeterminism compares the two.
 	Trace func(drill fleet.DrillKind, mech string) *otrace.Tracer `json:"-"`
 }
 
@@ -161,7 +161,7 @@ func FleetBench(cfg FleetBenchConfig) ([]FleetBenchRow, error) {
 			Drill:         fleet.Drill{Kind: c.drill, Backend: drillTarget(c.drill, cfg.Backends)},
 			ProbeInterval: cfg.ProbeInterval,
 			ProbeTimeout:  cfg.ProbeTimeout,
-			Attach:        fleetAttach(c.mech),
+			Attach:        fleet.AttachFunc(AttachFunc(c.mech)),
 			ChaosSeed:     cfg.ChaosSeed,
 			ChaosRate:     cfg.ChaosRate,
 			Trace:         tracer,
@@ -210,13 +210,4 @@ func drillTarget(d fleet.DrillKind, backends int) int {
 		return backends - 1
 	}
 	return 0
-}
-
-// fleetAttach adapts the mechanism registry to fleet's structural
-// AttachFunc (identical signature to webbench's).
-func fleetAttach(mech string) fleet.AttachFunc {
-	if mech == MechBaseline {
-		return nil
-	}
-	return fleet.AttachFunc(AttachFunc(mech))
 }

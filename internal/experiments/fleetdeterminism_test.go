@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"lazypoline/internal/fleet"
+	"lazypoline/internal/otrace"
 )
 
 // fleetBenchJSON runs a FleetBench sweep and returns its marshalled
@@ -25,7 +27,7 @@ func fleetBenchJSON(t *testing.T, cfg FleetBenchConfig) []byte {
 // TestFleetBenchDeterminism: the robustness sweep's snapshot is a pure
 // function of its config — two runs at the same seed marshal to
 // byte-identical JSON for every (drill, mechanism) cell, serial or
-// parallel, chaos layered or not.
+// parallel, chaos layered or not, traced or not (DESIGN.md §14).
 func TestFleetBenchDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm sweeps are not short")
@@ -52,14 +54,33 @@ func TestFleetBenchDeterminism(t *testing.T) {
 			parallel := serial
 			parallel.Parallelism = 4
 
+			traced := parallel
+			var mu sync.Mutex
+			var tracers []*otrace.Tracer
+			traced.Trace = func(fleet.DrillKind, string) *otrace.Tracer {
+				mu.Lock()
+				defer mu.Unlock()
+				tracers = append(tracers, otrace.New(otrace.Config{}))
+				return tracers[len(tracers)-1]
+			}
+
 			a := fleetBenchJSON(t, serial)
 			b := fleetBenchJSON(t, serial)
 			c := fleetBenchJSON(t, parallel)
+			d := fleetBenchJSON(t, traced)
 			if string(a) != string(b) {
 				t.Fatalf("same-seed sweeps diverged:\n a=%s\n b=%s", a, b)
 			}
 			if string(a) != string(c) {
 				t.Fatalf("parallel sweep diverged from serial:\n serial=%s\n parallel=%s", a, c)
+			}
+			if string(a) != string(d) {
+				t.Fatalf("traced sweep diverged from untraced:\n untraced=%s\n traced=%s", a, d)
+			}
+			for _, tr := range tracers {
+				if tr.Stats().Started == 0 {
+					t.Fatal("a traced cell opened no request: tracing never engaged")
+				}
 			}
 		})
 	}

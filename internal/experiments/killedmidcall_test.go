@@ -4,14 +4,9 @@ import (
 	"reflect"
 	"testing"
 
-	"lazypoline/internal/core"
 	"lazypoline/internal/guest"
 	"lazypoline/internal/interpose"
 	"lazypoline/internal/kernel"
-	"lazypoline/internal/ptracer"
-	"lazypoline/internal/seccomputil"
-	"lazypoline/internal/sud"
-	"lazypoline/internal/zpoline"
 )
 
 // callCounter counts the interposer's activations and keeps nothing else.
@@ -91,23 +86,7 @@ func TestTaskKilledMidCallLeavesNothingInTheMechanism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, attach := range map[string]func(*kernel.Kernel, *kernel.Task, interpose.Interposer) (any, error){
-		MechZpoline: func(k *kernel.Kernel, task *kernel.Task, ip interpose.Interposer) (any, error) {
-			return zpoline.Attach(k, task, ip, zpoline.Options{})
-		},
-		MechLazypoline: func(k *kernel.Kernel, task *kernel.Task, ip interpose.Interposer) (any, error) {
-			return core.Attach(k, task, ip, core.Options{})
-		},
-		MechSUD: func(k *kernel.Kernel, task *kernel.Task, ip interpose.Interposer) (any, error) {
-			return sud.Attach(k, task, ip)
-		},
-		MechSeccompUser: func(k *kernel.Kernel, task *kernel.Task, ip interpose.Interposer) (any, error) {
-			return seccomputil.AttachUser(k, task, ip)
-		},
-		MechPtrace: func(k *kernel.Kernel, task *kernel.Task, ip interpose.Interposer) (any, error) {
-			return ptracer.Attach(k, task, ip), nil
-		},
-	} {
+	for _, name := range []string{MechZpoline, MechLazypoline, MechSUD, MechSeccompUser, MechPtrace} {
 		t.Run(name, func(t *testing.T) {
 			k := kernel.New(kernel.Config{})
 			task, err := prog.Spawn(k)
@@ -115,7 +94,7 @@ func TestTaskKilledMidCallLeavesNothingInTheMechanism(t *testing.T) {
 				t.Fatal(err)
 			}
 			ip := &callCounter{}
-			mech, err := attach(k, task, ip)
+			mech, err := attach(name, k, task, ip, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,19 +59,9 @@ func cellPolicy(regions, sfip bool, learnRun func(*kernel.PolicyConfig) error) (
 // PolicyModes is the report order of the policy configurations.
 var PolicyModes = []string{"off", "regions", "sfip", "both"}
 
-// policyMode maps a mode name to its (regions, sfip) switches.
-func policyMode(mode string) (regions, sfip bool, err error) {
-	switch mode {
-	case "off":
-		return false, false, nil
-	case "regions":
-		return true, false, nil
-	case "sfip":
-		return false, true, nil
-	case "both":
-		return true, true, nil
-	}
-	return false, false, fmt.Errorf("experiments: unknown policy mode %q", mode)
+// policyMode maps a PolicyModes name to its (regions, sfip) switches.
+func policyMode(mode string) (regions, sfip bool) {
+	return mode == "regions" || mode == "both", mode == "sfip" || mode == "both"
 }
 
 // PolicyBenchConfig parameterises the BENCH_policy.json sweep.
@@ -169,10 +159,7 @@ func PolicyBench(cfg PolicyBenchConfig) (PolicyBenchResult, error) {
 	err := runSweep(len(micros)+len(macros), cfg.Parallelism, func(i int) error {
 		if i < len(micros) {
 			c := micros[i]
-			regions, sfip, err := policyMode(c.mode)
-			if err != nil {
-				return err
-			}
+			regions, sfip := policyMode(c.mode)
 			cycles, err := microCyclesPolicy(c.mech, cfg.MicroIters, regions, sfip)
 			if err != nil {
 				return fmt.Errorf("experiments: policybench micro %s/%s: %w", c.mech, c.mode, err)
@@ -181,10 +168,7 @@ func PolicyBench(cfg PolicyBenchConfig) (PolicyBenchResult, error) {
 			return nil
 		}
 		c := macros[i-len(micros)]
-		regions, sfip, err := policyMode(c.mode)
-		if err != nil {
-			return err
-		}
+		regions, sfip := policyMode(c.mode)
 		wcfg := webbench.Config{
 			Style:       c.server,
 			Workers:     1,
@@ -263,40 +247,18 @@ func PolicyBench(cfg PolicyBenchConfig) (PolicyBenchResult, error) {
 	return out, nil
 }
 
-// microCyclesPolicy is microCycles with a policy configuration; SFIP
+// microCyclesPolicy is microCycles under the given policy layers; SFIP
 // modes learn on a first kernel and enforce on the measured one. The
 // microbenchmark's syscall 500 joins the alphabet so the automaton
 // actually advances on the hot loop.
 func microCyclesPolicy(mech string, iters int64, regions, sfip bool) (uint64, error) {
 	pol, err := cellPolicy(regions, sfip, func(learn *kernel.PolicyConfig) error {
 		learn.SFIPLearn.Track(kernel.NonexistentSyscall)
-		_, lerr := microCyclesWithPolicy(mech, iters, learn)
+		_, lerr := microCycles(mech, iters, learn)
 		return lerr
 	})
 	if err != nil {
 		return 0, err
 	}
-	return microCyclesWithPolicy(mech, iters, pol)
-}
-
-func microCyclesWithPolicy(mech string, iters int64, pol *kernel.PolicyConfig) (uint64, error) {
-	k := kernel.New(kernel.Config{Policy: pol})
-	prog, err := guest.Microbench(kernel.NonexistentSyscall, iters)
-	if err != nil {
-		return 0, err
-	}
-	task, err := prog.Spawn(k)
-	if err != nil {
-		return 0, err
-	}
-	if err := attach(mech, k, task, true); err != nil {
-		return 0, err
-	}
-	if err := k.Run(-1); err != nil {
-		return 0, err
-	}
-	if task.ExitCode != 0 {
-		return 0, fmt.Errorf("microbench exited %d (policy violation: %q)", task.ExitCode, task.PolicyViolation)
-	}
-	return task.CPU.Cycles, nil
+	return microCycles(mech, iters, pol)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lazypoline/internal/guest"
+	"lazypoline/internal/interpose"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/telemetry"
 )
@@ -25,7 +26,7 @@ func microbenchCounters(t *testing.T, mech string, iters int64, quantum uint64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := attach(mech, k, task, true); err != nil {
+	if _, err := attach(mech, k, task, interpose.Dummy{}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(-1); err != nil {

@@ -37,15 +37,6 @@ func runSweep(n, parallelism int, run func(i int) error) error {
 	if parallelism > n {
 		parallelism = n
 	}
-	if parallelism == 1 {
-		// Serial fast path: identical scheduling to the historical loops.
-		for i := 0; i < n; i++ {
-			if err := run(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup

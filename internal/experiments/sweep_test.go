@@ -46,22 +46,25 @@ func TestRunSweepErrorDeterminism(t *testing.T) {
 }
 
 // TestRunSweepRunsAllDespiteError: a failing cell does not prevent other
-// cells from running (errors are collected, not raced on).
+// cells from running (errors are collected, not raced on), serial pool
+// included.
 func TestRunSweepRunsAllDespiteError(t *testing.T) {
-	var ran atomic.Int32
 	boom := errors.New("boom")
-	err := runSweep(16, 4, func(i int) error {
-		ran.Add(1)
-		if i == 0 {
-			return boom
+	for _, j := range []int{1, 4} {
+		var ran atomic.Int32
+		err := runSweep(16, j, func(i int) error {
+			ran.Add(1)
+			if i == 0 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("j=%d: err = %v", j, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := ran.Load(); got != 16 {
-		t.Errorf("ran %d cells, want 16", got)
+		if got := ran.Load(); got != 16 {
+			t.Errorf("j=%d: ran %d cells, want 16", j, got)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ func microbenchMallocs(t *testing.T, mech string, iters int64) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := microCycles(mech, iters); err != nil {
+	if _, err := microCycles(mech, iters, nil); err != nil {
 		t.Fatalf("%s: %v", mech, err)
 	}
 	runtime.ReadMemStats(&after)

@@ -2,11 +2,6 @@ package experiments
 
 import (
 	"fmt"
-
-	"lazypoline/internal/guest"
-	"lazypoline/internal/kernel"
-	"lazypoline/internal/seccomputil"
-	"lazypoline/internal/trace"
 )
 
 // Table1Row is one mechanism's empirically determined characteristics —
@@ -27,25 +22,19 @@ type Table1Row struct {
 
 // Table1Mechanisms is the Table I column order.
 var Table1Mechanisms = []string{
-	MechPtrace, "seccomp-bpf", MechSeccompUser, MechSUD, MechZpoline, MechLazypoline,
+	MechPtrace, MechSeccompBPF, MechSeccompUser, MechSUD, MechZpoline, MechLazypoline,
 }
 
 // Table1 derives the characteristics matrix empirically: expressiveness
 // via a deep-argument-inspection probe, exhaustiveness via the JIT
-// workload, efficiency via the microbenchmark.
-func Table1(iters int64) ([]Table1Row, error) {
-	return Table1Parallel(iters, 0)
-}
-
-// Table1Parallel is Table1 with an explicit worker-pool width (<=0
-// selects DefaultParallelism). The shared baseline is measured once up
-// front; each mechanism's probes then run in an isolated kernel, so the
-// rows are computed concurrently with identical output at any
-// parallelism.
-func Table1Parallel(iters int64, parallelism int) ([]Table1Row, error) {
+// workload, efficiency via the microbenchmark. The shared baseline is
+// measured once up front; each mechanism's probes then run in an isolated
+// kernel on a pool of `parallelism` workers (<=0 selects
+// DefaultParallelism), so the output is identical at any width.
+func Table1(iters int64, parallelism int) ([]Table1Row, error) {
 	// Every row normalises against the same baseline; measure it once
 	// instead of once per row.
-	base, err := microCycles(MechBaseline, iters)
+	base, err := microCycles(MechBaseline, iters, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table1 baseline: %w", err)
 	}
@@ -57,36 +46,27 @@ func Table1Parallel(iters int64, parallelism int) ([]Table1Row, error) {
 		// Expressiveness: seccomp-bpf is structurally unable to run user
 		// code or dereference pointers (the BPF VM's input is 64 bytes of
 		// seccomp_data); every user-space interposer is fully expressive.
-		row.Expressive = mech != "seccomp-bpf"
+		row.Expressive = mech != MechSeccompBPF
 
 		// Exhaustiveness: does the mechanism see the JIT-made getpid?
-		if mech == "seccomp-bpf" {
+		if mech == MechSeccompBPF {
 			// Filters run on every dispatch, so coverage is exhaustive
 			// (even though the "interposer" cannot do much with it).
 			row.Exhaustive = true
 		} else {
-			seen, err := jitGetpidSeen(mech)
+			res, err := exhaustivenessRun(mech)
 			if err != nil {
 				return fmt.Errorf("experiments: table1 %s: %w", mech, err)
 			}
-			row.Exhaustive = seen
+			row.Exhaustive = res.SawJITGetpid
 		}
 
 		// Efficiency via the microbenchmark.
-		switch mech {
-		case "seccomp-bpf":
-			over, err := seccompBPFOverhead(iters, base)
-			if err != nil {
-				return err
-			}
-			row.Overhead = over
-		default:
-			cyc, err := microCycles(mech, iters)
-			if err != nil {
-				return err
-			}
-			row.Overhead = float64(cyc) / float64(base)
+		cyc, err := microCycles(mech, iters, nil)
+		if err != nil {
+			return err
 		}
+		row.Overhead = float64(cyc) / float64(base)
 		switch {
 		case row.Overhead < 3:
 			row.Efficiency = "High"
@@ -102,58 +82,4 @@ func Table1Parallel(iters int64, parallelism int) ([]Table1Row, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-// jitGetpidSeen runs the JIT guest under a tracing interposer attached
-// via the named mechanism and reports whether the dynamically generated
-// getpid appears in the trace.
-func jitGetpidSeen(mech string) (bool, error) {
-	k := kernel.New(kernel.Config{})
-	if err := k.FS.MkdirAll("/src", 0o755); err != nil {
-		return false, err
-	}
-	if err := k.FS.WriteFile(guest.JITSourcePath, []byte(guest.JITSource), 0o644); err != nil {
-		return false, err
-	}
-	prog, err := guest.JIT()
-	if err != nil {
-		return false, err
-	}
-	task, err := prog.Spawn(k)
-	if err != nil {
-		return false, err
-	}
-	rec := &trace.Recorder{}
-	if err := attachTracing(mech, k, task, rec); err != nil {
-		return false, err
-	}
-	if err := k.Run(50_000_000); err != nil {
-		return false, err
-	}
-	if task.ExitCode != task.Tgid {
-		return false, fmt.Errorf("jit guest exited %d, want pid", task.ExitCode)
-	}
-	return rec.Contains(kernel.SysGetpid), nil
-}
-
-// seccompBPFOverhead measures the microbenchmark with an allow-all
-// filter installed, normalised against the caller-supplied baseline
-// cycle count.
-func seccompBPFOverhead(iters int64, base uint64) (float64, error) {
-	k := kernel.New(kernel.Config{})
-	prog, err := guest.Microbench(kernel.NonexistentSyscall, iters)
-	if err != nil {
-		return 0, err
-	}
-	task, err := prog.Spawn(k)
-	if err != nil {
-		return 0, err
-	}
-	if err := seccomputil.AttachBPF(k, task, seccomputil.BPFPolicy{}); err != nil {
-		return 0, err
-	}
-	if err := k.Run(-1); err != nil {
-		return 0, err
-	}
-	return float64(task.CPU.Cycles) / float64(base), nil
 }

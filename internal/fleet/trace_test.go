@@ -28,8 +28,8 @@ func traceKillConfig() Config {
 
 // TestFleetTraceInertness: attaching a tracer must not change a single
 // field of the Result (TraceStats aside — that field IS the tracer's
-// output). This is the plane's half of the DESIGN.md §14 contract; the
-// CI fleetbench diff is the snapshot half.
+// output). This is the plane's half of the DESIGN.md §14 contract;
+// experiments.TestFleetBenchDeterminism is the snapshot half.
 func TestFleetTraceInertness(t *testing.T) {
 	cfg := traceKillConfig()
 	plain := runOrFatal(t, cfg)

@@ -10,7 +10,7 @@ const MemBenchPages = 16
 // full 16-page data segment at a 64-byte stride, each step a store
 // followed by a dependent load and an accumulate — the workload the fast
 // engine's software D-TLB and superblock execution exist for, and the one
-// cpubench times against the reference engine. The only syscall is the
+// `lazysim cpu` times against the reference engine. The only syscall is the
 // final exit, so the measurement isolates the data path from dispatch
 // cost. The guest self-checks: the accumulated load sum must match the
 // closed-form value or it exits 1, so a TLB serving stale or misdirected

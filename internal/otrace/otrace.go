@@ -37,7 +37,6 @@ package otrace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"lazypoline/internal/telemetry"
@@ -491,15 +490,4 @@ func spanEvent(s Span, lane int) telemetry.Event {
 		Name: s.Name, Cat: s.Kind, Ph: ph, TS: s.Start, Dur: s.Dur,
 		PID: PIDRequests, TID: lane, Args: args,
 	}
-}
-
-// SortSpans orders spans for display: by start time, longest first on
-// ties, stable. Exported for tracecat's tree view.
-func SortSpans(spans []Span) {
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		return spans[i].Dur > spans[j].Dur
-	})
 }

@@ -163,7 +163,7 @@ func TestFlightRecorder(t *testing.T) {
 
 // TestExportRoundTrip: every span kind must survive Export →
 // EncodeJSONL → DecodeTrace and Export → EncodeChrome → DecodeTrace
-// unchanged — the property the CI tracecat gate leans on.
+// unchanged — the property the lazysim trace round trip leans on.
 func TestExportRoundTrip(t *testing.T) {
 	tr := New(Config{LatencyThreshold: 1})
 	trace := ID(3, 0)
