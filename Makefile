@@ -3,7 +3,7 @@
 # experiment harness is exercised by tests, so -race guards the per-cell
 # isolation contract).
 
-.PHONY: ci test bench hostbench hostbench-quick snapshots chaos-smoke profile-smoke exec-smoke policy-smoke fleet-smoke obs-smoke fuzz
+.PHONY: ci test bench hostbench hostbench-quick snapshots smoke fuzz
 
 ci:
 	./scripts/ci.sh
@@ -11,66 +11,50 @@ ci:
 test:
 	go test ./...
 
-# Fast chaos-determinism check: the invariance suite, the chaos cells of
-# the equivalence matrix, and the kernel's injection-semantics tests.
-chaos-smoke:
-	go test ./internal/experiments -run 'TestChaosInvariance' -count 1
-	go test ./internal/experiments -run 'TestExecEquivalence/chaos' -count 1
-	go test ./internal/kernel -run 'TestChaos|TestBlockingRead|TestSigactionReportsFlags' -count 1
-
-# Quick telemetry sanity pass: profile the microbenchmark under
-# lazypoline, run the microbenchmark's telemetry cells of the equivalence
-# matrix, and show the hottest folded stacks (see the EXPERIMENTS.md
-# telemetry walkthrough).
-profile-smoke:
-	go test ./internal/experiments -run 'TestExecEquivalence/^microbench$$//telemetry' -count 1
-	go run ./cmd/lazysim run -builtin microbench -mech lazypoline -trace=false \
-		-stats=false -profile-out /tmp/profile_smoke.folded
-	head -10 /tmp/profile_smoke.folded
-
-# Fast execution-engine check: the CPU and memory unit tests (Lockstep
-# included) under -race, the microbenchmark and JIT cells of the
-# equivalence matrix, and a small `lazysim cpu` run that must clear its
-# fast-vs-reference floors, the load/store sweep's pinned at 2.0x (the
-# raw register loop is a counted loop, retired in closed form: its fast
-# side is too short to take a ratio against).
-exec-smoke:
-	go test -race ./internal/cpu ./internal/mem -count 1
-	go test ./internal/experiments -run 'TestExecEquivalence/^(microbench|jit)$$' -count 1
-	go run ./cmd/lazysim cpu -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -out /tmp/exec_smoke_BENCH_cpu.json
-
-# Fast syscall-policy check: the kernel policy and seccomp-hardening
-# tests, the invariance suite, the policy-off cells of the equivalence
-# matrix, and one attack demo per layer.
-policy-smoke:
-	go test ./internal/kernel -run 'TestPolicy|TestSeccompUnknown|TestSeccompFaulting|TestSeccompPrecedence|TestChaosRetryInjection' -count 1
-	go test ./internal/experiments -run 'TestPolicyInvariance(Attacks|Benign)' -count 1
-	go test ./internal/experiments -run 'TestExecEquivalence/(microbench|attack)//policy-off' -count 1
-	go run ./cmd/lazysim run -builtin attack-jit -mech lazypoline -policy regions -trace=false -stats=false
-	go run ./cmd/lazysim run -builtin attack-seq -mech sud -policy sfip -trace=false -stats=false
-
-# Fast fleet-robustness check: the balancer/generator/drill suite, the
-# kill-drill acceptance gate and same-seed determinism at sweep scale, and
-# a two-drill `lazysim fleet` run.
-fleet-smoke:
-	go test ./internal/fleet -count 1
-	go test ./internal/experiments -run 'TestFleetBench' -count 1
-	go run ./cmd/lazysim fleet -requests 80 -drills none,kill -mechs baseline,lazypoline \
-		-out /tmp/fleet_smoke_BENCH_fleet.json
-
-# Fast observability check: the tracer / SLO / exemplar unit suites
-# under -race, the fleet trace acceptance gate (inertness, determinism,
-# kill-drill exemplar), and one traced `lazysim fleet` cell rendered
-# through `lazysim trace`'s request-tree view.
-obs-smoke:
-	go test -race ./internal/otrace -count 1
-	go test -race ./internal/telemetry -run 'TestHistogramExemplar' -count 1
-	go test ./internal/fleet -run 'TestFleetTrace' -count 1
-	go run ./cmd/lazysim fleet -requests 60 -rate 200 -drills kill -mechs lazypoline \
-		-out /tmp/obs_smoke_BENCH_fleet.json -trace-out /tmp/obs_smoke_trace.jsonl \
-		-slo-out /tmp/obs_smoke_slo.txt
-	go run ./cmd/lazysim trace -requests -o /tmp/obs_smoke_trees.txt /tmp/obs_smoke_trace.jsonl
-	head -25 /tmp/obs_smoke_trees.txt
+# The CI-sized drive of the command surface (scripts/ci.sh runs it): one
+# build of lazysim runs every checked-in snapshot (snapshotTable in
+# cmd/lazysim/snapshots.go) at its smoke size into SMOKE_DIR, so every
+# sweep runs end to end and cpu must clear its fast-vs-reference floors
+# and show every fast-engine tier at work; then the telemetry outputs
+# (DESIGN.md §9: run emits all three surfaces, trace pretty-prints the
+# timeline and round-trips it through JSONL), request-scoped tracing
+# (DESIGN.md §14: the kill-drill trace shows the balancer retrying an
+# in-flight request on a surviving backend and round-trips through the
+# Chrome envelope), and one attack demo per policy layer, each killed with
+# its violation banner. The checked-in snapshots are refreshed with
+# `make snapshots`; the invariance gates are Go tests (`go test ./...`).
+SMOKE_DIR ?= /tmp/lazysim-smoke
+lz = $(SMOKE_DIR)/lazysim
+smoke:
+	mkdir -p $(SMOKE_DIR)
+	go build -o $(lz) ./cmd/lazysim
+	$(lz) snapshots -smoke -dir $(SMOKE_DIR)
+	$(lz) run -builtin microbench -mech lazypoline -trace=false -stats=false \
+		-metrics-out $(SMOKE_DIR)/tel_metrics.json -trace-out $(SMOKE_DIR)/tel_trace.json \
+		-profile-out $(SMOKE_DIR)/tel_profile.folded
+	grep -q 'kernel.dispatch.trampoline.calls' $(SMOKE_DIR)/tel_metrics.json
+	grep -q 'lazypoline_entry' $(SMOKE_DIR)/tel_profile.folded
+	$(lz) trace $(SMOKE_DIR)/tel_trace.json > $(SMOKE_DIR)/tel_trace.txt
+	$(lz) trace -format jsonl $(SMOKE_DIR)/tel_trace.json > $(SMOKE_DIR)/tel_trace.jsonl
+	$(lz) trace -format chrome $(SMOKE_DIR)/tel_trace.jsonl > $(SMOKE_DIR)/tel_trace2.json
+	diff -u $(SMOKE_DIR)/tel_trace.json $(SMOKE_DIR)/tel_trace2.json
+	$(lz) fleet -requests 60 -rate 200 -drills kill -mechs lazypoline -out '' \
+		-trace-out $(SMOKE_DIR)/otr.jsonl -slo-out $(SMOKE_DIR)/otr_slo.json
+	grep -q 'fleet-slo' $(SMOKE_DIR)/otr_slo.json
+	$(lz) trace -requests $(SMOKE_DIR)/otr.jsonl > $(SMOKE_DIR)/otr_trees.txt
+	grep -q 'lb/retry' $(SMOKE_DIR)/otr_trees.txt
+	grep -q 'otrace stats:' $(SMOKE_DIR)/otr_trees.txt
+	$(lz) trace -format chrome -o $(SMOKE_DIR)/otr.json $(SMOKE_DIR)/otr.jsonl
+	$(lz) trace -format jsonl $(SMOKE_DIR)/otr.json > $(SMOKE_DIR)/otr_rt.jsonl
+	diff -u $(SMOKE_DIR)/otr.jsonl $(SMOKE_DIR)/otr_rt.jsonl
+	$(lz) run -builtin attack-jit -mech lazypoline -policy regions -trace=false -stats=false \
+		> $(SMOKE_DIR)/attack_jit.txt
+	grep -q 'unprivileged address 0x5000000a' $(SMOKE_DIR)/attack_jit.txt
+	grep -q 'exit code 159' $(SMOKE_DIR)/attack_jit.txt
+	$(lz) run -builtin attack-seq -mech sud -policy sfip -trace=false -stats=false \
+		> $(SMOKE_DIR)/attack_seq.txt
+	grep -q 'write -> execve' $(SMOKE_DIR)/attack_seq.txt
+	grep -q 'exit code 159' $(SMOKE_DIR)/attack_seq.txt
 
 # Every fuzz target for FUZZTIME each (scripts/ci.sh runs 5s of each):
 #   FuzzDecode: the isa decoder must survive arbitrary bytes.
@@ -92,6 +76,8 @@ obs-smoke:
 #   FuzzTaskAccessors: random mapping changes, kernel-side spans and guest
 #     stores through the task's D-TLB against the locked AddressSpace path
 #     (DESIGN.md §19).
+#   FuzzDecodeTrace: `lazysim trace`'s reader must survive arbitrary bytes,
+#     and encode -> decode -> encode must repeat the bytes in both formats.
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/isa/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
@@ -102,6 +88,7 @@ fuzz:
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzStackRun -fuzztime $(FUZZTIME)
 	go test ./internal/zpoline/ -run '^$$' -fuzz FuzzFindSyscallSites -fuzztime $(FUZZTIME)
 	go test ./internal/kernel/ -run '^$$' -fuzz FuzzTaskAccessors -fuzztime $(FUZZTIME)
+	go test ./internal/telemetry/ -run '^$$' -fuzz FuzzDecodeTrace -fuzztime $(FUZZTIME)
 
 bench:
 	go test -bench . -benchtime 1x ./...

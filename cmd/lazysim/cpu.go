@@ -68,14 +68,14 @@ type Result struct {
 }
 
 // Counters are a run's fast-engine counters: decode cache, D-TLB,
-// instructions retired in superblock loops, block chaining, and hot
-// traces and fused handlers.
+// instructions retired in superblock loops, block chaining and fused
+// handlers.
 type Counters struct {
 	DecodeCache     cpu.DecodeCacheStats `json:"decode_cache"`
 	TLB             cpu.TLBStats         `json:"tlb"`
 	SuperblockInsts uint64               `json:"superblock_insts"`
 	Chain           cpu.ChainStats       `json:"chain"`
-	Trace           cpu.TraceStats       `json:"trace"`
+	Fused           cpu.FusedStats       `json:"fused"`
 }
 
 type config struct {
@@ -169,8 +169,8 @@ func report(w io.Writer, name string, r Result) {
 	}
 	fmt.Fprintf(w, "  speedup    %s   (cache: %d hits, %d builds; tlb: %d hits, %d misses; superblock insts: %d)\n",
 		ratio, r.DecodeCache.Hits, r.DecodeCache.Builds, r.TLB.Hits, r.TLB.Misses, r.SuperblockInsts)
-	fmt.Fprintf(w, "                         (chain: %d links, %d transitions; trace insts: %d, fused loop iters: %d, fused nops: %d, fused stack insts: %d)\n\n",
-		r.Chain.Links, r.Chain.Transitions, r.Trace.Insts, r.Trace.FusedLoopIters, r.Trace.FusedNopInsts, r.Trace.FusedStackInsts)
+	fmt.Fprintf(w, "                         (chain: %d links, %d transitions; fused loop iters: %d, fused nops: %d, fused stack insts: %d)\n\n",
+		r.Chain.Links, r.Chain.Transitions, r.Fused.FusedLoopIters, r.Fused.FusedNopInsts, r.Fused.FusedStackInsts)
 }
 
 // runSample is one measured run of a workload.
@@ -184,7 +184,7 @@ type runSample struct {
 // sample fills s's cycles and counters from the CPU a run ended on.
 func (s *runSample) sample(c *cpu.CPU) {
 	s.cycles = c.Cycles
-	s.Counters = Counters{c.DecodeCacheStats(), c.TLBStats(), c.SuperblockInsts, c.ChainStats(), c.TraceStats()}
+	s.Counters = Counters{c.DecodeCacheStats(), c.TLBStats(), c.SuperblockInsts, c.ChainStats(), c.FusedStats()}
 }
 
 // rawLoop drives the BenchmarkCPUStep register loop through StepBlock.

@@ -69,9 +69,8 @@ func (dc *decodeCache) link(from, to *cachedBlock) {
 }
 
 // unlink severs every chain edge touching b — outgoing successor slots
-// and incoming predecessor links — and invalidates every trace b is part
-// of. Called exactly once per block removal (drop and evict both route
-// here before deleting from the map).
+// and incoming predecessor links. Called exactly once per block removal
+// (drop and evict both route here before deleting from the map).
 func (dc *decodeCache) unlink(b *cachedBlock) {
 	for slot, s := range b.succ {
 		if s != nil {
@@ -87,12 +86,6 @@ func (dc *decodeCache) unlink(b *cachedBlock) {
 		}
 	}
 	b.preds = nil
-	if b.trace != nil {
-		dc.invalidateTrace(b.trace)
-	}
-	for len(b.traces) > 0 {
-		dc.invalidateTrace(b.traces[len(b.traces)-1])
-	}
 }
 
 // removePred deletes the (from, slot) entry from b.preds. Order is not
@@ -219,13 +212,11 @@ func (c *CPU) runChained(max uint64, steps *uint64, pre *uint64) (Event, bool) {
 			}
 		}
 		dc.cstats.Transitions++
-		next.execCount++
 		dc.cur, dc.curIdx = next, 0
 		b = next
-		// Hot-path specialization at the block head: promoted traces and
-		// fused idiom handlers. Both bail to normal chained execution when
-		// preconditions fail, leaving (cur, curIdx) at the exact resume
-		// position.
+		// Fused idiom handlers at the block head. They bail to normal
+		// chained execution when preconditions fail, leaving (cur, curIdx)
+		// at the exact resume position.
 		if c.Hook == nil {
 			if ev, done := c.runSpecialized(b, max, steps, pre); done {
 				if *steps > entered {

@@ -9,10 +9,9 @@ import (
 )
 
 // chainedProgram exercises every chained fast path at once: a hot loop
-// split into three blocks by jmp+0 instructions (so block chaining and
-// trace promotion both engage), a leading NOP run in one block (the
-// fused sled), and memory traffic (the D-TLB). 200 iterations crosses
-// the 32-entry trace promotion threshold many times over.
+// split into three blocks by jmp+0 instructions (so block chaining
+// engages), a leading NOP run in one block (the fused sled), and memory
+// traffic (the D-TLB), for 200 iterations.
 func chainedProgram() []byte {
 	var e isa.Enc
 	e.MovImm64(isa.RCX, 200)
@@ -48,9 +47,8 @@ func selfLoopProgram(iters int64) []byte {
 }
 
 // TestChainedMatchesReference: the fast engine runs the chained program
-// through superblocks, chained blocks, a promoted trace and the fused
-// sled, and ends in the reference engine's state; the reference does none
-// of that work.
+// through superblocks, chained blocks and the fused sled, and ends in the
+// reference engine's state; the reference does none of that work.
 func TestChainedMatchesReference(t *testing.T) {
 	ref := loadRef(t, chainedProgram())
 	if ev := run(t, ref, 50000); ev != EvSyscall {
@@ -63,15 +61,15 @@ func TestChainedMatchesReference(t *testing.T) {
 	if c.Cycles != ref.Cycles || c.Regs != ref.Regs {
 		t.Errorf("cycles %d, regs %v; reference %d, %v", c.Cycles, c.Regs, ref.Cycles, ref.Regs)
 	}
-	if cs, ts := c.ChainStats(), c.TraceStats(); c.SuperblockRuns == 0 || c.SuperblockInsts == 0 ||
-		cs.Links == 0 || cs.Transitions == 0 || ts.Promotions == 0 || ts.Runs == 0 || ts.Insts == 0 || ts.FusedNopInsts == 0 {
-		t.Errorf("the fast engine did not batch, chain, trace and fuse the sled (vacuous): superblock runs %d insts %d, %+v %+v",
+	if cs, ts := c.ChainStats(), c.FusedStats(); c.SuperblockRuns == 0 || c.SuperblockInsts == 0 ||
+		cs.Links == 0 || cs.Transitions == 0 || ts.FusedNopInsts == 0 {
+		t.Errorf("the fast engine did not batch, chain and fuse the sled (vacuous): superblock runs %d insts %d, %+v %+v",
 			c.SuperblockRuns, c.SuperblockInsts, cs, ts)
 	}
 	if ref.DecodeCacheStats() != (DecodeCacheStats{}) || ref.TLBStats() != (TLBStats{}) ||
-		ref.ChainStats() != (ChainStats{}) || ref.TraceStats() != (TraceStats{}) || ref.SuperblockInsts != 0 {
+		ref.ChainStats() != (ChainStats{}) || ref.FusedStats() != (FusedStats{}) || ref.SuperblockInsts != 0 {
 		t.Errorf("the reference engine used a fast-path tier: %+v %+v %+v %+v superblock insts %d",
-			ref.DecodeCacheStats(), ref.TLBStats(), ref.ChainStats(), ref.TraceStats(), ref.SuperblockInsts)
+			ref.DecodeCacheStats(), ref.TLBStats(), ref.ChainStats(), ref.FusedStats(), ref.SuperblockInsts)
 	}
 }
 
@@ -84,7 +82,7 @@ func TestSelfLoopRunsChained(t *testing.T) {
 	if ev := runBlocks(t, c, 1<<20, 100); ev != EvSyscall {
 		t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
 	}
-	if ts := c.TraceStats(); ts.FusedLoopIters != 0 || ts.FusedStackInsts != 0 {
+	if ts := c.FusedStats(); ts.FusedLoopIters != 0 || ts.FusedStackInsts != 0 {
 		t.Errorf("a fused handler retired part of the loop: %+v", ts)
 	}
 	// The first back edges resolve through dispatched Steps, which plant

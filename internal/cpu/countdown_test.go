@@ -73,9 +73,9 @@ func archOf(c *CPU) archState {
 
 // hostState is the host-side accounting the closed form must share with
 // plain chained execution: every instruction it retires counts as one
-// decode-cache hit and one superblock instruction. (Chain transitions and
-// trace counters differ by design: chained execution follows the block's
-// link to itself once per iteration.)
+// decode-cache hit and one superblock instruction. (Chain transitions
+// differ by design: chained execution follows the block's link to itself
+// once per iteration.)
 type hostState struct {
 	cache           DecodeCacheStats
 	superblockInsts uint64
@@ -120,7 +120,7 @@ func newCountedLoopRig(t *testing.T, r uint64, nops int, costs Costs) *countedLo
 		if b == nil || b.fused != fusedCountdown {
 			t.Fatalf("countdown block not classified: %+v", b)
 		}
-		if n := c.TraceStats().FusedLoopIters; n != 0 {
+		if n := c.FusedStats().FusedLoopIters; n != 0 {
 			t.Fatalf("warm-up already ran a fused handler (%d iterations)", n)
 		}
 	}
@@ -179,7 +179,7 @@ func TestCountedLoopMatchesStep(t *testing.T) {
 							for i := 0; i < calls; i++ {
 								rig.step(t, budget)
 							}
-							if rig.closed.TraceStats().FusedLoopIters > 0 {
+							if rig.closed.FusedStats().FusedLoopIters > 0 {
 								ran = true
 							}
 						})
@@ -205,7 +205,7 @@ func TestCountedLoopPendingNopBatch(t *testing.T) {
 	}
 	cycles, batches := c.Cycles, c.NopBatches
 	rig.step(t, 1+200)
-	if got := c.TraceStats().FusedLoopIters; got != 100 {
+	if got := c.FusedStats().FusedLoopIters; got != 100 {
 		t.Fatalf("closed form retired %d iterations, want all 100", got)
 	}
 	if got := c.Cycles - cycles; got != 1+200 {
@@ -231,7 +231,7 @@ func TestCountedLoopZeroCounterDoesNotSpin(t *testing.T) {
 	if r := c.Regs[isa.R8]; r != -iters || c.RIP != loopAddr || c.ZF || !c.SF {
 		t.Errorf("r8 = %#x rip = %#x zf = %v sf = %v after %d iterations from zero", r, c.RIP, c.ZF, c.SF, iters)
 	}
-	if n := c.TraceStats().FusedLoopIters; n != iters {
+	if n := c.FusedStats().FusedLoopIters; n != iters {
 		t.Errorf("FusedLoopIters = %d, want %d", n, iters)
 	}
 }
@@ -274,7 +274,7 @@ func TestCountedLoopShapeIsExact(t *testing.T) {
 			if b == nil || b.fused != s.want {
 				t.Fatalf("loop block = %+v, want kind %d", b, s.want)
 			}
-			if ran := c.TraceStats().FusedLoopIters > 0; ran != (s.want == fusedCountdown) {
+			if ran := c.FusedStats().FusedLoopIters > 0; ran != (s.want == fusedCountdown) {
 				t.Errorf("closed form ran = %v, want %v", ran, s.want == fusedCountdown)
 			}
 		})
@@ -298,7 +298,7 @@ func TestCountedLoopShapeIsExact(t *testing.T) {
 		if b := c.cache.blocks[codeBase+uint64(loop)]; b == nil || b.fused != fusedNone {
 			t.Fatalf("block = %+v, want no fused kind", b)
 		}
-		if n := c.TraceStats().FusedLoopIters; n != 0 {
+		if n := c.FusedStats().FusedLoopIters; n != 0 {
 			t.Errorf("the closed form retired %d iterations", n)
 		}
 	})
@@ -314,7 +314,7 @@ func TestCountedLoopShapeIsExact(t *testing.T) {
 		if seen != 4*300 {
 			t.Errorf("hook saw %d instructions, want %d", seen, 4*300)
 		}
-		if n := rig.closed.TraceStats().FusedLoopIters; n != 0 {
+		if n := rig.closed.FusedStats().FusedLoopIters; n != 0 {
 			t.Errorf("closed form retired %d iterations behind the hook's back", n)
 		}
 	})

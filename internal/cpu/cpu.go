@@ -197,8 +197,8 @@ type ExecMode uint8
 
 const (
 	// ExecFast is the default engine: the decode cache, the software
-	// D-TLB, chained blocks, hot traces and the fused NOP-sled, countdown
-	// and stack-run handlers.
+	// D-TLB, chained blocks and the fused NOP-sled, countdown and
+	// stack-run handlers.
 	ExecFast ExecMode = iota
 	// ExecReference is Step alone: every instruction is fetched and
 	// decoded from guest memory, and every data access takes the address

@@ -53,15 +53,6 @@ type cachedBlock struct {
 	// preds lists the (block, slot) pairs whose succ points here, so
 	// dropping this block can sever every incoming link.
 	preds []predLink
-	// execCount counts entries at the block head (control-transfer hits
-	// and chained transitions); crossing tracePromoteThreshold promotes
-	// the block into a trace head.
-	execCount uint64
-	// trace, if non-nil, is the live promoted trace starting here.
-	trace *traceRun
-	// traces lists every live trace this block is a constituent of, so
-	// dropping the block can invalidate them.
-	traces []*traceRun
 	// fused classifies the block's head as one of the specialized hot
 	// idioms (NOP sled, countdown); fusedNone otherwise.
 	fused fusedKind
@@ -99,14 +90,12 @@ type DecodeCacheStats struct {
 	// rebind (execve swaps the CPU to a fresh AddressSpace).
 	RebindFlushes uint64
 	// OverflowEvictions counts blocks evicted by the FIFO overflow
-	// policy when the map reached maxCacheBlocks. Formerly overflow and
-	// rebind were conflated in one Flushes counter, which made the CPU
-	// benchmark's flush numbers unattributable.
+	// policy when the map reached maxCacheBlocks.
 	OverflowEvictions uint64
 }
 
-// decodeCache is the per-CPU decoded-block cache. Its map, chain links,
-// traces and counters are private to its CPU, and every block is
+// decodeCache is the per-CPU decoded-block cache. Its map, chain links
+// and counters are private to its CPU, and every block is
 // validated against the AddressSpace generation counters, so two CPUs
 // over one address space (CLONE_VM) each observe the other's code writes.
 // What CPUs share is the decoded code of frame-backed pages (sharedCode):
@@ -119,7 +108,7 @@ type decodeCache struct {
 	curIdx int                     // next sequential index into cur
 	stats  DecodeCacheStats
 	cstats ChainStats
-	tstats TraceStats
+	fstats FusedStats
 	// fifo records blocks in build order for deterministic overflow
 	// eviction; fifoHead is the first not-yet-popped index. Dropped
 	// blocks linger until popped or compacted.
@@ -197,7 +186,6 @@ func (c *CPU) cachedInst(pc uint64) *isa.Inst {
 			if prev != nil {
 				dc.link(prev, b)
 			}
-			b.execCount++
 			dc.cur, dc.curIdx = b, 1
 			return &b.insts[0]
 		}
@@ -213,7 +201,6 @@ func (c *CPU) cachedInst(pc uint64) *isa.Inst {
 		// build may have evicted prev for space; only link live blocks.
 		dc.link(prev, b)
 	}
-	b.execCount++
 	dc.cur, dc.curIdx = b, 1
 	return &b.insts[0]
 }
@@ -230,8 +217,8 @@ func (dc *decodeCache) revalidate(b *cachedBlock) bool {
 	return ok
 }
 
-// drop removes an invalidated block, severing every chain link and trace
-// that touches it.
+// drop removes an invalidated block, severing every chain link that
+// touches it.
 func (dc *decodeCache) drop(b *cachedBlock) {
 	dc.unlink(b)
 	delete(dc.blocks, b.entry)
@@ -255,7 +242,7 @@ func (dc *decodeCache) evict(b *cachedBlock) {
 }
 
 // reset discards the whole cache and rebinds it to as. Every block —
-// and with it every chain link and trace — is unreachable afterwards
+// and with it every chain link — is unreachable afterwards
 // (cur is nil and the map is empty), so stale structures cannot execute.
 func (dc *decodeCache) reset(as *mem.AddressSpace) {
 	dc.as = as
@@ -408,8 +395,8 @@ func (dc *decodeCache) decode(pc uint64) *cachedBlock {
 // entry pc. A frame's bytes never change, so the decode is the block of
 // every address space whose page at that pc is still backed by the
 // frame; each CPU that enters it builds only its own cachedBlock header —
-// chain links, traces, execCount, generations — over these slices and
-// this classification, the way sledSuffix views share their base's.
+// chain links and generations — over these slices and this
+// classification, the way sledSuffix views share their base's.
 type sharedCode struct {
 	end    uint64
 	pcs    []uint64

@@ -76,11 +76,11 @@ func lockstep(ref, fast *CPU, run func(*CPU, uint64) stepCall, budgets []uint64)
 // block boundary. Fused handlers run when a chained transition lands on a
 // block's head, with whatever budget the call has left, so a segment
 // stops one instruction short of a block's end, and the next one runs
-// that instruction, the transition and the unit it leads to — a block, a
-// whole trace from a trace head, or everything left for a countdown,
-// whose closed form decides for itself how much to retire — bar that
-// unit's own last instruction. Where the unit is not known yet (a branch
-// whose links are not planted) the segment is a single instruction.
+// that instruction, the transition and the unit it leads to — a block, or
+// everything left for a countdown, whose closed form decides for itself
+// how much to retire — bar that unit's own last instruction. Where the
+// unit is not known yet (a branch whose links are not planted) the
+// segment is a single instruction.
 func nextSegment(c *CPU, left uint64) uint64 {
 	dc := c.cache
 	if dc == nil {
@@ -106,8 +106,6 @@ func nextSegment(c *CPU, left uint64) uint64 {
 		case s == nil:
 		case s.fused == fusedCountdown:
 			unit = left
-		case s.trace != nil && !s.trace.dead:
-			unit = max(unit, uint64(len(s.trace.pcs)-1))
 		default:
 			unit = max(unit, uint64(len(s.pcs)-1))
 		}
@@ -334,17 +332,17 @@ func TestLockstepNamesBrokenEngine(t *testing.T) {
 	// fused wraps StepBlock: after a call in which the fused counter grew,
 	// bug corrupts what the handler left behind, given the call's result
 	// and the rsp it started with.
-	fused := func(counter func(TraceStats) uint64, bug func(c *CPU, r *stepCall, sp uint64)) func(*CPU, uint64) stepCall {
+	fused := func(counter func(FusedStats) uint64, bug func(c *CPU, r *stepCall, sp uint64)) func(*CPU, uint64) stepCall {
 		return func(c *CPU, max uint64) stepCall {
-			sp, before := c.Regs[isa.RSP], counter(c.TraceStats())
+			sp, before := c.Regs[isa.RSP], counter(c.FusedStats())
 			r := stepBlock(c, max)
-			if counter(c.TraceStats()) > before {
+			if counter(c.FusedStats()) > before {
 				bug(c, &r, sp)
 			}
 			return r
 		}
 	}
-	stackRuns := func(s TraceStats) uint64 { return s.FusedStackInsts }
+	stackRuns := func(s FusedStats) uint64 { return s.FusedStackInsts }
 	pushRun := func(t *testing.T) *CPU { c := load(t, pushRunProgram()); seedRegs(c); return c }
 	for _, tc := range []struct {
 		name  string
@@ -390,7 +388,7 @@ func TestLockstepNamesBrokenEngine(t *testing.T) {
 			// The sled handler charges one batch too many.
 			name:  "miscounted NOP batch",
 			setup: func(t *testing.T) *CPU { c := load(t, sledLoop()); c.Regs[isa.RCX] = 5; return c },
-			run: fused(func(s TraceStats) uint64 { return s.FusedNopInsts }, func(c *CPU, _ *stepCall, _ uint64) {
+			run: fused(func(s FusedStats) uint64 { return s.FusedNopInsts }, func(c *CPU, _ *stepCall, _ uint64) {
 				c.NopBatches++
 				c.Cycles += c.Costs.Insn
 			}),
@@ -448,7 +446,7 @@ func TestLockstepNamesBrokenEngine(t *testing.T) {
 				c.Regs[isa.R8], c.Regs[isa.R9] = 1, 900
 				return c
 			},
-			run: fused(func(s TraceStats) uint64 { return s.FusedLoopIters }, func(c *CPU, _ *stepCall, _ uint64) {
+			run: fused(func(s FusedStats) uint64 { return s.FusedLoopIters }, func(c *CPU, _ *stepCall, _ uint64) {
 				if c.RIP >= loopAddr && c.RIP < tailAddr {
 					c.Regs[isa.R8]--
 				}

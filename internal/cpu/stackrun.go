@@ -71,7 +71,7 @@ func findStackRun(insts []isa.Inst, from int) stackRun {
 // the remaining budget, or when the span is not one page the fast path
 // may access (page crossing, unmapped, protection or pkey denied, or a
 // store to an executable page).
-// The caller advances its own position in the block or trace.
+// The caller advances its own position in the block.
 func (c *CPU) runStack(pcs []uint64, ins []isa.Inst, max uint64, steps, pre *uint64) bool {
 	n := uint64(len(ins))
 	if c.Hook != nil || *steps+n > max {
@@ -129,6 +129,6 @@ func (c *CPU) runStack(pcs []uint64, ins []isa.Inst, max uint64, steps, pre *uin
 	*steps += n
 	c.SuperblockInsts += n
 	c.cache.stats.Hits += n
-	c.cache.tstats.FusedStackInsts += n
+	c.cache.fstats.FusedStackInsts += n
 	return true
 }

@@ -61,13 +61,13 @@ func TestLockstepFusedHandlers(t *testing.T) {
 		name  string
 		code  []byte
 		setup func(*CPU)
-		fused func(TraceStats) uint64
+		fused func(FusedStats) uint64
 	}{
-		{"nop sled", chainedProgram(), nil, func(s TraceStats) uint64 { return s.FusedNopInsts }},
+		{"nop sled", chainedProgram(), nil, func(s FusedStats) uint64 { return s.FusedNopInsts }},
 		{"countdown", countdownProgram(3), func(c *CPU) {
 			c.Regs[isa.R8], c.Regs[isa.R9] = 1, 900
-		}, func(s TraceStats) uint64 { return s.FusedLoopIters }},
-		{"stack run", stubShapedProgram(100), seedRegs, func(s TraceStats) uint64 { return s.FusedStackInsts }},
+		}, func(s FusedStats) uint64 { return s.FusedLoopIters }},
+		{"stack run", stubShapedProgram(100), seedRegs, func(s FusedStats) uint64 { return s.FusedStackInsts }},
 	}
 	for _, tc := range cases {
 		for _, budgets := range [][]uint64{{1 << 20}, {7, 3, 1, 40, 1 << 20}, {20_000, 20_000, 20_000}} {
@@ -80,7 +80,7 @@ func TestLockstepFusedHandlers(t *testing.T) {
 				if d := Lockstep(ref, fast, budgets...); d != nil {
 					t.Fatal(d)
 				}
-				if tc.fused(fast.TraceStats()) == 0 {
+				if tc.fused(fast.FusedStats()) == 0 {
 					t.Error("the fused handler never ran (vacuous)")
 				}
 			})
@@ -91,7 +91,7 @@ func TestLockstepFusedHandlers(t *testing.T) {
 // TestStackRunHostCounters: a stack run moves no host counter but its
 // own and the D-TLB's. With rsp placed so that every run straddles a page
 // boundary every run falls back, and the decode-cache, superblock, chain
-// and trace counters — runs inside traces included — come out the same;
+// and other fused counters come out the same;
 // with a hook attached nothing fuses and the hook sees every instruction.
 func TestStackRunHostCounters(t *testing.T) {
 	run := func(straddle bool, hook InsnHook) (*CPU, uint64) {
@@ -113,13 +113,13 @@ func TestStackRunHostCounters(t *testing.T) {
 	}
 	fused, retired := run(false, nil)
 	plain, _ := run(true, nil)
-	if fused.TraceStats().FusedStackInsts == 0 || fused.TraceStats().Insts == 0 {
-		t.Fatalf("no stack run or no trace ran (vacuous): %+v", fused.TraceStats())
+	if fused.FusedStats().FusedStackInsts == 0 {
+		t.Fatalf("no stack run ran (vacuous): %+v", fused.FusedStats())
 	}
-	if plain.TraceStats().FusedStackInsts != 0 {
-		t.Errorf("%d stack-run instructions fused across a page boundary", plain.TraceStats().FusedStackInsts)
+	if plain.FusedStats().FusedStackInsts != 0 {
+		t.Errorf("%d stack-run instructions fused across a page boundary", plain.FusedStats().FusedStackInsts)
 	}
-	ft, pt := fused.TraceStats(), plain.TraceStats()
+	ft, pt := fused.FusedStats(), plain.FusedStats()
 	ft.FusedStackInsts, pt.FusedStackInsts = 0, 0
 	if hostOf(fused) != hostOf(plain) || ft != pt || fused.ChainStats() != plain.ChainStats() {
 		t.Errorf("host counters moved:\nfused %+v %+v %+v\nplain %+v %+v %+v",
@@ -127,7 +127,7 @@ func TestStackRunHostCounters(t *testing.T) {
 	}
 	seen := uint64(0)
 	hooked, _ := run(false, func(uint64, isa.Inst) { seen++ })
-	if n := hooked.TraceStats().FusedStackInsts; n != 0 || seen != retired {
+	if n := hooked.FusedStats().FusedStackInsts; n != 0 || seen != retired {
 		t.Errorf("with a hook: %d fused, hook saw %d of %d instructions", n, seen, retired)
 	}
 }
@@ -276,7 +276,7 @@ func TestStackRunVariants(t *testing.T) {
 		for variant := 0; variant < protVariants; variant++ {
 			for _, spOff := range []int64{-40, 8, 64, mem.PageSize / 2, mem.PageSize - 24, mem.PageSize + 16} {
 				c := checkStackRun(t, op, 8, 1, variant, spOff, []int8{0, 16, -8, 43}, []uint64{5, 1 << 10})
-				if fused := c.TraceStats().FusedStackInsts > 0; spOff == mem.PageSize/2 && fused != canFuse(op, variant) {
+				if fused := c.FusedStats().FusedStackInsts > 0; spOff == mem.PageSize/2 && fused != canFuse(op, variant) {
 					name, _, _ := isa.Info(op)
 					t.Errorf("%s run, variant %d, rsp mid-page: fused = %v, want %v", name, variant, fused, !fused)
 				}

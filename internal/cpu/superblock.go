@@ -13,9 +13,9 @@ package cpu
 // the address space's code-mutation counter before every instruction —
 // the same lock-free load the decode cache's sequential hit path
 // performs — and revalidates page generations under the lock the moment
-// it changes. Chained transitions and traces (chain.go, trace.go) add
-// no trust: they are routing shortcuts whose targets get the identical
-// validation.
+// it changes. Chained transitions (chain.go) add no trust: they are
+// routing shortcuts whose targets get the identical validation, and the
+// fused handlers (fused.go) run only on a block so validated.
 
 // StepBlock executes up to max instructions, stopping early at the first
 // non-EvNone event. It returns the event (EvNone means the budget was
@@ -30,7 +30,7 @@ package cpu
 // exactly by folding in the pre-event value (when the batch retired more
 // than one instruction) before handling the event. Nothing else observes
 // the clock mid-batch, so batching stays semantically invisible — and
-// the contract holds across chained transitions and trace execution,
+// the contract holds across chained transitions and fused handlers,
 // which thread the same pre pointer through every instruction they
 // retire.
 func (c *CPU) StepBlock(max uint64) (Event, uint64, uint64) {

@@ -22,12 +22,11 @@ func microbenchMallocs(t *testing.T, mech string, iters int64) uint64 {
 // interposition path (DESIGN.md §19): once a mechanism is warm, one more
 // interposed syscall allocates nothing — the hcall environment and the
 // ptrace stop live in the task, the in-flight Call is recycled from the
-// task's own stack, signal frames and register spans are staged on the
-// host stack, and a trace walk that promotes nothing stays there too.
-// ptrace needs no budget of its own. Measured as the difference between a
-// long and a short run of the same loop, so that set-up, first-touch page
-// backing and decoding cancel; the tolerance (one object per hundred
-// calls) absorbs the Go runtime's own background allocations. Before,
+// task's own stack, and signal frames and register spans are staged on
+// the host stack. ptrace needs no budget of its own. Measured as the
+// difference between a long and a short run of the same loop, so that
+// set-up, first-touch page backing and decoding cancel; the tolerance
+// (one object per hundred calls) absorbs the Go runtime's own background allocations. Before,
 // every interposing mechanism allocated two to three objects per call
 // (HcallCtx, Call, PtraceStop, the pending stack's growth).
 func TestInterposedSyscallAllocs(t *testing.T) {

@@ -486,7 +486,7 @@ func publish(m *telemetry.Registry, r Result) {
 	set("latency.p99", r.P99)
 }
 
-// MsPerCycle converts cycles to milliseconds at the modelled clock
+// clockHz is the modelled clock rate in cycles per second
 // (webbench.ClockHz, restated here to avoid the import).
 const clockHz = 2.1e9
 

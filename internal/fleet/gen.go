@@ -379,8 +379,8 @@ func (g *Generator) Close() {
 	g.conns = nil
 }
 
-// latencyStats extracts completed-request latencies, optionally filtered
-// by arrival window [from, to).
+// latencies extracts completed-request latencies, optionally filtered by
+// arrival window [from, to).
 func (g *Generator) latencies(from, to uint64) []uint64 {
 	var out []uint64
 	for i := range g.reqs {

@@ -78,12 +78,12 @@ func TestStubSaveRestoreIsThreeStackRuns(t *testing.T) {
 			for pass := 0; pass < 3; pass++ {
 				c.RIP = shapeCaller
 				for i, want := range stops {
-					before := c.TraceStats().FusedStackInsts
+					before := c.FusedStats().FusedStackInsts
 					ev, _, _ := c.StepBlock(1 << 20)
 					if ev != want {
 						t.Fatalf("pass %d stop %d: event %v, want %v (fault: %v)", pass, i, ev, want, c.FaultErr)
 					}
-					fused[i] = c.TraceStats().FusedStackInsts - before
+					fused[i] = c.FusedStats().FusedStackInsts - before
 				}
 			}
 			if want := [4]uint64{15, 7, 0, 15}; fused != want {

@@ -360,7 +360,6 @@ var cpuCounterNames = [...]string{
 	"cpu.decode_cache.hits", "cpu.decode_cache.misses", "cpu.decode_cache.builds",
 	"cpu.decode_cache.invalidations", "cpu.decode_cache.rebind_flushes", "cpu.decode_cache.overflow_evictions",
 	"cpu.chain.links", "cpu.chain.unlinks", "cpu.chain.transitions",
-	"cpu.trace.promotions", "cpu.trace.invalidations", "cpu.trace.runs", "cpu.trace.insts",
 	"cpu.trace.fused_loop_iters", "cpu.trace.fused_nop_insts", "cpu.trace.fused_stack_insts",
 	"cpu.tlb.hits", "cpu.tlb.misses", "cpu.tlb.evictions", "cpu.tlb.flushes",
 	"cpu.superblock.runs", "cpu.superblock.insts",
@@ -369,11 +368,11 @@ var cpuCounterNames = [...]string{
 
 // cpuCounters reads c's counters in cpuCounterNames' order.
 func cpuCounters(c *cpu.CPU) [len(cpuCounterNames)]uint64 {
-	cs, hs, ts, ls := c.DecodeCacheStats(), c.ChainStats(), c.TraceStats(), c.TLBStats()
+	cs, hs, fs, ls := c.DecodeCacheStats(), c.ChainStats(), c.FusedStats(), c.TLBStats()
 	return [...]uint64{
 		cs.Hits, cs.Misses, cs.Builds, cs.Invalidations, cs.RebindFlushes, cs.OverflowEvictions,
 		hs.Links, hs.Unlinks, hs.Transitions,
-		ts.Promotions, ts.Invalidations, ts.Runs, ts.Insts, ts.FusedLoopIters, ts.FusedNopInsts, ts.FusedStackInsts,
+		fs.FusedLoopIters, fs.FusedNopInsts, fs.FusedStackInsts,
 		ls.Hits, ls.Misses, ls.Evictions, ls.Flushes,
 		c.SuperblockRuns, c.SuperblockInsts,
 		c.FetchWalks, c.NopBatches, c.Cycles,

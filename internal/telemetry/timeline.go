@@ -169,13 +169,19 @@ func EncodeJSONL(w io.Writer, evs []Event) error {
 }
 
 // DecodeTrace reads either export format (Chrome trace-event JSON or
-// JSONL), sniffing by the leading byte.
+// JSONL). A JSONL file holds one event object per line, so its first
+// non-blank line is a whole JSON value without a traceEvents key;
+// anything else is a Chrome trace, whatever order its keys come in.
 func DecodeTrace(data []byte) ([]Event, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) == 0 {
 		return nil, nil
 	}
-	if trimmed[0] == '{' && bytes.Contains(trimmed[:min(len(trimmed), 64)], []byte("traceEvents")) {
+	first, _, _ := bytes.Cut(trimmed, []byte{'\n'})
+	var probe struct {
+		TraceEvents json.RawMessage `json:"traceEvents"`
+	}
+	if json.Unmarshal(first, &probe) != nil || probe.TraceEvents != nil {
 		var ct ChromeTrace
 		if err := json.Unmarshal(trimmed, &ct); err != nil {
 			return nil, fmt.Errorf("telemetry: decode chrome trace: %w", err)
@@ -183,7 +189,7 @@ func DecodeTrace(data []byte) ([]Event, error) {
 		return ct.TraceEvents, nil
 	}
 	var evs []Event
-	for i, line := range strings.Split(string(trimmed), "\n") {
+	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue

@@ -3,6 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -119,4 +122,76 @@ func TestTraceRoundTrip(t *testing.T) {
 			t.Errorf("event %d changed: %+v vs %+v", i, a, b)
 		}
 	}
+}
+
+// TestDecodeTraceChromeKeyOrder: a Chrome trace is recognised by its
+// traceEvents key wherever that key sits, not only in the file's first
+// bytes.
+func TestDecodeTraceChromeKeyOrder(t *testing.T) {
+	evs := []Event{
+		{Name: "write", Cat: "direct", Ph: "X", TS: 500, Dur: 20, PID: PIDMachine, TID: 1},
+		{Name: "guest/1", Cat: "quantum", Ph: "X", Dur: 1000, PID: PIDScheduler, TID: 1},
+	}
+	body, err := json.Marshal(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := `{"displayTimeUnit":"ns","otherData":{"producer":"a tool that writes its metadata first"},`
+	for _, sep := range []string{"", "\n"} {
+		got, err := DecodeTrace([]byte(head + sep + `"traceEvents":` + sep + string(body) + sep + "}\n"))
+		if err != nil {
+			t.Fatalf("separator %q: %v", sep, err)
+		}
+		if !reflect.DeepEqual(got, evs) {
+			t.Errorf("separator %q: decoded %+v, want %+v", sep, got, evs)
+		}
+	}
+}
+
+// TestDecodeTraceJSONLLineNumbers: a JSONL decode error names the line of
+// the file it is on, counting leading blank lines.
+func TestDecodeTraceJSONLLineNumbers(t *testing.T) {
+	data := "\n\n" + `{"name":"write","ph":"X","ts":1,"pid":1,"tid":1}` + "\n" + `{"name":"read","ph":"X","ts":"late"}` + "\n"
+	_, err := DecodeTrace([]byte(data))
+	if err == nil || !strings.Contains(err.Error(), "jsonl line 4:") {
+		t.Fatalf("error = %v, want one naming jsonl line 4", err)
+	}
+}
+
+// FuzzDecodeTrace: decoding arbitrary bytes never panics, and whatever
+// decodes re-encodes to bytes that decode and encode back to themselves,
+// in both formats.
+func FuzzDecodeTrace(f *testing.F) {
+	evs := buildTimeline().Events()
+	for _, enc := range []func(io.Writer, []Event) error{EncodeChrome, EncodeJSONL} {
+		var b bytes.Buffer
+		if err := enc(&b, evs); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	f.Add([]byte(`{"displayTimeUnit":"ns","traceEvents":[{"name":"a","ph":"i","ts":3,"pid":1,"tid":2,"args":{"k":"v"}}]}`))
+	f.Add([]byte("\n\n{\"name\":\"a\"}\n{"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := DecodeTrace(data)
+		if err != nil {
+			return
+		}
+		for _, enc := range []func(io.Writer, []Event) error{EncodeChrome, EncodeJSONL} {
+			var once, twice bytes.Buffer
+			if err := enc(&once, evs); err != nil {
+				t.Fatal(err)
+			}
+			back, err := DecodeTrace(once.Bytes())
+			if err != nil {
+				t.Fatalf("re-decoding %q: %v", once.Bytes(), err)
+			}
+			if err := enc(&twice, back); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+				t.Fatalf("encode -> decode -> encode changed the bytes:\n%s\n%s", once.Bytes(), twice.Bytes())
+			}
+		}
+	})
 }

@@ -33,16 +33,21 @@ go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/... ./interna
 
 # The in-kernel parallel scheduler is gone (DESIGN.md §15), and so are
 # the five fast-path toggles (one fast engine, one reference engine:
-# DESIGN.md §7) and the ten per-artifact binaries (one cmd/lazysim);
-# their flags, tools and hooks must not creep back into the docs or
-# tooling. (The bracketed letters keep this line from matching itself.)
+# DESIGN.md §7), the hot-trace tier (chained blocks and fused handlers
+# are the whole fast engine: DESIGN.md §11), the ten per-artifact
+# binaries (one cmd/lazysim) and the six per-area smoke targets (one
+# `make smoke`); their flags, tools, hooks and names must not creep back
+# into the docs or tooling. (The bracketed letters keep this line from
+# matching itself.)
 if grep -rnE -e 'par[b]ench|par-[s]moke|RegisterHcall[C]oncurrent|Concurrent[S]afe|-[c]ores' \
     -e '-[d]ecodecache|-[s]uperblock|-[c]hain=|-[t]races|[t]lb-smoke|[c]hain-smoke' \
     -e 'Disabl[e](DecodeCache|TLB|Superblocks|Chaining|Traces)' \
     -e '\b([m]acrobench|[p]intool|[p]olicybench|[f]leetbench|[c]pubench|[r]unsim|[s]asm|[t]racecat)\b' \
     -e 'cmd/([m]icrobench|[e]xhaustive)' \
+    -e '[t]racePromoteThreshold|[r]unTrace|[b]uildTrace|[h]ot trace|cpu\.trace\.([p]romotions|[i]nvalidations|[r]uns)' \
+    -e '\b([c]haos|[p]rofile|[e]xec|[p]olicy|[f]leet|[o]bs)-smoke\b' \
     README.md DESIGN.md Makefile scripts .claude; then
-    echo "removed parallel-scheduler, fast-path-toggle or per-artifact-binary surface is still named above" >&2
+    echo "removed parallel-scheduler, fast-path-toggle, trace-tier, per-artifact-binary or smoke-target surface is still named above" >&2
     exit 1
 fi
 
@@ -68,45 +73,16 @@ go test ./internal/cpu/ -run '^$' -bench 'BenchmarkCPUStep|BenchmarkDecodeCache'
 # Fuzz smoke: a few seconds of every fuzz target (Makefile lists them).
 make fuzz FUZZTIME=5s
 
-# One build of lazysim runs every checked-in snapshot (snapshotTable in
-# cmd/lazysim/snapshots.go) at its smoke size into a scratch directory:
-# every sweep must run end to end, and cpu must clear its three
-# fast-vs-reference floors and show every fast-engine tier at work. The
-# checked-in snapshots are refreshed with `make snapshots`. Engine, chaos,
-# policy, telemetry, request-tracing and parallel invariance are Go tests
-# in the -race run above (TestExecEquivalence, TestChaosInvariance*,
-# TestPolicyInvariance*, TestFigure5ParallelDeterminism,
-# TestFleetBenchDeterminism).
+# The command surface at CI size (Makefile `smoke`): one build of
+# lazysim runs every snapshot at its smoke size, the run/trace telemetry
+# round trip, the fleet request-tree round trip and the two policy attack
+# demos. Engine, chaos, policy, telemetry, request-tracing and parallel
+# invariance are Go tests in the -race run above (TestExecEquivalence,
+# TestChaosInvariance*, TestPolicyInvariance*,
+# TestFigure5ParallelDeterminism, TestFleetBenchDeterminism).
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/lazysim" ./cmd/lazysim
-lz="$tmp/lazysim"
-"$lz" snapshots -smoke -dir "$tmp"
-
-# Telemetry outputs (DESIGN.md §9): run must emit all three surfaces, and
-# trace must pretty-print the timeline and round-trip it through JSONL.
-"$lz" run -builtin microbench -mech lazypoline -trace=false -stats=false \
-    -metrics-out "$tmp/tel_metrics.json" -trace-out "$tmp/tel_trace.json" \
-    -profile-out "$tmp/tel_profile.folded"
-grep -q 'kernel.dispatch.trampoline.calls' "$tmp/tel_metrics.json"
-grep -q 'lazypoline_entry' "$tmp/tel_profile.folded"
-"$lz" trace "$tmp/tel_trace.json" > "$tmp/tel_trace.txt"
-"$lz" trace -format jsonl "$tmp/tel_trace.json" > "$tmp/tel_trace.jsonl"
-"$lz" trace -format chrome "$tmp/tel_trace.jsonl" > "$tmp/tel_trace2.json"
-diff -u "$tmp/tel_trace.json" "$tmp/tel_trace2.json"
-
-# Request-scoped tracing (DESIGN.md §14): the kill-drill trace must show
-# the balancer retrying an in-flight request on a surviving backend, and
-# round-trip through the Chrome envelope without loss.
-"$lz" fleet -requests 60 -rate 200 -drills kill -mechs lazypoline -out '' \
-    -trace-out "$tmp/otr.jsonl" -slo-out "$tmp/otr_slo.json"
-grep -q 'fleet-slo' "$tmp/otr_slo.json"
-"$lz" trace -requests "$tmp/otr.jsonl" > "$tmp/otr_trees.txt"
-grep -q 'lb/retry' "$tmp/otr_trees.txt"
-grep -q 'otrace stats:' "$tmp/otr_trees.txt"
-"$lz" trace -format chrome -o "$tmp/otr.json" "$tmp/otr.jsonl"
-"$lz" trace -format jsonl "$tmp/otr.json" > "$tmp/otr_rt.jsonl"
-diff -u "$tmp/otr.jsonl" "$tmp/otr_rt.jsonl"
+make smoke SMOKE_DIR="$tmp"
 
 # Host-time benchmark (bench/README.md): its unit tests, then a quick
 # drive of four workloads, the small-file serving cells among them. Only
