@@ -41,7 +41,6 @@ type Generator struct {
 	ready   []int // request indices arrived or backoff-expired, FIFO
 
 	conns []*genConn
-	buf   []byte
 
 	completed int
 	lost      int
@@ -103,6 +102,11 @@ func splitmix64(x *uint64) uint64 {
 	return z
 }
 
+// readChunk is the most the generator and the balancer take from a
+// connection in one call. The number of calls is part of the simulation
+// (each one ages the segments the fault plan holds back), so it is fixed.
+const readChunk = 64 * 1024
+
 // newGenerator precomputes the full arrival schedule: exponential
 // interarrival gaps with mean 1e6/rate cycles, drawn from the seed.
 func newGenerator(net *netstack.Stack, cfg genConfig) *Generator {
@@ -116,7 +120,6 @@ func newGenerator(net *netstack.Stack, cfg genConfig) *Generator {
 		backoffBase: cfg.backoffBase,
 		timeout:     cfg.timeout,
 		trace:       cfg.trace,
-		buf:         make([]byte, 64*1024),
 		reqs:        make([]genRequest, cfg.requests),
 	}
 	mean := 1e6 / cfg.rate
@@ -179,7 +182,8 @@ func (g *Generator) pollConn(c *genConn, now uint64) bool {
 		return true // idle; liveness discovered at dispatch
 	}
 	for {
-		n, err := c.ep.Read(g.buf)
+		// Response bytes are counted, never looked at.
+		n, err := c.ep.Discard(readChunk)
 		if err != nil {
 			if errors.Is(err, netstack.ErrWouldBlock) {
 				if now >= c.deadline {

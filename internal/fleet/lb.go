@@ -112,7 +112,7 @@ func newLB(net *netstack.Stack, cfg lbConfig) (*LB, error) {
 		listener:       l,
 		reqSize:        cfg.reqSize,
 		respSize:       cfg.respSize,
-		buf:            make([]byte, 64*1024),
+		buf:            make([]byte, readChunk),
 		probeReq:       cfg.probeRequest,
 		probeInterval:  cfg.probeInterval,
 		probeTimeout:   cfg.probeTimeout,
@@ -387,7 +387,7 @@ func (l *LB) stepProbes(now uint64) {
 func (l *LB) pollProbe(b *lbBackend, now uint64) {
 	p := b.probe
 	for {
-		n, err := p.ep.Read(l.buf)
+		n, err := p.ep.Discard(readChunk) // probe responses are counted, not parsed
 		if err != nil {
 			if errors.Is(err, netstack.ErrWouldBlock) {
 				if now >= p.deadline {

@@ -456,3 +456,48 @@ func TestSendfileOffsetPointer(t *testing.T) {
 		t.Errorf("file offset = %d after EFAULT, want 0", off)
 	}
 }
+
+// delayOncePlan holds back the first segment written for one reader poll.
+type delayOncePlan struct{ countingPlan }
+
+func (p *delayOncePlan) Delay(uint64) bool { p.delays++; return p.delays == 1 }
+
+// TestZeroLengthSocketRead: read(sock, buf, 0) returns 0 and touches
+// nothing, as Linux's sock_read_iter does — no EAGAIN on an empty
+// non-blocking socket, no block on an empty blocking one, no byte
+// consumed and no held segment aged.
+func TestZeroLengthSocketRead(t *testing.T) {
+	read0 := func(r *sendfileRig) sysResult {
+		return r.k.dispatch(r.task, SysRead, [6]uint64{uint64(r.sockFd), guestBuf, 0})
+	}
+	for _, nonblock := range []bool{true, false} {
+		r := newSendfileRig(t, Config{}, nil, nonblock)
+		if res := read0(r); res.kind != resNormal || res.ret != 0 {
+			t.Errorf("nonblock %v, empty socket: read(0) = %+v, want 0", nonblock, res)
+		}
+	}
+
+	r := newSendfileRig(t, Config{}, &delayOncePlan{}, true)
+	if n, err := r.client.Write([]byte("held")); n != 4 || err != nil {
+		t.Fatalf("held write: %d, %v", n, err)
+	}
+	if n, err := r.client.Write([]byte("more")); n != 4 || err != nil {
+		t.Fatalf("second write: %d, %v", n, err)
+	}
+	if res := read0(r); res.kind != resNormal || res.ret != 0 {
+		t.Fatalf("read(0) with a held segment = %+v, want 0", res)
+	}
+	if n := r.server.Buffered(); n != 0 {
+		t.Fatalf("read(0) aged the held segments: %d bytes delivered", n)
+	}
+	r.server.Ready() // the poll a read(0) must not have been
+	if n := r.server.Buffered(); n != 8 {
+		t.Fatalf("Buffered = %d after one poll, want 8", n)
+	}
+	if res := read0(r); res.kind != resNormal || res.ret != 0 {
+		t.Fatalf("read(0) with data buffered = %+v, want 0", res)
+	}
+	if n := r.server.Buffered(); n != 8 {
+		t.Fatalf("read(0) consumed %d bytes", 8-n)
+	}
+}

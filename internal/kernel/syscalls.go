@@ -284,6 +284,11 @@ func (k *Kernel) sysRead(t *Task, args [6]uint64) sysResult {
 		if fd.Sock == nil {
 			return sysErr(EBADF)
 		}
+		if count == 0 {
+			// Like Linux's sock_read_iter: an empty read returns 0 and
+			// touches nothing — no EAGAIN, no block, no segment aged.
+			break
+		}
 		t.telAdoptCtx(fd.Sock.TraceCtx())
 		// What a socket holds is only known once Read has aged the
 		// segments in flight, so the staging is sized by count.
@@ -387,14 +392,15 @@ func (k *Kernel) sysWrite(t *Task, args [6]uint64) sysResult {
 // the socket is full.
 //
 // The transfer is sized before anything moves — the least of count, what
-// the file still holds and what the socket has room for — so a 512-byte
-// file asked for with count = 256 KiB stages 512 bytes. The order of
-// observable effects is fixed (DESIGN.md §16): fd checks, offset
-// pointer, chaos short write, file error or EOF (0 is returned before
-// the socket is consulted at all), then Endpoint.Write's own order —
+// the file still holds and what the socket has room for — and the file
+// is then read straight into the peer's receive buffer by
+// Endpoint.WriteFrom: one host copy, no staging. The order of observable
+// effects is fixed (DESIGN.md §16): fd checks, offset pointer, chaos
+// short write, file error or EOF (0 is returned before the socket is
+// consulted at all), then Endpoint.Write's order, which WriteFrom shares —
 // fault-plan Reset once per call that gets this far, full socket or
-// not, then space, then Drop/Delay — and finally the offset advances by
-// exactly the bytes sent.
+// not, then space, then Drop/Delay, then the read — and finally the
+// offset advances by exactly the bytes sent.
 func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 	out, ok := t.Files.Get(int(args[0]))
 	if !ok || out.Kind != FDSocket || out.Sock == nil {
@@ -429,18 +435,12 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 	if avail == 0 {
 		return sysRet(0) // EOF
 	}
-	// A full socket sizes the transfer to nothing; Write is still called,
+	// The file is read straight into the peer's receive buffer. A full
+	// socket sizes the transfer to nothing; WriteFrom is still called,
 	// with no bytes, so that the fault plan is consulted and a dead peer
 	// reported exactly as for a write that had something to send.
-	buf := t.ioBuf(min(int(avail), out.Sock.WriteSpace()))
-	n, err := in.File.ReadAt(buf, off)
-	if err != nil {
-		return sysErr(fsErrno(err))
-	}
-	if n == 0 && len(buf) > 0 {
-		return sysRet(0) // truncated under us since Avail: EOF after all
-	}
-	sent, werr := out.Sock.Write(buf[:n])
+	want := min(int(avail), out.Sock.WriteSpace())
+	sent, werr := out.Sock.WriteFrom(in.File, off, want)
 	switch {
 	case sent > 0:
 		if offPtr == 0 {
@@ -453,9 +453,11 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 		// One kernel-internal copy instead of read+write's two.
 		t.CPU.Cycles += k.Costs.CopyCost(sent)
 		return sysRet(int64(sent))
+	case werr == nil && want > 0:
+		return sysRet(0) // truncated under us since Avail: EOF after all
 	case errors.Is(werr, netstack.ErrWouldBlock), werr == nil:
 		// (nil: the socket was full when the transfer was sized and a
-		// concurrent reader made room before Write looked. Nothing was
+		// concurrent reader made room before WriteFrom looked. Nothing was
 		// sent; the retry sizes it again.)
 		if out.Nonblock {
 			return sysErr(EAGAIN)
@@ -466,8 +468,10 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 		return sysErr(EPIPE)
 	case errors.Is(werr, netstack.ErrReset):
 		return sysErr(ECONNRESET)
+	case errors.Is(werr, netstack.ErrClosed):
+		return sysErr(EBADF)
 	}
-	return sysErr(EBADF)
+	return sysErr(fsErrno(werr)) // the file read failed: nothing was sent
 }
 
 func (k *Kernel) sysStat(t *Task, args [6]uint64) sysResult {

@@ -439,6 +439,10 @@ type Task struct {
 //     fs.File.Write, the ConsoleOut append, guest memory and the
 //     netstack receive buffer all copy, and a segment the fault plan
 //     holds back is copied into a slice of its own by Endpoint.Write.
+//
+// Its users are read, write, getdents64 and epoll_wait. sendfile needs
+// none: Endpoint.WriteFrom reads the file straight into the peer's
+// receive buffer.
 func (t *Task) ioBuf(n int) []byte {
 	if n > cap(t.io) {
 		t.io = make([]byte, max(n, 2*cap(t.io)))

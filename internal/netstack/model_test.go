@@ -10,9 +10,11 @@ import (
 
 // This file pins the Endpoint data path against a deliberately naive
 // oracle: a bytes.Buffer per direction plus a slice of held segments.
-// Whatever memory the real receive buffer is made of, every Read, Write,
-// Close, InjectRST, Ready and Buffered must answer exactly as the oracle
-// does, and RecvHighWater must reach the same mark.
+// Whatever memory the real receive buffer is made of, every Read,
+// Discard, Write, WriteFrom, Close, InjectRST, Ready and Buffered must
+// answer exactly as the oracle does, and RecvHighWater must reach the
+// same mark. WriteFrom is checked as a Write of the bytes its source
+// holds, Discard as a Read whose bytes nobody looks at.
 
 // coinPlan is a FaultPlan that flips seeded coins, so a given seed
 // replays the same drop/delay/reset schedule against model and endpoint.
@@ -191,8 +193,8 @@ var ramp = func() []byte {
 	return r
 }()
 
-// pickSize draws transfer sizes that hit the edges: empty, tiny, the
-// client's 64 KiB sink, exactly what is free or buffered, more than the
+// pickSize draws transfer sizes that hit the edges: empty, tiny, a load
+// driver's 64 KiB chunk, exactly what is free or buffered, more than the
 // whole receive buffer.
 func pickSize(rng *rand.Rand, exact int) int {
 	switch rng.Intn(10) {
@@ -216,9 +218,34 @@ func pickSize(rng *rand.Rand, exact int) int {
 	}
 }
 
+// byteSource is a WriteFrom source over a byte slice; reads past its end
+// return what is left, and nothing at all from its end on.
+type byteSource []byte
+
+func (s byteSource) ReadAt(p []byte, off uint64) (int, error) {
+	if off >= uint64(len(s)) {
+		return 0, nil
+	}
+	return copy(p, s[off:]), nil
+}
+
+// poisonRingPool scribbles over every array on the free list, so that a
+// ring handing out a byte it was not written since it took its array
+// returns garbage the oracle does not have.
+func poisonRingPool(rng *rand.Rand) {
+	ringPool.mu.Lock()
+	defer ringPool.mu.Unlock()
+	for _, class := range ringPool.free {
+		for _, buf := range class {
+			rng.Read(buf)
+		}
+	}
+}
+
 func runEndpointModel(t *testing.T, seed int64, faults bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	poisonRingPool(rng)
 	var (
 		ep    [2]*Endpoint
 		stats *StackStats
@@ -242,15 +269,23 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 	} else {
 		ep[1], ep[0] = NewPipe()
 	}
+	// Closing both sides hands their arrays back, for the next
+	// connection's rings to take.
+	defer ep[0].Close()
+	defer ep[1].Close()
 
-	var next [2]byte // next payload byte per writing side
+	// next payload byte per writing side; a random start, so that bytes
+	// left in a recycled array by an earlier connection do not line up
+	// with this one's.
+	next := [2]byte{byte(rng.Intn(256)), byte(rng.Intn(256))}
 	scratch := make([]byte, 2*RecvBufSize)
 	want := make([]byte, len(scratch))
+	srcBuf := make([]byte, len(scratch)+64)
 	size := func(exact int) int { return min(pickSize(rng, exact), len(scratch)) }
 	for step := 0; step < 4000; step++ {
 		i := rng.Intn(2)
 		switch op := rng.Intn(100); {
-		case op < 45:
+		case op < 30:
 			n := size(RecvBufSize - m.side[1-i].rx.Len())
 			p := scratch[:n]
 			copy(p, ramp[next[i]:])
@@ -260,7 +295,25 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 				t.Fatalf("seed %d step %d: side %d Write(%d) = %d, %v; model %d, %v", seed, step, i, n, gn, gerr, wn, werr)
 			}
 			next[i] += byte(gn)
-		case op < 88:
+		case op < 45:
+			// The source starts past a junk prefix and, one time in
+			// four, holds fewer bytes than asked for.
+			n := size(RecvBufSize - m.side[1-i].rx.Len())
+			held := n
+			if rng.Intn(4) == 0 {
+				held = rng.Intn(n + 1)
+			}
+			off := rng.Intn(64)
+			src := srcBuf[:off+held]
+			rng.Read(src[:off])
+			copy(src[off:], ramp[next[i]:])
+			gn, gerr := ep[i].WriteFrom(byteSource(src), uint64(off), n)
+			wn, werr := m.write(i, src[off:])
+			if gn != wn || !sameErr(gerr, werr) {
+				t.Fatalf("seed %d step %d: side %d WriteFrom(%d of %d held) = %d, %v; model %d, %v", seed, step, i, n, held, gn, gerr, wn, werr)
+			}
+			next[i] += byte(gn)
+		case op < 75:
 			n := size(m.side[i].rx.Len())
 			gn, gerr := ep[i].Read(scratch[:n])
 			wn, werr := m.read(i, want[:n])
@@ -269,6 +322,13 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 			}
 			if !bytes.Equal(scratch[:gn], want[:wn]) {
 				t.Fatalf("seed %d step %d: side %d Read(%d) returned different bytes than the model", seed, step, i, n)
+			}
+		case op < 88:
+			n := size(m.side[i].rx.Len())
+			gn, gerr := ep[i].Discard(n)
+			wn, werr := m.read(i, want[:n])
+			if gn != wn || !sameErr(gerr, werr) {
+				t.Fatalf("seed %d step %d: side %d Discard(%d) = %d, %v; model %d, %v", seed, step, i, n, gn, gerr, wn, werr)
 			}
 		case op < 96:
 			if g, w := ep[i].Ready(), m.ready(i); g != w {
@@ -312,8 +372,10 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 }
 
 // TestEndpointMatchesModel drives random operation sequences — wrapping,
-// exactly-full and over-full writes, held segments, closes that flush
-// them, resets — through a pipe and through a fault-carrying connection.
+// exactly-full and over-full writes, short sources, held segments,
+// closes that flush them, resets — through a pipe and through a
+// fault-carrying connection. The 48 connections run one after another in
+// one process, each taking the arrays the ones before it gave back.
 func TestEndpointMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		runEndpointModel(t, seed, false)

@@ -497,66 +497,6 @@ func (e *Endpoint) bumpHub() {
 	}
 }
 
-// ring is an endpoint's receive buffer: a byte queue over one backing
-// array that is kept for the life of the connection. Nothing is
-// allocated until the first byte arrives (idle connections and unused
-// pipe ends cost nothing); the array then doubles on demand up to
-// RecvBufSize — all that Write's space check ever admits — and past it
-// only for the one case that overfills by design, a close flushing held
-// segments. Guarded by the owning endpoint's mu.
-type ring struct {
-	buf  []byte // backing array; len(buf) is the capacity
-	head int    // index of the oldest unread byte
-	n    int    // unread bytes
-}
-
-// minRingSize is the first backing array's size: room for a request
-// line or a response header without a second allocation.
-const minRingSize = 512
-
-// write queues p, growing the backing array if p does not fit.
-func (r *ring) write(p []byte) {
-	if need := r.n + len(p); need > len(r.buf) {
-		r.grow(need)
-	}
-	tail := r.head + r.n
-	if tail >= len(r.buf) {
-		tail -= len(r.buf)
-	}
-	c := copy(r.buf[tail:], p)
-	copy(r.buf, p[c:]) // the part that wraps
-	r.n += len(p)
-}
-
-// grow moves the queue to the front of an array of at least need bytes.
-func (r *ring) grow(need int) {
-	size := max(2*len(r.buf), need, minRingSize)
-	if size > RecvBufSize && need <= RecvBufSize {
-		size = RecvBufSize
-	}
-	buf := make([]byte, size)
-	c := copy(buf[:r.n], r.buf[r.head:])
-	copy(buf[c:r.n], r.buf)
-	r.buf, r.head = buf, 0
-}
-
-// read dequeues up to len(p) bytes into p.
-func (r *ring) read(p []byte) int {
-	n := min(len(p), r.n)
-	c := copy(p[:n], r.buf[r.head:])
-	copy(p[c:n], r.buf) // the part that wrapped
-	r.n -= n
-	r.head += n
-	if r.n == 0 {
-		// Restart an emptied queue at the front, so that the next
-		// segment lands (and is read back) in one piece.
-		r.head = 0
-	} else if r.head >= len(r.buf) {
-		r.head -= len(r.buf)
-	}
-	return n
-}
-
 // stagedSegment is an in-flight segment awaiting (re)delivery.
 type stagedSegment struct {
 	data []byte
@@ -586,7 +526,16 @@ func NewPipe() (readEnd, writeEnd *Endpoint) {
 // Read drains up to len(p) bytes from the receive buffer. It returns
 // (0, nil) for EOF (peer closed, buffer drained) and ErrWouldBlock when
 // no data is available yet.
-func (e *Endpoint) Read(p []byte) (int, error) {
+func (e *Endpoint) Read(p []byte) (int, error) { return e.read(p, len(p)) }
+
+// Discard is Read without a destination: it drains up to max bytes and
+// throws them away, with Read's results, staged-segment ticks and wakes.
+// Load drivers that only count response bytes use it.
+func (e *Endpoint) Discard(max int) (int, error) { return e.read(nil, max) }
+
+// read is Read's and Discard's body: up to n bytes, copied into p unless
+// p is nil.
+func (e *Endpoint) read(p []byte, n int) (int, error) {
 	e.tickStaged()
 	e.mu.Lock()
 	if e.closed {
@@ -607,7 +556,7 @@ func (e *Endpoint) Read(p []byte) (int, error) {
 		}
 		return 0, ErrWouldBlock
 	}
-	n := e.rx.read(p)
+	n = e.rx.read(p, n)
 	peer := e.peer
 	e.mu.Unlock()
 	if peer != nil {
@@ -618,10 +567,28 @@ func (e *Endpoint) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Write appends to the peer's receive buffer. It returns ErrPipe if the
-// peer is gone, ErrWouldBlock when the peer's buffer is full, and
-// ErrReset when the fault plan injects an RST on the connection.
-func (e *Endpoint) Write(p []byte) (int, error) {
+// Write copies p into the peer's receive buffer (or, when the fault plan
+// holds the segment back, into a slice the staged segment owns; p is
+// never retained). It returns ErrPipe if the peer is gone, ErrWouldBlock
+// when the peer's buffer is full, and ErrReset when the fault plan
+// injects an RST on the connection. It may take a prefix of p: the
+// returned count is what was sent.
+func (e *Endpoint) Write(p []byte) (int, error) { return e.write(segment{p: p}, len(p)) }
+
+// WriteFrom is Write with the bytes read from src at off instead of
+// passed in: up to n of them are read straight into the peer's receive
+// buffer, so a file reaches the reader with one copy. It returns fewer
+// than n when src holds fewer, and src's error, with nothing sent, when
+// the read fails. Lock order: the endpoint's mu, then whatever src takes
+// (the filesystem lock, for an *fs.File).
+func (e *Endpoint) WriteFrom(src Source, off uint64, n int) (int, error) {
+	return e.write(segment{src: src, off: off}, n)
+}
+
+// write is Write's and WriteFrom's body. Its order is the contract
+// sendfile relies on (DESIGN.md §16): fault-plan Reset, dead peer,
+// space, Drop/Delay, then staging or delivery.
+func (e *Endpoint) write(seg segment, n int) (int, error) {
 	e.mu.Lock()
 	if e.closed {
 		reset := e.reset
@@ -644,17 +611,11 @@ func (e *Endpoint) Write(p []byte) (int, error) {
 	if peer == nil || peer.isClosed() {
 		return 0, ErrPipe
 	}
-	peer.mu.Lock()
-	space := RecvBufSize - peer.rx.n
+	space := peer.space()
 	if space <= 0 {
-		peer.mu.Unlock()
 		return 0, ErrWouldBlock
 	}
-	n := len(p)
-	if n > space {
-		n = space
-	}
-	peer.mu.Unlock()
+	n = min(n, space)
 
 	// Fault plan: drop (retransmit after two reader polls) or delay
 	// (one poll) this segment. A segment also stages, with no extra
@@ -676,26 +637,40 @@ func (e *Endpoint) Write(p []byte) (int, error) {
 	}
 	e.mu.Lock()
 	if hold > 0 || len(e.stage) > 0 {
-		seg := stagedSegment{data: append([]byte(nil), p[:n]...), hold: hold}
-		e.stage = append(e.stage, seg)
+		data := make([]byte, n)
+		got, err := seg.readAt(data, 0)
+		if err != nil {
+			e.mu.Unlock()
+			return 0, err
+		}
+		e.stage = append(e.stage, stagedSegment{data: data[:got], hold: hold})
 		e.mu.Unlock()
 		// Accepted into the send buffer; the peer is woken only when a
 		// segment is actually delivered (by its poll-driven ticks).
 		e.bumpHub()
-		return n, nil
+		return got, nil
 	}
 	e.mu.Unlock()
 
 	peer.mu.Lock()
-	peer.rx.write(p[:n])
+	if peer.closed {
+		// Closed since the check above: a closed endpoint holds no
+		// buffer, so nothing may be queued into it.
+		peer.mu.Unlock()
+		return 0, ErrPipe
+	}
+	got, err := peer.rx.fill(seg, n)
 	depth := uint64(peer.rx.n)
 	peer.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 	if e.stats != nil {
 		e.stats.setMax(&e.stats.RecvHighWater, depth)
 	}
 	peer.notif.wake()
 	e.bumpHub()
-	return n, nil
+	return got, nil
 }
 
 // WriteSpace reports how many bytes a Write could hand the peer right
@@ -762,7 +737,7 @@ func (e *Endpoint) injectReset() {
 	e.refs = 0
 	e.closed = true
 	e.reset = true
-	e.rx = ring{}
+	e.rx.release()
 	e.stage = nil
 	e.mu.Unlock()
 	if peer != nil {
@@ -770,7 +745,7 @@ func (e *Endpoint) injectReset() {
 		peer.refs = 0
 		peer.closed = true
 		peer.reset = true
-		peer.rx = ring{}
+		peer.rx.release()
 		peer.stage = nil
 		peer.mu.Unlock()
 	}
@@ -816,7 +791,7 @@ func (e *Endpoint) Close() {
 	}
 	e.refs = 0
 	e.closed = true
-	e.rx = ring{} // unread input dies with the last descriptor
+	e.rx.release() // unread input dies with the last descriptor
 	peer := e.peer
 	stage := e.stage
 	e.stage = nil

@@ -80,3 +80,41 @@ func TestSteadyStateRequestAllocs(t *testing.T) {
 		t.Errorf("allocation count depends on file size: %.1f objects per request at 256 KiB vs %.1f at 1 KiB", largeN, smallN)
 	}
 }
+
+// TestWarmCellAllocs is the per-cell allocation gate: once a process has
+// run a cell, running it again must not pay for its receive buffers a
+// second time. Receive-ring arrays come from the netstack's free list,
+// sendfile reads the file straight into the client's ring and the client
+// discards what it counts, so what a warm cell allocates per request is
+// bookkeeping — not the 256 KiB arrays every connection used to grow
+// afresh in every cell (13-87 KB per request before).
+func TestWarmCellAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	const maxBytesPerReq = 8 << 10
+	for _, style := range []guest.ServerStyle{guest.StyleNginx, guest.StyleLighttpd} {
+		for _, size := range []int{64 << 10, 256 << 10} {
+			for _, workers := range []int{1, 12} {
+				cfg := Config{Style: style, Workers: workers, FileSize: size, Requests: 240}
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				res, err := Run(cfg)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				perReq := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Requests)
+				t.Logf("%s, %d KiB, %2d workers: %.0f B per request", style, size>>10, workers, perReq)
+				if perReq > maxBytesPerReq {
+					t.Errorf("%s, %d KiB file, %d workers: a warm cell allocates %.0f B per request, want <= %d",
+						style, size>>10, workers, perReq, maxBytesPerReq)
+				}
+			}
+		}
+	}
+}

@@ -32,10 +32,6 @@ type Client struct {
 	completed int
 	sent      int
 
-	// sink is where response bytes are read to and never looked at. One
-	// goroutine steps every connection, so one buffer serves them all.
-	sink []byte
-
 	// Request-plane tracing (nil trace = off): IDs derive from
 	// (traceSeed, request index); now supplies virtual time.
 	trace     *otrace.Tracer
@@ -66,11 +62,15 @@ type clientConn struct {
 // replay identically from the chaos seed.
 const maxReconnects = 8
 
+// readChunk is the most a client drains from a connection in one call.
+// The number of calls is part of the simulation — each one ages the
+// segments the fault plan holds back — so it is fixed.
+const readChunk = 64 * 1024
+
 // NewClient prepares nconns connections that will collectively issue
 // `target` requests, each expecting a response of respSize bytes.
 func NewClient(stack *netstack.Stack, port uint16, nconns, respSize, target int) *Client {
-	c := &Client{stack: stack, port: port, respSize: respSize, target: target,
-		sink: make([]byte, 64*1024)}
+	c := &Client{stack: stack, port: port, respSize: respSize, target: target}
 	for i := 0; i < nconns; i++ {
 		c.conns = append(c.conns, &clientConn{
 			request:    []byte(requestLine),
@@ -150,7 +150,9 @@ func (c *Client) Step() {
 			// EAGAIN: the peer's buffer is full, retry on a later step.
 		}
 		for cc.awaiting > 0 {
-			n, err := cc.ep.Read(c.sink)
+			// Response bytes are counted, never looked at: drain them
+			// without copying, in the chunks a 64 KiB read would take.
+			n, err := cc.ep.Discard(readChunk)
 			if errors.Is(err, netstack.ErrWouldBlock) {
 				break
 			}

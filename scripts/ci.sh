@@ -67,6 +67,11 @@ go test ./internal/experiments -run 'TestColdStartAllocs' -count 1
 # syscall allocates nothing under any mechanism.
 go test ./internal/experiments -run 'TestInterposedSyscallAllocs' -count 1
 
+# Serving data-path allocation gates (DESIGN.md §16): a warm keep-alive
+# request allocates a few small objects whatever the file size, and a
+# cell run a second time in one process reuses its receive buffers.
+go test ./internal/webbench -run 'TestSteadyStateRequestAllocs|TestWarmCellAllocs' -count 1
+
 # Benchmark smoke run: the interpreter benchmarks must still execute.
 go test ./internal/cpu/ -run '^$' -bench 'BenchmarkCPUStep|BenchmarkDecodeCache' -benchtime 100ms
 
