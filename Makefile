@@ -78,6 +78,10 @@ smoke:
 #     (DESIGN.md §19).
 #   FuzzDecodeTrace: `lazysim trace`'s reader must survive arbitrary bytes,
 #     and encode -> decode -> encode must repeat the bytes in both formats.
+#   FuzzUnmarshal: the SELF image reader (`lazysim run` loads images from
+#     disk) must survive arbitrary bytes, allocate in proportion to its
+#     input whatever the header's counts claim, and Marshal -> Unmarshal ->
+#     Marshal must repeat the bytes.
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/isa/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
@@ -89,6 +93,7 @@ fuzz:
 	go test ./internal/zpoline/ -run '^$$' -fuzz FuzzFindSyscallSites -fuzztime $(FUZZTIME)
 	go test ./internal/kernel/ -run '^$$' -fuzz FuzzTaskAccessors -fuzztime $(FUZZTIME)
 	go test ./internal/telemetry/ -run '^$$' -fuzz FuzzDecodeTrace -fuzztime $(FUZZTIME)
+	go test ./internal/loader/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME)
 
 bench:
 	go test -bench . -benchtime 1x ./...

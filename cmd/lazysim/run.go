@@ -60,7 +60,7 @@ func runCmd(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	task, err := k.SpawnImage(prog.Image, kernel.SpawnOpts{Name: prog.Name})
+	task, err := k.SpawnImage(prog.Image, prog.Name)
 	if err != nil {
 		return err
 	}
@@ -191,7 +191,7 @@ func buildPolicy(mode, builtin string, args []string) (*kernel.PolicyConfig, err
 	if err != nil {
 		return nil, err
 	}
-	task, err := lk.SpawnImage(prog.Image, kernel.SpawnOpts{Name: prog.Name})
+	task, err := lk.SpawnImage(prog.Image, prog.Name)
 	if err != nil {
 		return nil, err
 	}

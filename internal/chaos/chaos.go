@@ -125,10 +125,11 @@ func New(seed uint64, rate float64) *Engine {
 	}
 }
 
-// splitmix64 is the standard SplitMix64 output function: a bijective
+// Splitmix64 is the standard SplitMix64 output function: a bijective
 // avalanche over a 64-bit state. Distinct inputs give independent-
-// looking outputs, which is all the fault plan needs.
-func splitmix64(x uint64) uint64 {
+// looking outputs, which is all the fault plan, the request-trace IDs
+// and the fleet's arrival schedule need.
+func Splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	z := x
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -147,9 +148,9 @@ func (e *Engine) draw(site Site, id uint64) uint64 {
 	// Three rounds of splitmix64 mixing seed, site/id, and counter so
 	// that adjacent ids and counters land in unrelated parts of the
 	// sequence.
-	x := splitmix64(e.seed ^ uint64(site)*0x9E3779B97F4A7C15)
-	x = splitmix64(x ^ id*0xBF58476D1CE4E5B9)
-	return splitmix64(x ^ n)
+	x := Splitmix64(e.seed ^ uint64(site)*0x9E3779B97F4A7C15)
+	x = Splitmix64(x ^ id*0xBF58476D1CE4E5B9)
+	return Splitmix64(x ^ n)
 }
 
 // Fire reports whether the fault at (site, id) fires for this event,

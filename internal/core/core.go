@@ -181,9 +181,6 @@ func (rt *Runtime) binderEnter(hc *kernel.HcallCtx) error {
 	return rt.Binder.Enter(hc)
 }
 
-// EntryAddr returns the fast-path entry address.
-func (rt *Runtime) EntryAddr() uint64 { return rt.entryAddr }
-
 // injectImage builds the guest-side runtime in t's address space: the
 // VA-0 trampoline + entry stub, the runtime code page, and the data page.
 func (rt *Runtime) injectImage(t *kernel.Task) error {

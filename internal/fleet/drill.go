@@ -49,28 +49,14 @@ type Drill struct {
 	Kind DrillKind
 	// Backend is the target backend index (kill/slow/drain).
 	Backend int
-	// StartFrac and StopFrac place the trigger points as fractions of
-	// the nominal run duration (requests/rate). Zero values default to
-	// 0.33 and 0.66.
-	StartFrac float64
-	StopFrac  float64
 }
 
-func (d Drill) withDefaults() Drill {
-	if d.Kind == "" {
-		d.Kind = DrillNone
-	}
-	if d.StartFrac == 0 {
-		d.StartFrac = 0.33
-	}
-	if d.StopFrac == 0 {
-		d.StopFrac = 0.66
-	}
-	if d.StopFrac < d.StartFrac {
-		d.StopFrac = d.StartFrac
-	}
-	return d
-}
+// A drill starts and stops at these fractions of the nominal run
+// duration (requests/rate).
+const (
+	drillStartFrac = 0.33
+	drillStopFrac  = 0.66
+)
 
 // drillState is the runtime form: absolute trigger times plus fired
 // flags, advanced by the driver loop each step.
@@ -85,8 +71,8 @@ type drillState struct {
 func newDrillState(d Drill, base, duration uint64) *drillState {
 	return &drillState{
 		drill:   d,
-		startAt: base + uint64(d.StartFrac*float64(duration)),
-		stopAt:  base + uint64(d.StopFrac*float64(duration)),
+		startAt: base + uint64(drillStartFrac*float64(duration)),
+		stopAt:  base + uint64(drillStopFrac*float64(duration)),
 	}
 }
 
@@ -148,9 +134,18 @@ func (ds *drillState) note(f *run, what string, now uint64) {
 //
 // Plain fields are safe: the fleet driver is single-goroutine.
 type drillFaults struct {
-	inner      netstack.FaultPlan
-	target     map[uint64]bool // conn ids dialed to the slow backend
-	windowOpen bool
+	inner       netstack.FaultPlan
+	slowBackend int             // the slow drill's target backend, -1 for every other drill
+	target      map[uint64]bool // conn ids dialed to slowBackend
+	windowOpen  bool
+}
+
+// dialed observes every balancer→backend connection (splice or probe)
+// and records the ones to the slow drill's target.
+func (d *drillFaults) dialed(backend int, connID uint64) {
+	if backend == d.slowBackend {
+		d.target[connID] = true
+	}
 }
 
 func (d *drillFaults) slow(id uint64) bool { return d.windowOpen && d.target[id] }

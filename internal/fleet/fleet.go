@@ -22,15 +22,37 @@ import (
 	"lazypoline/internal/telemetry"
 )
 
-// requestLine is the fixed request message, identical framing to
-// webbench's (guest.RequestSize bytes).
-const requestLine = "GET /static   \r\n"
-
 // FrontPort is the balancer's client-facing port; backends listen on
 // BackendBasePort+i.
 const (
 	FrontPort       = 8080
 	BackendBasePort = 9000
+)
+
+// The client and health-check policy, the same for every farm.
+const (
+	// frontBacklog is the balancer listener's accept backlog.
+	frontBacklog = 1024
+	// maxClientConns caps the generator's keep-alive connection pool.
+	maxClientConns = 64
+	// retryBudget is the per-request failure budget: a request failing
+	// more times than this is lost.
+	retryBudget = 8
+	// backoffBase is the first retry delay in cycles; attempt n waits
+	// backoffBase<<(n-1).
+	backoffBase = 50_000
+	// requestTimeout bounds one attempt, in cycles.
+	requestTimeout = 5_000_000
+	// unhealthyAfter consecutive probe failures eject a backend;
+	// healthyAfter consecutive successes readmit it.
+	unhealthyAfter = 2
+	healthyAfter   = 2
+	// sloObjective is the SLO burn-rate engine's latency objective in
+	// cycles: ~1ms at the modelled clock, comfortably above a healthy
+	// exchange and comfortably below a backoff-inflated retry.
+	sloObjective = 2_000_000
+	// sloTarget is the SLO availability goal.
+	sloTarget = 0.99
 )
 
 // AttachFunc installs an interposition mechanism on a backend's master
@@ -63,22 +85,10 @@ type Config struct {
 	// Drill scripts the mid-run failure injection.
 	Drill Drill
 
-	// MaxClientConns caps the generator's keep-alive connection pool.
-	MaxClientConns int
-	// RetryBudget is the per-request failure budget; a request failing
-	// more times than this is lost.
-	RetryBudget int
-	// BackoffBase is the first retry delay in cycles; attempt n waits
-	// BackoffBase<<(n-1).
-	BackoffBase uint64
-	// RequestTimeout bounds one attempt, in cycles.
-	RequestTimeout uint64
-
-	// Health-check knobs (cycles / consecutive counts).
-	ProbeInterval  uint64
-	ProbeTimeout   uint64
-	UnhealthyAfter int
-	HealthyAfter   int
+	// ProbeInterval and ProbeTimeout pace the balancer's health probes
+	// and bound each probe's response time, in cycles.
+	ProbeInterval uint64
+	ProbeTimeout  uint64
 
 	// Attach installs the mechanism under test on each backend's master
 	// (nil = baseline).
@@ -97,19 +107,7 @@ type Config struct {
 	// their work to it, and the tracer's tail sampler decides which
 	// trees survive. Same inertness contract as Telemetry.
 	Trace *otrace.Tracer
-	// SLOObjective is the latency objective in cycles for the SLO
-	// burn-rate engine (0 = DefaultSLOObjective); SLOTarget is the
-	// availability goal (0 = 0.99). The engine itself always runs —
-	// it is host-side arithmetic over request outcomes, so the report
-	// is identical with or without a tracer attached.
-	SLOObjective uint64
-	SLOTarget    float64
 }
-
-// DefaultSLOObjective is the default latency objective: ~1ms at the
-// modelled clock, comfortably above a healthy exchange and comfortably
-// below a backoff-inflated retry.
-const DefaultSLOObjective = 2_000_000
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Backends <= 0 {
@@ -130,37 +128,15 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Rate <= 0 {
 		cfg.Rate = 20
 	}
-	if cfg.MaxClientConns <= 0 {
-		cfg.MaxClientConns = 64
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 8
-	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = 50_000
-	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 5_000_000
-	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 400_000
 	}
 	if cfg.ProbeTimeout == 0 {
 		cfg.ProbeTimeout = 1_500_000
 	}
-	if cfg.UnhealthyAfter <= 0 {
-		cfg.UnhealthyAfter = 2
+	if cfg.Drill.Kind == "" {
+		cfg.Drill.Kind = DrillNone
 	}
-	if cfg.HealthyAfter <= 0 {
-		cfg.HealthyAfter = 2
-	}
-	if cfg.SLOObjective == 0 {
-		cfg.SLOObjective = DefaultSLOObjective
-	}
-	if cfg.SLOTarget == 0 {
-		cfg.SLOTarget = 0.99
-	}
-	cfg.Drill = cfg.Drill.withDefaults()
 	return cfg
 }
 
@@ -222,9 +198,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Drill.Backend < 0 || cfg.Drill.Backend >= cfg.Backends {
 		return Result{}, fmt.Errorf("fleet: drill backend %d out of range (%d backends)", cfg.Drill.Backend, cfg.Backends)
 	}
-	if len(requestLine) != guest.RequestSize {
-		return Result{}, errors.New("fleet: request framing drifted from guest.RequestSize")
-	}
 	respSize := guest.ResponseHeaderSize + cfg.FileSize
 
 	k := kernel.New(kernel.Config{
@@ -234,20 +207,9 @@ func Run(cfg Config) (Result, error) {
 		Telemetry: cfg.Telemetry,
 		Trace:     cfg.Trace,
 	})
-
-	content := make([]byte, cfg.FileSize)
-	for i := range content {
-		content[i] = byte('a' + i%26)
-	}
-	if err := k.FS.MkdirAll("/www", 0o755); err != nil {
+	if err := guest.InstallStatic(k.FS, cfg.FileSize); err != nil {
 		return Result{}, err
 	}
-	if err := k.FS.WriteFile("/www/static", content, 0o644); err != nil {
-		return Result{}, err
-	}
-	// Content is final: seal it, so a guest write fails with EROFS and
-	// backend reads do no atime work.
-	k.FS.Seal()
 
 	masters := make([]*kernel.Task, cfg.Backends)
 	ports := make([]uint16, cfg.Backends)
@@ -256,7 +218,7 @@ func Run(cfg Config) (Result, error) {
 		prog, err := guest.WebServer(guest.WebServerConfig{
 			Style:        cfg.Style,
 			Port:         ports[i],
-			Path:         "/www/static",
+			Path:         guest.StaticPath,
 			Workers:      cfg.Workers,
 			AppWorkIters: cfg.AppWorkIters,
 		})
@@ -299,76 +261,22 @@ func Run(cfg Config) (Result, error) {
 	// drill can target one backend's connections without shifting the
 	// chaos streams. Installed before any measured connection exists,
 	// so every endpoint captures it.
-	faults := &drillFaults{inner: k.Net.Faults(), target: make(map[uint64]bool)}
+	faults := &drillFaults{inner: k.Net.Faults(), target: make(map[uint64]bool), slowBackend: -1}
+	if cfg.Drill.Kind == DrillSlow {
+		faults.slowBackend = cfg.Drill.Backend
+	}
 	k.Net.SetFaults(faults)
 
-	lb, err := newLB(k.Net, lbConfig{
-		frontPort:      FrontPort,
-		backendPorts:   ports,
-		backlog:        1024,
-		reqSize:        guest.RequestSize,
-		respSize:       respSize,
-		probeInterval:  cfg.ProbeInterval,
-		probeTimeout:   cfg.ProbeTimeout,
-		unhealthyAfter: cfg.UnhealthyAfter,
-		healthyAfter:   cfg.HealthyAfter,
-		probeRequest:   []byte(requestLine),
-		trace:          cfg.Trace,
-	})
+	lb, err := newLB(k.Net, ports, respSize, cfg.ProbeInterval, cfg.ProbeTimeout, faults, cfg.Trace)
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Drill.Kind == DrillSlow {
-		target := cfg.Drill.Backend
-		lb.OnBackendDial = func(b int, connID uint64) {
-			if b == target {
-				faults.target[connID] = true
-			}
-		}
-	}
-
-	gen := newGenerator(k.Net, genConfig{
-		port:        FrontPort,
-		request:     []byte(requestLine),
-		respSize:    respSize,
-		requests:    cfg.Requests,
-		rate:        cfg.Rate,
-		seed:        cfg.Seed,
-		maxConns:    cfg.MaxClientConns,
-		retryBudget: cfg.RetryBudget,
-		backoffBase: cfg.BackoffBase,
-		timeout:     cfg.RequestTimeout,
-		trace:       cfg.Trace,
-	})
+	gen := newGenerator(k.Net, respSize, cfg.Requests, cfg.Rate, cfg.Seed, cfg.Trace)
 
 	base := k.Now()
-	duration := uint64(float64(cfg.Requests) / cfg.Rate * 1e6)
-	ds := newDrillState(cfg.Drill, base, duration)
+	ds := newDrillState(cfg.Drill, base, gen.duration)
 	if cfg.Trace != nil && cfg.Drill.Kind != DrillNone {
 		cfg.Trace.SetDrillWindow(ds.startAt, ds.stopAt)
-	}
-
-	// The SLO engine and the exemplar-bearing end-to-end latency
-	// histogram always run: both are host-side arithmetic over request
-	// outcomes, so their outputs are identical whether or not a tracer
-	// is attached — which is what lets BENCH_fleet.json carry their
-	// blocks without breaking the trace-off inertness gate.
-	sloEng := otrace.NewSLOEngine(otrace.SLOConfig{
-		LatencyObjective: cfg.SLOObjective,
-		Target:           cfg.SLOTarget,
-		Rules:            otrace.DefaultBurnRules(duration),
-	})
-	latHist := &telemetry.Histogram{}
-	gen.OnFinish = func(idx int, now, latency uint64, lost bool, attempts int, trace uint64) {
-		sloEng.Record(now, latency, lost)
-		var exemplar bool
-		if !lost {
-			exemplar = latHist.ObserveEx(latency, trace)
-		}
-		cfg.Trace.EndRequest(trace, otrace.Outcome{
-			End: now, Latency: latency, Attempts: attempts,
-			Lost: lost, Exemplar: exemplar,
-		})
 	}
 
 	gen.Start(base)
@@ -379,7 +287,7 @@ func Run(cfg Config) (Result, error) {
 	// the clock idles forward instead — open-loop time never freezes.
 	// The hard stop is far beyond any legitimate tail (retry budgets
 	// and timeouts bound every request's lifetime).
-	hardStop := base + 100*duration + 2_000_000_000
+	hardStop := base + 100*gen.duration + 2_000_000_000
 	for !gen.Done() {
 		now := k.Now()
 		ds.step(now, r)
@@ -399,7 +307,7 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	res := collect(cfg, gen, lb, ds, duration, sloEng, latHist)
+	res := collect(cfg, gen, lb, ds)
 	lb.Close()
 	gen.Close()
 	k.KillAll()
@@ -411,13 +319,12 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-func collect(cfg Config, gen *Generator, lb *LB, ds *drillState, duration uint64,
-	sloEng *otrace.SLOEngine, latHist *telemetry.Histogram) Result {
+func collect(cfg Config, gen *Generator, lb *LB, ds *drillState) Result {
 	const maxTime = ^uint64(0)
 	// Recovery margin after the drill's stop point: requests arriving
 	// inside it still feel the disruption (queued retries, probes not
 	// yet readmitting), so Post starts after it.
-	recovery := uint64(0.15 * float64(duration))
+	recovery := uint64(0.15 * float64(gen.duration))
 	midEnd := ds.stopAt + recovery
 
 	all := gen.latencies(0, maxTime)
@@ -437,8 +344,8 @@ func collect(cfg Config, gen *Generator, lb *LB, ds *drillState, duration uint64
 		traceStats = cfg.Trace.Stats()
 	}
 	return Result{
-		SLO:             sloEng.Report(ds.startAt, midEnd),
-		ExemplarBuckets: latHist.Exemplars(),
+		SLO:             gen.slo.Report(ds.startAt, midEnd),
+		ExemplarBuckets: gen.latHist.Exemplars(),
 		TraceStats:      traceStats,
 		Requests:        len(gen.reqs),
 		Completed:       gen.completed,

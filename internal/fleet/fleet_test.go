@@ -96,7 +96,7 @@ func TestFleetRSTStorm(t *testing.T) {
 func TestFleetSlowBackend(t *testing.T) {
 	cfg := testConfig()
 	cfg.Requests = 150
-	cfg.Drill = Drill{Kind: DrillSlow, Backend: 2, StartFrac: 0.25, StopFrac: 0.60}
+	cfg.Drill = Drill{Kind: DrillSlow, Backend: 2}
 	// Probe timeout sits between the healthy probe RTT (~10k cycles, one
 	// idle-tick quantum) and the slowed one (~30k: every segment staged
 	// behind a two-reader-poll hold), so the drill trips the health
@@ -117,7 +117,7 @@ func TestFleetSlowBackend(t *testing.T) {
 
 func TestFleetDrainDrill(t *testing.T) {
 	cfg := testConfig()
-	cfg.Drill = Drill{Kind: DrillDrain, Backend: 0, StartFrac: 0.3, StopFrac: 0.7}
+	cfg.Drill = Drill{Kind: DrillDrain, Backend: 0}
 	res := runOrFatal(t, cfg)
 	if res.Lost != 0 || res.Completed != res.Requests {
 		t.Fatalf("drain drill: completed %d lost %d of %d", res.Completed, res.Lost, res.Requests)

@@ -5,8 +5,11 @@ import (
 	"math"
 	"sort"
 
+	"lazypoline/internal/chaos"
+	"lazypoline/internal/guest"
 	"lazypoline/internal/netstack"
 	"lazypoline/internal/otrace"
+	"lazypoline/internal/telemetry"
 )
 
 // Generator is the open-loop traffic source for farm runs. Unlike
@@ -27,14 +30,10 @@ import (
 // request's budget — the request was never on the wire.
 type Generator struct {
 	net      *netstack.Stack
-	port     uint16
 	request  []byte
 	respSize int
-
-	maxConns    int
-	retryBudget int
-	backoffBase uint64
-	timeout     uint64
+	// duration is the nominal run length, requests/rate, in cycles.
+	duration uint64
 
 	reqs    []genRequest
 	nextArr int
@@ -50,11 +49,13 @@ type Generator struct {
 
 	// trace receives request/attempt spans (nil = request plane off).
 	trace *otrace.Tracer
-	// OnFinish, when set, observes every request outcome in completion
-	// order: the SLO engine and exemplar histogram hang off it.
-	// attempts is the total attempts consumed; latency is 0 for lost
-	// requests.
-	OnFinish func(idx int, now, latency uint64, lost bool, attempts int, trace uint64)
+	// slo and latHist see every request outcome in completion order.
+	// Both always run: they are host-side arithmetic over request
+	// outcomes, so their outputs are identical whether or not a tracer
+	// is attached — which is what lets BENCH_fleet.json carry their
+	// blocks without breaking the trace-off inertness gate.
+	slo     *otrace.SLOEngine
+	latHist *telemetry.Histogram
 }
 
 type genRequest struct {
@@ -74,59 +75,40 @@ type genConn struct {
 	deadline uint64
 }
 
-type genConfig struct {
-	port        uint16
-	request     []byte
-	respSize    int
-	requests    int
-	rate        float64 // offered load in requests per Mcycle
-	seed        uint64
-	maxConns    int
-	retryBudget int
-	backoffBase uint64
-	timeout     uint64
-	trace       *otrace.Tracer
-}
-
-// splitmix64 is the same tiny PRNG the chaos engine uses for its
-// per-site streams: every arrival schedule is a pure function of the
-// seed.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
 // readChunk is the most the generator and the balancer take from a
 // connection in one call. The number of calls is part of the simulation
 // (each one ages the segments the fault plan holds back), so it is fixed.
 const readChunk = 64 * 1024
 
-// newGenerator precomputes the full arrival schedule: exponential
-// interarrival gaps with mean 1e6/rate cycles, drawn from the seed.
-func newGenerator(net *netstack.Stack, cfg genConfig) *Generator {
+// newGenerator precomputes the full arrival schedule for requests
+// arrivals at rate requests per Mcycle: exponential interarrival gaps
+// with mean 1e6/rate cycles, drawn from the seed. respSize is the
+// protocol's fixed response size.
+func newGenerator(net *netstack.Stack, respSize, requests int, rate float64, seed uint64, trace *otrace.Tracer) *Generator {
+	duration := uint64(float64(requests) / rate * 1e6)
 	g := &Generator{
-		net:         net,
-		port:        cfg.port,
-		request:     cfg.request,
-		respSize:    cfg.respSize,
-		maxConns:    cfg.maxConns,
-		retryBudget: cfg.retryBudget,
-		backoffBase: cfg.backoffBase,
-		timeout:     cfg.timeout,
-		trace:       cfg.trace,
-		reqs:        make([]genRequest, cfg.requests),
+		net:      net,
+		request:  []byte(guest.Request),
+		respSize: respSize,
+		duration: duration,
+		trace:    trace,
+		reqs:     make([]genRequest, requests),
+		slo: otrace.NewSLOEngine(otrace.SLOConfig{
+			LatencyObjective: sloObjective,
+			Target:           sloTarget,
+			Rules:            otrace.DefaultBurnRules(duration),
+		}),
+		latHist: &telemetry.Histogram{},
 	}
-	mean := 1e6 / cfg.rate
-	state := cfg.seed
+	mean := 1e6 / rate
+	state := seed
 	var t uint64
 	for i := range g.reqs {
-		u := float64(splitmix64(&state)>>11) / float64(1<<53)
+		// Mix the state, then advance it by SplitMix64's increment:
+		// every arrival schedule is a pure function of the seed.
+		x := chaos.Splitmix64(state)
+		state += 0x9e3779b97f4a7c15
+		u := float64(x>>11) / float64(1<<53)
 		gap := uint64(-math.Log(1-u) * mean)
 		if gap == 0 {
 			gap = 1
@@ -136,7 +118,7 @@ func newGenerator(net *netstack.Stack, cfg genConfig) *Generator {
 		// Trace IDs are assigned unconditionally: the stamp writes they
 		// drive are inert, and histogram exemplars reference them even
 		// when no tracer collects trees.
-		g.reqs[i].trace = otrace.ID(cfg.seed, i)
+		g.reqs[i].trace = otrace.ID(seed, i)
 	}
 	return g
 }
@@ -221,17 +203,24 @@ func (g *Generator) pollConn(c *genConn, now uint64) bool {
 	}
 }
 
-// finish reports one settled request (completed or lost) to OnFinish.
+// finish reports one settled request (completed or lost; latency is 0
+// for a lost one) to the SLO engine, the exemplar histogram and the
+// tracer's tail sampler.
 func (g *Generator) finish(idx int, now, latency uint64, lost bool) {
-	if g.OnFinish == nil {
-		return
-	}
 	r := &g.reqs[idx]
 	attempts := r.attempts // lost: every attempt failed
 	if !lost {
 		attempts++ // completed: the last attempt succeeded
 	}
-	g.OnFinish(idx, now, latency, lost, attempts, r.trace)
+	g.slo.Record(now, latency, lost)
+	var exemplar bool
+	if !lost {
+		exemplar = g.latHist.ObserveEx(latency, r.trace)
+	}
+	g.trace.EndRequest(r.trace, otrace.Outcome{
+		End: now, Latency: latency, Attempts: attempts,
+		Lost: lost, Exemplar: exemplar,
+	})
 }
 
 // dispatch issues every ready request whose backoff has expired, in
@@ -283,10 +272,10 @@ func (g *Generator) send(idx int, now uint64) sendResult {
 		c := g.takeIdle()
 		fresh := false
 		if c == nil {
-			if len(g.conns) >= g.maxConns {
+			if len(g.conns) >= maxClientConns {
 				return sendNoConn
 			}
-			ep, err := g.net.Connect(g.port)
+			ep, err := g.net.Connect(FrontPort)
 			if err != nil {
 				// The balancer itself is unreachable (backlog full).
 				g.refused++
@@ -301,7 +290,7 @@ func (g *Generator) send(idx int, now uint64) sendResult {
 		if g.writeAll(c, g.request) {
 			c.req = idx
 			c.got = 0
-			c.deadline = now + g.timeout
+			c.deadline = now + requestTimeout
 			name := "attempt"
 			if r.attempts > 0 {
 				name = "retry"
@@ -365,13 +354,13 @@ func (g *Generator) fail(idx int, now uint64, reason string) {
 		Trace: r.trace, Ctx: otrace.Ctx(r.trace, r.attempts),
 		Kind: otrace.KindAttempt, Name: "fail", Start: now, Note: reason,
 	})
-	if r.attempts > g.retryBudget {
+	if r.attempts > retryBudget {
 		r.lost = true
 		g.lost++
 		g.finish(idx, now, 0, true)
 		return
 	}
-	r.readyAt = now + g.backoffBase<<uint(r.attempts-1)
+	r.readyAt = now + backoffBase<<uint(r.attempts-1)
 	g.ready = append(g.ready, idx)
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"lazypoline/internal/guest"
 	"lazypoline/internal/netstack"
 	"lazypoline/internal/otrace"
 )
@@ -23,7 +24,6 @@ import (
 type LB struct {
 	net      *netstack.Stack
 	listener *netstack.Listener
-	reqSize  int
 	respSize int
 	backends []*lbBackend
 	sessions []*session
@@ -32,16 +32,12 @@ type LB struct {
 	probeReq []byte
 	stats    LBStats
 	trace    *otrace.Tracer
+	// faults sees every LB→backend connection (splice or probe), so the
+	// slow drill can target one backend's connections.
+	faults *drillFaults
 
-	probeInterval  uint64
-	probeTimeout   uint64
-	unhealthyAfter int
-	healthyAfter   int
-
-	// OnBackendDial, when set, observes every LB→backend connection
-	// (splice or probe) with its netstack conn id. Drills use it to
-	// target fault plans at one backend's connections.
-	OnBackendDial func(backend int, connID uint64)
+	probeInterval uint64
+	probeTimeout  uint64
 }
 
 // LBStats counts the LB's routing and health decisions.
@@ -88,39 +84,27 @@ type session struct {
 	closed    bool
 }
 
-type lbConfig struct {
-	frontPort      uint16
-	backendPorts   []uint16
-	backlog        int
-	reqSize        int
-	respSize       int
-	probeInterval  uint64
-	probeTimeout   uint64
-	unhealthyAfter int
-	healthyAfter   int
-	probeRequest   []byte
-	trace          *otrace.Tracer
-}
-
-func newLB(net *netstack.Stack, cfg lbConfig) (*LB, error) {
-	l, err := net.Listen(cfg.frontPort, cfg.backlog)
+// newLB listens on FrontPort and balances over the backends listening on
+// ports. respSize is the protocol's fixed response size; probes run every
+// probeInterval cycles and fail after probeTimeout.
+func newLB(net *netstack.Stack, ports []uint16, respSize int, probeInterval, probeTimeout uint64,
+	faults *drillFaults, trace *otrace.Tracer) (*LB, error) {
+	l, err := net.Listen(FrontPort, frontBacklog)
 	if err != nil {
 		return nil, err
 	}
 	lb := &LB{
-		net:            net,
-		listener:       l,
-		reqSize:        cfg.reqSize,
-		respSize:       cfg.respSize,
-		buf:            make([]byte, readChunk),
-		probeReq:       cfg.probeRequest,
-		probeInterval:  cfg.probeInterval,
-		probeTimeout:   cfg.probeTimeout,
-		unhealthyAfter: cfg.unhealthyAfter,
-		healthyAfter:   cfg.healthyAfter,
-		trace:          cfg.trace,
+		net:           net,
+		listener:      l,
+		respSize:      respSize,
+		buf:           make([]byte, readChunk),
+		probeReq:      []byte(guest.Request),
+		probeInterval: probeInterval,
+		probeTimeout:  probeTimeout,
+		faults:        faults,
+		trace:         trace,
 	}
-	for i, p := range cfg.backendPorts {
+	for i, p := range ports {
 		lb.backends = append(lb.backends, &lbBackend{idx: i, port: p, healthy: true})
 	}
 	return lb, nil
@@ -128,10 +112,6 @@ func newLB(net *netstack.Stack, cfg lbConfig) (*LB, error) {
 
 // Stats returns a copy of the LB counters.
 func (l *LB) Stats() LBStats { return l.stats }
-
-// Backend health/drain introspection for drills and tests.
-func (l *LB) Healthy(i int) bool  { return l.backends[i].healthy }
-func (l *LB) Draining(i int) bool { return l.backends[i].draining }
 
 // SetDraining marks a backend for planned removal (true) or returns it
 // to rotation (false). A draining backend gets no new sessions; existing
@@ -189,9 +169,7 @@ func (l *LB) route(client *netstack.Endpoint, now uint64) {
 			continue
 		}
 		l.rr = (l.rr + t + 1) % n
-		if l.OnBackendDial != nil {
-			l.OnBackendDial(b.idx, up.ConnID())
-		}
+		l.faults.dialed(b.idx, up.ConnID())
 		l.sessions = append(l.sessions, &session{backend: b, client: client, upstream: up})
 		l.stats.Routed++
 		if l.trace != nil {
@@ -267,7 +245,7 @@ func (l *LB) noteForwards(s *session, prevReqBytes uint64, now uint64) {
 	if l.trace == nil {
 		return
 	}
-	rq := uint64(l.reqSize)
+	rq := uint64(guest.RequestSize)
 	crossed := s.reqBytes/rq - prevReqBytes/rq
 	if crossed == 0 {
 		return
@@ -332,7 +310,7 @@ func (l *LB) atBoundary(s *session) bool {
 	if s.client.Ready()&netstack.ReadyIn != 0 {
 		return false // a new request is already in the client's buffer
 	}
-	rq, rs := uint64(l.reqSize), uint64(l.respSize)
+	rq, rs := uint64(guest.RequestSize), uint64(l.respSize)
 	if s.reqBytes%rq != 0 || s.respBytes%rs != 0 {
 		return false
 	}
@@ -369,9 +347,7 @@ func (l *LB) stepProbes(now uint64) {
 			l.probeResult(b, false, now)
 			continue
 		}
-		if l.OnBackendDial != nil {
-			l.OnBackendDial(b.idx, ep.ConnID())
-		}
+		l.faults.dialed(b.idx, ep.ConnID())
 		// Probes carry the reserved probe context so the syscalls that
 		// serve them never attribute to a client request's tree.
 		ep.StampPeerTraceCtx(otrace.Ctx(otrace.ProbeTrace, 1))
@@ -421,7 +397,7 @@ func (l *LB) probeResult(b *lbBackend, ok bool, now uint64) {
 		l.stats.ProbesOK++
 		b.consecOK++
 		b.consecFail = 0
-		if !b.healthy && b.consecOK >= l.healthyAfter {
+		if !b.healthy && b.consecOK >= healthyAfter {
 			b.healthy = true
 			l.stats.Readmissions++
 			l.noteHealth(b, "readmit", now)
@@ -431,7 +407,7 @@ func (l *LB) probeResult(b *lbBackend, ok bool, now uint64) {
 	l.stats.ProbesFailed++
 	b.consecFail++
 	b.consecOK = 0
-	if b.healthy && b.consecFail >= l.unhealthyAfter {
+	if b.healthy && b.consecFail >= unhealthyAfter {
 		b.healthy = false
 		l.stats.Ejections++
 		l.noteHealth(b, "eject", now)

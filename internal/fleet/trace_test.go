@@ -13,15 +13,15 @@ import (
 // traceKillConfig is the acceptance-gate farm: a kill drill under
 // enough offered load and per-request work that requests are reliably
 // in flight on the dying backend — so the trace must show client
-// retries routed through the balancer. The retry backoff exceeds the
-// healthy tail, so retried requests ARE the p99: the top histogram
-// bucket's exemplar must resolve to a retried tree.
+// retries routed through the balancer. A retried request pays a failed
+// attempt and a backoff on top of a full exchange, so retried requests
+// are the slowest: the top histogram bucket's exemplar must resolve to
+// a retried tree.
 func traceKillConfig() Config {
 	cfg := testConfig()
 	cfg.Requests = 100
 	cfg.Rate = 100
 	cfg.AppWorkIters = 20_000
-	cfg.BackoffBase = 2_000_000
 	cfg.Drill = Drill{Kind: DrillKill, Backend: 2}
 	return cfg
 }

@@ -51,19 +51,9 @@ func Build(name, src string) (*Program, error) {
 	return &Program{Name: name, Image: img}, nil
 }
 
-// MustBuild is Build for static program text (panics on assembler
-// errors, which are programming bugs in this package).
-func MustBuild(name, src string) *Program {
-	p, err := Build(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Spawn loads the program into a kernel task.
 func (p *Program) Spawn(k *kernel.Kernel) (*kernel.Task, error) {
-	return k.SpawnImage(p.Image, kernel.SpawnOpts{Name: p.Name})
+	return k.SpawnImage(p.Image, p.Name)
 }
 
 // Header is prepended to every guest source: syscall numbers and shared

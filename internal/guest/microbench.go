@@ -25,21 +25,3 @@ func Microbench(nr int64, iters int64) (*Program, error) {
 	`, iters, nr)
 	return BuildCached(fmt.Sprintf("microbench-%d-x%d", nr, iters), src)
 }
-
-// MicrobenchBaselineLoop builds the same loop without any syscall, used
-// to subtract loop overhead when calibrating.
-func MicrobenchBaselineLoop(iters int64) (*Program, error) {
-	src := Header + fmt.Sprintf(`
-	_start:
-		mov64 rcx, %d
-	loop:
-		push rcx
-		pop rcx
-		addi rcx, -1
-		jnz loop
-		mov64 rdi, 0
-		mov64 rax, SYS_exit
-		syscall
-	`, iters)
-	return BuildCached(fmt.Sprintf("microbench-loop-x%d", iters), src)
-}

@@ -1,6 +1,11 @@
 package guest
 
-import "fmt"
+import (
+	"fmt"
+	"path"
+
+	"lazypoline/internal/fs"
+)
 
 // ServerStyle selects the web server whose syscall mix we reproduce.
 type ServerStyle uint8
@@ -52,9 +57,34 @@ type WebServerConfig struct {
 // DefaultAppWorkIters is the default per-request work loop count.
 const DefaultAppWorkIters = 14000
 
-// RequestSize is the fixed request message size ("GET /static ...."
-// padded), mirroring wrk's small keep-alive requests.
-const RequestSize = 16
+// Request is the fixed request message every load driver sends, padded
+// to a fixed size like wrk's small keep-alive requests. The server reads
+// requests by size, never by content.
+const Request = "GET /static   \r\n"
+
+// RequestSize is the size of Request.
+const RequestSize = len(Request)
+
+// StaticPath is where the served file lives.
+const StaticPath = "/www/static"
+
+// InstallStatic writes the served file — size bytes cycling through
+// 'a'..'z' — at StaticPath and seals fsys: the content is final, so a
+// guest write fails with EROFS and reads do no atime work.
+func InstallStatic(fsys *fs.FS, size int) error {
+	content := make([]byte, size)
+	for i := range content {
+		content[i] = byte('a' + i%26)
+	}
+	if err := fsys.MkdirAll(path.Dir(StaticPath), 0o755); err != nil {
+		return err
+	}
+	if err := fsys.WriteFile(StaticPath, content, 0o644); err != nil {
+		return err
+	}
+	fsys.Seal()
+	return nil
+}
 
 // ResponseHeaderSize is the fixed response header the server sends
 // before the file body.

@@ -38,7 +38,7 @@ func buildHarness(t *testing.T, ip Interposer, opts StubOpts) (*kernel.Kernel, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := k.SpawnImage(img, kernel.SpawnOpts{Name: "binder-harness"})
+	task, err := k.SpawnImage(img, "binder-harness")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestCallStringHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := k.SpawnImage(img, kernel.SpawnOpts{})
+	task, err := k.SpawnImage(img, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func spawn(t *testing.T, k *kernel.Kernel, src string) *kernel.Task {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := k.SpawnImage(img, kernel.SpawnOpts{Name: t.Name()})
+	task, err := k.SpawnImage(img, t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}

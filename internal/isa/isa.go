@@ -380,9 +380,6 @@ const (
 // SyscallBytes returns the 2-byte encoding of the SYSCALL instruction.
 func SyscallBytes() [2]byte { return [2]byte{Byte0F, ByteSyscall} }
 
-// SysenterBytes returns the 2-byte encoding of the SYSENTER instruction.
-func SysenterBytes() [2]byte { return [2]byte{Byte0F, ByteSysent} }
-
 // CallRaxBytes returns the 2-byte encoding of CALL RAX, the replacement
 // zpoline and lazypoline write over a syscall instruction.
 func CallRaxBytes() [2]byte { return [2]byte{ByteFF, ByteCallReg} }

@@ -19,7 +19,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 		console string
 	}
 	run := func() outcome {
-		k := New(Config{RandSeed: 99})
+		k := New(Config{})
 		var tasks []*Task
 		// Three concurrent guests with different syscall mixes.
 		tasks = append(tasks, buildTask(t, k, `

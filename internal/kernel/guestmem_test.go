@@ -48,7 +48,7 @@ func newAccessPair(t testing.TB) *accessPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := k.SpawnImage(img, SpawnOpts{Name: "accessors"})
+	task, err := k.SpawnImage(img, "accessors")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,8 +88,6 @@ type Config struct {
 	FS *fs.FS
 	// Net is the network stack; nil creates an empty one.
 	Net *netstack.Stack
-	// RandSeed seeds the deterministic getrandom stream.
-	RandSeed uint64
 	// Exec selects the tasks' CPU engine: the zero value is the fast
 	// engine, cpu.ExecReference the reference one. The engines are
 	// semantically identical, so this only trades speed for an oracle
@@ -197,7 +195,7 @@ func New(cfg Config) *Kernel {
 		tasks:     make(map[int]*Task),
 		nextTID:   1000,
 		images:    make(map[string]*loader.Image),
-		randState: cfg.RandSeed | 1,
+		randState: 1, // the deterministic getrandom stream's fixed seed
 		exec:      cfg.Exec,
 		chaos:     chaos.New(cfg.ChaosSeed, cfg.ChaosRate),
 		tel:       cfg.Telemetry,
@@ -273,15 +271,6 @@ func (k *Kernel) AddExternalWaiter() func() {
 	}
 }
 
-// SpawnOpts configures SpawnImage.
-type SpawnOpts struct {
-	Name      string
-	StackSize uint64
-	// AS, if non-nil, reuses an existing address space (the image must
-	// already be loaded into it).
-	AS *mem.AddressSpace
-}
-
 // DefaultStackSize is the stack mapped for new tasks.
 const DefaultStackSize = 64 * mem.PageSize
 
@@ -289,31 +278,33 @@ const DefaultStackSize = 64 * mem.PageSize
 const stackTop = 0x7ff0_0000
 
 // SpawnImage loads img into a fresh address space and creates a runnable
-// task at its entry point.
-func (k *Kernel) SpawnImage(img *loader.Image, opts SpawnOpts) (*Task, error) {
-	as := opts.AS
-	if as == nil {
-		as = mem.NewAddressSpace()
-		if err := img.Load(as); err != nil {
-			return nil, err
-		}
-		if err := k.mapVdso(as); err != nil {
-			return nil, err
-		}
+// task named name at its entry point.
+func (k *Kernel) SpawnImage(img *loader.Image, name string) (*Task, error) {
+	as, err := k.loadImage(img)
+	if err != nil {
+		return nil, err
 	}
-	stackSize := opts.StackSize
-	if stackSize == 0 {
-		stackSize = DefaultStackSize
-	}
-	if err := as.MapFixed(stackTop-stackSize, stackSize, mem.ProtRW); err != nil {
-		return nil, fmt.Errorf("kernel: map stack: %w", err)
-	}
-
-	t := k.newTask(opts.Name, as)
+	t := k.newTask(name, as)
 	t.CPU.RIP = img.Entry
 	t.CPU.Regs[isa.RSP] = stackTop - 64 // a little headroom, 16-aligned
 	k.policyRegisterImage(t, img)
 	return t, nil
+}
+
+// loadImage builds a fresh address space holding img, the vDSO page and
+// the main stack — what spawn and execve both start from.
+func (k *Kernel) loadImage(img *loader.Image) (*mem.AddressSpace, error) {
+	as := mem.NewAddressSpace()
+	if err := img.Load(as); err != nil {
+		return nil, err
+	}
+	if err := k.mapVdso(as); err != nil {
+		return nil, err
+	}
+	if err := as.MapFixed(stackTop-DefaultStackSize, DefaultStackSize, mem.ProtRW); err != nil {
+		return nil, fmt.Errorf("kernel: map stack: %w", err)
+	}
+	return as, nil
 }
 
 func (k *Kernel) newTask(name string, as *mem.AddressSpace) *Task {
@@ -403,9 +394,6 @@ func (k *Kernel) Tasks() []*Task {
 
 // AttachTracer attaches a ptrace-style tracer to a task.
 func (k *Kernel) AttachTracer(t *Task, tr *Tracer) { t.tracer = tr }
-
-// DetachTracer removes the tracer.
-func (k *Kernel) DetachTracer(t *Task) { t.tracer = nil }
 
 // ConfigSUD configures Syscall User Dispatch on a task (the kernel-side
 // equivalent of prctl(PR_SET_SYSCALL_USER_DISPATCH)).

@@ -40,7 +40,7 @@ func buildTask(t *testing.T, k *Kernel, src string) *Task {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := k.SpawnImage(img, SpawnOpts{Name: "test"})
+	task, err := k.SpawnImage(img, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +335,8 @@ func TestForkCopiesAddressSpace(t *testing.T) {
 }
 
 func TestGetrandomDeterministic(t *testing.T) {
-	k1 := New(Config{RandSeed: 7})
-	k2 := New(Config{RandSeed: 7})
+	k1 := New(Config{})
+	k2 := New(Config{})
 	src := `
 	_start:
 		mov64 rax, SYS_getrandom
@@ -362,7 +362,7 @@ func TestGetrandomDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b1 != b2 {
-		t.Error("getrandom not deterministic across equal seeds")
+		t.Error("getrandom not deterministic across kernels")
 	}
 	if b1 == [8]byte{} {
 		t.Error("getrandom wrote nothing")

@@ -97,14 +97,8 @@ func (k *Kernel) sysExecve(t *Task, args [6]uint64) sysResult {
 	if !ok {
 		return sysErr(ENOENT)
 	}
-	as := mem.NewAddressSpace()
-	if err := img.Load(as); err != nil {
-		return sysErr(ENOMEM)
-	}
-	if err := k.mapVdso(as); err != nil {
-		return sysErr(ENOMEM)
-	}
-	if err := as.MapFixed(stackTop-DefaultStackSize, DefaultStackSize, mem.ProtRW); err != nil {
+	as, err := k.loadImage(img)
+	if err != nil {
 		return sysErr(ENOMEM)
 	}
 

@@ -202,7 +202,9 @@ func Unmarshal(data []byte) (*Image, error) {
 	if !ok {
 		return nil, ErrTruncated
 	}
-	img := &Image{Entry: entry, Symbols: make(map[string]uint64, nsym)}
+	// The counts and lengths are untrusted: nothing is allocated for
+	// more bytes than the input still holds.
+	img := &Image{Entry: entry, Symbols: make(map[string]uint64, min(int(nsym), r.left()/minSymbolRecord))}
 	for i := uint32(0); i < nseg; i++ {
 		addr, ok := r.u64()
 		if !ok {
@@ -216,19 +218,19 @@ func Unmarshal(data []byte) (*Image, error) {
 		if !ok {
 			return nil, ErrTruncated
 		}
-		data := make([]byte, n)
-		if !r.bytes(data) {
+		data, ok := r.take(int(n))
+		if !ok {
 			return nil, ErrTruncated
 		}
-		img.Segments = append(img.Segments, Segment{Addr: addr, Prot: mem.Prot(prot), Data: data})
+		img.Segments = append(img.Segments, Segment{Addr: addr, Prot: mem.Prot(prot), Data: bytes.Clone(data)})
 	}
 	for i := uint32(0); i < nsym; i++ {
 		nl, ok := r.u16()
 		if !ok {
 			return nil, ErrTruncated
 		}
-		name := make([]byte, nl)
-		if !r.bytes(name) {
+		name, ok := r.take(int(nl))
+		if !ok {
 			return nil, ErrTruncated
 		}
 		addr, ok := r.u64()
@@ -240,18 +242,32 @@ func Unmarshal(data []byte) (*Image, error) {
 	return img, nil
 }
 
+// minSymbolRecord is the smallest serialized symbol: namelen[2] and
+// addr[8] around an empty name.
+const minSymbolRecord = 10
+
 type reader struct {
 	b   []byte
 	off int
 }
 
-func (r *reader) bytes(dst []byte) bool {
-	if r.off+len(dst) > len(r.b) {
-		return false
+// left is the number of unread bytes.
+func (r *reader) left() int { return len(r.b) - r.off }
+
+// take returns the next n bytes without copying them.
+func (r *reader) take(n int) ([]byte, bool) {
+	if n > r.left() {
+		return nil, false
 	}
-	copy(dst, r.b[r.off:])
-	r.off += len(dst)
-	return true
+	p := r.b[r.off : r.off+n]
+	r.off += n
+	return p, true
+}
+
+func (r *reader) bytes(dst []byte) bool {
+	p, ok := r.take(len(dst))
+	copy(dst, p)
+	return ok
 }
 
 func (r *reader) u8() (byte, bool) {

@@ -2,6 +2,7 @@ package loader
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"slices"
@@ -12,7 +13,7 @@ import (
 	"lazypoline/internal/mem"
 )
 
-func sampleImage(t *testing.T) *Image {
+func sampleImage(t testing.TB) *Image {
 	t.Helper()
 	p, err := asm.Assemble(`
 	_start:
@@ -202,6 +203,74 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := Unmarshal(bad); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version: %v", err)
 	}
+}
+
+// hostileHeaders are well-formed headers whose counts promise far more
+// than the input holds: one segment claiming 0xFFFFFFF0 bytes, and
+// 0x7FFFFFF symbols.
+func hostileHeaders() [][]byte {
+	header := func(nseg, nsym uint32) []byte {
+		b := append([]byte(nil), Magic[:]...)
+		b = binary.LittleEndian.AppendUint32(b, Version)
+		b = binary.LittleEndian.AppendUint64(b, 0x1000)
+		b = binary.LittleEndian.AppendUint32(b, nseg)
+		return binary.LittleEndian.AppendUint32(b, nsym)
+	}
+	seg := header(1, 0)
+	seg = binary.LittleEndian.AppendUint64(seg, 0x1000)
+	seg = append(seg, byte(mem.ProtRX))
+	seg = binary.LittleEndian.AppendUint32(seg, 0xFFFFFFF0)
+	return [][]byte{seg, header(0, 0x7FFFFFF)}
+}
+
+// unmarshalAlloc runs Unmarshal and reports the bytes it allocated.
+func unmarshalAlloc(data []byte) (*Image, uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	img, err := Unmarshal(data)
+	runtime.ReadMemStats(&after)
+	return img, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestUnmarshalHostileCounts: a header's counts are checked against the
+// bytes that follow before anything is allocated for them.
+func TestUnmarshalHostileCounts(t *testing.T) {
+	for _, data := range hostileHeaders() {
+		_, alloc, err := unmarshalAlloc(data)
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%d-byte image: err %v, want ErrTruncated", len(data), err)
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%d-byte image: Unmarshal allocated %d bytes", len(data), alloc)
+		}
+	}
+}
+
+// FuzzUnmarshal: on any bytes Unmarshal must not panic, must allocate
+// in proportion to the input, and what it accepts must survive
+// Marshal -> Unmarshal -> Marshal byte for byte.
+func FuzzUnmarshal(f *testing.F) {
+	f.Add(sampleImage(f).Marshal())
+	for _, data := range hostileHeaders() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, alloc, err := unmarshalAlloc(data)
+		if limit := 64*uint64(len(data)) + 64<<10; alloc > limit {
+			t.Fatalf("%d-byte input: Unmarshal allocated %d bytes (limit %d)", len(data), alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		first := img.Marshal()
+		again, err := Unmarshal(first)
+		if err != nil {
+			t.Fatalf("Unmarshal rejects Marshal's output: %v", err)
+		}
+		if second := again.Marshal(); !bytes.Equal(first, second) {
+			t.Fatalf("Marshal -> Unmarshal -> Marshal changed the bytes:\n%x\n%x", first, second)
+		}
+	})
 }
 
 func TestUnmarshalNeverPanicsQuick(t *testing.T) {

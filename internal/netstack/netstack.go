@@ -470,9 +470,6 @@ type Endpoint struct {
 	traceCtx atomic.Uint64
 }
 
-// SetTraceCtx stamps this endpoint's trace context.
-func (e *Endpoint) SetTraceCtx(ctx uint64) { e.traceCtx.Store(ctx) }
-
 // TraceCtx reads the endpoint's current trace context (0 = none).
 func (e *Endpoint) TraceCtx() uint64 { return e.traceCtx.Load() }
 

@@ -31,14 +31,16 @@
 //   - a virtual-time SLO burn-rate engine (slo.go).
 //
 // To keep the dependency graph acyclic the package imports only the
-// standard library and internal/telemetry; the kernel, netstack, fleet
-// and webbench all import it.
+// standard library, internal/chaos (for its SplitMix64) and
+// internal/telemetry; the kernel, netstack, fleet and webbench all
+// import it.
 package otrace
 
 import (
 	"fmt"
 	"sync"
 
+	"lazypoline/internal/chaos"
 	"lazypoline/internal/telemetry"
 )
 
@@ -51,18 +53,6 @@ const ctxAttemptBits = 8
 // attempts saturate (retry budgets are single digits in practice).
 const maxAttempt = 1<<ctxAttemptBits - 1
 
-// splitmix64 is the same PRNG finaliser the chaos engine and the fleet
-// generator use: trace IDs are a pure function of (seed, index).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // ProbeTrace is the reserved trace ID stamped onto health-probe
 // connections: probe-serving syscalls attribute here instead of
 // leaking into whatever request the worker served last. No tree is
@@ -73,9 +63,10 @@ const ProbeTrace = uint64(1) << ctxAttemptBits
 // ID derives the deterministic trace ID for request `index` of a run
 // seeded with `seed`. The low attempt bits are zero and the result is
 // never 0 (0 means "no trace" everywhere in the plane) and never
-// collides with ProbeTrace.
+// collides with ProbeTrace. It is a SplitMix64 mix, so it is a pure
+// function of (seed, index).
 func ID(seed uint64, index int) uint64 {
-	id := splitmix64(seed^splitmix64(uint64(index)+1)) &^ uint64(maxAttempt)
+	id := chaos.Splitmix64(seed^chaos.Splitmix64(uint64(index)+1)) &^ uint64(maxAttempt)
 	if id == 0 || id == ProbeTrace {
 		id = 2 << ctxAttemptBits
 	}
@@ -135,47 +126,26 @@ type Outcome struct {
 	Exemplar bool   // this request became a histogram bucket exemplar
 }
 
-// Config bounds the tracer. The zero value selects the defaults.
+// Config configures the tracer. The zero value selects the defaults.
 type Config struct {
 	// LatencyThreshold retains any tree whose request latency is >= the
 	// threshold (cycles). 0 selects DefaultLatencyThreshold.
 	LatencyThreshold uint64
-	// MaxTrees caps retained trees; once reached, further retain
-	// decisions increment DroppedTrees instead. 0 selects
-	// DefaultMaxTrees.
-	MaxTrees int
-	// MaxSpansPerTree caps the spans buffered per tree; excess spans
-	// increment TruncatedSpans and mark the tree truncated. 0 selects
-	// DefaultMaxSpansPerTree.
-	MaxSpansPerTree int
-	// FlightSize is the flight-recorder ring capacity. 0 selects
-	// DefaultFlightSize.
-	FlightSize int
 }
 
-// Tracer defaults.
+// DefaultLatencyThreshold is the default slow-request threshold in
+// cycles (~1 ms at the modelled clock).
+const DefaultLatencyThreshold = 2_000_000
+
+// Memory budgets. Once maxTrees trees are retained, further retain
+// decisions increment DroppedTrees; spans past maxSpansPerTree in one
+// tree increment TruncatedSpans and mark the tree truncated; the flight
+// recorder keeps the last flightSize kernel spans.
 const (
-	DefaultLatencyThreshold = 2_000_000 // cycles (~1 ms at the modelled clock)
-	DefaultMaxTrees         = 512
-	DefaultMaxSpansPerTree  = 512
-	DefaultFlightSize       = 128
+	maxTrees        = 512
+	maxSpansPerTree = 512
+	flightSize      = 128
 )
-
-func (c Config) withDefaults() Config {
-	if c.LatencyThreshold == 0 {
-		c.LatencyThreshold = DefaultLatencyThreshold
-	}
-	if c.MaxTrees == 0 {
-		c.MaxTrees = DefaultMaxTrees
-	}
-	if c.MaxSpansPerTree == 0 {
-		c.MaxSpansPerTree = DefaultMaxSpansPerTree
-	}
-	if c.FlightSize == 0 {
-		c.FlightSize = DefaultFlightSize
-	}
-	return c
-}
 
 // Tree is one retained request's span tree.
 type Tree struct {
@@ -193,7 +163,7 @@ type Stats struct {
 	Started        int    // requests opened
 	Retained       int    // trees kept by the sampler
 	SampledOut     int    // trees discarded by the tail-sampling predicate
-	DroppedTrees   uint64 // trees that matched the predicate but hit MaxTrees
+	DroppedTrees   uint64 // trees that matched the predicate but hit maxTrees
 	TruncatedSpans uint64 // spans discarded by per-tree caps
 	OrphanSpans    uint64 // spans whose trace had no open tree
 	FlightDumps    int
@@ -218,9 +188,12 @@ type Tracer struct {
 	flightFull bool
 }
 
-// New returns a Tracer with the given bounds (zero value = defaults).
+// New returns a Tracer (zero Config = defaults).
 func New(cfg Config) *Tracer {
-	return &Tracer{cfg: cfg.withDefaults(), active: make(map[uint64]*Tree)}
+	if cfg.LatencyThreshold == 0 {
+		cfg.LatencyThreshold = DefaultLatencyThreshold
+	}
+	return &Tracer{cfg: cfg, active: make(map[uint64]*Tree)}
 }
 
 // SetDrillWindow tells the sampler the chaos-drill window: any request
@@ -261,7 +234,7 @@ func (tr *Tracer) Span(s Span) {
 		tr.stats.OrphanSpans++
 		return
 	}
-	if len(t.Spans) >= tr.cfg.MaxSpansPerTree {
+	if len(t.Spans) >= maxSpansPerTree {
 		t.Truncated = true
 		tr.stats.TruncatedSpans++
 		return
@@ -280,11 +253,11 @@ func (tr *Tracer) KernelSpan(s Span) {
 		tr.Span(s)
 	}
 	tr.mu.Lock()
-	if len(tr.flight) < tr.cfg.FlightSize {
+	if len(tr.flight) < flightSize {
 		tr.flight = append(tr.flight, s)
 	} else {
 		tr.flight[tr.flightNext] = s
-		tr.flightNext = (tr.flightNext + 1) % tr.cfg.FlightSize
+		tr.flightNext = (tr.flightNext + 1) % flightSize
 		tr.flightFull = true
 	}
 	tr.mu.Unlock()
@@ -362,7 +335,7 @@ func (tr *Tracer) EndRequest(trace uint64, o Outcome) {
 		tr.stats.SampledOut++
 		return
 	}
-	if len(tr.trees) >= tr.cfg.MaxTrees {
+	if len(tr.trees) >= maxTrees {
 		tr.stats.DroppedTrees++
 		return
 	}

@@ -101,29 +101,32 @@ func TestTailSampling(t *testing.T) {
 	}
 }
 
+// TestTreeAndSpanBudgets drives two trees and two spans per tree past
+// the memory budgets.
 func TestTreeAndSpanBudgets(t *testing.T) {
-	tr := New(Config{LatencyThreshold: 1, MaxTrees: 2, MaxSpansPerTree: 3})
-	for i := 0; i < 4; i++ {
+	const trees, spans = maxTrees + 2, maxSpansPerTree + 2
+	tr := New(Config{LatencyThreshold: 1})
+	for i := 0; i < trees; i++ {
 		trace := ID(5, i)
 		tr.StartRequest(trace, 0)
-		for j := 0; j < 5; j++ {
+		for j := 0; j < spans; j++ {
 			tr.Span(Span{Trace: trace, Kind: KindSys, Name: "read", Start: uint64(j)})
 		}
 		tr.EndRequest(trace, Outcome{End: 100, Latency: 100, Attempts: 1})
 	}
 	st := tr.Stats()
-	if st.Retained != 2 || st.DroppedTrees != 2 {
-		t.Errorf("tree budget: retained %d dropped %d, want 2/2", st.Retained, st.DroppedTrees)
+	if st.Retained != maxTrees || st.DroppedTrees != 2 {
+		t.Errorf("tree budget: retained %d dropped %d, want %d/2", st.Retained, st.DroppedTrees, maxTrees)
 	}
-	if st.TruncatedSpans != 4*2 { // 2 of 5 spans over budget per tree
-		t.Errorf("span budget: truncated %d, want 8", st.TruncatedSpans)
+	if st.TruncatedSpans != trees*2 { // 2 spans over budget per tree
+		t.Errorf("span budget: truncated %d, want %d", st.TruncatedSpans, trees*2)
 	}
 	for _, tree := range tr.Trees() {
 		if !tree.Truncated {
 			t.Error("over-budget tree not marked truncated")
 		}
-		if len(tree.Spans) != 4 { // root + 3 buffered
-			t.Errorf("tree has %d spans, want 4", len(tree.Spans))
+		if len(tree.Spans) != maxSpansPerTree+1 { // root + the buffered spans
+			t.Errorf("tree has %d spans, want %d", len(tree.Spans), maxSpansPerTree+1)
 		}
 	}
 	// Orphans: spans for traces that never opened (or already closed).
@@ -133,24 +136,26 @@ func TestTreeAndSpanBudgets(t *testing.T) {
 	}
 }
 
-// TestFlightRecorder: the ring keeps the most recent FlightSize kernel
+// TestFlightRecorder: the ring keeps the most recent flightSize kernel
 // spans in order, and DumpFlight snapshots oldest-first with the reason.
 func TestFlightRecorder(t *testing.T) {
-	tr := New(Config{FlightSize: 4})
-	for i := 0; i < 7; i++ {
+	const spans = flightSize + 3
+	tr := New(Config{})
+	for i := 0; i < spans; i++ {
 		tr.KernelSpan(Span{Kind: KindSys, Name: fmt.Sprintf("sys%d", i), Start: uint64(i)})
 	}
 	tr.DumpFlight("test", 100)
 	tr.mu.Lock()
 	events := append([]Span(nil), tr.events...)
 	tr.mu.Unlock()
-	if len(events) != 5 { // header + 4 ring entries
-		t.Fatalf("dump produced %d events, want 5", len(events))
+	if len(events) != 1+flightSize { // header + the ring
+		t.Fatalf("dump produced %d events, want %d", len(events), 1+flightSize)
 	}
 	if events[0].Kind != KindFlight || events[0].Note != "test" {
 		t.Fatalf("dump header: %+v", events[0])
 	}
-	for i, want := range []string{"sys3", "sys4", "sys5", "sys6"} {
+	for i := 0; i < flightSize; i++ {
+		want := fmt.Sprintf("sys%d", spans-flightSize+i)
 		got := events[i+1]
 		if got.Name != want || got.Kind != KindFlight || got.Note != "test" {
 			t.Errorf("ring[%d] = %q (%s/%s), want %q oldest-first", i, got.Name, got.Kind, got.Note, want)
@@ -202,7 +207,7 @@ func TestExportRoundTrip(t *testing.T) {
 // Determinism is the single-goroutine caller's property; this test only
 // asserts memory safety and conservation of the tree counters.
 func TestTracerRace(t *testing.T) {
-	tr := New(Config{LatencyThreshold: 50, MaxTrees: 64, MaxSpansPerTree: 8, FlightSize: 16})
+	tr := New(Config{LatencyThreshold: 50})
 	const workers = 8
 	const perWorker = 200
 	var wg sync.WaitGroup

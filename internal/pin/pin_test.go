@@ -20,7 +20,7 @@ func runAnalyzed(t *testing.T, src string) Report {
 		t.Fatal(err)
 	}
 	k := kernel.New(kernel.Config{})
-	task, err := k.SpawnImage(img, kernel.SpawnOpts{Name: "probe"})
+	task, err := k.SpawnImage(img, "probe")
 	if err != nil {
 		t.Fatal(err)
 	}

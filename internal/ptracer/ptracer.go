@@ -108,6 +108,3 @@ func (m *Mechanism) onExit(stop *kernel.PtraceStop) {
 		stop.SetRegs(regs)
 	}
 }
-
-// Detach removes the tracer.
-func (m *Mechanism) Detach(t *kernel.Task) { m.k.DetachTracer(t) }

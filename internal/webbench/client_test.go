@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"lazypoline/internal/guest"
 	"lazypoline/internal/netstack"
 )
 
@@ -17,10 +18,10 @@ func pumpServer(t *testing.T, srv *netstack.Endpoint, respSize int) bool {
 	if err != nil || n == 0 {
 		return err == nil && n != 0
 	}
-	if n%len(requestLine) != 0 {
+	if n%guest.RequestSize != 0 {
 		t.Fatalf("partial request read: %d bytes", n)
 	}
-	for i := 0; i < n/len(requestLine); i++ {
+	for i := 0; i < n/guest.RequestSize; i++ {
 		if _, err := srv.Write(make([]byte, respSize)); err != nil {
 			return false
 		}
@@ -50,7 +51,7 @@ func TestMidResponseEOFReconnects(t *testing.T) {
 
 	c.Step() // issues request 1
 	buf := make([]byte, 64)
-	if n, err := srv.Read(buf); n != len(requestLine) || err != nil {
+	if n, err := srv.Read(buf); n != guest.RequestSize || err != nil {
 		t.Fatalf("request read: %d, %v", n, err)
 	}
 	srv.Write(make([]byte, respSize/2)) // half the response...
@@ -172,7 +173,7 @@ func TestRunFailFastErrorMentionsBudget(t *testing.T) {
 	if maxReconnects != 8 {
 		t.Fatalf("maxReconnects = %d; update DESIGN.md §13 if this is intentional", maxReconnects)
 	}
-	if !strings.Contains(requestLine, "GET /static") {
-		t.Fatalf("request line changed: %q", requestLine)
+	if !strings.Contains(guest.Request, "GET /static") {
+		t.Fatalf("request line changed: %q", guest.Request)
 	}
 }

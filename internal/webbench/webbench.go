@@ -73,7 +73,7 @@ func NewClient(stack *netstack.Stack, port uint16, nconns, respSize, target int)
 	c := &Client{stack: stack, port: port, respSize: respSize, target: target}
 	for i := 0; i < nconns; i++ {
 		c.conns = append(c.conns, &clientConn{
-			request:    []byte(requestLine),
+			request:    []byte(guest.Request), // private: cells never share a mutable buffer
 			reqIdx:     -1,
 			deadReqIdx: -1,
 		})
@@ -109,12 +109,6 @@ func (c *Client) Connect(k *kernel.Kernel) error {
 	}
 	return nil
 }
-
-// requestLine is the fixed 16-byte request message. It is a constant —
-// not a package-level slice — and every connection writes from its own
-// private copy, so concurrent benchmark cells can never alias a mutable
-// request buffer.
-const requestLine = "GET /static   \r\n"
 
 // Step advances every connection's state machine without blocking:
 // drain available response bytes, and issue the next request on idle
@@ -430,7 +424,7 @@ func Symbols(cfg Config) (map[string]uint64, error) {
 	prog, err := guest.WebServer(guest.WebServerConfig{
 		Style:   cfg.Style,
 		Port:    port,
-		Path:    "/www/static",
+		Path:    guest.StaticPath,
 		Workers: cfg.Workers,
 	})
 	if err != nil {
@@ -453,25 +447,14 @@ func boot(cfg Config) (*kernel.Kernel, *kernel.Task, *Client, error) {
 		Trace:     cfg.Trace,
 	})
 
-	// Static content.
-	content := make([]byte, cfg.FileSize)
-	for i := range content {
-		content[i] = byte('a' + i%26)
-	}
-	if err := k.FS.MkdirAll("/www", 0o755); err != nil {
+	if err := guest.InstallStatic(k.FS, cfg.FileSize); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := k.FS.WriteFile("/www/static", content, 0o644); err != nil {
-		return nil, nil, nil, err
-	}
-	// Content is final: seal it, so a guest write fails with EROFS and
-	// worker reads do no atime work.
-	k.FS.Seal()
 
 	prog, err := guest.WebServer(guest.WebServerConfig{
 		Style:   cfg.Style,
 		Port:    port,
-		Path:    "/www/static",
+		Path:    guest.StaticPath,
 		Workers: cfg.Workers,
 	})
 	if err != nil {

@@ -143,10 +143,6 @@ func (m *Mechanism) Symbols() map[string]uint64 {
 	}
 }
 
-// EntryAddr returns the address of the interposer entry stub (the sled's
-// landing target).
-func (m *Mechanism) EntryAddr() uint64 { return m.entry }
-
 // RewriteAll scans all executable regions and rewrites the syscall
 // instructions it can identify. It skips the trampoline page itself and
 // the kernel's vdso (a real loader scans only the mapped ELF objects).

@@ -22,7 +22,7 @@ func spawn(t *testing.T, k *kernel.Kernel, src string) *kernel.Task {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := k.SpawnImage(img, kernel.SpawnOpts{Name: "guest"})
+	task, err := k.SpawnImage(img, "guest")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,10 +35,11 @@ go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/... ./interna
 # the five fast-path toggles (one fast engine, one reference engine:
 # DESIGN.md §7), the hot-trace tier (chained blocks and fused handlers
 # are the whole fast engine: DESIGN.md §11), the ten per-artifact
-# binaries (one cmd/lazysim) and the six per-area smoke targets (one
-# `make smoke`); their flags, tools, hooks and names must not creep back
-# into the docs or tooling. (The bracketed letters keep this line from
-# matching itself.)
+# binaries (one cmd/lazysim), the six per-area smoke targets (one
+# `make smoke`) and the fleet, tracer and kernel options no workload set
+# (fixed constants now: DESIGN.md §13, §14); their flags, tools, hooks
+# and names must not creep back into the docs or tooling. (The bracketed
+# letters keep this line from matching itself.)
 if grep -rnE -e 'par[b]ench|par-[s]moke|RegisterHcall[C]oncurrent|Concurrent[S]afe|-[c]ores' \
     -e '-[d]ecodecache|-[s]uperblock|-[c]hain=|-[t]races|[t]lb-smoke|[c]hain-smoke' \
     -e 'Disabl[e](DecodeCache|TLB|Superblocks|Chaining|Traces)' \
@@ -46,8 +47,10 @@ if grep -rnE -e 'par[b]ench|par-[s]moke|RegisterHcall[C]oncurrent|Concurrent[S]a
     -e 'cmd/([m]icrobench|[e]xhaustive)' \
     -e '[t]racePromoteThreshold|[r]unTrace|[b]uildTrace|[h]ot trace|cpu\.trace\.([p]romotions|[i]nvalidations|[r]uns)' \
     -e '\b([c]haos|[p]rofile|[e]xec|[p]olicy|[f]leet|[o]bs)-smoke\b' \
+    -e '[M]axClientConns|[R]etryBudget|[B]ackoffBase|[U]nhealthyAfter|[H]ealthyAfter|[S]LOObjective' \
+    -e '[S]tartFrac|[M]axSpansPerTree|[F]lightSize|[S]pawnOpts|[R]andSeed' \
     README.md DESIGN.md Makefile scripts .claude; then
-    echo "removed parallel-scheduler, fast-path-toggle, trace-tier, per-artifact-binary or smoke-target surface is still named above" >&2
+    echo "removed parallel-scheduler, fast-path-toggle, trace-tier, per-artifact-binary, smoke-target or fixed-option surface is still named above" >&2
     exit 1
 fi
 
