@@ -82,6 +82,9 @@ smoke:
 #     disk) must survive arbitrary bytes, allocate in proportion to its
 #     input whatever the header's counts claim, and Marshal -> Unmarshal ->
 #     Marshal must repeat the bytes.
+#   FuzzEpollVersions: socket, fd-table and epoll programs polled with
+#     cached misses must report what polling everything every time reports:
+#     the same events, wake rounds and bytes (DESIGN.md §15).
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/isa/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
@@ -94,6 +97,7 @@ fuzz:
 	go test ./internal/kernel/ -run '^$$' -fuzz FuzzTaskAccessors -fuzztime $(FUZZTIME)
 	go test ./internal/telemetry/ -run '^$$' -fuzz FuzzDecodeTrace -fuzztime $(FUZZTIME)
 	go test ./internal/loader/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME)
+	go test ./internal/kernel/ -run '^$$' -fuzz FuzzEpollVersions -fuzztime $(FUZZTIME)
 
 bench:
 	go test -bench . -benchtime 1x ./...

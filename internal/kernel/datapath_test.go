@@ -2,10 +2,12 @@ package kernel
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
 	"lazypoline/internal/fs"
+	"lazypoline/internal/isa"
 	"lazypoline/internal/mem"
 	"lazypoline/internal/netstack"
 )
@@ -227,5 +229,101 @@ func TestDataSyscallsAllocateNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, round); n != 0 {
 		t.Errorf("%v allocations per round of read/write/epoll_wait/getrandom, want 0", n)
+	}
+}
+
+// TestBlockedWakeAllocs: parking a blocking syscall, polling its wait
+// while it misses, and waking and retrying it allocate nothing, for each
+// kind of wait: a read of an empty socket, a write and a sendfile to a
+// full one, an accept, an epoll_wait and a wait4. (The retried accept
+// allocates the descriptor it returns, so for accept only the parking
+// and the polls are counted.)
+func TestBlockedWakeAllocs(t *testing.T) {
+	k := New(Config{})
+	task := idleTask(t, k)
+	r1, w1 := netstack.NewPipe() // read end in the table: read, epoll_wait
+	rfd := task.Files.Alloc(&FD{Kind: FDSocket, Sock: r1})
+	r2, w2 := netstack.NewPipe() // write end in the table: write, sendfile
+	wfd := task.Files.Alloc(&FD{Kind: FDSocket, Sock: w2})
+	k.FS.WriteFile("/f", bytes.Repeat([]byte("x"), 8192), 0o644)
+	h, _ := k.FS.Open("/f", fs.OpenRead, 0)
+	ffd := task.Files.Alloc(&FD{Kind: FDFile, File: h, Path: "/f"})
+	l, err := k.Net.Listen(80, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfd := task.Files.Alloc(&FD{Kind: FDListener, Listener: l})
+	ep := NewEpoll()
+	ep.Ctl(1, rfd, EpollIn)
+	epfd := task.Files.Alloc(&FD{Kind: FDEpoll, Epoll: ep})
+	child := &Task{ID: 77, Tgid: 77, state: TaskRunnable, parent: task, k: k}
+
+	pad := make([]byte, netstack.RecvBufSize)
+	fill := func() { w2.Write(pad[:w2.WriteSpace()]) }
+	drain := func() { r2.Discard(netstack.RecvBufSize) }
+	offPtr := uint64(guestBuf + 4096) // sendfile's offset: reset to 0 before each call
+	var accepted int64
+	cases := []struct {
+		name   string
+		nr     int64
+		args   [6]uint64
+		before func() // uncounted: set the call up to block
+		ready  func() // uncounted: make its wait ready
+		after  func() // uncounted: undo what the call did
+		retry  bool   // count the retry too
+	}{
+		{"read", SysRead, [6]uint64{uint64(rfd), guestBuf, 64},
+			func() {}, func() { w1.Write(pad[:8]) }, func() {}, true},
+		{"write", SysWrite, [6]uint64{uint64(wfd), guestBuf, 64},
+			fill, drain, drain, true},
+		{"sendfile", SysSendfile, [6]uint64{uint64(wfd), uint64(ffd), offPtr, 64},
+			func() { fill(); task.WriteU64(offPtr, 0) }, drain, drain, true},
+		{"accept", SysAccept, [6]uint64{uint64(lfd)},
+			func() {}, func() { k.Net.Connect(80) },
+			func() { task.Files.Close(int(accepted)) }, false},
+		{"epoll_wait", SysEpollWait, [6]uint64{uint64(epfd), guestBuf + 8192, 16, ^uint64(0)},
+			func() {}, func() { w1.Write(pad[:8]) }, func() { r1.Discard(8) }, true},
+		{"wait4", SysWait4, [6]uint64{^uint64(0), 0},
+			func() { child.state = TaskRunnable; task.children = append(task.children[:0], child) },
+			func() { child.state = TaskZombie }, func() {}, true},
+	}
+	var ms runtime.MemStats
+	mallocs := func() uint64 { runtime.ReadMemStats(&ms); return ms.Mallocs }
+	for _, c := range cases {
+		var counted uint64
+		for i := 0; i < 20; i++ {
+			c.before()
+			m := mallocs()
+			k.finishSyscall(task, c.nr, c.args, k.dispatch(task, c.nr, c.args))
+			missed := task.state == TaskBlocked && !k.blockedReady(task) && !k.blockedReady(task)
+			counted += mallocs() - m
+			if !missed {
+				t.Fatalf("%s: state %v after the call, or its wait was ready before anything happened", c.name, task.state)
+			}
+			c.ready()
+			m = mallocs()
+			woke := k.blockedReady(task)
+			if woke && c.retry {
+				k.retryBlocked(task)
+			}
+			counted += mallocs() - m
+			if !woke {
+				t.Fatalf("%s: wait not ready once it should be", c.name)
+			}
+			if !c.retry {
+				k.retryBlocked(task)
+			}
+			if ret := int64(task.CPU.Regs[isa.RAX]); task.state != TaskRunnable || ret <= 0 {
+				t.Fatalf("%s: retry left state %v, returned %d", c.name, task.state, ret)
+			}
+			accepted = int64(task.CPU.Regs[isa.RAX])
+			c.after()
+			if i == 0 {
+				counted = 0 // the first round grows rings and staging memory
+			}
+		}
+		if counted != 0 {
+			t.Errorf("%s: %d allocations in 19 park-poll-wake rounds, want 0", c.name, counted)
+		}
 	}
 }

@@ -14,7 +14,8 @@ const (
 	// resNoReturn: the context was replaced (sigreturn, execve) or the
 	// task died; do not touch RAX.
 	resNoReturn
-	// resBlocked: park the task and retry the syscall when poll fires.
+	// resBlocked: park the task and retry the syscall when its wait
+	// (t.blocked, set by Task.block) is ready.
 	resBlocked
 )
 
@@ -22,14 +23,17 @@ const (
 type sysResult struct {
 	ret  int64
 	kind resultKind
-	poll func() bool
 }
 
 func sysRet(v int64) sysResult     { return sysResult{ret: v, kind: resNormal} }
 func sysErr(errno int64) sysResult { return sysResult{ret: -errno, kind: resNormal} }
 func sysNoReturn() sysResult       { return sysResult{kind: resNoReturn} }
-func sysBlock(poll func() bool) sysResult {
-	return sysResult{kind: resBlocked, poll: poll}
+
+// block parks t's syscall on wait w; finishSyscall marks t blocked and
+// records the call to retry.
+func (t *Task) block(w blockedState) sysResult {
+	t.blocked = w
+	return sysResult{kind: resBlocked}
 }
 
 // syscallEntry is the kernel's syscall entry path, mirroring the paper's
@@ -256,24 +260,26 @@ func (k *Kernel) finishSyscall(t *Task, nr int64, args [6]uint64, res sysResult)
 		k.telSyscallEnd(t, nr)
 	case resBlocked:
 		t.state = TaskBlocked
-		t.blocked = blockedState{
-			poll: res.poll,
-			retry: func() {
-				// A retried syscall is a fresh dispatch as far as the
-				// fault model is concerned: it consults the chaos engine
-				// again, exactly like the first attempt did on its way
-				// through syscallEntry. Skipping the injection point
-				// here would make any syscall that once blocked immune
-				// to faults for the rest of its life
-				// (TestChaosRetryInjection pins this contract).
-				if cres, injected := k.chaosSyscall(t, nr); injected {
-					k.finishSyscall(t, nr, args, cres)
-					return
-				}
-				k.finishSyscall(t, nr, args, k.dispatch(t, nr, args))
-			},
-		}
+		t.blocked.nr, t.blocked.args = nr, args
 	}
+}
+
+// retryBlocked runs a parked task's syscall again once its wait is
+// ready. A retried syscall is a fresh dispatch as far as the fault model
+// is concerned: it consults the chaos engine again, exactly like the
+// first attempt did on its way through syscallEntry. Skipping the
+// injection point here would make any syscall that once blocked immune
+// to faults for the rest of its life (TestChaosRetryInjection pins this
+// contract).
+func (k *Kernel) retryBlocked(t *Task) {
+	nr, args := t.blocked.nr, t.blocked.args
+	t.state = TaskRunnable
+	t.blocked = blockedState{}
+	if cres, injected := k.chaosSyscall(t, nr); injected {
+		k.finishSyscall(t, nr, args, cres)
+		return
+	}
+	k.finishSyscall(t, nr, args, k.dispatch(t, nr, args))
 }
 
 // Syscall runs a complete syscall on behalf of a task from host code (an

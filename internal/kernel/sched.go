@@ -2,8 +2,10 @@
 //
 // A scheduling round visits every task slot of a round-start snapshot in
 // rotated order, running each runnable task's quantum to completion and
-// polling each blocked task once. Tasks spawned mid-round are appended
-// to k.order and first visited by the next round.
+// checking each blocked task's wait once. A wait whose last poll missed
+// is polled again only after the version of what it waits on has moved,
+// or if that poll was not settled (blockedReady). Tasks spawned
+// mid-round are appended to k.order and first visited by the next round.
 //
 // Cross-task signals (kill/tgkill, exit-time SIGCHLD) posted during a
 // round are held until the round barrier and delivered there in slot
@@ -37,13 +39,8 @@ func (k *Kernel) scheduleRound() roundResult {
 			continue
 		case TaskBlocked:
 			r.alive = true
-			if t.blocked.poll != nil && t.blocked.poll() {
-				retry := t.blocked.retry
-				t.state = TaskRunnable
-				t.blocked = blockedState{}
-				if retry != nil {
-					retry()
-				}
+			if k.blockedReady(t) {
+				k.retryBlocked(t)
 				r.progress = true
 			}
 		case TaskRunnable:
@@ -55,6 +52,32 @@ func (k *Kernel) scheduleRound() roundResult {
 	k.inRound = false
 	k.promoteDeferredSignals(snapshot)
 	return r
+}
+
+// blockedReady reports whether t's wait is ready. A poll of an object
+// that missed, and was settled, is not repeated until the object's
+// version moves: until then it could only miss again, and skipping it
+// skips nothing else (a poll that still ages a fault-held segment is not
+// settled, so it is never skipped).
+func (k *Kernel) blockedReady(t *Task) bool {
+	b := &t.blocked
+	switch b.kind {
+	case waitPollable:
+		if b.missed && b.obj.Version() == b.missVer {
+			return false
+		}
+		r, ver, settled := b.obj.Poll()
+		if r&b.want != 0 {
+			return true
+		}
+		b.missed, b.missVer = settled, ver
+	case waitEpoll:
+		var one [1]epollEvent
+		return len(k.epollReady(t, b.epoll, 1, one[:0])) > 0
+	case waitChild:
+		return t.zombieChild(int64(b.args[0])) != nil
+	}
+	return false
 }
 
 // ParallelRounds always returns 0.

@@ -6,19 +6,40 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lazypoline/internal/netstack"
 )
+
+// pollFunc is a netstack.Pollable whose every poll calls the function:
+// ready when it returns true. Its polls are never settled, so a task
+// waiting on one is polled in every round it is visited.
+type pollFunc func() bool
+
+func (f pollFunc) Poll() (netstack.Readiness, uint64, bool) {
+	if f() {
+		return netstack.ReadyIn, 0, false
+	}
+	return 0, 0, false
+}
+
+func (f pollFunc) Version() uint64 { return 0 }
+
+// waitOn is a wait on f, for white-box scheduler-round tests.
+func waitOn(f func() bool) blockedState {
+	return blockedState{kind: waitPollable, obj: pollFunc(f), want: netstack.ReadyIn}
+}
 
 // blockedProbe appends a manually-constructed blocked task whose poll
 // records each visit, for white-box scheduler-round tests.
 func blockedProbe(k *Kernel, id int, visits *[]int, ready func() bool) *Task {
 	t := &Task{ID: id, Tgid: id, state: TaskBlocked, k: k}
-	t.blocked.poll = func() bool {
+	t.blocked = waitOn(func() bool {
 		*visits = append(*visits, id)
 		if ready != nil {
 			return ready()
 		}
 		return false
-	}
+	})
 	k.order = append(k.order, t)
 	return t
 }
@@ -62,14 +83,14 @@ func TestMidRoundSpawnPickedUpNextRound(t *testing.T) {
 	var visits []int
 	spawned := false
 	t0 := &Task{ID: 0, state: TaskBlocked, k: k}
-	t0.blocked.poll = func() bool {
+	t0.blocked = waitOn(func() bool {
 		visits = append(visits, 0)
 		if !spawned {
 			spawned = true
 			blockedProbe(k, 1, &visits, nil)
 		}
 		return false
-	}
+	})
 	k.order = append(k.order, t0)
 
 	k.scheduleRound()
@@ -146,11 +167,11 @@ func TestExitSIGCHLDPendingAfterRound(t *testing.T) {
 	parent.Sig = &SigState{}
 	child := &Task{ID: 2, Tgid: 2, state: TaskBlocked, k: k, parent: parent}
 	midRound := -1
-	child.blocked.poll = func() bool {
+	child.blocked = waitOn(func() bool {
 		k.exitTask(child, 0)
 		midRound = parent.PendingSignals()
 		return false
-	}
+	})
 	k.order = append(k.order, child)
 
 	k.scheduleRound()
@@ -180,13 +201,13 @@ func TestCrossTaskSignalImmediateOutsideRoundOrToSelf(t *testing.T) {
 	target.pending = nil
 
 	self, kern := -1, -1
-	target.blocked.poll = func() bool {
+	target.blocked = waitOn(func() bool {
 		k.postSignalCross(target, target, pendingSignal{sig: SIGCHLD})
 		self = len(target.pending)
 		k.postSignalCross(nil, target, pendingSignal{sig: SIGCHLD})
 		kern = len(target.pending)
 		return false
-	}
+	})
 	k.scheduleRound()
 	if self != 1 || kern != 2 {
 		t.Errorf("mid-round pending after self-post %d, after kernel post %d; want 1, 2", self, kern)
@@ -202,7 +223,7 @@ func TestDeferredSignalToMidRoundSpawnDelivered(t *testing.T) {
 	var spawned *Task
 	midRound := -1
 	spawner := &Task{ID: 0, state: TaskBlocked, k: k}
-	spawner.blocked.poll = func() bool {
+	spawner.blocked = waitOn(func() bool {
 		if spawned == nil {
 			spawned = blockedProbe(k, 1, &visits, nil)
 			spawned.Sig = &SigState{}
@@ -210,7 +231,7 @@ func TestDeferredSignalToMidRoundSpawnDelivered(t *testing.T) {
 			midRound = len(spawned.pending)
 		}
 		return false
-	}
+	})
 	k.order = append(k.order, spawner)
 
 	k.scheduleRound()
@@ -230,11 +251,11 @@ func TestDeferredSignalDroppedForExitedTarget(t *testing.T) {
 	sender := blockedProbe(k, 1, &visits, nil)
 	target := blockedProbe(k, 2, &visits, nil)
 	target.Sig = &SigState{}
-	sender.blocked.poll = func() bool {
+	sender.blocked = waitOn(func() bool {
 		k.postSignalCross(sender, target, pendingSignal{sig: SIGTERM})
 		k.exitTask(target, 7)
 		return false
-	}
+	})
 
 	k.scheduleRound()
 	if target.ExitCode != 7 {
@@ -266,13 +287,14 @@ func TestDeprecatedCoresIgnored(t *testing.T) {
 
 // TestRunParksUntilExternalActivity: with an external waiter registered,
 // an all-blocked kernel parks in Run instead of spinning, and a
-// BumpActivity from the driver goroutine wakes it to re-poll.
+// BumpActivity from the driver goroutine wakes it to re-poll. The parked
+// call is an exit, so its retry ends the task.
 func TestRunParksUntilExternalActivity(t *testing.T) {
 	k := New(Config{})
 	var ready atomic.Bool
 	tk := &Task{ID: 0, state: TaskBlocked, k: k}
-	tk.blocked.poll = func() bool { return ready.Load() }
-	tk.blocked.retry = func() { tk.state = TaskZombie }
+	tk.blocked = waitOn(ready.Load)
+	tk.blocked.nr = SysExit
 	k.order = append(k.order, tk)
 
 	release := k.AddExternalWaiter()
@@ -300,7 +322,7 @@ func TestRunParksUntilExternalActivity(t *testing.T) {
 func TestRunDeadlockAfterWaiterRelease(t *testing.T) {
 	k := New(Config{})
 	tk := &Task{ID: 0, state: TaskBlocked, k: k}
-	tk.blocked.poll = func() bool { return false }
+	tk.blocked = waitOn(func() bool { return false })
 	k.order = append(k.order, tk)
 
 	release := k.AddExternalWaiter()

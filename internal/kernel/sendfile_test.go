@@ -255,11 +255,11 @@ func TestSendfileEdges(t *testing.T) {
 		if off := r.offset(t); off != 0 {
 			t.Errorf("offset = %d while blocked, want 0", off)
 		}
-		if res.poll() {
+		if r.k.blockedReady(r.task) {
 			t.Error("poll true while the socket is still full")
 		}
 		r.drain(t, 0)
-		if !res.poll() {
+		if !r.k.blockedReady(r.task) {
 			t.Error("poll false after the client drained")
 		}
 	})

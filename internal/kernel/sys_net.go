@@ -44,6 +44,7 @@ func (k *Kernel) sysListen(t *Task, args [6]uint64) sysResult {
 	}
 	fd.Kind = FDListener
 	fd.Listener = l
+	t.Files.ver.Add(1) // the fd now names a listener: cached epoll misses on it are void
 	return sysRet(0)
 }
 
@@ -57,8 +58,7 @@ func (k *Kernel) sysAccept(t *Task, args [6]uint64) sysResult {
 		if fd.Nonblock {
 			return sysErr(EAGAIN)
 		}
-		l := fd.Listener
-		return sysBlock(func() bool { return l.Ready()&(netstack.ReadyIn|netstack.ReadyHup) != 0 })
+		return t.block(blockedState{kind: waitPollable, obj: fd.Listener, want: netstack.ReadyIn | netstack.ReadyHup})
 	}
 	if err != nil {
 		return sysErr(EBADF)
@@ -117,11 +117,7 @@ func (k *Kernel) sysEpollWait(t *Task, args [6]uint64) sysResult {
 		}
 		// Block until anything in the watch set is ready. (Timeouts other
 		// than 0 and -1 behave as infinite; our guests use -1.)
-		epoll := ep.Epoll
-		return sysBlock(func() bool {
-			var one [1]epollEvent
-			return len(k.epollReady(t, epoll, 1, one[:0])) > 0
-		})
+		return t.block(blockedState{kind: waitEpoll, epoll: ep.Epoll})
 	}
 	// Every byte of a record is written: the staging memory is not zeroed.
 	buf := t.ioBuf(len(ready) * EpollEventSize)
@@ -148,41 +144,59 @@ type epollEvent struct {
 // order Epoll keeps it in: any other order would return ready events —
 // and hence the guest's connection-handling order — differently from run
 // to run, breaking determinism on loaded multi-connection cells.
+//
+// A watch whose cached miss still holds is skipped without a lookup or
+// a poll: it could only miss again. A miss is cached only when its poll
+// was settled, so a skipped poll would have changed nothing.
 func (k *Kernel) epollReady(t *Task, ep *Epoll, limit int, out []epollEvent) []epollEvent {
-	for _, w := range ep.snapshot() {
-		fd, want := w.fd, w.events
-		f, ok := t.Files.Get(fd)
-		if !ok {
+	files := t.Files
+	filesVer := files.ver.Load() // before any lookup, as an object's version is read before its poll
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	for i := range ep.watches {
+		w := &ep.watches[i]
+		if w.missHolds(files, filesVer) {
 			continue
 		}
-		var r netstack.Readiness
+		fd, want := w.fd, w.events
+		f, ok := files.Get(fd)
+		var obj netstack.Pollable
 		switch {
+		case !ok: // nothing at fd: a miss until the table moves
 		case f.Kind == FDListener && f.Listener != nil:
-			r = f.Listener.Ready()
+			obj = f.Listener
 		case f.Kind == FDSocket && f.Sock != nil:
-			r = f.Sock.Ready()
+			obj = f.Sock
 		case f.Kind == FDFile, f.Kind == FDConsole:
 			// Regular files are always ready.
 			out = append(out, epollEvent{fd: fd, events: want & (EpollIn | EpollOut)})
 			continue
-		default:
-			continue
 		}
 		var ev uint32
-		if want&EpollIn != 0 && r&netstack.ReadyIn != 0 {
-			ev |= EpollIn
-		}
-		if want&EpollOut != 0 && r&netstack.ReadyOut != 0 {
-			ev |= EpollOut
-		}
-		if r&netstack.ReadyHup != 0 {
-			ev |= EpollHup
-		}
-		if ev != 0 {
-			out = append(out, epollEvent{fd: fd, events: ev})
-			if len(out) >= limit {
-				break
+		var objVer uint64
+		settled := true
+		if obj != nil {
+			var r netstack.Readiness
+			r, objVer, settled = obj.Poll()
+			if want&EpollIn != 0 && r&netstack.ReadyIn != 0 {
+				ev |= EpollIn
 			}
+			if want&EpollOut != 0 && r&netstack.ReadyOut != 0 {
+				ev |= EpollOut
+			}
+			if r&netstack.ReadyHup != 0 {
+				ev |= EpollHup
+			}
+		}
+		if ev == 0 {
+			if settled {
+				w.missFiles, w.missFilesVer, w.missObj, w.missObjVer = files, filesVer, obj, objVer
+			}
+			continue
+		}
+		out = append(out, epollEvent{fd: fd, events: ev})
+		if len(out) >= limit {
+			break
 		}
 	}
 	return out

@@ -140,28 +140,12 @@ func (k *Kernel) sysExecve(t *Task, args [6]uint64) sysResult {
 // int status pointer (may be 0).
 func (k *Kernel) sysWait4(t *Task, args [6]uint64) sysResult {
 	pid := int64(args[0])
-	findZombie := func() *Task {
-		for _, c := range t.children {
-			if c.state == TaskZombie && (pid == -1 || int64(c.ID) == pid) {
-				return c
-			}
-		}
-		return nil
-	}
-	hasCandidates := func() bool {
-		for _, c := range t.children {
-			if pid == -1 || int64(c.ID) == pid {
-				return true
-			}
-		}
-		return false
-	}
-	if !hasCandidates() {
+	if !t.hasChild(pid) {
 		return sysErr(ECHILD)
 	}
-	z := findZombie()
+	z := t.zombieChild(pid)
 	if z == nil {
-		return sysBlock(func() bool { return findZombie() != nil })
+		return t.block(blockedState{kind: waitChild})
 	}
 	// Reap.
 	for i, c := range t.children {
@@ -178,4 +162,25 @@ func (k *Kernel) sysWait4(t *Task, args [6]uint64) sysResult {
 		}
 	}
 	return sysRet(int64(z.ID))
+}
+
+// hasChild reports whether t has a child matching wait4's pid (-1: any).
+func (t *Task) hasChild(pid int64) bool {
+	for _, c := range t.children {
+		if pid == -1 || int64(c.ID) == pid {
+			return true
+		}
+	}
+	return false
+}
+
+// zombieChild returns t's first exited child matching wait4's pid (-1:
+// any), or nil.
+func (t *Task) zombieChild(pid int64) *Task {
+	for _, c := range t.children {
+		if c.state == TaskZombie && (pid == -1 || int64(c.ID) == pid) {
+			return c
+		}
+	}
+	return nil
 }

@@ -299,8 +299,7 @@ func (k *Kernel) sysRead(t *Task, args [6]uint64) sysResult {
 			if fd.Nonblock {
 				return sysErr(EAGAIN)
 			}
-			sock := fd.Sock
-			return sysBlock(func() bool { return sock.Ready()&(netstack.ReadyIn|netstack.ReadyHup) != 0 })
+			return t.block(blockedState{kind: waitPollable, obj: fd.Sock, want: netstack.ReadyIn | netstack.ReadyHup})
 		}
 		if errors.Is(err, netstack.ErrReset) {
 			return sysErr(ECONNRESET)
@@ -361,8 +360,7 @@ func (k *Kernel) sysWrite(t *Task, args [6]uint64) sysResult {
 			if fd.Nonblock {
 				return sysErr(EAGAIN)
 			}
-			sock := fd.Sock
-			return sysBlock(func() bool { return sock.Ready()&(netstack.ReadyOut|netstack.ReadyHup) != 0 })
+			return t.block(blockedState{kind: waitPollable, obj: fd.Sock, want: netstack.ReadyOut | netstack.ReadyHup})
 		}
 		if errors.Is(err, netstack.ErrReset) {
 			return sysErr(ECONNRESET)
@@ -462,8 +460,7 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 		if out.Nonblock {
 			return sysErr(EAGAIN)
 		}
-		sock := out.Sock
-		return sysBlock(func() bool { return sock.Ready()&(netstack.ReadyOut|netstack.ReadyHup) != 0 })
+		return t.block(blockedState{kind: waitPollable, obj: out.Sock, want: netstack.ReadyOut | netstack.ReadyHup})
 	case errors.Is(werr, netstack.ErrPipe):
 		return sysErr(EPIPE)
 	case errors.Is(werr, netstack.ErrReset):

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"lazypoline/internal/bpf"
 	"lazypoline/internal/cpu"
@@ -153,6 +154,12 @@ type FDTable struct {
 	mu   sync.Mutex
 	fds  map[int]*FD
 	next int
+	// ver moves whenever a descriptor number comes to name a description
+	// (Alloc, Install) and when listen turns one into a listener in
+	// place. An epoll watch's cached miss holds only while it stands
+	// still. Close needs no move: a number that names nothing can only
+	// miss.
+	ver atomic.Uint64
 }
 
 // NewFDTable returns a table with fds 0-2 bound to the console.
@@ -185,6 +192,7 @@ func (t *FDTable) Alloc(f *FD) int {
 	}
 	t.fds[fd] = f
 	t.next = fd + 1
+	t.ver.Add(1)
 	return fd
 }
 
@@ -192,6 +200,7 @@ func (t *FDTable) Alloc(f *FD) int {
 func (t *FDTable) Install(fd int, f *FD) {
 	t.mu.Lock()
 	t.fds[fd] = f
+	t.ver.Add(1)
 	t.mu.Unlock()
 }
 
@@ -265,28 +274,36 @@ func (f *FD) addRefs() {
 
 // Epoll is an epoll instance: a set of watched fds.
 type Epoll struct {
+	// mu guards watches: Ctl's edits and a poll's walk, which writes
+	// each watch's cached miss back into its entry. A poll holds it while
+	// it takes fd-table and endpoint locks of its own (lock order: epoll,
+	// fd table, endpoint; nothing takes them the other way round).
 	mu sync.Mutex
 	// watches is kept in ascending fd order — the order ready events are
 	// reported in, which run-to-run determinism depends on — so a poll
-	// walks it as it is instead of collecting and sorting fds. Ctl
-	// replaces the slice and never edits it in place: a poll takes the
-	// current one under mu (snapshot) and walks it with no lock held,
-	// through fd-table and endpoint locks of its own.
+	// walks it as it is instead of collecting and sorting fds.
 	watches []epollWatch
 }
 
-// epollWatch is one watched fd and the events it is watched for.
+// epollWatch is one watched fd, the events it is watched for, and its
+// last poll's miss. The miss holds while the fd table it was looked up
+// in, and the object the fd named, are both at the versions it was
+// recorded at: no poll could then report anything but a miss again.
 type epollWatch struct {
 	fd     int
 	events uint32
+
+	missFiles    *FDTable // nil: no miss cached
+	missFilesVer uint64
+	missObj      netstack.Pollable // nil: the fd named nothing pollable
+	missObjVer   uint64
 }
 
-// snapshot returns the watch set, ascending by fd. The slice is never
-// written again; the caller may walk it without the lock.
-func (e *Epoll) snapshot() []epollWatch {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.watches
+// missHolds reports whether w's cached miss still holds when polled
+// through files, whose version is filesVer.
+func (w *epollWatch) missHolds(files *FDTable, filesVer uint64) bool {
+	return w.missFiles == files && w.missFilesVer == filesVer &&
+		(w.missObj == nil || w.missObj.Version() == w.missObjVer)
 }
 
 // Epoll event bits (subset of the Linux ABI).
@@ -303,39 +320,53 @@ func NewEpoll() *Epoll { return &Epoll{} }
 func (e *Epoll) Ctl(op int, fd int, events uint32) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	old := e.watches
-	i, watched := slices.BinarySearchFunc(old, fd, func(w epollWatch, fd int) int { return cmp.Compare(w.fd, fd) })
+	i, watched := slices.BinarySearchFunc(e.watches, fd, func(w epollWatch, fd int) int { return cmp.Compare(w.fd, fd) })
 	switch op {
 	case 1: // EPOLL_CTL_ADD
 		if watched {
 			return fmt.Errorf("epoll: fd %d already watched", fd)
 		}
-		next := make([]epollWatch, 0, len(old)+1)
-		next = append(next, old[:i]...)
-		next = append(next, epollWatch{fd: fd, events: events})
-		e.watches = append(next, old[i:]...)
+		e.watches = slices.Insert(e.watches, i, epollWatch{fd: fd, events: events})
 	case 2: // EPOLL_CTL_DEL
 		if watched {
-			e.watches = slices.Delete(slices.Clone(old), i, i+1)
+			e.watches = slices.Delete(e.watches, i, i+1)
 		}
 	case 3: // EPOLL_CTL_MOD
 		if !watched {
 			return fmt.Errorf("epoll: fd %d not watched", fd)
 		}
-		next := slices.Clone(old)
-		next[i].events = events
-		e.watches = next
+		e.watches[i] = epollWatch{fd: fd, events: events} // a miss under the old mask says nothing
 	default:
 		return fmt.Errorf("epoll: bad op %d", op)
 	}
 	return nil
 }
 
-// blockedState carries a parked task's wake-up condition and its
-// continuation (typically "retry the syscall").
+// waitKind says what a blocked task waits for.
+type waitKind uint8
+
+const (
+	waitNone     waitKind = iota // nothing wakes it but a signal
+	waitPollable                 // obj's readiness to meet want: a socket or listener
+	waitEpoll                    // an event in epoll
+	waitChild                    // a child matching wait4's pid, args[0], to exit
+)
+
+// blockedState describes a parked task's wait: what it waits for, and
+// the syscall (nr, args) retryBlocked runs again once that is ready.
+// It is a plain value, so parking allocates nothing.
 type blockedState struct {
-	poll  func() bool
-	retry func()
+	kind  waitKind
+	obj   netstack.Pollable
+	want  netstack.Readiness
+	epoll *Epoll
+	nr    int64
+	args  [6]uint64
+
+	// missed: obj's last poll missed and was settled, at version
+	// missVer; obj is not polled again until its version moves.
+	missed  bool
+	missVer uint64
 }
 
 // Task is one schedulable thread of execution.

@@ -93,44 +93,6 @@ func TestCloseStagedDataNotDeliveredToClosedPeer(t *testing.T) {
 	}
 }
 
-// TestNotifierWakeOrderMultipleSubscribers: wakeups fire in subscription
-// order, and the order survives cancellation and late re-subscription.
-// Pre-forked workers sharing a listener rely on this for deterministic
-// scheduling; the fleet load balancer's probe bookkeeping does too.
-func TestNotifierWakeOrderMultipleSubscribers(t *testing.T) {
-	s := NewStack()
-	l, _ := s.Listen(80, 16)
-
-	var order []string
-	sub := func(name string) func() {
-		return l.Subscribe(func() { order = append(order, name) })
-	}
-	cancelA := sub("A")
-	cancelB := sub("B")
-	sub("C")
-
-	s.Connect(80)
-	if got := len(order); got != 3 || order[0] != "A" || order[1] != "B" || order[2] != "C" {
-		t.Fatalf("wake order %v, want [A B C]", order)
-	}
-
-	order = nil
-	cancelB()
-	sub("D") // subscribes after cancel: must fire last, not in B's slot
-	s.Connect(80)
-	if len(order) != 3 || order[0] != "A" || order[1] != "C" || order[2] != "D" {
-		t.Fatalf("wake order after cancel %v, want [A C D]", order)
-	}
-
-	order = nil
-	cancelA()
-	cancelA() // double cancel is a no-op
-	s.Connect(80)
-	if len(order) != 2 || order[0] != "C" || order[1] != "D" {
-		t.Fatalf("wake order after double cancel %v, want [C D]", order)
-	}
-}
-
 // TestBacklogAccountingConcurrentConnects: with more concurrent dials
 // than backlog, exactly backlog connections establish, every other dial
 // is counted as a backlog drop, and the accept high-water mark records

@@ -1,8 +1,8 @@
 // Package netstack implements the loopback-only network substrate the
 // simulated web servers are benchmarked against: stream sockets with
 // listen/accept/connect, bounded receive buffers, peer shutdown
-// semantics, and edge-notified readiness that the kernel's epoll and
-// blocking-syscall machinery subscribe to.
+// semantics, and version-stamped readiness the kernel's epoll and
+// blocking-syscall machinery poll again only after it moves.
 //
 // The wrk-like load generator (package webbench) drives the client side
 // of these sockets directly from Go, which mirrors the paper's setup: the
@@ -62,67 +62,19 @@ type FaultPlan interface {
 const RecvBufSize = 256 * 1024
 
 // Pollable is anything epoll or a blocking syscall can wait on.
-type Pollable interface {
-	// Ready returns the current readiness mask.
-	Ready() Readiness
-	// Subscribe registers fn to be called (with no locks held) whenever
-	// readiness may have changed. The returned cancel removes it.
-	Subscribe(fn func()) (cancel func())
-}
-
-// notifier implements Subscribe/wakeup bookkeeping.
 //
-// Subscriptions live in an append-ordered slice rather than a map:
-// wake() fires in subscription order (ids are handed out increasing, so
-// slice order IS ascending-id order — the same deterministic order the
-// old sorted-map implementation produced), and the hot wake path takes
-// only a read lock and one allocation instead of building and sorting an
-// id list per event. With a fleet of servers sharing one stack, many
-// endpoints wake concurrently; wakers only ever serialise against
-// subscribe/cancel on the same object, never against each other.
-type notifier struct {
-	mu   sync.RWMutex
-	subs []notifSub
-	next int
-}
-
-type notifSub struct {
-	id int
-	fn func()
-}
-
-func (n *notifier) Subscribe(fn func()) func() {
-	n.mu.Lock()
-	id := n.next
-	n.next++
-	n.subs = append(n.subs, notifSub{id: id, fn: fn})
-	n.mu.Unlock()
-	return func() {
-		n.mu.Lock()
-		for i, s := range n.subs {
-			if s.id == id {
-				n.subs = append(n.subs[:i:i], n.subs[i+1:]...)
-				break
-			}
-		}
-		n.mu.Unlock()
-	}
-}
-
-func (n *notifier) wake() {
-	// Fire in subscription order: with several epoll instances subscribed
-	// to one object (pre-forked workers sharing a listener), any other
-	// order would make wake order — and therefore measured cycle counts
-	// on heavily loaded cells — nondeterministic across runs.
-	n.mu.RLock()
-	fns := make([]func(), len(n.subs))
-	for i, s := range n.subs {
-		fns[i] = s.fn
-	}
-	n.mu.RUnlock()
-	for _, fn := range fns {
-		fn()
-	}
+// Readiness is version-stamped: a waiter whose poll missed polls again
+// only once Version has moved past the version that poll returned, and
+// only if that poll was settled (DESIGN.md §15).
+type Pollable interface {
+	// Poll returns the current readiness, the version read before it,
+	// and settled: false while a fault-held segment is still on its way
+	// here, which each poll ages — a poll that is not settled has an
+	// effect of its own and must not be skipped.
+	Poll() (r Readiness, ver uint64, settled bool)
+	// Version moves after every change that can turn a missed poll into
+	// a hit.
+	Version() uint64
 }
 
 // StackStats counts stack-wide events for the telemetry layer. All
@@ -318,7 +270,9 @@ func (s *Stack) Connect(port uint16) (*Endpoint, error) {
 
 // Listener is a bound, listening socket.
 type Listener struct {
-	notif   notifier
+	// ver is the listener's readiness version: a connection queued and
+	// the close move it.
+	ver     atomic.Uint64
 	stack   *Stack
 	port    uint16
 	backlog int
@@ -354,7 +308,7 @@ func (l *Listener) enqueue(e *Endpoint) error {
 	depth := uint64(len(l.queue))
 	l.mu.Unlock()
 	stats.setMax(&stats.AcceptHighWater, depth)
-	l.notif.wake()
+	l.ver.Add(1)
 	l.stack.hub.bump()
 	return nil
 }
@@ -407,7 +361,7 @@ func (l *Listener) Close() {
 	for _, e := range pending {
 		e.Close()
 	}
-	l.notif.wake()
+	l.ver.Add(1)
 }
 
 // Ready reports ReadyIn when a connection is waiting.
@@ -424,8 +378,15 @@ func (l *Listener) Ready() Readiness {
 	return r
 }
 
-// Subscribe implements Pollable.
-func (l *Listener) Subscribe(fn func()) func() { return l.notif.Subscribe(fn) }
+// Poll implements Pollable. A listener holds nothing in flight, so its
+// polls are always settled.
+func (l *Listener) Poll() (Readiness, uint64, bool) {
+	ver := l.ver.Load()
+	return l.Ready(), ver, true
+}
+
+// Version implements Pollable.
+func (l *Listener) Version() uint64 { return l.ver.Load() }
 
 // Port returns the bound port.
 func (l *Listener) Port() uint16 { return l.port }
@@ -435,7 +396,14 @@ func (l *Listener) Port() uint16 { return l.port }
 // one endpoint, and the connection only really closes when the last
 // reference drops (Linux file-description semantics).
 type Endpoint struct {
-	notif notifier
+	// ver is the endpoint's readiness version. It moves after data is
+	// written into this side's buffer, after the peer drains this side's
+	// writes, after either side closes or resets, and when the peer
+	// stages a segment toward this side. Delivering a staged segment
+	// needs no move of its own: the staging moved ver, and no poll made
+	// while a segment is in flight is settled, so no miss recorded
+	// before the delivery can still hold.
+	ver atomic.Uint64
 
 	mu     sync.Mutex
 	rx     ring // receive buffer
@@ -558,7 +526,7 @@ func (e *Endpoint) read(p []byte, n int) (int, error) {
 	e.mu.Unlock()
 	if peer != nil {
 		// Our buffer drained: the peer may be writable again.
-		peer.notif.wake()
+		peer.ver.Add(1)
 	}
 	e.bumpHub()
 	return n, nil
@@ -605,10 +573,13 @@ func (e *Endpoint) write(seg segment, n int) (int, error) {
 		e.injectReset()
 		return 0, ErrReset
 	}
-	if peer == nil || peer.isClosed() {
+	if peer == nil {
 		return 0, ErrPipe
 	}
-	space := peer.space()
+	peerClosed, space := peer.closedSpace()
+	if peerClosed {
+		return 0, ErrPipe
+	}
 	if space <= 0 {
 		return 0, ErrWouldBlock
 	}
@@ -642,8 +613,9 @@ func (e *Endpoint) write(seg segment, n int) (int, error) {
 		}
 		e.stage = append(e.stage, stagedSegment{data: data[:got], hold: hold})
 		e.mu.Unlock()
-		// Accepted into the send buffer; the peer is woken only when a
-		// segment is actually delivered (by its poll-driven ticks).
+		// Accepted into the send buffer. The peer's polls now age it, so
+		// none of them may be skipped until it is delivered.
+		peer.ver.Add(1)
 		e.bumpHub()
 		return got, nil
 	}
@@ -665,7 +637,7 @@ func (e *Endpoint) write(seg segment, n int) (int, error) {
 	if e.stats != nil {
 		e.stats.setMax(&e.stats.RecvHighWater, depth)
 	}
-	peer.notif.wake()
+	peer.ver.Add(1)
 	e.bumpHub()
 	return got, nil
 }
@@ -687,14 +659,15 @@ func (e *Endpoint) WriteSpace() int {
 
 // tickStaged ages the segments the fault plan is holding back on the
 // peer (the writer of data flowing toward e) and delivers any that are
-// due. Called from the reading side's Read and Ready, so delay is
+// due. Called from the reading side's Read and Poll, so delay is
 // measured in reader polls — deterministic virtual time, no wall clock.
-func (e *Endpoint) tickStaged() {
-	e.mu.Lock()
+// It reports whether nothing is left in flight toward e.
+func (e *Endpoint) tickStaged() (settled bool) {
+	// Only a fault plan holds segments back. faults and peer are set
+	// before the endpoint is published and never change.
 	w := e.peer
-	e.mu.Unlock()
-	if w == nil {
-		return
+	if e.faults == nil || w == nil {
+		return true
 	}
 	var due [][]byte
 	w.mu.Lock()
@@ -705,15 +678,16 @@ func (e *Endpoint) tickStaged() {
 			w.stage = w.stage[1:]
 		}
 	}
+	settled = len(w.stage) == 0
 	w.mu.Unlock()
 	if len(due) == 0 {
-		return
+		return settled
 	}
 	e.mu.Lock()
 	if e.closed {
 		// Nobody can read these any more; a closed endpoint keeps no buffer.
 		e.mu.Unlock()
-		return
+		return settled
 	}
 	for _, d := range due {
 		e.rx.write(d)
@@ -723,6 +697,7 @@ func (e *Endpoint) tickStaged() {
 	if e.stats != nil {
 		e.stats.setMax(&e.stats.RecvHighWater, depth)
 	}
+	return settled
 }
 
 // injectReset hard-closes both sides of the connection, discarding
@@ -746,9 +721,9 @@ func (e *Endpoint) injectReset() {
 		peer.stage = nil
 		peer.mu.Unlock()
 	}
-	e.notif.wake()
+	e.ver.Add(1)
 	if peer != nil {
-		peer.notif.wake()
+		peer.ver.Add(1)
 	}
 	e.bumpHub()
 }
@@ -804,9 +779,9 @@ func (e *Endpoint) Close() {
 		}
 		peer.mu.Unlock()
 	}
-	e.notif.wake()
+	e.ver.Add(1)
 	if peer != nil {
-		peer.notif.wake()
+		peer.ver.Add(1)
 	}
 	e.bumpHub()
 }
@@ -824,12 +799,19 @@ func (e *Endpoint) Buffered() int {
 	return e.rx.n
 }
 
-// Ready implements Pollable. It never holds its own lock while taking the
-// peer's, so concurrent Ready calls from both sides cannot deadlock.
-// Each poll ages fault-delayed segments headed this way, so a blocked
-// reader's periodic polling is exactly what "time" means for delivery.
+// Ready returns the current readiness mask: Poll without the version.
 func (e *Endpoint) Ready() Readiness {
-	e.tickStaged()
+	r, _, _ := e.Poll()
+	return r
+}
+
+// Poll implements Pollable. It never holds its own lock while taking the
+// peer's, so concurrent polls from both sides cannot deadlock. Each poll
+// ages fault-delayed segments headed this way, so a blocked reader's
+// periodic polling is exactly what "time" means for delivery.
+func (e *Endpoint) Poll() (Readiness, uint64, bool) {
+	ver := e.ver.Load()
+	settled := e.tickStaged()
 	e.mu.Lock()
 	bufLen := e.rx.n
 	closed := e.closed
@@ -840,19 +822,19 @@ func (e *Endpoint) Ready() Readiness {
 	if bufLen > 0 {
 		r |= ReadyIn
 	}
-	if closed {
-		return r | ReadyHup
+	if closed || peer == nil {
+		return r | ReadyHup, ver, settled
 	}
-	if peer == nil {
-		return r | ReadyHup
-	}
-	if peer.isClosed() {
+	if peerClosed, space := peer.closedSpace(); peerClosed {
 		r |= ReadyIn | ReadyHup // EOF is readable
-	} else if peer.space() > 0 {
+	} else if space > 0 {
 		r |= ReadyOut
 	}
-	return r
+	return r, ver, settled
 }
+
+// Version implements Pollable.
+func (e *Endpoint) Version() uint64 { return e.ver.Load() }
 
 func (e *Endpoint) space() int {
 	e.mu.Lock()
@@ -860,8 +842,12 @@ func (e *Endpoint) space() int {
 	return RecvBufSize - e.rx.n
 }
 
-// Subscribe implements Pollable.
-func (e *Endpoint) Subscribe(fn func()) func() { return e.notif.Subscribe(fn) }
+// closedSpace is isClosed and space under one lock.
+func (e *Endpoint) closedSpace() (bool, int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.closed, RecvBufSize - e.rx.n
+}
 
 var (
 	_ Pollable = (*Endpoint)(nil)

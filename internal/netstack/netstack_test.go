@@ -3,7 +3,6 @@ package netstack
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -179,33 +178,6 @@ func TestReadinessTransitions(t *testing.T) {
 	r := server.Ready()
 	if r&ReadyHup == 0 {
 		t.Error("peer close should set HUP")
-	}
-}
-
-func TestSubscribeWakeups(t *testing.T) {
-	s := NewStack()
-	l, _ := s.Listen(80, 4)
-	var mu sync.Mutex
-	wakes := 0
-	cancel := l.Subscribe(func() {
-		mu.Lock()
-		wakes++
-		mu.Unlock()
-	})
-	s.Connect(80)
-	mu.Lock()
-	w := wakes
-	mu.Unlock()
-	if w == 0 {
-		t.Error("connect did not wake listener subscriber")
-	}
-	cancel()
-	s.Connect(80)
-	mu.Lock()
-	w2 := wakes
-	mu.Unlock()
-	if w2 != w {
-		t.Error("cancelled subscriber still woken")
 	}
 }
 

@@ -43,9 +43,8 @@ func steadyStateAllocs(t *testing.T, fileSize int) (bytesPerReq, objsPerReq floa
 
 // TestSteadyStateRequestAllocs is the allocation gate of the serving data
 // path: once warm, a request allocates a few small bookkeeping objects —
-// the opened file's handle, descriptor and path string, the closures of
-// the blocking calls — and nothing that scales with the size of the file
-// it serves. Before the data path was made size-first, sendfile alone
+// the opened file's handle, descriptor and path string — and nothing
+// that scales with the size of the file it serves. Before the data path was made size-first, sendfile alone
 // allocated 256 KiB twice per request.
 func TestSteadyStateRequestAllocs(t *testing.T) {
 	const (
@@ -56,7 +55,7 @@ func TestSteadyStateRequestAllocs(t *testing.T) {
 		maxObjs  = 16
 		// A 256 KiB response outgrows the client's receive buffer once,
 		// so its worker blocks in sendfile and is woken one more time than
-		// for a 1 KiB response: one more closure, not one more buffer.
+		// for a 1 KiB response: that must not cost a buffer.
 		sizeSlackBytes = 256
 		sizeSlackObjs  = 4
 	)

@@ -54,6 +54,15 @@ if grep -rnE -e 'par[b]ench|par-[s]moke|RegisterHcall[C]oncurrent|Concurrent[S]a
     exit 1
 fi
 
+# The netstack's subscription API and the closure-built blocked waits
+# are gone: readiness is version-stamped and a parked task's wait is a
+# value (DESIGN.md §15). Neither may come back, in the code or the docs.
+if grep -rnE -e '[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)' \
+    README.md DESIGN.md Makefile scripts .claude internal cmd; then
+    echo "removed readiness-subscription or blocked-closure surface is still named above" >&2
+    exit 1
+fi
+
 # Shared image frames and decoded blocks (DESIGN.md §17): address spaces
 # aliasing one frame while another privatizes its copy, CPUs publishing
 # and reusing one frame's blocks, and a -j 2 sweep of kernels over one
@@ -69,6 +78,10 @@ go test ./internal/experiments -run 'TestColdStartAllocs' -count 1
 # Steady-state allocation gate (DESIGN.md §19): once warm, an interposed
 # syscall allocates nothing under any mechanism.
 go test ./internal/experiments -run 'TestInterposedSyscallAllocs' -count 1
+
+# Parking gate (DESIGN.md §15): parking a blocking syscall, polling its
+# wait and waking it allocate nothing, whatever it waits on.
+go test ./internal/kernel -run 'TestBlockedWakeAllocs' -count 1
 
 # Serving data-path allocation gates (DESIGN.md §16): a warm keep-alive
 # request allocates a few small objects whatever the file size, and a
