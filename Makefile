@@ -20,8 +20,9 @@ test:
 # timeline and round-trips it through JSONL), request-scoped tracing
 # (DESIGN.md §14: the kill-drill trace shows the balancer retrying an
 # in-flight request on a surviving backend and round-trips through the
-# Chrome envelope), and one attack demo per policy layer, each killed with
-# its violation banner. The checked-in snapshots are refreshed with
+# Chrome envelope), one attack demo per policy layer, each killed with
+# its violation banner, and the five examples/ programs README tells
+# readers to run, each of which must exit 0. The checked-in snapshots are refreshed with
 # `make snapshots`; the invariance gates are Go tests (`go test ./...`).
 SMOKE_DIR ?= /tmp/lazysim-smoke
 lz = $(SMOKE_DIR)/lazysim
@@ -55,6 +56,10 @@ smoke:
 		> $(SMOKE_DIR)/attack_seq.txt
 	grep -q 'write -> execve' $(SMOKE_DIR)/attack_seq.txt
 	grep -q 'exit code 159' $(SMOKE_DIR)/attack_seq.txt
+	for ex in quickstart jit sandbox webserver mvee; do \
+		go build -o $(SMOKE_DIR)/example_$$ex ./examples/$$ex && \
+		$(SMOKE_DIR)/example_$$ex > $(SMOKE_DIR)/example_$$ex.txt || exit 1; \
+	done
 
 # Every fuzz target for FUZZTIME each (scripts/ci.sh runs 5s of each):
 #   FuzzDecode: the isa decoder must survive arbitrary bytes.

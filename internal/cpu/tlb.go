@@ -135,23 +135,71 @@ func (c *CPU) lookup(addr uint64, n int, write, priv bool) *mem.PageHandle {
 // and stores use them, and so does the kernel on behalf of the task
 // (kernel.Task's accessors, DESIGN.md §19). Only the goroutine running
 // the CPU's quantum may call them: the TLB is not synchronised.
+//
+// A span that crosses pages is served a page at a time from the TLB, up
+// to the first page the TLB cannot serve; the rest of the span, from that
+// page on, takes the locked path in one call. A fault is therefore raised
+// and counted once, at the first inaccessible byte, the pages before it
+// have been transferred, and a store touching executable pages advances
+// the code-mutation counter once — as one locked call over the whole span
+// would.
+
+// spans transfers [addr, addr+len(p)) page by page through the TLB with
+// copy(guest bytes, p) or its reverse, handing the rest of the span to
+// the matching locked call at the first page the TLB refuses. (The
+// locked calls are named, not passed in: a call through a func value
+// would make every caller's buffer escape.)
+func (c *CPU) spans(addr uint64, p []byte, write, priv bool) error {
+	for len(p) > 0 {
+		off := addr & (mem.PageSize - 1)
+		n := min(len(p), int(mem.PageSize-off))
+		h := c.lookup(addr, n, write, priv)
+		if h == nil {
+			switch {
+			case write && priv:
+				return c.AS.WriteForce(addr, p)
+			case write:
+				return c.AS.WriteAt(addr, p)
+			case priv:
+				return c.AS.ReadForce(addr, p)
+			}
+			return c.AS.ReadAt(addr, p)
+		}
+		if write {
+			copy(h.Data[off:], p[:n])
+		} else {
+			copy(p[:n], h.Data[off:])
+		}
+		addr += uint64(n)
+		p = p[n:]
+	}
+	return nil
+}
 
 // ReadAt reads len(p) bytes at addr, enforcing read permission.
 func (c *CPU) ReadAt(addr uint64, p []byte) error {
-	if h := c.lookup(addr, len(p), false, false); h != nil {
-		copy(p, h.Data[addr&(mem.PageSize-1):])
-		return nil
-	}
-	return c.AS.ReadAt(addr, p)
+	return c.spans(addr, p, false, false)
 }
 
 // WriteAt writes p at addr, enforcing write permission.
 func (c *CPU) WriteAt(addr uint64, p []byte) error {
-	if h := c.lookup(addr, len(p), true, false); h != nil {
-		copy(h.Data[addr&(mem.PageSize-1):], p)
-		return nil
+	return c.spans(addr, p, true, false)
+}
+
+// CheckRead reports what ReadAt of n bytes at addr would, without
+// copying them: nil, or the fault, raised and counted as ReadAt would.
+// The kernel checks a whole guest buffer with it before a transfer that
+// must not start unless every byte can be read.
+func (c *CPU) CheckRead(addr uint64, n int) error {
+	for n > 0 {
+		chunk := min(n, int(mem.PageSize-addr&(mem.PageSize-1)))
+		if c.lookup(addr, chunk, false, false) == nil {
+			return c.AS.CheckRead(addr, n)
+		}
+		addr += uint64(chunk)
+		n -= chunk
 	}
-	return c.AS.WriteAt(addr, p)
+	return nil
 }
 
 // ReadU64 reads a little-endian uint64 with read permission.
@@ -175,18 +223,10 @@ func (c *CPU) WriteU64(addr, v uint64) error {
 
 // ReadForce reads ignoring protections (kernel-privileged read).
 func (c *CPU) ReadForce(addr uint64, p []byte) error {
-	if h := c.lookup(addr, len(p), false, true); h != nil {
-		copy(p, h.Data[addr&(mem.PageSize-1):])
-		return nil
-	}
-	return c.AS.ReadForce(addr, p)
+	return c.spans(addr, p, false, true)
 }
 
 // WriteForce writes ignoring protections (kernel-privileged write).
 func (c *CPU) WriteForce(addr uint64, p []byte) error {
-	if h := c.lookup(addr, len(p), true, true); h != nil {
-		copy(h.Data[addr&(mem.PageSize-1):], p)
-		return nil
-	}
-	return c.AS.WriteForce(addr, p)
+	return c.spans(addr, p, true, true)
 }

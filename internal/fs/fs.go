@@ -578,15 +578,6 @@ func (h *File) Avail(off, max uint64) (uint64, error) {
 	return min(max, h.inode.Size-off), nil
 }
 
-// Read reads from the current offset.
-func (h *File) Read(p []byte) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n, err := h.ReadAt(p, h.off)
-	h.off += uint64(n)
-	return n, err
-}
-
 // ReadAt reads at an absolute offset. At EOF it returns (0, nil) — the
 // kernel translates that to a zero-byte read like Linux does.
 func (h *File) ReadAt(p []byte, off uint64) (int, error) {
@@ -617,6 +608,69 @@ func (h *File) ReadAt(p []byte, off uint64) (int, error) {
 	n := copy(p, h.inode.Data[off:])
 	h.inode.Atime = h.fs.clock()
 	return n, nil
+}
+
+// Sink is the far end of ReadTo: guest memory, for read(2). *kernel.Task
+// qualifies.
+type Sink interface {
+	WriteAt(addr uint64, p []byte) error
+}
+
+// ReadTo reads from the current offset into dst at addr: up to n bytes
+// are written to dst straight from the inode's data, under the
+// filesystem lock (lock order: the file, the filesystem, then whatever
+// dst takes). The offset advances past every byte the file held for the
+// read even when dst fails part-way, as a read(2) whose copy-out faults
+// still consumed them. It returns how many bytes that was and dst's
+// error; a file error (not readable, a directory) comes with 0, before
+// dst is touched.
+func (h *File) ReadTo(dst Sink, addr uint64, n int) (int, error) {
+	if h.flags&OpenRead == 0 {
+		return 0, ErrReadOnly
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	sealed := h.fs.Sealed()
+	if sealed {
+		h.fs.mu.RLock()
+		defer h.fs.mu.RUnlock()
+	} else {
+		h.fs.mu.Lock()
+		defer h.fs.mu.Unlock()
+	}
+	if h.inode.IsDir() {
+		return 0, ErrIsDir
+	}
+	if h.off >= h.inode.Size || n <= 0 {
+		return 0, nil
+	}
+	p := h.inode.Data[h.off:min(h.inode.Size, h.off+uint64(n))]
+	if !sealed {
+		h.inode.Atime = h.fs.clock()
+	}
+	h.off += uint64(len(p))
+	return len(p), dst.WriteAt(addr, p)
+}
+
+// SealedExtent returns up to n of the file's bytes from off on, aliasing
+// the inode's data, when the filesystem is sealed: those bytes can never
+// change, so they may be held by reference — a socket queues them instead
+// of a copy (netstack.Endpoint.WriteFrom). At or past EOF it returns no
+// bytes. ok is false when the filesystem is not sealed or the handle
+// cannot be read (not open for reading, a directory); ReadAt then copies,
+// or reports why not. The extent's capacity runs to EOF, so a queue can
+// tell that the next extent of the file continues it.
+func (h *File) SealedExtent(off uint64, n int) (p []byte, ok bool) {
+	if h.flags&OpenRead == 0 || !h.fs.Sealed() || h.inode.IsDir() {
+		return nil, false
+	}
+	// Size and Data are final once sealed (the Sealed load above orders
+	// this read after the last write), so no lock is needed.
+	size := h.inode.Size
+	if off >= size || n <= 0 {
+		return nil, true
+	}
+	return h.inode.Data[off:min(size, off+uint64(n)):size], true
 }
 
 // Write writes at the current offset (or at EOF with OpenAppend).

@@ -84,13 +84,13 @@ func TestAppendAndSeek(t *testing.T) {
 	if off, err := r.Seek(-3, 2); err != nil || off != 3 {
 		t.Fatalf("seek end-3: off=%d err=%v", off, err)
 	}
-	buf := make([]byte, 10)
-	n, _ := r.Read(buf)
-	if string(buf[:n]) != "bbb" {
-		t.Errorf("read after seek: %q", buf[:n])
+	sink := &sliceSink{mem: make([]byte, 10)}
+	n, _ := r.ReadTo(sink, 0, 10)
+	if string(sink.mem[:n]) != "bbb" {
+		t.Errorf("read after seek: %q", sink.mem[:n])
 	}
 	// Reading past EOF returns 0 bytes, no error (Linux semantics).
-	n, err = r.Read(buf)
+	n, err = r.ReadTo(sink, 0, 10)
 	if n != 0 || err != nil {
 		t.Errorf("read at EOF: n=%d err=%v", n, err)
 	}
@@ -491,7 +491,7 @@ func TestAvail(t *testing.T) {
 	if h.Offset() != 0 {
 		t.Errorf("Avail moved the offset to %d", h.Offset())
 	}
-	h.Read(make([]byte, 6))
+	h.ReadTo(&sliceSink{mem: make([]byte, 6)}, 0, 6)
 	if h.Offset() != 6 {
 		t.Errorf("Offset = %d after reading 6 bytes", h.Offset())
 	}
@@ -502,5 +502,97 @@ func TestAvail(t *testing.T) {
 	d, _ := f.Open("/d", OpenRead, 0)
 	if _, err := d.Avail(0, 4); !errors.Is(err, ErrIsDir) {
 		t.Errorf("Avail on a directory: %v", err)
+	}
+}
+
+// sliceSink is a Sink over a byte slice at base; writes past its end
+// fill what fits and fail.
+type sliceSink struct {
+	base  uint64
+	mem   []byte
+	calls int
+}
+
+var errSinkFault = errors.New("sink fault")
+
+func (s *sliceSink) WriteAt(addr uint64, p []byte) error {
+	s.calls++
+	n := copy(s.mem[addr-s.base:], p)
+	if n < len(p) {
+		return errSinkFault
+	}
+	return nil
+}
+
+// TestReadTo: ReadTo writes the file's bytes from the offset into the
+// sink, advancing the offset past all it had even when the sink fails
+// part-way; file errors come before the sink is touched, and EOF touches
+// nothing.
+func TestReadTo(t *testing.T) {
+	for _, sealed := range []bool{false, true} {
+		f := New(nil)
+		data := []byte("0123456789abcdef")
+		f.WriteFile("/f", data, 0o644)
+		f.Mkdir("/d", 0o755)
+		if sealed {
+			f.Seal()
+		}
+		h, _ := f.Open("/f", OpenRead, 0)
+		sink := &sliceSink{base: 100, mem: make([]byte, 32)}
+		if n, err := h.ReadTo(sink, 100, 10); n != 10 || err != nil || string(sink.mem[:10]) != "0123456789" {
+			t.Fatalf("sealed=%v: ReadTo = %d, %v; sink %q", sealed, n, err, sink.mem[:10])
+		}
+		// Six bytes left; the sink takes four of them and faults.
+		if n, err := h.ReadTo(sink, 128, 100); n != 6 || !errors.Is(err, errSinkFault) || string(sink.mem[28:]) != "abcd" {
+			t.Fatalf("sealed=%v: faulting ReadTo = %d, %v; sink %q", sealed, n, err, sink.mem[28:])
+		}
+		if off := h.Offset(); off != 16 {
+			t.Errorf("sealed=%v: offset %d after a faulting ReadTo, want 16", sealed, off)
+		}
+		calls := sink.calls
+		if n, err := h.ReadTo(sink, 100, 10); n != 0 || err != nil || sink.calls != calls {
+			t.Errorf("sealed=%v: ReadTo at EOF = %d, %v, %d sink calls", sealed, n, err, sink.calls-calls)
+		}
+		w, _ := f.Open("/f", OpenWrite, 0)
+		d, _ := f.Open("/d", OpenRead, 0)
+		for _, c := range []struct {
+			h    *File
+			want error
+		}{{w, ErrReadOnly}, {d, ErrIsDir}} {
+			if n, err := c.h.ReadTo(sink, 100, 10); n != 0 || !errors.Is(err, c.want) || sink.calls != calls {
+				t.Errorf("sealed=%v: ReadTo = %d, %v, %d sink calls; want 0, %v, none", sealed, n, err, sink.calls-calls, c.want)
+			}
+		}
+	}
+}
+
+// TestSealedExtent: only a sealed file lends its bytes — aliased, clipped
+// at EOF, with capacity to EOF — and an unreadable handle lends nothing.
+func TestSealedExtent(t *testing.T) {
+	f := New(nil)
+	f.WriteFile("/f", []byte("0123456789"), 0o644)
+	f.Mkdir("/d", 0o755)
+	h, _ := f.Open("/f", OpenRead, 0)
+	if _, ok := h.SealedExtent(0, 4); ok {
+		t.Fatal("an unsealed file lent its bytes")
+	}
+	f.Seal()
+	a, ok := h.SealedExtent(2, 4)
+	if !ok || string(a) != "2345" || cap(a) != 8 {
+		t.Fatalf("SealedExtent(2, 4) = %q (cap %d), %v", a, cap(a), ok)
+	}
+	b, ok := h.SealedExtent(6, 100)
+	if !ok || string(b) != "6789" || &a[:5][4] != &b[0] {
+		t.Fatalf("SealedExtent(6, 100) = %q, %v; or it does not continue the extent before it", b, ok)
+	}
+	if p, ok := h.SealedExtent(10, 4); !ok || len(p) != 0 {
+		t.Errorf("SealedExtent at EOF = %q, %v", p, ok)
+	}
+	w, _ := f.Open("/f", OpenWrite, 0)
+	d, _ := f.Open("/d", OpenRead, 0)
+	for _, c := range []*File{w, d} {
+		if _, ok := c.SealedExtent(0, 4); ok {
+			t.Error("a write-only handle or a directory lent bytes")
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"lazypoline/internal/fs"
 	"lazypoline/internal/kernel"
 )
 
@@ -211,5 +212,31 @@ func TestLibcSourcesDiffer(t *testing.T) {
 	}
 	if !strings.Contains(cl, "SYS_getrandom") || !strings.Contains(cl, "punpck xmm1") {
 		t.Error("Clear Linux libc lacks the ptmalloc_init pattern")
+	}
+}
+
+// TestInstallStaticContent: the served file is the alphabet repeated,
+// byte i being 'a'+i%26, at every size, and the filesystem is sealed.
+func TestInstallStaticContent(t *testing.T) {
+	for _, size := range []int{0, 1, 25, 26, 27, 52, 1000, 64<<10 + 3} {
+		fsys := fs.New(nil)
+		if err := InstallStatic(fsys, size); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fsys.ReadFile(StaticPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != size {
+			t.Fatalf("size %d: file holds %d bytes", size, len(got))
+		}
+		for i, b := range got {
+			if b != byte('a'+i%26) {
+				t.Fatalf("size %d: byte %d = %q, want %q", size, i, b, 'a'+i%26)
+			}
+		}
+		if !fsys.Sealed() {
+			t.Fatalf("size %d: the filesystem is not sealed", size)
+		}
 	}
 }

@@ -72,9 +72,11 @@ const StaticPath = "/www/static"
 // 'a'..'z' — at StaticPath and seals fsys: the content is final, so a
 // guest write fails with EROFS and reads do no atime work.
 func InstallStatic(fsys *fs.FS, size int) error {
+	// content[i] = 'a' + i%26, built by doubling a copied alphabet: every
+	// prefix copied is a multiple of 26 bytes long.
 	content := make([]byte, size)
-	for i := range content {
-		content[i] = byte('a' + i%26)
+	for n := copy(content, "abcdefghijklmnopqrstuvwxyz"); n < size; n *= 2 {
+		copy(content[n:], content[:n])
 	}
 	if err := fsys.MkdirAll(path.Dir(StaticPath), 0o755); err != nil {
 		return err

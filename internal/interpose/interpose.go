@@ -238,15 +238,26 @@ var saveOrder = [15]isa.Reg{
 	isa.R8, isa.R9, isa.R10, isa.R11, isa.R12, isa.R13, isa.R14, isa.R15,
 }
 
-// SavedRegOffset returns the stack offset (from RSP inside the hcall) of
-// a saved register.
-func SavedRegOffset(r isa.Reg) int64 {
-	for i, sr := range saveOrder {
-		if sr == r {
-			return int64(len(saveOrder)-1-i) * 8
-		}
+// savedRegOffsets is SavedRegOffset's answer for every register, built
+// once from saveOrder: ReadCall looks up seven slots per interposed
+// syscall.
+var savedRegOffsets = func() (offs [isa.NumRegs]int64) {
+	for r := range offs {
+		offs[r] = -1 // RSP is not saved
 	}
-	return -1 // RSP is not saved
+	for i, r := range saveOrder {
+		offs[r] = int64(len(saveOrder)-1-i) * 8
+	}
+	return offs
+}()
+
+// SavedRegOffset returns the stack offset (from RSP inside the hcall) of
+// a saved register, or -1 for one the stub does not save (RSP).
+func SavedRegOffset(r isa.Reg) int64 {
+	if int(r) >= len(savedRegOffsets) {
+		return -1
+	}
+	return savedRegOffsets[r]
 }
 
 // SavedRetAddrOffset is the stack offset of the call-rax return address.

@@ -42,6 +42,22 @@ func TestSavedRegOffsets(t *testing.T) {
 	}
 }
 
+// TestSavedRegOffsetTable: the offset table answers for every register
+// value what a scan of saveOrder does.
+func TestSavedRegOffsetTable(t *testing.T) {
+	for r := 0; r <= 255; r++ {
+		want := int64(-1)
+		for i, sr := range saveOrder {
+			if sr == isa.Reg(r) {
+				want = int64(len(saveOrder)-1-i) * 8
+			}
+		}
+		if got := SavedRegOffset(isa.Reg(r)); got != want {
+			t.Errorf("SavedRegOffset(%d) = %d, scan of saveOrder says %d", r, got, want)
+		}
+	}
+}
+
 func TestGSLayoutInvariants(t *testing.T) {
 	// The control words must not overlap the stacks, and everything must
 	// fit in one page.

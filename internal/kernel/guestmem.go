@@ -6,10 +6,11 @@ package kernel
 // the task's memory through these rather than through t.AS: they resolve
 // through the task's software D-TLB, so an access to a page the task has
 // touched takes no lock and, for a store to a non-executable page, issues
-// no page generation. Misses, page-crossing spans, executable pages and
-// every fault fall back to the locked AddressSpace path, so the bytes,
-// errors, fault addresses and the fault and code-mutation counters are
-// those of t.AS.ReadAt and friends.
+// no page generation; a span that crosses pages is served a page at a
+// time. Misses, executable pages and every fault hand the rest of the
+// span to the locked AddressSpace path, so the bytes, errors, fault
+// addresses and the fault and code-mutation counters are those of
+// t.AS.ReadAt and friends.
 //
 // The TLB is unsynchronised and belongs to the goroutine running the
 // task's quantum. Accesses to another task's memory (clone and execve
@@ -19,6 +20,11 @@ package kernel
 // ReadAt reads len(p) bytes at addr with the task's own read permission
 // (copy_from_user).
 func (t *Task) ReadAt(addr uint64, p []byte) error { return t.CPU.ReadAt(addr, p) }
+
+// CheckRead reports what ReadAt of n bytes at addr would — nil or the
+// fault, counted — without copying: a transfer that must not start
+// unless the whole buffer is readable checks it first.
+func (t *Task) CheckRead(addr uint64, n int) error { return t.CPU.CheckRead(addr, n) }
 
 // WriteAt writes p at addr with the task's own write permission
 // (copy_to_user).
@@ -38,3 +44,16 @@ func (t *Task) ReadForce(addr uint64, p []byte) error { return t.CPU.ReadForce(a
 // (kernel-privileged: signal frames, ptrace pokes); unmapped and
 // PROT_NONE pages still fault.
 func (t *Task) WriteForce(addr uint64, p []byte) error { return t.CPU.WriteForce(addr, p) }
+
+// guestSource is the task's memory as a netstack.Source: write(2) to a
+// socket reads the guest's buffer straight into the peer's receive
+// buffer with it, off being the guest address. The buffer has been
+// checked whole first (Task.CheckRead), so its reads do not fault.
+type guestSource Task
+
+func (g *guestSource) ReadAt(p []byte, addr uint64) (int, error) {
+	if err := (*Task)(g).ReadAt(addr, p); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}

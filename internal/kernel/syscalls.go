@@ -263,22 +263,21 @@ func (k *Kernel) sysRead(t *Task, args [6]uint64) sysResult {
 	// actually received. Short reads are legal for every byte stream —
 	// hardened guests loop until satisfied or EOF.
 	count = k.chaosShortIO(t, chaos.SiteShortRead, count)
-	var buf []byte
 	var n int
 	switch fd.Kind {
 	case FDConsole:
 		return sysRet(0) // console EOF
 	case FDFile:
-		// Sized first: stage what the file still holds, not what the
-		// guest's buffer could take.
-		avail, err := fd.File.Avail(fd.File.Offset(), count)
-		if err != nil {
+		// Straight from the file into guest memory. A fault part-way
+		// keeps the bytes before it and still consumes what the file
+		// held for the read, like a faulting copy_to_user.
+		var err error
+		n, err = fd.File.ReadTo(t, args[1], int(count))
+		if err != nil && n == 0 {
 			return sysErr(fsErrno(err))
 		}
-		buf = t.ioBuf(int(avail))
-		n, err = fd.File.Read(buf)
 		if err != nil {
-			return sysErr(fsErrno(err))
+			return sysErr(EFAULT)
 		}
 	case FDSocket:
 		if fd.Sock == nil {
@@ -292,7 +291,7 @@ func (k *Kernel) sysRead(t *Task, args [6]uint64) sysResult {
 		t.telAdoptCtx(fd.Sock.TraceCtx())
 		// What a socket holds is only known once Read has aged the
 		// segments in flight, so the staging is sized by count.
-		buf = t.ioBuf(int(count))
+		buf := t.ioBuf(int(count))
 		var err error
 		n, err = fd.Sock.Read(buf)
 		if errors.Is(err, netstack.ErrWouldBlock) {
@@ -307,13 +306,11 @@ func (k *Kernel) sysRead(t *Task, args [6]uint64) sysResult {
 		if err != nil {
 			return sysErr(EBADF)
 		}
-	default:
-		return sysErr(EBADF)
-	}
-	if n > 0 {
 		if err := t.WriteAt(args[1], buf[:n]); err != nil {
 			return sysErr(EFAULT)
 		}
+	default:
+		return sysErr(EBADF)
 	}
 	t.CPU.Cycles += k.Costs.CopyCost(n)
 	return sysRet(int64(n))
@@ -332,9 +329,19 @@ func (k *Kernel) sysWrite(t *Task, args [6]uint64) sysResult {
 	// return less than requested at any time; hardened guests advance
 	// the buffer and loop.
 	count = k.chaosShortIO(t, chaos.SiteShortWrite, count)
-	buf := t.ioBuf(int(count))
+	// The whole buffer is checked before the sink sees a byte (DESIGN.md
+	// §16). A socket then reads it straight from guest memory into the
+	// peer's receive buffer; the console and files take a staged copy.
+	var buf []byte
 	if count > 0 {
-		if err := t.ReadAt(args[1], buf); err != nil {
+		var err error
+		if fd.Kind == FDSocket {
+			err = t.CheckRead(args[1], int(count))
+		} else {
+			buf = t.ioBuf(int(count))
+			err = t.ReadAt(args[1], buf)
+		}
+		if err != nil {
 			return sysErr(EFAULT)
 		}
 	}
@@ -355,7 +362,7 @@ func (k *Kernel) sysWrite(t *Task, args [6]uint64) sysResult {
 		}
 		t.telAdoptCtx(fd.Sock.TraceCtx())
 		var err error
-		n, err = fd.Sock.Write(buf)
+		n, err = fd.Sock.WriteFrom((*guestSource)(t), args[1], int(count))
 		if errors.Is(err, netstack.ErrWouldBlock) {
 			if fd.Nonblock {
 				return sysErr(EAGAIN)
@@ -390,9 +397,10 @@ func (k *Kernel) sysWrite(t *Task, args [6]uint64) sysResult {
 // the socket is full.
 //
 // The transfer is sized before anything moves — the least of count, what
-// the file still holds and what the socket has room for — and the file
-// is then read straight into the peer's receive buffer by
-// Endpoint.WriteFrom: one host copy, no staging. The order of observable
+// the file still holds and what the socket has room for — and handed to
+// Endpoint.WriteFrom: a sealed file's bytes are queued by reference (no
+// host copy until a reader reads them), any other file's read straight
+// into the peer's receive buffer. The order of observable
 // effects is fixed (DESIGN.md §16): fd checks, offset pointer, chaos
 // short write, file error or EOF (0 is returned before the socket is
 // consulted at all), then Endpoint.Write's order, which WriteFrom shares —
@@ -433,8 +441,7 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 	if avail == 0 {
 		return sysRet(0) // EOF
 	}
-	// The file is read straight into the peer's receive buffer. A full
-	// socket sizes the transfer to nothing; WriteFrom is still called,
+	// A full socket sizes the transfer to nothing; WriteFrom is still called,
 	// with no bytes, so that the fault plan is consulted and a dead peer
 	// reported exactly as for a write that had something to send.
 	want := min(int(avail), out.Sock.WriteSpace())

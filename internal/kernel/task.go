@@ -467,13 +467,14 @@ type Task struct {
 //     data never has one), grows to the largest transfer seen, and is
 //     reused unzeroed: callers must fill every byte they pass on.
 //   - It is valid until the task's next ioBuf call. No callee keeps it:
-//     fs.File.Write, the ConsoleOut append, guest memory and the
-//     netstack receive buffer all copy, and a segment the fault plan
-//     holds back is copied into a slice of its own by Endpoint.Write.
+//     fs.File.Write, the ConsoleOut append and guest memory all copy.
 //
-// Its users are read, write, getdents64 and epoll_wait. sendfile needs
-// none: Endpoint.WriteFrom reads the file straight into the peer's
-// receive buffer.
+// Its users are read from a socket, write to a file or the console,
+// getdents64 and epoll_wait. The file and socket data paths need none
+// (DESIGN.md §16): read from a file copies the inode's bytes straight
+// into guest memory (fs.File.ReadTo), write to a socket reads the
+// guest's buffer straight into the peer's receive buffer, and sendfile
+// queues a sealed file's bytes by reference (Endpoint.WriteFrom).
 func (t *Task) ioBuf(n int) []byte {
 	if n > cap(t.io) {
 		t.io = make([]byte, max(n, 2*cap(t.io)))

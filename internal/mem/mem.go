@@ -545,9 +545,8 @@ func (as *AddressSpace) ProtAt(addr uint64) (Prot, bool) {
 // simulated CPUs over a shared CLONE_VM space) never serialise against
 // each other. A fault is reported at the first inaccessible byte; bytes
 // before it have already been copied out, matching Linux copy_from_user
-// partial-transfer semantics.
-func (as *AddressSpace) accessRead(addr uint64, dst []byte, need Prot, kind AccessKind) error {
-	n := len(dst)
+// partial-transfer semantics. A nil dst checks n bytes without copying.
+func (as *AddressSpace) accessRead(addr uint64, n int, dst []byte, need Prot, kind AccessKind) error {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
 	// Force (kernel-privileged) accesses pass need == ProtRWX and bypass
@@ -571,7 +570,9 @@ func (as *AddressSpace) accessRead(addr uint64, dst []byte, need Prot, kind Acce
 		if rem := n - off; chunk > rem {
 			chunk = rem
 		}
-		pg.read(dst[off:off+chunk], po)
+		if dst != nil {
+			pg.read(dst[off:off+chunk], po)
+		}
 		off += chunk
 	}
 	return nil
@@ -623,7 +624,13 @@ func (as *AddressSpace) accessWrite(addr uint64, src []byte, need Prot, kind Acc
 
 // ReadAt reads len(p) bytes at addr, enforcing read permission.
 func (as *AddressSpace) ReadAt(addr uint64, p []byte) error {
-	return as.accessRead(addr, p, ProtRead, AccessRead)
+	return as.accessRead(addr, len(p), p, ProtRead, AccessRead)
+}
+
+// CheckRead reports what ReadAt of n bytes at addr would — nil, or the
+// same fault, counted the same — without copying anything.
+func (as *AddressSpace) CheckRead(addr uint64, n int) error {
+	return as.accessRead(addr, n, nil, ProtRead, AccessRead)
 }
 
 // WriteAt writes p at addr, enforcing write permission.
@@ -634,7 +641,7 @@ func (as *AddressSpace) WriteAt(addr uint64, p []byte) error {
 // Fetch reads len(p) bytes at addr for instruction fetch, enforcing
 // execute permission.
 func (as *AddressSpace) Fetch(addr uint64, p []byte) error {
-	return as.accessRead(addr, p, ProtExec, AccessExec)
+	return as.accessRead(addr, len(p), p, ProtExec, AccessExec)
 }
 
 // PageGen records the generation of one page (by page number) observed at
@@ -855,7 +862,7 @@ func (as *AddressSpace) WriteForce(addr uint64, p []byte) error {
 func (as *AddressSpace) ReadForce(addr uint64, p []byte) error {
 	// Any mapped page passes: request a permission mask that matches any
 	// non-zero prot; pages with ProtNone still fault, matching Linux.
-	return as.accessRead(addr, p, ProtRWX, AccessRead)
+	return as.accessRead(addr, len(p), p, ProtRWX, AccessRead)
 }
 
 // ReadU64 reads a little-endian uint64 with read permission.

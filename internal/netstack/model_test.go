@@ -10,11 +10,14 @@ import (
 
 // This file pins the Endpoint data path against a deliberately naive
 // oracle: a bytes.Buffer per direction plus a slice of held segments.
-// Whatever memory the real receive buffer is made of, every Read,
-// Discard, Write, WriteFrom, Close, InjectRST, Ready and Buffered must
-// answer exactly as the oracle does, and RecvHighWater must reach the
-// same mark. WriteFrom is checked as a Write of the bytes its source
-// holds, Discard as a Read whose bytes nobody looks at.
+// Whatever memory the real receive buffer is made of — owned ring bytes
+// or extents held by reference — every Read, Discard, Write, WriteFrom,
+// Close, InjectRST, Ready and Buffered must answer exactly as the oracle
+// does, and RecvHighWater must reach the same mark. WriteFrom is checked
+// as a Write of the bytes its source holds, from each kind of source: one
+// that copies, a sealed one that lends its bytes, and one that stands for
+// guest memory, which changes again as soon as the write returns.
+// Discard is checked as a Read whose bytes nobody looks at.
 
 // coinPlan is a FaultPlan that flips seeded coins, so a given seed
 // replays the same drop/delay/reset schedule against model and endpoint.
@@ -229,6 +232,32 @@ func (s byteSource) ReadAt(p []byte, off uint64) (int, error) {
 	return copy(p, s[off:]), nil
 }
 
+// sealedBytes is a SealedSource: it lends its bytes, which the test never
+// changes, with their capacity running to its end, as fs.File does.
+type sealedBytes []byte
+
+func (s sealedBytes) ReadAt(p []byte, off uint64) (int, error) { return byteSource(s).ReadAt(p, off) }
+
+func (s sealedBytes) SealedExtent(off uint64, n int) ([]byte, bool) {
+	if off >= uint64(len(s)) {
+		return nil, true
+	}
+	return s[off:min(uint64(len(s)), off+uint64(n)):len(s)], true
+}
+
+// pagedSource stands for guest memory: it always holds what is asked for
+// and copies it a page at a time, and the test scribbles over it once the
+// write returns, so that a queue that kept a reference to it would hand
+// out garbage.
+type pagedSource []byte
+
+func (s pagedSource) ReadAt(p []byte, off uint64) (int, error) {
+	for done := 0; done < len(p); {
+		done += copy(p[done:min(len(p), done+4096)], s[int(off)+done:])
+	}
+	return len(p), nil
+}
+
 // poisonRingPool scribbles over every array on the free list, so that a
 // ring handing out a byte it was not written since it took its array
 // returns garbage the oracle does not have.
@@ -278,6 +307,15 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 	// left in a recycled array by an earlier connection do not line up
 	// with this one's.
 	next := [2]byte{byte(rng.Intn(256)), byte(rng.Intn(256))}
+	// Each side sends extents from its own sealed file, mostly from where
+	// the last one ended, so that runs of one file extend each other.
+	var files [2]sealedBytes
+	var fileOff [2]int
+	for j := range files {
+		files[j] = make(sealedBytes, 3*RecvBufSize)
+		rng.Read(files[j])
+	}
+	guest := make(pagedSource, 2*RecvBufSize+64)
 	scratch := make([]byte, 2*RecvBufSize)
 	want := make([]byte, len(scratch))
 	srcBuf := make([]byte, len(scratch)+64)
@@ -295,7 +333,35 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 				t.Fatalf("seed %d step %d: side %d Write(%d) = %d, %v; model %d, %v", seed, step, i, n, gn, gerr, wn, werr)
 			}
 			next[i] += byte(gn)
+		case op < 40:
+			// A sealed source: queued by reference, or held back by the
+			// fault plan by reference; one time in eight from a fresh
+			// offset, sometimes near the file's end, so that it holds
+			// fewer bytes than asked for.
+			n := size(RecvBufSize - m.side[1-i].rx.Len())
+			if rng.Intn(8) == 0 {
+				fileOff[i] = rng.Intn(len(files[i]) + 1)
+			}
+			f := files[i]
+			gn, gerr := ep[i].WriteFrom(f, uint64(fileOff[i]), n)
+			wn, werr := m.write(i, f[fileOff[i]:min(len(f), fileOff[i]+n)])
+			if gn != wn || !sameErr(gerr, werr) {
+				t.Fatalf("seed %d step %d: side %d WriteFrom(sealed, %d at %d) = %d, %v; model %d, %v", seed, step, i, n, fileOff[i], gn, gerr, wn, werr)
+			}
+			fileOff[i] += gn
 		case op < 45:
+			// Guest memory: copied, and scribbled over straight after.
+			n := size(RecvBufSize - m.side[1-i].rx.Len())
+			off := rng.Intn(64)
+			copy(guest[off:off+n], ramp[next[i]:])
+			gn, gerr := ep[i].WriteFrom(guest, uint64(off), n)
+			wn, werr := m.write(i, guest[off:off+n])
+			if gn != wn || !sameErr(gerr, werr) {
+				t.Fatalf("seed %d step %d: side %d WriteFrom(guest, %d) = %d, %v; model %d, %v", seed, step, i, n, gn, gerr, wn, werr)
+			}
+			rng.Read(guest[off : off+n])
+			next[i] += byte(gn)
+		case op < 50:
 			// The source starts past a junk prefix and, one time in
 			// four, holds fewer bytes than asked for.
 			n := size(RecvBufSize - m.side[1-i].rx.Len())
@@ -347,6 +413,14 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 			}
 		}
 		for j := range ep {
+			if m.side[j].closed {
+				ep[j].mu.Lock()
+				held := ep[j].rx.buf != nil || ep[j].rx.x != nil
+				ep[j].mu.Unlock()
+				if held {
+					t.Fatalf("seed %d step %d: closed side %d holds a receive array or extent list", seed, step, j)
+				}
+			}
 			if g, w := ep[j].Buffered(), m.side[j].rx.Len(); g != w {
 				t.Fatalf("seed %d step %d: side %d Buffered = %d, model %d", seed, step, j, g, w)
 			}
@@ -372,9 +446,10 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 }
 
 // TestEndpointMatchesModel drives random operation sequences — wrapping,
-// exactly-full and over-full writes, short sources, held segments,
-// closes that flush them, resets — through a pipe and through a
-// fault-carrying connection. The 48 connections run one after another in
+// exactly-full and over-full writes, short sources, sealed extents and
+// guest buffers, reads and discards across extents, held (dropped or
+// delayed) segments of every kind, closes that flush them, resets —
+// through a pipe and through a fault-carrying connection. The 48 connections run one after another in
 // one process, each taking the arrays the ones before it gave back.
 func TestEndpointMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {

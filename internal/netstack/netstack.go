@@ -406,7 +406,7 @@ type Endpoint struct {
 	ver atomic.Uint64
 
 	mu     sync.Mutex
-	rx     ring // receive buffer
+	rx     rxQueue // receive buffer
 	peer   *Endpoint
 	closed bool
 	reset  bool // hard-closed by an injected RST
@@ -462,7 +462,9 @@ func (e *Endpoint) bumpHub() {
 	}
 }
 
-// stagedSegment is an in-flight segment awaiting (re)delivery.
+// stagedSegment is an in-flight segment awaiting (re)delivery. data never
+// changes — a sealed source's bytes or a private copy — so delivery
+// queues it by reference.
 type stagedSegment struct {
 	data []byte
 	hold int // reader polls remaining before delivery
@@ -511,7 +513,7 @@ func (e *Endpoint) read(p []byte, n int) (int, error) {
 		}
 		return 0, ErrClosed
 	}
-	if e.rx.n == 0 {
+	if e.rx.len() == 0 {
 		peer := e.peer
 		e.mu.Unlock()
 		// Peer state is checked with our own lock released so that two
@@ -542,10 +544,14 @@ func (e *Endpoint) Write(p []byte) (int, error) { return e.write(segment{p: p}, 
 
 // WriteFrom is Write with the bytes read from src at off instead of
 // passed in: up to n of them are read straight into the peer's receive
-// buffer, so a file reaches the reader with one copy. It returns fewer
-// than n when src holds fewer, and src's error, with nothing sent, when
-// the read fails. Lock order: the endpoint's mu, then whatever src takes
-// (the filesystem lock, for an *fs.File).
+// buffer, so a file or a guest buffer reaches the reader with one copy —
+// or none, when src is a SealedSource that lends them: they are then
+// queued (or held back by the fault plan) by reference, and a reader's
+// Read copies them out once while Discard, Close and a reset drop them
+// untouched. It returns fewer than n when src holds fewer, and src's
+// error, with nothing sent, when the read fails. Lock order: the
+// endpoint's mu, then whatever src takes (the filesystem lock, for an
+// *fs.File; the address space's, for guest memory).
 func (e *Endpoint) WriteFrom(src Source, off uint64, n int) (int, error) {
 	return e.write(segment{src: src, off: off}, n)
 }
@@ -603,15 +609,23 @@ func (e *Endpoint) write(seg segment, n int) (int, error) {
 			}
 		}
 	}
+	ext, byRef := seg.sealed(n)
 	e.mu.Lock()
 	if hold > 0 || len(e.stage) > 0 {
-		data := make([]byte, n)
-		got, err := seg.readAt(data, 0)
-		if err != nil {
-			e.mu.Unlock()
-			return 0, err
+		// A held segment is delivered by reference: the source's own
+		// bytes when it lends them, else a private copy nobody changes.
+		data := ext
+		if !byRef {
+			data = make([]byte, n)
+			got, err := seg.readAt(data, 0)
+			if err != nil {
+				e.mu.Unlock()
+				return 0, err
+			}
+			data = data[:got]
 		}
-		e.stage = append(e.stage, stagedSegment{data: data[:got], hold: hold})
+		got := len(data)
+		e.stage = append(e.stage, stagedSegment{data: data, hold: hold})
 		e.mu.Unlock()
 		// Accepted into the send buffer. The peer's polls now age it, so
 		// none of them may be skipped until it is delivered.
@@ -628,8 +642,15 @@ func (e *Endpoint) write(seg segment, n int) (int, error) {
 		peer.mu.Unlock()
 		return 0, ErrPipe
 	}
-	got, err := peer.rx.fill(seg, n)
-	depth := uint64(peer.rx.n)
+	var got int
+	var err error
+	if byRef {
+		peer.rx.hold(ext)
+		got = len(ext)
+	} else {
+		got, err = peer.rx.fill(seg, n)
+	}
+	depth := uint64(peer.rx.len())
 	peer.mu.Unlock()
 	if err != nil {
 		return 0, err
@@ -690,9 +711,9 @@ func (e *Endpoint) tickStaged() (settled bool) {
 		return settled
 	}
 	for _, d := range due {
-		e.rx.write(d)
+		e.rx.hold(d)
 	}
-	depth := uint64(e.rx.n)
+	depth := uint64(e.rx.len())
 	e.mu.Unlock()
 	if e.stats != nil {
 		e.stats.setMax(&e.stats.RecvHighWater, depth)
@@ -774,7 +795,7 @@ func (e *Endpoint) Close() {
 		peer.mu.Lock()
 		if !peer.closed {
 			for _, seg := range stage {
-				peer.rx.write(seg.data)
+				peer.rx.hold(seg.data)
 			}
 		}
 		peer.mu.Unlock()
@@ -796,7 +817,7 @@ func (e *Endpoint) isClosed() bool {
 func (e *Endpoint) Buffered() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.rx.n
+	return e.rx.len()
 }
 
 // Ready returns the current readiness mask: Poll without the version.
@@ -813,7 +834,7 @@ func (e *Endpoint) Poll() (Readiness, uint64, bool) {
 	ver := e.ver.Load()
 	settled := e.tickStaged()
 	e.mu.Lock()
-	bufLen := e.rx.n
+	bufLen := e.rx.len()
 	closed := e.closed
 	peer := e.peer
 	e.mu.Unlock()
@@ -839,14 +860,14 @@ func (e *Endpoint) Version() uint64 { return e.ver.Load() }
 func (e *Endpoint) space() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return RecvBufSize - e.rx.n
+	return RecvBufSize - e.rx.len()
 }
 
 // closedSpace is isClosed and space under one lock.
 func (e *Endpoint) closedSpace() (bool, int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.closed, RecvBufSize - e.rx.n
+	return e.closed, RecvBufSize - e.rx.len()
 }
 
 var (

@@ -5,16 +5,177 @@ import (
 	"sync"
 )
 
-// ring is an endpoint's receive buffer: a byte queue over one backing
-// array. Nothing is allocated until the first byte arrives (idle
+// rxQueue is an endpoint's receive queue: a byte stream made of owned
+// bytes, copied into a ring, and extents — immutable bytes held by
+// reference — in the order they were queued. Its length, not the ring's,
+// is what RecvBufSize bounds. Guarded by the owning endpoint's mu.
+type rxQueue struct {
+	ring
+	// x holds the extents; nil until the first arrives, and taken from
+	// and given back to a process-wide free list like the ring's arrays.
+	x *extents
+}
+
+// extents is the by-reference part of a receive queue.
+type extents struct {
+	q     []extent // q[head:] are queued, oldest first
+	head  int
+	owned int // ring bytes queued ahead of the last extent: the sum of q[head:].before
+	bytes int // the sum of len(q[head:].p)
+}
+
+// extent is one run of bytes held by reference, with the count of owned
+// ring bytes that come before it in the stream, after the extent ahead.
+type extent struct {
+	p      []byte
+	before int
+}
+
+// len is the number of unread bytes, owned and by reference.
+func (q *rxQueue) len() int {
+	if q.x == nil {
+		return q.ring.n
+	}
+	return q.ring.n + q.x.bytes
+}
+
+// hold queues p by reference, behind every byte queued so far. p must
+// never change while it is queued. A run that continues the last extent
+// in memory (the next range of the same sealed file, with nothing queued
+// between) extends it instead of taking a slot.
+func (q *rxQueue) hold(p []byte) {
+	if len(p) == 0 {
+		return
+	}
+	if q.x == nil {
+		q.x = extentPool.get()
+	}
+	x := q.x
+	before := q.ring.n - x.owned
+	if last := len(x.q) - 1; before == 0 && last >= x.head && follows(x.q[last].p, p) {
+		x.q[last].p = x.q[last].p[:len(x.q[last].p)+len(p)]
+	} else {
+		if len(x.q) == cap(x.q) && x.head > 0 {
+			// Reuse the slots already read before growing.
+			live := copy(x.q, x.q[x.head:])
+			clear(x.q[live:])
+			x.q, x.head = x.q[:live], 0
+		}
+		x.q = append(x.q, extent{p: p, before: before})
+		x.owned = q.ring.n
+	}
+	x.bytes += len(p)
+}
+
+// follows reports whether b starts where a ends, inside a's capacity.
+func follows(a, b []byte) bool {
+	return cap(a)-len(a) >= len(b) && &a[:len(a)+1][len(a)] == &b[0]
+}
+
+// read dequeues up to n bytes in stream order, copying them into p unless
+// p is nil: owned bytes out of the ring, extents' bytes straight from
+// where they are held. Without a destination an extent is dropped
+// unread.
+func (q *rxQueue) read(p []byte, n int) int {
+	n = min(n, q.len())
+	x := q.x
+	done := 0
+	for done < n {
+		var dst []byte
+		if p != nil {
+			dst = p[done:n]
+		}
+		if x == nil || x.head == len(x.q) {
+			done += q.ring.read(dst, n-done) // owned bytes after the last extent
+			break
+		}
+		e := &x.q[x.head]
+		if e.before > 0 {
+			c := q.ring.read(dst, min(e.before, n-done))
+			e.before -= c
+			x.owned -= c
+			done += c
+			continue
+		}
+		c := min(len(e.p), n-done)
+		copy(dst, e.p[:c])
+		e.p = e.p[c:]
+		x.bytes -= c
+		done += c
+		if len(e.p) == 0 {
+			*e = extent{}
+			if x.head++; x.head == len(x.q) {
+				x.q, x.head = x.q[:0], 0
+			}
+		}
+	}
+	return done
+}
+
+// release drops everything queued — extents unread — and gives the
+// ring's array and the extent list back to their free lists. A closed
+// endpoint holds neither.
+func (q *rxQueue) release() {
+	q.ring.release()
+	if q.x != nil {
+		extentPool.put(q.x)
+		q.x = nil
+	}
+}
+
+// extentPoolSize bounds the extent lists the free list keeps, and
+// extentPoolCap the slots of any one of them: a list a pathological
+// stream of tiny extents grew is left to the collector.
+const (
+	extentPoolSize = 4096
+	extentPoolCap  = 256
+)
+
+// extentFreeList is the free list of extent lists, mutex-guarded for the
+// reasons arrayPool gives.
+type extentFreeList struct {
+	mu   sync.Mutex
+	free []*extents
+}
+
+// extentPool is the process-wide free list every receive queue draws
+// its extent list from.
+var extentPool extentFreeList
+
+func (l *extentFreeList) get() *extents {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		return x
+	}
+	return &extents{}
+}
+
+// put empties x, dropping its references, and keeps it if there is room.
+func (l *extentFreeList) put(x *extents) {
+	if cap(x.q) > extentPoolCap {
+		return
+	}
+	clear(x.q[:cap(x.q)])
+	*x = extents{q: x.q[:0]}
+	l.mu.Lock()
+	if len(l.free) < extentPoolSize {
+		l.free = append(l.free, x)
+	}
+	l.mu.Unlock()
+}
+
+// ring is the owned part of a receive queue: a byte queue over one
+// backing array. Nothing is allocated until the first byte arrives (idle
 // connections and unused pipe ends cost nothing); the array is then
 // taken from the process-wide free list (ringPool) and, whenever a write
 // does not fit, swapped for one of at least twice the size, rounded up
-// to a power of two: up to RecvBufSize — all that Write's space check
-// ever admits — and past it only for the one case that overfills by
-// design, a close flushing held segments. Every array it gives up (on
-// growth, on the last Close, on a reset) goes back to the list. Guarded
-// by the owning endpoint's mu.
+// to a power of two, up to RecvBufSize — all that Write's space check
+// ever admits. Every array it gives up (on growth, on the last Close, on
+// a reset) goes back to the list.
 type ring struct {
 	buf  []byte // backing array; len(buf) is the capacity
 	head int    // index of the oldest unread byte
@@ -24,9 +185,6 @@ type ring struct {
 // minRingSize is the first backing array's size: room for a request
 // line or a response header without a second allocation.
 const minRingSize = 512
-
-// write queues p, growing the backing array if p does not fit.
-func (r *ring) write(p []byte) { r.fill(segment{p: p}, len(p)) }
 
 // fill queues up to n bytes of seg, read straight into the free tail of
 // the backing array — in two pieces when that wraps — growing the array
@@ -57,14 +215,10 @@ func (r *ring) fill(seg segment, n int) (int, error) {
 	return got, nil
 }
 
-// grow moves the queue to the front of an array of at least need bytes,
-// giving the old one back to the free list.
+// grow moves the queue to the front of an array of at least need bytes
+// (need <= RecvBufSize), giving the old one back to the free list.
 func (r *ring) grow(need int) {
-	size := max(2*len(r.buf), need, minRingSize)
-	if need <= RecvBufSize {
-		size = minRingSize << ringClass(min(size, RecvBufSize)) // round up to a class
-	}
-	buf := ringPool.get(size)
+	buf := ringPool.get(minRingSize << ringClass(min(max(2*len(r.buf), need, minRingSize), RecvBufSize)))
 	c := copy(buf[:r.n], r.buf[r.head:])
 	copy(buf[c:r.n], r.buf)
 	ringPool.put(r.buf)
@@ -72,7 +226,7 @@ func (r *ring) grow(need int) {
 }
 
 // release gives the backing array back to the free list and empties the
-// ring. A closed endpoint holds no array.
+// ring.
 func (r *ring) release() {
 	ringPool.put(r.buf)
 	*r = ring{}
@@ -126,22 +280,19 @@ type arrayPool struct {
 // ringPool is the process-wide free list every ring draws from.
 var ringPool arrayPool
 
-// get returns an array of size bytes: a class size, or (only for the
-// close-flush overfill) more than RecvBufSize, which is never pooled.
+// get returns an array of size bytes, a class size.
 func (p *arrayPool) get(size int) []byte {
-	if size <= RecvBufSize {
-		c := ringClass(size)
-		p.mu.Lock()
-		if l := p.free[c]; len(l) > 0 {
-			buf := l[len(l)-1]
-			l[len(l)-1] = nil
-			p.free[c] = l[:len(l)-1]
-			p.bytes -= len(buf)
-			p.mu.Unlock()
-			return buf
-		}
+	c := ringClass(size)
+	p.mu.Lock()
+	if l := p.free[c]; len(l) > 0 {
+		buf := l[len(l)-1]
+		l[len(l)-1] = nil
+		p.free[c] = l[:len(l)-1]
+		p.bytes -= len(buf)
 		p.mu.Unlock()
+		return buf
 	}
+	p.mu.Unlock()
 	return make([]byte, size)
 }
 
@@ -161,10 +312,20 @@ func (p *arrayPool) put(buf []byte) {
 	p.mu.Unlock()
 }
 
-// Source is what WriteFrom reads the bytes it sends from. *fs.File
-// qualifies: sendfile reads the file straight into the peer's ring.
+// Source is what WriteFrom reads the bytes it sends from: *fs.File for
+// sendfile, guest memory for write(2).
 type Source interface {
 	ReadAt(p []byte, off uint64) (int, error)
+}
+
+// SealedSource is a Source whose bytes never change, which may lend them
+// instead of copying them: WriteFrom queues what SealedExtent returns by
+// reference. *fs.File qualifies, on a sealed filesystem.
+type SealedSource interface {
+	Source
+	// SealedExtent returns up to n bytes from off on (fewer where the
+	// source ends), or ok false when it cannot promise they never change.
+	SealedExtent(off uint64, n int) (p []byte, ok bool)
 }
 
 // segment is the bytes one Write or WriteFrom hands the connection:
@@ -182,4 +343,13 @@ func (s segment) readAt(dst []byte, at int) (int, error) {
 		return copy(dst, s.p[at:]), nil
 	}
 	return s.src.ReadAt(dst, s.off+uint64(at))
+}
+
+// sealed returns up to n of the segment's bytes by reference, when its
+// source can lend them.
+func (s segment) sealed(n int) ([]byte, bool) {
+	if src, ok := s.src.(SealedSource); ok {
+		return src.SealedExtent(s.off, n)
+	}
+	return nil, false
 }

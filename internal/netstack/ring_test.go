@@ -152,11 +152,44 @@ func TestWriteRacingPeerCloseLeavesNoBuffer(t *testing.T) {
 				t.Fatalf("faults %v iter %d: the closed side has %d bytes buffered", faults, iter, n)
 			}
 			server.mu.Lock()
-			held := server.rx.buf != nil
+			held := server.rx.buf != nil || server.rx.x != nil
 			server.mu.Unlock()
 			if held {
-				t.Fatalf("faults %v iter %d: the closed side holds a receive array", faults, iter)
+				t.Fatalf("faults %v iter %d: the closed side holds a receive array or extent list", faults, iter)
 			}
 		}
+	}
+}
+
+// TestSealedExtentsByReference: a sealed source's bytes are queued by
+// reference — no ring array is taken for them — and consecutive runs of
+// one source share a slot; owned bytes written between them keep their
+// place in the stream; Discard drops extents unread.
+func TestSealedExtentsByReference(t *testing.T) {
+	r, w := NewPipe()
+	defer r.Close()
+	defer w.Close()
+	file := sealedBytes(ramp[:4096:4096])
+	for off := 0; off < 3000; off += 1000 {
+		if n, err := w.WriteFrom(file, uint64(off), 1000); n != 1000 || err != nil {
+			t.Fatalf("WriteFrom(%d) = %d, %v", off, n, err)
+		}
+	}
+	if r.rx.buf != nil || len(r.rx.x.q)-r.rx.x.head != 1 {
+		t.Fatalf("three runs of one file: ring array %v, %d extents; want none, 1", r.rx.buf != nil, len(r.rx.x.q)-r.rx.x.head)
+	}
+	w.Write([]byte("hdr"))
+	w.WriteFrom(file, 3000, 10)
+	got := make([]byte, 3013)
+	if n, err := r.Read(got); n != len(got) || err != nil {
+		t.Fatalf("Read = %d, %v", n, err)
+	}
+	want := append(append(append([]byte{}, ramp[:3000]...), "hdr"...), ramp[3000:3010]...)
+	if !bytes.Equal(got, want) {
+		t.Fatal("the stream is not the file's bytes, the owned header and the file's again, in order")
+	}
+	w.WriteFrom(file, 0, 4096)
+	if n, err := r.Discard(5000); n != 4096 || err != nil || r.Buffered() != 0 {
+		t.Fatalf("Discard = %d, %v; %d left", n, err, r.Buffered())
 	}
 }

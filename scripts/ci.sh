@@ -96,8 +96,8 @@ make fuzz FUZZTIME=5s
 
 # The command surface at CI size (Makefile `smoke`): one build of
 # lazysim runs every snapshot at its smoke size, the run/trace telemetry
-# round trip, the fleet request-tree round trip and the two policy attack
-# demos. Engine, chaos, policy, telemetry, request-tracing and parallel
+# round trip, the fleet request-tree round trip, the two policy attack
+# demos and the five examples/ programs. Engine, chaos, policy, telemetry, request-tracing and parallel
 # invariance are Go tests in the -race run above (TestExecEquivalence,
 # TestChaosInvariance*, TestPolicyInvariance*,
 # TestFigure5ParallelDeterminism, TestFleetBenchDeterminism).
