@@ -399,8 +399,8 @@ func (k *Kernel) sysWrite(t *Task, args [6]uint64) sysResult {
 // The transfer is sized before anything moves — the least of count, what
 // the file still holds and what the socket has room for — and handed to
 // Endpoint.WriteFrom: a sealed file's bytes are queued by reference (no
-// host copy until a reader reads them), any other file's read straight
-// into the peer's receive buffer. The order of observable
+// host copy until a reader reads them), any other file's are read
+// straight into the peer's receive buffer. The order of observable
 // effects is fixed (DESIGN.md §16): fd checks, offset pointer, chaos
 // short write, file error or EOF (0 is returned before the socket is
 // consulted at all), then Endpoint.Write's order, which WriteFrom shares —
