@@ -123,12 +123,13 @@ func (q *rxQueue) release() {
 	}
 }
 
-// extentPoolSize bounds the extent lists the free list keeps, and
-// extentPoolCap the slots of any one of them: a list a pathological
-// stream of tiny extents grew is left to the collector.
+// extentPoolSize bounds the extent lists the free list keeps — more than
+// a serving cell's connections — and extentPoolCap the slots of any one
+// of them, so the list holds at most 2 MiB of slots: a list that a
+// stream of many small extents grew is left to the collector.
 const (
-	extentPoolSize = 4096
-	extentPoolCap  = 256
+	extentPoolSize = 1024
+	extentPoolCap  = 64
 )
 
 // extentFreeList is the free list of extent lists, mutex-guarded for the

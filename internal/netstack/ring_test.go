@@ -193,3 +193,29 @@ func TestSealedExtentsByReference(t *testing.T) {
 		t.Fatalf("Discard = %d, %v; %d left", n, err, r.Buffered())
 	}
 }
+
+// TestExtentPoolBounds: the extent free list keeps no list past
+// extentPoolCap slots and never more than extentPoolSize lists, and a
+// list it hands out holds no reference to what was queued before.
+func TestExtentPoolBounds(t *testing.T) {
+	extentPool.put(&extents{q: make([]extent, 0, extentPoolCap+1)})
+	for i := 0; i < extentPoolSize+8; i++ {
+		x := &extents{q: make([]extent, 2, extentPoolCap), head: 1, owned: 3, bytes: 4}
+		x.q[0].p, x.q[1].p = ramp[:1], ramp[1:2]
+		extentPool.put(x)
+	}
+	extentPool.mu.Lock()
+	n := len(extentPool.free)
+	for _, x := range extentPool.free {
+		if cap(x.q) > extentPoolCap {
+			t.Errorf("the free list keeps a list of %d slots", cap(x.q))
+		}
+		if x.head != 0 || x.owned != 0 || x.bytes != 0 || len(x.q) != 0 || cap(x.q) > 0 && x.q[:cap(x.q)][0].p != nil {
+			t.Fatal("a pooled extent list is not empty or still references queued bytes")
+		}
+	}
+	extentPool.mu.Unlock()
+	if n > extentPoolSize {
+		t.Errorf("free list keeps %d extent lists, bound %d", n, extentPoolSize)
+	}
+}
