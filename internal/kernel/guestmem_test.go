@@ -239,3 +239,30 @@ func FuzzTaskAccessors(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) { runAccessProgram(t, prog) })
 }
+
+// TestCheckReadMatchesReadAt: after each random program, CheckRead of
+// random spans answers what ReadAt of the same span does — the same
+// error at the same address, and one fault counted when it fails — on
+// pages the TLB holds and pages it does not.
+func TestCheckReadMatchesReadAt(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := make([]byte, 8*60)
+		rng.Read(prog)
+		ap := runAccessProgram(t, prog)
+		for i := 0; i < 200; i++ {
+			addr := accessBase + uint64(rng.Intn(accessPages*mem.PageSize))
+			n := rng.Intn(3 * mem.PageSize)
+			before := ap.task.AS.Stats().Faults
+			gerr := ap.task.CheckRead(addr, n)
+			checked := ap.task.AS.Stats().Faults - before
+			before = ap.oracle.Stats().Faults
+			werr := ap.oracle.ReadAt(addr, make([]byte, n))
+			read := ap.oracle.Stats().Faults - before
+			sameError(t, "CheckRead", gerr, werr)
+			if checked != read {
+				t.Fatalf("seed %d: CheckRead(%#x, %d) counted %d faults, ReadAt %d", seed, addr, n, checked, read)
+			}
+		}
+	}
+}
