@@ -658,8 +658,7 @@ func (h *File) ReadTo(dst Sink, addr uint64, n int) (int, error) {
 // of a copy (netstack.Endpoint.WriteFrom). At or past EOF it returns no
 // bytes. ok is false when the filesystem is not sealed or the handle
 // cannot be read (not open for reading, a directory); ReadAt then copies,
-// or reports why not. The extent's capacity runs to EOF, so a queue can
-// tell that the next extent of the file continues it.
+// or reports why not.
 func (h *File) SealedExtent(off uint64, n int) (p []byte, ok bool) {
 	if h.flags&OpenRead == 0 || !h.fs.Sealed() || h.inode.IsDir() {
 		return nil, false
@@ -670,7 +669,7 @@ func (h *File) SealedExtent(off uint64, n int) (p []byte, ok bool) {
 	if off >= size || n <= 0 {
 		return nil, true
 	}
-	return h.inode.Data[off:min(size, off+uint64(n)):size], true
+	return h.inode.Data[off:min(size, off+uint64(n))], true
 }
 
 // Write writes at the current offset (or at EOF with OpenAppend).

@@ -233,7 +233,7 @@ func (s byteSource) ReadAt(p []byte, off uint64) (int, error) {
 }
 
 // sealedBytes is a SealedSource: it lends its bytes, which the test never
-// changes, with their capacity running to its end, as fs.File does.
+// changes, as fs.File does.
 type sealedBytes []byte
 
 func (s sealedBytes) ReadAt(p []byte, off uint64) (int, error) { return byteSource(s).ReadAt(p, off) }
@@ -242,7 +242,7 @@ func (s sealedBytes) SealedExtent(off uint64, n int) ([]byte, bool) {
 	if off >= uint64(len(s)) {
 		return nil, true
 	}
-	return s[off:min(uint64(len(s)), off+uint64(n)):len(s)], true
+	return s[off:min(uint64(len(s)), off+uint64(n))], true
 }
 
 // pagedSource stands for guest memory: it always holds what is asked for
@@ -308,7 +308,8 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 	// with this one's.
 	next := [2]byte{byte(rng.Intn(256)), byte(rng.Intn(256))}
 	// Each side sends extents from its own sealed file, mostly from where
-	// the last one ended, so that runs of one file extend each other.
+	// the last one ended, so that the queue holds runs of one file side
+	// by side.
 	var files [2]sealedBytes
 	var fileOff [2]int
 	for j := range files {
@@ -320,9 +321,13 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 	want := make([]byte, len(scratch))
 	srcBuf := make([]byte, len(scratch)+64)
 	size := func(exact int) int { return min(pickSize(rng, exact), len(scratch)) }
-	for step := 0; step < 4000; step++ {
+	// The sealed and guest-memory writes draw from past the 100 the other
+	// operations share, with steps to match, so that every other
+	// operation runs as often per connection as it would among the 100
+	// alone.
+	for step := 0; step < 4600; step++ {
 		i := rng.Intn(2)
-		switch op := rng.Intn(100); {
+		switch op := rng.Intn(115); {
 		case op < 30:
 			n := size(RecvBufSize - m.side[1-i].rx.Len())
 			p := scratch[:n]
@@ -333,35 +338,7 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 				t.Fatalf("seed %d step %d: side %d Write(%d) = %d, %v; model %d, %v", seed, step, i, n, gn, gerr, wn, werr)
 			}
 			next[i] += byte(gn)
-		case op < 40:
-			// A sealed source: queued by reference, or held back by the
-			// fault plan by reference; one time in eight from a fresh
-			// offset, sometimes near the file's end, so that it holds
-			// fewer bytes than asked for.
-			n := size(RecvBufSize - m.side[1-i].rx.Len())
-			if rng.Intn(8) == 0 {
-				fileOff[i] = rng.Intn(len(files[i]) + 1)
-			}
-			f := files[i]
-			gn, gerr := ep[i].WriteFrom(f, uint64(fileOff[i]), n)
-			wn, werr := m.write(i, f[fileOff[i]:min(len(f), fileOff[i]+n)])
-			if gn != wn || !sameErr(gerr, werr) {
-				t.Fatalf("seed %d step %d: side %d WriteFrom(sealed, %d at %d) = %d, %v; model %d, %v", seed, step, i, n, fileOff[i], gn, gerr, wn, werr)
-			}
-			fileOff[i] += gn
 		case op < 45:
-			// Guest memory: copied, and scribbled over straight after.
-			n := size(RecvBufSize - m.side[1-i].rx.Len())
-			off := rng.Intn(64)
-			copy(guest[off:off+n], ramp[next[i]:])
-			gn, gerr := ep[i].WriteFrom(guest, uint64(off), n)
-			wn, werr := m.write(i, guest[off:off+n])
-			if gn != wn || !sameErr(gerr, werr) {
-				t.Fatalf("seed %d step %d: side %d WriteFrom(guest, %d) = %d, %v; model %d, %v", seed, step, i, n, gn, gerr, wn, werr)
-			}
-			rng.Read(guest[off : off+n])
-			next[i] += byte(gn)
-		case op < 50:
 			// The source starts past a junk prefix and, one time in
 			// four, holds fewer bytes than asked for.
 			n := size(RecvBufSize - m.side[1-i].rx.Len())
@@ -405,12 +382,40 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 				ep[i].Close()
 				m.close(i)
 			}
-		default:
+		case op < 100:
 			if rng.Intn(40) == 0 {
 				ep[i].InjectRST()
 				m.resets++
 				m.kill()
 			}
+		case op < 110:
+			// A sealed source: queued by reference, or held back by the
+			// fault plan by reference; one time in eight from a fresh
+			// offset, sometimes near the file's end, so that it holds
+			// fewer bytes than asked for.
+			n := size(RecvBufSize - m.side[1-i].rx.Len())
+			if rng.Intn(8) == 0 {
+				fileOff[i] = rng.Intn(len(files[i]) + 1)
+			}
+			f := files[i]
+			gn, gerr := ep[i].WriteFrom(f, uint64(fileOff[i]), n)
+			wn, werr := m.write(i, f[fileOff[i]:min(len(f), fileOff[i]+n)])
+			if gn != wn || !sameErr(gerr, werr) {
+				t.Fatalf("seed %d step %d: side %d WriteFrom(sealed, %d at %d) = %d, %v; model %d, %v", seed, step, i, n, fileOff[i], gn, gerr, wn, werr)
+			}
+			fileOff[i] += gn
+		default:
+			// Guest memory: copied, and scribbled over straight after.
+			n := size(RecvBufSize - m.side[1-i].rx.Len())
+			off := rng.Intn(64)
+			copy(guest[off:off+n], ramp[next[i]:])
+			gn, gerr := ep[i].WriteFrom(guest, uint64(off), n)
+			wn, werr := m.write(i, guest[off:off+n])
+			if gn != wn || !sameErr(gerr, werr) {
+				t.Fatalf("seed %d step %d: side %d WriteFrom(guest, %d) = %d, %v; model %d, %v", seed, step, i, n, gn, gerr, wn, werr)
+			}
+			rng.Read(guest[off : off+n])
+			next[i] += byte(gn)
 		}
 		for j := range ep {
 			if m.side[j].closed {
@@ -449,8 +454,9 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 // exactly-full and over-full writes, short sources, sealed extents and
 // guest buffers, reads and discards across extents, held (dropped or
 // delayed) segments of every kind, closes that flush them, resets —
-// through a pipe and through a fault-carrying connection. The 48 connections run one after another in
-// one process, each taking the arrays the ones before it gave back.
+// through a pipe and through a fault-carrying connection. The 48
+// connections run one after another in one process, each taking the
+// arrays the ones before it gave back.
 func TestEndpointMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		runEndpointModel(t, seed, false)

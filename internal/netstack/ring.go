@@ -40,9 +40,7 @@ func (q *rxQueue) len() int {
 }
 
 // hold queues p by reference, behind every byte queued so far. p must
-// never change while it is queued. A run that continues the last extent
-// in memory (the next range of the same sealed file, with nothing queued
-// between) extends it instead of taking a slot.
+// never change while it is queued.
 func (q *rxQueue) hold(p []byte) {
 	if len(p) == 0 {
 		return
@@ -51,25 +49,15 @@ func (q *rxQueue) hold(p []byte) {
 		q.x = extentPool.get()
 	}
 	x := q.x
-	before := q.ring.n - x.owned
-	if last := len(x.q) - 1; before == 0 && last >= x.head && follows(x.q[last].p, p) {
-		x.q[last].p = x.q[last].p[:len(x.q[last].p)+len(p)]
-	} else {
-		if len(x.q) == cap(x.q) && x.head > 0 {
-			// Reuse the slots already read before growing.
-			live := copy(x.q, x.q[x.head:])
-			clear(x.q[live:])
-			x.q, x.head = x.q[:live], 0
-		}
-		x.q = append(x.q, extent{p: p, before: before})
-		x.owned = q.ring.n
+	if len(x.q) == cap(x.q) && x.head > 0 {
+		// Reuse the slots already read before growing.
+		live := copy(x.q, x.q[x.head:])
+		clear(x.q[live:])
+		x.q, x.head = x.q[:live], 0
 	}
+	x.q = append(x.q, extent{p: p, before: q.ring.n - x.owned})
+	x.owned = q.ring.n
 	x.bytes += len(p)
-}
-
-// follows reports whether b starts where a ends, inside a's capacity.
-func follows(a, b []byte) bool {
-	return cap(a)-len(a) >= len(b) && &a[:len(a)+1][len(a)] == &b[0]
 }
 
 // read dequeues up to n bytes in stream order, copying them into p unless

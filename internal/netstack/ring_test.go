@@ -162,9 +162,9 @@ func TestWriteRacingPeerCloseLeavesNoBuffer(t *testing.T) {
 }
 
 // TestSealedExtentsByReference: a sealed source's bytes are queued by
-// reference — no ring array is taken for them — and consecutive runs of
-// one source share a slot; owned bytes written between them keep their
-// place in the stream; Discard drops extents unread.
+// reference — no ring array is taken for them, each run takes a slot —
+// owned bytes written between them keep their place in the stream, and
+// Discard drops extents unread.
 func TestSealedExtentsByReference(t *testing.T) {
 	r, w := NewPipe()
 	defer r.Close()
@@ -175,8 +175,8 @@ func TestSealedExtentsByReference(t *testing.T) {
 			t.Fatalf("WriteFrom(%d) = %d, %v", off, n, err)
 		}
 	}
-	if r.rx.buf != nil || len(r.rx.x.q)-r.rx.x.head != 1 {
-		t.Fatalf("three runs of one file: ring array %v, %d extents; want none, 1", r.rx.buf != nil, len(r.rx.x.q)-r.rx.x.head)
+	if r.rx.buf != nil || len(r.rx.x.q)-r.rx.x.head != 3 {
+		t.Fatalf("three runs of one file: ring array %v, %d extents; want none, 3", r.rx.buf != nil, len(r.rx.x.q)-r.rx.x.head)
 	}
 	w.Write([]byte("hdr"))
 	w.WriteFrom(file, 3000, 10)
