@@ -14,8 +14,7 @@ test:
 # The CI-sized drive of the command surface (scripts/ci.sh runs it): one
 # build of lazysim runs every checked-in snapshot (snapshotTable in
 # cmd/lazysim/snapshots.go) at its smoke size into SMOKE_DIR, so every
-# sweep runs end to end and cpu must clear its fast-vs-reference floors
-# and show every fast-engine tier at work; then the telemetry outputs
+# sweep runs end to end; then the telemetry outputs
 # (DESIGN.md §9: run emits all three surfaces, trace pretty-prints the
 # timeline and round-trips it through JSONL), request-scoped tracing
 # (DESIGN.md §14: the kill-drill trace shows the balancer retrying an

@@ -1,7 +1,7 @@
 // Command lazysim is the command-line surface of the simulator: it
 // regenerates every table and figure of the paper's evaluation, runs the
-// policy, fleet and CPU benches, runs single guests, assembles programs
-// and reads traces.
+// policy and fleet benches, runs single guests, assembles programs and
+// reads traces.
 //
 // Usage:
 //
@@ -43,7 +43,6 @@ func commands() []command {
 		{"table3", "Table III: coreutils expecting xstate preservation across syscalls", table3Cmd},
 		{"policy", "syscall-policy layers' overhead in Table II and Figure 5 terms", policyCmd},
 		{"fleet", "fleet robustness drills behind a simulated balancer", fleetCmd},
-		{"cpu", "fast vs reference execution engine throughput", cpuCmd},
 		{"run", "run one guest under a mechanism and print an strace-style log", runCmd},
 		{"asm", "assemble or disassemble a program for the simulated ISA", asmCmd},
 		{"trace", "pretty-print or convert a telemetry trace", traceCmd},

@@ -17,7 +17,6 @@ func TestCommandsRejectFlagsTheyDoNotRead(t *testing.T) {
 		"table3":     {"-out", "-j"},
 		"policy":     {"-workers", "-chaos-seed", "-trace-out"},
 		"fleet":      {"-backends", "-workers", "-size", "-sizes"},
-		"cpu":        {"-j", "-minmemloop", "-minspeedup", "-minfastpath"},
 		"run":        {"-j", "-out"},
 		"asm":        {"-base", "-out"},
 		"trace":      {"-mech", "-out"},

@@ -23,10 +23,6 @@ var snapshotTable = []snapshot{
 		[]string{"-requests", "60", "-conns", "8", "-sizes", "1024,65536", "-workers", "1"}},
 	{"table2", table2Cmd, "BENCH_table2.json", "", []string{"-iters", "10000"}},
 	{"exhaustive", exhaustiveCmd, "BENCH_exhaustive.json", "", nil},
-	// The smoke run keeps the speedup floors: the load/store sweep still
-	// clears 2.0x at 200 sweeps.
-	{"cpu", cpuCmd, "BENCH_cpu.json", "",
-		[]string{"-steps", "1000000", "-iters", "20000", "-memsweeps", "200", "-repeat", "2"}},
 	{"policy", policyCmd, "BENCH_policy.json", "",
 		[]string{"-iters", "2000", "-requests", "40", "-conns", "4", "-sizes", "1024", "-mechs", "baseline,lazypoline"}},
 	{"fleet", fleetCmd, "BENCH_fleet.json", "",

@@ -83,8 +83,8 @@ func stepLoopCPU(b *testing.B, mode ExecMode) *CPU {
 }
 
 // BenchmarkCPUStep measures per-Step cost on the fast and reference
-// engines on the same loop; the ratio is the decode cache's speedup (the
-// acceptance bar is >= 1.5x, checked by `lazysim cpu`).
+// engines on the same loop; the ratio is the decode cache's speedup
+// (experiments.TestEngineSpeedupFloors holds whole workloads to floors).
 func BenchmarkCPUStep(b *testing.B) {
 	for _, mode := range []ExecMode{ExecFast, ExecReference} {
 		b.Run(mode.String(), func(b *testing.B) {

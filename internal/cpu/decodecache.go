@@ -73,9 +73,8 @@ type predLink struct {
 	slot int
 }
 
-// DecodeCacheStats counts decode-cache activity, exposed for tests, the
-// telemetry layer and `lazysim cpu`. Counters are cumulative for the
-// CPU's lifetime.
+// DecodeCacheStats counts decode-cache activity, exposed for tests and
+// the telemetry layer. Counters are cumulative for the CPU's lifetime.
 type DecodeCacheStats struct {
 	// Hits are Steps served from a cached block.
 	Hits uint64

@@ -11,8 +11,8 @@ import (
 // while keeping the index mask a single AND.
 const tlbSize = 64
 
-// TLBStats counts software D-TLB activity, exposed for tests, `lazysim
-// cpu` and the telemetry layer. Pure observability: none of these affect
+// TLBStats counts software D-TLB activity, exposed for tests and the
+// telemetry layer. Pure observability: none of these affect
 // timing or guest-visible behaviour.
 type TLBStats struct {
 	// Hits are data accesses served lock-free from a validated entry.

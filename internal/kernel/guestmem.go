@@ -57,3 +57,7 @@ func (g *guestSource) ReadAt(p []byte, addr uint64) (int, error) {
 	}
 	return len(p), nil
 }
+
+// SealedExtent lends nothing: the guest may change its buffer as soon as
+// write(2) returns.
+func (g *guestSource) SealedExtent(uint64, int) ([]byte, bool) { return nil, false }

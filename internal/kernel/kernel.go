@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"lazypoline/internal/chaos"
 	"lazypoline/internal/cpu"
@@ -136,13 +135,12 @@ type Kernel struct {
 
 	// hcalls is the registered-callback table, indexed by HCALL id; slot
 	// 0 is never issued.
-	hcalls     []HcallHandler
-	rrOffset   int
-	images     map[string]*loader.Image
-	randState  uint64
-	maxCycles  uint64
-	extWaiters int32
-	exec       cpu.ExecMode
+	hcalls    []HcallHandler
+	rrOffset  int
+	images    map[string]*loader.Image
+	randState uint64
+	maxCycles uint64
+	exec      cpu.ExecMode
 
 	// inRound is true while a scheduling round is visiting task slots.
 	// Cross-task signals posted during a round are deferred to the round
@@ -256,19 +254,6 @@ func (k *Kernel) hcall(id int64) (HcallHandler, bool) {
 // RegisterImage makes an executable image available to execve under path.
 func (k *Kernel) RegisterImage(path string, img *loader.Image) {
 	k.images[path] = img
-}
-
-// AddExternalWaiter declares that an external driver (e.g. a Go-side
-// load generator running concurrently with Run) may unblock tasks, so an
-// all-blocked state is not a deadlock. Returns a release function.
-// Drivers that interleave with RunSlice (webbench) do not need it.
-func (k *Kernel) AddExternalWaiter() func() {
-	atomic.AddInt32(&k.extWaiters, 1)
-	return func() {
-		atomic.AddInt32(&k.extWaiters, -1)
-		// A parked Run must re-evaluate the deadlock condition.
-		k.Net.BumpActivity()
-	}
 }
 
 // DefaultStackSize is the stack mapped for new tasks.
@@ -413,23 +398,13 @@ func (k *Kernel) ConfigSUD(t *Task, cfg SUDConfig) error {
 func (k *Kernel) Run(maxSteps int64) error {
 	var steps int64
 	for {
-		// Capture the activity generation before the round: a driver
-		// action between this read and a park below re-runs the round
-		// instead of being lost.
-		gen := k.Net.ActivityGen()
 		r := k.scheduleRound()
 		steps += r.steps
 		if !r.alive {
 			return nil
 		}
 		if !r.progress {
-			if atomic.LoadInt32(&k.extWaiters) == 0 {
-				return ErrDeadlock
-			}
-			// An external driver (load generator) will eventually make a
-			// pollable ready; park until it touches the stack or the
-			// clock rather than burning host CPU in a yield spin.
-			k.Net.AwaitActivity(gen)
+			return ErrDeadlock
 		}
 		if maxSteps > 0 && steps >= maxSteps {
 			return ErrStepLimit
@@ -515,8 +490,6 @@ func (k *Kernel) KillTree(root *Task) {
 // timer ticking while the CPUs sit in the idle loop.
 func (k *Kernel) AdvanceClock(n uint64) {
 	k.maxCycles += n
-	// Clock motion is externally observable progress: wake a parked Run.
-	k.Net.BumpActivity()
 }
 
 // runQuantum runs one scheduling quantum of t and returns the number of

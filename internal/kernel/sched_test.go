@@ -3,9 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"lazypoline/internal/netstack"
 )
@@ -285,57 +283,45 @@ func TestDeprecatedCoresIgnored(t *testing.T) {
 	}
 }
 
-// TestRunParksUntilExternalActivity: with an external waiter registered,
-// an all-blocked kernel parks in Run instead of spinning, and a
-// BumpActivity from the driver goroutine wakes it to re-poll. The parked
-// call is an exit, so its retry ends the task.
-func TestRunParksUntilExternalActivity(t *testing.T) {
+// TestRunSliceReturnsToDriverWhenAllBlocked: an all-blocked kernel is
+// not a deadlock under RunSlice. It hands control back to its driver
+// with the task still alive, and once the driver makes the wait ready the
+// next slice retries the blocked call. The call is an exit, so its retry
+// ends the task.
+func TestRunSliceReturnsToDriverWhenAllBlocked(t *testing.T) {
 	k := New(Config{})
-	var ready atomic.Bool
+	ready := false
 	tk := &Task{ID: 0, state: TaskBlocked, k: k}
-	tk.blocked = waitOn(ready.Load)
+	tk.blocked = waitOn(func() bool { return ready })
 	tk.blocked.nr = SysExit
 	k.order = append(k.order, tk)
 
-	release := k.AddExternalWaiter()
-	done := make(chan error, 1)
-	go func() { done <- k.Run(0) }()
-
-	// Let Run reach the parked wait, then release the task and bump.
-	time.Sleep(10 * time.Millisecond)
-	ready.Store(true)
-	k.Net.BumpActivity()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not wake from parked wait after BumpActivity")
+	if !k.RunSlice(1_000) {
+		t.Fatal("RunSlice reported no live task while the task was blocked")
 	}
-	release()
+	if tk.state != TaskBlocked {
+		t.Fatalf("task state %v after an all-blocked slice, want blocked", tk.state)
+	}
+	ready = true
+	if k.RunSlice(1_000) {
+		t.Fatal("RunSlice reported a live task after the blocked exit became ready")
+	}
+	if tk.Alive() {
+		t.Fatal("task alive after its exit was retried")
+	}
 }
 
-// TestRunDeadlockAfterWaiterRelease: dropping the last external waiter
-// wakes a parked Run so it can report the deadlock instead of sleeping
-// forever.
-func TestRunDeadlockAfterWaiterRelease(t *testing.T) {
+// TestRunDeadlockOnAllBlockedRound: Run has no external driver to wait
+// for, so a round in which every task stays blocked ends it with
+// ErrDeadlock rather than a wait or a spin to the step limit.
+func TestRunDeadlockOnAllBlockedRound(t *testing.T) {
 	k := New(Config{})
-	tk := &Task{ID: 0, state: TaskBlocked, k: k}
-	tk.blocked = waitOn(func() bool { return false })
-	k.order = append(k.order, tk)
-
-	release := k.AddExternalWaiter()
-	done := make(chan error, 1)
-	go func() { done <- k.Run(0) }()
-	time.Sleep(10 * time.Millisecond)
-	release()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("run: %v, want ErrDeadlock", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not wake after the last external waiter released")
+	var visits []int
+	blockedProbe(k, 0, &visits, nil)
+	if err := k.Run(0); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("run: %v, want ErrDeadlock", err)
+	}
+	if len(visits) == 0 {
+		t.Fatal("Run reported a deadlock without polling the blocked task")
 	}
 }

@@ -106,21 +106,11 @@ func (s *StackStats) setMax(g *atomic.Uint64, v uint64) {
 	}
 }
 
-// stackShards is the number of independent locks the listener table is
-// striped across (by port). A fleet of backend servers plus a load
-// balancer and health probes all dial one stack; per-port-shard state
-// keeps those paths from serialising on a single stack-wide mutex.
-const stackShards = 16
-
-// stackShard is one stripe of the listener table.
-type stackShard struct {
-	mu        sync.Mutex
-	listeners map[uint16]*Listener
-}
-
 // Stack is one loopback network namespace.
 type Stack struct {
-	shards [stackShards]stackShard
+	// mu guards listeners, the bound listeners by port.
+	mu        sync.Mutex
+	listeners map[uint16]*Listener
 
 	// nextConn allocates connection ids. Ids are assigned only when a
 	// connection is actually established (inside Listener.enqueue, under
@@ -135,62 +125,7 @@ type Stack struct {
 	faults   FaultPlan
 
 	stats StackStats
-
-	// hub is the stack's activity signal: a generation counter bumped on
-	// every event that could unblock a parked scheduler (data written or
-	// drained, a connection enqueued or closed, virtual time advanced).
-	// Kernel.Run parks on it instead of busy-spinning when every task is
-	// blocked but an external driver still holds a waiter registration.
-	hub activityHub
 }
-
-// activityHub is a lost-wakeup-free park/notify primitive. A waiter
-// captures the generation BEFORE scanning for work; if the scan comes up
-// empty it parks on that generation, and any bump() after the capture —
-// even one that raced with the scan — leaves gen != captured, so await
-// returns immediately instead of sleeping through the event.
-type activityHub struct {
-	gen     atomic.Uint64
-	waiters atomic.Int32
-	mu      sync.Mutex
-	cond    *sync.Cond
-}
-
-func (h *activityHub) bump() {
-	h.gen.Add(1)
-	if h.waiters.Load() != 0 {
-		h.mu.Lock()
-		if h.cond != nil {
-			h.cond.Broadcast()
-		}
-		h.mu.Unlock()
-	}
-}
-
-func (h *activityHub) await(old uint64) {
-	h.mu.Lock()
-	if h.cond == nil {
-		h.cond = sync.NewCond(&h.mu)
-	}
-	h.waiters.Add(1)
-	for h.gen.Load() == old {
-		h.cond.Wait()
-	}
-	h.waiters.Add(-1)
-	h.mu.Unlock()
-}
-
-// ActivityGen returns the current activity generation. Capture it before
-// scanning for runnable work; pass it to AwaitActivity if the scan finds
-// none.
-func (s *Stack) ActivityGen() uint64 { return s.hub.gen.Load() }
-
-// AwaitActivity parks until the activity generation moves past old.
-func (s *Stack) AwaitActivity(old uint64) { s.hub.await(old) }
-
-// BumpActivity signals activity from outside the stack (the kernel's
-// clock advance, an external waiter releasing its registration).
-func (s *Stack) BumpActivity() { s.hub.bump() }
 
 // Stats exposes the stack's counters. The pointer stays valid for the
 // stack's lifetime.
@@ -198,15 +133,7 @@ func (s *Stack) Stats() *StackStats { return &s.stats }
 
 // NewStack returns an empty stack.
 func NewStack() *Stack {
-	s := &Stack{}
-	for i := range s.shards {
-		s.shards[i].listeners = make(map[uint16]*Listener)
-	}
-	return s
-}
-
-func (s *Stack) shard(port uint16) *stackShard {
-	return &s.shards[int(port)%stackShards]
+	return &Stack{listeners: make(map[uint16]*Listener)}
 }
 
 // SetFaults installs a fault plan on the stack. Connections established
@@ -232,14 +159,13 @@ func (s *Stack) Listen(port uint16, backlog int) (*Listener, error) {
 	if backlog <= 0 {
 		backlog = 128
 	}
-	sh := s.shard(port)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.listeners[port]; ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.listeners[port]; ok {
 		return nil, fmt.Errorf("%w: port %d", ErrAddrInUse, port)
 	}
 	l := &Listener{stack: s, port: port, backlog: backlog, refs: 1}
-	sh.listeners[port] = l
+	s.listeners[port] = l
 	return l, nil
 }
 
@@ -249,10 +175,9 @@ func (s *Stack) Listen(port uint16, backlog int) (*Listener, error) {
 // assigned inside enqueue, so refused and backlog-dropped dials never
 // consume one.
 func (s *Stack) Connect(port uint16) (*Endpoint, error) {
-	sh := s.shard(port)
-	sh.mu.Lock()
-	l, ok := sh.listeners[port]
-	sh.mu.Unlock()
+	s.mu.Lock()
+	l, ok := s.listeners[port]
+	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: port %d", ErrConnRefused, port)
 	}
@@ -260,7 +185,6 @@ func (s *Stack) Connect(port uint16) (*Endpoint, error) {
 	client, server := newPair()
 	client.faults, server.faults = faults, faults
 	client.stats, server.stats = &s.stats, &s.stats
-	client.hub, server.hub = &s.hub, &s.hub
 	if err := l.enqueue(server); err != nil {
 		return nil, err
 	}
@@ -309,7 +233,6 @@ func (l *Listener) enqueue(e *Endpoint) error {
 	l.mu.Unlock()
 	stats.setMax(&stats.AcceptHighWater, depth)
 	l.ver.Add(1)
-	l.stack.hub.bump()
 	return nil
 }
 
@@ -354,10 +277,10 @@ func (l *Listener) Close() {
 	l.queue = nil
 	l.mu.Unlock()
 
-	sh := l.stack.shard(l.port)
-	sh.mu.Lock()
-	delete(sh.listeners, l.port)
-	sh.mu.Unlock()
+	s := l.stack
+	s.mu.Lock()
+	delete(s.listeners, l.port)
+	s.mu.Unlock()
 	for _, e := range pending {
 		e.Close()
 	}
@@ -423,11 +346,6 @@ type Endpoint struct {
 	// stats points at the owning stack's counters (nil for pipes).
 	stats *StackStats
 
-	// hub points at the owning stack's activity hub (nil for pipes —
-	// pipes are guest-driven, so a parked scheduler can never be waiting
-	// on pipe activity). Read/Write/Close bump it.
-	hub *activityHub
-
 	// traceCtx is the request-plane trace context (internal/otrace's
 	// trace|attempt word) most recently stamped for this endpoint's
 	// reader. Writers stamp their peer before sending a request so the
@@ -450,15 +368,6 @@ func (e *Endpoint) StampPeerTraceCtx(ctx uint64) {
 	e.mu.Unlock()
 	if p != nil {
 		p.traceCtx.Store(ctx)
-	}
-}
-
-// bumpHub signals stack-level activity (no-op for pipes). Called on
-// every transition that could satisfy a parked scheduler's wait: data
-// moved in either direction, a close, a reset.
-func (e *Endpoint) bumpHub() {
-	if e.hub != nil {
-		e.hub.bump()
 	}
 }
 
@@ -530,7 +439,6 @@ func (e *Endpoint) read(p []byte, n int) (int, error) {
 		// Our buffer drained: the peer may be writable again.
 		peer.ver.Add(1)
 	}
-	e.bumpHub()
 	return n, nil
 }
 
@@ -545,7 +453,7 @@ func (e *Endpoint) Write(p []byte) (int, error) { return e.write(segment{p: p}, 
 // WriteFrom is Write with the bytes read from src at off instead of
 // passed in: up to n of them are read straight into the peer's receive
 // buffer, so a file or a guest buffer reaches the reader with one copy —
-// or none, when src is a SealedSource that lends them: they are then
+// or none, when src lends them (Source.SealedExtent): they are then
 // queued (or held back by the fault plan) by reference, and a reader's
 // Read copies them out once while Discard, Close and a reset drop them
 // untouched. It returns fewer than n when src holds fewer, and src's
@@ -630,7 +538,6 @@ func (e *Endpoint) write(seg segment, n int) (int, error) {
 		// Accepted into the send buffer. The peer's polls now age it, so
 		// none of them may be skipped until it is delivered.
 		peer.ver.Add(1)
-		e.bumpHub()
 		return got, nil
 	}
 	e.mu.Unlock()
@@ -659,7 +566,6 @@ func (e *Endpoint) write(seg segment, n int) (int, error) {
 		e.stats.setMax(&e.stats.RecvHighWater, depth)
 	}
 	peer.ver.Add(1)
-	e.bumpHub()
 	return got, nil
 }
 
@@ -746,7 +652,6 @@ func (e *Endpoint) injectReset() {
 	if peer != nil {
 		peer.ver.Add(1)
 	}
-	e.bumpHub()
 }
 
 // ConnID returns the connection id assigned when the connection was
@@ -804,7 +709,6 @@ func (e *Endpoint) Close() {
 	if peer != nil {
 		peer.ver.Add(1)
 	}
-	e.bumpHub()
 }
 
 func (e *Endpoint) isClosed() bool {

@@ -305,15 +305,10 @@ func (p *arrayPool) put(buf []byte) {
 // sendfile, guest memory for write(2).
 type Source interface {
 	ReadAt(p []byte, off uint64) (int, error)
-}
-
-// SealedSource is a Source whose bytes never change, which may lend them
-// instead of copying them: WriteFrom queues what SealedExtent returns by
-// reference. *fs.File qualifies, on a sealed filesystem.
-type SealedSource interface {
-	Source
-	// SealedExtent returns up to n bytes from off on (fewer where the
-	// source ends), or ok false when it cannot promise they never change.
+	// SealedExtent lends up to n bytes from off on (fewer where the
+	// source ends), which WriteFrom then queues by reference, or returns
+	// ok false when the source cannot promise they never change. An
+	// *fs.File lends them on a sealed filesystem; guest memory never does.
 	SealedExtent(off uint64, n int) (p []byte, ok bool)
 }
 
@@ -337,8 +332,8 @@ func (s segment) readAt(dst []byte, at int) (int, error) {
 // sealed returns up to n of the segment's bytes by reference, when its
 // source can lend them.
 func (s segment) sealed(n int) ([]byte, bool) {
-	if src, ok := s.src.(SealedSource); ok {
-		return src.SealedExtent(s.off, n)
+	if s.src == nil {
+		return nil, false
 	}
-	return nil, false
+	return s.src.SealedExtent(s.off, n)
 }

@@ -82,6 +82,8 @@ func (s failingSource) ReadAt(p []byte, off uint64) (int, error) {
 	return copy(p, s.data[off:]), nil
 }
 
+func (failingSource) SealedExtent(uint64, int) ([]byte, bool) { return nil, false }
+
 // TestWriteFromSourceErrorSendsNothing: a source that fails — here on
 // the second, wrapped piece of the ring's free tail — leaves the
 // receive buffer as it was and its error is returned.

@@ -21,8 +21,8 @@ go test -race ./...
 # (DESIGN.md §17: demand-zero pages gaining their backing under readers,
 # the decoder, block builds sharing one scratch pool across CPUs, the
 # loader, the syscall-site scan and the coreutil lookup), plus the
-# interposer binder's hcall payloads, the netstack's lock-sharded tables
-# and activity hub, and the kernel and the mechanisms that now reach guest
+# interposer binder's hcall payloads, the netstack's locked tables, and
+# the kernel and the mechanisms that now reach guest
 # memory through the task's unsynchronised D-TLB (DESIGN.md §19), get an
 # explicit -race pass even though the full-suite run above covers these
 # packages: a future narrowing of the suite must not silently drop this
@@ -56,10 +56,16 @@ fi
 
 # The netstack's subscription API and the closure-built blocked waits
 # are gone: readiness is version-stamped and a parked task's wait is a
-# value (DESIGN.md §15). Neither may come back, in the code or the docs.
+# value (DESIGN.md §15). So are the second interpreter timer (one Go test
+# holds the engine floors: EXPERIMENTS.md, "Engine bench"), the parked
+# all-blocked wait with its activity hub (a cell runs on one goroutine),
+# the striped listener table and the second source interface. None may
+# come back, in the code or the docs.
 if grep -rnE -e '[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)' \
+    -e '[c]puCmd|BENCH_[c]pu|lazysim [c]pu|[A]ddExternalWaiter|[A]ctivityGen|[A]waitActivity|[B]umpActivity' \
+    -e '[a]ctivityHub|[s]tackShards|[S]ealedSource' \
     README.md DESIGN.md Makefile scripts .claude internal cmd; then
-    echo "removed readiness-subscription or blocked-closure surface is still named above" >&2
+    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait or sharded-stack surface is still named above" >&2
     exit 1
 fi
 
@@ -74,6 +80,10 @@ go test -race ./internal/mem ./internal/cpu ./internal/experiments \
 # inside its byte/object budget — an eager page array or a per-byte
 # decode error object would break it.
 go test ./internal/experiments -run 'TestColdStartAllocs' -count 1
+
+# Engine speedup floors (EXPERIMENTS.md, "Engine bench"): host-time
+# ratios, so the -race run above skips them.
+go test ./internal/experiments -run 'TestEngineSpeedupFloors' -count 1
 
 # Steady-state allocation gate (DESIGN.md §19): once warm, an interposed
 # syscall allocates nothing under any mechanism.
