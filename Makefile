@@ -17,7 +17,7 @@ test:
 # sweep runs end to end; then the telemetry outputs
 # (DESIGN.md §9: run emits all three surfaces, trace pretty-prints the
 # timeline and round-trips it through JSONL), request-scoped tracing
-# (DESIGN.md §14: the kill-drill trace shows the balancer retrying an
+# (DESIGN.md §9: the kill-drill trace shows the balancer retrying an
 # in-flight request on a surviving backend and round-trips through the
 # Chrome envelope), one attack demo per policy layer, each killed with
 # its violation banner, and the five examples/ programs README tells
@@ -65,21 +65,21 @@ smoke:
 #   FuzzAccess: the single-walk ReadAt/WriteAt must match the
 #     byte-at-a-time oracle on arbitrary spans and PKRU values.
 #   FuzzDemandZeroModel: random mapping/access programs against the eager
-#     flat model (DESIGN.md §17).
+#     flat model (DESIGN.md §4).
 #   FuzzCountedLoop: the closed form, plain chained execution and plain
 #     Step must agree on any counter, budget sequence and preceding NOP
-#     run (DESIGN.md §18).
+#     run (DESIGN.md §3).
 #   FuzzBlockBuild: windowed and NOP-run-aliased blocks must equal a
 #     decode of the whole page remainder on arbitrary code pages
-#     (DESIGN.md §17).
+#     (DESIGN.md §3).
 #   FuzzStackRun: push/pop/reload runs of any length near page edges,
 #     under every page protection and budgets ending mid-run, must agree
-#     with Step at every block boundary under Lockstep (DESIGN.md §11).
+#     with Step at every block boundary under Lockstep (DESIGN.md §3).
 #   FuzzFindSyscallSites: the padding-skipping linear sweep must find the
 #     sites the per-offset sweep finds, on arbitrary bytes.
 #   FuzzTaskAccessors: random mapping changes, kernel-side spans and guest
 #     stores through the task's D-TLB against the locked AddressSpace path
-#     (DESIGN.md §19).
+#     (DESIGN.md §5).
 #   FuzzDecodeTrace: `lazysim trace`'s reader must survive arbitrary bytes,
 #     and encode -> decode -> encode must repeat the bytes in both formats.
 #   FuzzUnmarshal: the SELF image reader (`lazysim run` loads images from
@@ -88,7 +88,7 @@ smoke:
 #     Marshal must repeat the bytes.
 #   FuzzEpollVersions: socket, fd-table and epoll programs polled with
 #     cached misses must report what polling everything every time reports:
-#     the same events, wake rounds and bytes (DESIGN.md §15).
+#     the same events, wake rounds and bytes (DESIGN.md §5).
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/isa/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)

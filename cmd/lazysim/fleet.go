@@ -20,7 +20,7 @@ import (
 // pre/mid/post-drill latency tail — the recovery curve. The farm shape is
 // experiments.DefaultFleetBenchConfig's.
 //
-// -trace-out attaches a request tracer to every cell (DESIGN.md §14) and
+// -trace-out attaches a request tracer to every cell (DESIGN.md §9) and
 // writes each cell's retained span trees; with more than one cell the
 // drill/mechanism is inserted into the file name. -slo-out writes the
 // per-cell SLO burn-rate reports, which are computed on every run —

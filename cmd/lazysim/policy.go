@@ -9,7 +9,7 @@ import (
 )
 
 // policyCmd measures the syscall-policy enforcement layers' overhead
-// (DESIGN.md §12): the Table II microbenchmark and a Figure 5 subset, each
+// (DESIGN.md §6): the Table II microbenchmark and a Figure 5 subset, each
 // run policy-off and with the privilege-region layer, the SFIP layer, and
 // both. SFIP cells learn their transition profile on a first run and
 // enforce it on the measured one.

@@ -80,7 +80,7 @@ func traceCmd(args []string, w io.Writer) (err error) {
 // one block per retained tree. Spans group structurally — root, then
 // each attempt's client/LB/kernel spans — rather than interleaving by
 // timestamp, because kernel spans run on the task-local cycle clock
-// while request spans use global virtual time (DESIGN.md §14).
+// while request spans use global virtual time (DESIGN.md §9).
 func requestTrees(w io.Writer, evs []telemetry.Event) error {
 	names := map[int]string{} // lane -> thread_name label
 	lanes := map[int][]telemetry.Event{}

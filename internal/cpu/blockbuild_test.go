@@ -12,7 +12,7 @@ import (
 	"lazypoline/internal/mem"
 )
 
-// The block-build oracle (DESIGN.md §17): build fetches a short window
+// The block-build oracle (DESIGN.md §3): build fetches a short window
 // and refetches only for blocks that run past it, and serves a block
 // entered inside a NOP sled it decoded before as a view of that block.
 // Either way the block must be the one a single decode of the whole page

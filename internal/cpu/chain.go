@@ -1,6 +1,6 @@
 package cpu
 
-// Block chaining (DESIGN.md §11): once superblock execution retires a
+// Block chaining (DESIGN.md §3): once superblock execution retires a
 // block's final instruction, the next block the guest enters is recorded
 // in one of two successor slots on the finished block. On later visits
 // the chained loop in runChained follows the slot directly — one pointer

@@ -44,7 +44,7 @@ type cachedBlock struct {
 	// a single lock-free load.
 	mut uint64
 
-	// succ holds the lazily chained successor blocks (DESIGN.md §11):
+	// succ holds the lazily chained successor blocks (DESIGN.md §3):
 	// slot 0 is the fall-through successor (entry == end), slot 1 a
 	// monomorphic slot for the most recent branch target. Links are
 	// shortcuts only — every use revalidates entry and generations — and

@@ -2,11 +2,11 @@ package cpu
 
 import "lazypoline/internal/isa"
 
-// Fused idiom handlers (DESIGN.md §11): three guest idioms hot enough to
+// Fused idiom handlers (DESIGN.md §3): three guest idioms hot enough to
 // show up in every benchmark retire in closed form. Straight NOP runs
 // (the zpoline sled) and the counted loop `addi r,-1 ; jnz` (the web
 // servers' per-request app work) take one O(1) update when a chained
-// transition lands on their block's head (DESIGN.md §18); stack runs
+// transition lands on their block's head (DESIGN.md §3); stack runs
 // (the interposer stub's register save/restore) take one page access
 // wherever they sit in a block (stackrun.go).
 
@@ -93,7 +93,7 @@ func (c *CPU) runSpecialized(b *cachedBlock, max uint64, steps *uint64, pre *uin
 // before either r reaches zero (r itself, or 2^64 when r is already zero:
 // the first addi wraps it) or the budget cannot fit another whole pass;
 // every piece of state is then set to what m trips through execInst leave
-// behind (DESIGN.md §18 argues each identity). The body has no store and
+// behind (DESIGN.md §3 argues each identity). The body has no store and
 // cannot fault or raise an event, so the entry revalidation covers all m
 // iterations. With m == 0 nothing is retired and the caller's
 // per-instruction path finishes the quantum.

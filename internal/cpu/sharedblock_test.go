@@ -9,7 +9,7 @@ import (
 	"lazypoline/internal/mem"
 )
 
-// Shared blocks (DESIGN.md §17): a block on a frame-backed page is decoded
+// Shared blocks (DESIGN.md §3): a block on a frame-backed page is decoded
 // once per process and published in the frame; every other CPU that
 // enters it builds only a header over that decode. A shared block must be
 // the block a fresh decode of the same address space yields, and a write

@@ -7,7 +7,7 @@ import (
 	"lazypoline/internal/mem"
 )
 
-// Stack runs (DESIGN.md §11): two or more consecutive `push r`, `pop r`
+// Stack runs (DESIGN.md §3): two or more consecutive `push r`, `pop r`
 // or `load r,[rsp+k]` instructions, all of one kind, none naming rsp as
 // r. The interposer entry stub is three of them — fifteen pushes, seven
 // syscall-register reloads, fifteen pops — around every interposed
@@ -65,7 +65,7 @@ func findStackRun(insts []isa.Inst, from int) stackRun {
 
 // runStack retires the stack run ins (at pcs) with one D-TLB lookup over
 // the bytes it touches, leaving every piece of state as len(ins) trips
-// through execInst would; DESIGN.md §11 argues each one. It returns false
+// through execInst would; DESIGN.md §3 argues each one. It returns false
 // with nothing retired — the caller then executes the run per
 // instruction — when a hook is attached, when the whole run does not fit
 // the remaining budget, or when the span is not one page the fast path

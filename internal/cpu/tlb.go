@@ -133,7 +133,7 @@ func (c *CPU) lookup(addr uint64, n int, write, priv bool) *mem.PageHandle {
 // lock-free on a TLB hit and without a page-generation bump for a store
 // to a non-executable page (see mem.PageHandle.DirectWrite). Guest loads
 // and stores use them, and so does the kernel on behalf of the task
-// (kernel.Task's accessors, DESIGN.md §19). Only the goroutine running
+// (kernel.Task's accessors, DESIGN.md §5). Only the goroutine running
 // the CPU's quantum may call them: the TLB is not synchronised.
 //
 // A span that crosses pages is served a page at a time from the TLB, up

@@ -68,7 +68,7 @@ func coldStartAllocs(t *testing.T, mech string) (bytesPerRun, objsPerRun float64
 }
 
 // TestColdStartAllocs is the allocation gate of the cold path (DESIGN.md
-// §17): a coreutil run pays for the pages it touches and the blocks it
+// §4): a coreutil run pays for the pages it touches and the blocks it
 // executes, not for what it maps, loads as zeros or scans, and not for the
 // image, vDSO and stub pages it shares with every other run. Measured:
 // 32 KiB in 148 objects under baseline, 53 KiB in 272 under zpoline (whose

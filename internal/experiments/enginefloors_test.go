@@ -21,7 +21,7 @@ type engineRun struct {
 	engine map[string]uint64
 }
 
-// TestEngineSpeedupFloors holds the fast engine (DESIGN.md §7) to a
+// TestEngineSpeedupFloors holds the fast engine (DESIGN.md §3) to a
 // host-time speedup over the reference engine: 2.0x on mem_loop, a raw
 // load/store sweep driven through StepBlock; 1.5x on the paper's
 // microbenchmark guest under the full kernel; 2.0x on the self-checking
@@ -33,7 +33,7 @@ type engineRun struct {
 // hit the D-TLB, and every reference run must show none of these. Every
 // run of a workload must consume the same cycles on both engines.
 // raw_loop, the counted loop the fast engine retires in closed form
-// (§18), has no floor: its fast side takes microseconds, and it checks
+// (§3), has no floor: its fast side takes microseconds, and it checks
 // only that the closed form consumes the cycles of a million steps.
 func TestEngineSpeedupFloors(t *testing.T) {
 	if raceEnabled {

@@ -4,7 +4,7 @@ package experiments
 // must be invisible to the simulation: the execution engine (the fast
 // engine against the reference engine, cpu.ExecReference), a telemetry
 // sink (DESIGN.md §9), a chaos engine at rate 0 (§8) and an all-off
-// policy (§12), alone and in the combinations below. Each cell — a guest
+// policy (§6), alone and in the combinations below. Each cell — a guest
 // under one interposition mechanism — runs once in its default
 // configuration, and every variant must reproduce that run byte for byte:
 // exit code, console, per-task cycle counts, the argument-level ground

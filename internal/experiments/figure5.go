@@ -74,7 +74,7 @@ type Figure5Config struct {
 	// to every cell, exercising the full request-tracing plane: ID
 	// stamping, kernel span attribution, tail sampling. The collected
 	// trees are discarded — the field exists to prove the plane is inert
-	// (DESIGN.md §14). Execution machinery, excluded from snapshots:
+	// (DESIGN.md §9). Execution machinery, excluded from snapshots:
 	// TestFigure5ParallelDeterminism compares a traced sweep against a
 	// plain one.
 	RequestTraces bool `json:"-"`

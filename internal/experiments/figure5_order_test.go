@@ -99,7 +99,7 @@ func TestFigure5SweepOrderIndependence(t *testing.T) {
 // TestFigure5ParallelDeterminism: the same sweep at pool widths 1 and 8
 // yields identical points — the per-cell isolation contract in action —
 // and so do a sweep with a request tracer in every cell and one with a
-// telemetry registry in every cell (DESIGN.md §9 and §14).
+// telemetry registry in every cell (DESIGN.md §9).
 func TestFigure5ParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("macro sweep")

@@ -62,7 +62,7 @@ type FleetBenchConfig struct {
 	// Trace, when non-nil, supplies a request tracer per cell (nil
 	// return = that cell untraced). Observability machinery, excluded
 	// from the snapshot: rows are byte-identical with tracing on or off
-	// (DESIGN.md §14), and TestFleetBenchDeterminism compares the two.
+	// (DESIGN.md §9), and TestFleetBenchDeterminism compares the two.
 	Trace func(drill fleet.DrillKind, mech string) *otrace.Tracer `json:"-"`
 }
 
@@ -112,7 +112,7 @@ type FleetBenchRow struct {
 	P50Ms float64 `json:"p50_ms"`
 	P99Ms float64 `json:"p99_ms"`
 
-	// Observability blocks (DESIGN.md §14), appended after the original
+	// Observability blocks (DESIGN.md §9), appended after the original
 	// points so existing fields stay byte-identical. Both are computed
 	// host-side on every run — attaching a tracer changes neither.
 	SLO           otrace.SLOReport           `json:"slo"`

@@ -27,7 +27,7 @@ func fleetBenchJSON(t *testing.T, cfg FleetBenchConfig) []byte {
 // TestFleetBenchDeterminism: the robustness sweep's snapshot is a pure
 // function of its config — two runs at the same seed marshal to
 // byte-identical JSON for every (drill, mechanism) cell, serial or
-// parallel, chaos layered or not, traced or not (DESIGN.md §14).
+// parallel, chaos layered or not, traced or not (DESIGN.md §9).
 func TestFleetBenchDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm sweeps are not short")

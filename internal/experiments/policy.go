@@ -3,7 +3,7 @@ package experiments
 // The syscall-policy overhead benchmark behind BENCH_policy.json: the
 // paper's Table II microbenchmark and a Figure 5 subset, each re-run
 // with the privilege-region layer, the SFIP layer, and both (DESIGN.md
-// §12). SFIP rows are learn-then-enforce: a learning pass populates the
+// §6). SFIP rows are learn-then-enforce: a learning pass populates the
 // cell's transition profile, then the measured pass enforces it. The
 // learning pass charges the identical PolicySFIPCheck cycles, so its
 // schedule is exactly the enforce run's schedule and the learned

@@ -9,7 +9,7 @@ import (
 	"lazypoline/internal/telemetry"
 )
 
-// The syscall-policy invariance gate (DESIGN.md §12):
+// The syscall-policy invariance gate (DESIGN.md §6):
 //
 //  1. policy OFF is free and invisible: a kernel with Policy nil and one
 //     with an all-off &PolicyConfig{} produce byte-identical outcomes,

@@ -19,7 +19,7 @@ func microbenchMallocs(t *testing.T, mech string, iters int64) uint64 {
 }
 
 // TestInterposedSyscallAllocs is the allocation gate of the steady-state
-// interposition path (DESIGN.md §19): once a mechanism is warm, one more
+// interposition path (DESIGN.md §6): once a mechanism is warm, one more
 // interposed syscall allocates nothing — the hcall environment and the
 // ptrace stop live in the task, the in-flight Call is recycled from the
 // task's own stack, and signal frames and register spans are staged on

@@ -28,7 +28,7 @@ func traceKillConfig() Config {
 
 // TestFleetTraceInertness: attaching a tracer must not change a single
 // field of the Result (TraceStats aside — that field IS the tracer's
-// output). This is the plane's half of the DESIGN.md §14 contract;
+// output). This is the plane's half of the DESIGN.md §9 contract;
 // experiments.TestFleetBenchDeterminism is the snapshot half.
 func TestFleetTraceInertness(t *testing.T) {
 	cfg := traceKillConfig()

@@ -5,7 +5,7 @@ import (
 	"lazypoline/internal/policy"
 )
 
-// Attack guests for the syscall-policy evaluation (DESIGN.md §12). Each
+// Attack guests for the syscall-policy evaluation (DESIGN.md §6). Each
 // one runs to a benign exit when the corresponding policy layer is off,
 // so the policy-off invariance suite can include them, and is killed
 // with 128+SIGSYS when it is on. Both are deliberately caught at a

@@ -304,7 +304,7 @@ func ReadCall(c *Call) error {
 // WriteCall stores into the save area the call registers of c that differ
 // from before, the Call as ReadCall filled it — for an interposer that
 // rewrote nothing, no store at all, so a read-only save area is no error
-// for it (DESIGN.md §18).
+// for it (DESIGN.md §6).
 func WriteCall(t *kernel.Task, c, before *Call) error {
 	if c.Nr != before.Nr {
 		if err := WriteSavedReg(t, isa.RAX, uint64(c.Nr)); err != nil {

@@ -9,7 +9,7 @@ import (
 	"lazypoline/internal/netstack"
 )
 
-// The fault contract of the data syscalls (DESIGN.md §16): what write,
+// The fault contract of the data syscalls (DESIGN.md §7): what write,
 // read and sendfile return, move and leave queued when guest memory
 // faults part-way through the transfer. A guest buffer that runs from a
 // good page into a bad one is checked before any byte reaches a socket,

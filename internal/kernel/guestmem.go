@@ -1,6 +1,6 @@
 package kernel
 
-// The kernel-side guest-memory accessors (DESIGN.md §19). Code that runs
+// The kernel-side guest-memory accessors (DESIGN.md §5). Code that runs
 // on behalf of a task inside that task's own quantum — syscall copy-in and
 // copy-out, signal frames, hcall payloads, ptrace stops — reads and writes
 // the task's memory through these rather than through t.AS: they resolve

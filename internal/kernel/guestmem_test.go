@@ -13,7 +13,7 @@ import (
 	"lazypoline/internal/mem"
 )
 
-// The model test of the task accessors (DESIGN.md §19). Two address
+// The model test of the task accessors (DESIGN.md §5). Two address
 // spaces start as copies of one another; every operation of a random
 // program is applied to both — to one through the task's accessors (and
 // the task's own store instruction), to the other through the locked

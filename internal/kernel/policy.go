@@ -1,7 +1,7 @@
 package kernel
 
 // Syscall-policy enforcement: two composable layers checked on the
-// kernel's dispatch path (DESIGN.md §12).
+// kernel's dispatch path (DESIGN.md §6).
 //
 // Privilege regions restrict WHERE a syscall may be issued from: each
 // task carries a set of code ranges, and the instruction pointer of the

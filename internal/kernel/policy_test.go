@@ -11,7 +11,7 @@ import (
 )
 
 // These tests exercise the syscall-policy enforcement layers
-// (kernel/policy.go, DESIGN.md §12) on a bare kernel: privilege-region
+// (kernel/policy.go, DESIGN.md §6) on a bare kernel: privilege-region
 // sealing and kills, the configuration prctl, SFIP learning and
 // enforcement, and inheritance across clone and execve. The
 // cross-mechanism invariance of the same machinery is covered by

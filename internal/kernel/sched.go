@@ -1,4 +1,4 @@
-// Scheduling rounds (DESIGN.md §15).
+// Scheduling rounds (DESIGN.md §5).
 //
 // A scheduling round visits every task slot of a round-start snapshot in
 // rotated order, running each runnable task's quantum to completion and

@@ -330,7 +330,7 @@ func (k *Kernel) sysWrite(t *Task, args [6]uint64) sysResult {
 	// the buffer and loop.
 	count = k.chaosShortIO(t, chaos.SiteShortWrite, count)
 	// The whole buffer is checked before the sink sees a byte (DESIGN.md
-	// §16). A socket then reads it straight from guest memory into the
+	// §7). A socket then reads it straight from guest memory into the
 	// peer's receive buffer; the console and files take a staged copy.
 	var buf []byte
 	if count > 0 {
@@ -401,7 +401,7 @@ func (k *Kernel) sysWrite(t *Task, args [6]uint64) sysResult {
 // Endpoint.WriteFrom: a sealed file's bytes are queued by reference (no
 // host copy until a reader reads them), any other file's are read
 // straight into the peer's receive buffer. The order of observable
-// effects is fixed (DESIGN.md §16): fd checks, offset pointer, chaos
+// effects is fixed (DESIGN.md §7): fd checks, offset pointer, chaos
 // short write, file error or EOF (0 is returned before the socket is
 // consulted at all), then Endpoint.Write's order, which WriteFrom shares —
 // fault-plan Reset once per call that gets this far, full socket or

@@ -471,7 +471,7 @@ type Task struct {
 //
 // Its users are read from a socket, write to a file or the console,
 // getdents64 and epoll_wait. The file and socket data paths need none
-// (DESIGN.md §16): read from a file copies the inode's bytes straight
+// (DESIGN.md §7): read from a file copies the inode's bytes straight
 // into guest memory (fs.File.ReadTo), write to a socket reads the
 // guest's buffer straight into the peer's receive buffer, and sendfile
 // queues a sealed file's bytes by reference (Endpoint.WriteFrom).

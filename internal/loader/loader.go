@@ -80,7 +80,7 @@ func FromProgram(p *asm.Program, entrySymbol string, extra ...Segment) (*Image, 
 // so every address space that loads the image shares its bytes — and the
 // blocks the CPUs decode from them — until it writes a page, which then
 // gets a private copy. An all-zero page is an untouched page (demand-zero,
-// DESIGN.md §17), so a guest's all-zero data segment costs nothing until
+// DESIGN.md §4), so a guest's all-zero data segment costs nothing until
 // the guest touches it.
 func (img *Image) Load(as *mem.AddressSpace) error {
 	if len(img.Segments) == 0 {

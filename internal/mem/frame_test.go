@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Frame sharing (DESIGN.md §17): an image's pages are immutable frames
+// Frame sharing (DESIGN.md §4): an image's pages are immutable frames
 // that every address space maps by reference. Reads alias the frame; the
 // first write to a frame-backed page gives that page — in that address
 // space only — a private copy and a fresh generation.

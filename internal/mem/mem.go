@@ -127,7 +127,7 @@ const MaxPages = 1 << 18
 // backed by a frame gives that page a private copy (page.backing).
 //
 // A frame also carries a table of values derived from its bytes, which
-// the CPUs' decode caches use to share decoded blocks (DESIGN.md §17):
+// the CPUs' decode caches use to share decoded blocks (DESIGN.md §3):
 // because the bytes are fixed, a value published for a key stays correct
 // for every address space that still maps the frame. The table is opaque
 // to this package and safe for concurrent use.
@@ -153,7 +153,7 @@ var interned struct {
 
 // FramesOf returns the frames of a length-byte mapping holding b
 // followed by zeros, for MapFrames: one per page, nil for a page that
-// holds no nonzero byte (it stays untouched: demand-zero, DESIGN.md §17).
+// holds no nonzero byte (it stays untouched: demand-zero, DESIGN.md §4).
 // Pages are interned by content.
 func FramesOf(b []byte, length uint64) []*Frame {
 	frames := make([]*Frame, (length+PageSize-1)>>PageShift)

@@ -65,7 +65,7 @@ const RecvBufSize = 256 * 1024
 //
 // Readiness is version-stamped: a waiter whose poll missed polls again
 // only once Version has moved past the version that poll returned, and
-// only if that poll was settled (DESIGN.md §15).
+// only if that poll was settled (DESIGN.md §5).
 type Pollable interface {
 	// Poll returns the current readiness, the version read before it,
 	// and settled: false while a fault-held segment is still on its way
@@ -465,7 +465,7 @@ func (e *Endpoint) WriteFrom(src Source, off uint64, n int) (int, error) {
 }
 
 // write is Write's and WriteFrom's body. Its order is the contract
-// sendfile relies on (DESIGN.md §16): fault-plan Reset, dead peer,
+// sendfile relies on (DESIGN.md §7): fault-plan Reset, dead peer,
 // space, Drop/Delay, then staging or delivery.
 func (e *Endpoint) write(seg segment, n int) (int, error) {
 	e.mu.Lock()

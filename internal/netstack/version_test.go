@@ -3,7 +3,7 @@ package netstack
 import "testing"
 
 // TestVersionBumps: every change that can turn a missed poll into a hit
-// moves the version of the side that would see it (DESIGN.md §15), and a
+// moves the version of the side that would see it (DESIGN.md §5), and a
 // poll is settled exactly when nothing is in flight toward its side.
 func TestVersionBumps(t *testing.T) {
 	// conn returns an established pair whose writes the plan may hold back.

@@ -171,7 +171,7 @@ func TestAllDeadDetection(t *testing.T) {
 func TestRunFailFastErrorMentionsBudget(t *testing.T) {
 	// Compile-time guard that maxReconnects stays the documented bound.
 	if maxReconnects != 8 {
-		t.Fatalf("maxReconnects = %d; update DESIGN.md §13 if this is intentional", maxReconnects)
+		t.Fatalf("maxReconnects = %d; update DESIGN.md §8 if this is intentional", maxReconnects)
 	}
 	if !strings.Contains(guest.Request, "GET /static") {
 		t.Fatalf("request line changed: %q", guest.Request)

@@ -373,10 +373,10 @@ type Config struct {
 	// with or without it.
 	Telemetry *telemetry.Sink
 	// Policy configures the syscall-policy enforcement layers
-	// (DESIGN.md §12). nil — or a config with both layers off — is
+	// (DESIGN.md §6). nil — or a config with both layers off — is
 	// byte-identical to a kernel without the layer.
 	Policy *kernel.PolicyConfig
-	// Trace attaches a request tracer (DESIGN.md §14): each request gets
+	// Trace attaches a request tracer (DESIGN.md §9): each request gets
 	// a deterministic ID from (TraceSeed, index) and the serving worker's
 	// syscalls attribute to it. nil is byte-identical to no tracer.
 	Trace     *otrace.Tracer

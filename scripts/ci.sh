@@ -12,18 +12,73 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+# Doc gate: what the docs name must exist. In README.md, DESIGN.md,
+# EXPERIMENTS.md and the verify skill, (a) a backticked repository path
+# (internal/, cmd/, examples/, scripts/, *.go, BENCH_*.json; a path may
+# be relative to internal/) must exist; (b) a backticked `pkg.Name` whose
+# internal/pkg exists must name an identifier in that package; (c) a
+# Test/Fuzz/Benchmark name must have a func, or, when followed by `*` or
+# inside a -run/-bench/-fuzz regex, be the prefix of one. (d) Every
+# section number cited as §N in the docs, ROADMAP.md, Go, shell or the
+# Makefile must be a `## N.` heading of DESIGN.md. CHANGES.md is history
+# and is not checked.
+set +x
+funcs=$(grep -rhoE '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' --include='*.go' . | cut -c6- | sort -u)
+stale=$(
+for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
+    # Inline code spans, one a line; fenced blocks skipped, spans may wrap.
+    spans=$(awk '/^[ \t]*```/ { f = !f; next } !f { printf "%s ", $0 }' "$doc" | tr '`' '\n' | awk 'NR % 2 == 0')
+    printf '%s\n' "$spans" |
+        grep -E '^((internal|cmd|examples|scripts)/[A-Za-z0-9_./-]*|[A-Za-z0-9_./-]+\.go|BENCH_[A-Za-z0-9_]+\.json)$' |
+        sort -u | while IFS= read -r p; do
+            p=${p%/...}; p=${p%/}
+            [ -e "$p" ] || [ -e "internal/$p" ] ||
+                [ -n "$(find . -path ./.git -prune -o -name "$p" -print | head -n 1)" ] ||
+                echo "$doc: no such path: $p"
+        done
+    printf '%s\n' "$spans" | sed -nE 's/^([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*).*/\1 \2/p' |
+        sort -u | while read -r pkg name; do
+            [ -d "internal/$pkg" ] || continue
+            grep -rhw --include='*.go' -e "$name" "internal/$pkg" | grep -qv '^[[:space:]]*//' ||
+                echo "$doc: $pkg.$name names nothing in internal/$pkg"
+        done
+    text=$(tr '\n' ' ' < "$doc")
+    regex="-(run|bench|fuzz)[ =]+('[^']*'|\"[^\"]*\"|[^ '\"\`]+)"
+    {
+        printf '%s\n' "$text" | grep -oE -- "$regex" | grep -oE '(Test|Fuzz|Benchmark)[A-Za-z0-9_]+' | sed 's/$/*/'
+        printf '%s\n' "$text" | sed -E "s/$regex//g" | grep -oE '(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*\*?'
+    } | sort -u | while read -r n; do
+        case $n in
+        *\*) printf '%s\n' "$funcs" | grep -q "^${n%\*}" || echo "$doc: no func starts with ${n%\*}" ;;
+        *) printf '%s\n' "$funcs" | grep -qx "$n" || echo "$doc: no func $n" ;;
+        esac
+    done
+done
+{
+    grep -rhoE '§[0-9]+' --include='*.go' --include='*.sh' --include=Makefile . || true
+    grep -hoE '§[0-9]+' README.md DESIGN.md EXPERIMENTS.md ROADMAP.md .claude/skills/verify/SKILL.md || true
+} | grep -oE '[0-9]+' | sort -un | while read -r n; do
+    grep -q "^## $n\. " DESIGN.md || echo "§$n is cited but DESIGN.md has no section $n"
+done
+)
+set -x
+if [ -n "$stale" ]; then
+    echo "$stale" >&2
+    echo "the docs name paths, identifiers, tests or DESIGN.md sections that do not exist" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test -race ./...
 
 # The data fast path's concurrency surface (lock-free TLB hits against
 # locked invalidation, the RLock'd read walk) and the cold path's
-# (DESIGN.md §17: demand-zero pages gaining their backing under readers,
+# (DESIGN.md §3, §4: demand-zero pages gaining their backing under readers,
 # the decoder, block builds sharing one scratch pool across CPUs, the
 # loader, the syscall-site scan and the coreutil lookup), plus the
 # interposer binder's hcall payloads, the netstack's locked tables, and
 # the kernel and the mechanisms that now reach guest
-# memory through the task's unsynchronised D-TLB (DESIGN.md §19), get an
+# memory through the task's unsynchronised D-TLB (DESIGN.md §5), get an
 # explicit -race pass even though the full-suite run above covers these
 # packages: a future narrowing of the suite must not silently drop this
 # gate.
@@ -31,13 +86,13 @@ go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/... ./interna
     ./internal/kernel/... ./internal/sud/... ./internal/seccomputil/... ./internal/ptracer/... \
     ./internal/loader/... ./internal/zpoline/... ./internal/guest/... ./internal/netstack/...
 
-# The in-kernel parallel scheduler is gone (DESIGN.md §15), and so are
+# The in-kernel parallel scheduler is gone (DESIGN.md §5), and so are
 # the five fast-path toggles (one fast engine, one reference engine:
-# DESIGN.md §7), the hot-trace tier (chained blocks and fused handlers
-# are the whole fast engine: DESIGN.md §11), the ten per-artifact
+# DESIGN.md §3), the hot-trace tier (chained blocks and fused handlers
+# are the whole fast engine: DESIGN.md §3), the ten per-artifact
 # binaries (one cmd/lazysim), the six per-area smoke targets (one
 # `make smoke`) and the fleet, tracer and kernel options no workload set
-# (fixed constants now: DESIGN.md §13, §14); their flags, tools, hooks
+# (fixed constants now: DESIGN.md §8, §9); their flags, tools, hooks
 # and names must not creep back into the docs or tooling. (The bracketed
 # letters keep this line from matching itself.)
 if grep -rnE -e 'par[b]ench|par-[s]moke|RegisterHcall[C]oncurrent|Concurrent[S]afe|-[c]ores' \
@@ -56,7 +111,7 @@ fi
 
 # The netstack's subscription API and the closure-built blocked waits
 # are gone: readiness is version-stamped and a parked task's wait is a
-# value (DESIGN.md §15). So are the second interpreter timer (one Go test
+# value (DESIGN.md §5). So are the second interpreter timer (one Go test
 # holds the engine floors: EXPERIMENTS.md, "Engine bench"), the parked
 # all-blocked wait with its activity hub (a cell runs on one goroutine),
 # the striped listener table and the second source interface. None may
@@ -69,34 +124,31 @@ if grep -rnE -e '[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)
     exit 1
 fi
 
-# Shared image frames and decoded blocks (DESIGN.md §17): address spaces
+# Shared image frames and decoded blocks (DESIGN.md §3, §4): address spaces
 # aliasing one frame while another privatizes its copy, CPUs publishing
 # and reusing one frame's blocks, and a -j 2 sweep of kernels over one
 # memoized image with lazypoline and zpoline rewriting their own copies.
 go test -race ./internal/mem ./internal/cpu ./internal/experiments \
     -run 'Frame|TestShared|TestLockstepShared' -count 1
 
-# Cold-path allocation gate: a coreutil run in a fresh kernel must stay
-# inside its byte/object budget — an eager page array or a per-byte
-# decode error object would break it.
-go test ./internal/experiments -run 'TestColdStartAllocs' -count 1
-
-# Engine speedup floors (EXPERIMENTS.md, "Engine bench"): host-time
-# ratios, so the -race run above skips them.
-go test ./internal/experiments -run 'TestEngineSpeedupFloors' -count 1
-
-# Steady-state allocation gate (DESIGN.md §19): once warm, an interposed
-# syscall allocates nothing under any mechanism.
-go test ./internal/experiments -run 'TestInterposedSyscallAllocs' -count 1
-
-# Parking gate (DESIGN.md §15): parking a blocking syscall, polling its
-# wait and waking it allocate nothing, whatever it waits on.
-go test ./internal/kernel -run 'TestBlockedWakeAllocs' -count 1
-
-# Serving data-path allocation gates (DESIGN.md §16): a warm keep-alive
-# request allocates a few small objects whatever the file size, and a
-# cell run a second time in one process reuses its receive buffers.
-go test ./internal/webbench -run 'TestSteadyStateRequestAllocs|TestWarmCellAllocs' -count 1
+# Single-test gates that must run without -race, one package at a time
+# (-p 1), so the speedup floors never share the host with another test
+# binary:
+#   TestColdStartAllocs: a coreutil run in a fresh kernel stays inside its
+#     byte/object budget; an eager page array or a per-byte decode error
+#     object would break it.
+#   TestEngineSpeedupFloors: host-time ratios (EXPERIMENTS.md, "Engine
+#     bench"), which the -race run above skips.
+#   TestInterposedSyscallAllocs: once warm, an interposed syscall allocates
+#     nothing under any mechanism (DESIGN.md §6).
+#   TestBlockedWakeAllocs: parking a blocking syscall, polling its wait and
+#     waking it allocate nothing, whatever it waits on (DESIGN.md §5).
+#   TestSteadyStateRequestAllocs, TestWarmCellAllocs: a warm keep-alive
+#     request allocates a few small objects whatever the file size, and a
+#     cell run a second time in one process reuses its receive buffers
+#     (DESIGN.md §7).
+go test -p 1 -count 1 -run '^(TestColdStartAllocs|TestEngineSpeedupFloors|TestInterposedSyscallAllocs|TestBlockedWakeAllocs|TestSteadyStateRequestAllocs|TestWarmCellAllocs)$' \
+    ./internal/experiments ./internal/kernel ./internal/webbench
 
 # Benchmark smoke run: the interpreter benchmarks must still execute.
 go test ./internal/cpu/ -run '^$' -bench 'BenchmarkCPUStep|BenchmarkDecodeCache' -benchtime 100ms
