@@ -25,8 +25,8 @@ type ChainStats struct {
 	// Links counts successor-slot writes (including monomorphic slot-1
 	// replacements).
 	Links uint64
-	// Unlinks counts links severed because either endpoint was dropped,
-	// evicted, or a slot-1 target was replaced.
+	// Unlinks counts successor slots cleared because their block was
+	// dropped or evicted.
 	Unlinks uint64
 	// Transitions counts block→block transfers executed through a chain
 	// link, i.e. map lookups avoided.
@@ -45,7 +45,9 @@ func (c *CPU) ChainStats() ChainStats {
 // link records that control flowed from the end of from into to,
 // choosing the slot by whether the transfer was a fall-through. Dropped
 // blocks never participate: a link to or from one would resurrect a
-// block that already left the map.
+// block that already left the map. A slot whose block was dropped since
+// is replaced here, when the dispatcher resolves the transfer it could
+// not follow.
 func (dc *decodeCache) link(from, to *cachedBlock) {
 	if from.dropped || to.dropped {
 		return
@@ -57,45 +59,19 @@ func (dc *decodeCache) link(from, to *cachedBlock) {
 	if from.succ[slot] == to {
 		return
 	}
-	if old := from.succ[slot]; old != nil {
-		// Monomorphic slot-1 replacement: sever the old edge fully so
-		// old.preds never holds a dangling predLink.
-		removePred(old, from, slot)
-		dc.cstats.Unlinks++
-	}
 	from.succ[slot] = to
-	to.preds = append(to.preds, predLink{from: from, slot: slot})
 	dc.cstats.Links++
 }
 
-// unlink severs every chain edge touching b — outgoing successor slots
-// and incoming predecessor links. Called exactly once per block removal
-// (drop and evict both route here before deleting from the map).
+// unlink clears b's successor slots. Called exactly once per block
+// removal (drop and evict both route here before deleting from the map).
+// Links into b are left in place: runChained refuses a dropped successor
+// and the dispatcher relinks its predecessor.
 func (dc *decodeCache) unlink(b *cachedBlock) {
 	for slot, s := range b.succ {
 		if s != nil {
-			removePred(s, b, slot)
 			b.succ[slot] = nil
 			dc.cstats.Unlinks++
-		}
-	}
-	for _, p := range b.preds {
-		if p.from.succ[p.slot] == b {
-			p.from.succ[p.slot] = nil
-			dc.cstats.Unlinks++
-		}
-	}
-	b.preds = nil
-}
-
-// removePred deletes the (from, slot) entry from b.preds. Order is not
-// preserved; preds is an unordered set.
-func removePred(b *cachedBlock, from *cachedBlock, slot int) {
-	for i, p := range b.preds {
-		if p.from == from && p.slot == slot {
-			b.preds[i] = b.preds[len(b.preds)-1]
-			b.preds = b.preds[:len(b.preds)-1]
-			return
 		}
 	}
 }
@@ -178,14 +154,6 @@ func (c *CPU) runChained(max uint64, steps *uint64, pre *uint64) (Event, bool) {
 				c.SuperblockRuns++
 				return ev, true
 			}
-			if dc.cur != b {
-				// execInst invalidated the block mid-flight (guest SMC wrote
-				// over its own straight line).
-				if *steps > entered {
-					c.SuperblockRuns++
-				}
-				return EvNone, false
-			}
 			mut = dc.as.CodeMutations()
 		}
 		if dc.curIdx < len(b.pcs) {
@@ -200,7 +168,8 @@ func (c *CPU) runChained(max uint64, steps *uint64, pre *uint64) (Event, bool) {
 			break
 		}
 		if next.dropped {
-			// A dangling link would have been severed by unlink; defensive.
+			// Dropped since b linked to it: the dispatcher finds or
+			// builds the block at RIP and link replaces the slot.
 			break
 		}
 		if next.mut != mut {

@@ -286,6 +286,77 @@ func TestSMCGuestStoreThroughChain(t *testing.T) {
 	}
 }
 
+// TestDroppedSuccessorRelinks: blocks keep no list of the links into
+// them, so a successor dropped by a code write stays in its
+// predecessor's slot. Here block A (page 0) jumps to block B (page 1).
+// B's page is rewritten and B is entered directly, which drops it and
+// builds its replacement at the same entry; A, still valid, then
+// finishes with its slot pointing at the dropped B. The chained core must
+// refuse that link and leave the transfer to the dispatcher, which
+// relinks A to the replacement: B is dropped once and rebuilt once, and
+// the run ends in the reference engine's state.
+func TestDroppedSuccessorRelinks(t *testing.T) {
+	const iters, patchAt = 10, 4
+	var e isa.Enc
+	e.AddImm(isa.R9, 1)
+	e.Jmp(int64(mem.PageSize) - int64(e.Len()) - 5) // A → B
+	e.Nop(int(mem.PageSize) - e.Len())
+	bEntry := uint64(codeBase + e.Len())
+	e.MovImm64(isa.RDI, 1) // patched to mov64 rdi, 2
+	e.Add(isa.RSI, isa.RDI)
+	e.CmpImm(isa.R9, iters)
+	e.Jnz(-int64(e.Len()) - 5) // B → A
+	e.Hlt()
+	var patch isa.Enc
+	patch.MovImm64(isa.RDI, 2)
+
+	fast, ref := load(t, e.Buf), loadRef(t, e.Buf)
+	// patchAt iterations of A then B (6 instructions each) plant both
+	// links and stop with RIP at A's entry.
+	var retired uint64
+	for retired < 6*patchAt {
+		ev, n, _ := fast.StepBlock(6*patchAt - retired)
+		if ev != EvNone {
+			t.Fatalf("event = %v (fault: %v)", ev, fast.FaultErr)
+		}
+		retired += n
+	}
+	for i := 0; i < 6*patchAt; i++ {
+		ref.Step()
+	}
+	dc := fast.cache
+	a, b := dc.blocks[codeBase], dc.blocks[bEntry]
+	if a == nil || b == nil || a.succ[chainSlotBranch] != b {
+		t.Fatal("A is not chained to B before the patch; the test is vacuous")
+	}
+	for _, c := range []*CPU{fast, ref} {
+		if err := c.AS.WriteForce(bEntry, patch.Buf); err != nil {
+			t.Fatal(err)
+		}
+		c.RIP = bEntry
+	}
+	if ev := runBlocks(t, fast, 1<<20, 100); ev != EvHlt {
+		t.Fatalf("event = %v (fault: %v)", ev, fast.FaultErr)
+	}
+	if ev := run(t, ref, 1000); ev != EvHlt {
+		t.Fatalf("ref event = %v", ev)
+	}
+	if fast.Cycles != ref.Cycles || fast.Regs != ref.Regs {
+		t.Errorf("cycles %d, regs %v; reference %d, %v", fast.Cycles, fast.Regs, ref.Cycles, ref.Regs)
+	}
+	if !b.dropped {
+		t.Fatal("the code write did not drop B; the test is vacuous")
+	}
+	// Builds: A, B, B's replacement and the block at the final hlt.
+	if s := dc.stats; s.Invalidations != 1 || s.Builds != 4 {
+		t.Errorf("invalidations %d, builds %d; want 1 and 4 (B dropped once, rebuilt once)", s.Invalidations, s.Builds)
+	}
+	if nb := dc.blocks[bEntry]; nb == nil || nb == b || a.succ[chainSlotBranch] != nb {
+		t.Errorf("A's slot holds %p, the map %p at B's entry, dropped B %p: want A relinked to the rebuilt B",
+			a.succ[chainSlotBranch], nb, b)
+	}
+}
+
 // TestDecodeCacheOverflowEviction: a straight-line program spanning more
 // than maxCacheBlocks blocks must execute correctly across the overflow
 // boundary twice (the second pass re-executes through evicted state),

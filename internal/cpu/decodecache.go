@@ -47,12 +47,10 @@ type cachedBlock struct {
 	// succ holds the lazily chained successor blocks (DESIGN.md §3):
 	// slot 0 is the fall-through successor (entry == end), slot 1 a
 	// monomorphic slot for the most recent branch target. Links are
-	// shortcuts only — every use revalidates entry and generations — and
-	// are severed when either endpoint is dropped or evicted.
+	// shortcuts only — every use refuses a dropped successor and
+	// revalidates entry and generations — and are cleared when their
+	// block is dropped or evicted.
 	succ [2]*cachedBlock
-	// preds lists the (block, slot) pairs whose succ points here, so
-	// dropping this block can sever every incoming link.
-	preds []predLink
 	// fused classifies the block's head as one of the specialized hot
 	// idioms (NOP sled, countdown); fusedNone otherwise.
 	fused fusedKind
@@ -64,13 +62,6 @@ type cachedBlock struct {
 	run stackRun
 	// nopLen is the leading-NOP run length of a fusedNopSled block.
 	nopLen int32
-}
-
-// predLink is one incoming chain edge: from.succ[slot] == the block
-// holding this link in its preds list.
-type predLink struct {
-	from *cachedBlock
-	slot int
 }
 
 // DecodeCacheStats counts decode-cache activity, exposed for tests and
@@ -216,8 +207,7 @@ func (dc *decodeCache) revalidate(b *cachedBlock) bool {
 	return ok
 }
 
-// drop removes an invalidated block, severing every chain link that
-// touches it.
+// drop removes an invalidated block and clears its successor links.
 func (dc *decodeCache) drop(b *cachedBlock) {
 	dc.unlink(b)
 	delete(dc.blocks, b.entry)

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -134,8 +135,8 @@ func TestStepBlockPreEventCycles(t *testing.T) {
 }
 
 // TestStepBlockSelfModifyingCode: the JIT store pattern must stay exact
-// under batched execution — the tight loop's per-instruction mutation
-// check has to catch a rewrite the moment it happens.
+// under batched execution — the rewrite lands in the block the loop jumps
+// back to, so the transition into it has to revalidate it.
 func TestStepBlockSelfModifyingCode(t *testing.T) {
 	c := loadProt(t, smcProgram(t), mem.ProtRWX)
 	if ev := runBlocks(t, c, 20000, 100); ev != EvHlt {
@@ -143,6 +144,42 @@ func TestStepBlockSelfModifyingCode(t *testing.T) {
 	}
 	if c.Regs[isa.RDI] != 2 {
 		t.Errorf("rdi = %d, want 2 (stale decode executed after in-place rewrite)", c.Regs[isa.RDI])
+	}
+}
+
+// TestStepBlockSelfModifyingStraightLine: a store that rewrites an
+// instruction further along its own block must take effect when that
+// instruction is reached in the same batch: the straight line re-checks
+// the code-mutation counter before every instruction, and no control
+// transfer intervenes to revalidate the block.
+func TestStepBlockSelfModifyingStraightLine(t *testing.T) {
+	var patch isa.Enc
+	patch.MovImm64(isa.RDI, 2)
+	var e isa.Enc
+	e.MovImm64(isa.R10, 0) // the target's address, set below
+	e.MovImm64(isa.R12, int64(binary.LittleEndian.Uint64(patch.Buf[2:10])))
+	e.Store(isa.R10, 2, isa.R12) // mov64 rdi, 1 → mov64 rdi, 2
+	target := e.Len()
+	e.MovImm64(isa.RDI, 1)
+	e.Hlt()
+	var fix isa.Enc
+	fix.MovImm64(isa.R10, codeBase+int64(target))
+	copy(e.Buf, fix.Buf)
+
+	for _, mode := range []ExecMode{ExecFast, ExecReference} {
+		c := loadProt(t, e.Buf, mem.ProtRWX)
+		if mode == ExecReference {
+			c = cloneCPU(c)
+		}
+		if ev := runBlocks(t, c, 20000, 100); ev != EvHlt {
+			t.Fatalf("%v: event = %v (fault: %v)", mode, ev, c.FaultErr)
+		}
+		if c.Regs[isa.RDI] != 2 {
+			t.Errorf("%v: rdi = %d, want 2 (stale decode executed after a rewrite ahead in the block)", mode, c.Regs[isa.RDI])
+		}
+		if mode == ExecFast && c.SuperblockInsts == 0 {
+			t.Errorf("no instruction ran batched; the test is vacuous")
+		}
 	}
 }
 

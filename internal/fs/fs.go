@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -102,35 +101,49 @@ func New(clock func() uint64) *FS {
 // lookups pass split a stack array of this size to append into.
 const inlineComps = 16
 
+// pathBytes is a path as the string API takes it or as the kernel reads
+// it from guest memory. One resolver serves both: a lookup's
+// Children[string(c)] does not allocate, so a Go string is made only to
+// store a new name or to report an error.
+type pathBytes interface{ ~string | ~[]byte }
+
+// comp is one path component, path[lo:hi]. Components are offsets, not
+// subslices, so a path with more than inlineComps of them grows the
+// array without moving the path itself to the heap.
+type comp struct{ lo, hi int }
+
 // split normalises an absolute path into components, appended to comps.
-// The components are substrings of path, so with a stack-backed comps
-// (see inlineComps) an open or stat allocates nothing for its path.
-func split(path string, comps []string) ([]string, error) {
-	if path == "" || path[0] != '/' {
-		return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
+// With a stack-backed comps (see inlineComps) an open or stat allocates
+// nothing for its path.
+func split[P pathBytes](path P, comps []comp) ([]comp, error) {
+	if len(path) == 0 || path[0] != '/' {
+		return nil, fmt.Errorf("%w: %q", ErrBadPath, string(path))
 	}
-	for rest := path[1:]; rest != ""; {
-		var c string
-		c, rest, _ = strings.Cut(rest, "/")
-		switch c {
-		case "", ".":
-		case "..":
+	for i := 1; i < len(path); {
+		j := i
+		for j < len(path) && path[j] != '/' {
+			j++
+		}
+		c := path[i:j]
+		switch {
+		case len(c) == 0, len(c) == 1 && c[0] == '.':
+		case len(c) == 2 && c[0] == '.' && c[1] == '.':
 			if len(comps) > 0 {
 				comps = comps[:len(comps)-1]
 			}
+		case len(c) > MaxNameLen:
+			return nil, ErrNameTooLong
 		default:
-			if len(c) > MaxNameLen {
-				return nil, ErrNameTooLong
-			}
-			comps = append(comps, c)
+			comps = append(comps, comp{i, j})
 		}
+		i = j + 1
 	}
 	return comps, nil
 }
 
 // walk resolves path to an inode.
-func (f *FS) walk(path string) (*Inode, error) {
-	ino, err := f.lookup(path)
+func walk[P pathBytes](f *FS, path P) (*Inode, error) {
+	ino, err := lookup(f, path)
 	if err != nil {
 		return nil, withPath(err, path)
 	}
@@ -139,18 +152,18 @@ func (f *FS) walk(path string) (*Inode, error) {
 
 // withPath names path in a bare ErrNotExist, as walk and walkParent
 // report a missing path; other errors pass through.
-func withPath(err error, path string) error {
+func withPath[P pathBytes](err error, path P) error {
 	if err == ErrNotExist {
-		return fmt.Errorf("%w: %q", ErrNotExist, path)
+		return fmt.Errorf("%w: %q", ErrNotExist, string(path))
 	}
 	return err
 }
 
 // lookup is walk returning the bare ErrNotExist for a missing path, so a
-// caller that acts on a missing file — Open creating one — builds no
+// caller that acts on a missing file — open creating one — builds no
 // error it discards.
-func (f *FS) lookup(path string) (*Inode, error) {
-	var buf [inlineComps]string
+func lookup[P pathBytes](f *FS, path P) (*Inode, error) {
+	var buf [inlineComps]comp
 	comps, err := split(path, buf[:0])
 	if err != nil {
 		return nil, err
@@ -160,7 +173,7 @@ func (f *FS) lookup(path string) (*Inode, error) {
 		if !cur.IsDir() {
 			return nil, ErrNotDir
 		}
-		next, ok := cur.Children[c]
+		next, ok := cur.Children[string(path[c.lo:c.hi])]
 		if !ok {
 			return nil, ErrNotExist
 		}
@@ -171,34 +184,46 @@ func (f *FS) lookup(path string) (*Inode, error) {
 
 // walkParent resolves the parent directory of path and returns it with
 // the final component.
-func (f *FS) walkParent(path string) (*Inode, string, error) {
-	var buf [inlineComps]string
+func walkParent[P pathBytes](f *FS, path P) (*Inode, P, error) {
+	var buf [inlineComps]comp
 	comps, err := split(path, buf[:0])
 	if err != nil {
-		return nil, "", err
+		return nil, path[:0], err
 	}
 	if len(comps) == 0 {
-		return nil, "", fmt.Errorf("%w: %q", ErrBadPath, path)
+		return nil, path[:0], fmt.Errorf("%w: %q", ErrBadPath, string(path))
 	}
 	cur := f.root
 	for _, c := range comps[:len(comps)-1] {
-		next, ok := cur.Children[c]
+		next, ok := cur.Children[string(path[c.lo:c.hi])]
 		if !ok {
-			return nil, "", withPath(ErrNotExist, path)
+			return nil, path[:0], withPath(ErrNotExist, path)
 		}
 		if !next.IsDir() {
-			return nil, "", ErrNotDir
+			return nil, path[:0], ErrNotDir
 		}
 		cur = next
 	}
-	return cur, comps[len(comps)-1], nil
+	last := comps[len(comps)-1]
+	return cur, path[last.lo:last.hi], nil
 }
 
 // Stat returns a snapshot of the inode's metadata.
-func (f *FS) Stat(path string) (Stat, error) {
+func (f *FS) Stat(path string) (Stat, error) { return stat(f, path) }
+
+// StatBytes is Stat of a path held as bytes (the kernel's stat and
+// access, from guest memory): it allocates nothing for an existing path.
+//
+// It is not inlined: a caller that inlined it would call the generic
+// stat without its escape facts and move the path's bytes to the heap.
+//
+//go:noinline
+func (f *FS) StatBytes(path []byte) (Stat, error) { return stat(f, path) }
+
+func stat[P pathBytes](f *FS, path P) (Stat, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	ino, err := f.walk(path)
+	ino, err := walk(f, path)
 	if err != nil {
 		return Stat{}, err
 	}
@@ -225,7 +250,7 @@ func (f *FS) Mkdir(path string, perm Mode) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	parent, name, err := f.walkParent(path)
+	parent, name, err := walkParent(f, path)
 	if err != nil {
 		return err
 	}
@@ -256,7 +281,7 @@ func (f *FS) MkdirAll(path string, perm Mode) error {
 	}
 	cur := "/"
 	for _, c := range comps {
-		cur = join(cur, c)
+		cur = join(cur, path[c.lo:c.hi])
 		if err := f.Mkdir(cur, perm); err != nil && !errors.Is(err, ErrExist) {
 			return err
 		}
@@ -285,7 +310,7 @@ func (f *FS) WriteFile(path string, data []byte, perm Mode) error {
 func (f *FS) ReadFile(path string) ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	ino, err := f.walk(path)
+	ino, err := walk(f, path)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +329,7 @@ func (f *FS) Unlink(path string) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	parent, name, err := f.walkParent(path)
+	parent, name, err := walkParent(f, path)
 	if err != nil {
 		return err
 	}
@@ -328,7 +353,7 @@ func (f *FS) Rmdir(path string) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	parent, name, err := f.walkParent(path)
+	parent, name, err := walkParent(f, path)
 	if err != nil {
 		return err
 	}
@@ -354,7 +379,7 @@ func (f *FS) Rename(oldpath, newpath string) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	op, oname, err := f.walkParent(oldpath)
+	op, oname, err := walkParent(f, oldpath)
 	if err != nil {
 		return err
 	}
@@ -362,7 +387,7 @@ func (f *FS) Rename(oldpath, newpath string) error {
 	if !ok {
 		return ErrNotExist
 	}
-	np, nname, err := f.walkParent(newpath)
+	np, nname, err := walkParent(f, newpath)
 	if err != nil {
 		return err
 	}
@@ -385,7 +410,7 @@ func (f *FS) Chmod(path string, perm Mode) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ino, err := f.walk(path)
+	ino, err := walk(f, path)
 	if err != nil {
 		return err
 	}
@@ -401,7 +426,7 @@ func (f *FS) Utimens(path string, atime, mtime uint64) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ino, err := f.walk(path)
+	ino, err := walk(f, path)
 	if err != nil {
 		return err
 	}
@@ -409,14 +434,12 @@ func (f *FS) Utimens(path string, atime, mtime uint64) error {
 	return nil
 }
 
-// ReadDir lists a directory in name order.
-func (f *FS) ReadDir(path string) ([]DirEnt, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	ino, err := f.walk(path)
-	if err != nil {
-		return nil, err
-	}
+// ReadDir lists the directory the handle refers to, in name order: the
+// inode it was opened on, whatever name that inode has now (getdents64).
+func (h *File) ReadDir() ([]DirEnt, error) {
+	h.fs.mu.RLock()
+	defer h.fs.mu.RUnlock()
+	ino := h.inode
 	if !ino.IsDir() {
 		return nil, ErrNotDir
 	}
@@ -464,18 +487,50 @@ type File struct {
 	off uint64
 }
 
-// Open opens path. With OpenCreate the file is created if missing.
+// Open opens path. With OpenCreate the file is created if missing. A
+// sealed filesystem creates, truncates and time-stamps nothing, so there
+// the whole operation runs under the read lock: opening a missing file
+// for creation, or an existing one with OpenTrunc, fails with ErrSealed;
+// handles opened for writing are permitted (write attempts through them
+// fail in WriteAt), matching Linux, which refuses O_CREAT/O_TRUNC on a
+// read-only mount at open time.
 func (f *FS) Open(path string, flags OpenFlag, perm Mode) (*File, error) {
-	if f.Sealed() {
-		return f.openSealed(path, flags)
+	h := new(File)
+	if err := open(f, h, path, flags, perm); err != nil {
+		return nil, err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ino, err := f.lookup(path)
-	if err == ErrNotExist && flags&OpenCreate != 0 {
-		parent, name, perr := f.walkParent(path)
+	return h, nil
+}
+
+// OpenInto is Open of a path held as bytes (the kernel's open, from
+// guest memory) into caller storage: h must be a zero File, and is the
+// handle once OpenInto returns nil. The kernel keeps h in its
+// descriptor's allocation, so an open of an existing file allocates
+// nothing here. Like StatBytes, it is not inlined.
+//
+//go:noinline
+func (f *FS) OpenInto(h *File, path []byte, flags OpenFlag, perm Mode) error {
+	return open(f, h, path, flags, perm)
+}
+
+func open[P pathBytes](f *FS, h *File, path P, flags OpenFlag, perm Mode) error {
+	sealed := f.Sealed()
+	if sealed {
+		f.mu.RLock()
+		defer f.mu.RUnlock()
+	} else {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+	}
+	ino, err := lookup(f, path)
+	switch {
+	case err == ErrNotExist && flags&OpenCreate != 0:
+		if sealed {
+			return ErrSealed
+		}
+		parent, name, perr := walkParent(f, path)
 		if perr != nil {
-			return nil, perr
+			return perr
 		}
 		now := f.clock()
 		f.nextIno++
@@ -485,50 +540,26 @@ func (f *FS) Open(path string, flags OpenFlag, perm Mode) (*File, error) {
 			Atime: now, Mtime: now, Ctime: now,
 			Nlink: 1,
 		}
-		parent.Children[name] = ino
+		parent.Children[string(name)] = ino
 		parent.Mtime = now
-	} else if err != nil {
-		return nil, withPath(err, path)
-	} else if flags&(OpenCreate|OpenExcl) == OpenCreate|OpenExcl {
-		return nil, ErrExist
+	case err != nil:
+		return withPath(err, path)
+	case flags&(OpenCreate|OpenExcl) == OpenCreate|OpenExcl:
+		return ErrExist
 	}
 	if ino.IsDir() && flags&OpenWrite != 0 {
-		return nil, ErrIsDir
+		return ErrIsDir
 	}
 	if flags&OpenTrunc != 0 && !ino.IsDir() {
+		if sealed {
+			return ErrSealed
+		}
 		ino.Data = nil
 		ino.Size = 0
 		ino.Mtime = f.clock()
 	}
-	return &File{fs: f, inode: ino, flags: flags}, nil
-}
-
-// openSealed is Open on a sealed filesystem: no inode can be created,
-// truncated or time-stamped, so the whole operation runs under the read
-// lock. Opening a missing file for creation, or an existing one with
-// OpenTrunc, fails with ErrSealed; handles opened for writing are
-// permitted (write attempts through them fail in WriteAt), matching
-// Linux, which refuses O_CREAT/O_TRUNC on a read-only mount at open
-// time.
-func (f *FS) openSealed(path string, flags OpenFlag) (*File, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	ino, err := f.lookup(path)
-	if err == ErrNotExist && flags&OpenCreate != 0 {
-		return nil, ErrSealed
-	} else if err != nil {
-		return nil, withPath(err, path)
-	}
-	if flags&(OpenCreate|OpenExcl) == OpenCreate|OpenExcl {
-		return nil, ErrExist
-	}
-	if ino.IsDir() && flags&OpenWrite != 0 {
-		return nil, ErrIsDir
-	}
-	if flags&OpenTrunc != 0 && !ino.IsDir() {
-		return nil, ErrSealed
-	}
-	return &File{fs: f, inode: ino, flags: flags}, nil
+	h.fs, h.inode, h.flags = f, ino, flags
+	return nil
 }
 
 // Inode exposes the file's inode number.

@@ -26,7 +26,9 @@ const guestBuf = stackTop - 16*mem.PageSize
 // exactly as a byte-at-a-time reader would — it finds a terminator that
 // sits just before an unmapped page, crosses mapped page boundaries,
 // refuses unterminated and over-long paths, and faults once where the
-// first unreadable byte is.
+// first unreadable byte is. An unreadable byte before the terminator is
+// EFAULT and no terminator in the first maxPathLen bytes ENAMETOOLONG, as
+// Linux's getname, and stat and open return those errnos.
 func TestReadPathChunks(t *testing.T) {
 	k := New(Config{})
 	task := idleTask(t, k)
@@ -41,36 +43,53 @@ func TestReadPathChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	read := func(addr uint64) (string, int64) {
+		var buf [pathChunk]byte
+		p, errno := k.readPath(task, addr, buf[:])
+		return string(p), errno
+	}
+	// viaSyscalls checks that stat and open of the path at addr fail
+	// with errno.
+	viaSyscalls := func(what string, addr uint64, errno int64) {
+		t.Helper()
+		if res := k.dispatch(task, SysStat, [6]uint64{addr, guestBuf}); res.ret != -errno {
+			t.Errorf("stat of %s = %d, want %d", what, res.ret, -errno)
+		}
+		if res := k.dispatch(task, SysOpen, [6]uint64{addr, ORdonly}); res.ret != -errno {
+			t.Errorf("open of %s = %d, want %d", what, res.ret, -errno)
+		}
+	}
 	long := "/" + strings.Repeat("d/", 700) + "f" // spans several chunks
 
 	put(hole-5, "/abc\x00")
-	if got, ok := k.readPath(task, hole-5); !ok || got != "/abc" {
-		t.Errorf("path ending at the last mapped byte: %q, %v", got, ok)
+	if got, errno := read(hole - 5); errno != 0 || got != "/abc" {
+		t.Errorf("path ending at the last mapped byte: %q, %d", got, errno)
 	}
 	put(base+mem.PageSize-3, "/across/pages\x00")
-	if got, ok := k.readPath(task, base+mem.PageSize-3); !ok || got != "/across/pages" {
-		t.Errorf("path across a page boundary: %q, %v", got, ok)
+	if got, errno := read(base + mem.PageSize - 3); errno != 0 || got != "/across/pages" {
+		t.Errorf("path across a page boundary: %q, %d", got, errno)
 	}
 	put(base+100, long+"\x00")
-	if got, ok := k.readPath(task, base+100); !ok || got != long {
-		t.Errorf("long path: got %d bytes, %v; want %d", len(got), ok, len(long))
+	if got, errno := read(base + 100); errno != 0 || got != long {
+		t.Errorf("long path: got %d bytes, %d; want %d", len(got), errno, len(long))
 	}
 	put(base, "\x00")
-	if got, ok := k.readPath(task, base); !ok || got != "" {
-		t.Errorf("empty path: %q, %v", got, ok)
+	if got, errno := read(base); errno != 0 || got != "" {
+		t.Errorf("empty path: %q, %d", got, errno)
 	}
 
 	faults := task.AS.Stats().Faults
 	put(hole-4, "/abc") // no terminator before the hole
-	if _, ok := k.readPath(task, hole-4); ok {
-		t.Error("unterminated path running into an unmapped page was accepted")
+	if _, errno := read(hole - 4); errno != EFAULT {
+		t.Errorf("unterminated path running into an unmapped page: errno %d, want EFAULT", errno)
 	}
-	if _, ok := k.readPath(task, hole+8); ok {
-		t.Error("path in unmapped memory was accepted")
+	if _, errno := read(hole + 8); errno != EFAULT {
+		t.Errorf("path in unmapped memory: errno %d, want EFAULT", errno)
 	}
 	if got := task.AS.Stats().Faults - faults; got != 2 {
 		t.Errorf("%d faults for two failing reads, want 2", got)
 	}
+	viaSyscalls("an unterminated path running into an unmapped page", hole-4, EFAULT)
 
 	// Exactly maxPathLen bytes with no terminator among them: too long,
 	// even though a terminator follows.
@@ -78,12 +97,13 @@ func TestReadPathChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	put(0x5000_0000, strings.Repeat("x", maxPathLen)+"\x00")
-	if _, ok := k.readPath(task, 0x5000_0000); ok {
-		t.Error("a path of maxPathLen bytes was accepted")
+	if _, errno := read(0x5000_0000); errno != ENAMETOOLONG {
+		t.Errorf("a path of maxPathLen bytes: errno %d, want ENAMETOOLONG", errno)
 	}
+	viaSyscalls("a path of maxPathLen bytes", 0x5000_0000, ENAMETOOLONG)
 	put(0x5000_0000, strings.Repeat("x", maxPathLen-1)+"\x00")
-	if got, ok := k.readPath(task, 0x5000_0000); !ok || len(got) != maxPathLen-1 {
-		t.Errorf("a path of maxPathLen-1 bytes: %d bytes, %v", len(got), ok)
+	if got, errno := read(0x5000_0000); errno != 0 || len(got) != maxPathLen-1 {
+		t.Errorf("a path of maxPathLen-1 bytes: %d bytes, %d", len(got), errno)
 	}
 }
 
@@ -157,7 +177,7 @@ func TestGetdentsFitsBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := task.Files.Alloc(&FD{Kind: FDFile, File: h, Path: "/d"})
+	fd := task.Files.Alloc(&FD{Kind: FDFile, File: h})
 	copy(task.ioBuf(64), bytes.Repeat([]byte{0xff}, 64))
 	// Records: "a" 11 bytes, "bb" 12, "sub" 13.
 	for _, tc := range []struct {
@@ -178,6 +198,97 @@ func TestGetdentsFitsBuffer(t *testing.T) {
 	}
 }
 
+// TestGetdentsAfterRename: getdents64 lists the directory its
+// descriptor was opened on, not whatever has that name now: after /d is
+// renamed to /e and a different /d is made, the descriptor still lists
+// the original entries.
+func TestGetdentsAfterRename(t *testing.T) {
+	k := New(Config{})
+	task := idleTask(t, k)
+	k.FS.MkdirAll("/d", 0o755)
+	k.FS.WriteFile("/d/a", nil, 0o644)
+	task.AS.WriteAt(guestBuf, []byte("/d\x00/e\x00"))
+	fd := k.dispatch(task, SysOpen, [6]uint64{guestBuf, ORdonly}).ret
+	if fd < 0 {
+		t.Fatalf("open /d = %d", fd)
+	}
+	if res := k.dispatch(task, SysRename, [6]uint64{guestBuf, guestBuf + 3}); res.ret != 0 {
+		t.Fatalf("rename /d /e = %d", res.ret)
+	}
+	k.FS.MkdirAll("/d", 0o755)
+	k.FS.WriteFile("/d/other", nil, 0o644)
+	if n := k.dispatch(task, SysGetdents64, [6]uint64{uint64(fd), guestBuf, 100}).ret; n != 11 {
+		t.Fatalf("getdents64 = %d, want one 11-byte record", n)
+	}
+	got := make([]byte, 11)
+	task.AS.ReadAt(guestBuf, got)
+	if got[8] != 8 || got[9] != 1 || got[10] != 'a' {
+		t.Errorf("record = % x, want the renamed directory's file a", got)
+	}
+}
+
+// TestPathSyscallAllocs: once warm, stat and access of an existing path
+// allocate nothing — the path resolves from the guest's bytes, also when
+// it straddles a page boundary — and an open and close of a file
+// allocates at most one object, the descriptor with its open file, on a
+// sealed filesystem and on one that is not.
+func TestPathSyscallAllocs(t *testing.T) {
+	k := New(Config{})
+	task := idleTask(t, k)
+	k.FS.MkdirAll("/www/static", 0o755)
+	k.FS.WriteFile("/www/static/index.html", []byte("hello"), 0o644)
+	const path = "/www/./static/index.html\x00"
+	straddling := uint64(guestBuf + 2*mem.PageSize - 5)
+	task.AS.WriteAt(guestBuf, []byte(path))
+	task.AS.WriteAt(straddling, []byte(path))
+	call := func(nr int64, args ...uint64) int64 {
+		var a [6]uint64
+		copy(a[:], args)
+		return k.dispatch(task, nr, a).ret
+	}
+	cases := []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"stat", 0, func() {
+			if n := call(SysStat, guestBuf, guestBuf+256); n != 0 {
+				t.Fatalf("stat = %d", n)
+			}
+		}},
+		{"access", 0, func() {
+			if n := call(SysAccess, guestBuf, 0); n != 0 {
+				t.Fatalf("access = %d", n)
+			}
+		}},
+		{"stat across a page boundary", 0, func() {
+			if n := call(SysStat, straddling, guestBuf+256); n != 0 {
+				t.Fatalf("stat = %d", n)
+			}
+		}},
+		{"open+close", 1, func() {
+			fd := call(SysOpen, guestBuf, ORdonly)
+			if fd < 0 {
+				t.Fatalf("open = %d", fd)
+			}
+			if n := call(SysClose, uint64(fd)); n != 0 {
+				t.Fatalf("close = %d", n)
+			}
+		}},
+	}
+	for _, sealed := range []bool{false, true} {
+		if sealed {
+			k.FS.Seal()
+		}
+		for _, c := range cases {
+			c.run()
+			if n := testing.AllocsPerRun(100, c.run); n > c.max {
+				t.Errorf("%s (sealed %v): %v allocations, want <= %v", c.name, sealed, n, c.max)
+			}
+		}
+	}
+}
+
 // TestDataSyscallsAllocateNothing: once a task's staging memory and a
 // pipe's buffer exist, moving data through them allocates nothing —
 // neither do getrandom, a poll of an epoll set, or an epoll_wait that
@@ -190,7 +301,7 @@ func TestDataSyscallsAllocateNothing(t *testing.T) {
 	wfd := task.Files.Alloc(&FD{Kind: FDSocket, Sock: w, Nonblock: true})
 	k.FS.WriteFile("/f", bytes.Repeat([]byte("x"), 8192), 0o644)
 	h, _ := k.FS.Open("/f", fs.OpenRead, 0)
-	ffd := task.Files.Alloc(&FD{Kind: FDFile, File: h, Path: "/f"})
+	ffd := task.Files.Alloc(&FD{Kind: FDFile, File: h})
 	ep := NewEpoll()
 	ep.Ctl(1, rfd, EpollIn)
 	epfd := task.Files.Alloc(&FD{Kind: FDEpoll, Epoll: ep})
@@ -247,7 +358,7 @@ func TestBlockedWakeAllocs(t *testing.T) {
 	wfd := task.Files.Alloc(&FD{Kind: FDSocket, Sock: w2})
 	k.FS.WriteFile("/f", bytes.Repeat([]byte("x"), 8192), 0o644)
 	h, _ := k.FS.Open("/f", fs.OpenRead, 0)
-	ffd := task.Files.Alloc(&FD{Kind: FDFile, File: h, Path: "/f"})
+	ffd := task.Files.Alloc(&FD{Kind: FDFile, File: h})
 	l, err := k.Net.Listen(80, 8)
 	if err != nil {
 		t.Fatal(err)

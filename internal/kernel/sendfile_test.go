@@ -180,7 +180,7 @@ func newSendfileRig(t *testing.T, cfg Config, plan netstack.FaultPlan, nonblock 
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.fileFd = r.task.Files.Alloc(&FD{Kind: FDFile, File: h, Path: "/blob"})
+	r.fileFd = r.task.Files.Alloc(&FD{Kind: FDFile, File: h})
 	return r
 }
 
@@ -379,7 +379,7 @@ func TestSendfileEdges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.fileFd = r.task.Files.Alloc(&FD{Kind: FDFile, File: h, Path: "/blob"})
+		r.fileFd = r.task.Files.Alloc(&FD{Kind: FDFile, File: h})
 		if res := r.sendfile(0, 4096); res.ret != -EBADF {
 			t.Fatalf("sendfile = %+v, want -EBADF", res)
 		}

@@ -20,7 +20,6 @@ func (k *Kernel) sysBind(t *Task, args [6]uint64) sysResult {
 	if err := t.ReadAt(args[1], sa[:]); err != nil {
 		return sysErr(EFAULT)
 	}
-	fd.Path = "" // not a file
 	// Record the requested port in the FD until listen().
 	fd.boundPort = binary.BigEndian.Uint16(sa[2:4])
 	fd.bound = true

@@ -89,11 +89,12 @@ func (k *Kernel) sysClone(t *Task, args [6]uint64) sysResult {
 // cleared; seccomp filters and the fd table survive — all Linux
 // semantics the paper leans on.
 func (k *Kernel) sysExecve(t *Task, args [6]uint64) sysResult {
-	path, ok := k.readPath(t, args[0])
-	if !ok {
-		return sysErr(EFAULT)
+	var buf [pathChunk]byte
+	path, errno := k.readPath(t, args[0], buf[:])
+	if errno != 0 {
+		return sysErr(errno)
 	}
-	img, ok := k.images[path]
+	img, ok := k.images[string(path)]
 	if !ok {
 		return sysErr(ENOENT)
 	}
@@ -116,7 +117,7 @@ func (k *Kernel) sysExecve(t *Task, args [6]uint64) sysResult {
 	t.pending = nil
 	t.frames = nil
 	t.SUD = SUDConfig{} // execve disables SUD
-	t.Name = path
+	t.Name = string(path)
 	// Policy: execve resets to a fresh, unsealed region set seeded from
 	// the NEW image's executable segments (the old image's privileges
 	// must not outlive it); the SFIP automaton restarts from Start.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"lazypoline/internal/bpf"
 	"lazypoline/internal/chaos"
@@ -114,13 +115,13 @@ func (k *Kernel) dispatch(t *Task, nr int64, args [6]uint64) sysResult {
 	case SysRename:
 		return k.sysPath2(t, args, k.FS.Rename)
 	case SysMkdir:
-		return k.sysPathPerm(t, args, func(p string, m fs.Mode) error { return k.FS.Mkdir(p, m) })
+		return k.sysPath(t, args[0], func(p string) error { return k.FS.Mkdir(p, fs.Mode(args[1])) })
 	case SysRmdir:
-		return k.sysPath1(t, args, k.FS.Rmdir)
+		return k.sysPath(t, args[0], k.FS.Rmdir)
 	case SysUnlink:
-		return k.sysPath1(t, args, k.FS.Unlink)
+		return k.sysPath(t, args[0], k.FS.Unlink)
 	case SysChmod:
-		return k.sysPathPerm(t, args, k.FS.Chmod)
+		return k.sysPath(t, args[0], func(p string) error { return k.FS.Chmod(p, fs.Mode(args[1])) })
 	case SysPtrace:
 		return sysErr(EPERM) // guests may not ptrace; tracers attach host-side
 	case SysPrctl:
@@ -144,7 +145,7 @@ func (k *Kernel) dispatch(t *Task, nr int64, args [6]uint64) sysResult {
 	case SysEpollWait:
 		return k.sysEpollWait(t, args)
 	case SysUtimensat:
-		return k.sysUtimensat(t, args)
+		return k.sysPath(t, args[1], func(p string) error { now := k.Now(); return k.FS.Utimens(p, now, now) })
 	case SysSeccomp:
 		// Guest-side filter installation is not supported; mechanisms use
 		// Kernel.AttachSeccomp. EINVAL mirrors a rejected filter.
@@ -167,28 +168,37 @@ func (k *Kernel) AttachSeccomp(t *Task, p *bpf.Program) {
 // maxPathLen bounds a guest path, terminator excluded (PATH_MAX).
 const maxPathLen = 4096
 
-// readPath reads a NUL-terminated path from guest memory, a chunk at a
-// time into a stack array. A chunk never crosses a page boundary: a path
-// that ends just before an unmapped page must not fault on it, and
-// within one page a chunk faults exactly when its first byte would.
-func (k *Kernel) readPath(t *Task, addr uint64) (string, bool) {
-	var chunk [256]byte
-	var long []byte // only for paths that outgrow one chunk
-	for len(long) < maxPathLen {
-		at := addr + uint64(len(long))
-		n := min(len(chunk), maxPathLen-len(long), int(mem.PageSize-at%mem.PageSize))
-		if err := t.ReadAt(at, chunk[:n]); err != nil {
-			return "", false
+// pathChunk is the size of the stack array a syscall reads its path into
+// (readPath), and of each chunk a longer path continues with on the heap.
+const pathChunk = 256
+
+// readPath reads a NUL-terminated path from guest memory into buf's
+// array, a chunk at a time, and returns it without the terminator. A
+// chunk never crosses a page boundary: a path that ends just before an
+// unmapped page must not fault on it, and within one page a chunk faults
+// exactly when its first byte would. The errno is EFAULT for an
+// unreadable byte before the terminator and ENAMETOOLONG for no
+// terminator in the first maxPathLen bytes, as Linux's getname.
+func (k *Kernel) readPath(t *Task, addr uint64, buf []byte) ([]byte, int64) {
+	p := buf[:0]
+	for len(p) < maxPathLen {
+		at := addr + uint64(len(p))
+		n := cap(p) - len(p)
+		if n == 0 {
+			n = pathChunk
 		}
-		if i := bytes.IndexByte(chunk[:n], 0); i >= 0 {
-			if long == nil {
-				return string(chunk[:i]), true
-			}
-			return string(append(long, chunk[:i]...)), true
+		n = min(n, maxPathLen-len(p), int(mem.PageSize-at%mem.PageSize))
+		p = slices.Grow(p, n)
+		chunk := p[len(p) : len(p)+n]
+		if err := t.ReadAt(at, chunk); err != nil {
+			return nil, EFAULT
 		}
-		long = append(long, chunk[:n]...)
+		if i := bytes.IndexByte(chunk, 0); i >= 0 {
+			return p[:len(p)+i], 0
+		}
+		p = p[:len(p)+n]
 	}
-	return "", false
+	return nil, ENAMETOOLONG
 }
 
 // fsErrno maps fs errors to errno values.
@@ -216,9 +226,10 @@ func fsErrno(err error) int64 {
 }
 
 func (k *Kernel) sysOpen(t *Task, pathPtr, flags, mode uint64) sysResult {
-	path, ok := k.readPath(t, pathPtr)
-	if !ok {
-		return sysErr(EFAULT)
+	var buf [pathChunk]byte
+	path, errno := k.readPath(t, pathPtr, buf[:])
+	if errno != 0 {
+		return sysErr(errno)
 	}
 	var of fs.OpenFlag
 	switch flags & 0x3 {
@@ -241,12 +252,19 @@ func (k *Kernel) sysOpen(t *Task, pathPtr, flags, mode uint64) sysResult {
 	if flags&OAppend != 0 {
 		of |= fs.OpenAppend
 	}
-	h, err := k.FS.Open(path, of, fs.Mode(mode))
-	if err != nil {
+	o := new(openFile)
+	if err := k.FS.OpenInto(&o.file, path, of, fs.Mode(mode)); err != nil {
 		return sysErr(fsErrno(err))
 	}
-	fd := t.Files.Alloc(&FD{Kind: FDFile, File: h, Path: path, Nonblock: flags&ONonblock != 0})
-	return sysRet(int64(fd))
+	o.fd = FD{Kind: FDFile, File: &o.file, Nonblock: flags&ONonblock != 0}
+	return sysRet(int64(t.Files.Alloc(&o.fd)))
+}
+
+// openFile is a descriptor and the open file it names in one allocation.
+// dup copies the FD, not the file, so duplicates share its offset.
+type openFile struct {
+	fd   FD
+	file fs.File
 }
 
 func (k *Kernel) sysRead(t *Task, args [6]uint64) sysResult {
@@ -479,11 +497,12 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 }
 
 func (k *Kernel) sysStat(t *Task, args [6]uint64) sysResult {
-	path, ok := k.readPath(t, args[0])
-	if !ok {
-		return sysErr(EFAULT)
+	var buf [pathChunk]byte
+	path, errno := k.readPath(t, args[0], buf[:])
+	if errno != 0 {
+		return sysErr(errno)
 	}
-	st, err := k.FS.Stat(path)
+	st, err := k.FS.StatBytes(path)
 	if err != nil {
 		return sysErr(fsErrno(err))
 	}
@@ -631,11 +650,12 @@ func (k *Kernel) sysRtSigprocmask(t *Task, args [6]uint64) sysResult {
 }
 
 func (k *Kernel) sysAccess(t *Task, args [6]uint64) sysResult {
-	path, ok := k.readPath(t, args[0])
-	if !ok {
-		return sysErr(EFAULT)
+	var buf [pathChunk]byte
+	path, errno := k.readPath(t, args[0], buf[:])
+	if errno != 0 {
+		return sysErr(errno)
 	}
-	if _, err := k.FS.Stat(path); err != nil {
+	if _, err := k.FS.StatBytes(path); err != nil {
 		return sysErr(fsErrno(err))
 	}
 	return sysRet(0)
@@ -674,8 +694,8 @@ func (k *Kernel) sysDup2(t *Task, args [6]uint64) sysResult {
 func (k *Kernel) sysPipe2(t *Task, args [6]uint64) sysResult {
 	r, w := netstack.NewPipe()
 	nonblock := args[1]&ONonblock != 0
-	rfd := t.Files.Alloc(&FD{Kind: FDSocket, Sock: r, Nonblock: nonblock, Path: "pipe:[r]"})
-	wfd := t.Files.Alloc(&FD{Kind: FDSocket, Sock: w, Nonblock: nonblock, Path: "pipe:[w]"})
+	rfd := t.Files.Alloc(&FD{Kind: FDSocket, Sock: r, Nonblock: nonblock})
+	wfd := t.Files.Alloc(&FD{Kind: FDSocket, Sock: w, Nonblock: nonblock})
 	var buf [8]byte
 	binary.LittleEndian.PutUint32(buf[0:], uint32(rfd))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(wfd))
@@ -783,7 +803,7 @@ func (k *Kernel) sysGetdents64(t *Task, args [6]uint64) sysResult {
 	if !ok || fd.Kind != FDFile || !fd.File.IsDir() {
 		return sysErr(EBADF)
 	}
-	ents, err := k.FS.ReadDir(fd.Path)
+	ents, err := fd.File.ReadDir()
 	if err != nil {
 		return sysErr(fsErrno(err))
 	}
@@ -819,18 +839,6 @@ func (k *Kernel) sysGetdents64(t *Task, args [6]uint64) sysResult {
 	return sysRet(int64(len(out)))
 }
 
-func (k *Kernel) sysUtimensat(t *Task, args [6]uint64) sysResult {
-	path, ok := k.readPath(t, args[1])
-	if !ok {
-		return sysErr(EFAULT)
-	}
-	now := k.Now()
-	if err := k.FS.Utimens(path, now, now); err != nil {
-		return sysErr(fsErrno(err))
-	}
-	return sysRet(0)
-}
-
 func (k *Kernel) sysGetrandom(t *Task, args [6]uint64) sysResult {
 	count := args[1]
 	if count > 256 {
@@ -851,13 +859,15 @@ func (k *Kernel) sysGetrandom(t *Task, args [6]uint64) sysResult {
 	return sysRet(int64(len(buf)))
 }
 
-// sysPath1 adapts single-path fs operations.
-func (k *Kernel) sysPath1(t *Task, args [6]uint64, op func(string) error) sysResult {
-	path, ok := k.readPath(t, args[0])
-	if !ok {
-		return sysErr(EFAULT)
+// sysPath adapts single-path fs operations: the path at addr, as a
+// string for fs to keep or report.
+func (k *Kernel) sysPath(t *Task, addr uint64, op func(string) error) sysResult {
+	var buf [pathChunk]byte
+	path, errno := k.readPath(t, addr, buf[:])
+	if errno != 0 {
+		return sysErr(errno)
 	}
-	if err := op(path); err != nil {
+	if err := op(string(path)); err != nil {
 		return sysErr(fsErrno(err))
 	}
 	return sysRet(0)
@@ -865,27 +875,16 @@ func (k *Kernel) sysPath1(t *Task, args [6]uint64, op func(string) error) sysRes
 
 // sysPath2 adapts two-path fs operations (rename).
 func (k *Kernel) sysPath2(t *Task, args [6]uint64, op func(string, string) error) sysResult {
-	p1, ok := k.readPath(t, args[0])
-	if !ok {
-		return sysErr(EFAULT)
+	var buf1, buf2 [pathChunk]byte
+	p1, errno := k.readPath(t, args[0], buf1[:])
+	if errno != 0 {
+		return sysErr(errno)
 	}
-	p2, ok := k.readPath(t, args[1])
-	if !ok {
-		return sysErr(EFAULT)
+	p2, errno := k.readPath(t, args[1], buf2[:])
+	if errno != 0 {
+		return sysErr(errno)
 	}
-	if err := op(p1, p2); err != nil {
-		return sysErr(fsErrno(err))
-	}
-	return sysRet(0)
-}
-
-// sysPathPerm adapts path+mode fs operations (mkdir, chmod).
-func (k *Kernel) sysPathPerm(t *Task, args [6]uint64, op func(string, fs.Mode) error) sysResult {
-	path, ok := k.readPath(t, args[0])
-	if !ok {
-		return sysErr(EFAULT)
-	}
-	if err := op(path, fs.Mode(args[1])); err != nil {
+	if err := op(string(p1), string(p2)); err != nil {
 		return sysErr(fsErrno(err))
 	}
 	return sysRet(0)

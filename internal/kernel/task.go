@@ -142,7 +142,6 @@ type FD struct {
 	Sock     *netstack.Endpoint
 	Epoll    *Epoll
 	Nonblock bool
-	Path     string
 
 	// boundPort/bound record a bind() awaiting listen().
 	boundPort uint16
@@ -166,7 +165,7 @@ type FDTable struct {
 func NewFDTable() *FDTable {
 	t := &FDTable{fds: make(map[int]*FD), next: 3}
 	for i := 0; i < 3; i++ {
-		t.fds[i] = &FD{Kind: FDConsole, Path: "console"}
+		t.fds[i] = &FD{Kind: FDConsole}
 	}
 	return t
 }

@@ -42,17 +42,18 @@ func steadyStateAllocs(t *testing.T, fileSize int) (bytesPerReq, objsPerReq floa
 }
 
 // TestSteadyStateRequestAllocs is the allocation gate of the serving data
-// path: once warm, a request allocates a few small bookkeeping objects —
-// the opened file's handle, descriptor and path string — and nothing
-// that scales with the size of the file it serves. Before the data path was made size-first, sendfile alone
-// allocated 256 KiB twice per request.
+// path: once warm, a request allocates one small object — the descriptor
+// that holds the file it opens, whose path resolves from the guest's
+// bytes — and nothing that scales with the size of the file it serves.
+// Before the data path was made size-first, sendfile alone allocated
+// 256 KiB twice per request.
 func TestSteadyStateRequestAllocs(t *testing.T) {
 	const (
 		// Per request, nginx-style. The design target was < 4 KiB in < 40
-		// objects; measured 180-250 B in 4-5, and pinned close to that so
-		// that a new per-request buffer of any size shows.
+		// objects; measured 96 B in 1, and pinned close to that so that a
+		// new per-request buffer of any size shows.
 		maxBytes = 1024
-		maxObjs  = 16
+		maxObjs  = 4
 		// A 256 KiB response outgrows the client's receive buffer once,
 		// so its worker blocks in sendfile and is woken one more time than
 		// for a 1 KiB response: that must not cost a buffer.

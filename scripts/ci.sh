@@ -114,13 +114,14 @@ fi
 # value (DESIGN.md §5). So are the second interpreter timer (one Go test
 # holds the engine floors: EXPERIMENTS.md, "Engine bench"), the parked
 # all-blocked wait with its activity hub (a cell runs on one goroutine),
-# the striped listener table and the second source interface. None may
-# come back, in the code or the docs.
+# the striped listener table, the second source interface and the
+# blocks' predecessor lists (a link into a dropped block is refused where
+# it is used: DESIGN.md §3). None may come back, in the code or the docs.
 if grep -rnE -e '[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)' \
     -e '[c]puCmd|BENCH_[c]pu|lazysim [c]pu|[A]ddExternalWaiter|[A]ctivityGen|[A]waitActivity|[B]umpActivity' \
-    -e '[a]ctivityHub|[s]tackShards|[S]ealedSource' \
+    -e '[a]ctivityHub|[s]tackShards|[S]ealedSource|[p]redLink|[r]emovePred' \
     README.md DESIGN.md Makefile scripts .claude internal cmd; then
-    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait or sharded-stack surface is still named above" >&2
+    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait, sharded-stack or predecessor-list surface is still named above" >&2
     exit 1
 fi
 
@@ -143,11 +144,13 @@ go test -race ./internal/mem ./internal/cpu ./internal/experiments \
 #     nothing under any mechanism (DESIGN.md §6).
 #   TestBlockedWakeAllocs: parking a blocking syscall, polling its wait and
 #     waking it allocate nothing, whatever it waits on (DESIGN.md §5).
+#   TestPathSyscallAllocs: once warm, stat and access of an existing path
+#     allocate nothing and open+close one object (DESIGN.md §5).
 #   TestSteadyStateRequestAllocs, TestWarmCellAllocs: a warm keep-alive
-#     request allocates a few small objects whatever the file size, and a
+#     request allocates one small object whatever the file size, and a
 #     cell run a second time in one process reuses its receive buffers
 #     (DESIGN.md §7).
-go test -p 1 -count 1 -run '^(TestColdStartAllocs|TestEngineSpeedupFloors|TestInterposedSyscallAllocs|TestBlockedWakeAllocs|TestSteadyStateRequestAllocs|TestWarmCellAllocs)$' \
+go test -p 1 -count 1 -run '^(TestColdStartAllocs|TestEngineSpeedupFloors|TestInterposedSyscallAllocs|TestBlockedWakeAllocs|TestPathSyscallAllocs|TestSteadyStateRequestAllocs|TestWarmCellAllocs)$' \
     ./internal/experiments ./internal/kernel ./internal/webbench
 
 # Benchmark smoke run: the interpreter benchmarks must still execute.
