@@ -23,8 +23,6 @@
 // hooks reduce to a single pointer comparison.
 package chaos
 
-import "sync"
-
 // Site names an injection point. Sites are part of the determinism
 // contract: each (Site, id) pair owns an independent PRNG stream, so
 // draws at one site can never perturb decisions at another.
@@ -79,14 +77,10 @@ func SiteName(s Site) string {
 // Engine is a deterministic fault plan. The zero value is unusable;
 // construct with New. A nil Engine never fires.
 //
-// The engine is safe for concurrent use. Each (site, id) pair is an
-// independent splitmix64 stream, so interleaving draws from different
-// streams never changes any stream's sequence — concurrent callers that
-// use disjoint (site, id) pairs observe exactly the values a sequential
-// schedule would have produced; the mutex only protects the counter
-// map itself.
+// Each (site, id) pair is an independent splitmix64 stream, so
+// interleaving draws from different streams never changes any stream's
+// sequence.
 type Engine struct {
-	mu        sync.Mutex
 	seed      uint64
 	threshold uint64 // fire when next draw < threshold
 	counters  map[streamKey]uint64
@@ -141,10 +135,8 @@ func Splitmix64(x uint64) uint64 {
 // 64-bit value.
 func (e *Engine) draw(site Site, id uint64) uint64 {
 	k := streamKey{site: site, id: id}
-	e.mu.Lock()
 	n := e.counters[k]
 	e.counters[k] = n + 1
-	e.mu.Unlock()
 	// Three rounds of splitmix64 mixing seed, site/id, and counter so
 	// that adjacent ids and counters land in unrelated parts of the
 	// sequence.
@@ -161,9 +153,7 @@ func (e *Engine) Fire(site Site, id uint64) bool {
 	}
 	fired := e.draw(site, id) < e.threshold
 	if fired {
-		e.mu.Lock()
 		e.fires[site]++
-		e.mu.Unlock()
 	}
 	return fired
 }
@@ -174,12 +164,10 @@ func (e *Engine) FireCounts() map[Site]uint64 {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
 	out := make(map[Site]uint64, len(e.fires))
 	for site, n := range e.fires {
 		out[site] = n
 	}
-	e.mu.Unlock()
 	return out
 }
 

@@ -7,7 +7,7 @@ package cpu
 // load plus a revalidation — instead of re-entering the cachedInst map
 // lookup. Links are pure shortcuts: every use re-checks the successor's
 // entry pc against the live RIP and its page generations via the
-// lock-free mutation counter, so a stale or wrong link can slow
+// mutation counter, so a stale or wrong link can slow
 // execution down but never change it.
 
 // Successor slot assignment. Slot 0 is reserved for the fall-through /

@@ -202,7 +202,7 @@ const (
 	ExecFast ExecMode = iota
 	// ExecReference is Step alone: every instruction is fetched and
 	// decoded from guest memory, and every data access takes the address
-	// space's locked path. It is the oracle the fast engine is checked
+	// space's checked path. It is the oracle the fast engine is checked
 	// against.
 	ExecReference
 )
@@ -303,7 +303,7 @@ func (c *CPU) Step() Event {
 // no valid cached block covers it (the reference engine, or bytes that do
 // not decode into at least one instruction).
 func (c *CPU) stepUncached(pc uint64) Event {
-	// Uncached fetch: one locked walk computes how many executable
+	// Uncached fetch: one page-map walk computes how many executable
 	// bytes are available at pc (the tail of a mapping may hold fewer
 	// than the 10-byte maximum instruction length).
 	c.FetchWalks++

@@ -41,7 +41,7 @@ type cachedBlock struct {
 	npages int
 	// mut is the address-space code-mutation count at the last successful
 	// validation. While CodeMutations() still returns mut, revalidation is
-	// a single lock-free load.
+	// a single load.
 	mut uint64
 
 	// succ holds the lazily chained successor blocks (DESIGN.md §3):
@@ -195,10 +195,9 @@ func (c *CPU) cachedInst(pc uint64) *isa.Inst {
 	return &b.insts[0]
 }
 
-// revalidate re-checks a block's page generations under the address-space
-// lock. On success the block is current as of the returned mutation
-// count, so the lock-free fast path applies again until the next
-// code-affecting mutation.
+// revalidate re-checks a block's page generations. On success the block
+// is current as of the returned mutation count, so the fast path applies
+// again until the next code-affecting mutation.
 func (dc *decodeCache) revalidate(b *cachedBlock) bool {
 	mut, ok := dc.as.ValidatePages(b.pages[:b.npages])
 	if ok {

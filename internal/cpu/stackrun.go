@@ -16,7 +16,7 @@ import (
 // known before its first instruction: when that span lies in one page
 // the D-TLB passes for the access, the run executes as one lookup and n
 // register moves. Otherwise it executes per instruction, and so do the
-// fault address, the partial state a fault leaves and every locked-path
+// fault address, the partial state a fault leaves and every checked-path
 // side effect.
 
 // stackRun locates a block's stack run: n instructions from index at.

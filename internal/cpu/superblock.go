@@ -11,9 +11,8 @@ package cpu
 //
 // Self-modifying code stays exact because the execution core re-checks
 // the address space's code-mutation counter before every instruction —
-// the same lock-free load the decode cache's sequential hit path
-// performs — and revalidates page generations under the lock the moment
-// it changes. Chained transitions (chain.go) add no trust: they are
+// the same load the decode cache's sequential hit path performs — and
+// revalidates page generations the moment it changes. Chained transitions (chain.go) add no trust: they are
 // routing shortcuts whose targets get the identical validation, and the
 // fused handlers (fused.go) run only on a block so validated.
 

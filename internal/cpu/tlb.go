@@ -15,7 +15,7 @@ const tlbSize = 64
 // telemetry layer. Pure observability: none of these affect
 // timing or guest-visible behaviour.
 type TLBStats struct {
-	// Hits are data accesses served lock-free from a validated entry.
+	// Hits are data accesses served from a validated entry.
 	Hits uint64
 	// Misses are in-page data accesses that re-walked the page map
 	// (empty slot, conflict eviction, or a stale generation).
@@ -66,7 +66,7 @@ func (d *dtlb) reset(as *mem.AddressSpace) {
 }
 
 // lookup returns a handle for an n-byte data access at addr that lies
-// entirely within one page, or nil when the caller must take the locked
+// entirely within one page, or nil when the caller must take the checked
 // slow path (a reference CPU, page-crossing access, unmapped page,
 // insufficient protection, pkey denial, or a write to an executable
 // page). The slow path re-derives any fault with its proper address and
@@ -74,9 +74,9 @@ func (d *dtlb) reset(as *mem.AddressSpace) {
 //
 // priv selects the kernel-privileged rules of AS.ReadForce/WriteForce:
 // protection bits and protection keys are ignored, but a PROT_NONE page
-// still faults. A store to an executable page stays on the locked path
+// still faults. A store to an executable page stays on the checked path
 // either way, so the generation and code-mutation counters advance, and
-// so does a store to a page that aliases a shared frame, which the locked
+// so does a store to a page that aliases a shared frame, which the checked
 // path privatizes first.
 func (c *CPU) lookup(addr uint64, n int, write, priv bool) *mem.PageHandle {
 	d := c.tlb
@@ -95,8 +95,8 @@ func (c *CPU) lookup(addr uint64, n int, write, priv bool) *mem.PageHandle {
 	e := &d.entries[pn&(tlbSize-1)]
 	hit := e.h.Data != nil && e.pn == pn && e.h.Valid()
 	if !hit {
-		// Fill: one read-locked walk, then zero-lock hits until the page's
-		// generation changes.
+		// Fill: one page-map walk, then hits until the page's generation
+		// changes.
 		d.stats.Misses++
 		if e.h.Data != nil && e.pn != pn {
 			d.stats.Evictions++
@@ -130,24 +130,23 @@ func (c *CPU) lookup(addr uint64, n int, write, priv bool) *mem.PageHandle {
 // The accessors below are the TLB-aware counterparts of the address
 // space's ReadAt/WriteAt/ReadU64/WriteU64/ReadForce/WriteForce: the same
 // bytes, errors, fault addresses and fault/code-mutation counts, but
-// lock-free on a TLB hit and without a page-generation bump for a store
+// without a page-map walk on a TLB hit or a page-generation bump for a store
 // to a non-executable page (see mem.PageHandle.DirectWrite). Guest loads
 // and stores use them, and so does the kernel on behalf of the task
-// (kernel.Task's accessors, DESIGN.md §5). Only the goroutine running
-// the CPU's quantum may call them: the TLB is not synchronised.
+// (kernel.Task's accessors, DESIGN.md §5).
 //
 // A span that crosses pages is served a page at a time from the TLB, up
 // to the first page the TLB cannot serve; the rest of the span, from that
-// page on, takes the locked path in one call. A fault is therefore raised
+// page on, takes the checked path in one call. A fault is therefore raised
 // and counted once, at the first inaccessible byte, the pages before it
 // have been transferred, and a store touching executable pages advances
-// the code-mutation counter once — as one locked call over the whole span
+// the code-mutation counter once — as one checked call over the whole span
 // would.
 
 // spans transfers [addr, addr+len(p)) page by page through the TLB with
 // copy(guest bytes, p) or its reverse, handing the rest of the span to
-// the matching locked call at the first page the TLB refuses. (The
-// locked calls are named, not passed in: a call through a func value
+// the matching checked call at the first page the TLB refuses. (The
+// checked calls are named, not passed in: a call through a func value
 // would make every caller's buffer escape.)
 func (c *CPU) spans(addr uint64, p []byte, write, priv bool) error {
 	for len(p) > 0 {

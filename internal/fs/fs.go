@@ -12,8 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Mode bits (a small subset of POSIX).
@@ -57,29 +55,27 @@ type Inode struct {
 // IsDir reports whether the inode is a directory.
 func (i *Inode) IsDir() bool { return i.Mode&ModeDir != 0 }
 
-// FS is one filesystem instance. All methods are safe for concurrent use.
+// FS is one filesystem instance, owned by one simulated machine.
 //
 // A filesystem may be sealed (Seal) once its content is final: every
 // mutation then fails uniformly with ErrSealed — checked before path
 // resolution, so a sealed filesystem's error responses depend only on
-// the request, never on tree state — and read paths take the read lock
-// and skip access-time maintenance (atime is not guest-observable: stat
-// serialises only ino/mode/size/mtime). Serving workloads seal their
-// content tree once it is built: a guest that tries to change it sees
-// EROFS, and reads skip the atime write.
+// the request, never on tree state — and reads skip access-time
+// maintenance (atime is not guest-observable: stat serialises only
+// ino/mode/size/mtime). Serving workloads seal their content tree once
+// it is built: a guest that tries to change it sees EROFS.
 type FS struct {
-	mu      sync.RWMutex
 	root    *Inode
 	nextIno uint64
 	clock   func() uint64
-	sealed  atomic.Bool
+	sealed  bool
 }
 
 // Seal marks the filesystem read-only. There is no unseal.
-func (f *FS) Seal() { f.sealed.Store(true) }
+func (f *FS) Seal() { f.sealed = true }
 
 // Sealed reports whether the filesystem has been sealed.
-func (f *FS) Sealed() bool { return f.sealed.Load() }
+func (f *FS) Sealed() bool { return f.sealed }
 
 // New returns an empty filesystem. clock supplies the current cycle count
 // for timestamps; a nil clock freezes time at zero.
@@ -221,8 +217,6 @@ func (f *FS) Stat(path string) (Stat, error) { return stat(f, path) }
 func (f *FS) StatBytes(path []byte) (Stat, error) { return stat(f, path) }
 
 func stat[P pathBytes](f *FS, path P) (Stat, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
 	ino, err := walk(f, path)
 	if err != nil {
 		return Stat{}, err
@@ -248,8 +242,6 @@ func (f *FS) Mkdir(path string, perm Mode) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	parent, name, err := walkParent(f, path)
 	if err != nil {
 		return err
@@ -308,8 +300,6 @@ func (f *FS) WriteFile(path string, data []byte, perm Mode) error {
 
 // ReadFile returns a copy of a file's contents.
 func (f *FS) ReadFile(path string) ([]byte, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
 	ino, err := walk(f, path)
 	if err != nil {
 		return nil, err
@@ -327,8 +317,6 @@ func (f *FS) Unlink(path string) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	parent, name, err := walkParent(f, path)
 	if err != nil {
 		return err
@@ -351,8 +339,6 @@ func (f *FS) Rmdir(path string) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	parent, name, err := walkParent(f, path)
 	if err != nil {
 		return err
@@ -377,8 +363,6 @@ func (f *FS) Rename(oldpath, newpath string) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	op, oname, err := walkParent(f, oldpath)
 	if err != nil {
 		return err
@@ -408,8 +392,6 @@ func (f *FS) Chmod(path string, perm Mode) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	ino, err := walk(f, path)
 	if err != nil {
 		return err
@@ -424,8 +406,6 @@ func (f *FS) Utimens(path string, atime, mtime uint64) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	ino, err := walk(f, path)
 	if err != nil {
 		return err
@@ -437,8 +417,6 @@ func (f *FS) Utimens(path string, atime, mtime uint64) error {
 // ReadDir lists the directory the handle refers to, in name order: the
 // inode it was opened on, whatever name that inode has now (getdents64).
 func (h *File) ReadDir() ([]DirEnt, error) {
-	h.fs.mu.RLock()
-	defer h.fs.mu.RUnlock()
 	ino := h.inode
 	if !ino.IsDir() {
 		return nil, ErrNotDir
@@ -482,15 +460,13 @@ type File struct {
 	fs    *FS
 	inode *Inode
 	flags OpenFlag
-
-	mu  sync.Mutex
-	off uint64
+	off   uint64
 }
 
 // Open opens path. With OpenCreate the file is created if missing. A
-// sealed filesystem creates, truncates and time-stamps nothing, so there
-// the whole operation runs under the read lock: opening a missing file
-// for creation, or an existing one with OpenTrunc, fails with ErrSealed;
+// sealed filesystem creates, truncates and time-stamps nothing: opening a
+// missing file for creation, or an existing one with OpenTrunc, fails
+// with ErrSealed;
 // handles opened for writing are permitted (write attempts through them
 // fail in WriteAt), matching Linux, which refuses O_CREAT/O_TRUNC on a
 // read-only mount at open time.
@@ -514,18 +490,10 @@ func (f *FS) OpenInto(h *File, path []byte, flags OpenFlag, perm Mode) error {
 }
 
 func open[P pathBytes](f *FS, h *File, path P, flags OpenFlag, perm Mode) error {
-	sealed := f.Sealed()
-	if sealed {
-		f.mu.RLock()
-		defer f.mu.RUnlock()
-	} else {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-	}
 	ino, err := lookup(f, path)
 	switch {
 	case err == ErrNotExist && flags&OpenCreate != 0:
-		if sealed {
+		if f.sealed {
 			return ErrSealed
 		}
 		parent, name, perr := walkParent(f, path)
@@ -551,7 +519,7 @@ func open[P pathBytes](f *FS, h *File, path P, flags OpenFlag, perm Mode) error 
 		return ErrIsDir
 	}
 	if flags&OpenTrunc != 0 && !ino.IsDir() {
-		if sealed {
+		if f.sealed {
 			return ErrSealed
 		}
 		ino.Data = nil
@@ -567,8 +535,6 @@ func (h *File) Inode() uint64 { return h.inode.Ino }
 
 // Size returns the current file size.
 func (h *File) Size() uint64 {
-	h.fs.mu.RLock()
-	defer h.fs.mu.RUnlock()
 	return h.inode.Size
 }
 
@@ -577,15 +543,11 @@ func (h *File) IsDir() bool { return h.inode.IsDir() }
 
 // Stat returns the handle's inode metadata (fstat).
 func (h *File) Stat() Stat {
-	h.fs.mu.RLock()
-	defer h.fs.mu.RUnlock()
 	return statOf(h.inode)
 }
 
 // Offset returns the current file offset.
 func (h *File) Offset() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.off
 }
 
@@ -598,8 +560,6 @@ func (h *File) Avail(off, max uint64) (uint64, error) {
 	if h.flags&OpenRead == 0 {
 		return 0, ErrReadOnly
 	}
-	h.fs.mu.RLock()
-	defer h.fs.mu.RUnlock()
 	if h.inode.IsDir() {
 		return 0, ErrIsDir
 	}
@@ -615,21 +575,6 @@ func (h *File) ReadAt(p []byte, off uint64) (int, error) {
 	if h.flags&OpenRead == 0 {
 		return 0, ErrReadOnly
 	}
-	if h.fs.Sealed() {
-		// No atime maintenance on a sealed tree (atime is not
-		// guest-observable), so the read takes the read lock.
-		h.fs.mu.RLock()
-		defer h.fs.mu.RUnlock()
-		if h.inode.IsDir() {
-			return 0, ErrIsDir
-		}
-		if off >= h.inode.Size {
-			return 0, nil
-		}
-		return copy(p, h.inode.Data[off:]), nil
-	}
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
 	if h.inode.IsDir() {
 		return 0, ErrIsDir
 	}
@@ -637,8 +582,16 @@ func (h *File) ReadAt(p []byte, off uint64) (int, error) {
 		return 0, nil
 	}
 	n := copy(p, h.inode.Data[off:])
-	h.inode.Atime = h.fs.clock()
+	h.touch()
 	return n, nil
+}
+
+// touch stamps a read's access time; a sealed tree keeps none (atime is
+// not guest-observable).
+func (h *File) touch() {
+	if !h.fs.sealed {
+		h.inode.Atime = h.fs.clock()
+	}
 }
 
 // Sink is the far end of ReadTo: guest memory, for read(2). *kernel.Task
@@ -648,26 +601,14 @@ type Sink interface {
 }
 
 // ReadTo reads from the current offset into dst at addr: up to n bytes
-// are written to dst straight from the inode's data, under the
-// filesystem lock (lock order: the file, the filesystem, then whatever
-// dst takes). The offset advances past every byte the file held for the
-// read even when dst fails part-way, as a read(2) whose copy-out faults
-// still consumed them. It returns how many bytes that was and dst's
-// error; a file error (not readable, a directory) comes with 0, before
-// dst is touched.
+// are written to dst straight from the inode's data. The offset advances
+// past every byte the file held for the read even when dst fails
+// part-way, as a read(2) whose copy-out faults still consumed them. It
+// returns how many bytes that was and dst's error; a file error (not
+// readable, a directory) comes with 0, before dst is touched.
 func (h *File) ReadTo(dst Sink, addr uint64, n int) (int, error) {
 	if h.flags&OpenRead == 0 {
 		return 0, ErrReadOnly
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	sealed := h.fs.Sealed()
-	if sealed {
-		h.fs.mu.RLock()
-		defer h.fs.mu.RUnlock()
-	} else {
-		h.fs.mu.Lock()
-		defer h.fs.mu.Unlock()
 	}
 	if h.inode.IsDir() {
 		return 0, ErrIsDir
@@ -676,9 +617,7 @@ func (h *File) ReadTo(dst Sink, addr uint64, n int) (int, error) {
 		return 0, nil
 	}
 	p := h.inode.Data[h.off:min(h.inode.Size, h.off+uint64(n))]
-	if !sealed {
-		h.inode.Atime = h.fs.clock()
-	}
+	h.touch()
 	h.off += uint64(len(p))
 	return len(p), dst.WriteAt(addr, p)
 }
@@ -694,8 +633,6 @@ func (h *File) SealedExtent(off uint64, n int) (p []byte, ok bool) {
 	if h.flags&OpenRead == 0 || !h.fs.Sealed() || h.inode.IsDir() {
 		return nil, false
 	}
-	// Size and Data are final once sealed (the Sealed load above orders
-	// this read after the last write), so no lock is needed.
 	size := h.inode.Size
 	if off >= size || n <= 0 {
 		return nil, true
@@ -705,8 +642,6 @@ func (h *File) SealedExtent(off uint64, n int) (p []byte, ok bool) {
 
 // Write writes at the current offset (or at EOF with OpenAppend).
 func (h *File) Write(p []byte) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	off := h.off
 	if h.flags&OpenAppend != 0 {
 		off = h.Size()
@@ -724,8 +659,6 @@ func (h *File) WriteAt(p []byte, off uint64) (int, error) {
 	if h.fs.Sealed() {
 		return 0, ErrSealed
 	}
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
 	if h.inode.IsDir() {
 		return 0, ErrIsDir
 	}
@@ -755,8 +688,6 @@ func (h *File) WriteAt(p []byte, off uint64) (int, error) {
 
 // Seek sets the file offset (whence: 0=set, 1=cur, 2=end) and returns it.
 func (h *File) Seek(off int64, whence int) (int64, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var base uint64
 	switch whence {
 	case 0:

@@ -14,8 +14,6 @@ import (
 // (t may be nil), so the next poll of each goes all the way down. It is
 // what makes versionRig's reference half poll everything, every time.
 func forgetMisses(ep *Epoll, t *Task) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
 	for i := range ep.watches {
 		w := &ep.watches[i]
 		*w = epollWatch{fd: w.fd, events: w.events}
@@ -473,9 +471,9 @@ func TestVersionBumps(t *testing.T) {
 	task := &Task{ID: 1, Tgid: 1, Files: NewFDTable(), k: k}
 	moves := func(what string, op func()) {
 		t.Helper()
-		before := task.Files.ver.Load()
+		before := task.Files.ver
 		op()
-		if task.Files.ver.Load() == before {
+		if task.Files.ver == before {
 			t.Errorf("%s: fd table version %d did not move", what, before)
 		}
 	}

@@ -5,17 +5,16 @@ package kernel
 // copy-out, signal frames, hcall payloads, ptrace stops — reads and writes
 // the task's memory through these rather than through t.AS: they resolve
 // through the task's software D-TLB, so an access to a page the task has
-// touched takes no lock and, for a store to a non-executable page, issues
-// no page generation; a span that crosses pages is served a page at a
-// time. Misses, executable pages and every fault hand the rest of the
-// span to the locked AddressSpace path, so the bytes, errors, fault
-// addresses and the fault and code-mutation counters are those of
+// touched skips the page-map walk and, for a store to a non-executable
+// page, issues no page generation; a span that crosses pages is served a
+// page at a time. Misses, executable pages and every fault hand the rest
+// of the span to the checked AddressSpace path, so the bytes, errors,
+// fault addresses and the fault and code-mutation counters are those of
 // t.AS.ReadAt and friends.
 //
-// The TLB is unsynchronised and belongs to the goroutine running the
-// task's quantum. Accesses to another task's memory (clone and execve
-// hooks reaching into a child, host-side tooling) and set-up before the
-// task first runs go through t.AS.
+// The TLB is the task's own. Accesses to another task's memory (clone and
+// execve hooks reaching into a child, host-side tooling) and set-up
+// before the task first runs go through t.AS.
 
 // ReadAt reads len(p) bytes at addr with the task's own read permission
 // (copy_from_user).

@@ -43,7 +43,7 @@ func (k *Kernel) sysListen(t *Task, args [6]uint64) sysResult {
 	}
 	fd.Kind = FDListener
 	fd.Listener = l
-	t.Files.ver.Add(1) // the fd now names a listener: cached epoll misses on it are void
+	t.Files.ver++ // the fd now names a listener: cached epoll misses on it are void
 	return sysRet(0)
 }
 
@@ -149,9 +149,7 @@ type epollEvent struct {
 // was settled, so a skipped poll would have changed nothing.
 func (k *Kernel) epollReady(t *Task, ep *Epoll, limit int, out []epollEvent) []epollEvent {
 	files := t.Files
-	filesVer := files.ver.Load() // before any lookup, as an object's version is read before its poll
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
+	filesVer := files.ver // before any lookup, as an object's version is read before its poll
 	for i := range ep.watches {
 		w := &ep.watches[i]
 		if w.missHolds(files, filesVer) {

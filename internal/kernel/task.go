@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"lazypoline/internal/bpf"
 	"lazypoline/internal/cpu"
@@ -66,21 +64,16 @@ type SigAction struct {
 // SigState is the signal handler table, shared between CLONE_SIGHAND
 // tasks.
 type SigState struct {
-	mu       sync.Mutex
 	handlers [NumSignals]SigAction
 }
 
 // Get returns the action for sig.
 func (s *SigState) Get(sig int) SigAction {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.handlers[sig]
 }
 
 // Set replaces the action for sig and returns the old one.
 func (s *SigState) Set(sig int, a SigAction) SigAction {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	old := s.handlers[sig]
 	s.handlers[sig] = a
 	return old
@@ -88,8 +81,6 @@ func (s *SigState) Set(sig int, a SigAction) SigAction {
 
 // clone returns a deep copy (fork without CLONE_SIGHAND).
 func (s *SigState) clone() *SigState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	c := &SigState{}
 	c.handlers = s.handlers
 	return c
@@ -97,8 +88,6 @@ func (s *SigState) clone() *SigState {
 
 // reset restores default dispositions (execve).
 func (s *SigState) reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.handlers = [NumSignals]SigAction{}
 }
 
@@ -150,7 +139,6 @@ type FD struct {
 
 // FDTable maps descriptor numbers to open files; shared under CLONE_FILES.
 type FDTable struct {
-	mu   sync.Mutex
 	fds  map[int]*FD
 	next int
 	// ver moves whenever a descriptor number comes to name a description
@@ -158,7 +146,7 @@ type FDTable struct {
 	// place. An epoll watch's cached miss holds only while it stands
 	// still. Close needs no move: a number that names nothing can only
 	// miss.
-	ver atomic.Uint64
+	ver uint64
 }
 
 // NewFDTable returns a table with fds 0-2 bound to the console.
@@ -172,16 +160,12 @@ func NewFDTable() *FDTable {
 
 // Get looks up an fd.
 func (t *FDTable) Get(fd int) (*FD, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	f, ok := t.fds[fd]
 	return f, ok
 }
 
 // Alloc installs f at the lowest free descriptor and returns it.
 func (t *FDTable) Alloc(f *FD) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	fd := t.next
 	for {
 		if _, used := t.fds[fd]; !used {
@@ -191,22 +175,18 @@ func (t *FDTable) Alloc(f *FD) int {
 	}
 	t.fds[fd] = f
 	t.next = fd + 1
-	t.ver.Add(1)
+	t.ver++
 	return fd
 }
 
 // Install places f at a specific descriptor (dup2).
 func (t *FDTable) Install(fd int, f *FD) {
-	t.mu.Lock()
 	t.fds[fd] = f
-	t.ver.Add(1)
-	t.mu.Unlock()
+	t.ver++
 }
 
 // Close removes an fd.
 func (t *FDTable) Close(fd int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	f, ok := t.fds[fd]
 	if !ok {
 		return false
@@ -233,12 +213,10 @@ func (t *FDTable) Close(fd int) bool {
 // SIGKILLed process's files: its listeners unbind, so later dials see
 // ECONNREFUSED instead of hanging in an accept queue nobody drains.
 func (t *FDTable) CloseAll() {
-	t.mu.Lock()
 	fds := make([]int, 0, len(t.fds))
 	for fd := range t.fds {
 		fds = append(fds, fd)
 	}
-	t.mu.Unlock()
 	sort.Ints(fds)
 	for _, fd := range fds {
 		t.Close(fd)
@@ -249,8 +227,6 @@ func (t *FDTable) CloseAll() {
 // reference counts of shared socket/listener descriptions so the last
 // close, not the first, tears them down.
 func (t *FDTable) clone() *FDTable {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	c := &FDTable{fds: make(map[int]*FD, len(t.fds)), next: t.next}
 	for k, v := range t.fds {
 		cp := *v
@@ -273,11 +249,6 @@ func (f *FD) addRefs() {
 
 // Epoll is an epoll instance: a set of watched fds.
 type Epoll struct {
-	// mu guards watches: Ctl's edits and a poll's walk, which writes
-	// each watch's cached miss back into its entry. A poll holds it while
-	// it takes fd-table and endpoint locks of its own (lock order: epoll,
-	// fd table, endpoint; nothing takes them the other way round).
-	mu sync.Mutex
 	// watches is kept in ascending fd order — the order ready events are
 	// reported in, which run-to-run determinism depends on — so a poll
 	// walks it as it is instead of collecting and sorting fds.
@@ -317,8 +288,6 @@ func NewEpoll() *Epoll { return &Epoll{} }
 
 // Ctl implements EPOLL_CTL_ADD/MOD/DEL (op 1/3/2).
 func (e *Epoll) Ctl(op int, fd int, events uint32) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	i, watched := slices.BinarySearchFunc(e.watches, fd, func(w epollWatch, fd int) int { return cmp.Compare(w.fd, fd) })
 	switch op {
 	case 1: // EPOLL_CTL_ADD
@@ -487,9 +456,8 @@ type taskLocal struct{ key, val any }
 // Local returns the value stored on the task under key by SetLocal, or
 // nil. It is where an interposition mechanism keeps its per-task
 // bookkeeping (its stack of in-flight calls): the storage is reachable
-// only through the task, so it needs no lock — a task runs on one
-// goroutine at a time — and it goes away with the task, however the task
-// dies. A clone child starts with none. Keys are compared with ==; a
+// only through the task, and it goes away with the task, however the
+// task dies. A clone child starts with none. Keys are compared with ==; a
 // mechanism uses its own pointer.
 func (t *Task) Local(key any) any {
 	for i := range t.locals {

@@ -325,13 +325,13 @@ func (k *Kernel) telCollect(r *telemetry.Registry) {
 	r.Counter("sched.quanta").Set(k.quanta)
 
 	ns := k.Net.Stats()
-	r.Counter("net.conns_accepted").Set(ns.Accepted.Load())
-	r.Counter("net.backlog_drops").Set(ns.BacklogDrops.Load())
-	r.Counter("net.segs_dropped").Set(ns.SegsDropped.Load())
-	r.Counter("net.segs_delayed").Set(ns.SegsDelayed.Load())
-	r.Counter("net.resets_injected").Set(ns.Resets.Load())
-	r.Gauge("net.accept_queue_high_water").Set(int64(ns.AcceptHighWater.Load()))
-	r.Gauge("net.recv_buf_high_water").Set(int64(ns.RecvHighWater.Load()))
+	r.Counter("net.conns_accepted").Set(ns.Accepted)
+	r.Counter("net.backlog_drops").Set(ns.BacklogDrops)
+	r.Counter("net.segs_dropped").Set(ns.SegsDropped)
+	r.Counter("net.segs_delayed").Set(ns.SegsDelayed)
+	r.Counter("net.resets_injected").Set(ns.Resets)
+	r.Gauge("net.accept_queue_high_water").Set(int64(ns.AcceptHighWater))
+	r.Gauge("net.recv_buf_high_water").Set(int64(ns.RecvHighWater))
 
 	if k.chaos != nil {
 		counts := k.chaos.FireCounts()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 )
 
@@ -420,55 +419,52 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestConcurrentMaterialise (for -race): host-side readers walk a mapping
-// under the read lock while the guest side gives its pages their backing
-// through PageForAccess and locked writes. A reader sees each byte as zero
-// or as the value written, never a torn page.
-func TestConcurrentMaterialise(t *testing.T) {
+// TestInterleavedMaterialise: whole-mapping reads interleaved with the
+// guest side giving each page its backing — through PageForAccess before
+// the first write on even pages, through the write itself on odd ones —
+// see every byte as zero or as the value written. A write lands in the
+// array PageForAccess handed out and invalidates its handle.
+func TestInterleavedMaterialise(t *testing.T) {
 	const pages, base = 32, 0x100000
 	as := NewAddressSpace()
 	if err := as.MapFixed(base, pages*PageSize, ProtRW); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, pages*PageSize)
-			for i := 0; i < 20; i++ {
-				if err := as.ReadAt(base, buf); err != nil {
-					t.Error(err)
-					return
-				}
-				for off, b := range buf {
-					if b != 0 && (off%PageSize != 8 || b != 0x5A) {
-						t.Errorf("byte %#x at offset %#x: neither zero nor the written value", b, off)
-						return
-					}
-				}
+	buf := make([]byte, pages*PageSize)
+	check := func(written int) {
+		t.Helper()
+		if err := as.ReadAt(base, buf); err != nil {
+			t.Fatal(err)
+		}
+		for off, b := range buf {
+			want := byte(0)
+			if off%PageSize == 8 && off/PageSize < written {
+				want = 0x5A
 			}
-		}()
+			if b != want {
+				t.Fatalf("after %d writes: byte %#x at offset %#x, want %#x", written, b, off, want)
+			}
+		}
 	}
-	for _, fill := range []func(pn uint64) error{
-		func(pn uint64) error {
-			if _, ok := as.PageForAccess(pn); !ok {
-				return errors.New("PageForAccess failed on a mapped page")
+	for i := 0; i < pages; i++ {
+		pn := uint64(base>>PageShift + i)
+		var h PageHandle
+		if i%2 == 0 {
+			var ok bool
+			if h, ok = as.PageForAccess(pn); !ok {
+				t.Fatal("PageForAccess failed on a mapped page")
 			}
-			return nil
-		},
-		func(pn uint64) error { return as.WriteAt(pn<<PageShift+8, []byte{0x5A}) },
-	} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pn := uint64(base >> PageShift); pn < base>>PageShift+pages; pn++ {
-				if err := fill(pn); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
+		}
+		check(i)
+		if err := as.WriteAt(pn<<PageShift+8, []byte{0x5A}); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 && (h.Valid() || h.Data[8] != 0x5A) {
+			t.Fatalf("page %d: handle valid=%v, its byte %#x: the write missed the array it aliases", i, h.Valid(), h.Data[8])
+		}
+		if h2, ok := as.PageForAccess(pn); !ok || !h2.Valid() || h2.Data[8] != 0x5A {
+			t.Fatalf("page %d: PageForAccess after the write: ok=%v", i, ok)
+		}
+		check(i + 1)
 	}
-	wg.Wait()
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // PageSize is the size of one page in bytes.
@@ -222,11 +221,10 @@ type page struct {
 	// page reads as zeros and costs no backing memory. Materialising it
 	// issues no generation, because nothing can be stale: no PageHandle
 	// aliases a page without backing, and the bytes every reader saw
-	// before (zeros) are the bytes the new array holds. Set under the
-	// write lock only.
+	// before (zeros) are the bytes the new array holds.
 	data *[PageSize]byte
 	// frame, if non-nil, is the shared frame data aliases: the page's
-	// bytes are read in place and never written. The first locked write
+	// bytes are read in place and never written. The first checked write
 	// privatizes the page (backing): it copies the frame, drops it and,
 	// like every write, issues a fresh generation, so blocks decoded from
 	// the frame stop validating for this address space alone.
@@ -234,7 +232,7 @@ type page struct {
 	prot  Prot
 	pkey  uint8
 	// gen is the page's generation: a value unique within the address
-	// space's lifetime, replaced on every locked write to the page and on
+	// space's lifetime, replaced on every checked write to the page and on
 	// every protection or pkey change, and set to the never-issued value 0
 	// when the page is unmapped. Decoded-code caches record the
 	// generations of the pages they predecoded and revalidate against
@@ -242,54 +240,44 @@ type page struct {
 	// patch, the JIT's code emission, zpoline's scans) invalidates stale
 	// decodes — the simulator's analogue of x86 icache coherence on
 	// self-modifying code. Software TLBs (internal/cpu) hold PageHandles
-	// and compare this field lock-free on every hit, which is why it is
-	// atomic: stores happen under mu, loads happen from the CPU's
-	// zero-lock data fast path.
-	gen atomic.Uint64
+	// and compare this field on every hit.
+	gen uint64
 }
 
-// AddressSpace is a guest virtual address space. It is safe for concurrent
-// use; the kernel serialises guest execution, but host-side tooling (the
-// Pin analogue, tracers) may inspect memory concurrently.
-//
-// Multiple tasks may share one AddressSpace (CLONE_VM); fork copies it.
+// AddressSpace is a guest virtual address space, owned by one simulated
+// machine. Multiple tasks may share one AddressSpace (CLONE_VM); fork
+// copies it.
 type AddressSpace struct {
-	mu    sync.RWMutex
 	pages map[uint64]*page // keyed by page number (addr >> PageShift)
 	brk   uint64           // next unreserved address for anonymous mmap
-	// activePKRU is the PKRU of the currently scheduled task. Atomic, not
-	// under mu: WRPKRU stores it twice per syscall under lazypoline's MPK
-	// option, and the locked access paths only load it.
-	activePKRU atomic.Uint32
+	// activePKRU is the PKRU of the currently scheduled task.
+	activePKRU uint32
 
-	// genSeq issues page generations (under mu). Generations are never
-	// reused, so a page unmapped and remapped at the same address can
-	// never revalidate a stale cached decode.
+	// genSeq issues page generations. Generations are never reused, so a
+	// page unmapped and remapped at the same address can never
+	// revalidate a stale cached decode.
 	genSeq uint64
 	// codeMut counts code-affecting mutations: writes that touch an
-	// executable page, and every Protect/Unmap/MapFixed/MapFrames/MapAnon. It is
-	// read lock-free by the CPU's decode-cache fast path; while it is
-	// unchanged, every previously validated block is still valid.
-	codeMut atomic.Uint64
+	// executable page, and every Protect/Unmap/MapFixed/MapFrames/MapAnon.
+	// While it is unchanged, every previously validated block is still
+	// valid.
+	codeMut uint64
 	// faults counts access violations (unmapped pages, protection and
-	// pkey denials, exec fetch faults) for the telemetry layer. Atomic
-	// because the exec-fetch paths count under the read lock.
-	faults atomic.Uint64
+	// pkey denials, exec fetch faults) for the telemetry layer.
+	faults uint64
 
 	// AllocGate, if set, is consulted before every page allocation
 	// (MapFixed, MapFrames, MapAnon). Returning false denies the allocation with
 	// ErrNoMem. The kernel wires this to the chaos engine's allocation-
 	// failure stream; the gate must be deterministic for a given call
 	// sequence. Clone does not copy it — the owner re-installs it on
-	// the copy. It is only read from the kernel's scheduling goroutine.
+	// the copy.
 	AllocGate func(pages uint64) bool
 
 	// owner is an opaque scheduler cookie: the task currently executing
-	// on this address space, set for the duration of each quantum. It is
-	// written and read only by the goroutine running that quantum (the
-	// AllocGate fires from inside the quantum's own allocation calls),
-	// and cross-quantum ordering is given by the scheduler's round
-	// barrier, so a plain field suffices. Clone does not copy it.
+	// on this address space, set for the duration of each quantum (the
+	// AllocGate fires from inside the quantum's own allocation calls).
+	// Clone does not copy it.
 	owner any
 }
 
@@ -317,36 +305,28 @@ func NewAddressSpace() *AddressSpace {
 // Clone returns a copy of the address space (fork semantics): private
 // pages are copied, frame-backed pages alias the same frame.
 func (as *AddressSpace) Clone() *AddressSpace {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	c := &AddressSpace{
-		pages:  make(map[uint64]*page, len(as.pages)),
-		brk:    as.brk,
-		genSeq: as.genSeq,
+		pages:      make(map[uint64]*page, len(as.pages)),
+		brk:        as.brk,
+		activePKRU: as.activePKRU,
+		genSeq:     as.genSeq,
+		codeMut:    as.codeMut,
 	}
-	c.activePKRU.Store(as.activePKRU.Load())
-	c.codeMut.Store(as.codeMut.Load())
 	hdrs := make([]page, len(as.pages))
 	for pn, pg := range as.pages {
-		// Field-by-field: the page embeds an atomic generation, which must
-		// not be copied as a struct (go vet copylocks).
 		cp := &hdrs[len(c.pages)]
-		cp.prot, cp.pkey = pg.prot, pg.pkey
-		switch {
-		case pg.frame != nil:
-			cp.data, cp.frame = pg.data, pg.frame
-		case pg.data != nil:
+		*cp = *pg
+		if pg.frame == nil && pg.data != nil {
 			d := *pg.data
 			cp.data = &d
 		}
-		cp.gen.Store(pg.gen.Load())
 		c.pages[pn] = cp
 	}
 	return c
 }
 
 // read copies len(dst) bytes of the page from offset po; an untouched page
-// reads as zeros. Caller holds mu.
+// reads as zeros.
 func (pg *page) read(dst []byte, po int) {
 	if pg.data == nil {
 		clear(dst)
@@ -357,7 +337,7 @@ func (pg *page) read(dst []byte, po int) {
 
 // backing returns the page's private backing array for writing: it
 // allocates one on first use and privatizes a frame-backed page by
-// copying its frame. Caller holds mu for writing.
+// copying its frame.
 func (pg *page) backing() *[PageSize]byte {
 	switch {
 	case pg.frame != nil:
@@ -369,7 +349,7 @@ func (pg *page) backing() *[PageSize]byte {
 	return pg.data
 }
 
-// nextGen issues a fresh, never-reused page generation. Caller holds mu.
+// nextGen issues a fresh, never-reused page generation.
 func (as *AddressSpace) nextGen() uint64 {
 	as.genSeq++
 	return as.genSeq
@@ -379,7 +359,7 @@ func (as *AddressSpace) nextGen() uint64 {
 // fresh generation. Page i is backed by frames[i] when frames is non-nil
 // and that entry is; every other page is untouched, with no backing array
 // allocated (see page.data). The headers of one call share one slice.
-// Caller holds mu and has checked the range is free and within MaxPages.
+// Caller has checked the range is free and within MaxPages.
 func (as *AddressSpace) mapPages(first, n uint64, prot Prot, frames []*Frame) {
 	hdrs := make([]page, n)
 	for i := range hdrs {
@@ -388,10 +368,10 @@ func (as *AddressSpace) mapPages(first, n uint64, prot Prot, frames []*Frame) {
 		if frames != nil && frames[i] != nil {
 			pg.frame, pg.data = frames[i], &frames[i].data
 		}
-		pg.gen.Store(as.nextGen())
+		pg.gen = as.nextGen()
 		as.pages[first+uint64(i)] = pg
 	}
-	as.codeMut.Add(1)
+	as.codeMut++
 }
 
 // MapFixed maps [addr, addr+length) with the given protection. addr and
@@ -418,8 +398,6 @@ func (as *AddressSpace) mapFixed(addr, length uint64, prot Prot, frames []*Frame
 	if as.AllocGate != nil && !as.AllocGate(n) {
 		return ErrNoMem
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	if n > MaxPages-uint64(len(as.pages)) {
 		return ErrNoMem
 	}
@@ -443,8 +421,6 @@ func (as *AddressSpace) MapAnon(length uint64, prot Prot) (uint64, error) {
 	if as.AllocGate != nil && !as.AllocGate(length>>PageShift) {
 		return 0, ErrNoMem
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	if length>>PageShift > MaxPages-uint64(len(as.pages)) {
 		return 0, ErrNoMem
 	}
@@ -474,8 +450,6 @@ func (as *AddressSpace) Protect(addr, length uint64, prot Prot) error {
 	if addr%PageSize != 0 || length == 0 || length%PageSize != 0 {
 		return ErrBadRange
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	first, n := addr>>PageShift, length>>PageShift
 	for i := uint64(0); i < n; i++ {
 		if _, ok := as.pages[first+i]; !ok {
@@ -485,9 +459,9 @@ func (as *AddressSpace) Protect(addr, length uint64, prot Prot) error {
 	for i := uint64(0); i < n; i++ {
 		pg := as.pages[first+i]
 		pg.prot = prot
-		pg.gen.Store(as.nextGen())
+		pg.gen = as.nextGen()
 	}
-	as.codeMut.Add(1)
+	as.codeMut++
 	return nil
 }
 
@@ -497,14 +471,12 @@ func (as *AddressSpace) Unmap(addr, length uint64) error {
 	if addr%PageSize != 0 || length == 0 || length%PageSize != 0 {
 		return ErrBadRange
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	first, n := addr>>PageShift, length>>PageShift
 	unmap := func(pn uint64, pg *page) {
 		// Tombstone: generation 0 is never issued, so any PageHandle
 		// still aliasing this page object can never validate again —
 		// even if the address is later remapped to a fresh page.
-		pg.gen.Store(0)
+		pg.gen = 0
 		delete(as.pages, pn)
 	}
 	if n <= uint64(len(as.pages)) {
@@ -522,15 +494,13 @@ func (as *AddressSpace) Unmap(addr, length uint64) error {
 			}
 		}
 	}
-	as.codeMut.Add(1)
+	as.codeMut++
 	return nil
 }
 
 // ProtAt returns the protection of the page containing addr; ok is false
 // if the page is unmapped.
 func (as *AddressSpace) ProtAt(addr uint64) (Prot, bool) {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	pg, ok := as.pages[addr>>PageShift]
 	if !ok {
 		return 0, false
@@ -539,30 +509,25 @@ func (as *AddressSpace) ProtAt(addr uint64) (Prot, bool) {
 }
 
 // accessRead copies data out while checking the permission bit `need` on
-// every touched page. Reads mutate no page state (the fault counter is
-// atomic), so the whole multi-page walk runs under a single read-lock
-// acquisition — concurrent readers (the Pin analogue, tracers, other
-// simulated CPUs over a shared CLONE_VM space) never serialise against
-// each other. A fault is reported at the first inaccessible byte; bytes
+// every touched page, in one walk. A fault is reported at the first
+// inaccessible byte; bytes
 // before it have already been copied out, matching Linux copy_from_user
 // partial-transfer semantics. A nil dst checks n bytes without copying.
 func (as *AddressSpace) accessRead(addr uint64, n int, dst []byte, need Prot, kind AccessKind) error {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	// Force (kernel-privileged) accesses pass need == ProtRWX and bypass
 	// protection keys, like ring-0 accesses with SMAP/PKS aside.
 	privileged := need == ProtRWX
-	pkru := as.activePKRU.Load()
+	pkru := as.activePKRU
 	off := 0
 	for off < n {
 		a := addr + uint64(off)
 		pg, ok := as.pages[a>>PageShift]
 		if !ok || pg.prot&need == 0 {
-			as.faults.Add(1)
+			as.faults++
 			return &Fault{Addr: a, Kind: kind}
 		}
 		if !privileged && kind != AccessExec && !pkeyAllows(pkru, pg.pkey, kind == AccessWrite) {
-			as.faults.Add(1)
+			as.faults++
 			return &Fault{Addr: a, Kind: kind, Pkey: true}
 		}
 		po := int(a & (PageSize - 1))
@@ -581,27 +546,25 @@ func (as *AddressSpace) accessRead(addr uint64, n int, dst []byte, need Prot, ki
 // accessWrite copies data in while checking the permission bit `need` on
 // every touched page, issuing a fresh generation per touched page and
 // advancing the code-mutation counter when an executable page was
-// written. One write-lock acquisition covers the whole multi-page run;
-// the fault address is the first inaccessible byte, and pages before it
+// written, in one walk; the fault address is the first inaccessible
+// byte, and pages before it
 // keep the bytes already copied (Linux copy_to_user partial-transfer
 // semantics).
 func (as *AddressSpace) accessWrite(addr uint64, src []byte, need Prot, kind AccessKind) error {
 	n := len(src)
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	privileged := need == ProtRWX
-	pkru := as.activePKRU.Load()
+	pkru := as.activePKRU
 	off := 0
 	execTouched := false
 	for off < n {
 		a := addr + uint64(off)
 		pg, ok := as.pages[a>>PageShift]
 		if !ok || pg.prot&need == 0 {
-			as.faults.Add(1)
+			as.faults++
 			return &Fault{Addr: a, Kind: kind}
 		}
 		if !privileged && !pkeyAllows(pkru, pg.pkey, true) {
-			as.faults.Add(1)
+			as.faults++
 			return &Fault{Addr: a, Kind: kind, Pkey: true}
 		}
 		po := int(a & (PageSize - 1))
@@ -610,14 +573,14 @@ func (as *AddressSpace) accessWrite(addr uint64, src []byte, need Prot, kind Acc
 			chunk = rem
 		}
 		copy(pg.backing()[po:po+chunk], src[off:off+chunk])
-		pg.gen.Store(as.nextGen())
+		pg.gen = as.nextGen()
 		if pg.prot&ProtExec != 0 {
 			execTouched = true
 		}
 		off += chunk
 	}
 	if execTouched {
-		as.codeMut.Add(1)
+		as.codeMut++
 	}
 	return nil
 }
@@ -654,11 +617,10 @@ type PageGen struct {
 
 // CodeMutations returns the code-mutation counter: it advances on every
 // write that touches an executable page and on every
-// MapFixed/MapFrames/MapAnon/Protect/Unmap. It is safe to read lock-free; a decoded
-// block validated at mutation count m stays valid while the counter
-// still reads m.
+// MapFixed/MapFrames/MapAnon/Protect/Unmap. A decoded block validated at
+// mutation count m stays valid while the counter still reads m.
 func (as *AddressSpace) CodeMutations() uint64 {
-	return as.codeMut.Load()
+	return as.codeMut
 }
 
 // Stats is a snapshot of an address space's observability counters.
@@ -675,12 +637,10 @@ type Stats struct {
 
 // Stats returns the current counters.
 func (as *AddressSpace) Stats() Stats {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	return Stats{
-		Faults:        as.faults.Load(),
+		Faults:        as.faults,
 		Generations:   as.genSeq,
-		CodeMutations: as.codeMut.Load(),
+		CodeMutations: as.codeMut,
 	}
 }
 
@@ -691,25 +651,16 @@ func (as *AddressSpace) Stats() Stats {
 // bytes can ignore it and callers that needed more can report the fault
 // at its true address. n == 0 means not even addr itself was fetchable.
 func (as *AddressSpace) FetchExec(addr uint64, p []byte) (int, error) {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	n, _, _, _, err := as.fetchExecLocked(addr, p, false)
+	n, _, _, _, err := as.FetchExecGen(addr, p)
 	return n, err
 }
 
-// FetchExecGen is FetchExec plus, under the same lock, a snapshot of the
+// FetchExecGen is FetchExec plus, in the same walk, a snapshot of the
 // generations of the touched pages and the current code-mutation count.
 // A decoded block built from the returned bytes is valid exactly as long
 // as ValidatePages(pages[:npages]) still succeeds, and trivially valid
 // while CodeMutations() still returns mut.
 func (as *AddressSpace) FetchExecGen(addr uint64, p []byte) (n int, pages [2]PageGen, npages int, mut uint64, err error) {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	n, pages, npages, mut, err = as.fetchExecLocked(addr, p, true)
-	return
-}
-
-func (as *AddressSpace) fetchExecLocked(addr uint64, p []byte, wantGens bool) (n int, pages [2]PageGen, npages int, mut uint64, err error) {
 	total := len(p)
 	off := 0
 	for off < total {
@@ -717,10 +668,10 @@ func (as *AddressSpace) fetchExecLocked(addr uint64, p []byte, wantGens bool) (n
 		pn := a >> PageShift
 		pg, ok := as.pages[pn]
 		if !ok || pg.prot&ProtExec == 0 {
-			return off, pages, npages, as.codeMut.Load(), &Fault{Addr: a, Kind: AccessExec}
+			return off, pages, npages, as.codeMut, &Fault{Addr: a, Kind: AccessExec}
 		}
-		if wantGens && npages < len(pages) {
-			pages[npages] = PageGen{PN: pn, Gen: pg.gen.Load()}
+		if npages < len(pages) {
+			pages[npages] = PageGen{PN: pn, Gen: pg.gen}
 			npages++
 		}
 		po := int(a & (PageSize - 1))
@@ -731,54 +682,43 @@ func (as *AddressSpace) fetchExecLocked(addr uint64, p []byte, wantGens bool) (n
 		pg.read(p[off:off+chunk], po)
 		off += chunk
 	}
-	return total, pages, npages, as.codeMut.Load(), nil
+	return total, pages, npages, as.codeMut, nil
 }
 
 // ExecFrame returns the frame backing the page containing addr when that
-// page is executable and frame-backed, with, under the same lock, the
-// page's generation and the current code-mutation count; f is nil
+// page is executable and frame-backed, with the page's generation and the current code-mutation count; f is nil
 // otherwise. A decode cache uses it to look blocks up in the frame's
 // table without fetching: while the generation is unchanged the page is
 // still backed by f, whose bytes never change.
 func (as *AddressSpace) ExecFrame(addr uint64) (f *Frame, g PageGen, mut uint64) {
 	pn := addr >> PageShift
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	if pg, ok := as.pages[pn]; ok && pg.frame != nil && pg.prot&ProtExec != 0 {
-		return pg.frame, PageGen{PN: pn, Gen: pg.gen.Load()}, as.codeMut.Load()
+		return pg.frame, PageGen{PN: pn, Gen: pg.gen}, as.codeMut
 	}
 	return nil, PageGen{}, 0
 }
 
 // ValidatePages reports whether every recorded page still exists with an
 // unchanged generation. On success it also returns the code-mutation
-// count observed under the same lock: the caller's decode is current as
-// of mut, so it may skip revalidation while CodeMutations() == mut.
+// count: the caller's decode is current as of mut, so it may skip revalidation while CodeMutations() == mut.
 func (as *AddressSpace) ValidatePages(pages []PageGen) (mut uint64, ok bool) {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	for _, want := range pages {
 		pg, exists := as.pages[want.PN]
-		if !exists || pg.gen.Load() != want.Gen {
+		if !exists || pg.gen != want.Gen {
 			return 0, false
 		}
 	}
-	return as.codeMut.Load(), true
+	return as.codeMut, true
 }
 
-// PageHandle is a revalidatable, lock-free view of one mapped page — the
-// currency of the CPUs' software D-TLBs. It aliases the page's backing
-// bytes directly; while Valid() holds, the page still exists at the page
+// PageHandle is a revalidatable view of one mapped page — the currency of
+// the CPUs' software D-TLBs. It aliases the page's backing bytes
+// directly; while Valid() holds, the page still exists at the page
 // number it was looked up under, with the same protection, pkey and
-// contents lineage as when the handle was built (any locked write,
+// contents lineage as when the handle was built (any checked write,
 // mprotect, pkey change or unmap replaces the generation, and unmap
 // additionally tombstones it so a remap at the same address can never
 // revalidate a stale handle).
-//
-// The simulated kernel serialises guest execution, so the single guest
-// thread using a handle between Valid() and the data access cannot race
-// a mutation; concurrent host-side tooling only reads (under the address
-// space lock), which is why the zero-lock data path is sound.
 type PageHandle struct {
 	// Data aliases the page's 4 KiB backing array.
 	Data *[PageSize]byte
@@ -791,7 +731,7 @@ type PageHandle struct {
 	// DirectWrite reports whether the holder may store through Data
 	// without going back through WriteAt: the page is writable, NOT
 	// executable and not Shared. Writes to executable pages must take the
-	// locked path so the generation and code-mutation counters advance and
+	// checked path (WriteAt) so the generation and code-mutation counters advance and
 	// decoded-code caches observe the self-modification. Direct stores to
 	// data pages deliberately skip the generation bump: nothing stale can
 	// result, because every other view of the page (other TLBs, ReadAt,
@@ -800,48 +740,38 @@ type PageHandle struct {
 	DirectWrite bool
 	// Shared reports that Data aliases an immutable Frame that other
 	// address spaces map too: no store may go through it, privileged or
-	// not. The locked write path gives the page a private copy first.
+	// not. The checked write path gives the page a private copy first.
 	Shared bool
 
-	gen *atomic.Uint64
+	gen *uint64
 }
 
-// Valid reports whether the handle still describes the live page: one
-// atomic load, no lock. False after any locked write to the page, any
-// protection or pkey change, and forever after unmap.
-func (h *PageHandle) Valid() bool { return h.gen != nil && h.gen.Load() == h.Gen }
+// Valid reports whether the handle still describes the live page. False
+// after any checked write to the page, any protection or pkey change,
+// and forever after unmap.
+func (h *PageHandle) Valid() bool { return h.gen != nil && *h.gen == h.Gen }
 
 // PageForAccess looks up the page `pn` for the data-access fast path and
 // returns a PageHandle aliasing it. ok is false when the page is
-// unmapped. This is the TLB-miss fill path: one read-lock walk amortised
-// over every subsequent zero-lock hit. A handle needs bytes to alias, so
-// an untouched page gets its backing here, under the write lock.
+// unmapped. This is the TLB-miss fill path, amortised over every
+// subsequent hit. A handle needs bytes to alias, so an untouched page
+// gets its backing here.
 func (as *AddressSpace) PageForAccess(pn uint64) (PageHandle, bool) {
-	as.mu.RLock()
 	pg, ok := as.pages[pn]
-	if ok && pg.data != nil {
-		h := pg.handle()
-		as.mu.RUnlock()
-		return h, true
-	}
-	as.mu.RUnlock()
 	if !ok {
 		return PageHandle{}, false
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	if pg, ok = as.pages[pn]; !ok { // unmapped between the two locks
-		return PageHandle{}, false
+	if pg.data == nil {
+		pg.backing()
 	}
-	pg.backing()
 	return pg.handle(), true
 }
 
-// handle builds the PageHandle of a page that has backing. Caller holds mu.
+// handle builds the PageHandle of a page that has backing.
 func (pg *page) handle() PageHandle {
 	return PageHandle{
 		Data:        pg.data,
-		Gen:         pg.gen.Load(),
+		Gen:         pg.gen,
 		Prot:        pg.prot,
 		Pkey:        pg.pkey,
 		DirectWrite: pg.prot&ProtWrite != 0 && pg.prot&ProtExec == 0 && pg.frame == nil,
@@ -883,8 +813,6 @@ func (as *AddressSpace) WriteU64(addr, v uint64) error {
 
 // Mapped reports whether every page of [addr, addr+length) is mapped.
 func (as *AddressSpace) Mapped(addr, length uint64) bool {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	first := addr >> PageShift
 	last := (addr + length - 1) >> PageShift
 	for pn := first; pn <= last; pn++ {
@@ -898,8 +826,6 @@ func (as *AddressSpace) Mapped(addr, length uint64) bool {
 // Regions returns the mapped regions as (addr, length, prot) triples,
 // merging adjacent pages with equal protection, sorted by address.
 func (as *AddressSpace) Regions() []Region {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	if len(as.pages) == 0 {
 		return nil
 	}

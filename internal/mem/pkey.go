@@ -40,8 +40,6 @@ func (as *AddressSpace) SetPkey(addr, length uint64, key uint8) error {
 	if key >= NumPkeys {
 		return fmt.Errorf("%w: pkey %d", ErrBadRange, key)
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	first, n := addr>>PageShift, length>>PageShift
 	for i := uint64(0); i < n; i++ {
 		if _, ok := as.pages[first+i]; !ok {
@@ -54,15 +52,13 @@ func (as *AddressSpace) SetPkey(addr, length uint64, key uint8) error {
 		// A pkey change alters what a cached access decision may permit, so
 		// it must invalidate software-TLB handles the same way mprotect
 		// does: by issuing a fresh generation.
-		pg.gen.Store(as.nextGen())
+		pg.gen = as.nextGen()
 	}
 	return nil
 }
 
 // PkeyAt returns the protection key of the page containing addr.
 func (as *AddressSpace) PkeyAt(addr uint64) (uint8, bool) {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	pg, ok := as.pages[addr>>PageShift]
 	if !ok {
 		return 0, false
@@ -73,16 +69,15 @@ func (as *AddressSpace) PkeyAt(addr uint64) (uint8, bool) {
 // SetActivePKRU installs the PKRU value guest data accesses are checked
 // against. The simulator schedules one task at a time, so the kernel
 // loads the running task's PKRU here on every quantum (on hardware PKRU
-// is per logical CPU). One atomic store: no page state changes.
-func (as *AddressSpace) SetActivePKRU(v uint32) { as.activePKRU.Store(v) }
+// is per logical CPU). No page state changes.
+func (as *AddressSpace) SetActivePKRU(v uint32) { as.activePKRU = v }
 
 // ActivePKRU returns the currently installed PKRU value.
-func (as *AddressSpace) ActivePKRU() uint32 { return as.activePKRU.Load() }
+func (as *AddressSpace) ActivePKRU() uint32 { return as.activePKRU }
 
 // PkeyAllows checks a guest data access against a PKRU value. Exported
 // for the CPU's software-TLB hit path, which checks its own (per-task)
-// PKRU register against the handle's cached pkey without taking the
-// address-space lock.
+// PKRU register against the handle's cached pkey.
 func PkeyAllows(pkru uint32, key uint8, write bool) bool {
 	return pkeyAllows(pkru, key, write)
 }

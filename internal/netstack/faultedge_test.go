@@ -2,7 +2,6 @@ package netstack
 
 import (
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -93,12 +92,13 @@ func TestCloseStagedDataNotDeliveredToClosedPeer(t *testing.T) {
 	}
 }
 
-// TestBacklogAccountingConcurrentConnects: with more concurrent dials
-// than backlog, exactly backlog connections establish, every other dial
-// is counted as a backlog drop, and the accept high-water mark records
-// the full queue. Connection ids are only consumed by the established
+// TestBacklogAccountingInterleavedConnects: with more dials than backlog,
+// interleaved with polls of the listener, exactly backlog connections
+// establish, every other dial is counted as a backlog drop and leaves the
+// listener's version alone, and the accept high-water mark records the
+// full queue. Connection ids are only consumed by the established
 // connections.
-func TestBacklogAccountingConcurrentConnects(t *testing.T) {
+func TestBacklogAccountingInterleavedConnects(t *testing.T) {
 	const backlog, dials = 8, 32
 	s := NewStack()
 	l, err := s.Listen(80, backlog)
@@ -106,55 +106,45 @@ func TestBacklogAccountingConcurrentConnects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var wg sync.WaitGroup
-	var mu sync.Mutex
 	var ok, full int
-	eps := make([]*Endpoint, 0, backlog)
 	for i := 0; i < dials; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ep, err := s.Connect(80)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				ok++
-				eps = append(eps, ep)
-			case errors.Is(err, ErrBacklogFull):
-				full++
-			default:
-				t.Errorf("unexpected connect error: %v", err)
+		_, before, _ := l.Poll()
+		ep, err := s.Connect(80)
+		r, after, _ := l.Poll()
+		switch {
+		case err == nil:
+			ok++
+			if ep.ConnID() != uint64(ok) {
+				t.Fatalf("dial %d: connID %d, want %d", i, ep.ConnID(), ok)
 			}
-		}()
+			if after == before || r&ReadyIn == 0 {
+				t.Fatalf("dial %d: an established connection left the listener at version %d, readiness %v", i, after, r)
+			}
+		case errors.Is(err, ErrBacklogFull):
+			full++
+			if after != before {
+				t.Fatalf("dial %d: a dropped dial moved the listener's version", i)
+			}
+		default:
+			t.Fatalf("unexpected connect error: %v", err)
+		}
 	}
-	wg.Wait()
 
 	if ok != backlog || full != dials-backlog {
 		t.Fatalf("established %d / dropped %d, want %d / %d", ok, full, backlog, dials-backlog)
 	}
 	stats := s.Stats()
-	if got := stats.BacklogDrops.Load(); got != dials-backlog {
+	if got := stats.BacklogDrops; got != dials-backlog {
 		t.Errorf("BacklogDrops = %d, want %d", got, dials-backlog)
 	}
-	if got := stats.AcceptHighWater.Load(); got != backlog {
+	if got := stats.AcceptHighWater; got != backlog {
 		t.Errorf("AcceptHighWater = %d, want %d", got, backlog)
 	}
-	if got := stats.Accepted.Load(); got != backlog {
+	if got := stats.Accepted; got != backlog {
 		t.Errorf("Accepted = %d, want %d", got, backlog)
 	}
-	// Ids are dense over the established connections: the 24 dropped
-	// dials consumed none.
-	seen := make(map[uint64]bool)
-	for _, ep := range eps {
-		id := ep.ConnID()
-		if id < 1 || id > backlog || seen[id] {
-			t.Fatalf("connID %d out of range or duplicated (want a permutation of 1..%d)", id, backlog)
-		}
-		seen[id] = true
-	}
 	// Drain one, dial again: the next id continues the established
-	// sequence.
+	// sequence — the 24 dropped dials consumed none.
 	if _, err := l.Accept(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +210,7 @@ func TestInjectRSTDiscardsEverything(t *testing.T) {
 	if _, err := client.Write([]byte("x")); !errors.Is(err, ErrReset) {
 		t.Errorf("client write after RST: %v", err)
 	}
-	if got := s.Stats().Resets.Load(); got != 1 {
+	if got := s.Stats().Resets; got != 1 {
 		t.Errorf("Resets = %d, want 1", got)
 	}
 }

@@ -13,8 +13,6 @@ package netstack
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
 // Readiness is a poll-style event mask.
@@ -77,52 +75,38 @@ type Pollable interface {
 	Version() uint64
 }
 
-// StackStats counts stack-wide events for the telemetry layer. All
-// fields are atomics: endpoints update them without holding stack
-// locks, and snapshots may race with the simulation. Counting is
-// unconditional and purely observational.
+// StackStats counts stack-wide events for the telemetry layer. Counting
+// is unconditional and purely observational.
 type StackStats struct {
 	// Accepted counts connections placed into an accept queue.
-	Accepted atomic.Uint64
+	Accepted uint64
 	// BacklogDrops counts connection attempts refused because the
 	// listener's accept queue was full.
-	BacklogDrops atomic.Uint64
+	BacklogDrops uint64
 	// SegsDropped / SegsDelayed / Resets count fault-plan injections.
-	SegsDropped atomic.Uint64
-	SegsDelayed atomic.Uint64
-	Resets      atomic.Uint64
+	SegsDropped uint64
+	SegsDelayed uint64
+	Resets      uint64
 	// AcceptHighWater / RecvHighWater are the deepest accept queue and
 	// fullest receive buffer observed.
-	AcceptHighWater atomic.Uint64
-	RecvHighWater   atomic.Uint64
+	AcceptHighWater uint64
+	RecvHighWater   uint64
 }
 
-func (s *StackStats) setMax(g *atomic.Uint64, v uint64) {
-	for {
-		cur := g.Load()
-		if v <= cur || g.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Stack is one loopback network namespace.
+// Stack is one loopback network namespace, owned by one simulated
+// machine.
 type Stack struct {
-	// mu guards listeners, the bound listeners by port.
-	mu        sync.Mutex
-	listeners map[uint16]*Listener
+	listeners map[uint16]*Listener // the bound listeners by port
 
 	// nextConn allocates connection ids. Ids are assigned only when a
-	// connection is actually established (inside Listener.enqueue, under
-	// the listener lock): a refused or backlog-dropped dial must not
-	// consume an id, or it would shift the per-connection fault-plan
-	// streams of every later connection — a restart drill that provokes
-	// refused dials would perturb the fault schedule of unrelated
-	// connections.
-	nextConn atomic.Uint64
+	// connection is actually established (inside Listener.enqueue): a
+	// refused or backlog-dropped dial must not consume an id, or it
+	// would shift the per-connection fault-plan streams of every later
+	// connection — a restart drill that provokes refused dials would
+	// perturb the fault schedule of unrelated connections.
+	nextConn uint64
 
-	faultsMu sync.RWMutex
-	faults   FaultPlan
+	faults FaultPlan
 
 	stats StackStats
 }
@@ -139,28 +123,18 @@ func NewStack() *Stack {
 // SetFaults installs a fault plan on the stack. Connections established
 // after the call carry it; pipes (NewPipe) never do — packet faults are
 // a network phenomenon.
-func (s *Stack) SetFaults(f FaultPlan) {
-	s.faultsMu.Lock()
-	s.faults = f
-	s.faultsMu.Unlock()
-}
+func (s *Stack) SetFaults(f FaultPlan) { s.faults = f }
 
 // Faults returns the installed fault plan (nil if none). Layers that
 // stack their own plan on top — the fleet drill injector wrapping the
 // chaos engine's plan — use it to capture the inner plan.
-func (s *Stack) Faults() FaultPlan {
-	s.faultsMu.RLock()
-	defer s.faultsMu.RUnlock()
-	return s.faults
-}
+func (s *Stack) Faults() FaultPlan { return s.faults }
 
 // Listen binds a listener to port.
 func (s *Stack) Listen(port uint16, backlog int) (*Listener, error) {
 	if backlog <= 0 {
 		backlog = 128
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.listeners[port]; ok {
 		return nil, fmt.Errorf("%w: port %d", ErrAddrInUse, port)
 	}
@@ -175,20 +149,17 @@ func (s *Stack) Listen(port uint16, backlog int) (*Listener, error) {
 // assigned inside enqueue, so refused and backlog-dropped dials never
 // consume one.
 func (s *Stack) Connect(port uint16) (*Endpoint, error) {
-	s.mu.Lock()
 	l, ok := s.listeners[port]
-	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: port %d", ErrConnRefused, port)
 	}
-	faults := s.Faults()
 	client, server := newPair()
-	client.faults, server.faults = faults, faults
+	client.faults, server.faults = s.faults, s.faults
 	client.stats, server.stats = &s.stats, &s.stats
 	if err := l.enqueue(server); err != nil {
 		return nil, err
 	}
-	s.stats.Accepted.Add(1)
+	s.stats.Accepted++
 	return client, nil
 }
 
@@ -196,50 +167,36 @@ func (s *Stack) Connect(port uint16) (*Endpoint, error) {
 type Listener struct {
 	// ver is the listener's readiness version: a connection queued and
 	// the close move it.
-	ver     atomic.Uint64
+	ver     uint64
 	stack   *Stack
 	port    uint16
 	backlog int
 
-	mu     sync.Mutex
 	queue  []*Endpoint
 	closed bool
 	refs   int
 }
 
 func (l *Listener) enqueue(e *Endpoint) error {
-	stats := l.stack.Stats()
-	l.mu.Lock()
+	stats := &l.stack.stats
 	if l.closed {
-		l.mu.Unlock()
 		return ErrConnRefused
 	}
 	if len(l.queue) >= l.backlog {
-		l.mu.Unlock()
-		stats.BacklogDrops.Add(1)
+		stats.BacklogDrops++
 		return ErrBacklogFull
 	}
-	// The connection is established: assign its id now, before either
-	// side becomes visible to anyone else (the client endpoint has not
-	// been returned to the dialer yet, and the server side only becomes
-	// reachable through the queue append below, ordered by l.mu).
-	connID := l.stack.nextConn.Add(1)
-	e.connID = connID
-	if e.peer != nil {
-		e.peer.connID = connID
-	}
+	// The connection is established: assign its id now.
+	l.stack.nextConn++
+	e.connID, e.peer.connID = l.stack.nextConn, l.stack.nextConn
 	l.queue = append(l.queue, e)
-	depth := uint64(len(l.queue))
-	l.mu.Unlock()
-	stats.setMax(&stats.AcceptHighWater, depth)
-	l.ver.Add(1)
+	stats.AcceptHighWater = max(stats.AcceptHighWater, uint64(len(l.queue)))
+	l.ver++
 	return nil
 }
 
 // Accept dequeues a pending connection, or ErrWouldBlock.
 func (l *Listener) Accept() (*Endpoint, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
 		return nil, ErrClosed
 	}
@@ -252,45 +209,31 @@ func (l *Listener) Accept() (*Endpoint, error) {
 }
 
 // AddRef registers another descriptor referencing this listener.
-func (l *Listener) AddRef() {
-	l.mu.Lock()
-	l.refs++
-	l.mu.Unlock()
-}
+func (l *Listener) AddRef() { l.refs++ }
 
 // Close drops one reference; the listener unbinds and refuses pending
 // connections when the last reference is gone.
 func (l *Listener) Close() {
-	l.mu.Lock()
 	if l.closed {
-		l.mu.Unlock()
 		return
 	}
 	if l.refs > 1 {
 		l.refs--
-		l.mu.Unlock()
 		return
 	}
 	l.refs = 0
 	l.closed = true
 	pending := l.queue
 	l.queue = nil
-	l.mu.Unlock()
-
-	s := l.stack
-	s.mu.Lock()
-	delete(s.listeners, l.port)
-	s.mu.Unlock()
+	delete(l.stack.listeners, l.port)
 	for _, e := range pending {
 		e.Close()
 	}
-	l.ver.Add(1)
+	l.ver++
 }
 
 // Ready reports ReadyIn when a connection is waiting.
 func (l *Listener) Ready() Readiness {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var r Readiness
 	if len(l.queue) > 0 {
 		r |= ReadyIn
@@ -303,13 +246,10 @@ func (l *Listener) Ready() Readiness {
 
 // Poll implements Pollable. A listener holds nothing in flight, so its
 // polls are always settled.
-func (l *Listener) Poll() (Readiness, uint64, bool) {
-	ver := l.ver.Load()
-	return l.Ready(), ver, true
-}
+func (l *Listener) Poll() (Readiness, uint64, bool) { return l.Ready(), l.ver, true }
 
 // Version implements Pollable.
-func (l *Listener) Version() uint64 { return l.ver.Load() }
+func (l *Listener) Version() uint64 { return l.ver }
 
 // Port returns the bound port.
 func (l *Listener) Port() uint16 { return l.port }
@@ -326,9 +266,8 @@ type Endpoint struct {
 	// needs no move of its own: the staging moved ver, and no poll made
 	// while a segment is in flight is settled, so no miss recorded
 	// before the delivery can still hold.
-	ver atomic.Uint64
+	ver uint64
 
-	mu     sync.Mutex
 	rx     rxQueue // receive buffer
 	peer   *Endpoint
 	closed bool
@@ -350,24 +289,21 @@ type Endpoint struct {
 	// trace|attempt word) most recently stamped for this endpoint's
 	// reader. Writers stamp their peer before sending a request so the
 	// serving side can attribute the syscalls it runs to the request it
-	// is handling. A plain atomic word with no behavioural coupling:
-	// stamping never blocks, wakes, or reorders anything, so the
-	// request plane stays inert when no tracer consumes the values.
-	traceCtx atomic.Uint64
+	// is handling. A plain word with no behavioural coupling: stamping
+	// never blocks, wakes, or reorders anything, so the request plane
+	// stays inert when no tracer consumes the values.
+	traceCtx uint64
 }
 
 // TraceCtx reads the endpoint's current trace context (0 = none).
-func (e *Endpoint) TraceCtx() uint64 { return e.traceCtx.Load() }
+func (e *Endpoint) TraceCtx() uint64 { return e.traceCtx }
 
 // StampPeerTraceCtx stamps the peer endpoint — the side that will read
 // the bytes being written — with the given context. Safe on closed or
 // peerless endpoints.
 func (e *Endpoint) StampPeerTraceCtx(ctx uint64) {
-	e.mu.Lock()
-	p := e.peer
-	e.mu.Unlock()
-	if p != nil {
-		p.traceCtx.Store(ctx)
+	if e.peer != nil {
+		e.peer.traceCtx = ctx
 	}
 }
 
@@ -386,11 +322,7 @@ func newPair() (a, b *Endpoint) {
 }
 
 // AddRef registers another descriptor referencing this endpoint.
-func (e *Endpoint) AddRef() {
-	e.mu.Lock()
-	e.refs++
-	e.mu.Unlock()
-}
+func (e *Endpoint) AddRef() { e.refs++ }
 
 // NewPipe returns a connected endpoint pair used as a unidirectional
 // pipe: read from the first, write to the second. (Both directions work
@@ -413,31 +345,19 @@ func (e *Endpoint) Discard(max int) (int, error) { return e.read(nil, max) }
 // p is nil.
 func (e *Endpoint) read(p []byte, n int) (int, error) {
 	e.tickStaged()
-	e.mu.Lock()
-	if e.closed {
-		reset := e.reset
-		e.mu.Unlock()
-		if reset {
-			return 0, ErrReset
-		}
-		return 0, ErrClosed
+	if err := e.closedErr(); err != nil {
+		return 0, err
 	}
 	if e.rx.len() == 0 {
-		peer := e.peer
-		e.mu.Unlock()
-		// Peer state is checked with our own lock released so that two
-		// sides reading concurrently cannot deadlock on each other.
-		if peer == nil || peer.isClosed() {
+		if e.peer == nil || e.peer.closed {
 			return 0, nil // EOF
 		}
 		return 0, ErrWouldBlock
 	}
 	n = e.rx.read(p, n)
-	peer := e.peer
-	e.mu.Unlock()
-	if peer != nil {
+	if e.peer != nil {
 		// Our buffer drained: the peer may be writable again.
-		peer.ver.Add(1)
+		e.peer.ver++
 	}
 	return n, nil
 }
@@ -457,9 +377,7 @@ func (e *Endpoint) Write(p []byte) (int, error) { return e.write(segment{p: p}, 
 // queued (or held back by the fault plan) by reference, and a reader's
 // Read copies them out once while Discard, Close and a reset drop them
 // untouched. It returns fewer than n when src holds fewer, and src's
-// error, with nothing sent, when the read fails. Lock order: the
-// endpoint's mu, then whatever src takes (the filesystem lock, for an
-// *fs.File; the address space's, for guest memory).
+// error, with nothing sent, when the read fails.
 func (e *Endpoint) WriteFrom(src Source, off uint64, n int) (int, error) {
 	return e.write(segment{src: src, off: off}, n)
 }
@@ -468,32 +386,21 @@ func (e *Endpoint) WriteFrom(src Source, off uint64, n int) (int, error) {
 // sendfile relies on (DESIGN.md §7): fault-plan Reset, dead peer,
 // space, Drop/Delay, then staging or delivery.
 func (e *Endpoint) write(seg segment, n int) (int, error) {
-	e.mu.Lock()
-	if e.closed {
-		reset := e.reset
-		e.mu.Unlock()
-		if reset {
-			return 0, ErrReset
-		}
-		return 0, ErrClosed
+	if err := e.closedErr(); err != nil {
+		return 0, err
 	}
-	peer := e.peer
-	faults := e.faults
-	e.mu.Unlock()
+	peer, faults := e.peer, e.faults
 	if faults != nil && faults.Reset(e.connID) {
 		if e.stats != nil {
-			e.stats.Resets.Add(1)
+			e.stats.Resets++
 		}
 		e.injectReset()
 		return 0, ErrReset
 	}
-	if peer == nil {
+	if peer == nil || peer.closed {
 		return 0, ErrPipe
 	}
-	peerClosed, space := peer.closedSpace()
-	if peerClosed {
-		return 0, ErrPipe
-	}
+	space := peer.space()
 	if space <= 0 {
 		return 0, ErrWouldBlock
 	}
@@ -508,17 +415,16 @@ func (e *Endpoint) write(seg segment, n int) (int, error) {
 		if faults.Drop(e.connID) {
 			hold = 2
 			if e.stats != nil {
-				e.stats.SegsDropped.Add(1)
+				e.stats.SegsDropped++
 			}
 		} else if faults.Delay(e.connID) {
 			hold = 1
 			if e.stats != nil {
-				e.stats.SegsDelayed.Add(1)
+				e.stats.SegsDelayed++
 			}
 		}
 	}
 	ext, byRef := seg.sealed(n)
-	e.mu.Lock()
 	if hold > 0 || len(e.stage) > 0 {
 		// A held segment is delivered by reference: the source's own
 		// bytes when it lends them, else a private copy nobody changes.
@@ -527,28 +433,17 @@ func (e *Endpoint) write(seg segment, n int) (int, error) {
 			data = make([]byte, n)
 			got, err := seg.readAt(data, 0)
 			if err != nil {
-				e.mu.Unlock()
 				return 0, err
 			}
 			data = data[:got]
 		}
-		got := len(data)
 		e.stage = append(e.stage, stagedSegment{data: data, hold: hold})
-		e.mu.Unlock()
 		// Accepted into the send buffer. The peer's polls now age it, so
 		// none of them may be skipped until it is delivered.
-		peer.ver.Add(1)
-		return got, nil
+		peer.ver++
+		return len(data), nil
 	}
-	e.mu.Unlock()
 
-	peer.mu.Lock()
-	if peer.closed {
-		// Closed since the check above: a closed endpoint holds no
-		// buffer, so nothing may be queued into it.
-		peer.mu.Unlock()
-		return 0, ErrPipe
-	}
 	var got int
 	var err error
 	if byRef {
@@ -557,15 +452,13 @@ func (e *Endpoint) write(seg segment, n int) (int, error) {
 	} else {
 		got, err = peer.rx.fill(seg, n)
 	}
-	depth := uint64(peer.rx.len())
-	peer.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
 	if e.stats != nil {
-		e.stats.setMax(&e.stats.RecvHighWater, depth)
+		e.stats.RecvHighWater = max(e.stats.RecvHighWater, uint64(peer.rx.len()))
 	}
-	peer.ver.Add(1)
+	peer.ver++
 	return got, nil
 }
 
@@ -575,13 +468,10 @@ func (e *Endpoint) write(seg segment, n int) (int, error) {
 // nothing — it asks no fault plan and reports no closed or reset state;
 // the Write that follows does, also when given no bytes at all.
 func (e *Endpoint) WriteSpace() int {
-	e.mu.Lock()
-	peer := e.peer
-	e.mu.Unlock()
-	if peer == nil {
+	if e.peer == nil {
 		return 0
 	}
-	return max(peer.space(), 0)
+	return max(e.peer.space(), 0)
 }
 
 // tickStaged ages the segments the fault plan is holding back on the
@@ -596,80 +486,57 @@ func (e *Endpoint) tickStaged() (settled bool) {
 	if e.faults == nil || w == nil {
 		return true
 	}
-	var due [][]byte
-	w.mu.Lock()
-	if len(w.stage) > 0 {
-		w.stage[0].hold-- // only the head ages: in-order delivery
-		for len(w.stage) > 0 && w.stage[0].hold <= 0 {
-			due = append(due, w.stage[0].data)
-			w.stage = w.stage[1:]
+	if len(w.stage) == 0 {
+		return true
+	}
+	w.stage[0].hold-- // only the head ages: in-order delivery
+	delivered := false
+	for len(w.stage) > 0 && w.stage[0].hold <= 0 {
+		// A closed endpoint keeps no buffer: nobody can read these.
+		if !e.closed {
+			e.rx.hold(w.stage[0].data)
+			delivered = true
 		}
+		w.stage = w.stage[1:]
 	}
-	settled = len(w.stage) == 0
-	w.mu.Unlock()
-	if len(due) == 0 {
-		return settled
+	if delivered && e.stats != nil {
+		e.stats.RecvHighWater = max(e.stats.RecvHighWater, uint64(e.rx.len()))
 	}
-	e.mu.Lock()
-	if e.closed {
-		// Nobody can read these any more; a closed endpoint keeps no buffer.
-		e.mu.Unlock()
-		return settled
-	}
-	for _, d := range due {
-		e.rx.hold(d)
-	}
-	depth := uint64(e.rx.len())
-	e.mu.Unlock()
-	if e.stats != nil {
-		e.stats.setMax(&e.stats.RecvHighWater, depth)
-	}
-	return settled
+	return len(w.stage) == 0
 }
 
 // injectReset hard-closes both sides of the connection, discarding
 // buffered and in-flight data — RST semantics. Descriptor reference
 // counts are irrelevant: a reset kills the connection, not the fds.
 func (e *Endpoint) injectReset() {
-	e.mu.Lock()
-	peer := e.peer
+	e.hardClose()
+	if e.peer != nil {
+		e.peer.hardClose()
+	}
+}
+
+// hardClose is one side of injectReset.
+func (e *Endpoint) hardClose() {
 	e.refs = 0
 	e.closed = true
 	e.reset = true
 	e.rx.release()
 	e.stage = nil
-	e.mu.Unlock()
-	if peer != nil {
-		peer.mu.Lock()
-		peer.refs = 0
-		peer.closed = true
-		peer.reset = true
-		peer.rx.release()
-		peer.stage = nil
-		peer.mu.Unlock()
-	}
-	e.ver.Add(1)
-	if peer != nil {
-		peer.ver.Add(1)
-	}
+	e.ver++
 }
 
 // ConnID returns the connection id assigned when the connection was
 // established (0 for pipes). Fault plans key their per-connection streams
 // on it, and the fleet layer uses it to target drill faults at the
 // connections of one backend.
-func (e *Endpoint) ConnID() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.connID
-}
+func (e *Endpoint) ConnID() uint64 { return e.connID }
 
 // InjectRST hard-closes the connection as if an RST arrived from the
 // network: both sides close immediately and all buffered and in-flight
 // data is discarded. The fleet chaos drills use it to mount RST storms.
 func (e *Endpoint) InjectRST() {
 	if e.stats != nil {
-		e.stats.Resets.Add(1)
+		e.stats.Resets++
 	}
 	e.injectReset()
 }
@@ -677,52 +544,45 @@ func (e *Endpoint) InjectRST() {
 // Close drops one reference; the endpoint shuts down (waking both
 // sides) when the last reference is gone.
 func (e *Endpoint) Close() {
-	e.mu.Lock()
 	if e.closed {
-		e.mu.Unlock()
 		return
 	}
 	if e.refs > 1 {
 		e.refs--
-		e.mu.Unlock()
 		return
 	}
 	e.refs = 0
 	e.closed = true
 	e.rx.release() // unread input dies with the last descriptor
 	peer := e.peer
-	stage := e.stage
-	e.stage = nil
-	e.mu.Unlock()
 	// FIN queues behind in-flight data: anything the fault plan was
 	// still holding is delivered before the peer can observe the close.
-	if peer != nil && len(stage) > 0 {
-		peer.mu.Lock()
-		if !peer.closed {
-			for _, seg := range stage {
-				peer.rx.hold(seg.data)
-			}
+	if peer != nil && !peer.closed {
+		for _, seg := range e.stage {
+			peer.rx.hold(seg.data)
 		}
-		peer.mu.Unlock()
 	}
-	e.ver.Add(1)
+	e.stage = nil
+	e.ver++
 	if peer != nil {
-		peer.ver.Add(1)
+		peer.ver++
 	}
 }
 
-func (e *Endpoint) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
+// closedErr is the error of an operation on a closed endpoint: ErrReset
+// after an injected RST, else ErrClosed; nil while it is open.
+func (e *Endpoint) closedErr() error {
+	switch {
+	case !e.closed:
+		return nil
+	case e.reset:
+		return ErrReset
+	}
+	return ErrClosed
 }
 
 // Buffered returns the number of bytes waiting to be read.
-func (e *Endpoint) Buffered() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rx.len()
-}
+func (e *Endpoint) Buffered() int { return e.rx.len() }
 
 // Ready returns the current readiness mask: Poll without the version.
 func (e *Endpoint) Ready() Readiness {
@@ -730,49 +590,31 @@ func (e *Endpoint) Ready() Readiness {
 	return r
 }
 
-// Poll implements Pollable. It never holds its own lock while taking the
-// peer's, so concurrent polls from both sides cannot deadlock. Each poll
-// ages fault-delayed segments headed this way, so a blocked reader's
-// periodic polling is exactly what "time" means for delivery.
+// Poll implements Pollable. Each poll ages fault-delayed segments headed
+// this way, so a blocked reader's periodic polling is exactly what "time"
+// means for delivery.
 func (e *Endpoint) Poll() (Readiness, uint64, bool) {
-	ver := e.ver.Load()
+	ver := e.ver
 	settled := e.tickStaged()
-	e.mu.Lock()
-	bufLen := e.rx.len()
-	closed := e.closed
-	peer := e.peer
-	e.mu.Unlock()
-
 	var r Readiness
-	if bufLen > 0 {
+	if e.rx.len() > 0 {
 		r |= ReadyIn
 	}
-	if closed || peer == nil {
-		return r | ReadyHup, ver, settled
-	}
-	if peerClosed, space := peer.closedSpace(); peerClosed {
+	switch {
+	case e.closed || e.peer == nil:
+		r |= ReadyHup
+	case e.peer.closed:
 		r |= ReadyIn | ReadyHup // EOF is readable
-	} else if space > 0 {
+	case e.peer.space() > 0:
 		r |= ReadyOut
 	}
 	return r, ver, settled
 }
 
 // Version implements Pollable.
-func (e *Endpoint) Version() uint64 { return e.ver.Load() }
+func (e *Endpoint) Version() uint64 { return e.ver }
 
-func (e *Endpoint) space() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return RecvBufSize - e.rx.len()
-}
-
-// closedSpace is isClosed and space under one lock.
-func (e *Endpoint) closedSpace() (bool, int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed, RecvBufSize - e.rx.len()
-}
+func (e *Endpoint) space() int { return RecvBufSize - e.rx.len() }
 
 var (
 	_ Pollable = (*Endpoint)(nil)

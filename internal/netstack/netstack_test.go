@@ -181,6 +181,8 @@ func TestReadinessTransitions(t *testing.T) {
 	}
 }
 
+// TestLargeTransferIntegrity: 1 MiB written as fast as the peer's buffer
+// takes it, alternating with 32 KiB reads, arrives intact.
 func TestLargeTransferIntegrity(t *testing.T) {
 	s := NewStack()
 	l, _ := s.Listen(80, 4)
@@ -192,31 +194,19 @@ func TestLargeTransferIntegrity(t *testing.T) {
 		want[i] = byte(i * 7)
 	}
 	var got bytes.Buffer
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 32*1024)
-		for got.Len() < len(want) {
-			n, err := server.Read(buf)
-			if errors.Is(err, ErrWouldBlock) {
-				continue
-			}
-			if err != nil {
-				t.Errorf("read: %v", err)
-				return
-			}
-			got.Write(buf[:n])
-		}
-	}()
-	sent := 0
-	for sent < len(want) {
+	buf := make([]byte, 32*1024)
+	for sent := 0; got.Len() < len(want); {
 		n, err := client.Write(want[sent:])
 		sent += n
 		if err != nil && !errors.Is(err, ErrWouldBlock) {
 			t.Fatalf("write: %v", err)
 		}
+		n, err = server.Read(buf)
+		if err != nil && !errors.Is(err, ErrWouldBlock) {
+			t.Fatalf("read: %v", err)
+		}
+		got.Write(buf[:n])
 	}
-	<-done
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Error("transfer corrupted")
 	}

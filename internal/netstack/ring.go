@@ -8,7 +8,7 @@ import (
 // rxQueue is an endpoint's receive queue: a byte stream made of owned
 // bytes, copied into a ring, and extents — immutable bytes held by
 // reference — in the order they were queued. Its length, not the ring's,
-// is what RecvBufSize bounds. Guarded by the owning endpoint's mu.
+// is what RecvBufSize bounds.
 type rxQueue struct {
 	ring
 	// x holds the extents; nil until the first arrives, and taken from

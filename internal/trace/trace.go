@@ -8,7 +8,6 @@ package trace
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"lazypoline/internal/interpose"
 	"lazypoline/internal/kernel"
@@ -46,20 +45,17 @@ func (e Entry) String() string {
 // never return — exit, exit_group, execve — still appear; the return
 // value is filled in at exit when there is one.
 type Recorder struct {
-	mu      sync.Mutex
 	entries []Entry
 	open    map[int][]int // task id -> stack of entry indexes
 }
 
 // Enter implements interpose.Interposer.
 func (r *Recorder) Enter(c *interpose.Call) interpose.Action {
-	r.mu.Lock()
 	if r.open == nil {
 		r.open = make(map[int][]int)
 	}
 	r.entries = append(r.entries, Entry{Nr: c.Nr, Args: c.Args})
 	r.open[c.Task.ID] = append(r.open[c.Task.ID], len(r.entries)-1)
-	r.mu.Unlock()
 	return interpose.Continue
 }
 
@@ -73,7 +69,6 @@ func (r *Recorder) Enter(c *interpose.Call) interpose.Action {
 // with the same syscall number; fall back to the plain stack top when
 // none matches (e.g. the interposer rewrote the number in flight).
 func (r *Recorder) Exit(c *interpose.Call) {
-	r.mu.Lock()
 	if stack := r.open[c.Task.ID]; len(stack) > 0 {
 		pos := len(stack) - 1
 		for i := len(stack) - 1; i >= 0; i-- {
@@ -86,15 +81,12 @@ func (r *Recorder) Exit(c *interpose.Call) {
 		r.open[c.Task.ID] = append(stack[:pos], stack[pos+1:]...)
 		r.entries[idx].Ret = c.Ret
 	}
-	r.mu.Unlock()
 }
 
 var _ interpose.Interposer = (*Recorder)(nil)
 
 // Entries returns a copy of the recorded trace.
 func (r *Recorder) Entries() []Entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Entry, len(r.entries))
 	copy(out, r.entries)
 	return out
@@ -102,8 +94,6 @@ func (r *Recorder) Entries() []Entry {
 
 // Nrs returns just the syscall-number sequence.
 func (r *Recorder) Nrs() []int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]int64, len(r.entries))
 	for i, e := range r.entries {
 		out[i] = e.Nr
@@ -124,23 +114,18 @@ func (r *Recorder) Contains(nr int64) bool {
 // GroundTruth records the kernel's dispatch-level trace — what actually
 // reached the syscall table. Attach with kernel.OnDispatch.
 type GroundTruth struct {
-	mu  sync.Mutex
 	nrs []int64
 }
 
 // Hook returns a kernel.OnDispatch-compatible function.
 func (g *GroundTruth) Hook() func(*kernel.Task, int64, [6]uint64) {
 	return func(_ *kernel.Task, nr int64, _ [6]uint64) {
-		g.mu.Lock()
 		g.nrs = append(g.nrs, nr)
-		g.mu.Unlock()
 	}
 }
 
 // Nrs returns the dispatched syscall numbers.
 func (g *GroundTruth) Nrs() []int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	out := make([]int64, len(g.nrs))
 	copy(out, g.nrs)
 	return out
