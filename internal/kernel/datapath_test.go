@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -166,35 +168,85 @@ func TestEpollWaitRecords(t *testing.T) {
 }
 
 // TestGetdentsFitsBuffer: records are packed whole, in name order, and
-// stop at the first one that does not fit.
+// stop at the first one that does not fit; a buffer too small for the
+// first record is EINVAL. Each row reads a fresh descriptor from its
+// first entry.
 func TestGetdentsFitsBuffer(t *testing.T) {
 	k := New(Config{})
 	task := idleTask(t, k)
 	k.FS.MkdirAll("/d/sub", 0o755)
 	k.FS.WriteFile("/d/a", nil, 0o644)
 	k.FS.WriteFile("/d/bb", nil, 0o644)
-	h, err := k.FS.Open("/d", fs.OpenRead, 0)
-	if err != nil {
-		t.Fatal(err)
+	open := func() uint64 {
+		h, err := k.FS.Open("/d", fs.OpenRead, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return uint64(task.Files.Alloc(&FD{Kind: FDFile, File: h}))
 	}
-	fd := task.Files.Alloc(&FD{Kind: FDFile, File: h})
 	copy(task.ioBuf(64), bytes.Repeat([]byte{0xff}, 64))
 	// Records: "a" 11 bytes, "bb" 12, "sub" 13.
 	for _, tc := range []struct {
 		room uint64
 		want int64
-	}{{100, 36}, {36, 36}, {35, 23}, {22, 11}, {10, 0}, {0, 0}} {
-		if res := k.dispatch(task, SysGetdents64, [6]uint64{uint64(fd), guestBuf, tc.room}); res.ret != tc.want {
+	}{{100, 36}, {36, 36}, {35, 23}, {22, 11}, {10, -EINVAL}, {0, -EINVAL}} {
+		if res := k.dispatch(task, SysGetdents64, [6]uint64{open(), guestBuf, tc.room}); res.ret != tc.want {
 			t.Errorf("getdents64 into %d bytes = %+v, want %d", tc.room, res, tc.want)
 		}
 	}
-	k.dispatch(task, SysGetdents64, [6]uint64{uint64(fd), guestBuf, 100})
+	k.dispatch(task, SysGetdents64, [6]uint64{open(), guestBuf, 100})
 	got := make([]byte, 36)
 	task.AS.ReadAt(guestBuf, got)
 	if got[8] != 8 || got[9] != 1 || got[10] != 'a' ||
 		got[11+8] != 8 || got[11+9] != 2 || string(got[11+10:23]) != "bb" ||
 		got[23+8] != 4 || got[23+9] != 3 || string(got[23+10:]) != "sub" {
 		t.Errorf("records = % x", got)
+	}
+}
+
+// TestGetdentsLoopsToEnd: a guest that calls getdents64 until it returns
+// 0, with a buffer that holds two records at most, gets every entry
+// exactly once, in name order, and then 0 again on a further call.
+func TestGetdentsLoopsToEnd(t *testing.T) {
+	k := New(Config{})
+	task := idleTask(t, k)
+	k.FS.MkdirAll("/d", 0o755)
+	var want []string
+	for i := 0; i < 7; i++ {
+		name := fmt.Sprintf("f%d", i)
+		k.FS.WriteFile("/d/"+name, nil, 0o644)
+		want = append(want, name)
+	}
+	h, err := k.FS.Open("/d", fs.OpenRead, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := uint64(task.Files.Alloc(&FD{Kind: FDFile, File: h}))
+	var names []string
+	for calls := 0; ; calls++ {
+		if calls > len(want) {
+			t.Fatalf("getdents64 has not returned 0 after %d calls: %q", calls, names)
+		}
+		n := k.dispatch(task, SysGetdents64, [6]uint64{fd, guestBuf, 25}).ret
+		if n < 0 {
+			t.Fatalf("getdents64 = %d", n)
+		}
+		if n == 0 {
+			break
+		}
+		buf := make([]byte, n)
+		task.AS.ReadAt(guestBuf, buf)
+		for len(buf) > 0 {
+			l := int(buf[9])
+			names = append(names, string(buf[10:10+l]))
+			buf = buf[10+l:]
+		}
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("entries %q, want %q", names, want)
+	}
+	if n := k.dispatch(task, SysGetdents64, [6]uint64{fd, guestBuf, 25}).ret; n != 0 {
+		t.Errorf("getdents64 past the end = %d, want 0", n)
 	}
 }
 

@@ -798,6 +798,11 @@ func (k *Kernel) sysArchPrctl(t *Task, args [6]uint64) sysResult {
 	return sysRet(0)
 }
 
+// sysGetdents64 packs the directory's entries from the descriptor's
+// offset on, which counts entries already returned: a guest that calls it
+// until it returns 0 gets each entry once. When not even the next entry
+// fits in the buffer it fails with EINVAL, as Linux does, rather than
+// return a 0 that would read as the end of the directory.
 func (k *Kernel) sysGetdents64(t *Task, args [6]uint64) sysResult {
 	fd, ok := t.Files.Get(int(args[0]))
 	if !ok || fd.Kind != FDFile || !fd.File.IsDir() {
@@ -807,6 +812,7 @@ func (k *Kernel) sysGetdents64(t *Task, args [6]uint64) sysResult {
 	if err != nil {
 		return sysErr(fsErrno(err))
 	}
+	ents = ents[min(fd.File.Offset(), uint64(len(ents))):]
 	// Simplified dirent packing: [ino u64][type u8][namelen u8][name].
 	// Sized first: the records that fit in the guest's buffer.
 	fit, size := 0, 0
@@ -817,6 +823,10 @@ func (k *Kernel) sysGetdents64(t *Task, args [6]uint64) sysResult {
 		size += 10 + len(e.Name)
 		fit++
 	}
+	if fit == 0 && len(ents) > 0 {
+		return sysErr(EINVAL)
+	}
+	fd.File.Seek(int64(fit), 1)
 	out := t.ioBuf(size)
 	rec := out
 	for _, e := range ents[:fit] {
