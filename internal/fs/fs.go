@@ -534,22 +534,16 @@ func open[P pathBytes](f *FS, h *File, path P, flags OpenFlag, perm Mode) error 
 func (h *File) Inode() uint64 { return h.inode.Ino }
 
 // Size returns the current file size.
-func (h *File) Size() uint64 {
-	return h.inode.Size
-}
+func (h *File) Size() uint64 { return h.inode.Size }
 
 // IsDir reports whether the handle refers to a directory.
 func (h *File) IsDir() bool { return h.inode.IsDir() }
 
 // Stat returns the handle's inode metadata (fstat).
-func (h *File) Stat() Stat {
-	return statOf(h.inode)
-}
+func (h *File) Stat() Stat { return statOf(h.inode) }
 
 // Offset returns the current file offset.
-func (h *File) Offset() uint64 {
-	return h.off
-}
+func (h *File) Offset() uint64 { return h.off }
 
 // Avail reports how many bytes a ReadAt of up to max bytes at off would
 // return — ReadAt's checks and its EOF rule (0, nil) without the copy.

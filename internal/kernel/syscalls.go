@@ -826,7 +826,7 @@ func (k *Kernel) sysGetdents64(t *Task, args [6]uint64) sysResult {
 	if fit == 0 && len(ents) > 0 {
 		return sysErr(EINVAL)
 	}
-	fd.File.Seek(int64(fit), 1)
+	_, _ = fd.File.Seek(int64(fit), 1) // relative and non-negative: cannot fail
 	out := t.ioBuf(size)
 	rec := out
 	for _, e := range ents[:fit] {

@@ -68,9 +68,7 @@ type SigState struct {
 }
 
 // Get returns the action for sig.
-func (s *SigState) Get(sig int) SigAction {
-	return s.handlers[sig]
-}
+func (s *SigState) Get(sig int) SigAction { return s.handlers[sig] }
 
 // Set replaces the action for sig and returns the old one.
 func (s *SigState) Set(sig int, a SigAction) SigAction {
@@ -80,16 +78,10 @@ func (s *SigState) Set(sig int, a SigAction) SigAction {
 }
 
 // clone returns a deep copy (fork without CLONE_SIGHAND).
-func (s *SigState) clone() *SigState {
-	c := &SigState{}
-	c.handlers = s.handlers
-	return c
-}
+func (s *SigState) clone() *SigState { return &SigState{handlers: s.handlers} }
 
 // reset restores default dispositions (execve).
-func (s *SigState) reset() {
-	s.handlers = [NumSignals]SigAction{}
-}
+func (s *SigState) reset() { s.handlers = [NumSignals]SigAction{} }
 
 // pendingSignal is a queued signal.
 type pendingSignal struct {

@@ -358,9 +358,7 @@ func (tr *Tracer) Tree(trace uint64) *Tree {
 }
 
 // Stats returns a copy of the sampler counters.
-func (tr *Tracer) Stats() Stats {
-	return tr.stats
-}
+func (tr *Tracer) Stats() Stats { return tr.stats }
 
 // PIDRequests is the Chrome-trace process ID request span trees export
 // under; it extends the telemetry timeline's PIDMachine/PIDScheduler

@@ -192,9 +192,7 @@ func (p *Profile) Observe(from, to int64) {
 }
 
 // Edges returns the number of recorded transitions.
-func (p *Profile) Edges() int {
-	return len(p.edges)
-}
+func (p *Profile) Edges() int { return len(p.edges) }
 
 // Alphabet returns the tracked syscall numbers, sorted.
 func (p *Profile) Alphabet() []int64 {

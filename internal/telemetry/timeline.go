@@ -107,9 +107,7 @@ func (tl *Timeline) Events() []Event {
 }
 
 // Len returns the number of emitted events.
-func (tl *Timeline) Len() int {
-	return len(tl.events)
-}
+func (tl *Timeline) Len() int { return len(tl.events) }
 
 // ChromeTrace is the top-level object of a Chrome trace-event file.
 type ChromeTrace struct {
