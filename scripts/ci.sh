@@ -71,21 +71,6 @@ go vet ./...
 go build ./...
 go test -race ./...
 
-# The data fast path's concurrency surface (lock-free TLB hits against
-# locked invalidation, the RLock'd read walk) and the cold path's
-# (DESIGN.md §3, §4: demand-zero pages gaining their backing under readers,
-# the decoder, block builds sharing one scratch pool across CPUs, the
-# loader, the syscall-site scan and the coreutil lookup), plus the
-# interposer binder's hcall payloads, the netstack's locked tables, and
-# the kernel and the mechanisms that now reach guest
-# memory through the task's unsynchronised D-TLB (DESIGN.md §5), get an
-# explicit -race pass even though the full-suite run above covers these
-# packages: a future narrowing of the suite must not silently drop this
-# gate.
-go test -race ./internal/cpu/... ./internal/mem/... ./internal/isa/... ./internal/interpose/... \
-    ./internal/kernel/... ./internal/sud/... ./internal/seccomputil/... ./internal/ptracer/... \
-    ./internal/loader/... ./internal/zpoline/... ./internal/guest/... ./internal/netstack/...
-
 # The in-kernel parallel scheduler is gone (DESIGN.md §5), and so are
 # the five fast-path toggles (one fast engine, one reference engine:
 # DESIGN.md §3), the hot-trace tier (chained blocks and fused handlers
@@ -116,19 +101,24 @@ fi
 # all-blocked wait with its activity hub (a cell runs on one goroutine),
 # the striped listener table, the second source interface and the
 # blocks' predecessor lists (a link into a dropped block is refused where
-# it is used: DESIGN.md §3). None may come back, in the code or the docs.
+# it is used: DESIGN.md §3). Nor may the per-cell locks (a cell runs on
+# one goroutine; DESIGN.md §8 lists the shared objects that keep theirs)
+# or the lock order they imposed. None may come back, in the code or the
+# docs.
 if grep -rnE -e '[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)' \
     -e '[c]puCmd|BENCH_[c]pu|lazysim [c]pu|[A]ddExternalWaiter|[A]ctivityGen|[A]waitActivity|[B]umpActivity' \
     -e '[a]ctivityHub|[s]tackShards|[S]ealedSource|[p]redLink|[r]emovePred' \
+    -e '[f]aultsMu|[e]xMu|[L]ock order' \
     README.md DESIGN.md Makefile scripts .claude internal cmd; then
-    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait, sharded-stack or predecessor-list surface is still named above" >&2
+    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait, sharded-stack, predecessor-list or per-cell-lock surface is still named above" >&2
     exit 1
 fi
 
-# Shared image frames and decoded blocks (DESIGN.md §3, §4): address spaces
-# aliasing one frame while another privatizes its copy, CPUs publishing
-# and reusing one frame's blocks, and a -j 2 sweep of kernels over one
-# memoized image with lazypoline and zpoline rewriting their own copies.
+# The gate for what stays shared across cells (DESIGN.md §8): address
+# spaces aliasing one frame while another privatizes its copy, CPUs
+# publishing and reusing one frame's blocks, and a -j 2 sweep of kernels
+# over one memoized image with lazypoline and zpoline rewriting their own
+# copies, run uncached (-count 1) so a cached pass cannot stand in for it.
 go test -race ./internal/mem ./internal/cpu ./internal/experiments \
     -run 'Frame|TestShared|TestLockstepShared' -count 1
 
