@@ -107,6 +107,9 @@ type decodeCache struct {
 	// sledBase is the entry of the last block decoded that starts with a
 	// NOP sled; later entries inside its sled are views of it (sledSuffix).
 	sledBase uint64
+	// privateDecodes counts blocks decoded from a page no frame backs
+	// (PrivateDecodes).
+	privateDecodes uint64
 }
 
 // buildScratch is build's working memory: the fetch buffer, and the
@@ -134,6 +137,19 @@ func (c *CPU) DecodeCacheStats() DecodeCacheStats {
 		return DecodeCacheStats{}
 	}
 	return c.cache.stats
+}
+
+// PrivateDecodes returns how many blocks the CPU decoded from pages no
+// frame backs: code written in place that no Protect has sealed since
+// (mem.AddressSpace.Protect), such as a page left RWX. Zero on a
+// reference CPU. It is kept out of DecodeCacheStats and telemetry
+// because it is not a property of the cell alone: whether a page could
+// be sealed depends on what the rest of the process has interned.
+func (c *CPU) PrivateDecodes() uint64 {
+	if c.cache == nil {
+		return 0
+	}
+	return c.cache.privateDecodes
 }
 
 // cachedInst returns the decoded instruction at pc if a validated cached
@@ -293,9 +309,11 @@ const firstWindow = 128
 // offset for every syscall number — is not decoded at all: it is a view
 // of the block that sled starts (sledSuffix). A block on a frame-backed
 // page is not decoded either once any CPU has decoded it: it is a header
-// over the code published in the frame (sharedBlock). Everything else —
-// private pages, written by a rewriter, a JIT or ptrace, and blocks that
-// straddle into one — is decoded from a fetch (decode).
+// over the code published in the frame (sharedBlock) — and so is code a
+// rewriter or JIT wrote and mprotected back to RX, which the address
+// space seals into a frame. Everything else — private pages, written and
+// not yet sealed or left writable, and blocks that straddle into one —
+// is decoded from a fetch (decode).
 func (dc *decodeCache) build(pc uint64) *cachedBlock {
 	if b := dc.sledSuffix(pc); b != nil {
 		return b
@@ -308,6 +326,8 @@ func (dc *decodeCache) build(pc uint64) *cachedBlock {
 		}
 		if f != nil {
 			dc.publish(f, pg, b)
+		} else {
+			dc.privateDecodes++
 		}
 	}
 	if b.fused == fusedNopSled {

@@ -11,7 +11,8 @@ package fs
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Mode bits (a small subset of POSIX).
@@ -50,6 +51,10 @@ type Inode struct {
 	// Atime/Mtime/Ctime are in cycles.
 	Atime, Mtime, Ctime uint64
 	Nlink               uint32
+	// listing is a directory's entries as ReadDir last sorted them, nil
+	// again after any change to Children. (A pointer, so an inode stays
+	// in its allocation size class.)
+	listing *[]DirEnt
 }
 
 // IsDir reports whether the inode is a directory.
@@ -262,6 +267,7 @@ func (f *FS) Mkdir(path string, perm Mode) error {
 		Nlink: 2,
 	}
 	parent.Mtime = now
+	parent.listing = nil
 	return nil
 }
 
@@ -313,7 +319,15 @@ func (f *FS) ReadFile(path string) ([]byte, error) {
 }
 
 // Unlink removes a file (not a directory).
-func (f *FS) Unlink(path string) error {
+func (f *FS) Unlink(path string) error { return unlink(f, path) }
+
+// UnlinkBytes is Unlink of a path held as bytes (the kernel's unlink,
+// from guest memory). Like StatBytes, it is not inlined.
+//
+//go:noinline
+func (f *FS) UnlinkBytes(path []byte) error { return unlink(f, path) }
+
+func unlink[P pathBytes](f *FS, path P) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
@@ -321,21 +335,30 @@ func (f *FS) Unlink(path string) error {
 	if err != nil {
 		return err
 	}
-	child, ok := parent.Children[name]
+	child, ok := parent.Children[string(name)]
 	if !ok {
 		return ErrNotExist
 	}
 	if child.IsDir() {
 		return ErrIsDir
 	}
-	delete(parent.Children, name)
+	delete(parent.Children, string(name))
 	child.Nlink--
 	parent.Mtime = f.clock()
+	parent.listing = nil
 	return nil
 }
 
 // Rmdir removes an empty directory.
-func (f *FS) Rmdir(path string) error {
+func (f *FS) Rmdir(path string) error { return rmdir(f, path) }
+
+// RmdirBytes is Rmdir of a path held as bytes (the kernel's rmdir, from
+// guest memory). Like StatBytes, it is not inlined.
+//
+//go:noinline
+func (f *FS) RmdirBytes(path []byte) error { return rmdir(f, path) }
+
+func rmdir[P pathBytes](f *FS, path P) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
@@ -343,7 +366,7 @@ func (f *FS) Rmdir(path string) error {
 	if err != nil {
 		return err
 	}
-	child, ok := parent.Children[name]
+	child, ok := parent.Children[string(name)]
 	if !ok {
 		return ErrNotExist
 	}
@@ -353,8 +376,9 @@ func (f *FS) Rmdir(path string) error {
 	if len(child.Children) != 0 {
 		return ErrNotEmpty
 	}
-	delete(parent.Children, name)
+	delete(parent.Children, string(name))
 	parent.Mtime = f.clock()
+	parent.listing = nil
 	return nil
 }
 
@@ -384,11 +408,21 @@ func (f *FS) Rename(oldpath, newpath string) error {
 	np.Children[nname] = child
 	now := f.clock()
 	op.Mtime, np.Mtime = now, now
+	op.listing, np.listing = nil, nil
 	return nil
 }
 
 // Chmod updates permission bits.
-func (f *FS) Chmod(path string, perm Mode) error {
+func (f *FS) Chmod(path string, perm Mode) error { return chmod(f, path, perm) }
+
+// ChmodBytes is Chmod of a path held as bytes (the kernel's chmod, from
+// guest memory): it allocates nothing for an existing path. Like
+// StatBytes, it is not inlined.
+//
+//go:noinline
+func (f *FS) ChmodBytes(path []byte, perm Mode) error { return chmod(f, path, perm) }
+
+func chmod[P pathBytes](f *FS, path P, perm Mode) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
@@ -403,6 +437,19 @@ func (f *FS) Chmod(path string, perm Mode) error {
 
 // Utimens updates the access and modification times (touch).
 func (f *FS) Utimens(path string, atime, mtime uint64) error {
+	return utimens(f, path, atime, mtime)
+}
+
+// UtimensBytes is Utimens of a path held as bytes (the kernel's
+// utimensat, from guest memory): it allocates nothing for an existing
+// path. Like StatBytes, it is not inlined.
+//
+//go:noinline
+func (f *FS) UtimensBytes(path []byte, atime, mtime uint64) error {
+	return utimens(f, path, atime, mtime)
+}
+
+func utimens[P pathBytes](f *FS, path P, atime, mtime uint64) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
@@ -416,21 +463,23 @@ func (f *FS) Utimens(path string, atime, mtime uint64) error {
 
 // ReadDir lists the directory the handle refers to, in name order: the
 // inode it was opened on, whatever name that inode has now (getdents64).
+// The listing is built once and kept on the directory's inode until its
+// entries change, so a guest that reads it a few records per call sorts
+// it once; callers must not modify it.
 func (h *File) ReadDir() ([]DirEnt, error) {
 	ino := h.inode
 	if !ino.IsDir() {
 		return nil, ErrNotDir
 	}
-	names := make([]string, 0, len(ino.Children))
-	for n := range ino.Children {
-		names = append(names, n)
+	if ino.listing != nil {
+		return *ino.listing, nil
 	}
-	sort.Strings(names)
-	out := make([]DirEnt, len(names))
-	for i, n := range names {
-		c := ino.Children[n]
-		out[i] = DirEnt{Name: n, Ino: c.Ino, IsDir: c.IsDir()}
+	out := make([]DirEnt, 0, len(ino.Children))
+	for n, c := range ino.Children {
+		out = append(out, DirEnt{Name: n, Ino: c.Ino, IsDir: c.IsDir()})
 	}
+	slices.SortFunc(out, func(a, b DirEnt) int { return strings.Compare(a.Name, b.Name) })
+	ino.listing = &out
 	return out, nil
 }
 
@@ -510,6 +559,7 @@ func open[P pathBytes](f *FS, h *File, path P, flags OpenFlag, perm Mode) error 
 		}
 		parent.Children[string(name)] = ino
 		parent.Mtime = now
+		parent.listing = nil
 	case err != nil:
 		return withPath(err, path)
 	case flags&(OpenCreate|OpenExcl) == OpenCreate|OpenExcl:

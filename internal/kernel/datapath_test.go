@@ -279,11 +279,63 @@ func TestGetdentsAfterRename(t *testing.T) {
 	}
 }
 
-// TestPathSyscallAllocs: once warm, stat and access of an existing path
-// allocate nothing — the path resolves from the guest's bytes, also when
-// it straddles a page boundary — and an open and close of a file
-// allocates at most one object, the descriptor with its open file, on a
-// sealed filesystem and on one that is not.
+// TestGetdentsAllocs: a guest reading a 64-entry directory two records
+// per call has the listing built and sorted once, not once per call:
+// opening the directory and reading it to the end allocates a fixed
+// handful of objects, a second pass over the descriptor none, and an
+// entry added in between is listed.
+func TestGetdentsAllocs(t *testing.T) {
+	k := New(Config{})
+	task := idleTask(t, k)
+	k.FS.MkdirAll("/d", 0o755)
+	for i := 0; i < 64; i++ {
+		k.FS.WriteFile(fmt.Sprintf("/d/f%02d", i), nil, 0o644)
+	}
+	fd := &FD{Kind: FDFile}
+	num := uint64(task.Files.Alloc(fd))
+	open := func() {
+		h, err := k.FS.Open("/d", fs.OpenRead, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd.File = h
+	}
+	// pass reads from the first entry to the end, 26 bytes (two 13-byte
+	// records) a call, and returns how many calls returned entries.
+	pass := func() int {
+		fd.File.Seek(0, 0)
+		for calls := 0; ; calls++ {
+			n := k.dispatch(task, SysGetdents64, [6]uint64{num, guestBuf, 26}).ret
+			if n < 0 {
+				t.Fatalf("getdents64 = %d", n)
+			}
+			if n == 0 {
+				return calls
+			}
+		}
+	}
+	open()
+	if calls := pass(); calls != 32 {
+		t.Fatalf("%d calls listed 64 entries, want 32", calls)
+	}
+	if n := testing.AllocsPerRun(20, func() { open(); pass() }); n > 3 {
+		t.Errorf("open and a 33-call pass: %v allocations, want <= 3", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { pass() }); n != 0 {
+		t.Errorf("a second 33-call pass: %v allocations, want 0", n)
+	}
+	k.FS.WriteFile("/d/g", nil, 0o644)
+	if calls := pass(); calls != 33 {
+		t.Errorf("after adding an entry, %d calls, want 33", calls)
+	}
+}
+
+// TestPathSyscallAllocs: once warm, stat, access, chmod and utimensat of
+// an existing path allocate nothing — the path resolves from the guest's
+// bytes, also when it straddles a page boundary — and an open and close
+// of a file allocates at most one object, the descriptor with its open
+// file, on a sealed filesystem (where chmod and utimensat fail with
+// EROFS) and on one that is not.
 func TestPathSyscallAllocs(t *testing.T) {
 	k := New(Config{})
 	task := idleTask(t, k)
@@ -297,6 +349,13 @@ func TestPathSyscallAllocs(t *testing.T) {
 		var a [6]uint64
 		copy(a[:], args)
 		return k.dispatch(task, nr, a).ret
+	}
+	// mutated is what a call that changes the file returns.
+	mutated := func() int64 {
+		if k.FS.Sealed() {
+			return -EROFS
+		}
+		return 0
 	}
 	cases := []struct {
 		name string
@@ -316,6 +375,16 @@ func TestPathSyscallAllocs(t *testing.T) {
 		{"stat across a page boundary", 0, func() {
 			if n := call(SysStat, straddling, guestBuf+256); n != 0 {
 				t.Fatalf("stat = %d", n)
+			}
+		}},
+		{"chmod", 0, func() {
+			if n := call(SysChmod, guestBuf, 0o600); n != mutated() {
+				t.Fatalf("chmod = %d, want %d", n, mutated())
+			}
+		}},
+		{"utimensat", 0, func() {
+			if n := call(SysUtimensat, 0, guestBuf, 0, 0); n != mutated() {
+				t.Fatalf("utimensat = %d, want %d", n, mutated())
 			}
 		}},
 		{"open+close", 1, func() {

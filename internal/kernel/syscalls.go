@@ -114,14 +114,8 @@ func (k *Kernel) dispatch(t *Task, nr int64, args [6]uint64) sysResult {
 		return k.sysGetcwd(t, args)
 	case SysRename:
 		return k.sysPath2(t, args, k.FS.Rename)
-	case SysMkdir:
-		return k.sysPath(t, args[0], func(p string) error { return k.FS.Mkdir(p, fs.Mode(args[1])) })
-	case SysRmdir:
-		return k.sysPath(t, args[0], k.FS.Rmdir)
-	case SysUnlink:
-		return k.sysPath(t, args[0], k.FS.Unlink)
-	case SysChmod:
-		return k.sysPath(t, args[0], func(p string) error { return k.FS.Chmod(p, fs.Mode(args[1])) })
+	case SysMkdir, SysRmdir, SysUnlink, SysChmod:
+		return k.sysPath(t, nr, args[0], args[1])
 	case SysPtrace:
 		return sysErr(EPERM) // guests may not ptrace; tracers attach host-side
 	case SysPrctl:
@@ -145,7 +139,7 @@ func (k *Kernel) dispatch(t *Task, nr int64, args [6]uint64) sysResult {
 	case SysEpollWait:
 		return k.sysEpollWait(t, args)
 	case SysUtimensat:
-		return k.sysPath(t, args[1], func(p string) error { now := k.Now(); return k.FS.Utimens(p, now, now) })
+		return k.sysPath(t, nr, args[1], 0)
 	case SysSeccomp:
 		// Guest-side filter installation is not supported; mechanisms use
 		// Kernel.AttachSeccomp. EINVAL mirrors a rejected filter.
@@ -869,15 +863,32 @@ func (k *Kernel) sysGetrandom(t *Task, args [6]uint64) sysResult {
 	return sysRet(int64(len(buf)))
 }
 
-// sysPath adapts single-path fs operations: the path at addr, as a
-// string for fs to keep or report.
-func (k *Kernel) sysPath(t *Task, addr uint64, op func(string) error) sysResult {
+// sysPath serves the single-path fs syscalls — mkdir, rmdir, unlink and
+// chmod (mode arg), utimensat — on the path at addr. fs resolves the
+// guest's bytes in place; only mkdir, which keeps the new name, makes a
+// string of them. (The calls are named, not passed in: a call through a
+// func value would move buf to the heap.)
+func (k *Kernel) sysPath(t *Task, nr int64, addr, arg uint64) sysResult {
 	var buf [pathChunk]byte
 	path, errno := k.readPath(t, addr, buf[:])
 	if errno != 0 {
 		return sysErr(errno)
 	}
-	if err := op(string(path)); err != nil {
+	var err error
+	switch nr {
+	case SysMkdir:
+		err = k.FS.Mkdir(string(path), fs.Mode(arg))
+	case SysRmdir:
+		err = k.FS.RmdirBytes(path)
+	case SysUnlink:
+		err = k.FS.UnlinkBytes(path)
+	case SysChmod:
+		err = k.FS.ChmodBytes(path, fs.Mode(arg))
+	case SysUtimensat:
+		now := k.Now()
+		err = k.FS.UtimensBytes(path, now, now)
+	}
+	if err != nil {
 		return sysErr(fsErrno(err))
 	}
 	return sysRet(0)

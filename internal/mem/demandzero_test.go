@@ -155,13 +155,16 @@ func (p modelPair) checkContents(t *testing.T) {
 	}
 }
 
-// modelOpNames names runModelProgram's operations, by opcode.
-var modelOpNames = [10]string{"MapFixed", "MapFixed", "Unmap", "Protect", "WriteAt",
-	"WriteForce", "read", "FetchExecGen", "PageForAccess", "Clone"}
+// modelOpNames names runModelProgram's operations, by opcode. "Protect
+// RX" is Protect to R-X, which seals every written page of the range into
+// a shared frame; the model has no frames, and needs none.
+var modelOpNames = [11]string{"MapFixed", "MapFixed", "Unmap", "Protect", "WriteAt",
+	"WriteForce", "read", "FetchExecGen", "PageForAccess", "Clone", "Protect RX"}
 
 // runModelProgram interprets prog as a sequence of operations over up to
 // four address spaces (clones of one another).
 func runModelProgram(t *testing.T, prog []byte) {
+	isolateInterned(t)
 	next := func() uint64 {
 		if len(prog) == 0 {
 			return 0
@@ -200,7 +203,10 @@ func runModelProgram(t *testing.T, prog []byte) {
 				delete(p.m.pages, first+i)
 			}
 			p.m.codeMut++
-		case 3: // protect
+		case 3, 10: // protect
+			if op == 10 {
+				prot = ProtRX
+			}
 			err := p.as.Protect(first<<PageShift, n<<PageShift, prot)
 			if !p.m.allMapped(first, n) {
 				if !errors.Is(err, ErrBadRange) {

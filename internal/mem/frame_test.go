@@ -216,6 +216,7 @@ func TestMapFramesChecks(t *testing.T) {
 }
 
 func TestFramesOfInternsAndSkipsZeros(t *testing.T) {
+	isolateInterned(t)
 	img := make([]byte, 3*PageSize+10)
 	img[5] = 0x5A            // page 0
 	img[3*PageSize+9] = 0x5B // page 3, partial
@@ -256,5 +257,220 @@ func TestFramePublishFirstWins(t *testing.T) {
 		if got[i] != got[0] || got[i] == nil {
 			t.Fatalf("reader %d saw %v, reader 0 %v", i, got[i], got[0])
 		}
+	}
+}
+
+// isolateInterned gives the test an empty intern table and restores the
+// process's table when it ends, so nothing the test interns, and no
+// table it fills, is seen by another test.
+func isolateInterned(tb testing.TB) {
+	interned.Lock()
+	saved := interned.frames
+	interned.frames = nil
+	interned.Unlock()
+	tb.Cleanup(func() {
+		interned.Lock()
+		interned.frames = saved
+		interned.Unlock()
+	})
+}
+
+// writtenCode maps one RW page at frameCode holding code and returns the
+// space with a data-path handle taken over the private page.
+func writtenCode(t *testing.T, code []byte) (*AddressSpace, PageHandle) {
+	t.Helper()
+	as := NewAddressSpace()
+	if err := as.MapFixed(frameCode, PageSize, ProtRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteAt(frameCode, code); err != nil {
+		t.Fatal(err)
+	}
+	return as, handle(t, as, frameCode)
+}
+
+// TestSealedFrameClonedAndPrivatized: a Protect that makes a written page
+// R-X re-backs it with a frame holding its bytes, with Protect's one
+// generation and code mutation and no more. A handle taken before the
+// seal no longer validates; a fork aliases the frame instead of copying
+// it; the next write privatizes the page into the array the seal
+// dropped, in the writer's space alone.
+func TestSealedFrameClonedAndPrivatized(t *testing.T) {
+	isolateInterned(t)
+	code, _ := frameImage()
+	as, before := writtenCode(t, code[0].data[:])
+	st := as.Stats()
+	if err := as.Protect(frameCode, PageSize, ProtRX); err != nil {
+		t.Fatal(err)
+	}
+	f, _, _ := as.ExecFrame(frameCode)
+	if f == nil {
+		t.Fatal("the page made R-X is not frame-backed")
+	}
+	if before.Valid() {
+		t.Error("a handle over the private array still validates after the seal")
+	}
+	if got := as.Stats(); got.Generations != st.Generations+1 || got.CodeMutations != st.CodeMutations+1 {
+		t.Errorf("Protect with a seal: generations %d→%d, code mutations %d→%d; want one of each",
+			st.Generations, got.Generations, st.CodeMutations, got.CodeMutations)
+	}
+	if !bytes.Equal(pageBytes(t, as, frameCode), code[0].data[:]) || !bytes.Equal(f.data[:], code[0].data[:]) {
+		t.Error("the sealed page does not read the bytes written")
+	}
+	if h := handle(t, as, frameCode); h.Data != &f.data || !h.Shared {
+		t.Errorf("handle over the sealed page: %p shared %v, want the frame %p", h.Data, h.Shared, &f.data)
+	}
+
+	child := as.Clone()
+	if h := handle(t, child, frameCode); h.Data != &f.data || !h.Shared {
+		t.Errorf("the fork holds %p (shared %v), want the frame %p", h.Data, h.Shared, &f.data)
+	}
+	if err := as.WriteForce(frameCode+8, []byte{0xCC}); err != nil {
+		t.Fatal(err)
+	}
+	if g, _, _ := as.ExecFrame(frameCode); g != nil {
+		t.Error("the written page is still frame-backed")
+	}
+	if h := handle(t, as, frameCode); h.Data != before.Data || h.Data[8] != 0xCC {
+		t.Errorf("the write privatized into %p, want the array the seal dropped (%p)", h.Data, before.Data)
+	}
+	if g, _, _ := child.ExecFrame(frameCode); g != f || !bytes.Equal(pageBytes(t, child, frameCode), code[0].data[:]) {
+		t.Error("a write in the parent reached the fork's page")
+	}
+	if f.data != code[0].data {
+		t.Error("a write after the seal changed the frame")
+	}
+
+	// A Protect that leaves a sealed page anything but executable and not
+	// writable gives it a private array again, with the permissions the
+	// private page had; an untouched page is never sealed.
+	want := pageBytes(t, as, frameCode)
+	for _, prot := range []Prot{ProtRW, ProtRWX, ProtRead, ProtNone} {
+		if err := as.Protect(frameCode, PageSize, ProtRX); err != nil {
+			t.Fatal(err)
+		}
+		if g, _, _ := as.ExecFrame(frameCode); g == nil {
+			t.Fatal("Protect R-X did not seal the private page")
+		}
+		if err := as.Protect(frameCode, PageSize, prot); err != nil {
+			t.Fatal(err)
+		}
+		if h := handle(t, as, frameCode); h.Shared || h.DirectWrite != (prot == ProtRW) || !bytes.Equal(h.Data[:], want) {
+			t.Errorf("Protect %v of a sealed page: shared %v direct %v, want a private page with its bytes", prot, h.Shared, h.DirectWrite)
+		}
+	}
+	if err := as.MapFixed(frameData, PageSize, ProtRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Protect(frameData, PageSize, ProtRX); err != nil {
+		t.Fatal(err)
+	}
+	if g, _, _ := as.ExecFrame(frameData); g != nil {
+		t.Error("Protect sealed an untouched page")
+	}
+}
+
+// TestSealFullFrameTableStaysPrivate: with the intern table full, a page
+// whose bytes it does not hold stays private — with the bytes, the
+// generations and the code mutations a sealed page has — while a page
+// whose bytes it holds is still sealed.
+func TestSealFullFrameTableStaysPrivate(t *testing.T) {
+	isolateInterned(t)
+	code, data := frameImage()
+	sealed, _ := writtenCode(t, code[0].data[:])
+	if err := sealed.Protect(frameCode, PageSize, ProtRX); err != nil {
+		t.Fatal(err)
+	}
+	var pg [PageSize]byte
+	for i := uint64(1); len(interned.frames) < maxInterned; i++ {
+		putLeU64(pg[:], i)
+		if intern(&pg) == nil {
+			t.Fatal("intern failed below the bound")
+		}
+	}
+	putLeU64(pg[:], 1<<40)
+	if intern(&pg) != nil {
+		t.Error("a full table interned a new frame")
+	}
+
+	private, _ := writtenCode(t, data[0].data[:])
+	if err := private.Protect(frameCode, PageSize, ProtRX); err != nil {
+		t.Fatal(err)
+	}
+	if f, _, _ := private.ExecFrame(frameCode); f != nil {
+		t.Error("a full table sealed a page whose bytes it does not hold")
+	}
+	if !bytes.Equal(pageBytes(t, private, frameCode), data[0].data[:]) {
+		t.Error("the page left private reads different bytes")
+	}
+	if private.Stats() != sealed.Stats() || private.CodeMutations() != sealed.CodeMutations() {
+		t.Errorf("counters %+v, a sealed page's %+v", private.Stats(), sealed.Stats())
+	}
+
+	again, _ := writtenCode(t, code[0].data[:])
+	if err := again.Protect(frameCode, PageSize, ProtRX); err != nil {
+		t.Fatal(err)
+	}
+	f, _, _ := sealed.ExecFrame(frameCode)
+	if g, _, _ := again.ExecFrame(frameCode); g == nil || g != f {
+		t.Errorf("a full table holding the bytes sealed the page into %p, want %p", g, f)
+	}
+}
+
+// TestFramesOfAndSealShareFrame: every frame is keyed by its whole page,
+// so a short chunk FramesOf interns and a sealed page holding the same
+// bytes followed by zeros are one frame, whichever comes first.
+func TestFramesOfAndSealShareFrame(t *testing.T) {
+	isolateInterned(t)
+	b := make([]byte, 2*PageSize)
+	for i := range b {
+		b[i] = byte(i%251 + 1)
+	}
+	seal := func(chunk []byte) *Frame {
+		t.Helper()
+		as, _ := writtenCode(t, chunk)
+		if err := as.Protect(frameCode, PageSize, ProtRX); err != nil {
+			t.Fatal(err)
+		}
+		f, _, _ := as.ExecFrame(frameCode)
+		return f
+	}
+	if f := FramesOf(b[:100], PageSize)[0]; f == nil || seal(b[:100]) != f {
+		t.Error("a sealed page and FramesOf's short chunk with the same bytes are different frames")
+	}
+	if f := seal(b[PageSize : PageSize+100]); f == nil || FramesOf(b[PageSize:PageSize+100], PageSize)[0] != f {
+		t.Error("FramesOf's short chunk and an earlier sealed page with the same bytes are different frames")
+	}
+}
+
+// TestSealedFrameRewriteAllocs: once the table holds both versions of a
+// page, rewriting the sealed page — mprotect RW, write, mprotect RX, as
+// lazypoline patches a site — allocates nothing: the page's private
+// array is the one the last seal dropped, and the seal finds its frame
+// by content.
+func TestSealedFrameRewriteAllocs(t *testing.T) {
+	isolateInterned(t)
+	code, _ := frameImage()
+	as, _ := writtenCode(t, code[0].data[:])
+	var patch [2]byte
+	rewrite := func() {
+		patch[0] ^= 1
+		if err := as.Protect(frameCode, PageSize, ProtRW); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.WriteAt(frameCode+8, patch[:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Protect(frameCode, PageSize, ProtRX); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewrite()
+	rewrite()
+	if f, _, _ := as.ExecFrame(frameCode); f == nil {
+		t.Fatal("the rewritten page is not sealed")
+	}
+	if n := testing.AllocsPerRun(100, rewrite); n != 0 {
+		t.Errorf("a rewrite of a sealed page: %v allocations, want 0", n)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // PageSize is the size of one page in bytes.
@@ -123,7 +124,9 @@ const MaxPages = 1 << 18
 // vDSO page and the mechanisms' stub pages are built once per process
 // and shared by every task that maps them, instead of copied into each
 // address space. Its bytes never change; the first write to a page
-// backed by a frame gives that page a private copy (page.backing).
+// backed by a frame gives that page a private copy (AddressSpace.backing),
+// and a private page made executable and not writable again is re-backed
+// by the frame holding its bytes (AddressSpace.seal).
 //
 // A frame also carries a table of values derived from its bytes, which
 // the CPUs' decode caches use to share decoded blocks (DESIGN.md §3):
@@ -136,15 +139,16 @@ type Frame struct {
 	decoded map[uint64]any
 }
 
-// maxInterned bounds the frames FramesOf keeps in its table (4 MiB of
-// page bytes). Past it, FramesOf builds frames it does not intern: they
-// are shared by whoever holds them — an image keeps its own — but not
-// found again by content.
+// maxInterned bounds the frames the process-wide table holds (4 MiB of
+// page bytes). Past it, FramesOf builds frames it does not intern — they
+// are shared by whoever holds them, as an image keeps its own, but not
+// found again by content — and a page that would be sealed stays private.
 const maxInterned = 1024
 
 // interned maps page contents to their frame, so equal bytes built
 // anywhere in the process — the same stub encoded by the same attach in
-// another kernel — are one frame and share its decoded blocks.
+// another kernel, the same syscall site rewritten in another process —
+// are one frame and share its decoded blocks. Every key is a whole page.
 var interned struct {
 	sync.Mutex
 	frames map[string]*Frame
@@ -158,9 +162,16 @@ func FramesOf(b []byte, length uint64) []*Frame {
 	frames := make([]*Frame, (length+PageSize-1)>>PageShift)
 	for off := 0; off < len(b); off += PageSize {
 		chunk := b[off:min(off+PageSize, len(b))]
-		if !allZero(chunk) {
-			frames[off>>PageShift] = intern(chunk)
+		if allZero(chunk) {
+			continue
 		}
+		var pg [PageSize]byte // the chunk followed by zeros: its key
+		copy(pg[:], chunk)
+		f := intern(&pg)
+		if f == nil {
+			f = &Frame{data: pg}
+		}
+		frames[off>>PageShift] = f
 	}
 	return frames
 }
@@ -174,22 +185,26 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// intern returns the interned frame holding b (at most PageSize bytes)
-// followed by zeros.
-func intern(b []byte) *Frame {
+// intern returns the interned frame holding pg, interning a new one when
+// the table has room; nil when the table is full and holds no such frame.
+func intern(pg *[PageSize]byte) *Frame {
 	interned.Lock()
 	defer interned.Unlock()
-	if f := interned.frames[string(b)]; f != nil {
+	if f := interned.frames[string(pg[:])]; f != nil {
 		return f
 	}
-	f := new(Frame)
-	copy(f.data[:], b)
-	if len(interned.frames) < maxInterned {
-		if interned.frames == nil {
-			interned.frames = make(map[string]*Frame)
-		}
-		interned.frames[string(b)] = f
+	if len(interned.frames) >= maxInterned {
+		return nil
 	}
+	if interned.frames == nil {
+		// Sized for the bound, so a growing table never rehashes its
+		// 4 KiB keys.
+		interned.frames = make(map[string]*Frame, maxInterned)
+	}
+	f := &Frame{data: *pg}
+	// The frame's bytes never change, so they key the table in place
+	// rather than as a second 4 KiB copy.
+	interned.frames[unsafe.String(&f.data[0], PageSize)] = f
 	return f
 }
 
@@ -225,12 +240,21 @@ type page struct {
 	data *[PageSize]byte
 	// frame, if non-nil, is the shared frame data aliases: the page's
 	// bytes are read in place and never written. The first checked write
-	// privatizes the page (backing): it copies the frame, drops it and,
-	// like every write, issues a fresh generation, so blocks decoded from
-	// the frame stop validating for this address space alone.
+	// privatizes the page (AddressSpace.backing): it copies the frame,
+	// drops it and, like every write, issues a fresh generation, so blocks
+	// decoded from the frame stop validating for this address space alone.
+	// A Protect that leaves a private page executable and not writable
+	// seals it: the page is re-backed by the interned frame holding its
+	// bytes (AddressSpace.seal).
 	frame *Frame
 	prot  Prot
 	pkey  uint8
+	// sealed marks a frame-backed page that was private until a seal. A
+	// Protect that leaves it anything but executable and not writable
+	// gives it a private array again, so a seal changes only where the
+	// bytes live: generations, code mutations and the permissions of
+	// every PageHandle are those of the private page it replaced.
+	sealed bool
 	// gen is the page's generation: a value unique within the address
 	// space's lifetime, replaced on every checked write to the page and on
 	// every protection or pkey change, and set to the never-issued value 0
@@ -262,6 +286,14 @@ type AddressSpace struct {
 	// While it is unchanged, every previously validated block is still
 	// valid.
 	codeMut uint64
+	// spare is the private array the last seal dropped, which the next
+	// privatization copies its frame into instead of allocating one: a
+	// rewriter's mprotect RW, write, mprotect RX privatizes and seals the
+	// same page once per site. Reusing it is safe because the seal issued
+	// the page a fresh generation (Protect's), so every PageHandle still
+	// aliasing the array is !Valid(), and the D-TLB (internal/cpu) checks
+	// Valid() before each use; no other holder keeps a page's array.
+	spare *[PageSize]byte
 	// faults counts access violations (unmapped pages, protection and
 	// pkey denials, exec fetch faults) for the telemetry layer.
 	faults uint64
@@ -335,18 +367,37 @@ func (pg *page) read(dst []byte, po int) {
 	copy(dst, pg.data[po:])
 }
 
-// backing returns the page's private backing array for writing: it
-// allocates one on first use and privatizes a frame-backed page by
-// copying its frame.
-func (pg *page) backing() *[PageSize]byte {
+// backing returns pg's private backing array for writing: it allocates
+// one on first use and privatizes a frame-backed page by copying its
+// frame, into the spare array when the address space holds one.
+func (as *AddressSpace) backing(pg *page) *[PageSize]byte {
 	switch {
 	case pg.frame != nil:
-		d := pg.frame.data
-		pg.data, pg.frame = &d, nil
+		d := as.spare
+		if d == nil {
+			d = new([PageSize]byte)
+		}
+		*d = pg.frame.data
+		pg.data, pg.frame, pg.sealed, as.spare = d, nil, false, nil
 	case pg.data == nil:
 		pg.data = new([PageSize]byte)
 	}
 	return pg.data
+}
+
+// seal re-backs a private page with the interned frame holding its bytes,
+// keeping the dropped array as the spare; a full table that holds no
+// such frame leaves the page private. The caller has just issued the
+// page a fresh generation, which is what invalidates every handle over
+// the dropped array (see spare); a seal issues none of its own and no
+// code mutation, and the page reads the same bytes.
+func (as *AddressSpace) seal(pg *page) {
+	f := intern(pg.data)
+	if f == nil {
+		return
+	}
+	as.spare = pg.data
+	pg.frame, pg.data, pg.sealed = f, &f.data, true
 }
 
 // nextGen issues a fresh, never-reused page generation.
@@ -445,7 +496,10 @@ func (as *AddressSpace) MapAnon(length uint64, prot Prot) (uint64, error) {
 }
 
 // Protect changes the protection of [addr, addr+length). Both must be
-// page-aligned and every page must be mapped.
+// page-aligned and every page must be mapped. A private page the change
+// makes executable and not writable — code a rewriter or JIT has
+// finished writing — is sealed into a shared frame (seal); a sealed page
+// the change makes anything else is given a private array again.
 func (as *AddressSpace) Protect(addr, length uint64, prot Prot) error {
 	if addr%PageSize != 0 || length == 0 || length%PageSize != 0 {
 		return ErrBadRange
@@ -460,6 +514,12 @@ func (as *AddressSpace) Protect(addr, length uint64, prot Prot) error {
 		pg := as.pages[first+i]
 		pg.prot = prot
 		pg.gen = as.nextGen()
+		switch code := prot&ProtExec != 0 && prot&ProtWrite == 0; {
+		case code && pg.data != nil && pg.frame == nil:
+			as.seal(pg)
+		case !code && pg.sealed:
+			as.backing(pg) // unseal: private again, under this generation
+		}
 	}
 	as.codeMut++
 	return nil
@@ -572,7 +632,7 @@ func (as *AddressSpace) accessWrite(addr uint64, src []byte, need Prot, kind Acc
 		if rem := n - off; chunk > rem {
 			chunk = rem
 		}
-		copy(pg.backing()[po:po+chunk], src[off:off+chunk])
+		copy(as.backing(pg)[po:po+chunk], src[off:off+chunk])
 		pg.gen = as.nextGen()
 		if pg.prot&ProtExec != 0 {
 			execTouched = true
@@ -762,7 +822,7 @@ func (as *AddressSpace) PageForAccess(pn uint64) (PageHandle, bool) {
 		return PageHandle{}, false
 	}
 	if pg.data == nil {
-		pg.backing()
+		as.backing(pg)
 	}
 	return pg.handle(), true
 }

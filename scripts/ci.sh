@@ -115,10 +115,11 @@ if grep -rnE -e '[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)
 fi
 
 # The gate for what stays shared across cells (DESIGN.md §8): address
-# spaces aliasing one frame while another privatizes its copy, CPUs
-# publishing and reusing one frame's blocks, and a -j 2 sweep of kernels
-# over one memoized image with lazypoline and zpoline rewriting their own
-# copies, run uncached (-count 1) so a cached pass cannot stand in for it.
+# spaces aliasing one frame while another privatizes its copy, pages
+# sealed into frames and the table they share, CPUs publishing and
+# reusing one frame's blocks, and a -j 2 sweep of kernels over one
+# memoized image with lazypoline and zpoline rewriting their own copies,
+# run uncached (-count 1) so a cached pass cannot stand in for it.
 go test -race ./internal/mem ./internal/cpu ./internal/experiments \
     -run 'Frame|TestShared|TestLockstepShared' -count 1
 
@@ -134,14 +135,19 @@ go test -race ./internal/mem ./internal/cpu ./internal/experiments \
 #     nothing under any mechanism (DESIGN.md §6).
 #   TestBlockedWakeAllocs: parking a blocking syscall, polling its wait and
 #     waking it allocate nothing, whatever it waits on (DESIGN.md §5).
-#   TestPathSyscallAllocs: once warm, stat and access of an existing path
-#     allocate nothing and open+close one object (DESIGN.md §5).
+#   TestPathSyscallAllocs: once warm, stat, access, chmod and utimensat of
+#     an existing path allocate nothing and open+close one object
+#     (DESIGN.md §5).
+#   TestGetdentsAllocs: a directory is listed and sorted once, not once
+#     per getdents64 call (DESIGN.md §7).
+#   TestSealedFrameRewriteAllocs: rewriting a sealed code page reuses the
+#     array its seal dropped and finds its frame by content (DESIGN.md §4).
 #   TestSteadyStateRequestAllocs, TestWarmCellAllocs: a warm keep-alive
 #     request allocates one small object whatever the file size, and a
 #     cell run a second time in one process reuses its receive buffers
 #     (DESIGN.md §7).
-go test -p 1 -count 1 -run '^(TestColdStartAllocs|TestEngineSpeedupFloors|TestInterposedSyscallAllocs|TestBlockedWakeAllocs|TestPathSyscallAllocs|TestSteadyStateRequestAllocs|TestWarmCellAllocs)$' \
-    ./internal/experiments ./internal/kernel ./internal/webbench
+go test -p 1 -count 1 -run '^(TestColdStartAllocs|TestEngineSpeedupFloors|TestInterposedSyscallAllocs|TestBlockedWakeAllocs|TestPathSyscallAllocs|TestGetdentsAllocs|TestSealedFrameRewriteAllocs|TestSteadyStateRequestAllocs|TestWarmCellAllocs)$' \
+    ./internal/experiments ./internal/kernel ./internal/mem ./internal/webbench
 
 # Benchmark smoke run: the interpreter benchmarks must still execute.
 go test ./internal/cpu/ -run '^$' -bench 'BenchmarkCPUStep|BenchmarkDecodeCache' -benchtime 100ms
