@@ -13,11 +13,9 @@ import (
 )
 
 // The block-build oracle (DESIGN.md §3): build fetches a short window
-// and refetches only for blocks that run past it, and serves a block
-// entered inside a NOP sled it decoded before as a view of that block.
-// Either way the block must be the one a single decode of the whole page
-// remainder yields — the build the decode cache had before, kept here as
-// the reference.
+// and refetches only for blocks that run past it. Either way the block
+// must be the one a single decode of the whole page remainder yields —
+// the build the decode cache had before, kept here as the reference.
 
 // nopByte is the encoding of the one-byte NOP sleds are made of.
 const nopByte = byte(isa.OpNop)
@@ -151,10 +149,9 @@ func codePages(tb testing.TB, code []byte, next int) *mem.AddressSpace {
 }
 
 // checkBuilds builds the blocks at the given code-page offsets, in order,
-// through one decode cache — so later entries into a NOP sled are served
-// as views of an earlier, lower entry — and compares every block with the
-// whole-page reference. An entry already in the cache is compared as
-// found. It returns the first difference, or "".
+// through one decode cache and compares every block with the whole-page
+// reference. An entry already in the cache is compared as found. It
+// returns the first difference, or "".
 func checkBuilds(as *mem.AddressSpace, offs []int) string {
 	dc := newDecodeCache(as)
 	for _, off := range offs {
@@ -218,58 +215,10 @@ func TestBlockBuildConcurrentCPUs(t *testing.T) {
 	wg.Wait()
 }
 
-// TestNopRunEntriesShareOneDecode: entries into a NOP run longer than the
-// window are decoded only when they lie below every earlier entry; each
-// other entry is a view of the lowest one's slices. Every block is one
-// the guest entered — no block is built for the run's start unless it is
-// entered — and each equals the whole-page reference.
-func TestNopRunEntriesShareOneDecode(t *testing.T) {
-	const runLen = 3 * firstWindow
-	var e isa.Enc
-	e.Nop(runLen)
-	e.MovImm64(isa.RDI, 1)
-	e.Hlt()
-	code := make([]byte, 2*mem.PageSize)
-	copy(code[64:], e.Buf) // the run starts mid-page, after zero padding
-	as := codePages(t, code, nextUnmapped)
-	dc := newDecodeCache(as)
-	start := uint64(codeBase + 64)
-	for _, c := range []struct {
-		pc, base uint64 // base: the block pc must be a view of; pc itself when decoded
-	}{
-		{start + 200, start + 200},
-		{start + 300, start + 200},
-		{start + 5, start + 5},
-		{start + runLen - 1, start + 5},
-		{start + 200 + 1, start + 5},
-		{start + 1, start + 1},
-		{start + 2, start + 1},
-	} {
-		b := dc.build(c.pc)
-		if d := diffBlock(b, wholePageDecode(as, c.pc)); d != "" {
-			t.Fatalf("block at %#x: %s", c.pc, d)
-		}
-		base := dc.blocks[c.base]
-		if base == nil {
-			t.Fatalf("entry %#x: no block at %#x", c.pc, c.base)
-		}
-		if &b.insts[0] != &base.insts[c.pc-c.base] {
-			t.Errorf("entry %#x: want a view of %#x", c.pc, c.base)
-		}
-		if dc.blocks[start] != nil {
-			t.Fatalf("entry %#x: a block was built at the run's start, which was never entered", c.pc)
-		}
-	}
-	if got, want := dc.stats.Builds, uint64(7); got != want {
-		t.Errorf("builds = %d, want %d (one per entry)", got, want)
-	}
-}
-
-// TestSledWriteDropsBaseAndSuffix: a write into a NOP run after a suffix
-// was served as a view of a lower entry's block invalidates both blocks,
-// and the next entry executes the new bytes — exactly as the uncached CPU
-// does.
-func TestSledWriteDropsBaseAndSuffix(t *testing.T) {
+// TestSledWriteDropsEnteredBlocks: a write into a NOP run entered at two
+// offsets invalidates both entries' blocks, and the next entry at either
+// executes the new bytes — exactly as the uncached CPU does.
+func TestSledWriteDropsEnteredBlocks(t *testing.T) {
 	const sledLen = 300
 	var e isa.Enc
 	e.Nop(sledLen)
@@ -277,33 +226,37 @@ func TestSledWriteDropsBaseAndSuffix(t *testing.T) {
 	var patch isa.Enc
 	patch.MovImm64(isa.RDI, 7)
 	patch.Hlt()
-	entry := uint64(codeBase + 100)
+	entries := []uint64{codeBase + 50, codeBase + 100}
 	exec := func(cache bool) (*CPU, []*cachedBlock) {
 		c := load(t, e.Buf)
 		if !cache {
 			c = cloneCPU(c)
 		}
-		// The second entry is served as a view of the first.
-		for _, pc := range []uint64{codeBase + 50, entry} {
-			c.RIP = pc
-			if ev := run(t, c, sledLen+2); ev != EvHlt {
-				t.Fatalf("cache=%v: event %v", cache, ev)
+		enter := func() {
+			for _, pc := range entries {
+				c.RIP = pc
+				if ev := run(t, c, sledLen+2); ev != EvHlt {
+					t.Fatalf("cache=%v: entry %#x: event %v", cache, pc, ev)
+				}
 			}
 		}
+		enter()
 		var old []*cachedBlock
 		if cache {
-			old = []*cachedBlock{c.cache.blocks[codeBase+50], c.cache.blocks[entry]}
-			if old[0] == nil || old[1] == nil || &old[1].insts[0] != &old[0].insts[50] {
-				t.Fatalf("base %p, suffix %p: both should be cached, the suffix a view", old[0], old[1])
+			for _, pc := range entries {
+				if b := c.cache.blocks[pc]; b != nil {
+					old = append(old, b)
+				}
+			}
+			if len(old) != len(entries) {
+				t.Fatalf("%d of %d entries cached", len(old), len(entries))
 			}
 		}
 		if err := c.AS.WriteForce(codeBase+150, patch.Buf); err != nil {
 			t.Fatal(err)
 		}
-		c.RIP = entry
-		if ev := run(t, c, sledLen+2); ev != EvHlt {
-			t.Fatalf("cache=%v: event %v after the write", cache, ev)
-		}
+		c.Regs[isa.RDI] = 0
+		enter()
 		return c, old
 	}
 	cached, old := exec(true)

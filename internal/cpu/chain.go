@@ -26,7 +26,7 @@ type ChainStats struct {
 	// replacements).
 	Links uint64
 	// Unlinks counts successor slots cleared because their block was
-	// dropped or evicted.
+	// invalidated.
 	Unlinks uint64
 	// Transitions counts block→block transfers executed through a chain
 	// link, i.e. map lookups avoided.
@@ -63,10 +63,11 @@ func (dc *decodeCache) link(from, to *cachedBlock) {
 	dc.cstats.Links++
 }
 
-// unlink clears b's successor slots. Called exactly once per block
-// removal (drop and evict both route here before deleting from the map).
-// Links into b are left in place: runChained refuses a dropped successor
-// and the dispatcher relinks its predecessor.
+// unlink clears b's successor slots. drop calls it exactly once per
+// invalidated block, before deleting it from the map; a flush marks its
+// blocks dropped and leaves their slots, since nothing reaches them
+// again. Links into b are left in place: runChained refuses a dropped
+// successor and the dispatcher relinks its predecessor.
 func (dc *decodeCache) unlink(b *cachedBlock) {
 	for slot, s := range b.succ {
 		if s != nil {

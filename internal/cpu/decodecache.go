@@ -11,17 +11,11 @@ import (
 // maxInsnLen is the longest instruction encoding (KindRegImm64).
 const maxInsnLen = 10
 
-// maxCacheBlocks bounds the per-CPU block map. Overflow evicts the
-// oldest-built blocks in deterministic FIFO order (evictBatch at a time)
-// instead of flushing the whole map — a full flush would sever every
-// chain link and re-decode the entire working set, a perf cliff large
-// guests hit repeatedly.
+// maxCacheBlocks bounds the per-CPU block map. A build that finds it
+// full flushes it (flush): a block on a frame-backed page is then rebuilt
+// as a header over the code already published in the frame, so only
+// private pages are decoded again.
 const maxCacheBlocks = 4096
-
-// evictBatch is how many live blocks one overflow eviction removes.
-// Evicting in batches amortises the walk; 1/8 of the cache keeps the
-// newest 7/8 of the working set intact.
-const evictBatch = maxCacheBlocks / 8
 
 // cachedBlock is a predecoded straight-line run of instructions: it starts
 // at entry, never crosses into a second page except for a final straddling
@@ -49,14 +43,14 @@ type cachedBlock struct {
 	// monomorphic slot for the most recent branch target. Links are
 	// shortcuts only — every use refuses a dropped successor and
 	// revalidates entry and generations — and are cleared when their
-	// block is dropped or evicted.
+	// block is invalidated.
 	succ [2]*cachedBlock
 	// fused classifies the block's head as one of the specialized hot
 	// idioms (NOP sled, countdown); fusedNone otherwise.
 	fused fusedKind
-	// dropped marks a block that left the map (invalidation or overflow
-	// eviction); a dropped block must never be linked to or executed
-	// through a chain.
+	// dropped marks a block that left the map (invalidation or a flush);
+	// a dropped block must never be linked to or executed through a
+	// chain.
 	dropped bool
 	// run is the block's first stack run (stackrun.go), at == -1 if none.
 	run stackRun
@@ -79,8 +73,8 @@ type DecodeCacheStats struct {
 	// RebindFlushes counts whole-cache resets caused by an address-space
 	// rebind (execve swaps the CPU to a fresh AddressSpace).
 	RebindFlushes uint64
-	// OverflowEvictions counts blocks evicted by the FIFO overflow
-	// policy when the map reached maxCacheBlocks.
+	// OverflowEvictions counts blocks flushed because a build found the
+	// map holding maxCacheBlocks.
 	OverflowEvictions uint64
 }
 
@@ -99,14 +93,6 @@ type decodeCache struct {
 	stats  DecodeCacheStats
 	cstats ChainStats
 	fstats FusedStats
-	// fifo records blocks in build order for deterministic overflow
-	// eviction; fifoHead is the first not-yet-popped index. Dropped
-	// blocks linger until popped or compacted.
-	fifo     []*cachedBlock
-	fifoHead int
-	// sledBase is the entry of the last block decoded that starts with a
-	// NOP sled; later entries inside its sled are views of it (sledSuffix).
-	sledBase uint64
 	// privateDecodes counts blocks decoded from a page no frame backs
 	// (PrivateDecodes).
 	privateDecodes uint64
@@ -204,7 +190,7 @@ func (c *CPU) cachedInst(pc uint64) *isa.Inst {
 		return nil
 	}
 	if prev != nil && !prev.dropped {
-		// build may have evicted prev for space; only link live blocks.
+		// A flush in build may have dropped prev; only link live blocks.
 		dc.link(prev, b)
 	}
 	dc.cur, dc.curIdx = b, 1
@@ -233,66 +219,26 @@ func (dc *decodeCache) drop(b *cachedBlock) {
 	dc.stats.Invalidations++
 }
 
-// evict removes a still-valid block to make room (overflow policy). Same
-// unlink discipline as drop, different counter.
-func (dc *decodeCache) evict(b *cachedBlock) {
-	dc.unlink(b)
-	delete(dc.blocks, b.entry)
-	b.dropped = true
-	if dc.cur == b {
-		dc.cur = nil
-	}
-	dc.stats.OverflowEvictions++
-}
-
-// reset discards the whole cache and rebinds it to as. Every block —
-// and with it every chain link — is unreachable afterwards
-// (cur is nil and the map is empty), so stale structures cannot execute.
+// reset rebinds the cache to as and empties it (execve swaps the CPU to
+// a fresh address space).
 func (dc *decodeCache) reset(as *mem.AddressSpace) {
 	dc.as = as
-	dc.blocks = make(map[uint64]*cachedBlock)
-	dc.cur = nil
-	dc.fifo = nil
-	dc.fifoHead = 0
+	dc.flush()
 	dc.stats.RebindFlushes++
 }
 
-// evictForSpace pops the oldest live blocks from the build-order FIFO
-// until evictBatch have been evicted (or the FIFO is exhausted, which
-// cannot happen while the map is full). Deterministic: no map iteration.
-func (dc *decodeCache) evictForSpace() {
-	evicted := 0
-	for evicted < evictBatch && dc.fifoHead < len(dc.fifo) {
-		b := dc.fifo[dc.fifoHead]
-		dc.fifo[dc.fifoHead] = nil
-		dc.fifoHead++
-		if b.dropped {
-			continue
-		}
-		dc.evict(b)
-		evicted++
+// flush empties the map and returns how many blocks it held. Each is
+// marked dropped, so no chain link into it is followed again, and cur is
+// cleared: nothing built before the flush can execute after it. The map
+// walk only sets a flag, so its order cannot reach a simulated result.
+func (dc *decodeCache) flush() uint64 {
+	for _, b := range dc.blocks {
+		b.dropped = true
 	}
-	if dc.fifoHead > len(dc.fifo)/2 {
-		dc.compactFIFO()
-	}
-}
-
-// compactFIFO rewrites the FIFO to hold only live blocks, preserving
-// build order. Invalidation-dropped blocks stay in the slice until
-// popped or compacted, so a JIT-heavy guest could otherwise grow it
-// without limit; build triggers compaction whenever the slice doubles
-// past the map bound.
-func (dc *decodeCache) compactFIFO() {
-	live := dc.fifo[dc.fifoHead:]
-	out := dc.fifo[:0]
-	for _, b := range live {
-		if b != nil && !b.dropped {
-			out = append(out, b)
-		}
-	}
-	clear(dc.fifo[len(out):cap(dc.fifo)])
-	dc.fifo = out
-	dc.fifoHead = 0
+	n := len(dc.blocks)
+	clear(dc.blocks)
+	dc.cur = nil
+	return uint64(n)
 }
 
 // firstWindow is how many bytes build fetches before it knows how long
@@ -304,20 +250,15 @@ const firstWindow = 128
 
 // build predecodes a block starting at pc: pc through the first
 // terminator, undecodable bytes or the end of pc's page, plus a final
-// instruction straddling into the next page. A block entered inside a
-// NOP sled decoded before — the zpoline sled, entered at a different
-// offset for every syscall number — is not decoded at all: it is a view
-// of the block that sled starts (sledSuffix). A block on a frame-backed
-// page is not decoded either once any CPU has decoded it: it is a header
-// over the code published in the frame (sharedBlock) — and so is code a
-// rewriter or JIT wrote and mprotected back to RX, which the address
-// space seals into a frame. Everything else — private pages, written and
-// not yet sealed or left writable, and blocks that straddle into one —
-// is decoded from a fetch (decode).
+// instruction straddling into the next page. A block on a frame-backed
+// page — an image page, the zpoline sled entered at a different offset
+// for every syscall number, or code a rewriter or JIT wrote and
+// mprotected back to RX, which the address space seals into a frame — is
+// decoded once per process: every later build of it is a header over the
+// code published in the frame (sharedBlock). Everything else — private
+// pages, written and not yet sealed or left writable, and blocks that
+// straddle into one — is decoded from a fetch (decode).
 func (dc *decodeCache) build(pc uint64) *cachedBlock {
-	if b := dc.sledSuffix(pc); b != nil {
-		return b
-	}
 	f, pg, mut := dc.as.ExecFrame(pc)
 	b := dc.sharedBlock(f, pc, pg, mut)
 	if b == nil {
@@ -325,25 +266,25 @@ func (dc *decodeCache) build(pc uint64) *cachedBlock {
 			return nil
 		}
 		if f != nil {
-			dc.publish(f, pg, b)
+			dc.publish(f, b)
 		} else {
 			dc.privateDecodes++
 		}
 	}
-	if b.fused == fusedNopSled {
-		dc.sledBase = pc
+	if len(dc.blocks) >= maxCacheBlocks {
+		dc.stats.OverflowEvictions += dc.flush()
 	}
-	dc.insert(b)
+	dc.blocks[b.entry] = b
+	dc.stats.Builds++
 	return b
 }
 
 // decode builds the block at pc from fetched bytes. It fetches
 // firstWindow bytes first and the rest of the page (plus maxInsnLen-1
 // straddle bytes) only for a block that runs past them. Each fetch
-// snapshots bytes, page generations and mutation count under one lock
-// acquisition; the second re-copies the window too, and decoding restarts
-// if pc's page changed in between, so a block never embeds a torn view of
-// a concurrent code write.
+// snapshots bytes, page generations and mutation count in one walk; the
+// second re-copies the window too, so the block records the generations
+// of every page it read.
 func (dc *decodeCache) decode(pc uint64) *cachedBlock {
 	s := buildScratchPool.Get().(*buildScratch)
 	defer buildScratchPool.Put(s)
@@ -360,12 +301,8 @@ func (dc *decodeCache) decode(pc uint64) *cachedBlock {
 		in, err := isa.Decode(s.buf[off:n])
 		if err == isa.ErrTruncated && n == want && want < full {
 			// The window ended, not executable memory: fetch the rest.
-			gen := pages[0].Gen
 			want = full
 			n, pages, npages, mut, _ = dc.as.FetchExecGen(pc, s.buf[:want])
-			if pages[0].Gen != gen {
-				pcs, insts, off = pcs[:0], insts[:0], 0
-			}
 			continue
 		}
 		if err != nil {
@@ -404,7 +341,7 @@ func (dc *decodeCache) decode(pc uint64) *cachedBlock {
 // every address space whose page at that pc is still backed by the
 // frame; each CPU that enters it builds only its own cachedBlock header —
 // chain links and generations — over these slices and this
-// classification, the way sledSuffix views share their base's.
+// classification.
 type sharedCode struct {
 	end    uint64
 	pcs    []uint64
@@ -445,17 +382,13 @@ func (dc *decodeCache) sharedBlock(f *mem.Frame, pc uint64, pg mem.PageGen, mut 
 	return b
 }
 
-// publish records a block decoded at frame f's page — whose generation
-// was pg when f was observed — as the frame's shared code, when the
-// decode provably read only f and, for a straddling block, the frame
-// backing the next page. A block that ends on undecodable bytes close
-// enough to the page end that their decode may have looked past it is
-// not published: it depends on the next page in a way no generation
-// records.
-func (dc *decodeCache) publish(f *mem.Frame, pg mem.PageGen, b *cachedBlock) {
-	if b.pages[0] != pg {
-		return // the page was written or remapped since f was observed
-	}
+// publish records a block decoded at frame f's page as the frame's
+// shared code, when the decode provably read only f and, for a
+// straddling block, the frame backing the next page. A block that ends on
+// undecodable bytes close enough to the page end that their decode may
+// have looked past it is not published: it depends on the next page in a
+// way no generation records.
+func (dc *decodeCache) publish(f *mem.Frame, b *cachedBlock) {
 	sc := &sharedCode{
 		end: b.end, pcs: b.pcs, insts: b.insts,
 		fused: b.fused, run: b.run, nopLen: b.nopLen,
@@ -472,53 +405,6 @@ func (dc *decodeCache) publish(f *mem.Frame, pg mem.PageGen, b *cachedBlock) {
 		return
 	}
 	f.Publish(b.entry, sc)
-}
-
-// sledSuffix returns the block at pc as a view of the sled base — the
-// last block decoded that starts with a NOP sled (fusedNopSled) — when pc
-// lies inside the base's leading NOPs; nil otherwise, and build decodes
-// pc. NOPs are one byte long, so decoding from the base passes through
-// pc, and from there on it is the decode of the same bytes up to the same
-// page end: the suffix of the base from pc is exactly the block a decode
-// at pc would build, valid for as long as the base's pages are. Blocks
-// are immutable once built, so the view shares the base's slices.
-//
-// Every block is still one the guest entered, so builds count as before.
-// zpoline's VA-0 sled is decoded at its first entry and again only at an
-// entry below all earlier ones (the microbenchmark's exit, 60, after its
-// syscall 500); every other entry is a view.
-func (dc *decodeCache) sledSuffix(pc uint64) *cachedBlock {
-	h := dc.blocks[dc.sledBase]
-	if h == nil || h.fused != fusedNopSled || pc <= h.entry || pc-h.entry >= uint64(h.nopLen) {
-		return nil
-	}
-	if h.mut != dc.as.CodeMutations() && !dc.revalidate(h) {
-		dc.drop(h)
-		return nil
-	}
-	k := pc - h.entry
-	b := &cachedBlock{
-		entry: pc, end: h.end,
-		pcs: h.pcs[k:], insts: h.insts[k:],
-		pages: h.pages, npages: h.npages, mut: h.mut,
-	}
-	classifyFused(b)
-	dc.insert(b)
-	return b
-}
-
-// insert adds a freshly built block to the map and the eviction FIFO,
-// evicting first if the map is full.
-func (dc *decodeCache) insert(b *cachedBlock) {
-	if len(dc.blocks) >= maxCacheBlocks {
-		dc.evictForSpace()
-	}
-	dc.blocks[b.entry] = b
-	dc.fifo = append(dc.fifo, b)
-	if len(dc.fifo) >= 2*maxCacheBlocks {
-		dc.compactFIFO()
-	}
-	dc.stats.Builds++
 }
 
 // blockTerminator reports whether in ends a predecoded block: control

@@ -235,3 +235,81 @@ func TestLockstepSharedBlocksSelfModifying(t *testing.T) {
 		})
 	}
 }
+
+// TestRebuildsServedFromPublishedCode: a block on a frame-backed page is
+// decoded once per process. A second CPU entering a frame-backed NOP
+// sled at several offsets, and a CPU rebuilding a frame-backed program
+// after an overflow flush, build every block as a header over the code
+// published in the frame — none decoded again, none from a private page —
+// and each block equals a fresh decode.
+func TestRebuildsServedFromPublishedCode(t *testing.T) {
+	checkShared := func(t *testing.T, c *CPU) {
+		t.Helper()
+		if n := c.PrivateDecodes(); n != 0 {
+			t.Errorf("%d private decodes, want 0", n)
+		}
+		for pc, b := range c.cache.blocks {
+			if !sharesPublished(c.AS, b) {
+				t.Fatalf("block at %#x is not built from published code", pc)
+			}
+			if d := diffBlock(b, wholePageDecode(c.AS, pc)); d != "" {
+				t.Fatalf("block at %#x: %s", pc, d)
+			}
+		}
+	}
+
+	t.Run("sled", func(t *testing.T) {
+		const sledLen = 3 * firstWindow
+		var e isa.Enc
+		e.Nop(sledLen)
+		e.MovImm64(isa.RDI, 1)
+		e.Hlt()
+		frames := mem.FramesOf(e.Buf, mem.PageSize)
+		offs := []uint64{200, 300, 5, sledLen - 1, 201, 1, 2}
+		enter := func(c *CPU) {
+			for _, off := range offs {
+				c.RIP = codeBase + off
+				if ev := run(t, c, sledLen+2); ev != EvHlt {
+					t.Fatalf("entry %d: event %v", off, ev)
+				}
+			}
+		}
+		enter(frameCPU(t, frames, mem.ProtRX))
+		second := frameCPU(t, frames, mem.ProtRX)
+		enter(second)
+		if got, want := second.DecodeCacheStats().Builds, uint64(len(offs)); got != want {
+			t.Errorf("builds = %d, want %d (one per entry)", got, want)
+		}
+		checkShared(t, second)
+	})
+
+	t.Run("overflow", func(t *testing.T) {
+		const nblocks = maxCacheBlocks + 300
+		var e isa.Enc
+		for i := 0; i < nblocks; i++ {
+			e.AddImm(isa.RBX, 1)
+			e.Jmp(0)
+		}
+		e.AddImm(isa.R9, 1)
+		e.CmpImm(isa.R9, 2)
+		e.Jnz(-int64(e.Len()) - 5)
+		e.Syscall()
+		size := (uint64(e.Len()) + mem.PageSize - 1) &^ (mem.PageSize - 1)
+		frames := mem.FramesOf(e.Buf, size)
+		prots := make([]mem.Prot, len(frames))
+		for i := range prots {
+			prots[i] = mem.ProtRX
+		}
+		c := frameCPU(t, frames, prots...)
+		if ev := runBlocks(t, c, 1<<20, 1000); ev != EvSyscall {
+			t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
+		}
+		if want := uint64(2 * nblocks); c.Regs[isa.RBX] != want {
+			t.Errorf("rbx = %d, want %d", c.Regs[isa.RBX], want)
+		}
+		if n := c.DecodeCacheStats().OverflowEvictions; n < maxCacheBlocks {
+			t.Fatalf("%d blocks flushed: the second pass rebuilt nothing after a flush (vacuous)", n)
+		}
+		checkShared(t, c)
+	})
+}

@@ -265,8 +265,8 @@ const (
 func (g *Generator) send(idx int, now uint64) sendResult {
 	r := &g.reqs[idx]
 	// The context for this attempt rides the connection to the serving
-	// side. Stamped unconditionally — a pair of atomic word writes —
-	// so enabling a tracer changes nothing about the run.
+	// side. Stamped unconditionally — one plain word written — so
+	// enabling a tracer changes nothing about the run.
 	ctx := otrace.Ctx(r.trace, r.attempts+1)
 	for tries := 0; tries <= len(g.conns)+1; tries++ {
 		c := g.takeIdle()

@@ -71,14 +71,11 @@ type probeConn struct {
 	deadline uint64
 }
 
-// session is one spliced client↔backend connection pair plus the pending
-// bytes each side accepted but the other has not yet taken.
+// session is one spliced client↔backend connection pair.
 type session struct {
 	backend   *lbBackend
 	client    *netstack.Endpoint
 	upstream  *netstack.Endpoint
-	toBackend []byte
-	toClient  []byte
 	reqBytes  uint64
 	respBytes uint64
 	closed    bool
@@ -201,32 +198,23 @@ func (l *LB) pump(s *session, now uint64) {
 	// Propagate the request context across the splice: whatever the
 	// client stamped for its next request rides onto the backend
 	// connection, where the serving task adopts it. Unconditional — a
-	// pair of atomic word ops, part of the inertness contract.
+	// plain word copied whether or not a tracer reads it, part of the
+	// inertness contract.
 	s.upstream.StampPeerTraceCtx(s.client.TraceCtx())
-	// Flush pending first so backpressure releases before new reads.
-	if dead := flushPending(s.upstream, &s.toBackend); dead {
-		l.closeSession(s)
-		return
-	}
-	if dead := flushPending(s.client, &s.toClient); dead {
-		l.closeSession(s)
-		return
-	}
 	prevReqs := s.reqBytes
-	done := l.copyDir(s, s.client, s.upstream, &s.toBackend, &s.reqBytes)
+	done := l.copyDir(s, s.client, s.upstream, &s.reqBytes)
 	l.noteForwards(s, prevReqs, now)
 	if done {
 		return
 	}
-	if done := l.copyDir(s, s.upstream, s.client, &s.toClient, &s.respBytes); done {
+	if done := l.copyDir(s, s.upstream, s.client, &s.respBytes); done {
 		return
 	}
 	// Draining and ejection both evict sessions, but only at a response
-	// boundary — every forwarded request answered, no half-spliced
-	// bytes — so planned removal never truncates a response, and an
-	// ejected backend's keep-alive sessions migrate (the client's next
-	// dial lands on a healthy backend) instead of pinning traffic to a
-	// sick server forever.
+	// boundary — every forwarded request answered — so planned removal
+	// never truncates a response, and an ejected backend's keep-alive
+	// sessions migrate (the client's next dial lands on a healthy
+	// backend) instead of pinning traffic to a sick server forever.
 	if (s.backend.draining || !s.backend.healthy) && l.atBoundary(s) {
 		l.closeSession(s)
 		if s.backend.draining {
@@ -263,19 +251,20 @@ func (l *LB) noteForwards(s *session, prevReqBytes uint64, now uint64) {
 	}
 }
 
-// copyDir reads from src and forwards to dst, accumulating overflow in
-// pending. Returns true when it tore the session down.
-func (l *LB) copyDir(s *session, src, dst *netstack.Endpoint, pending *[]byte, total *uint64) bool {
-	for len(*pending) == 0 {
-		n, err := src.Read(l.buf)
+// copyDir forwards bytes from src to dst. It reads no more than dst can
+// take, so each write takes the whole chunk and nothing waits in the LB;
+// while dst is full it reads nothing. Returns true when it tore the
+// session down.
+func (l *LB) copyDir(s *session, src, dst *netstack.Endpoint, total *uint64) bool {
+	for {
+		room := min(len(l.buf), dst.WriteSpace())
+		if room == 0 {
+			return false
+		}
+		n, err := src.Read(l.buf[:room])
 		if n > 0 {
 			*total += uint64(n)
-			chunk := l.buf[:n]
-			w, werr := dst.Write(chunk)
-			if w < len(chunk) {
-				*pending = append(*pending, chunk[w:]...)
-			}
-			if werr != nil && !errors.Is(werr, netstack.ErrWouldBlock) {
+			if _, werr := dst.Write(l.buf[:n]); werr != nil {
 				l.closeSession(s)
 				return true
 			}
@@ -294,19 +283,14 @@ func (l *LB) copyDir(s *session, src, dst *netstack.Endpoint, pending *[]byte, t
 			return true
 		}
 	}
-	return false
 }
 
 // atBoundary reports whether a session sits exactly between exchanges:
-// no half-spliced bytes pending, every forwarded request bytes-complete,
-// and a full response returned for each. The request/response sizes are
-// the protocol's fixed framing (guest.RequestSize / header+file), the
-// L4 stand-in for an L7 balancer ending a kept-alive connection after a
-// complete exchange.
+// every forwarded request bytes-complete and a full response returned
+// for each. The request/response sizes are the protocol's fixed framing
+// (guest.RequestSize / header+file), the L4 stand-in for an L7 balancer
+// ending a kept-alive connection after a complete exchange.
 func (l *LB) atBoundary(s *session) bool {
-	if len(s.toBackend) > 0 || len(s.toClient) > 0 {
-		return false
-	}
 	if s.client.Ready()&netstack.ReadyIn != 0 {
 		return false // a new request is already in the client's buffer
 	}
@@ -423,25 +407,6 @@ func (l *LB) noteHealth(b *lbBackend, name string, now uint64) {
 			Note: fmt.Sprintf("backend %d", b.idx),
 		})
 	}
-}
-
-// flushPending writes as much buffered data as the destination accepts.
-// Returns true when the destination is dead (pipe/closed/reset).
-func flushPending(dst *netstack.Endpoint, pending *[]byte) bool {
-	for len(*pending) > 0 {
-		n, err := dst.Write(*pending)
-		if n > 0 {
-			*pending = (*pending)[n:]
-		}
-		if err != nil {
-			return !errors.Is(err, netstack.ErrWouldBlock)
-		}
-		if n == 0 {
-			return false
-		}
-	}
-	*pending = nil
-	return false
 }
 
 // Close shuts the frontend listener and every live session.

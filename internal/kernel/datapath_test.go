@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -519,6 +520,11 @@ func TestBlockedWakeAllocs(t *testing.T) {
 			func() { child.state = TaskRunnable; task.children = append(task.children[:0], child) },
 			func() { child.state = TaskZombie }, func() {}, true},
 	}
+	// Mallocs counts every goroutine's allocations, the runtime's own
+	// included. One P and no collector keep background work out of the
+	// counted windows.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var ms runtime.MemStats
 	mallocs := func() uint64 { runtime.ReadMemStats(&ms); return ms.Mallocs }
 	for _, c := range cases {

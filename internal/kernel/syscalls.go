@@ -471,11 +471,11 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 		t.CPU.Cycles += k.Costs.CopyCost(sent)
 		return sysRet(int64(sent))
 	case werr == nil && want > 0:
-		return sysRet(0) // truncated under us since Avail: EOF after all
+		return sysRet(0) // the read found none of the bytes Avail counted: EOF
 	case errors.Is(werr, netstack.ErrWouldBlock), werr == nil:
-		// (nil: the socket was full when the transfer was sized and a
-		// concurrent reader made room before WriteFrom looked. Nothing was
-		// sent; the retry sizes it again.)
+		// (A full socket's WriteFrom reports ErrWouldBlock; nil with
+		// nothing sent or wanted is treated the same way: the retry sizes
+		// the transfer again.)
 		if out.Nonblock {
 			return sysErr(EAGAIN)
 		}

@@ -101,16 +101,19 @@ fi
 # all-blocked wait with its activity hub (a cell runs on one goroutine),
 # the striped listener table, the second source interface and the
 # blocks' predecessor lists (a link into a dropped block is refused where
-# it is used: DESIGN.md §3). Nor may the per-cell locks (a cell runs on
-# one goroutine; DESIGN.md §8 lists the shared objects that keep theirs)
-# or the lock order they imposed. None may come back, in the code or the
-# docs.
+# it is used: DESIGN.md §3), and the decode cache's sled views and FIFO
+# overflow eviction (frame-backed blocks are decoded once per process and
+# an overflow flushes the map: DESIGN.md §3). Nor may the per-cell locks
+# (a cell runs on one goroutine; DESIGN.md §8 lists the shared objects
+# that keep theirs) or the lock order they imposed. None may come back,
+# in the code or the docs.
 if grep -rnE -e '[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)' \
     -e '[c]puCmd|BENCH_[c]pu|lazysim [c]pu|[A]ddExternalWaiter|[A]ctivityGen|[A]waitActivity|[B]umpActivity' \
     -e '[a]ctivityHub|[s]tackShards|[S]ealedSource|[p]redLink|[r]emovePred' \
     -e '[f]aultsMu|[e]xMu|[L]ock order' \
+    -e '[s]ledSuffix|[s]ledBase|[e]victForSpace|[c]ompactFIFO|[e]victBatch' \
     README.md DESIGN.md Makefile scripts .claude internal cmd; then
-    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait, sharded-stack, predecessor-list or per-cell-lock surface is still named above" >&2
+    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait, sharded-stack, predecessor-list, sled-view, FIFO-eviction or per-cell-lock surface is still named above" >&2
     exit 1
 fi
 
