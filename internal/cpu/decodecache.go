@@ -17,6 +17,16 @@ const maxInsnLen = 10
 // private pages are decoded again.
 const maxCacheBlocks = 4096
 
+// blockChunk is how many block headers one allocation holds (newBlock),
+// and spawnBlocks the block map's initial size. A cold coreutil run's CPU
+// enters 11 to 44 blocks, so a fresh CPU pays a few chunks and no map
+// growth; chunks of 16, or a map sized for 64, allocated more bytes per
+// run than they saved (EXPERIMENTS.md, "Host-time trajectory").
+const (
+	blockChunk  = 8
+	spawnBlocks = 32
+)
+
 // cachedBlock is a predecoded straight-line run of instructions: it starts
 // at entry, never crosses into a second page except for a final straddling
 // instruction, and ends at the first control transfer, kernel-entry
@@ -96,6 +106,8 @@ type decodeCache struct {
 	// privateDecodes counts blocks decoded from a page no frame backs
 	// (PrivateDecodes).
 	privateDecodes uint64
+	// free is the unused tail of the chunk block headers are taken from.
+	free []cachedBlock
 }
 
 // buildScratch is build's working memory: the fetch buffer, and the
@@ -113,7 +125,22 @@ type buildScratch struct {
 var buildScratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 func newDecodeCache(as *mem.AddressSpace) *decodeCache {
-	return &decodeCache{as: as, blocks: make(map[uint64]*cachedBlock)}
+	return &decodeCache{as: as, blocks: make(map[uint64]*cachedBlock, spawnBlocks)}
+}
+
+// newBlock returns b as a header in the current chunk, starting a new
+// chunk of blockChunk headers when it is used up: a fresh CPU that enters
+// N blocks allocates N/blockChunk headers' worth of objects, not N. A
+// chunk lives while any of its headers is reachable (from the map, a
+// chain link or cur); a dropped header is never reused.
+func (dc *decodeCache) newBlock(b cachedBlock) *cachedBlock {
+	if len(dc.free) == 0 {
+		dc.free = make([]cachedBlock, blockChunk)
+	}
+	h := &dc.free[0]
+	dc.free = dc.free[1:]
+	*h = b
+	return h
 }
 
 // DecodeCacheStats returns a snapshot of the cache counters; zero on a
@@ -321,11 +348,11 @@ func (dc *decodeCache) decode(pc uint64) *cachedBlock {
 	if len(insts) == 0 {
 		return nil
 	}
-	b := &cachedBlock{
+	b := dc.newBlock(cachedBlock{
 		entry: pc, end: pc + uint64(off),
 		pcs: slices.Clone(pcs), insts: slices.Clone(insts),
 		pages: pages, npages: npages, mut: mut,
-	}
+	})
 	if off <= limit && b.npages > 1 {
 		// No instruction straddled into the next page; do not tie the
 		// block's validity to it.
@@ -367,19 +394,19 @@ func (dc *decodeCache) sharedBlock(f *mem.Frame, pc uint64, pg mem.PageGen, mut 
 	if sc == nil {
 		return nil
 	}
-	b := &cachedBlock{
-		entry: pc, end: sc.end, pcs: sc.pcs, insts: sc.insts,
-		pages: [2]mem.PageGen{pg}, npages: 1, mut: mut,
-		fused: sc.fused, run: sc.run, nopLen: sc.nopLen,
-	}
+	pages, npages := [2]mem.PageGen{pg}, 1
 	if sc.next != nil {
 		f2, pg2, _ := dc.as.ExecFrame(sc.end - 1)
 		if f2 != sc.next {
 			return nil
 		}
-		b.pages[1], b.npages = pg2, 2
+		pages[1], npages = pg2, 2
 	}
-	return b
+	return dc.newBlock(cachedBlock{
+		entry: pc, end: sc.end, pcs: sc.pcs, insts: sc.insts,
+		pages: pages, npages: npages, mut: mut,
+		fused: sc.fused, run: sc.run, nopLen: sc.nopLen,
+	})
 }
 
 // publish records a block decoded at frame f's page as the frame's

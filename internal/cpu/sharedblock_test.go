@@ -313,3 +313,47 @@ func TestRebuildsServedFromPublishedCode(t *testing.T) {
 		checkShared(t, c)
 	})
 }
+
+// TestFreshCPUBlockHeaderAllocs: a fresh CPU that enters n blocks another
+// CPU has published takes their headers from chunks of blockChunk, so it
+// allocates ⌈n/blockChunk⌉ objects plus the block map's growth past
+// spawnBlocks, not one header per block.
+func TestFreshCPUBlockHeaderAllocs(t *testing.T) {
+	const nblocks = 2 * spawnBlocks
+	var e isa.Enc
+	for i := 1; i < nblocks; i++ {
+		e.AddImm(isa.RBX, 1)
+		e.Jmp(0)
+	}
+	e.Hlt()
+	frames := mem.FramesOf(e.Buf, mem.PageSize)
+	enter := func(c *CPU) {
+		if ev := run(t, c, 3*nblocks); ev != EvHlt {
+			t.Fatalf("event %v", ev)
+		}
+	}
+	enter(frameCPU(t, frames, mem.ProtRX)) // decodes and publishes every block
+
+	const runs = 20
+	fresh := make([]*CPU, runs+1) // AllocsPerRun calls its function once more to warm up
+	for i := range fresh {
+		fresh[i] = frameCPU(t, frames, mem.ProtRX)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		enter(fresh[next])
+		next++
+	})
+	c := fresh[0]
+	if got := c.DecodeCacheStats().Builds; got != nblocks {
+		t.Fatalf("builds = %d, want %d", got, nblocks)
+	}
+	if n := c.PrivateDecodes(); n != 0 {
+		t.Fatalf("%d private decodes, want every block built from published code", n)
+	}
+	t.Logf("%v objects per fresh CPU", allocs) // 10: eight chunks and the map's one resize
+	const mapGrowth = 4                        // the block map's one resize past spawnBlocks
+	if limit := float64((nblocks+blockChunk-1)/blockChunk + mapGrowth); allocs > limit {
+		t.Errorf("a fresh CPU entering %d published blocks allocates %v objects, want ≤ %v", nblocks, allocs, limit)
+	}
+}

@@ -71,16 +71,19 @@ func coldStartAllocs(t *testing.T, mech string) (bytesPerRun, objsPerRun float64
 // §4): a coreutil run pays for the pages it touches and the blocks it
 // executes, not for what it maps, loads as zeros or scans, and not for the
 // image, vDSO and stub pages it shares with every other run. Measured:
-// 30 KiB in 115 objects under baseline, 48 KiB in 163 under zpoline (whose
+// 26 KiB in 74 objects under baseline, 43 KiB in 109 under zpoline (whose
 // extra is the private copy each code page its attach rewrites takes
 // between its mprotect RW and RX; the RX seals it into a frame every
 // later run shares, blocks and all). While every load copied the image
 // into fresh pages and every CPU decoded every block it entered, the same
-// runs took 46 KiB in 248 objects and 125 KiB in 326, and while rewritten
-// pages stayed private, zpoline's took 51 KiB in 225; the budgets sit just
-// above the new numbers, so a load that copies, a build that decodes a
-// shared page again, a rewritten page left unsealed or a chain link that
-// allocates fails here.
+// runs took 46 KiB in 248 objects and 125 KiB in 326; while rewritten
+// pages stayed private, zpoline's took 51 KiB in 225; and while every
+// block header was an allocation of its own and every address space held
+// a page map, 28 KiB in 109 and 46 KiB in 156. The budgets sit just above
+// the new numbers, so a load that copies, a build that decodes a shared
+// page again, a rewritten page left unsealed, a chain link or a block
+// header that allocates, or a mapping that costs an object per page fails
+// here.
 //
 // Under -race, sync.Pool drops a share of what is put back and builds
 // allocate fresh scratch for it, so the budgets there are looser.
@@ -89,8 +92,8 @@ func TestColdStartAllocs(t *testing.T) {
 		mech              string
 		maxBytes, maxObjs float64
 	}{
-		{MechBaseline, 40 << 10, 125},
-		{MechZpoline, 56 << 10, 175},
+		{MechBaseline, 36 << 10, 84},
+		{MechZpoline, 52 << 10, 121},
 	}
 	if raceEnabled {
 		budgets[0].maxBytes, budgets[0].maxObjs = 48<<10, 220

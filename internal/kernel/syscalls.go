@@ -470,12 +470,7 @@ func (k *Kernel) sysSendfile(t *Task, args [6]uint64) sysResult {
 		// One kernel-internal copy instead of read+write's two.
 		t.CPU.Cycles += k.Costs.CopyCost(sent)
 		return sysRet(int64(sent))
-	case werr == nil && want > 0:
-		return sysRet(0) // the read found none of the bytes Avail counted: EOF
-	case errors.Is(werr, netstack.ErrWouldBlock), werr == nil:
-		// (A full socket's WriteFrom reports ErrWouldBlock; nil with
-		// nothing sent or wanted is treated the same way: the retry sizes
-		// the transfer again.)
+	case errors.Is(werr, netstack.ErrWouldBlock):
 		if out.Nonblock {
 			return sysErr(EAGAIN)
 		}

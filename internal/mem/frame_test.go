@@ -21,7 +21,7 @@ const (
 // distinct nonzero bytes, built outside the intern table so no other test
 // shares them.
 func frameImage() (code, data []*Frame) {
-	code, data = []*Frame{new(Frame)}, []*Frame{new(Frame)}
+	code, data = []*Frame{{data: new([PageSize]byte)}}, []*Frame{{data: new([PageSize]byte)}}
 	for i := range code[0].data {
 		code[0].data[i] = byte(i*7 + 1)
 		data[0].data[i] = byte(i*13 + 5)
@@ -70,8 +70,8 @@ func TestFramesMappedByReference(t *testing.T) {
 		f    *Frame
 	}{{frameCode, code[0]}, {frameData, data[0]}} {
 		ha, hb := handle(t, a, c.addr), handle(t, b, c.addr)
-		if ha.Data != &c.f.data || hb.Data != &c.f.data {
-			t.Errorf("page %#x: handles alias %p and %p, want the frame %p", c.addr, ha.Data, hb.Data, &c.f.data)
+		if ha.Data != c.f.data || hb.Data != c.f.data {
+			t.Errorf("page %#x: handles alias %p and %p, want the frame %p", c.addr, ha.Data, hb.Data, c.f.data)
 		}
 		if !ha.Shared || ha.DirectWrite {
 			t.Errorf("page %#x: Shared %v DirectWrite %v, want a shared read-only handle", c.addr, ha.Shared, ha.DirectWrite)
@@ -293,8 +293,8 @@ func writtenCode(t *testing.T, code []byte) (*AddressSpace, PageHandle) {
 // R-X re-backs it with a frame holding its bytes, with Protect's one
 // generation and code mutation and no more. A handle taken before the
 // seal no longer validates; a fork aliases the frame instead of copying
-// it; the next write privatizes the page into the array the seal
-// dropped, in the writer's space alone.
+// it; the next write privatizes the page into an array other than the
+// frame's, in the writer's space alone.
 func TestSealedFrameClonedAndPrivatized(t *testing.T) {
 	isolateInterned(t)
 	code, _ := frameImage()
@@ -310,6 +310,9 @@ func TestSealedFrameClonedAndPrivatized(t *testing.T) {
 	if before.Valid() {
 		t.Error("a handle over the private array still validates after the seal")
 	}
+	if f.data != before.Data {
+		t.Error("the new frame copied the private array instead of taking it over")
+	}
 	if got := as.Stats(); got.Generations != st.Generations+1 || got.CodeMutations != st.CodeMutations+1 {
 		t.Errorf("Protect with a seal: generations %d→%d, code mutations %d→%d; want one of each",
 			st.Generations, got.Generations, st.CodeMutations, got.CodeMutations)
@@ -317,13 +320,13 @@ func TestSealedFrameClonedAndPrivatized(t *testing.T) {
 	if !bytes.Equal(pageBytes(t, as, frameCode), code[0].data[:]) || !bytes.Equal(f.data[:], code[0].data[:]) {
 		t.Error("the sealed page does not read the bytes written")
 	}
-	if h := handle(t, as, frameCode); h.Data != &f.data || !h.Shared {
-		t.Errorf("handle over the sealed page: %p shared %v, want the frame %p", h.Data, h.Shared, &f.data)
+	if h := handle(t, as, frameCode); h.Data != f.data || !h.Shared {
+		t.Errorf("handle over the sealed page: %p shared %v, want the frame %p", h.Data, h.Shared, f.data)
 	}
 
 	child := as.Clone()
-	if h := handle(t, child, frameCode); h.Data != &f.data || !h.Shared {
-		t.Errorf("the fork holds %p (shared %v), want the frame %p", h.Data, h.Shared, &f.data)
+	if h := handle(t, child, frameCode); h.Data != f.data || !h.Shared {
+		t.Errorf("the fork holds %p (shared %v), want the frame %p", h.Data, h.Shared, f.data)
 	}
 	if err := as.WriteForce(frameCode+8, []byte{0xCC}); err != nil {
 		t.Fatal(err)
@@ -331,13 +334,13 @@ func TestSealedFrameClonedAndPrivatized(t *testing.T) {
 	if g, _, _ := as.ExecFrame(frameCode); g != nil {
 		t.Error("the written page is still frame-backed")
 	}
-	if h := handle(t, as, frameCode); h.Data != before.Data || h.Data[8] != 0xCC {
-		t.Errorf("the write privatized into %p, want the array the seal dropped (%p)", h.Data, before.Data)
+	if h := handle(t, as, frameCode); h.Data == f.data || h.Data[8] != 0xCC {
+		t.Errorf("the write privatized into %p, want an array other than the frame's (%p)", h.Data, f.data)
 	}
 	if g, _, _ := child.ExecFrame(frameCode); g != f || !bytes.Equal(pageBytes(t, child, frameCode), code[0].data[:]) {
 		t.Error("a write in the parent reached the fork's page")
 	}
-	if f.data != code[0].data {
+	if *f.data != *code[0].data {
 		t.Error("a write after the seal changed the frame")
 	}
 

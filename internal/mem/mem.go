@@ -16,7 +16,7 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -113,10 +113,10 @@ var ErrOverlap = errors.New("mem: range already mapped")
 var ErrNoMem = errors.New("mem: cannot allocate memory")
 
 // MaxPages is the most pages one address space may have mapped at once
-// (1 GiB of guest memory). A mapped page costs the host a header and a map
-// entry even while untouched, and the length of an mmap is guest-chosen,
-// so without a ceiling one syscall could exhaust the host. The largest
-// guest in the tree maps a few hundred pages.
+// (1 GiB of guest memory). A mapped page costs the host its header even
+// while untouched, and the length of an mmap is guest-chosen, so without
+// a ceiling one syscall could exhaust the host. The largest guest in the
+// tree maps a few hundred pages.
 const MaxPages = 1 << 18
 
 // Frame is an immutable page of bytes that any number of address spaces
@@ -134,7 +134,9 @@ const MaxPages = 1 << 18
 // for every address space that still maps the frame. The table is opaque
 // to this package and safe for concurrent use.
 type Frame struct {
-	data    [PageSize]byte
+	// data is held by pointer so that a frame can take over the array of
+	// the page it is interned from (intern).
+	data    *[PageSize]byte
 	mu      sync.Mutex
 	decoded map[uint64]any
 }
@@ -157,19 +159,25 @@ var interned struct {
 // FramesOf returns the frames of a length-byte mapping holding b
 // followed by zeros, for MapFrames: one per page, nil for a page that
 // holds no nonzero byte (it stays untouched: demand-zero, DESIGN.md §4).
-// Pages are interned by content.
+// Pages are interned by content: a page already interned costs no
+// allocation, and a new frame takes over the one array its page is
+// copied into.
 func FramesOf(b []byte, length uint64) []*Frame {
 	frames := make([]*Frame, (length+PageSize-1)>>PageShift)
+	var key [PageSize]byte // the chunk followed by zeros
 	for off := 0; off < len(b); off += PageSize {
 		chunk := b[off:min(off+PageSize, len(b))]
 		if allZero(chunk) {
 			continue
 		}
-		var pg [PageSize]byte // the chunk followed by zeros: its key
-		copy(pg[:], chunk)
-		f := intern(&pg)
+		clear(key[copy(key[:], chunk):])
+		f := lookup(&key)
 		if f == nil {
-			f = &Frame{data: pg}
+			pg := new([PageSize]byte)
+			*pg = key
+			if f = intern(pg); f == nil {
+				f = &Frame{data: pg}
+			}
 		}
 		frames[off>>PageShift] = f
 	}
@@ -185,8 +193,17 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// intern returns the interned frame holding pg, interning a new one when
-// the table has room; nil when the table is full and holds no such frame.
+// lookup returns the interned frame holding pg's bytes, or nil.
+func lookup(pg *[PageSize]byte) *Frame {
+	interned.Lock()
+	defer interned.Unlock()
+	return interned.frames[string(pg[:])]
+}
+
+// intern returns the interned frame holding pg's bytes, interning a new
+// one when the table has room; nil when the table is full and holds no
+// such frame. A new frame takes pg itself over (its data is pg), so the
+// caller must never write through pg again.
 func intern(pg *[PageSize]byte) *Frame {
 	interned.Lock()
 	defer interned.Unlock()
@@ -201,10 +218,10 @@ func intern(pg *[PageSize]byte) *Frame {
 		// 4 KiB keys.
 		interned.frames = make(map[string]*Frame, maxInterned)
 	}
-	f := &Frame{data: *pg}
+	f := &Frame{data: pg}
 	// The frame's bytes never change, so they key the table in place
 	// rather than as a second 4 KiB copy.
-	interned.frames[unsafe.String(&f.data[0], PageSize)] = f
+	interned.frames[unsafe.String(&pg[0], PageSize)] = f
 	return f
 }
 
@@ -268,12 +285,28 @@ type page struct {
 	gen uint64
 }
 
+// mapping is a run of mapped pages: pages[i] is page number first+i. The
+// headers are one slab, allocated when the run was mapped (mapPages) or
+// cloned; an Unmap that trims or splits a mapping reslices it, so a
+// header never moves while it is mapped and a PageHandle's pointer to its
+// generation stays good.
+type mapping struct {
+	first uint64
+	pages []page
+}
+
+// end is the page number one past the mapping.
+func (m *mapping) end() uint64 { return m.first + uint64(len(m.pages)) }
+
 // AddressSpace is a guest virtual address space, owned by one simulated
 // machine. Multiple tasks may share one AddressSpace (CLONE_VM); fork
 // copies it.
 type AddressSpace struct {
-	pages map[uint64]*page // keyed by page number (addr >> PageShift)
-	brk   uint64           // next unreserved address for anonymous mmap
+	// maps are the mappings, sorted by first page and disjoint; adjacent
+	// ones are not merged. npages counts their pages, for MaxPages.
+	maps   []mapping
+	npages uint64
+	brk    uint64 // next unreserved address for anonymous mmap
 	// activePKRU is the PKRU of the currently scheduled task.
 	activePKRU uint32
 
@@ -319,42 +352,108 @@ func (as *AddressSpace) SetOwner(v any) { as.owner = v }
 // Owner returns the scheduler cookie (see the owner field).
 func (as *AddressSpace) Owner() any { return as.owner }
 
-// spawnPages sizes a new address space's page map for what a spawned task
-// maps: its 64-page stack, the vDSO page, an image of a few code pages and
-// a 16-page data segment, and the pages a mechanism adds at attach. The
-// map then never rehashes as they are mapped one region at a time.
-const spawnPages = 96
+// spawnMappings sizes a new address space's mapping list for what a
+// spawned task maps one region at a time: its stack, the vDSO page, an
+// image's segments and what a mechanism adds at attach.
+const spawnMappings = 8
 
 // NewAddressSpace returns an empty address space. Anonymous (non-fixed)
 // mappings are placed from 0x4000_0000 upward.
 func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{
-		pages: make(map[uint64]*page, spawnPages),
-		brk:   0x4000_0000,
+		maps: make([]mapping, 0, spawnMappings),
+		brk:  0x4000_0000,
 	}
 }
 
 // Clone returns a copy of the address space (fork semantics): private
-// pages are copied, frame-backed pages alias the same frame.
+// pages are copied, frame-backed pages alias the same frame. The copy's
+// headers are one slab.
 func (as *AddressSpace) Clone() *AddressSpace {
 	c := &AddressSpace{
-		pages:      make(map[uint64]*page, len(as.pages)),
+		maps:       make([]mapping, len(as.maps), cap(as.maps)),
+		npages:     as.npages,
 		brk:        as.brk,
 		activePKRU: as.activePKRU,
 		genSeq:     as.genSeq,
 		codeMut:    as.codeMut,
 	}
-	hdrs := make([]page, len(as.pages))
-	for pn, pg := range as.pages {
-		cp := &hdrs[len(c.pages)]
-		*cp = *pg
-		if pg.frame == nil && pg.data != nil {
-			d := *pg.data
-			cp.data = &d
+	hdrs := make([]page, as.npages)
+	for i, m := range as.maps {
+		n := len(m.pages)
+		cp := hdrs[:n:n]
+		hdrs = hdrs[n:]
+		copy(cp, m.pages)
+		for j := range cp {
+			if pg := &cp[j]; pg.frame == nil && pg.data != nil {
+				d := *pg.data
+				pg.data = &d
+			}
 		}
-		c.pages[pn] = cp
+		c.maps[i] = mapping{first: m.first, pages: cp}
 	}
 	return c
+}
+
+// search returns the index of the first mapping that ends after page
+// number pn: the one holding pn, if any holds it, or else the first one
+// above it (len(as.maps) if none).
+func (as *AddressSpace) search(pn uint64) int {
+	lo, hi := 0, len(as.maps)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if as.maps[h].end() <= pn {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// page returns the header of page number pn, or nil when it is unmapped.
+func (as *AddressSpace) page(pn uint64) *page {
+	if i := as.search(pn); i < len(as.maps) && as.maps[i].first <= pn {
+		m := &as.maps[i]
+		return &m.pages[pn-m.first]
+	}
+	return nil
+}
+
+// firstMapped returns the lowest mapped page number in [first, first+n),
+// or ok == false when none is mapped.
+func (as *AddressSpace) firstMapped(first, n uint64) (pn uint64, ok bool) {
+	i := as.search(first)
+	if i == len(as.maps) || as.maps[i].first >= first+n {
+		return 0, false
+	}
+	return max(first, as.maps[i].first), true
+}
+
+// firstUnmapped returns the lowest unmapped page number in [first,
+// first+n), or ok == false when every page is mapped.
+func (as *AddressSpace) firstUnmapped(first, n uint64) (pn uint64, ok bool) {
+	pn, last := first, first+n
+	for i := as.search(first); pn < last; i++ {
+		if i == len(as.maps) || as.maps[i].first > pn {
+			return pn, true
+		}
+		pn = as.maps[i].end()
+	}
+	return 0, false
+}
+
+// eachPage calls fn on every page of [first, first+n), in order; the
+// caller has checked that they are all mapped.
+func (as *AddressSpace) eachPage(first, n uint64, fn func(*page)) {
+	last := first + n
+	for i := as.search(first); i < len(as.maps) && as.maps[i].first < last; i++ {
+		m := &as.maps[i]
+		lo, hi := max(first, m.first)-m.first, min(last, m.end())-m.first
+		for j := lo; j < hi; j++ {
+			fn(&m.pages[j])
+		}
+	}
 }
 
 // read copies len(dst) bytes of the page from offset po; an untouched page
@@ -377,7 +476,7 @@ func (as *AddressSpace) backing(pg *page) *[PageSize]byte {
 		if d == nil {
 			d = new([PageSize]byte)
 		}
-		*d = pg.frame.data
+		*d = *pg.frame.data
 		pg.data, pg.frame, pg.sealed, as.spare = d, nil, false, nil
 	case pg.data == nil:
 		pg.data = new([PageSize]byte)
@@ -385,19 +484,23 @@ func (as *AddressSpace) backing(pg *page) *[PageSize]byte {
 	return pg.data
 }
 
-// seal re-backs a private page with the interned frame holding its bytes,
-// keeping the dropped array as the spare; a full table that holds no
-// such frame leaves the page private. The caller has just issued the
-// page a fresh generation, which is what invalidates every handle over
-// the dropped array (see spare); a seal issues none of its own and no
-// code mutation, and the page reads the same bytes.
+// seal re-backs a private page with the interned frame holding its bytes;
+// a full table that holds no such frame leaves the page private. A new
+// frame takes the page's array over; when a frame already held the
+// bytes, the dropped array becomes the spare. The caller has just issued
+// the page a fresh generation, which is what invalidates every handle
+// over the array, whichever of the two it becomes (see spare); a seal
+// issues none of its own and no code mutation, and the page reads the
+// same bytes.
 func (as *AddressSpace) seal(pg *page) {
 	f := intern(pg.data)
 	if f == nil {
 		return
 	}
-	as.spare = pg.data
-	pg.frame, pg.data, pg.sealed = f, &f.data, true
+	if f.data != pg.data {
+		as.spare = pg.data
+	}
+	pg.frame, pg.data, pg.sealed = f, f.data, true
 }
 
 // nextGen issues a fresh, never-reused page generation.
@@ -406,22 +509,23 @@ func (as *AddressSpace) nextGen() uint64 {
 	return as.genSeq
 }
 
-// mapPages installs n pages starting at page number first, each with a
-// fresh generation. Page i is backed by frames[i] when frames is non-nil
-// and that entry is; every other page is untouched, with no backing array
-// allocated (see page.data). The headers of one call share one slice.
-// Caller has checked the range is free and within MaxPages.
+// mapPages installs n pages starting at page number first as one
+// mapping, each with a fresh generation. Page i is backed by frames[i]
+// when frames is non-nil and that entry is; every other page is
+// untouched, with no backing array allocated (see page.data). Caller has
+// checked the range is free and within MaxPages.
 func (as *AddressSpace) mapPages(first, n uint64, prot Prot, frames []*Frame) {
 	hdrs := make([]page, n)
 	for i := range hdrs {
 		pg := &hdrs[i]
 		pg.prot = prot
 		if frames != nil && frames[i] != nil {
-			pg.frame, pg.data = frames[i], &frames[i].data
+			pg.frame, pg.data = frames[i], frames[i].data
 		}
 		pg.gen = as.nextGen()
-		as.pages[first+uint64(i)] = pg
 	}
+	as.maps = slices.Insert(as.maps, as.search(first), mapping{first: first, pages: hdrs})
+	as.npages += n
 	as.codeMut++
 }
 
@@ -449,13 +553,11 @@ func (as *AddressSpace) mapFixed(addr, length uint64, prot Prot, frames []*Frame
 	if as.AllocGate != nil && !as.AllocGate(n) {
 		return ErrNoMem
 	}
-	if n > MaxPages-uint64(len(as.pages)) {
+	if n > MaxPages-as.npages {
 		return ErrNoMem
 	}
-	for i := uint64(0); i < n; i++ {
-		if _, ok := as.pages[first+i]; ok {
-			return fmt.Errorf("%w: page %#x", ErrOverlap, (first+i)<<PageShift)
-		}
+	if pn, ok := as.firstMapped(first, n); ok {
+		return fmt.Errorf("%w: page %#x", ErrOverlap, pn<<PageShift)
 	}
 	as.mapPages(first, n, prot, frames)
 	return nil
@@ -472,27 +574,19 @@ func (as *AddressSpace) MapAnon(length uint64, prot Prot) (uint64, error) {
 	if as.AllocGate != nil && !as.AllocGate(length>>PageShift) {
 		return 0, ErrNoMem
 	}
-	if length>>PageShift > MaxPages-uint64(len(as.pages)) {
+	n := length >> PageShift
+	if n > MaxPages-as.npages {
 		return 0, ErrNoMem
 	}
-	// Find a free run starting at brk.
-	addr := as.brk
-	for {
-		first, n := addr>>PageShift, length>>PageShift
-		free := true
-		for i := uint64(0); i < n; i++ {
-			if _, ok := as.pages[first+i]; ok {
-				free = false
-				addr = (first + i + 1) << PageShift
-				break
-			}
-		}
-		if free {
-			as.mapPages(first, n, prot, nil)
-			as.brk = addr + length
-			return addr, nil
-		}
+	// Find the lowest free run at or above brk, stepping past each
+	// mapping in the way.
+	first := as.brk >> PageShift
+	for i := as.search(first); i < len(as.maps) && as.maps[i].first < first+n; i++ {
+		first = as.maps[i].end()
 	}
+	as.mapPages(first, n, prot, nil)
+	as.brk = (first + n) << PageShift
+	return first << PageShift, nil
 }
 
 // Protect changes the protection of [addr, addr+length). Both must be
@@ -505,55 +599,57 @@ func (as *AddressSpace) Protect(addr, length uint64, prot Prot) error {
 		return ErrBadRange
 	}
 	first, n := addr>>PageShift, length>>PageShift
-	for i := uint64(0); i < n; i++ {
-		if _, ok := as.pages[first+i]; !ok {
-			return fmt.Errorf("%w: page %#x not mapped", ErrBadRange, (first+i)<<PageShift)
-		}
+	if pn, ok := as.firstUnmapped(first, n); ok {
+		return fmt.Errorf("%w: page %#x not mapped", ErrBadRange, pn<<PageShift)
 	}
-	for i := uint64(0); i < n; i++ {
-		pg := as.pages[first+i]
+	code := prot&ProtExec != 0 && prot&ProtWrite == 0
+	as.eachPage(first, n, func(pg *page) {
 		pg.prot = prot
 		pg.gen = as.nextGen()
-		switch code := prot&ProtExec != 0 && prot&ProtWrite == 0; {
+		switch {
 		case code && pg.data != nil && pg.frame == nil:
 			as.seal(pg)
 		case !code && pg.sealed:
 			as.backing(pg) // unseal: private again, under this generation
 		}
-	}
+	})
 	as.codeMut++
 	return nil
 }
 
 // Unmap removes [addr, addr+length). Unmapped pages in the range are
-// ignored (Linux munmap semantics).
+// ignored (Linux munmap semantics). Mappings the range covers are
+// removed, and one it cuts is trimmed or split in two; the walk visits
+// only the mappings that exist, whatever the guest-chosen length.
 func (as *AddressSpace) Unmap(addr, length uint64) error {
 	if addr%PageSize != 0 || length == 0 || length%PageSize != 0 {
 		return ErrBadRange
 	}
-	first, n := addr>>PageShift, length>>PageShift
-	unmap := func(pn uint64, pg *page) {
-		// Tombstone: generation 0 is never issued, so any PageHandle
-		// still aliasing this page object can never validate again —
-		// even if the address is later remapped to a fresh page.
-		pg.gen = 0
-		delete(as.pages, pn)
-	}
-	if n <= uint64(len(as.pages)) {
-		for i := uint64(0); i < n; i++ {
-			if pg, ok := as.pages[first+i]; ok {
-				unmap(first+i, pg)
-			}
+	first, last := addr>>PageShift, addr>>PageShift+length>>PageShift
+	lo := as.search(first)
+	hi := lo
+	var keep [2]mapping // what survives of the mappings at either edge
+	nkeep := 0
+	for ; hi < len(as.maps) && as.maps[hi].first < last; hi++ {
+		m := as.maps[hi]
+		a, b := max(first, m.first)-m.first, min(last, m.end())-m.first
+		for j := a; j < b; j++ {
+			// Tombstone: generation 0 is never issued, so any PageHandle
+			// still aliasing this header can never validate again — even
+			// if the address is later remapped to a fresh page.
+			m.pages[j] = page{}
 		}
-	} else {
-		// The length is guest-chosen (munmap) and may span 2^52 pages;
-		// visit the at most MaxPages that exist instead.
-		for pn, pg := range as.pages {
-			if pn-first < n {
-				unmap(pn, pg)
-			}
+		as.npages -= b - a
+		if a > 0 {
+			keep[nkeep] = mapping{first: m.first, pages: m.pages[:a:a]}
+			nkeep++
+		}
+		if b < uint64(len(m.pages)) {
+			keep[nkeep] = mapping{first: m.first + b, pages: m.pages[b:]}
+			nkeep++
 		}
 	}
+	as.maps = slices.Replace(as.maps, lo, hi, keep[:nkeep]...)
 	as.codeMut++
 	return nil
 }
@@ -561,8 +657,8 @@ func (as *AddressSpace) Unmap(addr, length uint64) error {
 // ProtAt returns the protection of the page containing addr; ok is false
 // if the page is unmapped.
 func (as *AddressSpace) ProtAt(addr uint64) (Prot, bool) {
-	pg, ok := as.pages[addr>>PageShift]
-	if !ok {
+	pg := as.page(addr >> PageShift)
+	if pg == nil {
 		return 0, false
 	}
 	return pg.prot, true
@@ -581,8 +677,8 @@ func (as *AddressSpace) accessRead(addr uint64, n int, dst []byte, need Prot, ki
 	off := 0
 	for off < n {
 		a := addr + uint64(off)
-		pg, ok := as.pages[a>>PageShift]
-		if !ok || pg.prot&need == 0 {
+		pg := as.page(a >> PageShift)
+		if pg == nil || pg.prot&need == 0 {
 			as.faults++
 			return &Fault{Addr: a, Kind: kind}
 		}
@@ -618,8 +714,8 @@ func (as *AddressSpace) accessWrite(addr uint64, src []byte, need Prot, kind Acc
 	execTouched := false
 	for off < n {
 		a := addr + uint64(off)
-		pg, ok := as.pages[a>>PageShift]
-		if !ok || pg.prot&need == 0 {
+		pg := as.page(a >> PageShift)
+		if pg == nil || pg.prot&need == 0 {
 			as.faults++
 			return &Fault{Addr: a, Kind: kind}
 		}
@@ -726,8 +822,8 @@ func (as *AddressSpace) FetchExecGen(addr uint64, p []byte) (n int, pages [2]Pag
 	for off < total {
 		a := addr + uint64(off)
 		pn := a >> PageShift
-		pg, ok := as.pages[pn]
-		if !ok || pg.prot&ProtExec == 0 {
+		pg := as.page(pn)
+		if pg == nil || pg.prot&ProtExec == 0 {
 			return off, pages, npages, as.codeMut, &Fault{Addr: a, Kind: AccessExec}
 		}
 		if npages < len(pages) {
@@ -752,7 +848,7 @@ func (as *AddressSpace) FetchExecGen(addr uint64, p []byte) (n int, pages [2]Pag
 // still backed by f, whose bytes never change.
 func (as *AddressSpace) ExecFrame(addr uint64) (f *Frame, g PageGen, mut uint64) {
 	pn := addr >> PageShift
-	if pg, ok := as.pages[pn]; ok && pg.frame != nil && pg.prot&ProtExec != 0 {
+	if pg := as.page(pn); pg != nil && pg.frame != nil && pg.prot&ProtExec != 0 {
 		return pg.frame, PageGen{PN: pn, Gen: pg.gen}, as.codeMut
 	}
 	return nil, PageGen{}, 0
@@ -763,8 +859,8 @@ func (as *AddressSpace) ExecFrame(addr uint64) (f *Frame, g PageGen, mut uint64)
 // count: the caller's decode is current as of mut, so it may skip revalidation while CodeMutations() == mut.
 func (as *AddressSpace) ValidatePages(pages []PageGen) (mut uint64, ok bool) {
 	for _, want := range pages {
-		pg, exists := as.pages[want.PN]
-		if !exists || pg.gen != want.Gen {
+		pg := as.page(want.PN)
+		if pg == nil || pg.gen != want.Gen {
 			return 0, false
 		}
 	}
@@ -817,8 +913,8 @@ func (h *PageHandle) Valid() bool { return h.gen != nil && *h.gen == h.Gen }
 // subsequent hit. A handle needs bytes to alias, so an untouched page
 // gets its backing here.
 func (as *AddressSpace) PageForAccess(pn uint64) (PageHandle, bool) {
-	pg, ok := as.pages[pn]
-	if !ok {
+	pg := as.page(pn)
+	if pg == nil {
 		return PageHandle{}, false
 	}
 	if pg.data == nil {
@@ -875,37 +971,29 @@ func (as *AddressSpace) WriteU64(addr, v uint64) error {
 func (as *AddressSpace) Mapped(addr, length uint64) bool {
 	first := addr >> PageShift
 	last := (addr + length - 1) >> PageShift
-	for pn := first; pn <= last; pn++ {
-		if _, ok := as.pages[pn]; !ok {
-			return false
-		}
+	if last < first {
+		return true
 	}
-	return true
+	_, hole := as.firstUnmapped(first, last-first+1)
+	return !hole
 }
 
 // Regions returns the mapped regions as (addr, length, prot) triples,
-// merging adjacent pages with equal protection, sorted by address.
+// merging adjacent pages with equal protection, sorted by address; a
+// region may span several mappings.
 func (as *AddressSpace) Regions() []Region {
-	if len(as.pages) == 0 {
-		return nil
-	}
-	pns := make([]uint64, 0, len(as.pages))
-	for pn := range as.pages {
-		pns = append(pns, pn)
-	}
-	sortU64(pns)
 	var out []Region
-	cur := Region{Addr: pns[0] << PageShift, Length: PageSize, Prot: as.pages[pns[0]].prot}
-	for _, pn := range pns[1:] {
-		p := as.pages[pn]
-		if pn<<PageShift == cur.Addr+cur.Length && p.prot == cur.Prot {
-			cur.Length += PageSize
-			continue
+	for _, m := range as.maps {
+		for i := range m.pages {
+			a, p := (m.first+uint64(i))<<PageShift, m.pages[i].prot
+			if n := len(out); n > 0 && out[n-1].Addr+out[n-1].Length == a && out[n-1].Prot == p {
+				out[n-1].Length += PageSize
+				continue
+			}
+			out = append(out, Region{Addr: a, Length: PageSize, Prot: p})
 		}
-		out = append(out, cur)
-		cur = Region{Addr: pn << PageShift, Length: PageSize, Prot: p.prot}
 	}
-	return append(out, cur)
+	return out
 }
 
 // Region describes one contiguous mapped range.
@@ -924,8 +1012,4 @@ func putLeU64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))
 	}
-}
-
-func sortU64(s []uint64) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

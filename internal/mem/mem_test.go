@@ -145,6 +145,100 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
+// TestUnmapSplitsMapping: an Unmap in the middle of a mapping leaves its
+// two ends mapped as they were — bytes, handles and all — and a hole the
+// next MapFixed fills with fresh pages. Regions merges equal pages across
+// the seams, Protect and the overlap check see the pages of every mapping
+// a range crosses, a fork copies the split space, and a handle over an
+// unmapped page never validates again, not even once the hole is mapped.
+func TestUnmapSplitsMapping(t *testing.T) {
+	const base = 0x10000
+	page := func(i uint64) uint64 { return base + i*PageSize }
+	as := NewAddressSpace()
+	mustMap(t, as, base, 8*PageSize, ProtRW)
+	for i := uint64(0); i < 8; i++ {
+		if err := as.WriteAt(page(i), []byte{byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var hs [8]PageHandle
+	for i := range hs {
+		hs[i] = handle(t, as, page(uint64(i)))
+	}
+	if err := as.Unmap(page(3), 2*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hs {
+		if hole := i == 3 || i == 4; h.Valid() == hole {
+			t.Errorf("page %d: handle valid %v after unmapping pages 3 and 4", i, h.Valid())
+		}
+	}
+	if as.Mapped(page(2), 2*PageSize) || !as.Mapped(page(0), 3*PageSize) || !as.Mapped(page(5), 3*PageSize) {
+		t.Error("Mapped does not see the hole at pages 3 and 4 alone")
+	}
+	if want := []Region{{page(0), 3 * PageSize, ProtRW}, {page(5), 3 * PageSize, ProtRW}}; !reflect.DeepEqual(as.Regions(), want) {
+		t.Errorf("after the unmap: %v, want %v", as.Regions(), want)
+	}
+	if err := as.MapFixed(page(2), 2*PageSize, ProtRW); !errors.Is(err, ErrOverlap) || !bytes.Contains([]byte(err.Error()), []byte("0x12000")) {
+		t.Errorf("MapFixed over page 2 and the hole = %v, want ErrOverlap at 0x12000", err)
+	}
+	if err := as.Protect(page(2), 2*PageSize, ProtRX); !errors.Is(err, ErrBadRange) || !bytes.Contains([]byte(err.Error()), []byte("0x13000")) {
+		t.Errorf("Protect over page 2 and the hole = %v, want ErrBadRange at 0x13000", err)
+	}
+
+	// Fill the hole with two mappings, the first one executable.
+	mustMap(t, as, page(3), PageSize, ProtRX)
+	mustMap(t, as, page(4), PageSize, ProtRW)
+	want := []Region{{page(0), 3 * PageSize, ProtRW}, {page(3), PageSize, ProtRX}, {page(4), 4 * PageSize, ProtRW}}
+	if !reflect.DeepEqual(as.Regions(), want) {
+		t.Errorf("after filling the hole: %v, want %v", as.Regions(), want)
+	}
+	if hs[3].Valid() || hs[4].Valid() {
+		t.Error("a handle over an unmapped page validates once its address is mapped again")
+	}
+	for i := uint64(0); i < 8; i++ {
+		var b [1]byte
+		if err := as.ReadForce(page(i), b[:]); err != nil {
+			t.Fatal(err)
+		}
+		want := byte(i + 1)
+		if i == 3 || i == 4 {
+			want = 0 // a fresh page
+		}
+		if b[0] != want {
+			t.Errorf("page %d reads %#x, want %#x", i, b[0], want)
+		}
+	}
+	// A Protect across both seams changes every page it names.
+	if err := as.Protect(page(2), 3*PageSize, ProtRX); err != nil {
+		t.Fatal(err)
+	}
+	want = []Region{{page(0), 2 * PageSize, ProtRW}, {page(2), 3 * PageSize, ProtRX}, {page(5), 3 * PageSize, ProtRW}}
+	if !reflect.DeepEqual(as.Regions(), want) {
+		t.Errorf("after a Protect across the seams: %v, want %v", as.Regions(), want)
+	}
+
+	child := as.Clone()
+	if !reflect.DeepEqual(child.Regions(), want) {
+		t.Errorf("the fork's regions: %v, want %v", child.Regions(), want)
+	}
+	if err := child.WriteAt(page(6), []byte{0xEE}); err != nil {
+		t.Fatal(err)
+	}
+	if !hs[6].Valid() || hs[6].Data[0] != 7 {
+		t.Error("a write in the fork reached the parent's page")
+	}
+	if err := child.Unmap(page(1), 6*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Region{{page(0), PageSize, ProtRW}, {page(7), PageSize, ProtRW}}; !reflect.DeepEqual(child.Regions(), want) {
+		t.Errorf("the fork after an unmap across its mappings: %v, want %v", child.Regions(), want)
+	}
+	if !as.Mapped(page(0), 8*PageSize) || !hs[5].Valid() {
+		t.Error("an unmap in the fork reached the parent")
+	}
+}
+
 func TestMapAnonPlacement(t *testing.T) {
 	as := NewAddressSpace()
 	a1, err := as.MapAnon(3*PageSize+1, ProtRW) // rounds up to 4 pages

@@ -41,26 +41,23 @@ func (as *AddressSpace) SetPkey(addr, length uint64, key uint8) error {
 		return fmt.Errorf("%w: pkey %d", ErrBadRange, key)
 	}
 	first, n := addr>>PageShift, length>>PageShift
-	for i := uint64(0); i < n; i++ {
-		if _, ok := as.pages[first+i]; !ok {
-			return fmt.Errorf("%w: page %#x not mapped", ErrBadRange, (first+i)<<PageShift)
-		}
+	if pn, ok := as.firstUnmapped(first, n); ok {
+		return fmt.Errorf("%w: page %#x not mapped", ErrBadRange, pn<<PageShift)
 	}
-	for i := uint64(0); i < n; i++ {
-		pg := as.pages[first+i]
+	as.eachPage(first, n, func(pg *page) {
 		pg.pkey = key
 		// A pkey change alters what a cached access decision may permit, so
 		// it must invalidate software-TLB handles the same way mprotect
 		// does: by issuing a fresh generation.
 		pg.gen = as.nextGen()
-	}
+	})
 	return nil
 }
 
 // PkeyAt returns the protection key of the page containing addr.
 func (as *AddressSpace) PkeyAt(addr uint64) (uint8, bool) {
-	pg, ok := as.pages[addr>>PageShift]
-	if !ok {
+	pg := as.page(addr >> PageShift)
+	if pg == nil {
 		return 0, false
 	}
 	return pg.pkey, true

@@ -101,9 +101,11 @@ fi
 # all-blocked wait with its activity hub (a cell runs on one goroutine),
 # the striped listener table, the second source interface and the
 # blocks' predecessor lists (a link into a dropped block is refused where
-# it is used: DESIGN.md §3), and the decode cache's sled views and FIFO
+# it is used: DESIGN.md §3), the decode cache's sled views and FIFO
 # overflow eviction (frame-backed blocks are decoded once per process and
-# an overflow flushes the map: DESIGN.md §3). Nor may the per-cell locks
+# an overflow flushes the map: DESIGN.md §3), and the address space's
+# page map with its sizing constant and sort (a sorted list of mappings:
+# DESIGN.md §4). Nor may the per-cell locks
 # (a cell runs on one goroutine; DESIGN.md §8 lists the shared objects
 # that keep theirs) or the lock order they imposed. None may come back,
 # in the code or the docs.
@@ -112,8 +114,9 @@ if grep -rnE -e '[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)
     -e '[a]ctivityHub|[s]tackShards|[S]ealedSource|[p]redLink|[r]emovePred' \
     -e '[f]aultsMu|[e]xMu|[L]ock order' \
     -e '[s]ledSuffix|[s]ledBase|[e]victForSpace|[c]ompactFIFO|[e]victBatch' \
+    -e '[s]pawnPages|[s]ortU64' \
     README.md DESIGN.md Makefile scripts .claude internal cmd; then
-    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait, sharded-stack, predecessor-list, sled-view, FIFO-eviction or per-cell-lock surface is still named above" >&2
+    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait, sharded-stack, predecessor-list, sled-view, FIFO-eviction, page-map or per-cell-lock surface is still named above" >&2
     exit 1
 fi
 
@@ -145,12 +148,14 @@ go test -race ./internal/mem ./internal/cpu ./internal/experiments \
 #     per getdents64 call (DESIGN.md §7).
 #   TestSealedFrameRewriteAllocs: rewriting a sealed code page reuses the
 #     array its seal dropped and finds its frame by content (DESIGN.md §4).
+#   TestFreshCPUBlockHeaderAllocs: a fresh CPU takes the headers of the
+#     blocks it enters from chunks, not one allocation each (DESIGN.md §3).
 #   TestSteadyStateRequestAllocs, TestWarmCellAllocs: a warm keep-alive
 #     request allocates one small object whatever the file size, and a
 #     cell run a second time in one process reuses its receive buffers
 #     (DESIGN.md §7).
-go test -p 1 -count 1 -run '^(TestColdStartAllocs|TestEngineSpeedupFloors|TestInterposedSyscallAllocs|TestBlockedWakeAllocs|TestPathSyscallAllocs|TestGetdentsAllocs|TestSealedFrameRewriteAllocs|TestSteadyStateRequestAllocs|TestWarmCellAllocs)$' \
-    ./internal/experiments ./internal/kernel ./internal/mem ./internal/webbench
+go test -p 1 -count 1 -run '^(TestColdStartAllocs|TestEngineSpeedupFloors|TestInterposedSyscallAllocs|TestBlockedWakeAllocs|TestPathSyscallAllocs|TestGetdentsAllocs|TestSealedFrameRewriteAllocs|TestFreshCPUBlockHeaderAllocs|TestSteadyStateRequestAllocs|TestWarmCellAllocs)$' \
+    ./internal/cpu ./internal/experiments ./internal/kernel ./internal/mem ./internal/webbench
 
 # Benchmark smoke run: the interpreter benchmarks must still execute.
 go test ./internal/cpu/ -run '^$' -bench 'BenchmarkCPUStep|BenchmarkDecodeCache' -benchtime 100ms
