@@ -155,9 +155,9 @@ func (c *CPU) DecodeCacheStats() DecodeCacheStats {
 // PrivateDecodes returns how many blocks the CPU decoded from pages no
 // frame backs: code written in place that no Protect has sealed since
 // (mem.AddressSpace.Protect), such as a page left RWX. Zero on a
-// reference CPU. It is kept out of DecodeCacheStats and telemetry
-// because it is not a property of the cell alone: whether a page could
-// be sealed depends on what the rest of the process has interned.
+// reference CPU. Every written page a Protect makes executable and not
+// writable is sealed, whatever the rest of the process has interned, so
+// the count is a property of the cell alone.
 func (c *CPU) PrivateDecodes() uint64 {
 	if c.cache == nil {
 		return 0

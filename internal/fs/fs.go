@@ -243,7 +243,16 @@ func statOf(i *Inode) Stat {
 }
 
 // Mkdir creates a directory.
-func (f *FS) Mkdir(path string, perm Mode) error {
+func (f *FS) Mkdir(path string, perm Mode) error { return mkdir(f, path, perm) }
+
+// MkdirBytes is Mkdir of a path held as bytes (the kernel's mkdir, from
+// guest memory): of the path it allocates only the new name. Like
+// StatBytes, it is not inlined.
+//
+//go:noinline
+func (f *FS) MkdirBytes(path []byte, perm Mode) error { return mkdir(f, path, perm) }
+
+func mkdir[P pathBytes](f *FS, path P, perm Mode) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
@@ -254,12 +263,12 @@ func (f *FS) Mkdir(path string, perm Mode) error {
 	if !parent.IsDir() {
 		return ErrNotDir
 	}
-	if _, ok := parent.Children[name]; ok {
+	if _, ok := parent.Children[string(name)]; ok {
 		return ErrExist
 	}
 	now := f.clock()
 	f.nextIno++
-	parent.Children[name] = &Inode{
+	parent.Children[string(name)] = &Inode{
 		Ino:      f.nextIno,
 		Mode:     ModeDir | (perm & ModePermMask),
 		Children: make(map[string]*Inode),
@@ -383,7 +392,16 @@ func rmdir[P pathBytes](f *FS, path P) error {
 }
 
 // Rename moves oldpath to newpath (replacing a non-directory target).
-func (f *FS) Rename(oldpath, newpath string) error {
+func (f *FS) Rename(oldpath, newpath string) error { return rename(f, oldpath, newpath) }
+
+// RenameBytes is Rename of paths held as bytes (the kernel's rename, from
+// guest memory): of the paths it allocates only the new name. Like
+// StatBytes, it is not inlined.
+//
+//go:noinline
+func (f *FS) RenameBytes(oldpath, newpath []byte) error { return rename(f, oldpath, newpath) }
+
+func rename[P pathBytes](f *FS, oldpath, newpath P) error {
 	if f.Sealed() {
 		return ErrSealed
 	}
@@ -391,7 +409,7 @@ func (f *FS) Rename(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	child, ok := op.Children[oname]
+	child, ok := op.Children[string(oname)]
 	if !ok {
 		return ErrNotExist
 	}
@@ -399,13 +417,13 @@ func (f *FS) Rename(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	if existing, ok := np.Children[nname]; ok {
+	if existing, ok := np.Children[string(nname)]; ok {
 		if existing.IsDir() {
 			return ErrIsDir
 		}
 	}
-	delete(op.Children, oname)
-	np.Children[nname] = child
+	delete(op.Children, string(oname))
+	np.Children[string(nname)] = child
 	now := f.clock()
 	op.Mtime, np.Mtime = now, now
 	op.listing, np.listing = nil, nil

@@ -332,11 +332,13 @@ func TestGetdentsAllocs(t *testing.T) {
 }
 
 // TestPathSyscallAllocs: once warm, stat, access, chmod and utimensat of
-// an existing path allocate nothing — the path resolves from the guest's
-// bytes, also when it straddles a page boundary — and an open and close
-// of a file allocates at most one object, the descriptor with its open
-// file, on a sealed filesystem (where chmod and utimensat fail with
-// EROFS) and on one that is not.
+// an existing path, and mkdir of one, allocate nothing — the path
+// resolves from the guest's bytes, also when it straddles a page
+// boundary. A mkdir that creates a directory allocates its name, inode
+// and entry map, and a rename its new name; an open and close of a file
+// allocates at most one object, the descriptor with its open file. All
+// hold on a sealed filesystem (where every call that changes it fails
+// with EROFS) and on one that is not.
 func TestPathSyscallAllocs(t *testing.T) {
 	k := New(Config{})
 	task := idleTask(t, k)
@@ -346,6 +348,10 @@ func TestPathSyscallAllocs(t *testing.T) {
 	straddling := uint64(guestBuf + 2*mem.PageSize - 5)
 	task.AS.WriteAt(guestBuf, []byte(path))
 	task.AS.WriteAt(straddling, []byte(path))
+	const dir, newDir, moved = guestBuf + 1024, guestBuf + 512, guestBuf + 768
+	task.AS.WriteAt(dir, []byte("/www/static\x00"))
+	task.AS.WriteAt(newDir, []byte("/www/tmp\x00"))
+	task.AS.WriteAt(moved, []byte("/www/static/moved.html\x00"))
 	call := func(nr int64, args ...uint64) int64 {
 		var a [6]uint64
 		copy(a[:], args)
@@ -386,6 +392,31 @@ func TestPathSyscallAllocs(t *testing.T) {
 		{"utimensat", 0, func() {
 			if n := call(SysUtimensat, 0, guestBuf, 0, 0); n != mutated() {
 				t.Fatalf("utimensat = %d, want %d", n, mutated())
+			}
+		}},
+		{"mkdir of an existing directory", 0, func() {
+			want := int64(-EEXIST)
+			if k.FS.Sealed() {
+				want = -EROFS
+			}
+			if n := call(SysMkdir, dir, 0o755); n != want {
+				t.Fatalf("mkdir = %d, want %d", n, want)
+			}
+		}},
+		{"mkdir+rmdir", 3, func() {
+			if n := call(SysMkdir, newDir, 0o755); n != mutated() {
+				t.Fatalf("mkdir = %d, want %d", n, mutated())
+			}
+			if n := call(SysRmdir, newDir); n != mutated() {
+				t.Fatalf("rmdir = %d, want %d", n, mutated())
+			}
+		}},
+		{"rename there and back", 2, func() {
+			if n := call(SysRename, guestBuf, moved); n != mutated() {
+				t.Fatalf("rename = %d, want %d", n, mutated())
+			}
+			if n := call(SysRename, moved, guestBuf); n != mutated() {
+				t.Fatalf("rename back = %d, want %d", n, mutated())
 			}
 		}},
 		{"open+close", 1, func() {

@@ -113,7 +113,7 @@ func (k *Kernel) dispatch(t *Task, nr int64, args [6]uint64) sysResult {
 	case SysGetcwd:
 		return k.sysGetcwd(t, args)
 	case SysRename:
-		return k.sysPath2(t, args, k.FS.Rename)
+		return k.sysRename(t, args[0], args[1])
 	case SysMkdir, SysRmdir, SysUnlink, SysChmod:
 		return k.sysPath(t, nr, args[0], args[1])
 	case SysPtrace:
@@ -858,11 +858,11 @@ func (k *Kernel) sysGetrandom(t *Task, args [6]uint64) sysResult {
 	return sysRet(int64(len(buf)))
 }
 
-// sysPath serves the single-path fs syscalls — mkdir, rmdir, unlink and
-// chmod (mode arg), utimensat — on the path at addr. fs resolves the
-// guest's bytes in place; only mkdir, which keeps the new name, makes a
-// string of them. (The calls are named, not passed in: a call through a
-// func value would move buf to the heap.)
+// sysPath serves the single-path fs syscalls — mkdir and chmod (mode
+// arg), rmdir, unlink, utimensat — on the path at addr. fs resolves the
+// guest's bytes in place; only mkdir makes a string, of the new name it
+// keeps. (The calls are named, not passed in: a call through a func value
+// would move buf to the heap.)
 func (k *Kernel) sysPath(t *Task, nr int64, addr, arg uint64) sysResult {
 	var buf [pathChunk]byte
 	path, errno := k.readPath(t, addr, buf[:])
@@ -872,7 +872,7 @@ func (k *Kernel) sysPath(t *Task, nr int64, addr, arg uint64) sysResult {
 	var err error
 	switch nr {
 	case SysMkdir:
-		err = k.FS.Mkdir(string(path), fs.Mode(arg))
+		err = k.FS.MkdirBytes(path, fs.Mode(arg))
 	case SysRmdir:
 		err = k.FS.RmdirBytes(path)
 	case SysUnlink:
@@ -889,18 +889,19 @@ func (k *Kernel) sysPath(t *Task, nr int64, addr, arg uint64) sysResult {
 	return sysRet(0)
 }
 
-// sysPath2 adapts two-path fs operations (rename).
-func (k *Kernel) sysPath2(t *Task, args [6]uint64, op func(string, string) error) sysResult {
-	var buf1, buf2 [pathChunk]byte
-	p1, errno := k.readPath(t, args[0], buf1[:])
+// sysRename serves rename of the path at oldAddr to the one at newAddr;
+// like sysPath, it makes a string only of the new name.
+func (k *Kernel) sysRename(t *Task, oldAddr, newAddr uint64) sysResult {
+	var oldBuf, newBuf [pathChunk]byte
+	oldpath, errno := k.readPath(t, oldAddr, oldBuf[:])
 	if errno != 0 {
 		return sysErr(errno)
 	}
-	p2, errno := k.readPath(t, args[1], buf2[:])
+	newpath, errno := k.readPath(t, newAddr, newBuf[:])
 	if errno != 0 {
 		return sysErr(errno)
 	}
-	if err := op(string(p1), string(p2)); err != nil {
+	if err := k.FS.RenameBytes(oldpath, newpath); err != nil {
 		return sysErr(fsErrno(err))
 	}
 	return sysRet(0)

@@ -157,9 +157,13 @@ func (p modelPair) checkContents(t *testing.T) {
 
 // modelOpNames names runModelProgram's operations, by opcode. "Protect
 // RX" is Protect to R-X, which seals every written page of the range into
-// a shared frame; the model has no frames, and needs none.
-var modelOpNames = [11]string{"MapFixed", "MapFixed", "Unmap", "Protect", "WriteAt",
-	"WriteForce", "read", "FetchExecGen", "PageForAccess", "Clone", "Protect RX"}
+// a shared frame; the model has no frames, and needs none. "MapFixed
+// long" maps 4, 8 or 12 pages, and "Unmap all but one" leaves only the
+// page at first mapped, which may move to a slab of its own; the model
+// has no slabs either.
+var modelOpNames = [12]string{"MapFixed", "MapFixed long", "Unmap", "Protect", "WriteAt",
+	"WriteForce", "read", "FetchExecGen", "PageForAccess", "Clone", "Protect RX",
+	"Unmap all but one"}
 
 // runModelProgram interprets prog as a sequence of operations over up to
 // four address spaces (clones of one another).
@@ -185,6 +189,9 @@ func runModelProgram(t *testing.T, prog []byte) {
 		fill := byte(next())
 		switch op {
 		case 0, 1: // map
+			if op == 1 {
+				n *= 4
+			}
 			err := p.as.MapFixed(first<<PageShift, n<<PageShift, prot)
 			if p.m.anyMapped(first, n) {
 				if !errors.Is(err, ErrOverlap) {
@@ -203,6 +210,20 @@ func runModelProgram(t *testing.T, prog []byte) {
 				delete(p.m.pages, first+i)
 			}
 			p.m.codeMut++
+		case 11: // unmap every page a map can reach but first
+			lo, hi := uint64(modelBase>>PageShift), uint64(modelBase>>PageShift+2*modelPages)
+			for _, r := range [2][2]uint64{{lo, first}, {first + 1, hi}} {
+				if r[0] == r[1] {
+					continue
+				}
+				if err := p.as.Unmap(r[0]<<PageShift, (r[1]-r[0])<<PageShift); err != nil {
+					t.Fatalf("Unmap: %v", err)
+				}
+				for pn := r[0]; pn < r[1]; pn++ {
+					delete(p.m.pages, pn)
+				}
+				p.m.codeMut++
+			}
 		case 3, 10: // protect
 			if op == 10 {
 				prot = ProtRX

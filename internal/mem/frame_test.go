@@ -373,50 +373,62 @@ func TestSealedFrameClonedAndPrivatized(t *testing.T) {
 	}
 }
 
-// TestSealFullFrameTableStaysPrivate: with the intern table full, a page
-// whose bytes it does not hold stays private — with the bytes, the
-// generations and the code mutations a sealed page has — while a page
-// whose bytes it holds is still sealed.
-func TestSealFullFrameTableStaysPrivate(t *testing.T) {
+// TestSealFullFrameTableEmpties: a seal that finds the intern table full
+// and its bytes absent empties the table, which then holds only the new
+// frame, and seals the page with the generations and code mutations any
+// seal has. A frame interned before still backs its page with its bytes,
+// and equal bytes sealed after the flush share one new frame.
+func TestSealFullFrameTableEmpties(t *testing.T) {
 	isolateInterned(t)
 	code, data := frameImage()
 	sealed, _ := writtenCode(t, code[0].data[:])
 	if err := sealed.Protect(frameCode, PageSize, ProtRX); err != nil {
 		t.Fatal(err)
 	}
-	var pg [PageSize]byte
+	old, _, _ := sealed.ExecFrame(frameCode)
+	if old == nil {
+		t.Fatal("the page made R-X is not frame-backed")
+	}
 	for i := uint64(1); len(interned.frames) < maxInterned; i++ {
+		pg := new([PageSize]byte) // intern takes the array over: one per call
 		putLeU64(pg[:], i)
-		if intern(&pg) == nil {
-			t.Fatal("intern failed below the bound")
+		if f := intern(pg); f.data != pg {
+			t.Fatalf("intern %d found a frame for new bytes", i)
 		}
 	}
-	putLeU64(pg[:], 1<<40)
-	if intern(&pg) != nil {
-		t.Error("a full table interned a new frame")
-	}
 
-	private, _ := writtenCode(t, data[0].data[:])
-	if err := private.Protect(frameCode, PageSize, ProtRX); err != nil {
+	flushed, _ := writtenCode(t, data[0].data[:])
+	if err := flushed.Protect(frameCode, PageSize, ProtRX); err != nil {
 		t.Fatal(err)
 	}
-	if f, _, _ := private.ExecFrame(frameCode); f != nil {
-		t.Error("a full table sealed a page whose bytes it does not hold")
+	f, _, _ := flushed.ExecFrame(frameCode)
+	if f == nil {
+		t.Fatal("a full table left the page private")
 	}
-	if !bytes.Equal(pageBytes(t, private, frameCode), data[0].data[:]) {
-		t.Error("the page left private reads different bytes")
+	if len(interned.frames) != 1 || lookup(f.data) != f {
+		t.Errorf("after the flush the table holds %d frames, want only the new one", len(interned.frames))
 	}
-	if private.Stats() != sealed.Stats() || private.CodeMutations() != sealed.CodeMutations() {
-		t.Errorf("counters %+v, a sealed page's %+v", private.Stats(), sealed.Stats())
+	if !bytes.Equal(pageBytes(t, flushed, frameCode), data[0].data[:]) {
+		t.Error("the page sealed into the emptied table reads different bytes")
+	}
+	if flushed.Stats() != sealed.Stats() || flushed.CodeMutations() != sealed.CodeMutations() {
+		t.Errorf("counters %+v, a seal into a table with room %+v", flushed.Stats(), sealed.Stats())
+	}
+	if g, _, _ := sealed.ExecFrame(frameCode); g != old || *old.data != *code[0].data ||
+		!bytes.Equal(pageBytes(t, sealed, frameCode), code[0].data[:]) {
+		t.Error("the flush changed the frame or the bytes of a page sealed before it")
 	}
 
-	again, _ := writtenCode(t, code[0].data[:])
-	if err := again.Protect(frameCode, PageSize, ProtRX); err != nil {
-		t.Fatal(err)
+	var again [2]*Frame
+	for i := range again {
+		as, _ := writtenCode(t, code[0].data[:])
+		if err := as.Protect(frameCode, PageSize, ProtRX); err != nil {
+			t.Fatal(err)
+		}
+		again[i], _, _ = as.ExecFrame(frameCode)
 	}
-	f, _, _ := sealed.ExecFrame(frameCode)
-	if g, _, _ := again.ExecFrame(frameCode); g == nil || g != f {
-		t.Errorf("a full table holding the bytes sealed the page into %p, want %p", g, f)
+	if again[0] == nil || again[0] != again[1] || again[0] == old {
+		t.Errorf("two seals after the flush: frames %p and %p, want one new frame (not %p)", again[0], again[1], old)
 	}
 }
 

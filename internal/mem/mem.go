@@ -142,9 +142,11 @@ type Frame struct {
 }
 
 // maxInterned bounds the frames the process-wide table holds (4 MiB of
-// page bytes). Past it, FramesOf builds frames it does not intern — they
-// are shared by whoever holds them, as an image keeps its own, but not
-// found again by content — and a page that would be sealed stays private.
+// page bytes, and the blocks decoded from them). A table that is full
+// when a new frame is interned is emptied first, as a full decode cache
+// is (DESIGN.md §3): a frame that leaves the table stays valid for every
+// page and image that holds it, since its bytes never change, and only
+// bytes interned later get a new frame.
 const maxInterned = 1024
 
 // interned maps page contents to their frame, so equal bytes built
@@ -175,9 +177,7 @@ func FramesOf(b []byte, length uint64) []*Frame {
 		if f == nil {
 			pg := new([PageSize]byte)
 			*pg = key
-			if f = intern(pg); f == nil {
-				f = &Frame{data: pg}
-			}
+			f = intern(pg)
 		}
 		frames[off>>PageShift] = f
 	}
@@ -201,22 +201,22 @@ func lookup(pg *[PageSize]byte) *Frame {
 }
 
 // intern returns the interned frame holding pg's bytes, interning a new
-// one when the table has room; nil when the table is full and holds no
-// such frame. A new frame takes pg itself over (its data is pg), so the
-// caller must never write through pg again.
+// one when none does, into an emptied table when it is full
+// (maxInterned). A new frame takes pg itself over (its data is pg), so
+// the caller must never write through pg again.
 func intern(pg *[PageSize]byte) *Frame {
 	interned.Lock()
 	defer interned.Unlock()
 	if f := interned.frames[string(pg[:])]; f != nil {
 		return f
 	}
-	if len(interned.frames) >= maxInterned {
-		return nil
-	}
-	if interned.frames == nil {
+	switch {
+	case interned.frames == nil:
 		// Sized for the bound, so a growing table never rehashes its
 		// 4 KiB keys.
 		interned.frames = make(map[string]*Frame, maxInterned)
+	case len(interned.frames) >= maxInterned:
+		clear(interned.frames)
 	}
 	f := &Frame{data: pg}
 	// The frame's bytes never change, so they key the table in place
@@ -272,6 +272,11 @@ type page struct {
 	// bytes live: generations, code mutations and the permissions of
 	// every PageHandle are those of the private page it replaced.
 	sealed bool
+	// slab is the length of the slab of headers this one lies in
+	// (mapping), which Unmap reads to decide whether what it leaves of a
+	// mapping moves (mapping.piece). It fits in the header's padding, so
+	// recording it per header costs no memory.
+	slab uint32
 	// gen is the page's generation: a value unique within the address
 	// space's lifetime, replaced on every checked write to the page and on
 	// every protection or pkey change, and set to the never-issued value 0
@@ -286,10 +291,11 @@ type page struct {
 }
 
 // mapping is a run of mapped pages: pages[i] is page number first+i. The
-// headers are one slab, allocated when the run was mapped (mapPages) or
-// cloned; an Unmap that trims or splits a mapping reslices it, so a
-// header never moves while it is mapped and a PageHandle's pointer to its
-// generation stays good.
+// headers lie in one slab, allocated when the run was mapped (mapPages),
+// cloned (Clone) or moved (piece). An Unmap that trims or splits a
+// mapping reslices it, so a header stays where it is, and a PageHandle's
+// pointer to its generation stays good, unless the piece that survives is
+// too small to keep its slab alive (piece).
 type mapping struct {
 	first uint64
 	pages []page
@@ -385,7 +391,9 @@ func (as *AddressSpace) Clone() *AddressSpace {
 		hdrs = hdrs[n:]
 		copy(cp, m.pages)
 		for j := range cp {
-			if pg := &cp[j]; pg.frame == nil && pg.data != nil {
+			pg := &cp[j]
+			pg.slab = uint32(n) // each mapping's part of the copy counts as its slab
+			if pg.frame == nil && pg.data != nil {
 				d := *pg.data
 				pg.data = &d
 			}
@@ -484,9 +492,8 @@ func (as *AddressSpace) backing(pg *page) *[PageSize]byte {
 	return pg.data
 }
 
-// seal re-backs a private page with the interned frame holding its bytes;
-// a full table that holds no such frame leaves the page private. A new
-// frame takes the page's array over; when a frame already held the
+// seal re-backs a private page with the interned frame holding its bytes.
+// A new frame takes the page's array over; when a frame already held the
 // bytes, the dropped array becomes the spare. The caller has just issued
 // the page a fresh generation, which is what invalidates every handle
 // over the array, whichever of the two it becomes (see spare); a seal
@@ -494,9 +501,6 @@ func (as *AddressSpace) backing(pg *page) *[PageSize]byte {
 // same bytes.
 func (as *AddressSpace) seal(pg *page) {
 	f := intern(pg.data)
-	if f == nil {
-		return
-	}
 	if f.data != pg.data {
 		as.spare = pg.data
 	}
@@ -518,7 +522,7 @@ func (as *AddressSpace) mapPages(first, n uint64, prot Prot, frames []*Frame) {
 	hdrs := make([]page, n)
 	for i := range hdrs {
 		pg := &hdrs[i]
-		pg.prot = prot
+		pg.prot, pg.slab = prot, uint32(n)
 		if frames != nil && frames[i] != nil {
 			pg.frame, pg.data = frames[i], frames[i].data
 		}
@@ -619,8 +623,8 @@ func (as *AddressSpace) Protect(addr, length uint64, prot Prot) error {
 
 // Unmap removes [addr, addr+length). Unmapped pages in the range are
 // ignored (Linux munmap semantics). Mappings the range covers are
-// removed, and one it cuts is trimmed or split in two; the walk visits
-// only the mappings that exist, whatever the guest-chosen length.
+// removed, and one it cuts is trimmed or split in two (piece); the walk
+// visits only the mappings that exist, whatever the guest-chosen length.
 func (as *AddressSpace) Unmap(addr, length uint64) error {
 	if addr%PageSize != 0 || length == 0 || length%PageSize != 0 {
 		return ErrBadRange
@@ -641,17 +645,35 @@ func (as *AddressSpace) Unmap(addr, length uint64) error {
 		}
 		as.npages -= b - a
 		if a > 0 {
-			keep[nkeep] = mapping{first: m.first, pages: m.pages[:a:a]}
+			keep[nkeep] = m.piece(0, a)
 			nkeep++
 		}
 		if b < uint64(len(m.pages)) {
-			keep[nkeep] = mapping{first: m.first + b, pages: m.pages[b:]}
+			keep[nkeep] = m.piece(b, uint64(len(m.pages)))
 			nkeep++
 		}
 	}
 	as.maps = slices.Replace(as.maps, lo, hi, keep[:nkeep]...)
 	as.codeMut++
 	return nil
+}
+
+// piece returns pages [lo, hi) of m, what an Unmap leaves of it, as a
+// mapping. A piece shorter than a quarter of its slab moves to a slab of
+// its own length, so the pieces left in a slab always map at least a
+// quarter of it and a slab dies with its pages. A moved page keeps its
+// generation; the header it leaves is tombstoned, so a PageHandle over
+// it stops validating and its holder refills it.
+func (m *mapping) piece(lo, hi uint64) mapping {
+	p := mapping{first: m.first + lo, pages: m.pages[lo:hi:hi]}
+	if 4*len(p.pages) < int(p.pages[0].slab) {
+		p.pages = slices.Clone(p.pages)
+		for i := range p.pages {
+			p.pages[i].slab = uint32(len(p.pages))
+		}
+		clear(m.pages[lo:hi])
+	}
+	return p
 }
 
 // ProtAt returns the protection of the page containing addr; ok is false

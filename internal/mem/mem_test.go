@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -236,6 +237,63 @@ func TestUnmapSplitsMapping(t *testing.T) {
 	}
 	if !as.Mapped(page(0), 8*PageSize) || !hs[5].Valid() {
 		t.Error("an unmap in the fork reached the parent")
+	}
+}
+
+// TestUnmapReleasesSlabs: a piece an Unmap leaves of a mapping moves to a
+// slab of its own when it maps less than a quarter of its slab, so
+// mapping 4096 pages and unmapping all but one, 64 times, holds 64 small
+// slabs rather than 64 of 4096 headers (8 MiB). A moved page keeps its
+// bytes and generation; a handle over its old header stops validating.
+func TestUnmapReleasesSlabs(t *testing.T) {
+	const pages, rounds = 4096, 64
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	as := NewAddressSpace()
+	moved := 0
+	before := heap()
+	for i := uint64(0); i < rounds; i++ {
+		addr, err := as.MapAnon(pages*PageSize, ProtRW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := addr + i*PageSize // the surviving page is page i of the run
+		if err := as.WriteAt(keep, []byte{byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		h := handle(t, as, keep)
+		if i > 0 {
+			if err := as.Unmap(addr, i*PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := as.Unmap(keep+PageSize, (pages-1-i)*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		var b [1]byte
+		if err := as.ReadAt(keep, b[:]); err != nil || b[0] != byte(i+1) {
+			t.Fatalf("round %d: the surviving page reads %#x (%v), want %#x", i, b[0], err, i+1)
+		}
+		if _, ok := as.ValidatePages([]PageGen{{PN: keep >> PageShift, Gen: h.Gen}}); !ok {
+			t.Fatalf("round %d: the surviving page's generation changed", i)
+		}
+		if !h.Valid() {
+			moved++
+		}
+	}
+	grown := int64(heap()) - int64(before)
+	if as.npages != rounds || len(as.maps) != rounds {
+		t.Fatalf("%d pages in %d mappings, want %d in %d", as.npages, len(as.maps), rounds, rounds)
+	}
+	if moved != rounds {
+		t.Errorf("a handle over the surviving page still validates in %d of %d rounds", rounds-moved, rounds)
+	}
+	if grown >= 1<<20 {
+		t.Errorf("%d mapped pages hold %d KiB of heap, want under 1 MiB", rounds, grown>>10)
 	}
 }
 
