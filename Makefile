@@ -60,8 +60,10 @@ smoke:
 		$(SMOKE_DIR)/example_$$ex > $(SMOKE_DIR)/example_$$ex.txt || exit 1; \
 	done
 
-# Every fuzz target for FUZZTIME each (scripts/ci.sh runs 5s of each):
-#   FuzzDecode: the isa decoder must survive arbitrary bytes.
+# Every fuzz target for FUZZTIME each (scripts/ci.sh runs 5s of each),
+# one package:Target pair per entry of FUZZ_TARGETS:
+#   FuzzDecode: the isa decoder must survive arbitrary bytes, and the
+#     emitter must re-encode whatever it decodes to the same instruction.
 #   FuzzAccess: the single-walk ReadAt/WriteAt must match the
 #     byte-at-a-time oracle on arbitrary spans and PKRU values.
 #   FuzzDemandZeroModel: random mapping/access programs against the eager
@@ -89,19 +91,20 @@ smoke:
 #   FuzzEpollVersions: socket, fd-table and epoll programs polled with
 #     cached misses must report what polling everything every time reports:
 #     the same events, wake rounds and bytes (DESIGN.md §5).
+#   FuzzAssemble: the assembler (`lazysim asm` input) must not panic or
+#     hang on any source text, must allocate at most eight times
+#     MaxProgram plus a multiple of the input, and must give the same
+#     bytes twice.
 FUZZTIME ?= 30s
+FUZZ_TARGETS = isa:FuzzDecode mem:FuzzAccess mem:FuzzDemandZeroModel \
+	cpu:FuzzCountedLoop cpu:FuzzBlockBuild cpu:FuzzStackRun \
+	zpoline:FuzzFindSyscallSites kernel:FuzzTaskAccessors \
+	telemetry:FuzzDecodeTrace loader:FuzzUnmarshal kernel:FuzzEpollVersions \
+	asm:FuzzAssemble
 fuzz:
-	go test ./internal/isa/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
-	go test ./internal/mem/ -run '^$$' -fuzz FuzzAccess -fuzztime $(FUZZTIME)
-	go test ./internal/mem/ -run '^$$' -fuzz FuzzDemandZeroModel -fuzztime $(FUZZTIME)
-	go test ./internal/cpu/ -run '^$$' -fuzz FuzzCountedLoop -fuzztime $(FUZZTIME)
-	go test ./internal/cpu/ -run '^$$' -fuzz FuzzBlockBuild -fuzztime $(FUZZTIME)
-	go test ./internal/cpu/ -run '^$$' -fuzz FuzzStackRun -fuzztime $(FUZZTIME)
-	go test ./internal/zpoline/ -run '^$$' -fuzz FuzzFindSyscallSites -fuzztime $(FUZZTIME)
-	go test ./internal/kernel/ -run '^$$' -fuzz FuzzTaskAccessors -fuzztime $(FUZZTIME)
-	go test ./internal/telemetry/ -run '^$$' -fuzz FuzzDecodeTrace -fuzztime $(FUZZTIME)
-	go test ./internal/loader/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME)
-	go test ./internal/kernel/ -run '^$$' -fuzz FuzzEpollVersions -fuzztime $(FUZZTIME)
+	for t in $(FUZZ_TARGETS); do \
+		go test ./internal/$${t%%:*}/ -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 bench:
 	go test -bench . -benchtime 1x ./...

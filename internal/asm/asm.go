@@ -13,11 +13,16 @@
 //	.ascii "text\n"                  raw string bytes
 //	.space 64                        zero fill
 //	.align 16                        zero-pad to alignment
-//	mov64 rax, label                 instructions (see mnemonics below)
+//	mov64 rax, label                 an instruction
 //
+// The instructions, and each one's operands, are isa's opTable: a
+// mnemonic is looked up there (isa.Lookup) and its operands are parsed by
+// the syntax the table names: a register, an xmm register, a [reg±disp]
+// memory operand, an immediate (or gs displacement), or a target.
 // Immediate operands may be decimal, 0x-hex, a defined constant, a label,
-// or label+offset / const+offset. Branch targets are labels (or absolute
-// immediates, encoded relative to the next instruction).
+// or label+offset / const+offset, and must fit their field. Branch and
+// lea targets are labels (or absolute immediates), encoded relative to
+// the instruction's end.
 package asm
 
 import (
@@ -142,6 +147,9 @@ func (a *assembler) run(src string, pass int) error {
 		if err := a.statement(line); err != nil {
 			return err
 		}
+		if len(a.buf) > MaxProgram {
+			return a.errf("the program passes its %d-byte limit", MaxProgram)
+		}
 	}
 	return nil
 }
@@ -235,8 +243,7 @@ func (a *assembler) statement(line string) error {
 		if n < 0 {
 			return a.errf(".space size must be non-negative")
 		}
-		a.buf = append(a.buf, make([]byte, n)...)
-		return nil
+		return a.zeros(uint64(n))
 	case ".align":
 		if len(ops) != 1 {
 			return a.errf(".align wants an alignment")
@@ -248,12 +255,77 @@ func (a *assembler) statement(line string) error {
 		if n <= 0 || n&(n-1) != 0 {
 			return a.errf(".align wants a power of two")
 		}
-		for a.pc()%uint64(n) != 0 {
-			a.buf = append(a.buf, 0)
-		}
-		return nil
+		return a.zeros(-a.pc() & uint64(n-1))
 	}
 	return a.instruction(mnem, ops)
+}
+
+// MaxProgram bounds the bytes one source may assemble to, so a .space or
+// .align line cannot ask the host for more. The largest guest program, the
+// lighttpd-style web server, is 1087 bytes; the largest program a test
+// assembles is 4118.
+const MaxProgram = 1 << 20
+
+// zeros appends n zero bytes. It checks the size before it allocates: a
+// statement that would take the program past MaxProgram is refused.
+func (a *assembler) zeros(n uint64) error {
+	if n > MaxProgram-uint64(len(a.buf)) {
+		return a.errf("%d bytes of fill take the program past its %d-byte limit", n, MaxProgram)
+	}
+	a.buf = append(a.buf, make([]byte, n)...)
+	return nil
+}
+
+// instruction assembles one instruction: the first of the mnemonic's
+// forms (isa.Lookup) whose operands parse.
+func (a *assembler) instruction(mnem string, ops []string) error {
+	forms := isa.Lookup(mnem)
+	if forms == nil {
+		return a.errf("unknown mnemonic %q", mnem)
+	}
+	var err error
+	for _, in := range forms {
+		if in, err = a.operands(mnem, in, ops); err == nil {
+			a.buf = (&isa.Enc{Buf: a.buf}).Emit(in).Buf
+			return nil
+		}
+	}
+	return err
+}
+
+// operands parses ops by in's syntax into in's fields. A target is made
+// relative to the instruction's end. Field ranges are checked in pass 2,
+// when every label has its value.
+func (a *assembler) operands(mnem string, in isa.Inst, ops []string) (isa.Inst, error) {
+	syntax := in.Syntax()
+	if len(ops) != len(syntax) {
+		return in, a.errf("%s wants %d operands, got %d", mnem, len(syntax), len(ops))
+	}
+	for i, o := range syntax {
+		var r isa.Reg
+		var v int64
+		var err error
+		switch o {
+		case isa.RegA, isa.RegB:
+			r, err = a.reg(ops[i])
+		case isa.XRegA, isa.XRegB:
+			r, err = a.xreg(ops[i])
+		case isa.MemA, isa.MemB:
+			r, v, err = a.memOp(ops[i])
+		default:
+			v, err = a.imm(ops[i])
+			if o == isa.Target {
+				v -= int64(a.pc()) + int64(in.Len)
+			}
+		}
+		if err != nil {
+			return in, err
+		}
+		if err := in.Put(o, r, v); err != nil && a.pass == 2 {
+			return in, a.errf("%s: %v", mnem, err)
+		}
+	}
+	return in, nil
 }
 
 func splitMnem(line string) (string, string) {
@@ -349,7 +421,7 @@ func (a *assembler) reg(s string) (isa.Reg, error) {
 	return r, nil
 }
 
-func (a *assembler) xreg(s string) (isa.XReg, error) {
+func (a *assembler) xreg(s string) (isa.Reg, error) {
 	s = strings.TrimSpace(s)
 	if !strings.HasPrefix(s, "xmm") {
 		return 0, a.errf("bad xmm register %q", s)
@@ -358,7 +430,7 @@ func (a *assembler) xreg(s string) (isa.XReg, error) {
 	if err != nil || n < 0 || n >= isa.NumXRegs {
 		return 0, a.errf("bad xmm register %q", s)
 	}
-	return isa.XReg(n), nil
+	return isa.Reg(n), nil
 }
 
 // memOp parses "[reg+disp]" or "[reg]" or "[reg-disp]".
@@ -386,13 +458,4 @@ func (a *assembler) memOp(s string) (isa.Reg, int64, error) {
 	}
 	r, err := a.reg(inner)
 	return r, 0, err
-}
-
-// rel computes a branch displacement relative to the instruction's end.
-func (a *assembler) rel(target string, insnLen int) (int64, error) {
-	v, err := a.imm(target)
-	if err != nil {
-		return 0, err
-	}
-	return v - int64(a.pc()) - int64(insnLen), nil
 }

@@ -208,25 +208,70 @@ func TestGsAndVectorOps(t *testing.T) {
 	}
 }
 
-func TestErrors(t *testing.T) {
-	cases := []struct {
-		name, src, wantSub string
-	}{
-		{"unknown mnemonic", "frobnicate rax", "unknown mnemonic"},
-		{"bad register", "mov64 rzz, 1", "bad register"},
-		{"bad operand count", "mov64 rax", "wants 2 operands"},
-		{"duplicate label", "a:\na:\n", "duplicate label"},
-		{"undefined symbol", "jmp nowhere", "bad immediate"},
-		{"bad align", ".align 3", "power of two"},
-		{"bad mem operand", "load rax, rbx", "bad memory operand"},
+// errorCases are TestErrors' rows: a source and a substring of the error
+// it must fail with. FuzzAssemble seeds its corpus with the sources.
+var errorCases = []struct {
+	name, src, wantSub string
+}{
+	{"unknown mnemonic", "frobnicate rax", "unknown mnemonic"},
+	{"bad register", "mov64 rzz, 1", "bad register"},
+	{"bad operand count", "mov64 rax", "wants 2 operands"},
+	{"duplicate label", "a:\na:\n", "duplicate label"},
+	{"undefined symbol", "jmp nowhere", "bad immediate"},
+	{"bad align", ".align 3", "power of two"},
+	{"bad mem operand", "load rax, rbx", "bad memory operand"},
+	// Statements that would take the program past MaxProgram: the fill
+	// is refused before it is allocated.
+	{"space past the limit", ".space 0x10000000000", "byte limit"},
+	{"align past the limit", ".byte 1\n.align 0x10000000000", "byte limit"},
+	{"data past the limit", ".space 0xfffff\n.quad 1, 2", "byte limit"},
+	// Operands that do not fit their field, one row per width.
+	{"imm8 out of range", "shli rax, 300", "does not fit imm8"},
+	{"imm8 store out of range", "gsstorebi 0, 256", "does not fit imm8"},
+	{"imm32 out of range", "addi rax, 0x100000000", "does not fit imm32"},
+	{"disp32 out of range", "load rax, [rbx+0x100000000]", "does not fit disp32"},
+	{"rel32 out of range", "jmp 0x80000005", "does not fit rel32"},
+}
+
+// ErrorSources hands errorCases' sources to the external test package.
+func ErrorSources() []string {
+	var srcs []string
+	for _, c := range errorCases {
+		srcs = append(srcs, c.src)
 	}
-	for _, tt := range cases {
+	return srcs
+}
+
+func TestErrors(t *testing.T) {
+	for _, tt := range errorCases {
 		t.Run(tt.name, func(t *testing.T) {
 			_, err := Assemble(tt.src, 0)
 			if err == nil || !strings.Contains(err.Error(), tt.wantSub) {
 				t.Errorf("got %v, want error containing %q", err, tt.wantSub)
 			}
 		})
+	}
+}
+
+// TestImmediateBounds: every field takes both readings of its width, and
+// the neighbours of each bound are refused.
+func TestImmediateBounds(t *testing.T) {
+	for _, tt := range []struct {
+		src string
+		ok  bool
+	}{
+		{"shli rax, -128", true}, {"shli rax, 255", true},
+		{"shli rax, -129", false}, {"shli rax, 256", false},
+		{"addi rax, -0x80000000", true}, {"addi rax, 0xffffffff", true},
+		{"addi rax, -0x80000001", false},
+		{"mov64 rax, -1", true}, {"mov64 rax, 0xffffffffffffffff", true},
+		{"gsaddi 0x80000000, -1", true}, {"gsaddi 0, 0x100000000", false},
+		{"jmp 0x80000004", true}, {"jmp 0x80000005", false},
+		{"lea rax, 0x80000005", true}, {"lea rax, 0x80000006", false},
+	} {
+		if _, err := Assemble(tt.src, 0); (err == nil) != tt.ok {
+			t.Errorf("Assemble(%q) = %v, want ok=%v", tt.src, err, tt.ok)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package asm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,8 +11,9 @@ import (
 )
 
 // TestDisassembleReassembleFixpoint: assemble a program, disassemble
-// every instruction, and verify each decoded instruction re-encodes to
-// the identical bytes (the codec is a bijection on the encoded subset).
+// every instruction, and verify the emitter re-encodes each decoded
+// instruction to the identical bytes (the codec is a bijection on the
+// encoded subset).
 func TestDisassembleReassembleFixpoint(t *testing.T) {
 	p, err := Assemble(`
 	_start:
@@ -82,157 +84,11 @@ func TestDisassembleReassembleFixpoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode at %d: %v", off, err)
 		}
-		re := reencode(t, in)
+		re := (&isa.Enc{}).Emit(in).Buf
 		if len(re) != in.Len || !bytesEqual(re, code[off:off+in.Len]) {
 			t.Errorf("at %d (%s): bytes % x re-encode to % x", off, in, code[off:off+in.Len], re)
 		}
 		off += in.Len
-	}
-}
-
-// reencode rebuilds an instruction's bytes from its decoded form.
-func reencode(t *testing.T, in isa.Inst) []byte {
-	t.Helper()
-	var e isa.Enc
-	switch in.Mnem {
-	case isa.MSyscall:
-		e.Syscall()
-	case isa.MSysenter:
-		e.Sysenter()
-	case isa.MCallReg:
-		e.CallReg(in.A)
-	case isa.MJmpReg:
-		e.JmpReg(in.A)
-	case isa.MOp:
-		reencodeOp(&e, in)
-	}
-	return e.Buf
-}
-
-func reencodeOp(e *isa.Enc, in isa.Inst) {
-	switch in.Op {
-	case isa.OpNop:
-		e.Nop(1)
-	case isa.OpPause:
-		e.Pause()
-	case isa.OpRet:
-		e.Ret()
-	case isa.OpTrap:
-		e.Trap()
-	case isa.OpHlt:
-		e.Hlt()
-	case isa.OpMovImm64:
-		e.MovImm64(in.A, in.Imm)
-	case isa.OpMovImm32:
-		e.MovImm32(in.A, in.Imm)
-	case isa.OpMovReg:
-		e.MovReg(in.A, in.B)
-	case isa.OpLoad:
-		e.Load(in.A, in.B, in.Imm)
-	case isa.OpStore:
-		e.Store(in.A, in.Imm, in.B)
-	case isa.OpLoadB:
-		e.LoadB(in.A, in.B, in.Imm)
-	case isa.OpStoreB:
-		e.StoreB(in.A, in.Imm, in.B)
-	case isa.OpLoad32:
-		e.Load32(in.A, in.B, in.Imm)
-	case isa.OpAdd:
-		e.Add(in.A, in.B)
-	case isa.OpSub:
-		e.Sub(in.A, in.B)
-	case isa.OpMul:
-		e.Mul(in.A, in.B)
-	case isa.OpAnd:
-		e.And(in.A, in.B)
-	case isa.OpOr:
-		e.Or(in.A, in.B)
-	case isa.OpXor:
-		e.Xor(in.A, in.B)
-	case isa.OpAddImm:
-		e.AddImm(in.A, in.Imm)
-	case isa.OpCmp:
-		e.Cmp(in.A, in.B)
-	case isa.OpCmpImm:
-		e.CmpImm(in.A, in.Imm)
-	case isa.OpShlImm:
-		e.ShlImm(in.A, in.Imm)
-	case isa.OpShrImm:
-		e.ShrImm(in.A, in.Imm)
-	case isa.OpJmp:
-		e.Jmp(in.Imm)
-	case isa.OpJz:
-		e.Jz(in.Imm)
-	case isa.OpJnz:
-		e.Jnz(in.Imm)
-	case isa.OpJl:
-		e.Jl(in.Imm)
-	case isa.OpJg:
-		e.Jg(in.Imm)
-	case isa.OpJle:
-		e.Jle(in.Imm)
-	case isa.OpJge:
-		e.Jge(in.Imm)
-	case isa.OpCall:
-		e.Call(in.Imm)
-	case isa.OpPush:
-		e.Push(in.A)
-	case isa.OpPop:
-		e.Pop(in.A)
-	case isa.OpLea:
-		e.Lea(in.A, in.Imm)
-	case isa.OpMovQ2X:
-		e.MovQ2X(isa.XReg(in.A), in.B)
-	case isa.OpMovX2Q:
-		e.MovX2Q(in.A, isa.XReg(in.B))
-	case isa.OpPunpck:
-		e.Punpck(isa.XReg(in.A))
-	case isa.OpMovupsStore:
-		e.MovupsStore(in.B, in.Imm, isa.XReg(in.A))
-	case isa.OpMovupsLoad:
-		e.MovupsLoad(isa.XReg(in.A), in.B, in.Imm)
-	case isa.OpXorps:
-		e.Xorps(isa.XReg(in.A), isa.XReg(in.B))
-	case isa.OpFld:
-		e.Fld(in.A)
-	case isa.OpFst:
-		e.Fst(in.A)
-	case isa.OpRdCycle:
-		e.RdCycle(in.A)
-	case isa.OpGsLoad:
-		e.GsLoad(in.A, in.Imm)
-	case isa.OpGsStore:
-		e.GsStore(in.Imm, in.A)
-	case isa.OpGsLoadB:
-		e.GsLoadB(in.A, in.Imm)
-	case isa.OpGsStoreB:
-		e.GsStoreB(in.Imm, in.A)
-	case isa.OpGsStoreBI:
-		e.GsStoreBI(in.Imm2, byte(in.Imm))
-	case isa.OpGsPush:
-		e.GsPush(in.Imm)
-	case isa.OpGsAddI:
-		e.GsAddI(in.Imm, in.Imm2)
-	case isa.OpGsMovB:
-		e.GsMovB(in.Imm, in.Imm2)
-	case isa.OpGsMov:
-		e.GsMov(in.Imm, in.Imm2)
-	case isa.OpGsLoadIdx:
-		e.GsLoadIdx(in.A, in.B, in.Imm)
-	case isa.OpGsLoadIdxB:
-		e.GsLoadIdxB(in.A, in.B)
-	case isa.OpXchg:
-		e.Xchg(in.A, in.B)
-	case isa.OpXsave:
-		e.Xsave(in.A)
-	case isa.OpXrstor:
-		e.Xrstor(in.A)
-	case isa.OpWrpkru:
-		e.Wrpkru(in.A)
-	case isa.OpRdpkru:
-		e.Rdpkru(in.A)
-	case isa.OpHcall:
-		e.Hcall(in.Imm)
 	}
 }
 
@@ -297,6 +153,76 @@ func TestRandomProgramsAssembleDeterministically(t *testing.T) {
 				t.Fatalf("trial %d: decode at %d: %v", trial, off, err)
 			}
 			off += in.Len
+		}
+	}
+}
+
+// TestOpTableSyntax walks isa's opcode table. Each opcode's syntax must
+// name exactly the Inst fields its kind encodes, and a canonical instance
+// written from the syntax must assemble and decode back to the same
+// opcode and fields; an entry without a syntax fails here.
+func TestOpTableSyntax(t *testing.T) {
+	encoded := map[isa.Kind]string{
+		isa.KindNone: "", isa.KindReg: "A", isa.KindRegReg: "AB",
+		isa.KindRegImm64: "AI", isa.KindRegImm32: "AI", isa.KindRegImm8: "AI",
+		isa.KindRegRegD32: "ABI", isa.KindRel32: "I", isa.KindD32: "I", isa.KindImm32: "I",
+		isa.KindImm8D32: "IJ", isa.KindD32Imm32: "IJ", isa.KindD32D32: "IJ",
+	}
+	const base, target = 0x1000, 0x2000
+	for op := 0; op < 256; op++ {
+		name, kind, ok := isa.Info(isa.Op(op))
+		if !ok {
+			continue
+		}
+		want := isa.Inst{Mnem: isa.MOp, Op: isa.Op(op)}
+		var ops []string
+		var fields []byte
+		for _, o := range want.Syntax() {
+			switch o {
+			case isa.RegA:
+				ops, fields, want.A = append(ops, "r11"), append(fields, 'A'), isa.R11
+			case isa.RegB:
+				ops, fields, want.B = append(ops, "rsi"), append(fields, 'B'), isa.RSI
+			case isa.XRegA:
+				ops, fields, want.A = append(ops, "xmm11"), append(fields, 'A'), 11
+			case isa.XRegB:
+				ops, fields, want.B = append(ops, "xmm6"), append(fields, 'B'), 6
+			case isa.MemA:
+				ops, fields, want.A, want.Imm = append(ops, "[r11-8]"), append(fields, 'A', 'I'), isa.R11, -8
+			case isa.MemB:
+				ops, fields, want.B, want.Imm = append(ops, "[rsi-8]"), append(fields, 'B', 'I'), isa.RSI, -8
+			case isa.Imm:
+				ops, fields, want.Imm = append(ops, "100"), append(fields, 'I'), 100
+			case isa.Imm2:
+				ops, fields, want.Imm2 = append(ops, "7"), append(fields, 'J'), 7
+			case isa.Target:
+				ops, fields = append(ops, fmt.Sprint(target)), append(fields, 'I')
+			default:
+				t.Errorf("%s: unknown operand %d", name, o)
+			}
+		}
+		slices.Sort(fields)
+		if string(fields) != encoded[kind] {
+			t.Errorf("%s: syntax fills fields %q, its kind encodes %q", name, fields, encoded[kind])
+			continue
+		}
+		src := name + " " + strings.Join(ops, ", ")
+		p, err := Assemble(src, base)
+		if err != nil {
+			t.Errorf("%s: %v", src, err)
+			continue
+		}
+		got, err := isa.Decode(p.Code)
+		if err != nil || got.Len != len(p.Code) {
+			t.Errorf("%s: % x decodes to %+v, %v", src, p.Code, got, err)
+			continue
+		}
+		want.Len = got.Len
+		if slices.Contains(want.Syntax(), isa.Target) {
+			want.Imm = target - base - int64(got.Len)
+		}
+		if got != want {
+			t.Errorf("%s: decodes to %+v, want %+v", src, got, want)
 		}
 	}
 }

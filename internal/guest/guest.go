@@ -29,8 +29,10 @@ const (
 
 // Program is an assembled, loadable guest program.
 type Program struct {
-	Name  string
-	Image *loader.Image
+	Name string
+	// Source is the assembly text the program was built from.
+	Source string
+	Image  *loader.Image
 }
 
 // Build assembles source (entry at `_start`) into a Program with a
@@ -48,7 +50,7 @@ func Build(name, src string) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("guest %s: %w", name, err)
 	}
-	return &Program{Name: name, Image: img}, nil
+	return &Program{Name: name, Source: src, Image: img}, nil
 }
 
 // Spawn loads the program into a kernel task.

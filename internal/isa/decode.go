@@ -150,13 +150,14 @@ func Decode(b []byte) (Inst, error) {
 	return in, nil
 }
 
-// kindLen is the byte length of each operand encoding; 0 marks the kinds
-// no opTable entry carries (the zero Kind of a non-opcode, and the two
-// prefix kinds Decode handles before the table).
+// kindLen is the byte length of each operand encoding; 0 marks the zero
+// Kind of a non-opcode.
 var kindLen = [KindPrefixFF + 1]uint8{
 	KindNone:      1,
 	KindReg:       2,
 	KindRegReg:    2,
+	KindPrefix0F:  2,
+	KindPrefixFF:  2,
 	KindRegImm8:   3,
 	KindRel32:     5,
 	KindD32:       5,
@@ -169,48 +170,31 @@ var kindLen = [KindPrefixFF + 1]uint8{
 	KindRegImm64:  10,
 }
 
-// String renders the instruction in assembler-like syntax.
+// String renders the instruction in assembler-like syntax. Register
+// fields print as xmm registers where the syntax names them so.
 func (in Inst) String() string {
-	switch in.Mnem {
-	case MSyscall:
-		return "syscall"
-	case MSysenter:
-		return "sysenter"
-	case MCallReg:
-		return "call " + in.A.String()
-	case MJmpReg:
-		return "jmp " + in.A.String()
-	}
-	name, kind, ok := Info(in.Op)
-	if !ok {
+	info := in.info()
+	if info.kind == 0 {
 		return fmt.Sprintf("db 0x%02x", uint8(in.Op))
 	}
-	// Vector instructions render their xmm operands with xmm names.
-	switch in.Op {
-	case OpPunpck:
-		return fmt.Sprintf("%s %s", name, XReg(in.A))
-	case OpMovQ2X:
-		return fmt.Sprintf("%s %s, %s", name, XReg(in.A), in.B)
-	case OpMovX2Q:
-		return fmt.Sprintf("%s %s, %s", name, in.A, XReg(in.B))
-	case OpXorps:
-		return fmt.Sprintf("%s %s, %s", name, XReg(in.A), XReg(in.B))
-	case OpMovupsStore:
-		return fmt.Sprintf("%s %s, [%s%+d]", name, XReg(in.A), in.B, in.Imm)
-	case OpMovupsLoad:
-		return fmt.Sprintf("%s %s, [%s%+d]", name, XReg(in.A), in.B, in.Imm)
+	name, a, b := info.name, in.A.String(), in.B.String()
+	for _, o := range info.syntax {
+		switch o {
+		case XRegA:
+			a = XReg(in.A).String()
+		case XRegB:
+			b = XReg(in.B).String()
+		}
 	}
-	switch kind {
-	case KindNone:
-		return name
-	case KindReg:
-		return fmt.Sprintf("%s %s", name, in.A)
+	switch info.kind {
+	case KindReg, KindPrefixFF:
+		return fmt.Sprintf("%s %s", name, a)
 	case KindRegReg:
-		return fmt.Sprintf("%s %s, %s", name, in.A, in.B)
+		return fmt.Sprintf("%s %s, %s", name, a, b)
 	case KindRegImm64, KindRegImm32, KindRegImm8:
-		return fmt.Sprintf("%s %s, %d", name, in.A, in.Imm)
+		return fmt.Sprintf("%s %s, %d", name, a, in.Imm)
 	case KindRegRegD32:
-		return fmt.Sprintf("%s %s, [%s%+d]", name, in.A, in.B, in.Imm)
+		return fmt.Sprintf("%s %s, [%s%+d]", name, a, b, in.Imm)
 	case KindRel32:
 		return fmt.Sprintf("%s %+d", name, in.Imm)
 	case KindD32:

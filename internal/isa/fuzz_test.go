@@ -9,7 +9,9 @@ import (
 // decoder is reachable from guest-controlled memory (the CPU fetches
 // whatever RIP points at, and the JIT guest writes code at runtime), so
 // it must never panic: every input either decodes to a well-formed Inst
-// or returns an error.
+// or returns an error. Every Inst it returns, the emitter must encode to
+// bytes that decode to the same Inst and length, so each kind's encoder
+// is checked against its decoder on arbitrary input.
 func FuzzDecode(f *testing.F) {
 	// Seed with one instance of every encoding shape the assembler emits.
 	seeds := [][]byte{
@@ -56,6 +58,11 @@ func FuzzDecode(f *testing.F) {
 		}
 		if again != inst {
 			t.Fatalf("Decode not prefix-stable: %+v vs %+v", inst, again)
+		}
+		re := (&Enc{}).Emit(inst).Buf
+		if back, err := Decode(re); err != nil || back != inst || len(re) != inst.Len {
+			t.Fatalf("Decode(% x) = %+v, but Emit gives % x, which decodes to %+v, %v",
+				b[:inst.Len], inst, re, back, err)
 		}
 		// A truncated prefix must never decode to something longer than
 		// itself (guards against Len bookkeeping drifting from reads).

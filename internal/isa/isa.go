@@ -278,77 +278,119 @@ const (
 	KindPrefixFF                  // FF D0+r / FF E0+r          2 bytes
 )
 
-// opInfo describes one opcode's mnemonic and encoding kind.
+// Operand is one operand of an instruction's assembler syntax: its class
+// and the Inst field it fills.
+type Operand uint8
+
+// Operand classes and fields.
+const (
+	RegA   Operand = iota + 1 // GPR in A
+	RegB                      // GPR in B
+	XRegA                     // xmm register in A
+	XRegB                     // xmm register in B
+	MemA                      // [A±disp32], the displacement in Imm
+	MemB                      // [B±disp32], the displacement in Imm
+	Imm                       // immediate or gs displacement in Imm, as wide as the kind's field
+	Imm2                      // second immediate or gs displacement (32 bits), in Imm2
+	Target                    // branch or lea target: Imm = target − the instruction's end
+)
+
+// syntax lists an opcode's operands in source order; unused slots are 0.
+type syntax [2]Operand
+
+// opInfo describes one instruction form: mnemonic, encoding kind and
+// assembler syntax. It is the only description of an opcode: Decode reads
+// the kind, Enc.Emit writes it, Inst.String names the registers by the
+// syntax and the assembler parses by it.
 type opInfo struct {
-	name string
-	kind Kind
+	name   string
+	kind   Kind
+	syntax syntax
 }
 
 // opTable is indexed by opcode byte; an entry with kind 0 is not an
 // opcode. Decode runs once per byte of every image zpoline scans, so the
 // lookup is an array index.
 var opTable = [256]opInfo{
-	OpNop:         {"nop", KindNone},
-	OpRet:         {"ret", KindNone},
-	OpTrap:        {"int3", KindNone},
-	OpHlt:         {"hlt", KindNone},
-	OpPause:       {"pause", KindNone},
-	OpMovImm64:    {"mov64", KindRegImm64},
-	OpMovImm32:    {"mov32", KindRegImm32},
-	OpMovReg:      {"mov", KindRegReg},
-	OpLoad:        {"load", KindRegRegD32},
-	OpStore:       {"store", KindRegRegD32},
-	OpLoadB:       {"loadb", KindRegRegD32},
-	OpStoreB:      {"storeb", KindRegRegD32},
-	OpLoad32:      {"load32", KindRegRegD32},
-	OpAdd:         {"add", KindRegReg},
-	OpSub:         {"sub", KindRegReg},
-	OpMul:         {"mul", KindRegReg},
-	OpAnd:         {"and", KindRegReg},
-	OpOr:          {"or", KindRegReg},
-	OpXor:         {"xor", KindRegReg},
-	OpAddImm:      {"addi", KindRegImm32},
-	OpCmp:         {"cmp", KindRegReg},
-	OpCmpImm:      {"cmpi", KindRegImm32},
-	OpShlImm:      {"shli", KindRegImm8},
-	OpShrImm:      {"shri", KindRegImm8},
-	OpJmp:         {"jmp", KindRel32},
-	OpJz:          {"jz", KindRel32},
-	OpJnz:         {"jnz", KindRel32},
-	OpJl:          {"jl", KindRel32},
-	OpJg:          {"jg", KindRel32},
-	OpJle:         {"jle", KindRel32},
-	OpJge:         {"jge", KindRel32},
-	OpCall:        {"call", KindRel32},
-	OpPush:        {"push", KindReg},
-	OpPop:         {"pop", KindReg},
-	OpLea:         {"lea", KindRegImm32},
-	OpMovQ2X:      {"movq2x", KindRegReg},
-	OpMovX2Q:      {"movx2q", KindRegReg},
-	OpPunpck:      {"punpck", KindReg},
-	OpMovupsStore: {"movups_st", KindRegRegD32},
-	OpMovupsLoad:  {"movups_ld", KindRegRegD32},
-	OpXorps:       {"xorps", KindRegReg},
-	OpFld:         {"fld", KindReg},
-	OpFst:         {"fst", KindReg},
-	OpRdCycle:     {"rdcycle", KindReg},
-	OpGsLoad:      {"gsload", KindRegImm32},
-	OpGsStore:     {"gsstore", KindRegImm32},
-	OpGsLoadB:     {"gsloadb", KindRegImm32},
-	OpGsStoreB:    {"gsstoreb", KindRegImm32},
-	OpGsStoreBI:   {"gsstorebi", KindImm8D32},
-	OpGsPush:      {"gspush", KindD32},
-	OpGsAddI:      {"gsaddi", KindD32Imm32},
-	OpGsMovB:      {"gsmovb", KindD32D32},
-	OpGsMov:       {"gsmov", KindD32D32},
-	OpGsLoadIdxB:  {"gsloadidxb", KindRegReg},
-	OpGsLoadIdx:   {"gsloadidx", KindRegRegD32},
-	OpXchg:        {"xchg", KindRegReg},
-	OpXsave:       {"xsave", KindReg},
-	OpXrstor:      {"xrstor", KindReg},
-	OpWrpkru:      {"wrpkru", KindReg},
-	OpRdpkru:      {"rdpkru", KindReg},
-	OpHcall:       {"hcall", KindImm32},
+	OpNop:         {"nop", KindNone, syntax{}},
+	OpRet:         {"ret", KindNone, syntax{}},
+	OpTrap:        {"int3", KindNone, syntax{}},
+	OpHlt:         {"hlt", KindNone, syntax{}},
+	OpPause:       {"pause", KindNone, syntax{}},
+	OpMovImm64:    {"mov64", KindRegImm64, syntax{RegA, Imm}},
+	OpMovImm32:    {"mov32", KindRegImm32, syntax{RegA, Imm}},
+	OpMovReg:      {"mov", KindRegReg, syntax{RegA, RegB}},
+	OpLoad:        {"load", KindRegRegD32, syntax{RegA, MemB}},
+	OpStore:       {"store", KindRegRegD32, syntax{MemA, RegB}},
+	OpLoadB:       {"loadb", KindRegRegD32, syntax{RegA, MemB}},
+	OpStoreB:      {"storeb", KindRegRegD32, syntax{MemA, RegB}},
+	OpLoad32:      {"load32", KindRegRegD32, syntax{RegA, MemB}},
+	OpAdd:         {"add", KindRegReg, syntax{RegA, RegB}},
+	OpSub:         {"sub", KindRegReg, syntax{RegA, RegB}},
+	OpMul:         {"mul", KindRegReg, syntax{RegA, RegB}},
+	OpAnd:         {"and", KindRegReg, syntax{RegA, RegB}},
+	OpOr:          {"or", KindRegReg, syntax{RegA, RegB}},
+	OpXor:         {"xor", KindRegReg, syntax{RegA, RegB}},
+	OpAddImm:      {"addi", KindRegImm32, syntax{RegA, Imm}},
+	OpCmp:         {"cmp", KindRegReg, syntax{RegA, RegB}},
+	OpCmpImm:      {"cmpi", KindRegImm32, syntax{RegA, Imm}},
+	OpShlImm:      {"shli", KindRegImm8, syntax{RegA, Imm}},
+	OpShrImm:      {"shri", KindRegImm8, syntax{RegA, Imm}},
+	OpJmp:         {"jmp", KindRel32, syntax{Target}},
+	OpJz:          {"jz", KindRel32, syntax{Target}},
+	OpJnz:         {"jnz", KindRel32, syntax{Target}},
+	OpJl:          {"jl", KindRel32, syntax{Target}},
+	OpJg:          {"jg", KindRel32, syntax{Target}},
+	OpJle:         {"jle", KindRel32, syntax{Target}},
+	OpJge:         {"jge", KindRel32, syntax{Target}},
+	OpCall:        {"call", KindRel32, syntax{Target}},
+	OpPush:        {"push", KindReg, syntax{RegA}},
+	OpPop:         {"pop", KindReg, syntax{RegA}},
+	OpLea:         {"lea", KindRegImm32, syntax{RegA, Target}},
+	OpMovQ2X:      {"movq2x", KindRegReg, syntax{XRegA, RegB}},
+	OpMovX2Q:      {"movx2q", KindRegReg, syntax{RegA, XRegB}},
+	OpPunpck:      {"punpck", KindReg, syntax{XRegA}},
+	OpMovupsStore: {"movups_st", KindRegRegD32, syntax{MemB, XRegA}},
+	OpMovupsLoad:  {"movups_ld", KindRegRegD32, syntax{XRegA, MemB}},
+	OpXorps:       {"xorps", KindRegReg, syntax{XRegA, XRegB}},
+	OpFld:         {"fld", KindReg, syntax{RegA}},
+	OpFst:         {"fst", KindReg, syntax{RegA}},
+	OpRdCycle:     {"rdcycle", KindReg, syntax{RegA}},
+	OpGsLoad:      {"gsload", KindRegImm32, syntax{RegA, Imm}},
+	OpGsStore:     {"gsstore", KindRegImm32, syntax{Imm, RegA}},
+	OpGsLoadB:     {"gsloadb", KindRegImm32, syntax{RegA, Imm}},
+	OpGsStoreB:    {"gsstoreb", KindRegImm32, syntax{Imm, RegA}},
+	OpGsStoreBI:   {"gsstorebi", KindImm8D32, syntax{Imm2, Imm}},
+	OpGsPush:      {"gspush", KindD32, syntax{Imm}},
+	OpGsAddI:      {"gsaddi", KindD32Imm32, syntax{Imm, Imm2}},
+	OpGsMovB:      {"gsmovb", KindD32D32, syntax{Imm, Imm2}},
+	OpGsMov:       {"gsmov", KindD32D32, syntax{Imm, Imm2}},
+	OpGsLoadIdxB:  {"gsloadidxb", KindRegReg, syntax{RegA, RegB}},
+	OpGsLoadIdx:   {"gsloadidx", KindRegRegD32, syntax{RegA, MemB}},
+	OpXchg:        {"xchg", KindRegReg, syntax{RegA, RegB}},
+	OpXsave:       {"xsave", KindReg, syntax{RegA}},
+	OpXrstor:      {"xrstor", KindReg, syntax{RegA}},
+	OpWrpkru:      {"wrpkru", KindReg, syntax{RegA}},
+	OpRdpkru:      {"rdpkru", KindReg, syntax{RegA}},
+	OpHcall:       {"hcall", KindImm32, syntax{Imm}},
+}
+
+// prefixTable describes the two-byte 0F/FF encodings, which have no
+// opTable entry, indexed by Mnemonic. The register forms of call and jmp
+// share their names with the rel32 forms; the assembler tries these first.
+var prefixTable = [MOp]opInfo{
+	MSyscall:  {"syscall", KindPrefix0F, syntax{}},
+	MSysenter: {"sysenter", KindPrefix0F, syntax{}},
+	MCallReg:  {"call", KindPrefixFF, syntax{RegA}},
+	MJmpReg:   {"jmp", KindPrefixFF, syntax{RegA}},
+}
+
+// info returns the table entry describing in.
+func (in *Inst) info() *opInfo {
+	if in.Mnem != 0 && in.Mnem < MOp {
+		return &prefixTable[in.Mnem]
+	}
+	return &opTable[in.Op]
 }
 
 // Info returns the mnemonic and encoding kind for an opcode. ok is false
@@ -358,6 +400,41 @@ func Info(op Op) (name string, kind Kind, ok bool) {
 	in := &opTable[op]
 	return in.name, in.kind, in.kind != 0
 }
+
+// Syntax returns the assembler operands of in's form, in source order.
+// The slice is the table's; the caller must not modify it.
+func (in Inst) Syntax() []Operand {
+	s := &in.info().syntax
+	n := 0
+	for n < len(s) && s[n] != 0 {
+		n++
+	}
+	return s[:n]
+}
+
+// forms maps each mnemonic to the Inst templates (Mnem, Op and Len set)
+// of its forms, the prefixTable forms first.
+var forms = func() map[string][]Inst {
+	m := make(map[string][]Inst)
+	add := func(in Inst) {
+		if info := in.info(); info.kind != 0 {
+			in.Len = int(kindLen[info.kind])
+			m[info.name] = append(m[info.name], in)
+		}
+	}
+	for mn := MSyscall; mn < MOp; mn++ {
+		add(Inst{Mnem: mn})
+	}
+	for op := range opTable {
+		add(Inst{Mnem: MOp, Op: Op(op)})
+	}
+	return m
+}()
+
+// Lookup returns the forms an assembler statement named name may take, as
+// Inst templates with Mnem, Op and Len set; nil if no instruction has the
+// name. The caller must not modify the slice.
+func Lookup(name string) []Inst { return forms[name] }
 
 // Sizes of the x86-faithful special encodings.
 const (
