@@ -63,12 +63,13 @@ smoke:
 # Every fuzz target for FUZZTIME each (scripts/ci.sh runs 5s of each),
 # one package:Target pair per entry of FUZZ_TARGETS:
 #   FuzzDecode: the isa decoder must survive arbitrary bytes, and the
-#     emitter must re-encode whatever it decodes to the same instruction.
+#     emitter must re-encode whatever it decodes, and the assembler must
+#     reassemble its disassembly, to the same instruction.
 #   FuzzAccess: the single-walk ReadAt/WriteAt must match the
 #     byte-at-a-time oracle on arbitrary spans and PKRU values.
 #   FuzzDemandZeroModel: random mapping/access programs against the eager
 #     flat model (DESIGN.md §4).
-#   FuzzCountedLoop: the closed form, plain chained execution and plain
+#   FuzzCountedLoop: the closed form, per-instruction execution and plain
 #     Step must agree on any counter, budget sequence and preceding NOP
 #     run (DESIGN.md §3).
 #   FuzzBlockBuild: windowed and NOP-run-aliased blocks must equal a
@@ -94,7 +95,8 @@ smoke:
 #   FuzzAssemble: the assembler (`lazysim asm` input) must not panic or
 #     hang on any source text, must allocate at most eight times
 #     MaxProgram plus a multiple of the input, and must give the same
-#     bytes twice.
+#     bytes twice; its seeds are single statements, so it executes
+#     inputs instead of minimizing kilobyte-long programs.
 FUZZTIME ?= 30s
 FUZZ_TARGETS = isa:FuzzDecode mem:FuzzAccess mem:FuzzDemandZeroModel \
 	cpu:FuzzCountedLoop cpu:FuzzBlockBuild cpu:FuzzStackRun \

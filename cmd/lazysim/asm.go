@@ -74,6 +74,8 @@ func asmCmd(args []string, w io.Writer) error {
 }
 
 // disassemble prints every executable segment with symbol annotations.
+// Each instruction prints in the syntax the assembler reads, branch and
+// lea targets as absolute addresses.
 func disassemble(w io.Writer, img *loader.Image) {
 	// Invert the symbol table for labels.
 	labels := make(map[uint64][]string)
@@ -96,7 +98,7 @@ func disassemble(w io.Writer, img *loader.Image) {
 				off++
 				continue
 			}
-			fmt.Fprintf(w, "  %08x:  % -24x %s\n", addr, seg.Data[off:off+in.Len], in)
+			fmt.Fprintf(w, "  %08x:  % -24x %s\n", addr, seg.Data[off:off+in.Len], in.StringAt(addr))
 			off += in.Len
 		}
 	}

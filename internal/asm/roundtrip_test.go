@@ -157,6 +157,69 @@ func TestRandomProgramsAssembleDeterministically(t *testing.T) {
 	}
 }
 
+// canonical writes a canonical statement of the form tmpl (a Lookup
+// template) called name: one fixed operand per slot of its syntax. It
+// returns the source, the Inst the source must decode to (bar Len and a
+// target's displacement), and the Inst fields the syntax fills, sorted
+// (A, B, I for Imm, J for Imm2).
+func canonical(name string, tmpl isa.Inst) (src string, want isa.Inst, fields string, err error) {
+	want = isa.Inst{Mnem: tmpl.Mnem, Op: tmpl.Op}
+	var ops []string
+	var f []byte
+	for _, o := range tmpl.Syntax() {
+		switch o {
+		case isa.RegA:
+			ops, f, want.A = append(ops, "r11"), append(f, 'A'), isa.R11
+		case isa.RegB:
+			ops, f, want.B = append(ops, "rsi"), append(f, 'B'), isa.RSI
+		case isa.XRegA:
+			ops, f, want.A = append(ops, "xmm11"), append(f, 'A'), 11
+		case isa.XRegB:
+			ops, f, want.B = append(ops, "xmm6"), append(f, 'B'), 6
+		case isa.MemA:
+			ops, f, want.A, want.Imm = append(ops, "[r11-8]"), append(f, 'A', 'I'), isa.R11, -8
+		case isa.MemB:
+			ops, f, want.B, want.Imm = append(ops, "[rsi-8]"), append(f, 'B', 'I'), isa.RSI, -8
+		case isa.Imm:
+			ops, f, want.Imm = append(ops, "100"), append(f, 'I'), 100
+		case isa.Imm2:
+			ops, f, want.Imm2 = append(ops, "7"), append(f, 'J'), 7
+		case isa.Target:
+			ops, f = append(ops, fmt.Sprint(canonicalTarget)), append(f, 'I')
+		default:
+			return "", want, "", fmt.Errorf("%s: unknown operand %d", name, o)
+		}
+	}
+	slices.Sort(f)
+	return strings.TrimSpace(name + " " + strings.Join(ops, ", ")), want, string(f), nil
+}
+
+// canonicalTarget is the branch and lea target canonical writes.
+const canonicalTarget = 0x2000
+
+// CanonicalSources hands the external test package one canonical
+// statement per instruction form: every opcode's, and the prefix forms'
+// (syscall and sysenter, the only names no opcode shares, and the
+// register forms of call and jmp, which Lookup lists beside the rel32
+// ones).
+func CanonicalSources() []string {
+	names := []string{"syscall", "sysenter"}
+	for op := 0; op < 256; op++ {
+		if name, _, ok := isa.Info(isa.Op(op)); ok {
+			names = append(names, name)
+		}
+	}
+	var srcs []string
+	for _, name := range names {
+		for _, form := range isa.Lookup(name) {
+			if src, _, _, err := canonical(name, form); err == nil {
+				srcs = append(srcs, src)
+			}
+		}
+	}
+	return srcs
+}
+
 // TestOpTableSyntax walks isa's opcode table. Each opcode's syntax must
 // name exactly the Inst fields its kind encodes, and a canonical instance
 // written from the syntax must assemble and decode back to the same
@@ -168,45 +231,21 @@ func TestOpTableSyntax(t *testing.T) {
 		isa.KindRegRegD32: "ABI", isa.KindRel32: "I", isa.KindD32: "I", isa.KindImm32: "I",
 		isa.KindImm8D32: "IJ", isa.KindD32Imm32: "IJ", isa.KindD32D32: "IJ",
 	}
-	const base, target = 0x1000, 0x2000
+	const base = 0x1000
 	for op := 0; op < 256; op++ {
 		name, kind, ok := isa.Info(isa.Op(op))
 		if !ok {
 			continue
 		}
-		want := isa.Inst{Mnem: isa.MOp, Op: isa.Op(op)}
-		var ops []string
-		var fields []byte
-		for _, o := range want.Syntax() {
-			switch o {
-			case isa.RegA:
-				ops, fields, want.A = append(ops, "r11"), append(fields, 'A'), isa.R11
-			case isa.RegB:
-				ops, fields, want.B = append(ops, "rsi"), append(fields, 'B'), isa.RSI
-			case isa.XRegA:
-				ops, fields, want.A = append(ops, "xmm11"), append(fields, 'A'), 11
-			case isa.XRegB:
-				ops, fields, want.B = append(ops, "xmm6"), append(fields, 'B'), 6
-			case isa.MemA:
-				ops, fields, want.A, want.Imm = append(ops, "[r11-8]"), append(fields, 'A', 'I'), isa.R11, -8
-			case isa.MemB:
-				ops, fields, want.B, want.Imm = append(ops, "[rsi-8]"), append(fields, 'B', 'I'), isa.RSI, -8
-			case isa.Imm:
-				ops, fields, want.Imm = append(ops, "100"), append(fields, 'I'), 100
-			case isa.Imm2:
-				ops, fields, want.Imm2 = append(ops, "7"), append(fields, 'J'), 7
-			case isa.Target:
-				ops, fields = append(ops, fmt.Sprint(target)), append(fields, 'I')
-			default:
-				t.Errorf("%s: unknown operand %d", name, o)
-			}
+		src, want, fields, err := canonical(name, isa.Inst{Mnem: isa.MOp, Op: isa.Op(op)})
+		if err != nil {
+			t.Error(err)
+			continue
 		}
-		slices.Sort(fields)
-		if string(fields) != encoded[kind] {
+		if fields != encoded[kind] {
 			t.Errorf("%s: syntax fills fields %q, its kind encodes %q", name, fields, encoded[kind])
 			continue
 		}
-		src := name + " " + strings.Join(ops, ", ")
 		p, err := Assemble(src, base)
 		if err != nil {
 			t.Errorf("%s: %v", src, err)
@@ -219,7 +258,7 @@ func TestOpTableSyntax(t *testing.T) {
 		}
 		want.Len = got.Len
 		if slices.Contains(want.Syntax(), isa.Target) {
-			want.Imm = target - base - int64(got.Len)
+			want.Imm = canonicalTarget - base - int64(got.Len)
 		}
 		if got != want {
 			t.Errorf("%s: decodes to %+v, want %+v", src, got, want)

@@ -119,7 +119,7 @@ type Runtime struct {
 func Attach(k *kernel.Kernel, t *kernel.Task, ip interpose.Interposer, opts Options) (*Runtime, error) {
 	rt := &Runtime{K: k, Opts: opts, userIP: ip}
 	rt.Binder = interpose.NewBinder(&coreInterposer{rt: rt, user: ip})
-	rt.enterID = k.RegisterHcall(rt.binderEnter)
+	rt.enterID = k.RegisterHcall(rt.Binder.Enter)
 	rt.exitID = k.RegisterHcall(rt.Binder.Exit)
 	rt.slowID = k.RegisterHcall(rt.slowPath)
 
@@ -173,12 +173,6 @@ func (rt *Runtime) Symbols() map[string]uint64 {
 		"signal_wrapper":       rt.wrapperAddr,
 		"sigreturn_trampoline": rt.sigretTramp,
 	}
-}
-
-// binderEnter wraps Binder.Enter but skips pushing pending state for
-// syscalls whose stub context never reaches the Exit hcall.
-func (rt *Runtime) binderEnter(hc *kernel.HcallCtx) error {
-	return rt.Binder.Enter(hc)
 }
 
 // injectImage builds the guest-side runtime in t's address space: the

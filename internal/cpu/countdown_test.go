@@ -72,10 +72,10 @@ func archOf(c *CPU) archState {
 }
 
 // hostState is the host-side accounting the closed form must share with
-// plain chained execution: every instruction it retires counts as one
+// per-instruction execution: every instruction it retires counts as one
 // decode-cache hit and one superblock instruction. (Chain transitions
-// differ by design: chained execution follows the block's link to itself
-// once per iteration.)
+// differ by design: per-instruction execution follows the block's link
+// to itself once per iteration.)
 type hostState struct {
 	cache           DecodeCacheStats
 	superblockInsts uint64
@@ -86,19 +86,19 @@ func hostOf(c *CPU) hostState {
 }
 
 // countedLoopRig holds three CPUs over the same guest: a Step-only
-// oracle, the closed form, and plain chained execution — the fast engine
-// with the decoded countdown block re-tagged fusedNone, so it runs
-// through runChained's straight-line loop one instruction at a time.
+// oracle, the closed form, and per-instruction execution — the fast
+// engine with the decoded countdown block re-tagged fusedNone, so it runs
+// through runBlock's loop one instruction at a time.
 type countedLoopRig struct {
 	oracle, closed, perInst *CPU
 }
 
-// newCountedLoopRig warms all three CPUs with single-iteration passes
-// until every chain link into the countdown is planted (the per-Step
-// dispatch plants one on second arrival), stops each at the tail's reload
-// and arms the reload with r. The next arrival at the countdown is then a
-// chained transition — the only way into a fused handler — with the pad
-// run's NOPs pending.
+// newCountedLoopRig warms all three CPUs with single-iteration passes,
+// two arrivals at the tail, so every chain link into the countdown is
+// planted, stops each at the tail's reload and arms the reload with r.
+// The next arrival at the countdown is then a chained transition onto
+// its head, where the fused handler runs, with the pad run's NOPs
+// pending.
 func newCountedLoopRig(t *testing.T, r uint64, nops int, costs Costs) *countedLoopRig {
 	t.Helper()
 	code := countdownProgram(nops)
@@ -125,9 +125,8 @@ func newCountedLoopRig(t *testing.T, r uint64, nops int, costs Costs) *countedLo
 		}
 	}
 	// Warm-up never took the back edge (one iteration per pass), so plant
-	// the block's link to itself on both fast CPUs: without it the first
-	// back edge either engine takes per instruction resolves through a
-	// dispatched Step, which the superblock counter does not count.
+	// the block's link to itself on both fast CPUs: both then follow the
+	// link on every back edge they take, from the first.
 	for _, c := range []*CPU{rig.closed, rig.perInst} {
 		b := c.cache.blocks[loopAddr]
 		c.cache.link(b, b)
@@ -152,7 +151,7 @@ func (rig *countedLoopRig) step(t *testing.T, budget uint64) {
 	}
 }
 
-// TestCountedLoopMatchesStep: the closed form, plain chained execution
+// TestCountedLoopMatchesStep: the closed form, per-instruction execution
 // and plain Step agree at every edge of the
 // counter (zero = 2^64 iterations, the values around a 20 000-step budget,
 // the sign boundary, all ones), the budget (every remainder of a whole

@@ -175,10 +175,10 @@ type CPU struct {
 	FetchWalks uint64
 	NopBatches uint64
 
-	// SuperblockRuns counts entries into StepBlock's tight loop that
-	// retired at least one instruction; SuperblockInsts counts the
-	// instructions retired there, bypassing per-instruction event
-	// dispatch. Pure observability, like FetchWalks.
+	// SuperblockRuns counts StepBlock calls that retired at least one
+	// instruction from a cached block; SuperblockInsts counts the
+	// instructions StepBlock retired from cached blocks. Pure
+	// observability, like FetchWalks.
 	SuperblockRuns  uint64
 	SuperblockInsts uint64
 
@@ -290,11 +290,18 @@ func (c *CPU) pop() (uint64, error) {
 
 // Step fetches, decodes and executes one instruction, charges its cycle
 // cost, and reports the resulting event. On EvFault, RIP is left at the
-// faulting instruction.
+// faulting instruction. On the fast engine it takes the instruction from
+// the block enter resolves and never a closed form, so it is the
+// per-instruction oracle StepBlock is checked against.
 func (c *CPU) Step() Event {
 	pc := c.RIP
-	if cached := c.cachedInst(pc); cached != nil {
-		return c.execInst(pc, cached)
+	if dc := c.cache; dc != nil {
+		if b := dc.enter(c); b != nil {
+			in := &b.insts[dc.curIdx]
+			dc.curIdx++
+			dc.stats.Hits++
+			return c.execInst(pc, in)
+		}
 	}
 	return c.stepUncached(pc)
 }

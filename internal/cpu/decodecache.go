@@ -71,9 +71,10 @@ type cachedBlock struct {
 // DecodeCacheStats counts decode-cache activity, exposed for tests and
 // the telemetry layer. Counters are cumulative for the CPU's lifetime.
 type DecodeCacheStats struct {
-	// Hits are Steps served from a cached block.
+	// Hits counts instructions retired from a cached block.
 	Hits uint64
-	// Misses are Steps that found no valid cached instruction.
+	// Misses counts block entries that found no valid block at RIP and
+	// tried a build.
 	Misses uint64
 	// Builds counts blocks predecoded.
 	Builds uint64
@@ -98,7 +99,7 @@ type DecodeCacheStats struct {
 type decodeCache struct {
 	as     *mem.AddressSpace
 	blocks map[uint64]*cachedBlock // keyed by block entry pc
-	cur    *cachedBlock            // block the previous Step executed from
+	cur    *cachedBlock            // block the last instruction retired from
 	curIdx int                     // next sequential index into cur
 	stats  DecodeCacheStats
 	cstats ChainStats
@@ -165,74 +166,81 @@ func (c *CPU) PrivateDecodes() uint64 {
 	return c.cache.privateDecodes
 }
 
-// cachedInst returns the decoded instruction at pc if a validated cached
-// block covers it, building a new block on miss. nil means the caller
-// must use the uncached fetch+decode path (a reference CPU, or the bytes
-// at pc do not decode into at least one instruction).
-func (c *CPU) cachedInst(pc uint64) *isa.Inst {
-	dc := c.cache
-	if dc == nil {
-		return nil
-	}
+// enter resolves RIP to a validated block, leaving it in cur and RIP's
+// index in it in curIdx. It tries, in order: the rest of cur, when RIP is
+// its next pc; a chain slot out of cur, when cur is complete
+// (Transitions); the map; a build (Misses). It links a completed cur to
+// the block it resolved. nil means the bytes at RIP do not decode into at
+// least one instruction and the caller takes the uncached path.
+func (dc *decodeCache) enter(c *CPU) *cachedBlock {
 	if dc.as != c.AS {
 		// The CPU was rebound to a different address space (execve); every
 		// cached block belongs to the old one.
 		dc.reset(c.AS)
 	}
-	mut := dc.as.CodeMutations()
-	// Sequential hit: the previous Step executed cur[curIdx-1] and fell
-	// through.
-	if b := dc.cur; b != nil && dc.curIdx < len(b.pcs) && b.pcs[dc.curIdx] == pc {
-		if b.mut == mut || dc.revalidate(b) {
-			dc.stats.Hits++
-			in := &b.insts[dc.curIdx]
-			dc.curIdx++
-			return in
-		}
-		dc.drop(b)
-	}
+	pc, mut := c.RIP, dc.as.CodeMutations()
+	b, idx := dc.cur, dc.curIdx
 	// prev is the chain-link source: the block whose final instruction
-	// just transferred control to pc (if the previous position was
-	// exactly a completed block).
+	// just transferred control to pc.
 	var prev *cachedBlock
-	if p := dc.cur; p != nil && !p.dropped && dc.curIdx == len(p.pcs) {
-		prev = p
-	}
-	// Control-transfer hit: pc is the entry of a cached block.
-	if b := dc.blocks[pc]; b != nil {
-		if b.mut == mut || dc.revalidate(b) {
-			dc.stats.Hits++
-			if prev != nil {
-				dc.link(prev, b)
-			}
-			dc.cur, dc.curIdx = b, 1
-			return &b.insts[0]
+	switch {
+	case b == nil:
+	case idx == len(b.pcs):
+		prev, b, idx = b, b.chainSucc(pc), 0
+		if b != nil && b.dropped {
+			// Dropped since prev linked to it: the map or a build finds the
+			// block at pc and link replaces the slot.
+			b = nil
 		}
-		dc.drop(b)
+	case b.pcs[idx] != pc:
+		b = nil
 	}
-	dc.stats.Misses++
-	b := dc.build(pc)
+	if b != nil && !dc.current(b, mut) {
+		b = nil
+	}
+	if b != nil && prev != nil {
+		dc.cstats.Transitions++
+	}
 	if b == nil {
-		dc.cur = nil
-		return nil
+		idx = 0
+		if b = dc.blocks[pc]; b != nil && !dc.current(b, mut) {
+			b = nil
+		}
 	}
-	if prev != nil && !prev.dropped {
-		// A flush in build may have dropped prev; only link live blocks.
+	if b == nil {
+		dc.stats.Misses++
+		if b = dc.build(pc); b == nil {
+			dc.cur = nil
+			return nil
+		}
+	}
+	if prev != nil {
+		// A no-op when the slot already holds b, or when a flush in build
+		// dropped prev.
 		dc.link(prev, b)
 	}
-	dc.cur, dc.curIdx = b, 1
-	return &b.insts[0]
+	dc.cur, dc.curIdx = b, idx
+	return b
 }
 
-// revalidate re-checks a block's page generations. On success the block
-// is current as of the returned mutation count, so the fast path applies
-// again until the next code-affecting mutation.
+// current reports whether b's code is unchanged as of mutation count mut:
+// one compare while the count has not moved since b was last validated,
+// else revalidate. It inlines into the per-instruction check.
+func (dc *decodeCache) current(b *cachedBlock, mut uint64) bool {
+	return b.mut == mut || dc.revalidate(b)
+}
+
+// revalidate re-checks b's page generations after the mutation count
+// moved. On success b is current as of the returned count, so the
+// one-compare check applies again until the next code-affecting mutation;
+// on failure b is dropped.
 func (dc *decodeCache) revalidate(b *cachedBlock) bool {
-	mut, ok := dc.as.ValidatePages(b.pages[:b.npages])
-	if ok {
-		b.mut = mut
+	if m, ok := dc.as.ValidatePages(b.pages[:b.npages]); ok {
+		b.mut = m
+		return true
 	}
-	return ok
+	dc.drop(b)
+	return false
 }
 
 // drop removes an invalidated block and clears its successor links.

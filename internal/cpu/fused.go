@@ -5,10 +5,11 @@ import "lazypoline/internal/isa"
 // Fused idiom handlers (DESIGN.md §3): three guest idioms hot enough to
 // show up in every benchmark retire in closed form. Straight NOP runs
 // (the zpoline sled) and the counted loop `addi r,-1 ; jnz` (the web
-// servers' per-request app work) take one O(1) update when a chained
-// transition lands on their block's head (DESIGN.md §3); stack runs
-// (the interposer stub's register save/restore) take one page access
-// wherever they sit in a block (stackrun.go).
+// servers' per-request app work) take one O(1) update whenever the
+// dispatch loop enters their block at its head (runBlock), however it
+// found the block; stack runs (the interposer stub's register
+// save/restore) take one page access wherever they sit in a block
+// (stackrun.go).
 
 // minNopSled is the shortest leading NOP run worth fusing.
 const minNopSled = 4
@@ -73,36 +74,17 @@ func isCountdown(b *cachedBlock) bool {
 		b.pcs[1]+uint64(last.Len)+uint64(last.Imm) == b.entry
 }
 
-// runSpecialized dispatches the fused handler of b's head after a chained
-// transition landed on b (RIP == b.entry, curIdx == 0, b validated).
-// Returns done=true when the step budget ran out inside a handler;
-// done=false means chained execution should continue from wherever
-// (cur, curIdx) now points.
-func (c *CPU) runSpecialized(b *cachedBlock, max uint64, steps *uint64, pre *uint64) (Event, bool) {
-	switch b.fused {
-	case fusedNopSled:
-		return c.runFusedNops(b, max, steps, pre)
-	case fusedCountdown:
-		return c.runCountdown(b, max, steps, pre)
-	}
-	return EvNone, false
-}
-
 // runCountdown retires whole iterations of `addi r,-1 ; jnz entry` in one
 // O(1) update. m is the number of iterations the interpreter would run
 // before either r reaches zero (r itself, or 2^64 when r is already zero:
 // the first addi wraps it) or the budget cannot fit another whole pass;
 // every piece of state is then set to what m trips through execInst leave
 // behind (DESIGN.md §3 argues each identity). The body has no store and
-// cannot fault or raise an event, so the entry revalidation covers all m
+// cannot fault or raise an event, so enter's validation of b covers all m
 // iterations. With m == 0 nothing is retired and the caller's
 // per-instruction path finishes the quantum.
-func (c *CPU) runCountdown(b *cachedBlock, max uint64, steps *uint64, pre *uint64) (Event, bool) {
+func (c *CPU) runCountdown(b *cachedBlock, max uint64, steps, pre *uint64) {
 	dc := c.cache
-	if b.mut != dc.as.CodeMutations() && !dc.revalidate(b) {
-		dc.drop(b)
-		return EvNone, false
-	}
 	reg := b.insts[0].A
 	r := c.Regs[reg]
 	m := (max - *steps) / 2
@@ -125,7 +107,6 @@ func (c *CPU) runCountdown(b *cachedBlock, max uint64, steps *uint64, pre *uint6
 		dc.stats.Hits += 2 * m
 		dc.fstats.FusedLoopIters += m
 	}
-	return EvNone, *steps >= max
 }
 
 // runFusedNops retires a leading NOP run with closed-form batch
@@ -133,21 +114,16 @@ func (c *CPU) runCountdown(b *cachedBlock, max uint64, steps *uint64, pre *uint6
 // The arithmetic reproduces execInst's batching exactly: Cycles grows by
 // one Insn per completed NopsPerCycle-sized batch, the accumulator
 // carries the remainder, and *pre lands on the cycle count immediately
-// before the final NOP. Bails (done=false, nothing retired) when
-// batching is off — the interpreter path is then the exact semantics.
-func (c *CPU) runFusedNops(b *cachedBlock, max uint64, steps *uint64, pre *uint64) (Event, bool) {
+// before the final NOP. It retires nothing when batching is off — the
+// interpreter path is then the exact semantics. The caller leaves at
+// least one instruction of budget, so k is at least 1.
+func (c *CPU) runFusedNops(b *cachedBlock, max uint64, steps, pre *uint64) {
 	npc := c.Costs.NopsPerCycle
 	if npc <= 1 {
-		return EvNone, false
+		return
 	}
 	dc := c.cache
-	k := uint64(b.nopLen)
-	if rem := max - *steps; k > rem {
-		k = rem
-	}
-	if k == 0 {
-		return EvNone, false
-	}
+	k := min(uint64(b.nopLen), max-*steps)
 	accum0 := c.nopAccum
 	full := (accum0 + k) / npc
 	*pre = c.Cycles + ((accum0+k-1)/npc)*c.Costs.Insn
@@ -164,8 +140,4 @@ func (c *CPU) runFusedNops(b *cachedBlock, max uint64, steps *uint64, pre *uint6
 		c.RIP = b.end
 	}
 	dc.curIdx = int(k)
-	if *steps >= max {
-		return EvNone, true
-	}
-	return EvNone, false
 }

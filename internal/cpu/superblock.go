@@ -1,18 +1,19 @@
 package cpu
 
-// Superblock execution: the scheduler hands the CPU a whole budget of
-// instructions (the rest of the quantum) and StepBlock retires the
-// straight-line body of each decoded block in a tight loop, re-entering
-// the per-instruction Step dispatch only at block boundaries that are
-// not chained. Events — syscalls, faults, traps, hcalls, halt — end the
-// batch immediately, so the kernel observes exactly the same stopping
-// points as per-Step scheduling: signal checks, quantum expiry and chaos
-// injection all happen between the same instructions either way.
+// The fast engine's dispatch loop (DESIGN.md §3): the scheduler hands the
+// CPU a whole budget of instructions (the rest of the quantum), and
+// StepBlock resolves RIP to a block (decodeCache.enter: the current
+// block, a chain slot, the map or a build) and retires it (runBlock)
+// until an event or the budget. Events — syscalls, faults, traps, hcalls,
+// halt — end the batch immediately, so the kernel observes exactly the
+// same stopping points as per-Step scheduling: signal checks, quantum
+// expiry and chaos injection all happen between the same instructions
+// either way.
 //
-// Self-modifying code stays exact because the execution core re-checks
-// the address space's code-mutation counter before every instruction —
-// the same load the decode cache's sequential hit path performs — and
-// revalidates page generations the moment it changes. Chained transitions (chain.go) add no trust: they are
+// Self-modifying code stays exact because enter validates every block it
+// resolves, and runBlock re-checks the address space's code-mutation
+// counter before every instruction and revalidates page generations the
+// moment it changes. Chain links (chain.go) add no trust: they are
 // routing shortcuts whose targets get the identical validation, and the
 // fused handlers (fused.go) run only on a block so validated.
 
@@ -29,41 +30,73 @@ package cpu
 // exactly by folding in the pre-event value (when the batch retired more
 // than one instruction) before handling the event. Nothing else observes
 // the clock mid-batch, so batching stays semantically invisible — and
-// the contract holds across chained transitions and fused handlers,
-// which thread the same pre pointer through every instruction they
-// retire.
+// the contract holds across block transitions and fused handlers, which
+// thread the same pre pointer through every instruction they retire.
 func (c *CPU) StepBlock(max uint64) (Event, uint64, uint64) {
-	if max == 0 {
-		return EvNone, 0, c.Cycles
-	}
 	pre := c.Cycles
+	if max == 0 {
+		return EvNone, 0, pre
+	}
 	if c.cache == nil {
 		return c.Step(), 1, pre
 	}
 	var steps uint64
-	for {
-		// Chained core first: it picks up from the decode cache's current
-		// position and runs block→block until an event, the budget, or a
-		// transition it cannot resolve (miss, invalidation, un-chained
-		// target).
-		if ev, done := c.runChained(max, &steps, &pre); done {
-			return ev, steps, pre
+	ev, insts := EvNone, c.SuperblockInsts
+	for ev == EvNone && steps < max {
+		if b := c.cache.enter(c); b != nil {
+			ev = c.runBlock(b, max, &steps, &pre)
+			continue
 		}
-		// The chained core can exhaust the budget on a block's last
-		// instruction and still report done=false (the next transition is
-		// unresolved); the budget is a hard ceiling, so stop before the
-		// dispatched Step rather than overshoot by one.
-		if steps >= max {
-			return EvNone, steps, pre
-		}
-		// One dispatched Step resolves the transition — full cachedInst
-		// lookup (planting a chain link if the previous block completed) or
-		// the uncached path.
 		pre = c.Cycles
-		ev := c.Step()
+		ev = c.stepUncached(c.RIP)
 		steps++
-		if ev != EvNone || steps >= max {
-			return ev, steps, pre
+	}
+	if c.SuperblockInsts > insts {
+		c.SuperblockRuns++
+	}
+	return ev, steps, pre
+}
+
+// runBlock retires b from curIdx, which enter just validated, until b
+// ends, an event, the budget, or a code mutation that invalidates b. A
+// block entered at its head with no hook attached first runs its fused
+// handler, which retires what it can in closed form and leaves curIdx at
+// the exact resume position. *steps counts the instructions retired this
+// StepBlock call and *pre tracks c.Cycles as of immediately before the
+// most recent one (StepBlock's contract).
+func (c *CPU) runBlock(b *cachedBlock, max uint64, steps, pre *uint64) Event {
+	dc := c.cache
+	if dc.curIdx == 0 && c.Hook == nil {
+		switch b.fused {
+		case fusedNopSled:
+			c.runFusedNops(b, max, steps, pre)
+		case fusedCountdown:
+			c.runCountdown(b, max, steps, pre)
 		}
 	}
+	for dc.curIdx < len(b.pcs) && *steps < max {
+		// Another CPU sharing this address space mutated code, or the
+		// previous instruction did (stores bump the counter only on
+		// exec-page writes).
+		if !dc.current(b, dc.as.CodeMutations()) {
+			return EvNone
+		}
+		if int32(dc.curIdx) == b.run.at {
+			// A stack run cannot write code, so b stays current.
+			if end := dc.curIdx + int(b.run.n); c.runStack(b.pcs[dc.curIdx:end], b.insts[dc.curIdx:end], max, steps, pre) {
+				dc.curIdx = end
+				continue
+			}
+		}
+		pc, in := b.pcs[dc.curIdx], &b.insts[dc.curIdx]
+		dc.curIdx++
+		dc.stats.Hits++
+		c.SuperblockInsts++
+		*pre = c.Cycles
+		*steps++
+		if ev := c.execInst(pc, in); ev != EvNone {
+			return ev
+		}
+	}
+	return EvNone
 }

@@ -215,3 +215,46 @@ func TestStepBlockReferenceSingleSteps(t *testing.T) {
 			c.SuperblockRuns, c.SuperblockInsts)
 	}
 }
+
+// TestFusedHandlersRunOnMapEntry: a fused handler runs whenever the
+// dispatch loop enters its block at the head, however it found the block.
+// On a fresh CPU, with no link planted, the loop finds both blocks here
+// in the map: a NOP sled entered at an offset no link reaches (a zpoline
+// `call rax` with a cold syscall number), and a countdown on its first
+// arrival. Both retire in closed form and leave the state Step leaves.
+func TestFusedHandlersRunOnMapEntry(t *testing.T) {
+	var sled isa.Enc
+	sled.Nop(512)
+	sled.Hlt()
+	for _, tc := range []struct {
+		name    string
+		code    []byte
+		rip     uint64
+		budget  uint64
+		counter func(FusedStats) uint64
+		want    uint64
+	}{
+		// The sled's last 412 NOPs, then the hlt.
+		{"nop sled", sled.Buf, codeBase + 100, 1 << 20, func(s FusedStats) uint64 { return s.FusedNopInsts }, 412},
+		// jmp, the three pad NOPs, then every one of r8's 1000 iterations.
+		{"countdown", countdownProgram(3), codeBase, 1 + 3 + 2*1000, func(s FusedStats) uint64 { return s.FusedLoopIters }, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fast, ref := load(t, tc.code), loadRef(t, tc.code)
+			for _, c := range []*CPU{fast, ref} {
+				c.RIP = tc.rip
+				c.Regs[isa.R8] = 1000
+			}
+			got, want := stepBlock(fast, tc.budget), stepOnly(ref, tc.budget)
+			if got != want || archOf(fast) != archOf(ref) {
+				t.Fatalf("StepBlock = %+v %+v; Step says %+v %+v", got, archOf(fast), want, archOf(ref))
+			}
+			if n := tc.counter(fast.FusedStats()); n != tc.want {
+				t.Errorf("the fused handler retired %d, want %d", n, tc.want)
+			}
+			if cs := fast.ChainStats(); cs.Transitions != 0 {
+				t.Errorf("%d chained transitions: a link, not the map, led into the block", cs.Transitions)
+			}
+		})
+	}
+}

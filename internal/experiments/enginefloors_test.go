@@ -29,8 +29,10 @@ type engineRun struct {
 // the best of each side is compared, so a swing in host speed hits both.
 // The decode cache alone clears these floors, so the tiers above it are
 // held by counters: every fast run must hit the decode cache, retire
-// superblock instructions, follow chain links and (when it touches data)
-// hit the D-TLB, and every reference run must show none of these. Every
+// superblock instructions, follow chain links (raw_loop: retire countdown
+// iterations in closed form, since the loop closes on first entry) and
+// (when it touches data) hit the D-TLB, and every reference run must
+// show none of these. Every
 // run of a workload must consume the same cycles on both engines.
 // raw_loop, the counted loop the fast engine retires in closed form
 // (§3), has no floor: its fast side takes microseconds, and it checks
@@ -44,16 +46,17 @@ func TestEngineSpeedupFloors(t *testing.T) {
 		run   func(cpu.ExecMode) (engineRun, error)
 		floor float64 // 0: no speedup floor
 		data  bool    // touches data memory, so a fast run must hit the D-TLB
+		loop  string  // the counter of the tier that runs the workload's loop
 	}{
-		{"raw_loop", rawLoopRun, 0, false},
-		{"mem_loop", memLoopRun, 2.0, true},
+		{"raw_loop", rawLoopRun, 0, false, "cpu.trace.fused_loop_iters"},
+		{"mem_loop", memLoopRun, 2.0, true, "cpu.chain.transitions"},
 		{"microbench", guestEngineRun(func() (*guest.Program, error) {
 			return guest.Microbench(kernel.NonexistentSyscall, 20_000)
-		}), 1.5, true},
-		{"membench", guestEngineRun(func() (*guest.Program, error) { return guest.MemBench(200) }), 2.0, true},
+		}), 1.5, true, "cpu.chain.transitions"},
+		{"membench", guestEngineRun(func() (*guest.Program, error) { return guest.MemBench(200) }), 2.0, true, "cpu.chain.transitions"},
 	}
 	for _, w := range workloads {
-		tiers := []string{"cpu.decode_cache.hits", "cpu.superblock.insts", "cpu.chain.transitions"}
+		tiers := []string{"cpu.decode_cache.hits", "cpu.superblock.insts", w.loop}
 		if w.data {
 			tiers = append(tiers, "cpu.tlb.hits")
 		}

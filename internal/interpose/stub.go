@@ -143,9 +143,6 @@ func NewBinder(ip Interposer) *Binder {
 	return &Binder{ip: ip}
 }
 
-// Interposer returns the bound interposer.
-func (b *Binder) Interposer() Interposer { return b.ip }
-
 // Enter is the stub's pre-syscall hcall payload.
 func (b *Binder) Enter(hc *kernel.HcallCtx) error {
 	t := hc.Task

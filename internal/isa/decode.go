@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Mnemonic is the decoded operation of an instruction, independent of its
@@ -170,45 +171,60 @@ var kindLen = [KindPrefixFF + 1]uint8{
 	KindRegImm64:  10,
 }
 
-// String renders the instruction in assembler-like syntax. Register
-// fields print as xmm registers where the syntax names them so.
-func (in Inst) String() string {
+// String renders the instruction in the assembler's syntax: the operands
+// the table's syntax names, in its order and form. A branch or lea
+// target, which only the instruction's address makes absolute, prints as
+// its displacement from the instruction's end (+N); StringAt prints it as
+// the address.
+func (in Inst) String() string { return in.format(0, false) }
+
+// StringAt renders the instruction at address pc as the assembler reads
+// it back: assembling the text at pc gives in again.
+func (in Inst) StringAt(pc uint64) string { return in.format(pc, true) }
+
+func (in Inst) format(pc uint64, abs bool) string {
 	info := in.info()
 	if info.kind == 0 {
 		return fmt.Sprintf("db 0x%02x", uint8(in.Op))
 	}
-	name, a, b := info.name, in.A.String(), in.B.String()
-	for _, o := range info.syntax {
+	var b strings.Builder
+	b.WriteString(info.name)
+	sep := " "
+	for _, o := range in.Syntax() {
+		b.WriteString(sep)
+		sep = ", "
 		switch o {
+		case RegA:
+			b.WriteString(in.A.String())
+		case RegB:
+			b.WriteString(in.B.String())
 		case XRegA:
-			a = XReg(in.A).String()
+			b.WriteString(XReg(in.A).String())
 		case XRegB:
-			b = XReg(in.B).String()
+			b.WriteString(XReg(in.B).String())
+		case MemA, MemB:
+			r := in.A
+			if o == MemB {
+				r = in.B
+			}
+			b.WriteString("[" + r.String())
+			if in.Imm != 0 {
+				fmt.Fprintf(&b, "%+d", in.Imm)
+			}
+			b.WriteByte(']')
+		case Imm:
+			fmt.Fprintf(&b, "%d", in.Imm)
+		case Imm2:
+			fmt.Fprintf(&b, "%d", in.Imm2)
+		case Target:
+			if abs {
+				fmt.Fprintf(&b, "%#x", pc+uint64(in.Len)+uint64(in.Imm))
+			} else {
+				fmt.Fprintf(&b, "%+d", in.Imm)
+			}
 		}
 	}
-	switch info.kind {
-	case KindReg, KindPrefixFF:
-		return fmt.Sprintf("%s %s", name, a)
-	case KindRegReg:
-		return fmt.Sprintf("%s %s, %s", name, a, b)
-	case KindRegImm64, KindRegImm32, KindRegImm8:
-		return fmt.Sprintf("%s %s, %d", name, a, in.Imm)
-	case KindRegRegD32:
-		return fmt.Sprintf("%s %s, [%s%+d]", name, a, b, in.Imm)
-	case KindRel32:
-		return fmt.Sprintf("%s %+d", name, in.Imm)
-	case KindD32:
-		return fmt.Sprintf("%s [gs:%d]", name, in.Imm)
-	case KindImm32:
-		return fmt.Sprintf("%s %d", name, in.Imm)
-	case KindImm8D32:
-		return fmt.Sprintf("%s [gs:%d], %d", name, in.Imm2, in.Imm)
-	case KindD32Imm32:
-		return fmt.Sprintf("%s [gs:%d], %d", name, in.Imm, in.Imm2)
-	case KindD32D32:
-		return fmt.Sprintf("%s [gs:%d], [gs:%d]", name, in.Imm, in.Imm2)
-	}
-	return name
+	return b.String()
 }
 
 // IsSyscallBytes reports whether the two bytes at b[0:2] encode SYSCALL or

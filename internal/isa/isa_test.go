@@ -129,7 +129,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		"mov32 rdi, 42",
 		"mov rsi, rdx",
 		"load rbx, [rsp+16]",
-		"store rbp, [r15-8]",
+		"store [rbp-8], r15",
 		"add rax, rbx",
 		"sub rcx, rdx",
 		"addi rsp, -32",
@@ -141,15 +141,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		"call +1234",
 		"push rax",
 		"pop rbx",
-		"lea rdi, 64",
+		"lea rdi, +64",
 		"movq2x xmm3, r12",
-		"movups_st xmm3, [r12+0]",
+		"movups_st [r12], xmm3",
 		"punpck xmm0",
 		"gsload rax, 8",
-		"gsstorebi [gs:0], 1",
-		"gspush [gs:32]",
-		"gsaddi [gs:16], -16",
-		"gsmovb [gs:0], [gs:65]",
+		"gsstorebi 0, 1",
+		"gspush 32",
+		"gsaddi 16, -16",
+		"gsmovb 0, 65",
 		"xchg rdi, rax",
 		"gsloadidx rbx, [rax+8]",
 		"xsave rbx",

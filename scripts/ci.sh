@@ -107,16 +107,19 @@ fi
 # page map with its sizing constant and sort (a sorted list of mappings:
 # DESIGN.md §4). Nor may the per-cell locks
 # (a cell runs on one goroutine; DESIGN.md §8 lists the shared objects
-# that keep theirs) or the lock order they imposed. None may come back,
-# in the code or the docs.
+# that keep theirs) or the lock order they imposed, or the fast engine's
+# second dispatcher with its per-Step block lookup and chained-arrival
+# handler dispatch (one loop finds, links and runs each block: DESIGN.md
+# §3). None may come back, in the code or the docs.
 if grep -rnE -e '[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)' \
     -e '[c]puCmd|BENCH_[c]pu|lazysim [c]pu|[A]ddExternalWaiter|[A]ctivityGen|[A]waitActivity|[B]umpActivity' \
     -e '[a]ctivityHub|[s]tackShards|[S]ealedSource|[p]redLink|[r]emovePred' \
     -e '[f]aultsMu|[e]xMu|[L]ock order' \
     -e '[s]ledSuffix|[s]ledBase|[e]victForSpace|[c]ompactFIFO|[e]victBatch' \
     -e '[s]pawnPages|[s]ortU64' \
+    -e '[c]achedInst|[r]unChained|[r]unSpecialized' \
     README.md DESIGN.md Makefile scripts .claude internal cmd; then
-    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait, sharded-stack, predecessor-list, sled-view, FIFO-eviction, page-map or per-cell-lock surface is still named above" >&2
+    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait, sharded-stack, predecessor-list, sled-view, FIFO-eviction, page-map, per-cell-lock or second-dispatcher surface is still named above" >&2
     exit 1
 fi
 
