@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"lazypoline/internal/asm"
+	"lazypoline/internal/interpose"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/loader"
 	"lazypoline/internal/trace"
@@ -85,5 +87,56 @@ func TestExecveEscapesZpoline(t *testing.T) {
 	}
 	if !lpRec.Contains(kernel.SysGetpid) {
 		t.Error("lazypoline missed the post-execve getpid")
+	}
+}
+
+// TestFailedExecveReachesExit: an execve that fails returns to the stub
+// like any other call, so the interposer's Exit must see it, with its
+// errno, under both stub mechanisms; the exit code the guest gets back is
+// the interposer's view too.
+func TestFailedExecveReachesExit(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		k := kernel.New(kernel.Config{})
+		task := spawn(t, k, kernel.AsmPrelude+`
+		_start:
+			mov64 rax, SYS_execve
+			lea rdi, path
+			mov64 rsi, 0
+			mov64 rdx, 0
+			syscall
+			mov64 rdi, 0
+			sub rdi, rax          ; exit(-ret)
+			mov64 rax, SYS_exit
+			syscall
+		path:
+			.ascii "/nope"
+			.byte 0
+		`)
+		var exits []interpose.Call
+		ip := interpose.FuncInterposer{
+			OnExit: func(c *interpose.Call) { exits = append(exits, *c) },
+		}
+		var err error
+		if lazy {
+			_, err = Attach(k, task, ip, Options{})
+		} else {
+			_, err = zpoline.Attach(k, task, ip, zpoline.Options{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Run(10_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if task.ExitCode != kernel.ENOENT {
+			t.Errorf("lazy=%v: exit = %d, want ENOENT", lazy, task.ExitCode)
+		}
+		if len(exits) == 0 || exits[len(exits)-1].Nr != kernel.SysExecve || exits[len(exits)-1].Ret != -kernel.ENOENT {
+			var got []string
+			for _, c := range exits {
+				got = append(got, fmt.Sprintf("%s=%d", kernel.SyscallName(c.Nr), c.Ret))
+			}
+			t.Errorf("lazy=%v: Exit saw %v, want execve=%d last", lazy, got, -kernel.ENOENT)
+		}
 	}
 }

@@ -21,14 +21,7 @@ func TestSignalsDuringSlowPathWindows(t *testing.T) {
 	costs := kernel.DefaultCostModel()
 	costs.SchedQuantum = 25 // preempt inside the runtime stubs
 	k := kernel.New(kernel.Config{Costs: costs})
-	task := spawn(t, k, `
-	.equ SYS_rt_sigaction 13
-	.equ SYS_sched_yield 24
-	.equ SYS_getpid 39
-	.equ SYS_fork 57
-	.equ SYS_exit 60
-	.equ SYS_wait4 61
-	.equ SYS_kill 62
+	task := spawn(t, k, kernel.AsmPrelude+`
 	.equ MARK 0x7fef0200
 	_start:
 		; sigaction(SIGUSR1, {handler, 0, SA_RESTART}, 0) — intercepted

@@ -85,8 +85,8 @@ func TestSelfLoopRunsChained(t *testing.T) {
 	if ts := c.FusedStats(); ts.FusedLoopIters != 0 || ts.FusedStackInsts != 0 {
 		t.Errorf("a fused handler retired part of the loop: %+v", ts)
 	}
-	// The first back edges resolve through dispatched Steps, which plant
-	// the link.
+	// The first back edge finds the block through the map and links it
+	// to itself; the later ones follow that link.
 	if cs := c.ChainStats(); cs.Transitions < iters-3 {
 		t.Errorf("%d chained transitions for %d iterations", cs.Transitions, iters)
 	}

@@ -41,10 +41,10 @@ func microbenchCounters(t *testing.T, mech string, iters int64, quantum uint64) 
 // TestStubRetiresAsStackRuns: every interposed syscall retires the entry
 // stub's register save/restore — fifteen pushes, seven reloads, fifteen
 // pops — as three stack runs, 37 fused instructions, whatever the stub
-// options. Measured as the difference between two loop lengths: the
-// first pass through a block runs its first instruction through a
-// dispatched Step, so a run that starts a block executes per instruction
-// once, and the final exit never reaches the pops. The quantum never
+// options. Measured as the difference between two loop lengths, so what
+// runs outside the loop cancels out: the blocks' first arrival, which
+// builds and links them, and the final exit, which never reaches the
+// pops. The quantum never
 // expires: a run the quantum's end would split executes per instruction,
 // which at the default quantum costs the lazypoline cell 52 of 74 000.
 // A stub edit that breaks a run up, or a run that falls off the fast

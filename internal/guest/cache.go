@@ -17,14 +17,16 @@ import "sync"
 // Image.Segments[].Data or the symbol table. Callers needing a private image must use Build.
 var (
 	cacheMu sync.Mutex
-	cache   = map[string]*Program{}
+	cache   = map[cacheKey]*Program{}
 )
+
+type cacheKey struct{ name, src string } // a hit copies no source text
 
 // BuildCached is Build memoized on (name, src): the program is assembled
 // at most once per process and the shared, immutable result is returned
 // to every caller. Assembly errors are not cached.
 func BuildCached(name, src string) (*Program, error) {
-	key := name + "\x00" + src
+	key := cacheKey{name, src}
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	if p, ok := cache[key]; ok {

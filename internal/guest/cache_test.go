@@ -8,7 +8,7 @@ import (
 	"lazypoline/internal/kernel"
 )
 
-const cacheTestSrc = Header + `
+var cacheTestSrc = Header + `
 	_start:
 		mov64 rdi, 7
 		mov64 rax, SYS_exit

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"lazypoline/internal/isa"
-	"lazypoline/internal/kernel"
 )
 
 func TestSavedRegOffsets(t *testing.T) {
@@ -149,17 +148,4 @@ func TestDummyAndFuncInterposer(t *testing.T) {
 		t.Error("nil OnEnter should continue")
 	}
 	empty.Exit(c)
-}
-
-func TestNoReturnSyscallClassification(t *testing.T) {
-	for _, nr := range []int64{kernel.SysExit, kernel.SysExitGroup, kernel.SysExecve, kernel.SysRtSigreturn} {
-		if !noReturnSyscall(nr) {
-			t.Errorf("%s should be no-return", kernel.SyscallName(nr))
-		}
-	}
-	for _, nr := range []int64{kernel.SysRead, kernel.SysClone, kernel.SysFork, kernel.SysOpen} {
-		if noReturnSyscall(nr) {
-			t.Errorf("%s should return to the stub", kernel.SyscallName(nr))
-		}
-	}
 }

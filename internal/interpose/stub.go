@@ -172,19 +172,8 @@ func (b *Binder) enter(c *Call) (keep bool, err error) {
 		}
 		return true, t.WriteForce(t.CPU.GSBase+GSEmulate, []byte{1})
 	}
-	// Syscalls that never return to the stub (the context is destroyed or
-	// replaced) would leave their call in flight for good.
-	return !noReturnSyscall(c.Nr), nil
-}
-
-// noReturnSyscall reports whether a successful nr abandons the stub
-// context before the Exit hcall can run.
-func noReturnSyscall(nr int64) bool {
-	switch nr {
-	case kernel.SysExit, kernel.SysExitGroup, kernel.SysExecve, kernel.SysRtSigreturn:
-		return true
-	}
-	return false
+	// A call that never returns would stay in flight (DESIGN.md §6).
+	return kernel.SyscallReturns(c.Nr), nil
 }
 
 // Exit is the stub's post-syscall hcall payload.

@@ -73,8 +73,8 @@ func TestStubSaveRestoreIsThreeStackRuns(t *testing.T) {
 		t.Run(fmt.Sprintf("sud=%v/xstate=%v/mpk=%v", opts.UseSUD, opts.SaveXState, opts.ProtectGS), func(t *testing.T) {
 			c := stubCPU(t, opts)
 			var fused [4]uint64 // per stretch between stops, on the last pass
-			// The first pass decodes and links the blocks; a run that starts
-			// a block entered by a dispatched Step executes per instruction.
+			// The first pass builds and links the blocks; the counts are
+			// those of the last pass, which runs them warm.
 			for pass := 0; pass < 3; pass++ {
 				c.RIP = shapeCaller
 				for i, want := range stops {

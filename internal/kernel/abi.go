@@ -5,7 +5,10 @@
 // interposition mechanism in this repository is measured against.
 package kernel
 
-import "sort"
+import (
+	"fmt"
+	"strings"
+)
 
 // Syscall numbers follow the Linux x86-64 ABI so that guest programs and
 // traces read like the real thing.
@@ -59,6 +62,7 @@ const (
 	SysFutex         = 202
 	SysGetdents64    = 217
 	SysSetTidAddress = 218
+	SysExitGroup     = 231
 	SysEpollWait     = 232
 	SysEpollCtl      = 233
 	SysTgkill        = 234
@@ -80,10 +84,88 @@ const (
 	NonexistentSyscall = 500
 )
 
+// syscallRow is one row of the syscall table.
+type syscallRow struct {
+	name string
+	fn   func(*Kernel, *Task, [6]uint64) sysResult
+	// noReturn: the call never returns (the task is gone or its context
+	// replaced); a failed execve returns.
+	noReturn bool
+	// retryable: POSIX lets the call fail with EINTR or EAGAIN and the
+	// guests retry it, so the chaos engine may inject one (chaosSyscall).
+	retryable bool
+}
+
+// syscallTable is the syscall ABI, indexed by number: adding a syscall
+// is one const above and one row here.
+var syscallTable = [MaxSyscallNr + 1]syscallRow{
+	SysRead:          {name: "read", fn: (*Kernel).sysRead, retryable: true},
+	SysWrite:         {name: "write", fn: (*Kernel).sysWrite, retryable: true},
+	SysOpen:          {name: "open", fn: (*Kernel).sysOpen},
+	SysClose:         {name: "close", fn: (*Kernel).sysClose},
+	SysStat:          {name: "stat", fn: (*Kernel).sysStat},
+	SysFstat:         {name: "fstat", fn: (*Kernel).sysFstat},
+	SysLseek:         {name: "lseek", fn: (*Kernel).sysLseek},
+	SysMmap:          {name: "mmap", fn: (*Kernel).sysMmap},
+	SysMprotect:      {name: "mprotect", fn: (*Kernel).sysMprotect},
+	SysMunmap:        {name: "munmap", fn: (*Kernel).sysMunmap},
+	SysBrk:           {name: "brk", fn: (*Kernel).sysIgnored},
+	SysRtSigaction:   {name: "rt_sigaction", fn: (*Kernel).sysRtSigaction},
+	SysRtSigprocmask: {name: "rt_sigprocmask", fn: (*Kernel).sysRtSigprocmask},
+	SysRtSigreturn:   {name: "rt_sigreturn", fn: (*Kernel).sysRtSigreturn, noReturn: true},
+	SysIoctl:         {name: "ioctl", fn: (*Kernel).sysIgnored},
+	SysAccess:        {name: "access", fn: (*Kernel).sysAccess},
+	SysSchedYield:    {name: "sched_yield", fn: (*Kernel).sysIgnored},
+	SysDup:           {name: "dup", fn: (*Kernel).sysDup},
+	SysDup2:          {name: "dup2", fn: (*Kernel).sysDup2},
+	SysNanosleep:     {name: "nanosleep", fn: (*Kernel).sysNanosleep, retryable: true},
+	SysGetpid:        {name: "getpid", fn: (*Kernel).sysGetpid},
+	SysSendfile:      {name: "sendfile", fn: (*Kernel).sysSendfile, retryable: true},
+	SysSocket:        {name: "socket", fn: (*Kernel).sysSocket},
+	SysAccept:        {name: "accept", fn: (*Kernel).sysAccept, retryable: true},
+	SysSendto:        {name: "sendto", fn: (*Kernel).sysWrite, retryable: true},
+	SysRecvfrom:      {name: "recvfrom", fn: (*Kernel).sysRead, retryable: true},
+	SysShutdown:      {name: "shutdown", fn: (*Kernel).sysIgnored},
+	SysBind:          {name: "bind", fn: (*Kernel).sysBind},
+	SysListen:        {name: "listen", fn: (*Kernel).sysListen},
+	SysClone:         {name: "clone", fn: (*Kernel).sysClone},
+	SysFork:          {name: "fork", fn: (*Kernel).sysFork},
+	SysVfork:         {name: "vfork", fn: (*Kernel).sysFork},
+	SysExecve:        {name: "execve", fn: (*Kernel).sysExecve},
+	SysExit:          {name: "exit", fn: (*Kernel).sysExit, noReturn: true},
+	SysWait4:         {name: "wait4", fn: (*Kernel).sysWait4},
+	SysKill:          {name: "kill", fn: (*Kernel).sysKill},
+	SysGetcwd:        {name: "getcwd", fn: (*Kernel).sysGetcwd},
+	SysRename:        {name: "rename", fn: (*Kernel).sysRename},
+	SysMkdir:         {name: "mkdir", fn: (*Kernel).sysMkdir},
+	SysRmdir:         {name: "rmdir", fn: (*Kernel).sysRmdir},
+	SysUnlink:        {name: "unlink", fn: (*Kernel).sysUnlink},
+	SysChmod:         {name: "chmod", fn: (*Kernel).sysChmod},
+	SysPtrace:        {name: "ptrace", fn: (*Kernel).sysPtrace},
+	SysPrctl:         {name: "prctl", fn: (*Kernel).sysPrctl},
+	SysArchPrctl:     {name: "arch_prctl", fn: (*Kernel).sysArchPrctl},
+	SysGettid:        {name: "gettid", fn: (*Kernel).sysGettid},
+	SysFutex:         {name: "futex", fn: (*Kernel).sysIgnored},
+	SysGetdents64:    {name: "getdents64", fn: (*Kernel).sysGetdents64},
+	SysSetTidAddress: {name: "set_tid_address", fn: (*Kernel).sysSetTidAddress},
+	SysExitGroup:     {name: "exit_group", fn: (*Kernel).sysExitGroup, noReturn: true},
+	SysEpollWait:     {name: "epoll_wait", fn: (*Kernel).sysEpollWait},
+	SysEpollCtl:      {name: "epoll_ctl", fn: (*Kernel).sysEpollCtl},
+	SysTgkill:        {name: "tgkill", fn: (*Kernel).sysTgkill},
+	SysOpenat:        {name: "openat", fn: (*Kernel).sysOpenat},
+	SysSetRobustList: {name: "set_robust_list", fn: (*Kernel).sysSetRobustList},
+	SysUtimensat:     {name: "utimensat", fn: (*Kernel).sysUtimensat},
+	SysAccept4:       {name: "accept4", fn: (*Kernel).sysAccept, retryable: true},
+	SysEpollCreate1:  {name: "epoll_create1", fn: (*Kernel).sysEpollCreate1},
+	SysPipe2:         {name: "pipe2", fn: (*Kernel).sysPipe2},
+	SysSeccomp:       {name: "seccomp", fn: (*Kernel).sysSeccomp},
+	SysGetrandom:     {name: "getrandom", fn: (*Kernel).sysGetrandom},
+}
+
 // SyscallName returns a human-readable name for tracing.
 func SyscallName(nr int64) string {
-	if n, ok := sysNames[nr]; ok {
-		return n
+	if uint64(nr) <= MaxSyscallNr && syscallTable[nr].name != "" {
+		return syscallTable[nr].name
 	}
 	return "unknown"
 }
@@ -91,38 +173,35 @@ func SyscallName(nr int64) string {
 // SyscallNumbers returns every named syscall number, sorted — the
 // universe policy profiles draw their alphabets from.
 func SyscallNumbers() []int64 {
-	out := make([]int64, 0, len(sysNames))
-	for nr := range sysNames {
-		out = append(out, nr)
+	var out []int64
+	for nr, s := range &syscallTable {
+		if s.name != "" {
+			out = append(out, int64(nr))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-var sysNames = map[int64]string{
-	SysRead: "read", SysWrite: "write", SysOpen: "open", SysClose: "close",
-	SysStat: "stat", SysFstat: "fstat", SysLseek: "lseek", SysMmap: "mmap",
-	SysMprotect: "mprotect", SysMunmap: "munmap", SysBrk: "brk",
-	SysRtSigaction: "rt_sigaction", SysRtSigprocmask: "rt_sigprocmask",
-	SysRtSigreturn: "rt_sigreturn", SysIoctl: "ioctl", SysAccess: "access",
-	SysSchedYield: "sched_yield", SysDup: "dup", SysDup2: "dup2", SysNanosleep: "nanosleep",
-	SysGetpid: "getpid", SysSendfile: "sendfile", SysSocket: "socket", SysAccept: "accept",
-	SysSendto: "sendto", SysRecvfrom: "recvfrom", SysShutdown: "shutdown",
-	SysBind: "bind", SysListen: "listen", SysClone: "clone", SysFork: "fork",
-	SysVfork: "vfork", SysExecve: "execve", SysExit: "exit", SysWait4: "wait4",
-	SysKill: "kill", SysGetcwd: "getcwd", SysRename: "rename", SysMkdir: "mkdir",
-	SysRmdir: "rmdir", SysUnlink: "unlink", SysChmod: "chmod", SysPtrace: "ptrace",
-	SysPrctl: "prctl", SysArchPrctl: "arch_prctl", SysGettid: "gettid",
-	SysFutex: "futex", SysGetdents64: "getdents64", SysSetTidAddress: "set_tid_address",
-	SysEpollWait: "epoll_wait", SysEpollCtl: "epoll_ctl", SysTgkill: "tgkill",
-	SysOpenat: "openat", SysSetRobustList: "set_robust_list",
-	SysUtimensat: "utimensat", SysAccept4: "accept4", SysEpollCreate1: "epoll_create1",
-	SysPipe2:   "pipe2",
-	SysSeccomp: "seccomp", SysGetrandom: "getrandom", SysExitGroup: "exit_group",
+// SyscallReturns reports whether syscall nr can return to its caller:
+// false only for exit, exit_group and rt_sigreturn (DESIGN.md §6).
+func SyscallReturns(nr int64) bool {
+	return uint64(nr) > MaxSyscallNr || !syscallTable[nr].noReturn
 }
 
-// SysExitGroup is exit_group.
-const SysExitGroup = 231
+// AsmPrelude is the assembler prelude generated from the syscall table:
+// `.equ SYS_<name> <nr>` for every syscall, then the open flags.
+var AsmPrelude = func() string {
+	var b strings.Builder
+	for nr, s := range &syscallTable {
+		if s.name != "" {
+			fmt.Fprintf(&b, "\t.equ SYS_%s %d\n", s.name, nr)
+		}
+	}
+	fmt.Fprintf(&b, "\t.equ O_RDONLY %#x\n\t.equ O_WRONLY %#x\n\t.equ O_RDWR %#x\n\t.equ O_CREAT %#x\n"+
+		"\t.equ O_EXCL %#x\n\t.equ O_TRUNC %#x\n\t.equ O_APPEND %#x\n\t.equ O_NONBLOCK %#x\n",
+		ORdonly, OWronly, ORdwr, OCreat, OExcl, OTrunc, OAppend, ONonblock)
+	return b.String()
+}()
 
 // Errno values (returned as -errno in RAX, Linux style).
 const (
@@ -152,7 +231,7 @@ const (
 	ECONNREFUSED = 111
 )
 
-var errnoNames = map[int64]string{
+var errnoNames = [...]string{
 	EPERM: "EPERM", ENOENT: "ENOENT", ESRCH: "ESRCH", EINTR: "EINTR",
 	EBADF: "EBADF", ECHILD: "ECHILD", EAGAIN: "EAGAIN", ENOMEM: "ENOMEM",
 	EACCES: "EACCES", EFAULT: "EFAULT", EBUSY: "EBUSY", EEXIST: "EEXIST",
@@ -164,7 +243,12 @@ var errnoNames = map[int64]string{
 
 // ErrnoName returns the symbolic name for a (positive) errno value, or
 // "" when the value is not one the simulated kernel ever produces.
-func ErrnoName(errno int64) string { return errnoNames[errno] }
+func ErrnoName(errno int64) string {
+	if uint64(errno) < uint64(len(errnoNames)) {
+		return errnoNames[errno]
+	}
+	return ""
+}
 
 // SaRestart is the SA_RESTART sigaction flag: syscalls interrupted by
 // this handler are transparently restarted instead of failing with
@@ -193,17 +277,18 @@ const (
 	NumSignals = 32
 )
 
+var signalNames = [NumSignals]string{
+	SIGHUP: "SIGHUP", SIGINT: "SIGINT", SIGQUIT: "SIGQUIT", SIGILL: "SIGILL",
+	SIGTRAP: "SIGTRAP", SIGABRT: "SIGABRT", SIGKILL: "SIGKILL",
+	SIGUSR1: "SIGUSR1", SIGSEGV: "SIGSEGV", SIGUSR2: "SIGUSR2",
+	SIGPIPE: "SIGPIPE", SIGALRM: "SIGALRM", SIGTERM: "SIGTERM",
+	SIGCHLD: "SIGCHLD", SIGSYS: "SIGSYS",
+}
+
 // SignalName names a signal for traces.
 func SignalName(sig int) string {
-	names := map[int]string{
-		SIGHUP: "SIGHUP", SIGINT: "SIGINT", SIGQUIT: "SIGQUIT", SIGILL: "SIGILL",
-		SIGTRAP: "SIGTRAP", SIGABRT: "SIGABRT", SIGKILL: "SIGKILL",
-		SIGUSR1: "SIGUSR1", SIGSEGV: "SIGSEGV", SIGUSR2: "SIGUSR2",
-		SIGPIPE: "SIGPIPE", SIGALRM: "SIGALRM", SIGTERM: "SIGTERM",
-		SIGCHLD: "SIGCHLD", SIGSYS: "SIGSYS",
-	}
-	if n, ok := names[sig]; ok {
-		return n
+	if uint(sig) < NumSignals && signalNames[sig] != "" {
+		return signalNames[sig]
 	}
 	return "SIG?"
 }

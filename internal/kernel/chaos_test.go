@@ -114,7 +114,6 @@ func TestChaosSameSeedReproducible(t *testing.T) {
 func TestChaosNanosleepEINTR(t *testing.T) {
 	k := New(Config{ChaosSeed: 1, ChaosRate: 1})
 	task := buildTask(t, k, `
-	.equ SYS_nanosleep 35
 	_start:
 		mov64 rbx, 0x7fef0000
 		mov64 rcx, 0

@@ -14,26 +14,13 @@ import (
 //
 //   - t.hostSyscall: syscalls synthesised by interposer Go payloads via
 //     Kernel.Syscall (mechanism-internal by construction);
-//   - rt_sigreturn (and every other syscall outside chaosEligible):
+//   - rt_sigreturn (and every other syscall whose row is not retryable):
 //     mechanisms deliver different numbers of signals, so sigreturn
 //     counts differ per mechanism.
 //
 // With those in place, the nth dispatch of an eligible syscall by a
 // given task is the same application event under every mechanism, and
 // the chaos-invariance suite can demand byte-identical outcomes.
-
-// chaosEligible reports whether a syscall may receive injected errnos.
-// The set is restricted to calls with POSIX-sanctioned EINTR/EAGAIN
-// semantics that our hardened guests retry; injecting into, say, clone
-// would fault guests in ways no libc survives.
-func chaosEligible(nr int64) bool {
-	switch nr {
-	case SysRead, SysWrite, SysRecvfrom, SysSendto, SysSendfile,
-		SysAccept, SysAccept4, SysNanosleep:
-		return true
-	}
-	return false
-}
 
 // chaosStream builds the per-(task, syscall) stream id: each syscall
 // number gets an independent stream per task, so e.g. injecting into
@@ -47,7 +34,7 @@ func chaosStream(t *Task, nr int64) uint64 {
 // OnDispatch ground-truth hook, so every mechanism observes the
 // injected failure identically. Returns (result, true) on injection.
 func (k *Kernel) chaosSyscall(t *Task, nr int64) (sysResult, bool) {
-	if k.chaos == nil || t.hostSyscall || !chaosEligible(nr) {
+	if k.chaos == nil || t.hostSyscall || uint64(nr) > MaxSyscallNr || !syscallTable[nr].retryable {
 		return sysResult{}, false
 	}
 	id := chaosStream(t, nr)

@@ -44,7 +44,6 @@ func TestChaosRetryInjection(t *testing.T) {
 
 	k := New(Config{ChaosSeed: seed, ChaosRate: rate})
 	task := buildTask(t, k, `
-	.equ SYS_pipe2 293
 	_start:
 		mov64 rax, SYS_pipe2
 		mov64 rdi, 0x7fef0000

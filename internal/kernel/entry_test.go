@@ -21,7 +21,6 @@ const sudResult = 0x7fef0008
 func TestSUDSelectorBlockDeliversSIGSYS(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_prctl 157
 	.equ SEL 0x7fef0000
 	.equ RESULT 0x7fef0008
 	_start:
@@ -78,7 +77,6 @@ func TestSUDAllowedRangeBypassesSelector(t *testing.T) {
 	// the allowlisted range for its own return.
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_prctl 157
 	.equ SEL 0x7fef0000
 	.equ RESULT 0x7fef0008
 	.equ VDSO 0xFF000000
@@ -132,7 +130,6 @@ func TestSUDAllowedRangeBypassesSelector(t *testing.T) {
 func TestSUDWithoutHandlerKills(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_prctl 157
 	.equ SEL 0x7fef0000
 	_start:
 		mov64 rax, SYS_prctl
@@ -158,7 +155,6 @@ func TestSUDWithoutHandlerKills(t *testing.T) {
 func TestSUDInvalidSelectorKills(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_prctl 157
 	.equ SEL 0x7fef0000
 	_start:
 		mov64 rax, SYS_prctl
@@ -184,7 +180,6 @@ func TestSUDInvalidSelectorKills(t *testing.T) {
 func TestSUDClearedOnFork(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_prctl 157
 	.equ SEL 0x7fef0000
 	_start:
 		mov64 rax, SYS_prctl

@@ -94,7 +94,6 @@ func TestErrnoMatrix(t *testing.T) {
 func TestSigprocmaskBadHow(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_rt_sigprocmask 14
 	_start:
 		mov64 rbx, 0x7fef0000
 		mov64 rcx, 0

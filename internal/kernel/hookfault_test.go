@@ -72,7 +72,6 @@ func TestExecveHookFailureDeliversSIGSYS(t *testing.T) {
 	k.RegisterImage("/bin/next", img)
 
 	task := buildTask(t, k, `
-	.equ SYS_execve 59
 	_start:
 		mov64 rax, SYS_execve
 		lea rdi, path
@@ -115,7 +114,6 @@ func TestExecveHookSuccessStillExecs(t *testing.T) {
 	k.RegisterImage("/bin/next", img)
 
 	task := buildTask(t, k, `
-	.equ SYS_execve 59
 	_start:
 		mov64 rax, SYS_execve
 		lea rdi, path

@@ -10,29 +10,10 @@ import (
 	"lazypoline/internal/mem"
 )
 
-// guestHeader defines the syscall-number constants test programs use.
-const guestHeader = `
-	.equ SYS_read 0
-	.equ SYS_write 1
-	.equ SYS_open 2
-	.equ SYS_close 3
-	.equ SYS_mmap 9
-	.equ SYS_mprotect 10
-	.equ SYS_rt_sigaction 13
-	.equ SYS_rt_sigreturn 15
-	.equ SYS_getpid 39
-	.equ SYS_fork 57
-	.equ SYS_exit 60
-	.equ SYS_wait4 61
-	.equ SYS_kill 62
-	.equ SYS_gettid 186
-	.equ SYS_getrandom 318
-`
-
 // buildTask assembles src at 0x10000 and spawns it.
 func buildTask(t *testing.T, k *Kernel, src string) *Task {
 	t.Helper()
-	p, err := asm.Assemble(guestHeader+src, 0x10000)
+	p, err := asm.Assemble(AsmPrelude+src, 0x10000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,6 @@ import (
 // port 8080, listens, and accept-loops forever, holding every accepted
 // connection open. The shape of a pre-forked server master + worker.
 const forkedListener = `
-.equ SYS_socket 41
-.equ SYS_accept 43
-.equ SYS_bind 49
-.equ SYS_listen 50
 _start:
 	mov64 rax, SYS_fork
 	syscall

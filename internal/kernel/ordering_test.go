@@ -12,7 +12,6 @@ import (
 func TestSeccompRunsBeforeSUD(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_prctl 157
 	.equ SEL 0x7fef0000
 	_start:
 		; enable SUD, selector = BLOCK
@@ -58,8 +57,6 @@ func TestCloneFilesSharesDescriptors(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := buildTask(t, k, `
-	.equ SYS_clone 56
-	.equ SYS_exit_group 231
 	.equ CLONE_VM 0x100
 	.equ CLONE_FILES 0x400
 	.equ CLONE_THREAD 0x10000

@@ -9,7 +9,6 @@ import "testing"
 func TestPipeAcrossFork(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_pipe2 293
 	_start:
 		; pipe2(&fds, 0)
 		mov64 rax, SYS_pipe2
@@ -85,8 +84,6 @@ func TestPipeAcrossFork(t *testing.T) {
 func TestDup2RedirectsStdout(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_dup2 33
-	.equ SYS_pipe2 293
 	_start:
 		mov64 rax, SYS_pipe2
 		mov64 rdi, 0x7fef0000

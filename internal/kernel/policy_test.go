@@ -90,7 +90,6 @@ func TestPolicyRegionPrctlAddAllowsJIT(t *testing.T) {
 	// sanctioned and the guest reaches its normal exit.
 	k := New(Config{Policy: &PolicyConfig{Regions: true}})
 	task := buildTask(t, k, `
-	.equ SYS_prctl 157
 	_start:
 		; prctl(PR_SET_SYSCALL_PRIVILEGE, ADD, 0x50000000, 4096)
 		mov64 rax, SYS_prctl
@@ -125,7 +124,6 @@ func TestPolicyRegionPrctlAddAllowsJIT(t *testing.T) {
 func TestPolicyRegionAddAfterSealEPERM(t *testing.T) {
 	k := New(Config{Policy: &PolicyConfig{Regions: true}})
 	task := buildTask(t, k, `
-	.equ SYS_prctl 157
 	_start:
 		; first syscall that is not the policy prctl: lazy-seals the set
 		mov64 rax, SYS_getpid
@@ -158,7 +156,6 @@ func TestPolicyPrctlEINVALWhenOff(t *testing.T) {
 	// -EINVAL, exactly like any other unrecognised prctl.
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_prctl 157
 	_start:
 		mov64 rax, SYS_prctl
 		mov64 rdi, 71
@@ -338,7 +335,6 @@ func TestPolicyExecveResetsPolicyState(t *testing.T) {
 	k.RegisterImage("/bin/next", img)
 
 	task := buildTask(t, k, `
-	.equ SYS_execve 59
 	_start:
 		mov64 rax, SYS_getpid
 		syscall            ; seals the old set; automaton state = getpid

@@ -12,8 +12,6 @@ import "testing"
 // post-kill behaviour are spliced in per test.
 func interruptedReadGuest(flags, childTail string) string {
 	return `
-	.equ SYS_pipe2 293
-	.equ SYS_sched_yield 24
 	.equ MARK 0x7fef0200
 	_start:
 		; register the SIGUSR1 handler

@@ -22,11 +22,6 @@ func TestSendfileGuest(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := buildTask(t, k, `
-	.equ SYS_sendfile 40
-	.equ SYS_socket 41
-	.equ SYS_accept 43
-	.equ SYS_bind 49
-	.equ SYS_listen 50
 	_start:
 		mov64 rax, SYS_socket
 		mov64 rdi, 2
@@ -120,7 +115,6 @@ func TestSendfileGuest(t *testing.T) {
 func TestSendfileBadFds(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_sendfile 40
 	_start:
 		mov64 rax, SYS_sendfile
 		mov64 rdi, 9        ; not a socket

@@ -12,7 +12,6 @@ import (
 func TestSigprocmaskDefersDelivery(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_rt_sigprocmask 14
 	.equ MARK 0x7fef0000
 	_start:
 		; register a SIGUSR1 handler

@@ -11,10 +11,6 @@ import (
 // connection, read up to 64 bytes, write them back, close, exit with the
 // byte count.
 const echoServer = `
-.equ SYS_socket 41
-.equ SYS_accept 43
-.equ SYS_bind 49
-.equ SYS_listen 50
 _start:
 	mov64 rax, SYS_socket
 	mov64 rdi, 2
@@ -106,13 +102,6 @@ func TestEpollGuest(t *testing.T) {
 	// bytes, exits with the first byte.
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_socket 41
-	.equ SYS_accept 43
-	.equ SYS_bind 49
-	.equ SYS_listen 50
-	.equ SYS_epoll_wait 232
-	.equ SYS_epoll_ctl 233
-	.equ SYS_epoll_create1 291
 	_start:
 		mov64 rax, SYS_socket
 		mov64 rdi, 2
@@ -195,10 +184,6 @@ func TestEpollGuest(t *testing.T) {
 func TestNonblockingAcceptReturnsEAGAIN(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_socket 41
-	.equ SYS_accept 43
-	.equ SYS_bind 49
-	.equ SYS_listen 50
 	_start:
 		mov64 rax, SYS_socket
 		mov64 rdi, 2
@@ -236,9 +221,6 @@ func TestNonblockingAcceptReturnsEAGAIN(t *testing.T) {
 func TestBindTwiceFails(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_socket 41
-	.equ SYS_bind 49
-	.equ SYS_listen 50
 	_start:
 		mov64 rax, SYS_socket
 		mov64 rdi, 2

@@ -116,6 +116,7 @@ func (k *Kernel) sysExecve(t *Task, args [6]uint64) sysResult {
 	t.SigMask = 0
 	t.pending = nil
 	t.frames = nil
+	t.locals = nil      // no call of the old image is still in flight
 	t.SUD = SUDConfig{} // execve disables SUD
 	t.Name = string(path)
 	// Policy: execve resets to a fresh, unsealed region set seeded from

@@ -5,7 +5,6 @@ import "testing"
 func TestVforkBehavesLikeFork(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_vfork 58
 	_start:
 		mov64 rax, SYS_vfork
 		syscall
@@ -53,8 +52,6 @@ func TestWait4NoChildrenECHILD(t *testing.T) {
 func TestExitGroupKillsAllThreads(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_clone 56
-	.equ SYS_exit_group 231
 	.equ CLONE_VM 0x100
 	.equ CLONE_THREAD 0x10000
 	_start:

@@ -16,139 +16,89 @@ import (
 // maxIOChunk bounds a single read/write transfer.
 const maxIOChunk = 1 << 20
 
-// dispatch executes one syscall. Unknown numbers — including the
-// microbenchmark's syscall 500 — return -ENOSYS after a full kernel
-// round trip, exactly the "non-existent syscall" the paper measures.
+// dispatch executes one syscall through its row of syscallTable.
+// Numbers without a row — including the microbenchmark's syscall 500 —
+// return -ENOSYS after a full kernel round trip, exactly the
+// "non-existent syscall" the paper measures.
 func (k *Kernel) dispatch(t *Task, nr int64, args [6]uint64) sysResult {
-	switch nr {
-	case SysRead:
-		return k.sysRead(t, args)
-	case SysWrite:
-		return k.sysWrite(t, args)
-	case SysOpen:
-		return k.sysOpen(t, args[0], args[1], args[2])
-	case SysOpenat:
-		return k.sysOpen(t, args[1], args[2], args[3]) // dirfd ignored: absolute paths
-	case SysClose:
-		if !t.Files.Close(int(args[0])) {
-			return sysErr(EBADF)
-		}
-		return sysRet(0)
-	case SysStat:
-		return k.sysStat(t, args)
-	case SysFstat:
-		return k.sysFstat(t, args)
-	case SysLseek:
-		return k.sysLseek(t, args)
-	case SysMmap:
-		return k.sysMmap(t, args)
-	case SysMprotect:
-		return k.sysMprotect(t, args)
-	case SysMunmap:
-		if err := t.AS.Unmap(args[0], args[1]); err != nil {
-			return sysErr(EINVAL)
-		}
-		return sysRet(0)
-	case SysBrk:
-		return sysRet(0)
-	case SysRtSigaction:
-		return k.sysRtSigaction(t, args)
-	case SysRtSigprocmask:
-		return k.sysRtSigprocmask(t, args)
-	case SysRtSigreturn:
-		k.sigreturn(t)
-		return sysNoReturn()
-	case SysIoctl:
-		return sysRet(0)
-	case SysAccess:
-		return k.sysAccess(t, args)
-	case SysSchedYield:
-		return sysRet(0)
-	case SysDup:
-		return k.sysDup(t, args)
-	case SysDup2:
-		return k.sysDup2(t, args)
-	case SysPipe2:
-		return k.sysPipe2(t, args)
-	case SysNanosleep:
-		return k.sysNanosleep(t, args)
-	case SysGetpid:
-		return sysRet(int64(t.Tgid))
-	case SysSendfile:
-		return k.sysSendfile(t, args)
-	case SysGettid:
-		return sysRet(int64(t.ID))
-	case SysSocket:
-		// SOCK_NONBLOCK (0x800) in the type argument marks the socket
-		// non-blocking, as on Linux; web servers use it on listeners.
-		return sysRet(int64(t.Files.Alloc(&FD{Kind: FDSocket, Nonblock: args[1]&ONonblock != 0})))
-	case SysBind:
-		return k.sysBind(t, args)
-	case SysListen:
-		return k.sysListen(t, args)
-	case SysAccept, SysAccept4:
-		return k.sysAccept(t, args)
-	case SysSendto:
-		return k.sysWrite(t, args)
-	case SysRecvfrom:
-		return k.sysRead(t, args)
-	case SysShutdown:
-		return sysRet(0)
-	case SysClone:
-		return k.sysClone(t, args)
-	case SysFork, SysVfork:
-		return k.sysClone(t, [6]uint64{0, 0, 0, 0, 0, 0})
-	case SysExecve:
-		return k.sysExecve(t, args)
-	case SysExit:
-		k.exitTask(t, int(args[0]))
-		return sysNoReturn()
-	case SysExitGroup:
-		k.exitGroup(t, int(args[0]))
-		return sysNoReturn()
-	case SysWait4:
-		return k.sysWait4(t, args)
-	case SysKill, SysTgkill:
-		return k.sysKill(t, nr, args)
-	case SysGetcwd:
-		return k.sysGetcwd(t, args)
-	case SysRename:
-		return k.sysRename(t, args[0], args[1])
-	case SysMkdir, SysRmdir, SysUnlink, SysChmod:
-		return k.sysPath(t, nr, args[0], args[1])
-	case SysPtrace:
-		return sysErr(EPERM) // guests may not ptrace; tracers attach host-side
-	case SysPrctl:
-		return k.sysPrctl(t, args)
-	case SysArchPrctl:
-		return k.sysArchPrctl(t, args)
-	case SysFutex:
-		return sysRet(0)
-	case SysGetdents64:
-		return k.sysGetdents64(t, args)
-	case SysSetTidAddress:
-		t.TidAddress = args[0]
-		return sysRet(int64(t.ID))
-	case SysSetRobustList:
-		t.RobustList = args[0]
-		return sysRet(0)
-	case SysEpollCreate1:
-		return sysRet(int64(t.Files.Alloc(&FD{Kind: FDEpoll, Epoll: NewEpoll()})))
-	case SysEpollCtl:
-		return k.sysEpollCtl(t, args)
-	case SysEpollWait:
-		return k.sysEpollWait(t, args)
-	case SysUtimensat:
-		return k.sysPath(t, nr, args[1], 0)
-	case SysSeccomp:
-		// Guest-side filter installation is not supported; mechanisms use
-		// Kernel.AttachSeccomp. EINVAL mirrors a rejected filter.
-		return sysErr(EINVAL)
-	case SysGetrandom:
-		return k.sysGetrandom(t, args)
-	default:
+	if uint64(nr) > MaxSyscallNr || syscallTable[nr].fn == nil {
 		return sysErr(ENOSYS)
 	}
+	return syscallTable[nr].fn(k, t, args)
+}
+
+// Short rows. Tracers attach host-side, mechanisms use AttachSeccomp,
+// and openat ignores dirfd (paths are absolute).
+func (*Kernel) sysIgnored(*Task, [6]uint64) sysResult      { return sysRet(0) }
+func (*Kernel) sysPtrace(*Task, [6]uint64) sysResult       { return sysErr(EPERM) }
+func (*Kernel) sysSeccomp(*Task, [6]uint64) sysResult      { return sysErr(EINVAL) }
+func (*Kernel) sysGetpid(t *Task, _ [6]uint64) sysResult   { return sysRet(int64(t.Tgid)) }
+func (*Kernel) sysGettid(t *Task, _ [6]uint64) sysResult   { return sysRet(int64(t.ID)) }
+func (k *Kernel) sysFork(t *Task, _ [6]uint64) sysResult   { return k.sysClone(t, [6]uint64{}) }
+func (k *Kernel) sysMkdir(t *Task, a [6]uint64) sysResult  { return k.sysPath(t, SysMkdir, a[0], a[1]) }
+func (k *Kernel) sysRmdir(t *Task, a [6]uint64) sysResult  { return k.sysPath(t, SysRmdir, a[0], 0) }
+func (k *Kernel) sysUnlink(t *Task, a [6]uint64) sysResult { return k.sysPath(t, SysUnlink, a[0], 0) }
+func (k *Kernel) sysChmod(t *Task, a [6]uint64) sysResult  { return k.sysPath(t, SysChmod, a[0], a[1]) }
+
+func (k *Kernel) sysUtimensat(t *Task, a [6]uint64) sysResult {
+	return k.sysPath(t, SysUtimensat, a[1], 0)
+}
+
+func (k *Kernel) sysTgkill(t *Task, a [6]uint64) sysResult {
+	return k.sysKill(t, [6]uint64{a[1], a[2]})
+}
+
+func (k *Kernel) sysOpenat(t *Task, a [6]uint64) sysResult {
+	return k.sysOpen(t, [6]uint64{a[1], a[2], a[3]})
+}
+
+// sysSocket: SOCK_NONBLOCK (0x800) in the type argument marks the socket
+// non-blocking, as on Linux; web servers use it on listeners.
+func (*Kernel) sysSocket(t *Task, a [6]uint64) sysResult {
+	return sysRet(int64(t.Files.Alloc(&FD{Kind: FDSocket, Nonblock: a[1]&ONonblock != 0})))
+}
+
+func (*Kernel) sysEpollCreate1(t *Task, _ [6]uint64) sysResult {
+	return sysRet(int64(t.Files.Alloc(&FD{Kind: FDEpoll, Epoll: NewEpoll()})))
+}
+
+func (*Kernel) sysSetTidAddress(t *Task, a [6]uint64) sysResult {
+	t.TidAddress = a[0]
+	return sysRet(int64(t.ID))
+}
+
+func (*Kernel) sysSetRobustList(t *Task, a [6]uint64) sysResult {
+	t.RobustList = a[0]
+	return sysRet(0)
+}
+
+func (*Kernel) sysClose(t *Task, a [6]uint64) sysResult {
+	if !t.Files.Close(int(a[0])) {
+		return sysErr(EBADF)
+	}
+	return sysRet(0)
+}
+
+func (*Kernel) sysMunmap(t *Task, a [6]uint64) sysResult {
+	if err := t.AS.Unmap(a[0], a[1]); err != nil {
+		return sysErr(EINVAL)
+	}
+	return sysRet(0)
+}
+
+func (k *Kernel) sysRtSigreturn(t *Task, _ [6]uint64) sysResult {
+	k.sigreturn(t)
+	return sysNoReturn()
+}
+
+func (k *Kernel) sysExit(t *Task, a [6]uint64) sysResult {
+	k.exitTask(t, int(a[0]))
+	return sysNoReturn()
+}
+
+func (k *Kernel) sysExitGroup(t *Task, a [6]uint64) sysResult {
+	k.exitGroup(t, int(a[0]))
+	return sysNoReturn()
 }
 
 // AttachSeccomp installs a seccomp filter on a task (host-side equivalent
@@ -219,9 +169,10 @@ func fsErrno(err error) int64 {
 	}
 }
 
-func (k *Kernel) sysOpen(t *Task, pathPtr, flags, mode uint64) sysResult {
+func (k *Kernel) sysOpen(t *Task, args [6]uint64) sysResult {
+	flags, mode := args[1], args[2]
 	var buf [pathChunk]byte
-	path, errno := k.readPath(t, pathPtr, buf[:])
+	path, errno := k.readPath(t, args[0], buf[:])
 	if errno != 0 {
 		return sysErr(errno)
 	}
@@ -719,13 +670,8 @@ func (k *Kernel) sysGetcwd(t *Task, args [6]uint64) sysResult {
 	return sysRet(2)
 }
 
-func (k *Kernel) sysKill(t *Task, nr int64, args [6]uint64) sysResult {
-	var pid, sig uint64
-	if nr == SysTgkill {
-		pid, sig = args[1], args[2]
-	} else {
-		pid, sig = args[0], args[1]
-	}
+func (k *Kernel) sysKill(t *Task, args [6]uint64) sysResult {
+	pid, sig := args[0], args[1]
 	target, ok := k.tasks[int(pid)]
 	if !ok || !target.Alive() {
 		return sysErr(ESRCH)
@@ -889,15 +835,15 @@ func (k *Kernel) sysPath(t *Task, nr int64, addr, arg uint64) sysResult {
 	return sysRet(0)
 }
 
-// sysRename serves rename of the path at oldAddr to the one at newAddr;
+// sysRename serves rename of the path at args[0] to the one at args[1];
 // like sysPath, it makes a string only of the new name.
-func (k *Kernel) sysRename(t *Task, oldAddr, newAddr uint64) sysResult {
+func (k *Kernel) sysRename(t *Task, args [6]uint64) sysResult {
 	var oldBuf, newBuf [pathChunk]byte
-	oldpath, errno := k.readPath(t, oldAddr, oldBuf[:])
+	oldpath, errno := k.readPath(t, args[0], oldBuf[:])
 	if errno != 0 {
 		return sysErr(errno)
 	}
-	newpath, errno := k.readPath(t, newAddr, newBuf[:])
+	newpath, errno := k.readPath(t, args[1], newBuf[:])
 	if errno != 0 {
 		return sysErr(errno)
 	}

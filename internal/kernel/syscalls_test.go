@@ -8,7 +8,6 @@ func TestDupSharesOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := buildTask(t, k, `
-	.equ SYS_dup 32
 	_start:
 		mov64 rax, SYS_open
 		lea rdi, path
@@ -51,7 +50,6 @@ func TestLseekGuest(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := buildTask(t, k, `
-	.equ SYS_lseek 8
 	_start:
 		mov64 rax, SYS_open
 		lea rdi, path
@@ -104,7 +102,6 @@ func TestGetdentsGuest(t *testing.T) {
 		}
 	}
 	task := buildTask(t, k, `
-	.equ SYS_getdents64 217
 	_start:
 		mov64 rax, SYS_open
 		lea rdi, path
@@ -137,8 +134,6 @@ func TestAccessAndGetcwd(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := buildTask(t, k, `
-	.equ SYS_access 21
-	.equ SYS_getcwd 79
 	_start:
 		mov64 rax, SYS_access
 		lea rdi, yes
@@ -182,7 +177,6 @@ func TestAccessAndGetcwd(t *testing.T) {
 func TestArchPrctlGsRoundTrip(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `
-	.equ SYS_arch_prctl 158
 	_start:
 		; ARCH_SET_GS(0x7fef0000)
 		mov64 rax, SYS_arch_prctl

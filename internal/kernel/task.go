@@ -449,8 +449,8 @@ type taskLocal struct{ key, val any }
 // nil. It is where an interposition mechanism keeps its per-task
 // bookkeeping (its stack of in-flight calls): the storage is reachable
 // only through the task, and it goes away with the task, however the
-// task dies. A clone child starts with none. Keys are compared with ==; a
-// mechanism uses its own pointer.
+// task dies. A clone child starts with none; a successful execve drops
+// them all. Keys are compared with ==; a mechanism uses its own pointer.
 func (t *Task) Local(key any) any {
 	for i := range t.locals {
 		if t.locals[i].key == key {

@@ -8,6 +8,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"lazypoline/internal/chaos"
 	"lazypoline/internal/cpu"
@@ -57,46 +58,23 @@ const (
 	PathPolicySFIP
 )
 
+var pathNames = [...]string{
+	PathDirect: "direct", PathTrampoline: "trampoline", PathSUDAllow: "sud-allow",
+	PathSUDRange: "sud-range", PathSigsys: "sigsys", PathSeccomp: "seccomp",
+	PathSeccompNotify: "seccomp-notify", PathPtrace: "ptrace", PathHost: "host",
+	PathPolicyRegion: "policy-region", PathPolicySFIP: "policy-sfip",
+}
+
 func (p DispatchPath) String() string {
-	switch p {
-	case PathDirect:
-		return "direct"
-	case PathTrampoline:
-		return "trampoline"
-	case PathSUDAllow:
-		return "sud-allow"
-	case PathSUDRange:
-		return "sud-range"
-	case PathSigsys:
-		return "sigsys"
-	case PathSeccomp:
-		return "seccomp"
-	case PathSeccompNotify:
-		return "seccomp-notify"
-	case PathPtrace:
-		return "ptrace"
-	case PathHost:
-		return "host"
-	case PathPolicyRegion:
-		return "policy-region"
-	case PathPolicySFIP:
-		return "policy-sfip"
+	if int(p) < len(pathNames) {
+		return pathNames[p]
 	}
 	return "unknown"
 }
 
 // DispatchPaths lists every path name, for consumers that want a stable
 // iteration order over per-path metrics.
-func DispatchPaths() []string {
-	ps := []DispatchPath{PathDirect, PathTrampoline, PathSUDAllow, PathSUDRange,
-		PathSigsys, PathSeccomp, PathSeccompNotify, PathPtrace, PathHost,
-		PathPolicyRegion, PathPolicySFIP}
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.String()
-	}
-	return names
-}
+func DispatchPaths() []string { return slices.Clone(pathNames[:]) }
 
 // Telemetry returns the sink the kernel was built with (nil when
 // telemetry is disabled). Mechanisms consult it at attach time to

@@ -82,6 +82,9 @@ func (m *Mechanism) onEnter(stop *kernel.PtraceStop) {
 	regs[isa.RDI], regs[isa.RSI], regs[isa.RDX] = c.Args[0], c.Args[1], c.Args[2]
 	regs[isa.R10], regs[isa.R8], regs[isa.R9] = c.Args[3], c.Args[4], c.Args[5]
 	stop.SetRegs(regs)
+	if !kernel.SyscallReturns(c.Nr) {
+		calls.Pop() // no exit stop will come for it
+	}
 }
 
 // onExit handles a syscall-exit stop. Ptrace stops are synchronous per

@@ -135,3 +135,59 @@ func TestPtraceSlowestMechanism(t *testing.T) {
 		t.Errorf("ptrace %.1fx native, expected >20x", float64(traced)/float64(native))
 	}
 }
+
+// TestSignalsLeaveNoCallInFlight: a signal handler returns through
+// rt_sigreturn, which never reaches an exit stop, so the tracer must drop
+// it at its enter stop. After 50 delivered signals and the final exit no
+// call is left in flight on the task.
+func TestSignalsLeaveNoCallInFlight(t *testing.T) {
+	k := kernel.New(kernel.Config{})
+	task := spawn(t, k, kernel.AsmPrelude+`
+	_start:
+		mov64 rax, SYS_rt_sigaction   ; SIGUSR1 -> handler
+		mov64 rdi, 10
+		lea rsi, act
+		mov64 rdx, 0
+		syscall
+		mov64 rax, SYS_getpid
+		syscall
+		mov r13, rax
+		mov64 r12, 50
+	again:
+		mov rdi, r13
+		mov64 rsi, 10
+		mov64 rax, SYS_kill
+		syscall
+		addi r12, -1
+		cmpi r12, 0
+		jnz again
+		mov64 rdi, 0
+		mov64 rax, SYS_exit
+		syscall
+	handler:
+		ret
+	.align 8
+	act:
+		.quad handler, 0, 0
+	`)
+	delivered := 0
+	m := Attach(k, task, interpose.FuncInterposer{
+		OnEnter: func(c *interpose.Call) interpose.Action {
+			if c.Nr == kernel.SysRtSigreturn {
+				delivered++
+			}
+			return interpose.Continue
+		},
+	})
+	if err := k.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if task.ExitCode != 0 || delivered != 50 {
+		t.Fatalf("exit = %d after %d sigreturns, want 0 after 50", task.ExitCode, delivered)
+	}
+	calls := m.calls(task)
+	if calls.Depth() != 0 || len(calls.emulated) > 1 {
+		t.Errorf("%d calls in flight, %d emulated flags kept; want 0 and at most 1",
+			calls.Depth(), len(calls.emulated))
+	}
+}

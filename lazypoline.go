@@ -80,9 +80,9 @@ const (
 	Emulate = interpose.Emulate
 )
 
-// GuestHeader is the assembly prelude defining SYS_* constants for guest
-// sources passed to BuildGuest.
-const GuestHeader = guest.Header
+// GuestHeader is the assembly prelude for BuildGuest sources, generated
+// from the syscall table: SYS_<name> per syscall, O_* flags and DATA.
+var GuestHeader = guest.Header
 
 // NewKernel returns a simulated kernel with the default cost model, an
 // empty in-memory filesystem and a loopback network stack.

@@ -123,6 +123,19 @@ if grep -rnE -e '[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)
     exit 1
 fi
 
+# The syscall ABI is one table (DESIGN.md §5): each row's name, handler
+# and no-return flag give dispatch, the names, the assembler prelude and
+# the call pairing of the mechanisms (DESIGN.md §6). The name map, the
+# mechanisms' own no-return list, the kernel tests' header and every
+# hand-written `.equ SYS_*` line in Go are gone and stay gone (the
+# generator formats `SYS_%s`).
+if grep -rnE -e '[s]ysNames|[n]oReturnSyscall|[g]uestHeader' \
+    README.md DESIGN.md Makefile scripts .claude internal cmd ||
+    grep -rnE --include='*.go' -e '\.equ SYS_[a-z]' .; then
+    echo "removed syscall name map, no-return list, test header or hand-written SYS_ constant is still named above" >&2
+    exit 1
+fi
+
 # The gate for what stays shared across cells (DESIGN.md §8): address
 # spaces aliasing one frame while another privatizes its copy, pages
 # sealed into frames and the table they share, CPUs publishing and
