@@ -39,7 +39,6 @@ func figure5Cmd(args []string, w io.Writer) error {
 	f.servers(&cfg.Servers)
 	f.parallel(&cfg.Parallelism)
 	f.chaos(&cfg.ChaosSeed, &cfg.ChaosRate)
-	f.BoolVar(&cfg.RequestTraces, "reqtrace", false, "attach a request tracer to every cell (results are identical either way; the instrumented -trace-out run gains request span trees)")
 	f.out(&out, "BENCH_figure5.json")
 	f.telemetry(&o)
 	if err := f.parse(args, 0); err != nil {
@@ -97,7 +96,7 @@ func figure5Cmd(args []string, w io.Writer) error {
 // worker, the smallest swept file size — with a timeline and profiler
 // attached, and writes the requested outputs. It runs after the sweep so
 // the measured points are never from an instrumented kernel. With
-// RequestTraces the run also carries a request tracer, and its retained
+// -trace-out the run also carries a request tracer, and its retained
 // span trees are appended to the timeline trace (`lazysim trace
 // -requests` reads them back out).
 func instrumentedRun(w io.Writer, cfg experiments.Figure5Config, o outputs) error {
@@ -113,7 +112,7 @@ func instrumentedRun(w io.Writer, cfg experiments.Figure5Config, o outputs) erro
 		Telemetry:   sink,
 	}
 	var tracer *otrace.Tracer
-	if cfg.RequestTraces {
+	if o.trace != "" {
 		tracer = otrace.New(otrace.Config{
 			// The closed-loop client re-issues dropped requests rather
 			// than losing them, so retain a tree per latency exemplar:
@@ -121,7 +120,6 @@ func instrumentedRun(w io.Writer, cfg experiments.Figure5Config, o outputs) erro
 			LatencyThreshold: 1,
 		})
 		wcfg.Trace = tracer
-		wcfg.TraceSeed = 1
 	}
 	if _, err := webbench.Run(wcfg); err != nil {
 		return fmt.Errorf("instrumented run: %w", err)

@@ -105,7 +105,7 @@ func requestTrees(w io.Writer, evs []telemetry.Event) error {
 		lanes[ev.TID] = append(lanes[ev.TID], ev)
 	}
 	if len(lanes) == 0 {
-		fmt.Fprintln(w, "no request spans (trace produced without -reqtrace / fleet tracing?)")
+		fmt.Fprintln(w, "no request spans (only figure5 and fleet -trace-out files carry them)")
 		return nil
 	}
 	sort.Ints(order)

@@ -7,7 +7,6 @@ import (
 	"lazypoline/internal/guest"
 	"lazypoline/internal/interpose"
 	"lazypoline/internal/kernel"
-	"lazypoline/internal/otrace"
 	"lazypoline/internal/telemetry"
 	"lazypoline/internal/webbench"
 )
@@ -65,19 +64,11 @@ type Figure5Config struct {
 	// its own copy.
 	Costs kernel.CostModel
 	// ChaosSeed and ChaosRate enable deterministic fault injection in
-	// every cell (see internal/chaos). Unlike RequestTraces these ARE
-	// experiment parameters — injected faults change throughput — so
-	// they stay JSON-visible and land in benchmark snapshots.
+	// every cell (see internal/chaos). They are experiment parameters —
+	// injected faults change throughput — so they stay JSON-visible and
+	// land in benchmark snapshots.
 	ChaosSeed uint64  `json:"chaos_seed,omitempty"`
 	ChaosRate float64 `json:"chaos_rate,omitempty"`
-	// RequestTraces attaches a private request tracer (internal/otrace)
-	// to every cell, exercising the full request-tracing plane: ID
-	// stamping, kernel span attribution, tail sampling. The collected
-	// trees are discarded — the field exists to prove the plane is inert
-	// (DESIGN.md §9). Execution machinery, excluded from snapshots:
-	// TestFigure5ParallelDeterminism compares a traced sweep against a
-	// plain one.
-	RequestTraces bool `json:"-"`
 }
 
 // DefaultFigure5Config mirrors the paper's sweep at simulation-friendly
@@ -188,10 +179,6 @@ func figure5Run(cfg Figure5Config, withMetrics bool) ([]Figure5Point, []Figure5C
 			ChaosSeed:   cfg.ChaosSeed,
 			ChaosRate:   cfg.ChaosRate,
 			Telemetry:   sink,
-		}
-		if cfg.RequestTraces {
-			wcfg.Trace = otrace.New(otrace.Config{})
-			wcfg.TraceSeed = uint64(i) + 1
 		}
 		res, err := webbench.Run(wcfg)
 		if err != nil {

@@ -98,8 +98,8 @@ func TestFigure5SweepOrderIndependence(t *testing.T) {
 
 // TestFigure5ParallelDeterminism: the same sweep at pool widths 1 and 8
 // yields identical points — the per-cell isolation contract in action —
-// and so do a sweep with a request tracer in every cell and one with a
-// telemetry registry in every cell (DESIGN.md §9).
+// and so does a sweep with a telemetry registry in every cell (DESIGN.md
+// §9; webbench.TestRequestTracerIsInert holds the request tracer).
 func TestFigure5ParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("macro sweep")
@@ -117,14 +117,6 @@ func TestFigure5ParallelDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("parallel sweep diverged from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-
-	traced := cfg
-	traced.RequestTraces = true
-	if got, err := Figure5(traced); err != nil {
-		t.Fatal(err)
-	} else if !reflect.DeepEqual(serial, got) {
-		t.Errorf("request-traced sweep diverged from plain:\nplain:  %+v\ntraced: %+v", serial, got)
 	}
 
 	got, metrics, err := Figure5WithMetrics(cfg)

@@ -45,6 +45,8 @@ type Call struct {
 	// state (deep argument inspection — the expressiveness seccomp-bpf
 	// lacks).
 	Task *kernel.Task
+
+	emulated bool // Enter returned Emulate: Exit keeps Ret
 }
 
 // ReadMem reads guest memory (e.g. to inspect a path argument).
@@ -82,10 +84,14 @@ func (c *Call) ReadString(addr uint64) (string, bool) {
 
 // Interposer is the user-supplied syscall handler.
 //
-// The *Call handed to Enter is the one handed to the matching Exit, and
-// it is valid only from Enter until that Exit returns: the mechanism
-// recycles it for a later syscall of the task. An interposer that wants
-// to remember a call copies the fields it needs.
+// Exit comes once for every call that returns to the task: an emulated
+// one, or one whose number after Enter returns (kernel.SyscallReturns),
+// unless the task dies first. Exits of one task are LIFO, a signal
+// handler's calls closing before the call it interrupted. The *Call
+// handed to Enter is the one handed to the matching Exit, and it is
+// valid only from Enter until that Exit returns: the mechanism recycles
+// it for a later syscall of the task. An interposer that wants to
+// remember a call copies the fields it needs.
 type Interposer interface {
 	// Enter runs before the syscall. Return Continue to execute it (with
 	// any modifications to c.Nr/c.Args) or Emulate to skip it and use
@@ -224,6 +230,31 @@ func (s *CallStack) Pop() {
 	if s.n > 0 {
 		s.n--
 	}
+}
+
+// Enter runs ip.Enter on c, the call just pushed and filled in. c stays
+// in flight for Exit if it is emulated or its number after Enter returns
+// (kernel.SyscallReturns); otherwise no Exit comes and it is popped here.
+func (s *CallStack) Enter(ip Interposer, c *Call) Action {
+	action := ip.Enter(c)
+	c.emulated = action == Emulate
+	if !c.emulated && !kernel.SyscallReturns(c.Nr) {
+		s.Pop()
+	}
+	return action
+}
+
+// Exit closes t's innermost call, which returned ret: it sets Ret (an
+// emulated call keeps the Ret its Enter chose), runs ip.Exit, pops the
+// call and returns the result the task must see.
+func (s *CallStack) Exit(ip Interposer, t *kernel.Task, ret int64) int64 {
+	c := s.Top(t)
+	if !c.emulated {
+		c.Ret = ret
+	}
+	ip.Exit(c)
+	s.Pop()
+	return c.Ret
 }
 
 // Depth returns the number of calls in flight.

@@ -77,28 +77,20 @@ func (h *sigsysHandler) enter(hc *kernel.HcallCtx) error {
 		return fmt.Errorf("interpose: SIGSYS handler entered outside SIGSYS")
 	}
 	*h.hits++
-	stack := Pending(t, h)
-	err := h.stage(stack.Push(t), ucAddr)
-	if err != nil {
-		stack.Pop()
-	}
-	return err
-}
-
-func (h *sigsysHandler) stage(c *Call, ucAddr uint64) error {
-	t := c.Task
 	// One read of the saved general purpose registers.
 	var gregs [8 * isa.NumRegs]byte
 	if err := t.ReadAt(ucAddr+kernel.UCGRegs, gregs[:]); err != nil {
 		return err
 	}
+	stack := Pending(t, h)
+	c := stack.Push(t)
 	c.Nr = int64(binary.LittleEndian.Uint64(gregs[8*isa.RAX:]))
 	for i, r := range argRegs {
 		c.Args[i] = binary.LittleEndian.Uint64(gregs[8*r:])
 	}
 
 	scratch := t.CPU.GSBase + GSSudScratch
-	if h.ip.Enter(c) == Emulate {
+	if stack.Enter(h.ip, c) == Emulate {
 		if err := t.WriteU64(scratch, uint64(c.Ret)); err != nil {
 			return err
 		}
@@ -122,14 +114,10 @@ func (h *sigsysHandler) exit(hc *kernel.HcallCtx) error {
 	if !ok {
 		return fmt.Errorf("interpose: SIGSYS handler exit outside signal frame")
 	}
-	stack := Pending(t, h)
-	defer stack.Pop()
-	c := stack.Top(t)
 	ret, err := t.ReadU64(t.CPU.GSBase + GSSudScratch)
 	if err != nil {
 		return err
 	}
-	c.Ret = int64(ret)
-	h.ip.Exit(c)
-	return t.WriteU64(ucAddr+kernel.UCReg(int(isa.RAX)), uint64(c.Ret))
+	out := Pending(t, h).Exit(h.ip, t, int64(ret))
+	return t.WriteU64(ucAddr+kernel.UCReg(int(isa.RAX)), uint64(out))
 }

@@ -143,53 +143,40 @@ func NewBinder(ip Interposer) *Binder {
 	return &Binder{ip: ip}
 }
 
-// Enter is the stub's pre-syscall hcall payload.
+// Enter is the stub's pre-syscall hcall payload: it reads the call from
+// the save area, runs the interposer and stores back what it changed —
+// for an emulated call the result and the emulate flag.
 func (b *Binder) Enter(hc *kernel.HcallCtx) error {
 	t := hc.Task
 	stack := Pending(t, b)
-	keep, err := b.enter(stack.Push(t))
-	if err != nil || !keep {
-		stack.Pop()
-	}
-	return err
-}
-
-// enter runs the interposer on the call in the save area. keep reports
-// whether the stub will reach the Exit hcall with it.
-func (b *Binder) enter(c *Call) (keep bool, err error) {
-	t := c.Task
+	c := stack.Push(t)
 	if err := ReadCall(c); err != nil {
-		return false, fmt.Errorf("interpose: read call: %w", err)
+		stack.Pop()
+		return fmt.Errorf("interpose: read call: %w", err)
 	}
 	before := *c
-	action := b.ip.Enter(c)
+	action := stack.Enter(b.ip, c)
 	if err := WriteCall(t, c, &before); err != nil {
-		return false, fmt.Errorf("interpose: write call: %w", err)
+		return fmt.Errorf("interpose: write call: %w", err)
 	}
-	if action == Emulate {
-		if err := WriteSavedReg(t, isa.RAX, uint64(c.Ret)); err != nil {
-			return false, err
-		}
-		return true, t.WriteForce(t.CPU.GSBase+GSEmulate, []byte{1})
+	if action != Emulate {
+		return nil
 	}
-	// A call that never returns would stay in flight (DESIGN.md §6).
-	return kernel.SyscallReturns(c.Nr), nil
+	if err := WriteSavedReg(t, isa.RAX, uint64(c.Ret)); err != nil {
+		return err
+	}
+	return t.WriteForce(t.CPU.GSBase+GSEmulate, []byte{1})
 }
 
 // Exit is the stub's post-syscall hcall payload.
 func (b *Binder) Exit(hc *kernel.HcallCtx) error {
 	t := hc.Task
-	stack := Pending(t, b)
-	defer stack.Pop()
-	c := stack.Top(t)
 	ret, err := ReadSavedReg(t, isa.RAX)
 	if err != nil {
 		return err
 	}
-	c.Ret = int64(ret)
-	b.ip.Exit(c)
-	if c.Ret == int64(ret) {
-		return nil
+	if out := Pending(t, b).Exit(b.ip, t, int64(ret)); out != int64(ret) {
+		return WriteSavedReg(t, isa.RAX, uint64(out))
 	}
-	return WriteSavedReg(t, isa.RAX, uint64(c.Ret))
+	return nil
 }

@@ -96,6 +96,7 @@ func (k *Kernel) syscallEntry(t *Task) {
 			// registers are left untouched (RAX still holds the number),
 			// as with SUD, so user-space handlers can reconstruct the
 			// call from the saved context.
+			k.exitStop(t)
 			k.telAbort(t, PathSeccompNotify, nr)
 			k.postSignal(t, pendingSignal{
 				sig: SIGSYS, code: SysSeccompCode, nr: nr, callAddr: insnAddr, force: true,
@@ -138,6 +139,7 @@ func (k *Kernel) syscallEntry(t *Task) {
 				t.telRefinePath(PathSUDAllow)
 			case SyscallDispatchFilterBlock:
 				// Abort the syscall, deliver SIGSYS/SYS_USER_DISPATCH.
+				k.exitStop(t)
 				k.telAbort(t, PathSigsys, nr)
 				k.postSignal(t, pendingSignal{
 					sig: SIGSYS, code: SysUserDispatch, nr: nr, callAddr: insnAddr, force: true,
@@ -248,12 +250,7 @@ func (k *Kernel) finishSyscall(t *Task, nr int64, args [6]uint64, res sysResult)
 	case resNormal:
 		t.CPU.Regs[isa.RAX] = uint64(res.ret)
 		t.CPU.Cycles += k.Costs.SyscallExit
-		if t.tracer != nil && t.Alive() {
-			t.CPU.Cycles += 2 * k.Costs.ContextSwitch
-			if t.tracer.OnExit != nil {
-				t.tracer.OnExit(&t.stop)
-			}
-		}
+		k.exitStop(t)
 		k.telSyscallEnd(t, nr)
 	case resNoReturn:
 		// Context replaced or task gone; nothing to write back.
@@ -261,6 +258,19 @@ func (k *Kernel) finishSyscall(t *Task, nr int64, args [6]uint64, res sysResult)
 	case resBlocked:
 		t.state = TaskBlocked
 		t.blocked.nr, t.blocked.args = nr, args
+	}
+}
+
+// exitStop reports the syscall-exit stop to t's tracer. Every call that
+// got an enter stop and returns to the task gets one, a call seccomp or
+// SUD aborted with SIGSYS included (Linux's syscall_exit_work); the
+// tracer sees RAX as the task will.
+func (k *Kernel) exitStop(t *Task) {
+	if t.tracer != nil && t.Alive() {
+		t.CPU.Cycles += 2 * k.Costs.ContextSwitch
+		if t.tracer.OnExit != nil {
+			t.tracer.OnExit(&t.stop)
+		}
 	}
 }
 

@@ -140,16 +140,20 @@ func (m *Mechanism) hook(k *kernel.Kernel, t *kernel.Task, stubs *isa.Enc, w Wra
 	}
 
 	nr := w.Nr
-	ip := m.ip
 	hcall := k.RegisterHcall(func(hc *kernel.HcallCtx) error {
+		t := hc.Task
 		// Function-level visibility only: the wrapper's register
 		// arguments happen to be the syscall arguments in our ABI.
-		c := &interpose.Call{Task: hc.Task, Nr: nr, Args: hc.Task.SyscallArgs()}
+		stack := interpose.Pending(t, m)
+		c := stack.Push(t)
+		c.Nr, c.Args = nr, t.SyscallArgs()
+		// There is no exit point, so the call closes right after Enter.
 		// Emulation is not supported at function level (the stub cannot
 		// skip the original body without symbol-level CFG knowledge);
 		// verdicts other than Continue are ignored, another
 		// expressiveness gap of this mechanism class.
-		ip.Enter(c)
+		m.ip.Enter(c)
+		stack.Pop()
 		return nil
 	})
 

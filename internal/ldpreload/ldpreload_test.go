@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lazypoline/internal/guest"
+	"lazypoline/internal/interpose"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/trace"
 )
@@ -190,5 +191,43 @@ func TestMicrobenchOverheadMinimal(t *testing.T) {
 	t.Logf("function-level interposition overhead: %.3fx", overhead)
 	if overhead > 1.15 {
 		t.Errorf("overhead %.3fx, expected minimal (<1.15x)", overhead)
+	}
+}
+
+// TestWrappedCallAllocs: the hook payload takes its Call from the task's
+// call stack, so a warm wrapped call allocates nothing. Before, every
+// wrapped call allocated its own Call.
+func TestWrappedCallAllocs(t *testing.T) {
+	k := kernel.New(kernel.Config{})
+	prog, err := guest.Build("close-loop", guest.Header+`
+	_start:
+		call libc_init
+	again:
+		mov64 rdi, -1
+		call libc_close
+		jmp again
+	`+guest.LibcUbuntu2004(false).Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := prog.Spawn(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var closes int
+	ip := interpose.FuncInterposer{OnEnter: func(*interpose.Call) interpose.Action {
+		closes++
+		return interpose.Continue
+	}}
+	if _, err := Attach(k, task, ip, prog.Image.Symbols, DefaultWrappers); err != nil {
+		t.Fatal(err)
+	}
+	k.RunSlice(100_000) // warm: decoded blocks, the task's call stack
+	before := closes
+	if n := testing.AllocsPerRun(50, func() { k.RunSlice(10_000) }); n != 0 {
+		t.Errorf("%.1f objects allocated per slice of wrapped calls, want 0", n)
+	}
+	if closes == before {
+		t.Fatal("no wrapped call ran")
 	}
 }

@@ -23,23 +23,6 @@ type Mechanism struct {
 	k  *kernel.Kernel
 }
 
-// taskCalls is one tracee's in-flight calls, kept on the task.
-type taskCalls struct {
-	interpose.CallStack
-	// emulated[i] reports whether the call at depth i+1 is being emulated.
-	emulated []bool
-}
-
-// calls returns t's in-flight calls under m.
-func (m *Mechanism) calls(t *kernel.Task) *taskCalls {
-	if s, ok := t.Local(m).(*taskCalls); ok {
-		return s
-	}
-	s := &taskCalls{}
-	t.SetLocal(m, s)
-	return s
-}
-
 // Attach attaches a tracer to the task.
 func Attach(k *kernel.Kernel, t *kernel.Task, ip interpose.Interposer) *Mechanism {
 	m := &Mechanism{ip: ip, k: k}
@@ -56,21 +39,19 @@ func Attach(k *kernel.Kernel, t *kernel.Task, ip interpose.Interposer) *Mechanis
 }
 
 // onEnter handles a syscall-enter stop: PTRACE_GETREGS, run the
-// interposer, PTRACE_SETREGS if anything changed.
+// interposer, PTRACE_SETREGS.
 func (m *Mechanism) onEnter(stop *kernel.PtraceStop) {
 	m.Stops++
 	t := stop.Task
 	regs := stop.GetRegs()
-	calls := m.calls(t)
-	c := calls.Push(t)
+	stack := interpose.Pending(t, m)
+	c := stack.Push(t)
 	c.Nr = int64(regs[isa.RAX])
 	c.Args = [6]uint64{
 		regs[isa.RDI], regs[isa.RSI], regs[isa.RDX],
 		regs[isa.R10], regs[isa.R8], regs[isa.R9],
 	}
-	emulate := m.ip.Enter(c) == interpose.Emulate
-	calls.emulated = append(calls.emulated[:calls.Depth()-1], emulate)
-	if emulate {
+	if stack.Enter(m.ip, c) == interpose.Emulate {
 		// ptrace emulation idiom: rewrite the syscall number to an
 		// invalid one so the kernel fails it, then patch the return value
 		// at the exit stop.
@@ -82,32 +63,18 @@ func (m *Mechanism) onEnter(stop *kernel.PtraceStop) {
 	regs[isa.RDI], regs[isa.RSI], regs[isa.RDX] = c.Args[0], c.Args[1], c.Args[2]
 	regs[isa.R10], regs[isa.R8], regs[isa.R9] = c.Args[3], c.Args[4], c.Args[5]
 	stop.SetRegs(regs)
-	if !kernel.SyscallReturns(c.Nr) {
-		calls.Pop() // no exit stop will come for it
-	}
 }
 
-// onExit handles a syscall-exit stop. Ptrace stops are synchronous per
+// onExit handles a syscall-exit stop, writing RAX back only if the
+// result the task must see differs. Ptrace stops are synchronous per
 // task and the in-flight calls live on the task, so nothing here is
 // shared between tasks or between concurrently running machines.
 func (m *Mechanism) onExit(stop *kernel.PtraceStop) {
 	t := stop.Task
-	calls := m.calls(t)
-	defer calls.Pop()
-	c := calls.Top(t)
 	regs := stop.GetRegs()
-	if d := calls.Depth(); d > 0 && calls.emulated[d-1] {
-		// Force the interposer-chosen result over the kernel's -ENOSYS.
-		regs[isa.RAX] = uint64(c.Ret)
-		stop.SetRegs(regs)
-		m.ip.Exit(c)
-		return
-	}
-	c.Ret = int64(regs[isa.RAX])
-	before := c.Ret
-	m.ip.Exit(c)
-	if c.Ret != before {
-		regs[isa.RAX] = uint64(c.Ret)
+	ret := int64(regs[isa.RAX])
+	if out := interpose.Pending(t, m).Exit(m.ip, t, ret); out != ret {
+		regs[isa.RAX] = uint64(out)
 		stop.SetRegs(regs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lazypoline/internal/asm"
+	"lazypoline/internal/bpf"
 	"lazypoline/internal/interpose"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/loader"
@@ -185,9 +186,72 @@ func TestSignalsLeaveNoCallInFlight(t *testing.T) {
 	if task.ExitCode != 0 || delivered != 50 {
 		t.Fatalf("exit = %d after %d sigreturns, want 0 after 50", task.ExitCode, delivered)
 	}
-	calls := m.calls(task)
-	if calls.Depth() != 0 || len(calls.emulated) > 1 {
-		t.Errorf("%d calls in flight, %d emulated flags kept; want 0 and at most 1",
-			calls.Depth(), len(calls.emulated))
+	if d := interpose.Pending(task, m).Depth(); d != 0 {
+		t.Errorf("%d calls in flight, want 0", d)
+	}
+}
+
+// TestAbortedCallGetsExitStop: a call that seccomp aborts after its
+// enter stop (RET_TRAP posts SIGSYS instead of running it) still gets
+// its exit stop, as in Linux, so the tracer closes it. Without the stop
+// each trapped getpid stayed in flight.
+func TestAbortedCallGetsExitStop(t *testing.T) {
+	k := kernel.New(kernel.Config{})
+	task := spawn(t, k, kernel.AsmPrelude+`
+	_start:
+		mov64 rax, SYS_rt_sigaction   ; SIGSYS -> handler
+		mov64 rdi, 31
+		lea rsi, act
+		mov64 rdx, 0
+		syscall
+		mov64 r12, 20
+	again:
+		mov64 rax, SYS_getpid         ; trapped
+		syscall
+		addi r12, -1
+		cmpi r12, 0
+		jnz again
+		mov64 rdi, 0
+		mov64 rax, SYS_exit
+		syscall
+	handler:
+		ret
+	.align 8
+	act:
+		.quad handler, 0, 0
+	`)
+	prog, err := bpf.New([]bpf.Instruction{
+		bpf.LoadNr(),
+		bpf.JeqK(kernel.SysGetpid, 0, 1),
+		bpf.Ret(bpf.RetTrap),
+		bpf.Ret(bpf.RetAllow),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.AttachSeccomp(task, prog)
+	var getpids, exits int
+	m := Attach(k, task, interpose.FuncInterposer{
+		OnEnter: func(c *interpose.Call) interpose.Action {
+			if c.Nr == kernel.SysGetpid {
+				getpids++
+			}
+			return interpose.Continue
+		},
+		OnExit: func(c *interpose.Call) {
+			if c.Nr == kernel.SysGetpid {
+				exits++
+			}
+		},
+	})
+	if err := k.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if task.ExitCode != 0 || getpids != 20 || exits != 20 {
+		t.Errorf("exit = %d after %d trapped getpids and %d exits, want 0 after 20 and 20",
+			task.ExitCode, getpids, exits)
+	}
+	if d := interpose.Pending(task, m).Depth(); d != 0 {
+		t.Errorf("%d calls in flight, want 0", d)
 	}
 }

@@ -46,40 +46,27 @@ func (e Entry) String() string {
 // value is filled in at exit when there is one.
 type Recorder struct {
 	entries []Entry
-	open    map[int][]int // task id -> stack of entry indexes
+	// open maps an in-flight call to its entry. Exit gets the *Call its
+	// Enter got (interpose.Interposer), and a mechanism recycles its
+	// Calls, so the map holds at most one entry per Call ever handed out.
+	open map[*interpose.Call]int
 }
 
 // Enter implements interpose.Interposer.
 func (r *Recorder) Enter(c *interpose.Call) interpose.Action {
 	if r.open == nil {
-		r.open = make(map[int][]int)
+		r.open = make(map[*interpose.Call]int)
 	}
 	r.entries = append(r.entries, Entry{Nr: c.Nr, Args: c.Args})
-	r.open[c.Task.ID] = append(r.open[c.Task.ID], len(r.entries)-1)
+	r.open[c] = len(r.entries) - 1
 	return interpose.Continue
 }
 
 // Exit implements interpose.Interposer.
-//
-// Exits are normally LIFO per task, but calls that never return (exit,
-// exit_group, execve, rt_sigreturn) leave their entry open forever: a
-// signal handler that re-enters a syscall on the same task and exits
-// after one of those would otherwise write its return value into the
-// stale open entry. Match the exiting call to the innermost open entry
-// with the same syscall number; fall back to the plain stack top when
-// none matches (e.g. the interposer rewrote the number in flight).
 func (r *Recorder) Exit(c *interpose.Call) {
-	if stack := r.open[c.Task.ID]; len(stack) > 0 {
-		pos := len(stack) - 1
-		for i := len(stack) - 1; i >= 0; i-- {
-			if r.entries[stack[i]].Nr == c.Nr {
-				pos = i
-				break
-			}
-		}
-		idx := stack[pos]
-		r.open[c.Task.ID] = append(stack[:pos], stack[pos+1:]...)
-		r.entries[idx].Ret = c.Ret
+	if i, ok := r.open[c]; ok {
+		r.entries[i].Ret = c.Ret
+		delete(r.open, c)
 	}
 }
 

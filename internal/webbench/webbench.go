@@ -34,10 +34,12 @@ type Client struct {
 
 	// Request-plane tracing (nil trace = off): IDs derive from
 	// (traceSeed, request index); now supplies virtual time.
-	trace     *otrace.Tracer
-	traceSeed uint64
-	now       func() uint64
+	trace *otrace.Tracer
+	now   func() uint64
 }
+
+// traceSeed seeds the request trace IDs.
+const traceSeed = 1
 
 type clientConn struct {
 	ep       *netstack.Endpoint
@@ -82,13 +84,12 @@ func NewClient(stack *netstack.Stack, port uint16, nconns, respSize, target int)
 }
 
 // EnableTrace attaches a request tracer: each issued request gets a
-// deterministic trace ID from (seed, request index), stamps it onto
+// deterministic trace ID from its index, stamps it onto
 // the server-bound connection so kernel syscall spans attribute to it,
 // and opens/closes a span tree around the exchange. now supplies
 // virtual time (the kernel clock).
-func (c *Client) EnableTrace(tr *otrace.Tracer, seed uint64, now func() uint64) {
+func (c *Client) EnableTrace(tr *otrace.Tracer, now func() uint64) {
 	c.trace = tr
-	c.traceSeed = seed
 	c.now = now
 }
 
@@ -123,7 +124,7 @@ func (c *Client) Step() {
 			if c.trace != nil {
 				// Stamp the serving side before the bytes land so the
 				// worker's syscalls attribute to this request.
-				id := otrace.ID(c.traceSeed, c.sent)
+				id := otrace.ID(traceSeed, c.sent)
 				cc.ep.StampPeerTraceCtx(otrace.Ctx(id, cc.retries+1))
 			}
 			_, err := cc.ep.Write(cc.request)
@@ -186,7 +187,7 @@ func (c *Client) traceSend(cc *clientConn) {
 	if c.trace == nil {
 		return
 	}
-	id := otrace.ID(c.traceSeed, cc.reqIdx)
+	id := otrace.ID(traceSeed, cc.reqIdx)
 	now := c.now()
 	c.trace.StartRequest(id, now)
 	cc.inflight = id
@@ -377,10 +378,9 @@ type Config struct {
 	// byte-identical to a kernel without the layer.
 	Policy *kernel.PolicyConfig
 	// Trace attaches a request tracer (DESIGN.md §9): each request gets
-	// a deterministic ID from (TraceSeed, index) and the serving worker's
+	// a deterministic ID from its index and the serving worker's
 	// syscalls attribute to it. nil is byte-identical to no tracer.
-	Trace     *otrace.Tracer
-	TraceSeed uint64
+	Trace *otrace.Tracer
 	// Deprecated: ignored; bench/ still names it until the benchmark re-baseline retires f5_large_cores
 	Cores int
 	// Deprecated: ignored; bench/ still names it until the benchmark re-baseline retires f5_large_cores
@@ -473,7 +473,7 @@ func boot(cfg Config) (*kernel.Kernel, *kernel.Task, *Client, error) {
 	// Boot: run until the listener is up and the workers are parked.
 	client := NewClient(k.Net, port, cfg.Connections, guest.ResponseHeaderSize+cfg.FileSize, cfg.Requests)
 	if cfg.Trace != nil {
-		client.EnableTrace(cfg.Trace, cfg.TraceSeed, k.Now)
+		client.EnableTrace(cfg.Trace, k.Now)
 	}
 	booted := false
 	for i := 0; i < 1000; i++ {

@@ -136,6 +136,16 @@ if grep -rnE -e '[s]ysNames|[n]oReturnSyscall|[g]uestHeader' \
     exit 1
 fi
 
+# One call lifecycle (DESIGN.md §6): interpose.CallStack opens, keeps and
+# closes every interposed call, so the ptracer's own call list is gone.
+# So is the Figure 5 request-tracer switch with its flag and seed, which
+# only proved the tracer inert (a webbench test does that per mechanism).
+if grep -rnE -e '[t]askCalls|[R]equestTraces|-[r]eqtrace|[T]raceSeed' \
+    README.md DESIGN.md EXPERIMENTS.md Makefile scripts .claude internal cmd; then
+    echo "removed ptracer call list or Figure 5 request-tracer switch is still named above" >&2
+    exit 1
+fi
+
 # The gate for what stays shared across cells (DESIGN.md §8): address
 # spaces aliasing one frame while another privatizes its copy, pages
 # sealed into frames and the table they share, CPUs publishing and
