@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"lazypoline/internal/mem"
 )
 
 // Mode bits (a small subset of POSIX).
@@ -36,10 +38,19 @@ var (
 	ErrReadOnly    = errors.New("fs: bad file descriptor mode")  // EBADF
 	ErrNameTooLong = errors.New("fs: name too long")             // ENAMETOOLONG
 	ErrSealed      = errors.New("fs: read-only file system")     // EROFS
+	ErrTooBig      = errors.New("fs: file too large")            // EFBIG
 )
 
 // MaxNameLen bounds a single path component.
 const MaxNameLen = 255
+
+// MaxFileSize is the largest a file may grow (DESIGN.md §7). A write
+// that would take a file past it is cut short there, and one at or past
+// it fails with ErrTooBig, as Linux answers a write past the
+// filesystem's maximum size. Files are not sparse, so without the bound
+// a one-byte write at a guest-chosen offset would ask the host for that
+// many bytes.
+const MaxFileSize = 64 << 20
 
 // Inode is one filesystem object.
 type Inode struct {
@@ -74,6 +85,11 @@ type FS struct {
 	nextIno uint64
 	clock   func() uint64
 	sealed  bool
+	// frames holds each sealed file's lent frames (mem.Lend), made on
+	// the file's first page-aligned ReadTo into a FrameSink. They are
+	// kept here, not on the inode, so an inode stays in its allocation
+	// size class.
+	frames map[*Inode][]mem.Frame
 }
 
 // Seal marks the filesystem read-only. There is no unseal.
@@ -309,7 +325,10 @@ func (f *FS) WriteFile(path string, data []byte, perm Mode) error {
 	if err != nil {
 		return err
 	}
-	_, err = h.WriteAt(data, 0)
+	n, err := h.WriteAt(data, 0)
+	if err == nil && n < len(data) {
+		err = ErrTooBig
+	}
 	return err
 }
 
@@ -656,18 +675,29 @@ func (h *File) touch() {
 	}
 }
 
-// Sink is the far end of ReadTo: guest memory, for read(2). *kernel.Task
-// qualifies.
+// Sink is the far end of ReadTo: guest memory, for read(2).
 type Sink interface {
 	WriteAt(addr uint64, p []byte) error
 }
 
+// FrameSink is a Sink that can also take whole pages by reference, as
+// *kernel.Task does: AliasFrames backs the pages from addr with frames
+// and reports true, or changes nothing and reports false.
+type FrameSink interface {
+	Sink
+	AliasFrames(addr uint64, frames []mem.Frame) bool
+}
+
 // ReadTo reads from the current offset into dst at addr: up to n bytes
-// are written to dst straight from the inode's data. The offset advances
-// past every byte the file held for the read even when dst fails
-// part-way, as a read(2) whose copy-out faults still consumed them. It
-// returns how many bytes that was and dst's error; a file error (not
-// readable, a directory) comes with 0, before dst is touched.
+// are written to dst straight from the inode's data. When the filesystem
+// is sealed, dst is a FrameSink and addr and the offset are page-aligned,
+// the file's whole pages in the read are first offered to dst by
+// reference (its lent frames), and only what dst refuses and the tail
+// are copied. The offset advances past every byte the file held for the
+// read even when dst fails part-way, as a read(2) whose copy-out faults
+// still consumed them. It returns how many bytes that was and dst's
+// error; a file error (not readable, a directory) comes with 0, before
+// dst is touched.
 func (h *File) ReadTo(dst Sink, addr uint64, n int) (int, error) {
 	if h.flags&OpenRead == 0 {
 		return 0, ErrReadOnly
@@ -678,10 +708,32 @@ func (h *File) ReadTo(dst Sink, addr uint64, n int) (int, error) {
 	if h.off >= h.inode.Size || n <= 0 {
 		return 0, nil
 	}
-	p := h.inode.Data[h.off:min(h.inode.Size, h.off+uint64(n))]
+	start, end := h.off, min(h.inode.Size, h.off+uint64(n))
 	h.touch()
-	h.off += uint64(len(p))
-	return len(p), dst.WriteAt(addr, p)
+	if fd, ok := dst.(FrameSink); ok && h.fs.sealed && (addr|start)%mem.PageSize == 0 && end-start >= mem.PageSize {
+		if frames := h.fs.lentFrames(h.inode, start, end); fd.AliasFrames(addr, frames) {
+			lent := uint64(len(frames)) * mem.PageSize
+			start += lent
+			addr += lent
+		}
+	}
+	read := int(end - h.off)
+	h.off = end
+	return read, dst.WriteAt(addr, h.inode.Data[start:end])
+}
+
+// lentFrames returns the lent frames of ino's whole pages in [off, end),
+// off page-aligned, making the file's frames on its first call.
+func (f *FS) lentFrames(ino *Inode, off, end uint64) []mem.Frame {
+	frames, ok := f.frames[ino]
+	if !ok {
+		if f.frames == nil {
+			f.frames = make(map[*Inode][]mem.Frame)
+		}
+		frames = mem.Lend(ino.Data[:ino.Size])
+		f.frames[ino] = frames
+	}
+	return frames[off/mem.PageSize : end/mem.PageSize]
 }
 
 // SealedExtent returns up to n of the file's bytes from off on, aliasing
@@ -713,7 +765,9 @@ func (h *File) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteAt writes at an absolute offset, growing the file as needed.
+// WriteAt writes at an absolute offset, growing the file as needed up
+// to MaxFileSize: it writes what fits below it and fails with ErrTooBig
+// when nothing does. An empty write changes nothing, wherever it is.
 func (h *File) WriteAt(p []byte, off uint64) (int, error) {
 	if h.flags&OpenWrite == 0 {
 		return 0, ErrReadOnly
@@ -724,6 +778,13 @@ func (h *File) WriteAt(p []byte, off uint64) (int, error) {
 	if h.inode.IsDir() {
 		return 0, ErrIsDir
 	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if off >= MaxFileSize {
+		return 0, ErrTooBig
+	}
+	p = p[:min(uint64(len(p)), MaxFileSize-off)]
 	end := off + uint64(len(p))
 	if old := uint64(len(h.inode.Data)); end > old {
 		if c := uint64(cap(h.inode.Data)); end > c {

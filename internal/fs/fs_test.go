@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"lazypoline/internal/mem"
 )
 
 func TestWriteReadFile(t *testing.T) {
@@ -603,5 +605,129 @@ func TestSealedExtent(t *testing.T) {
 		if _, ok := c.SealedExtent(0, 4); ok {
 			t.Error("a write-only handle or a directory lent bytes")
 		}
+	}
+}
+
+// frameSink is a FrameSink over a sliceSink that records the frames it
+// is offered and takes them when accept is set, copying their bytes in
+// as the address space would read them.
+type frameSink struct {
+	sliceSink
+	accept bool
+	offers [][]mem.Frame
+}
+
+func (s *frameSink) AliasFrames(addr uint64, frames []mem.Frame) bool {
+	s.offers = append(s.offers, frames)
+	if !s.accept {
+		return false
+	}
+	for i := range frames {
+		p := mem.NewAddressSpace() // read the frame's bytes the way a guest would
+		if err := p.MapFixed(0, mem.PageSize, mem.ProtRW); err != nil || !p.Alias(0, frames[i:i+1]) {
+			panic("alias into a fresh page failed")
+		}
+		if err := p.ReadAt(0, s.mem[addr-s.base+uint64(i)*mem.PageSize:][:mem.PageSize]); err != nil {
+			panic(err)
+		}
+	}
+	return true
+}
+
+// TestReadToLendsSealedPages: a sealed file offers a FrameSink its whole
+// pages in a read that starts page-aligned in the file and in the sink,
+// and copies only the tail and what the sink refuses; the bytes, count
+// and offset are the copy path's in every case. The frames are made once
+// per file.
+func TestReadToLendsSealedPages(t *testing.T) {
+	data := make([]byte, 3*mem.PageSize+100)
+	for i := range data {
+		data[i] = byte(i*7 + i>>12)
+	}
+	for _, c := range []struct {
+		name          string
+		sealed        bool
+		accept        bool
+		addr, off     uint64
+		n             int
+		offeredFrames int // -1: no offer
+	}{
+		{"sealed, aligned", true, true, 0x1000, 0, 10000, 2},
+		{"sealed, tail", true, true, 0x1000, 2 * mem.PageSize, 8192, 1},
+		{"sealed, refused", true, false, 0x1000, 0, 10000, 2},
+		{"sealed, unaligned buffer", true, true, 0x1008, 0, 10000, -1},
+		{"sealed, unaligned offset", true, true, 0x1000, 8, 10000, -1},
+		{"sealed, under a page", true, true, 0x1000, 0, 4095, -1},
+		{"unsealed", false, true, 0x1000, 0, 10000, -1},
+	} {
+		f := New(nil)
+		f.WriteFile("/f", data, 0o644)
+		if c.sealed {
+			f.Seal()
+		}
+		h, _ := f.Open("/f", OpenRead, 0)
+		h.Seek(int64(c.off), 0)
+		sink := &frameSink{sliceSink: sliceSink{base: 0x1000, mem: make([]byte, 4*mem.PageSize)}, accept: c.accept}
+		n, err := h.ReadTo(sink, c.addr, c.n)
+		want := data[c.off:min(uint64(len(data)), c.off+uint64(c.n))]
+		if n != len(want) || err != nil || h.Offset() != c.off+uint64(n) {
+			t.Errorf("%s: ReadTo = %d, %v, offset %d; want %d, nil, %d", c.name, n, err, h.Offset(), len(want), c.off+uint64(len(want)))
+		}
+		if got := sink.mem[c.addr-0x1000:][:n]; !bytes.Equal(got, want) {
+			t.Errorf("%s: the sink holds different bytes than the file", c.name)
+		}
+		switch {
+		case c.offeredFrames < 0 && len(sink.offers) != 0:
+			t.Errorf("%s: offered frames", c.name)
+		case c.offeredFrames >= 0 && (len(sink.offers) != 1 || len(sink.offers[0]) != c.offeredFrames):
+			t.Errorf("%s: offers %v, want one of %d frames", c.name, len(sink.offers), c.offeredFrames)
+		}
+		if c.accept && c.offeredFrames > 0 && sink.calls != 1 {
+			t.Errorf("%s: %d copies after the lent pages, want the tail's one", c.name, sink.calls)
+		}
+	}
+
+	f := New(nil)
+	f.WriteFile("/f", data, 0o644)
+	f.Seal()
+	var offers []*mem.Frame
+	for range 2 {
+		h, _ := f.Open("/f", OpenRead, 0)
+		sink := &frameSink{sliceSink: sliceSink{base: 0x1000, mem: make([]byte, 4*mem.PageSize)}, accept: true}
+		h.ReadTo(sink, 0x1000, len(data))
+		offers = append(offers, &sink.offers[0][0])
+	}
+	if offers[0] != offers[1] || len(f.frames) != 1 {
+		t.Errorf("two reads of one file made %d frame sets", len(f.frames))
+	}
+}
+
+// TestWriteAtMaxFileSize: a file grows to MaxFileSize and no further. A
+// write at or past it, at any offset, fails with ErrTooBig (never a host
+// allocation sized by the offset); one that crosses it writes what fits;
+// an empty write changes nothing wherever it is.
+func TestWriteAtMaxFileSize(t *testing.T) {
+	f := New(nil)
+	h, err := f.Open("/big", OpenRead|OpenWrite|OpenCreate, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []uint64{1 << 62, ^uint64(0), ^uint64(0) - 1, MaxFileSize} {
+		if n, err := h.WriteAt([]byte{1}, off); n != 0 || !errors.Is(err, ErrTooBig) {
+			t.Errorf("WriteAt at %#x = %d, %v; want 0, ErrTooBig", off, n, err)
+		}
+		if n, err := h.WriteAt(nil, off); n != 0 || err != nil {
+			t.Errorf("empty WriteAt at %#x = %d, %v; want 0, nil", off, n, err)
+		}
+	}
+	if h.Size() != 0 {
+		t.Fatalf("size %d after refused writes", h.Size())
+	}
+	if n, err := h.WriteAt([]byte("0123456789"), MaxFileSize-3); n != 3 || err != nil || h.Size() != MaxFileSize {
+		t.Errorf("WriteAt across the limit = %d, %v, size %d; want 3, nil, %d", n, err, h.Size(), MaxFileSize)
+	}
+	h.Seek(0, 2)
+	if n, err := h.Write([]byte{1}); n != 0 || !errors.Is(err, ErrTooBig) || h.Offset() != MaxFileSize {
+		t.Errorf("Write at the limit = %d, %v, offset %d", n, err, h.Offset())
 	}
 }

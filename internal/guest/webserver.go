@@ -3,6 +3,7 @@ package guest
 import (
 	"fmt"
 	"path"
+	"sync"
 
 	"lazypoline/internal/fs"
 )
@@ -72,12 +73,7 @@ const StaticPath = "/www/static"
 // 'a'..'z' — at StaticPath and seals fsys: the content is final, so a
 // guest write fails with EROFS and reads do no atime work.
 func InstallStatic(fsys *fs.FS, size int) error {
-	// content[i] = 'a' + i%26, built by doubling a copied alphabet: every
-	// prefix copied is a multiple of 26 bytes long.
-	content := make([]byte, size)
-	for n := copy(content, "abcdefghijklmnopqrstuvwxyz"); n < size; n *= 2 {
-		copy(content[n:], content[:n])
-	}
+	content := staticContent(size)
 	if err := fsys.MkdirAll(path.Dir(StaticPath), 0o755); err != nil {
 		return err
 	}
@@ -86,6 +82,43 @@ func InstallStatic(fsys *fs.FS, size int) error {
 	}
 	fsys.Seal()
 	return nil
+}
+
+// staticSizes bounds the sizes staticContent keeps: a sweep serves a
+// few. A full cache is emptied before it takes a new size.
+const staticSizes = 8
+
+// statics caches the served file's content by size. Sizes come from the
+// host's configuration, never from a guest, and fs.WriteFile copies the
+// content into the inode, so one slice serves every kernel in the
+// process and is never written after it is built.
+var statics struct {
+	sync.Mutex
+	bySize map[int][]byte
+}
+
+// staticContent returns size bytes with content[i] = 'a' + i%26, built
+// once per size and process.
+func staticContent(size int) []byte {
+	statics.Lock()
+	defer statics.Unlock()
+	if c, ok := statics.bySize[size]; ok {
+		return c
+	}
+	// Built by doubling a copied alphabet: every prefix copied is a
+	// multiple of 26 bytes long.
+	content := make([]byte, size)
+	for n := copy(content, "abcdefghijklmnopqrstuvwxyz"); n < size; n *= 2 {
+		copy(content[n:], content[:n])
+	}
+	switch {
+	case statics.bySize == nil:
+		statics.bySize = make(map[int][]byte, staticSizes)
+	case len(statics.bySize) >= staticSizes:
+		clear(statics.bySize)
+	}
+	statics.bySize[size] = content
+	return content
 }
 
 // ResponseHeaderSize is the fixed response header the server sends

@@ -221,6 +221,7 @@ const (
 	EISDIR       = 21
 	EINVAL       = 22
 	EMFILE       = 24
+	EFBIG        = 27
 	ENOSYS       = 38
 	ENAMETOOLONG = 36
 	ENOTEMPTY    = 39
@@ -235,7 +236,7 @@ var errnoNames = [...]string{
 	EPERM: "EPERM", ENOENT: "ENOENT", ESRCH: "ESRCH", EINTR: "EINTR",
 	EBADF: "EBADF", ECHILD: "ECHILD", EAGAIN: "EAGAIN", ENOMEM: "ENOMEM",
 	EACCES: "EACCES", EFAULT: "EFAULT", EBUSY: "EBUSY", EEXIST: "EEXIST",
-	ENOTDIR: "ENOTDIR", EISDIR: "EISDIR", EINVAL: "EINVAL", EMFILE: "EMFILE",
+	ENOTDIR: "ENOTDIR", EISDIR: "EISDIR", EINVAL: "EINVAL", EMFILE: "EMFILE", EFBIG: "EFBIG",
 	ENOSYS: "ENOSYS", ENAMETOOLONG: "ENAMETOOLONG", ENOTEMPTY: "ENOTEMPTY",
 	EPIPE: "EPIPE", EROFS: "EROFS", EADDRINUSE: "EADDRINUSE", ECONNRESET: "ECONNRESET",
 	ECONNREFUSED: "ECONNREFUSED",

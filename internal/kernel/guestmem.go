@@ -1,5 +1,7 @@
 package kernel
 
+import "lazypoline/internal/mem"
+
 // The kernel-side guest-memory accessors (DESIGN.md §5). Code that runs
 // on behalf of a task inside that task's own quantum — syscall copy-in and
 // copy-out, signal frames, hcall payloads, ptrace stops — reads and writes
@@ -44,10 +46,22 @@ func (t *Task) ReadForce(addr uint64, p []byte) error { return t.CPU.ReadForce(a
 // PROT_NONE pages still fault.
 func (t *Task) WriteForce(addr uint64, p []byte) error { return t.CPU.WriteForce(addr, p) }
 
+// AliasFrames backs the pages from addr with a sealed file's frames, as
+// read(2) of whole pages does (fs.FrameSink): see mem.AddressSpace.Alias,
+// which refuses, changing nothing, unless every page is mapped, writable,
+// not executable and writable under the task's protection keys. The
+// task's D-TLB entries over the pages stop validating, as after a checked
+// write.
+func (t *Task) AliasFrames(addr uint64, frames []mem.Frame) bool {
+	return t.CPU.AS.Alias(addr, frames)
+}
+
 // guestSource is the task's memory as a netstack.Source: write(2) to a
 // socket reads the guest's buffer straight into the peer's receive
-// buffer with it, off being the guest address. The buffer has been
-// checked whole first (Task.CheckRead), so its reads do not fault.
+// buffer with it, off being the guest address, or lends it when the
+// buffer is a sealed file's pages that read(2) aliased there. The buffer
+// has been checked whole first (Task.CheckRead), so its reads do not
+// fault.
 type guestSource Task
 
 func (g *guestSource) ReadAt(p []byte, addr uint64) (int, error) {
@@ -57,6 +71,13 @@ func (g *guestSource) ReadAt(p []byte, addr uint64) (int, error) {
 	return len(p), nil
 }
 
-// SealedExtent lends nothing: the guest may change its buffer as soon as
-// write(2) returns.
-func (g *guestSource) SealedExtent(uint64, int) ([]byte, bool) { return nil, false }
+// SealedExtent lends all n bytes at addr when every page they touch is
+// backed by consecutive lent frames of one sealed file
+// (mem.AddressSpace.LentRun): those bytes never change, and a store the
+// guest makes after write(2) returns privatizes its page first. Anything
+// else lends nothing. It never lends a prefix, since a short lend would
+// change what write(2) returns.
+func (g *guestSource) SealedExtent(addr uint64, n int) ([]byte, bool) {
+	p := g.CPU.AS.LentRun(addr, n)
+	return p, p != nil
+}

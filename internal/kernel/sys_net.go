@@ -52,6 +52,9 @@ func (k *Kernel) sysAccept(t *Task, args [6]uint64) sysResult {
 	if !ok || fd.Kind != FDListener || fd.Listener == nil {
 		return sysErr(EBADF)
 	}
+	if !t.Files.Room(1) {
+		return sysErr(EMFILE) // before a connection is taken off the queue
+	}
 	conn, err := fd.Listener.Accept()
 	if errors.Is(err, netstack.ErrWouldBlock) {
 		if fd.Nonblock {

@@ -55,10 +55,16 @@ func (k *Kernel) sysOpenat(t *Task, a [6]uint64) sysResult {
 // sysSocket: SOCK_NONBLOCK (0x800) in the type argument marks the socket
 // non-blocking, as on Linux; web servers use it on listeners.
 func (*Kernel) sysSocket(t *Task, a [6]uint64) sysResult {
+	if !t.Files.Room(1) {
+		return sysErr(EMFILE)
+	}
 	return sysRet(int64(t.Files.Alloc(&FD{Kind: FDSocket, Nonblock: a[1]&ONonblock != 0})))
 }
 
 func (*Kernel) sysEpollCreate1(t *Task, _ [6]uint64) sysResult {
+	if !t.Files.Room(1) {
+		return sysErr(EMFILE)
+	}
 	return sysRet(int64(t.Files.Alloc(&FD{Kind: FDEpoll, Epoll: NewEpoll()})))
 }
 
@@ -164,6 +170,8 @@ func fsErrno(err error) int64 {
 		return EBADF
 	case errors.Is(err, fs.ErrSealed):
 		return EROFS
+	case errors.Is(err, fs.ErrTooBig):
+		return EFBIG
 	default:
 		return EINVAL
 	}
@@ -175,6 +183,9 @@ func (k *Kernel) sysOpen(t *Task, args [6]uint64) sysResult {
 	path, errno := k.readPath(t, args[0], buf[:])
 	if errno != 0 {
 		return sysErr(errno)
+	}
+	if !t.Files.Room(1) {
+		return sysErr(EMFILE) // before the open can create or truncate anything
 	}
 	var of fs.OpenFlag
 	switch flags & 0x3 {
@@ -606,16 +617,20 @@ func (k *Kernel) sysDup(t *Task, args [6]uint64) sysResult {
 	if !ok {
 		return sysErr(EBADF)
 	}
+	if !t.Files.Room(1) {
+		return sysErr(EMFILE)
+	}
 	cp := *fd
 	cp.addRefs()
 	return sysRet(int64(t.Files.Alloc(&cp)))
 }
 
-// sysDup2 duplicates oldfd onto newfd, closing newfd first if open.
+// sysDup2 duplicates oldfd onto newfd, closing newfd first if open. A
+// newfd past RLIMIT_NOFILE (MaxFDs) is EBADF, as on Linux.
 func (k *Kernel) sysDup2(t *Task, args [6]uint64) sysResult {
 	oldfd, newfd := int(args[0]), int(args[1])
 	f, ok := t.Files.Get(oldfd)
-	if !ok {
+	if !ok || newfd < 0 || newfd >= MaxFDs {
 		return sysErr(EBADF)
 	}
 	if oldfd == newfd {
@@ -632,6 +647,9 @@ func (k *Kernel) sysDup2(t *Task, args [6]uint64) sysResult {
 // end, fds[1] the write end. The pipe is modelled as a connected
 // endpoint pair (same buffering, EOF and EPIPE semantics as sockets).
 func (k *Kernel) sysPipe2(t *Task, args [6]uint64) sysResult {
+	if !t.Files.Room(2) {
+		return sysErr(EMFILE)
+	}
 	r, w := netstack.NewPipe()
 	nonblock := args[1]&ONonblock != 0
 	rfd := t.Files.Alloc(&FD{Kind: FDSocket, Sock: r, Nonblock: nonblock})

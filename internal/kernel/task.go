@@ -129,9 +129,16 @@ type FD struct {
 	bound     bool
 }
 
+// MaxFDs is RLIMIT_NOFILE, Linux's default soft limit: descriptors are
+// 0 to MaxFDs-1. A call that needs a new descriptor when all are taken
+// fails with EMFILE, and dup2 to a number at or past MaxFDs with EBADF.
+const MaxFDs = 1024
+
 // FDTable maps descriptor numbers to open files; shared under CLONE_FILES.
 type FDTable struct {
-	fds  map[int]*FD
+	fds map[int]*FD
+	// next is the lowest descriptor that may be free: every one below it
+	// is taken.
 	next int
 	// ver moves whenever a descriptor number comes to name a description
 	// (Alloc, Install) and when listen turns one into a listener in
@@ -156,10 +163,19 @@ func (t *FDTable) Get(fd int) (*FD, bool) {
 	return f, ok
 }
 
-// Alloc installs f at the lowest free descriptor and returns it.
+// Room reports whether n more descriptors can be allocated. A syscall
+// checks it where Linux takes its descriptors, before it has any other
+// effect, and answers EMFILE when it is false.
+func (t *FDTable) Room(n int) bool { return len(t.fds)+n <= MaxFDs }
+
+// Alloc installs f at the lowest free descriptor and returns it, or -1
+// when all MaxFDs are taken (the caller checks Room first).
 func (t *FDTable) Alloc(f *FD) int {
 	fd := t.next
 	for {
+		if fd >= MaxFDs {
+			return -1
+		}
 		if _, used := t.fds[fd]; !used {
 			break
 		}
@@ -171,7 +187,7 @@ func (t *FDTable) Alloc(f *FD) int {
 	return fd
 }
 
-// Install places f at a specific descriptor (dup2).
+// Install places f at a specific descriptor below MaxFDs (dup2).
 func (t *FDTable) Install(fd int, f *FD) {
 	t.fds[fd] = f
 	t.ver++
@@ -186,9 +202,6 @@ func (t *FDTable) Close(fd int) bool {
 	delete(t.fds, fd)
 	if fd < t.next {
 		t.next = fd
-		if t.next < 3 {
-			t.next = 3
-		}
 	}
 	if f.Sock != nil {
 		f.Sock.Close()

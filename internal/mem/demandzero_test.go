@@ -24,6 +24,9 @@ const (
 type modelPage struct {
 	data [PageSize]byte
 	prot Prot
+	// lent marks a page an alias backed with a lent frame and no write
+	// has privatized since: its handle is shared, never direct.
+	lent bool
 }
 
 type modelSpace struct {
@@ -101,6 +104,7 @@ func (m *modelSpace) write(addr uint64, src []byte, need Prot) int {
 			lastPN = pn
 			m.gens++
 			exec = exec || pg.prot&ProtExec != 0
+			pg.lent = false
 		}
 		pg.data[a&(PageSize-1)] = src[i]
 	}
@@ -160,10 +164,13 @@ func (p modelPair) checkContents(t *testing.T) {
 // a shared frame; the model has no frames, and needs none. "MapFixed
 // long" maps 4, 8 or 12 pages, and "Unmap all but one" leaves only the
 // page at first mapped, which may move to a slab of its own; the model
-// has no slabs either.
-var modelOpNames = [12]string{"MapFixed", "MapFixed long", "Unmap", "Protect", "WriteAt",
+// has no slabs either. "Alias lent run" backs 1-3 pages with consecutive
+// lent frames of one file, which the model takes as a WriteAt of their
+// bytes over pages that are all mapped, writable and not executable, and
+// as nothing otherwise.
+var modelOpNames = [13]string{"MapFixed", "MapFixed long", "Unmap", "Protect", "WriteAt",
 	"WriteForce", "read", "FetchExecGen", "PageForAccess", "Clone", "Protect RX",
-	"Unmap all but one"}
+	"Unmap all but one", "Alias lent run"}
 
 // runModelProgram interprets prog as a sequence of operations over up to
 // four address spaces (clones of one another).
@@ -178,6 +185,8 @@ func runModelProgram(t *testing.T, prog []byte) {
 		return uint64(b)
 	}
 	pairs := []modelPair{{NewAddressSpace(), newModelSpace()}}
+	file, frames := lentFile()
+	fileWas := bytes.Clone(file)
 	for len(prog) > 0 {
 		op := next() % uint64(len(modelOpNames))
 		p := pairs[next()%uint64(len(pairs))]
@@ -298,7 +307,7 @@ func runModelProgram(t *testing.T, prog []byte) {
 			if !ok {
 				break
 			}
-			direct := pg.prot&ProtWrite != 0 && pg.prot&ProtExec == 0
+			direct := pg.prot&ProtWrite != 0 && pg.prot&ProtExec == 0 && !pg.lent
 			if h.Prot != pg.prot || h.DirectWrite != direct || !h.Valid() {
 				t.Fatalf("PageForAccess(%#x) = prot %v direct %v valid %v, model prot %v direct %v",
 					first, h.Prot, h.DirectWrite, h.Valid(), pg.prot, direct)
@@ -309,6 +318,21 @@ func runModelProgram(t *testing.T, prog []byte) {
 			if direct {
 				off := addr & (PageSize - 1)
 				h.Data[off], pg.data[off] = fill, fill
+			}
+		case 12: // alias a lent run
+			j := uint64(fill) % (uint64(len(frames)) - n + 1)
+			ok := p.m.allMapped(first, n)
+			for i := uint64(0); ok && i < n; i++ {
+				ok = p.m.pages[first+i].prot&(ProtWrite|ProtExec) == ProtWrite
+			}
+			if got := p.as.Alias(first<<PageShift, frames[j:j+n]); got != ok {
+				t.Fatalf("Alias(%#x, %d frames) = %v, model %v", first<<PageShift, n, got, ok)
+			}
+			if ok {
+				p.m.write(first<<PageShift, file[j*PageSize:(j+n)*PageSize], ProtWrite)
+				for i := uint64(0); i < n; i++ {
+					p.m.pages[first+i].lent = true
+				}
 			}
 		case 9: // fork
 			if len(pairs) < 4 {
@@ -322,6 +346,9 @@ func runModelProgram(t *testing.T, prog []byte) {
 	}
 	for _, p := range pairs {
 		p.checkContents(t)
+	}
+	if !bytes.Equal(file, fileWas) {
+		t.Fatal("a lent file's bytes changed")
 	}
 }
 

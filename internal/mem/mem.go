@@ -126,7 +126,10 @@ const MaxPages = 1 << 18
 // address space. Its bytes never change; the first write to a page
 // backed by a frame gives that page a private copy (AddressSpace.backing),
 // and a private page made executable and not writable again is re-backed
-// by the frame holding its bytes (AddressSpace.seal).
+// by the frame holding its bytes (AddressSpace.seal). A sealed file's
+// whole pages are lent frames (Lend), which a read(2) maps into the
+// reader's buffer (AddressSpace.Alias) and a write(2) hands on by
+// reference (AddressSpace.LentRun).
 //
 // A frame also carries a table of values derived from its bytes, which
 // the CPUs' decode caches use to share decoded blocks (DESIGN.md §3):
@@ -136,9 +139,38 @@ const MaxPages = 1 << 18
 type Frame struct {
 	// data is held by pointer so that a frame can take over the array of
 	// the page it is interned from (intern).
-	data    *[PageSize]byte
+	data *[PageSize]byte
+	// lent is the slice the frames of one Lend alias, shared by all of
+	// them, and nil for every other frame: a frame's offset in it is
+	// where its data lies, so pages backed by consecutive lent frames
+	// read as one stretch of the slice.
+	lent    *[]byte
 	mu      sync.Mutex
 	decoded map[uint64]any
+}
+
+// Lend returns frames over b's whole pages, as one slab: frame i aliases
+// b[i*PageSize:(i+1)*PageSize], and a tail shorter than a page gets
+// none. No byte is copied, so the caller must never change b again: a
+// sealed file's data qualifies. The frames are not interned.
+func Lend(b []byte) []Frame {
+	n := len(b) / PageSize
+	if n == 0 {
+		return nil
+	}
+	lent := new([]byte)
+	*lent = b[: n*PageSize : n*PageSize]
+	frames := make([]Frame, n)
+	for i := range frames {
+		f := &frames[i]
+		f.data, f.lent = (*[PageSize]byte)((*lent)[i*PageSize:]), lent
+	}
+	return frames
+}
+
+// lentOff is where a lent frame's bytes start in its lent slice.
+func (f *Frame) lentOff() int {
+	return int(uintptr(unsafe.Pointer(f.data)) - uintptr(unsafe.Pointer(unsafe.SliceData(*f.lent))))
 }
 
 // maxInterned bounds the frames the process-wide table holds (4 MiB of
@@ -674,6 +706,74 @@ func (m *mapping) piece(lo, hi uint64) mapping {
 		clear(m.pages[lo:hi])
 	}
 	return p
+}
+
+// Alias backs the len(frames) pages from addr by reference with frames
+// (consecutive frames of one Lend, in order): the pages then read as
+// though WriteAt had copied the frames' bytes there, and each gets one
+// fresh generation, as that write would. A later store privatizes the
+// page (backing) and a Clone aliases it. Alias acts only when addr is
+// page-aligned and every page is mapped, writable, not executable and
+// writable under the active PKRU; otherwise it changes nothing, counts
+// no fault and returns false, and the caller copies instead.
+func (as *AddressSpace) Alias(addr uint64, frames []Frame) bool {
+	n := uint64(len(frames))
+	first := addr >> PageShift
+	if addr%PageSize != 0 || n == 0 || first+n < first {
+		return false
+	}
+	if _, hole := as.firstUnmapped(first, n); hole {
+		return false
+	}
+	ok := true
+	as.eachPage(first, n, func(pg *page) {
+		ok = ok && pg.prot&(ProtWrite|ProtExec) == ProtWrite && pkeyAllows(as.activePKRU, pg.pkey, true)
+	})
+	if !ok {
+		return false
+	}
+	i := 0
+	as.eachPage(first, n, func(pg *page) {
+		if pg.frame == nil && pg.data != nil {
+			// The new generation invalidates every handle over the
+			// dropped array, so the next privatization may reuse it.
+			as.spare = pg.data
+		}
+		f := &frames[i]
+		pg.frame, pg.data, pg.sealed = f, f.data, false
+		pg.gen = as.nextGen()
+		i++
+	})
+	return true
+}
+
+// LentRun returns the n bytes at addr by reference when every page they
+// touch is backed by a lent frame (Alias) and the frames are consecutive
+// frames of one Lend: the bytes are then one stretch of the lent slice,
+// which never changes, whatever the address space does next. It returns
+// nil otherwise. It checks no permission; the caller has (ReadAt,
+// CheckRead).
+func (as *AddressSpace) LentRun(addr uint64, n int) []byte {
+	if n <= 0 || addr+uint64(n)-1 < addr {
+		return nil
+	}
+	first, last := addr>>PageShift, (addr+uint64(n)-1)>>PageShift
+	var lent *[]byte
+	start := 0
+	for pn := first; pn <= last; pn++ {
+		pg := as.page(pn)
+		if pg == nil || pg.frame == nil || pg.frame.lent == nil {
+			return nil
+		}
+		f := pg.frame
+		if pn == first {
+			lent, start = f.lent, f.lentOff()
+		} else if f.lent != lent || f.lentOff() != start+int(pn-first)<<PageShift {
+			return nil
+		}
+	}
+	start += int(addr & (PageSize - 1))
+	return (*lent)[start : start+n]
 }
 
 // ProtAt returns the protection of the page containing addr; ok is false

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"lazypoline/internal/mem"
 )
 
 // This file pins the Endpoint data path against a deliberately naive
@@ -14,8 +16,10 @@ import (
 // Close, InjectRST, Ready and Buffered must answer exactly as the oracle
 // does, and RecvHighWater must reach the same mark. WriteFrom is checked
 // as a Write of the bytes its source holds, from each kind of source: one
-// that copies, a sealed one that lends its bytes, and one that stands for
-// guest memory, which changes again as soon as the write returns.
+// that copies, a sealed one that lends its bytes, one that stands for
+// guest memory, which changes again as soon as the write returns, and
+// guest memory whose pages a read(2) backed with a sealed file's frames,
+// which lends them and is scribbled over straight after too.
 // Discard is checked as a Read whose bytes nobody looks at.
 
 // coinPlan is a FaultPlan that flips seeded coins, so a given seed
@@ -261,6 +265,31 @@ func (s pagedSource) ReadAt(p []byte, off uint64) (int, error) {
 
 func (pagedSource) SealedExtent(uint64, int) ([]byte, bool) { return nil, false }
 
+// lentGuest is guest memory in a real address space: it lends a run of
+// pages that alias consecutive lent frames of one file
+// (mem.AddressSpace.LentRun), all n bytes or none, and copies otherwise.
+// A store after the write privatizes the page it hits, so a queue that
+// kept the lent bytes still holds the file's. lends counts what it lent.
+type lentGuest struct {
+	as    *mem.AddressSpace
+	lends *int
+}
+
+func (g lentGuest) ReadAt(p []byte, off uint64) (int, error) {
+	if err := g.as.ReadAt(off, p); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+func (g lentGuest) SealedExtent(off uint64, n int) ([]byte, bool) {
+	p := g.as.LentRun(off, n)
+	if p != nil {
+		*g.lends++
+	}
+	return p, p != nil
+}
+
 // poisonRingPool scribbles over every array on the free list, so that a
 // ring handing out a byte it was not written since it took its array
 // returns garbage the oracle does not have.
@@ -274,7 +303,9 @@ func poisonRingPool(rng *rand.Rand) {
 	}
 }
 
-func runEndpointModel(t *testing.T, seed int64, faults bool) {
+// runEndpointModel runs one connection and returns how many writes from
+// the lent guest buffer were lent.
+func runEndpointModel(t *testing.T, seed int64, faults bool) (lends int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	poisonRingPool(rng)
@@ -320,6 +351,16 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 		rng.Read(files[j])
 	}
 	guest := make(pagedSource, 2*RecvBufSize+64)
+	// The lent guest buffer and the sealed file whose frames back it.
+	const lentBase = 0x10000
+	lentFile := make([]byte, 3*RecvBufSize)
+	rng.Read(lentFile)
+	lentWas := bytes.Clone(lentFile)
+	frames := mem.Lend(lentFile)
+	lentAS := mem.NewAddressSpace()
+	if err := lentAS.MapFixed(lentBase, 2*RecvBufSize+2*mem.PageSize, mem.ProtRW); err != nil {
+		t.Fatal(err)
+	}
 	scratch := make([]byte, 2*RecvBufSize)
 	want := make([]byte, len(scratch))
 	srcBuf := make([]byte, len(scratch)+64)
@@ -328,9 +369,9 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 	// operations share, with steps to match, so that every other
 	// operation runs as often per connection as it would among the 100
 	// alone.
-	for step := 0; step < 4600; step++ {
+	for step := 0; step < 4800; step++ {
 		i := rng.Intn(2)
-		switch op := rng.Intn(115); {
+		switch op := rng.Intn(120); {
 		case op < 30:
 			n := size(RecvBufSize - m.side[1-i].rx.Len())
 			p := scratch[:n]
@@ -407,7 +448,7 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 				t.Fatalf("seed %d step %d: side %d WriteFrom(sealed, %d at %d) = %d, %v; model %d, %v", seed, step, i, n, fileOff[i], gn, gerr, wn, werr)
 			}
 			fileOff[i] += gn
-		default:
+		case op < 115:
 			// Guest memory: copied, and scribbled over straight after.
 			n := size(RecvBufSize - m.side[1-i].rx.Len())
 			off := rng.Intn(64)
@@ -419,6 +460,36 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 			}
 			rng.Read(guest[off : off+n])
 			next[i] += byte(gn)
+		default:
+			// Guest memory that a read(2) of whole pages of a sealed file
+			// backed: lent, unless one time in four a store broke the run
+			// of frames first; scribbled over straight after either way.
+			n := size(RecvBufSize - m.side[1-i].rx.Len())
+			off := rng.Intn(64)
+			if pages := (off + n + mem.PageSize - 1) / mem.PageSize; pages > 0 {
+				j := rng.Intn(len(frames) - pages + 1)
+				if !lentAS.Alias(lentBase, frames[j:j+pages]) {
+					t.Fatalf("seed %d step %d: Alias of %d pages refused", seed, step, pages)
+				}
+				if rng.Intn(4) == 0 {
+					if err := lentAS.WriteAt(lentBase+uint64(rng.Intn(pages*mem.PageSize)), []byte{1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			held := want[:n]
+			if err := lentAS.ReadAt(lentBase+uint64(off), held); err != nil {
+				t.Fatal(err)
+			}
+			gn, gerr := ep[i].WriteFrom(lentGuest{lentAS, &lends}, lentBase+uint64(off), n)
+			wn, werr := m.write(i, held)
+			if gn != wn || !sameErr(gerr, werr) {
+				t.Fatalf("seed %d step %d: side %d WriteFrom(lent guest, %d) = %d, %v; model %d, %v", seed, step, i, n, gn, gerr, wn, werr)
+			}
+			rng.Read(srcBuf[:n])
+			if err := lentAS.WriteAt(lentBase+uint64(off), srcBuf[:n]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for j := range ep {
 			if m.side[j].closed {
@@ -445,22 +516,30 @@ func runEndpointModel(t *testing.T, seed int64, faults bool) {
 			}
 		}
 		if m.side[0].closed && m.side[1].closed {
-			return
+			break
 		}
 	}
+	if !bytes.Equal(lentFile, lentWas) {
+		t.Fatalf("seed %d: a lent file's bytes changed", seed)
+	}
+	return lends
 }
 
 // TestEndpointMatchesModel drives random operation sequences — wrapping,
-// exactly-full and over-full writes, short sources, sealed extents and
-// guest buffers, reads and discards across extents, held (dropped or
+// exactly-full and over-full writes, short sources, sealed extents, guest
+// buffers copied and lent, reads and discards across extents, held (dropped or
 // delayed) segments of every kind, closes that flush them, resets —
 // through a pipe and through a fault-carrying connection. The 48
 // connections run one after another in one process, each taking the
 // arrays the ones before it gave back.
 func TestEndpointMatchesModel(t *testing.T) {
+	lends := 0
 	for seed := int64(1); seed <= 24; seed++ {
-		runEndpointModel(t, seed, false)
-		runEndpointModel(t, seed, true)
+		lends += runEndpointModel(t, seed, false)
+		lends += runEndpointModel(t, seed, true)
+	}
+	if lends == 0 {
+		t.Error("no write from the lent guest buffer was lent")
 	}
 }
 

@@ -308,7 +308,8 @@ type Source interface {
 	// SealedExtent lends up to n bytes from off on (fewer where the
 	// source ends), which WriteFrom then queues by reference, or returns
 	// ok false when the source cannot promise they never change. An
-	// *fs.File lends them on a sealed filesystem; guest memory never does.
+	// *fs.File lends them on a sealed filesystem, and guest memory lends
+	// pages that a read(2) backed with such a file's frames.
 	SealedExtent(off uint64, n int) (p []byte, ok bool)
 }
 

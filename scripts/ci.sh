@@ -71,80 +71,78 @@ go vet ./...
 go build ./...
 go test -race ./...
 
-# The in-kernel parallel scheduler is gone (DESIGN.md §5), and so are
-# the five fast-path toggles (one fast engine, one reference engine:
-# DESIGN.md §3), the hot-trace tier (chained blocks and fused handlers
-# are the whole fast engine: DESIGN.md §3), the ten per-artifact
-# binaries (one cmd/lazysim), the six per-area smoke targets (one
-# `make smoke`) and the fleet, tracer and kernel options no workload set
-# (fixed constants now: DESIGN.md §8, §9); their flags, tools, hooks
-# and names must not creep back into the docs or tooling. (The bracketed
-# letters keep this line from matching itself.)
-if grep -rnE -e 'par[b]ench|par-[s]moke|RegisterHcall[C]oncurrent|Concurrent[S]afe|-[c]ores' \
-    -e '-[d]ecodecache|-[s]uperblock|-[c]hain=|-[t]races|[t]lb-smoke|[c]hain-smoke' \
-    -e 'Disabl[e](DecodeCache|TLB|Superblocks|Chaining|Traces)' \
-    -e '\b([m]acrobench|[p]intool|[p]olicybench|[f]leetbench|[c]pubench|[r]unsim|[s]asm|[t]racecat)\b' \
-    -e 'cmd/([m]icrobench|[e]xhaustive)' \
-    -e '[t]racePromoteThreshold|[r]unTrace|[b]uildTrace|[h]ot trace|cpu\.trace\.([p]romotions|[i]nvalidations|[r]uns)' \
-    -e '\b([c]haos|[p]rofile|[e]xec|[p]olicy|[f]leet|[o]bs)-smoke\b' \
-    -e '[M]axClientConns|[R]etryBudget|[B]ackoffBase|[U]nhealthyAfter|[H]ealthyAfter|[S]LOObjective' \
-    -e '[S]tartFrac|[M]axSpansPerTree|[F]lightSize|[S]pawnOpts|[R]andSeed' \
-    README.md DESIGN.md Makefile scripts .claude; then
-    echo "removed parallel-scheduler, fast-path-toggle, trace-tier, per-artifact-binary, smoke-target or fixed-option surface is still named above" >&2
-    exit 1
-fi
-
-# The netstack's subscription API and the closure-built blocked waits
-# are gone: readiness is version-stamped and a parked task's wait is a
-# value (DESIGN.md §5). So are the second interpreter timer (one Go test
-# holds the engine floors: EXPERIMENTS.md, "Engine bench"), the parked
-# all-blocked wait with its activity hub (a cell runs on one goroutine),
-# the striped listener table, the second source interface and the
-# blocks' predecessor lists (a link into a dropped block is refused where
-# it is used: DESIGN.md §3), the decode cache's sled views and FIFO
-# overflow eviction (frame-backed blocks are decoded once per process and
-# an overflow flushes the map: DESIGN.md §3), and the address space's
-# page map with its sizing constant and sort (a sorted list of mappings:
-# DESIGN.md §4). Nor may the per-cell locks
-# (a cell runs on one goroutine; DESIGN.md §8 lists the shared objects
-# that keep theirs) or the lock order they imposed, or the fast engine's
-# second dispatcher with its per-Step block lookup and chained-arrival
-# handler dispatch (one loop finds, links and runs each block: DESIGN.md
-# §3). None may come back, in the code or the docs.
-if grep -rnE -e '[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)' \
-    -e '[c]puCmd|BENCH_[c]pu|lazysim [c]pu|[A]ddExternalWaiter|[A]ctivityGen|[A]waitActivity|[B]umpActivity' \
-    -e '[a]ctivityHub|[s]tackShards|[S]ealedSource|[p]redLink|[r]emovePred' \
-    -e '[f]aultsMu|[e]xMu|[L]ock order' \
-    -e '[s]ledSuffix|[s]ledBase|[e]victForSpace|[c]ompactFIFO|[e]victBatch' \
-    -e '[s]pawnPages|[s]ortU64' \
-    -e '[c]achedInst|[r]unChained|[r]unSpecialized' \
-    README.md DESIGN.md Makefile scripts .claude internal cmd; then
-    echo "removed readiness-subscription, blocked-closure, second-timer, parked-wait, sharded-stack, predecessor-list, sled-view, FIFO-eviction, page-map, per-cell-lock or second-dispatcher surface is still named above" >&2
-    exit 1
-fi
-
-# The syscall ABI is one table (DESIGN.md §5): each row's name, handler
-# and no-return flag give dispatch, the names, the assembler prelude and
-# the call pairing of the mechanisms (DESIGN.md §6). The name map, the
-# mechanisms' own no-return list, the kernel tests' header and every
-# hand-written `.equ SYS_*` line in Go are gone and stay gone (the
-# generator formats `SYS_%s`).
-if grep -rnE -e '[s]ysNames|[n]oReturnSyscall|[g]uestHeader' \
-    README.md DESIGN.md Makefile scripts .claude internal cmd ||
-    grep -rnE --include='*.go' -e '\.equ SYS_[a-z]' .; then
-    echo "removed syscall name map, no-return list, test header or hand-written SYS_ constant is still named above" >&2
-    exit 1
-fi
-
-# One call lifecycle (DESIGN.md §6): interpose.CallStack opens, keeps and
-# closes every interposed call, so the ptracer's own call list is gone.
-# So is the Figure 5 request-tracer switch with its flag and seed, which
-# only proved the tracer inert (a webbench test does that per mechanism).
-if grep -rnE -e '[t]askCalls|[R]equestTraces|-[r]eqtrace|[T]raceSeed' \
-    README.md DESIGN.md EXPERIMENTS.md Makefile scripts .claude internal cmd; then
-    echo "removed ptracer call list or Figure 5 request-tracer switch is still named above" >&2
-    exit 1
-fi
+# Removed surface stays removed, in the code or the docs. Each record of
+# the table below is three lines: grep -E patterns, one per tab-separated
+# field; the paths grep searches (options first, when a record needs
+# one); and what was removed, printed when a pattern matches. (The
+# bracketed letters keep a pattern from matching this file.)
+#   1. The in-kernel parallel scheduler (DESIGN.md §5), the five
+#      fast-path toggles (one fast engine, one reference engine: DESIGN.md
+#      §3), the hot-trace tier (chained blocks and fused handlers are the
+#      whole fast engine: DESIGN.md §3), the ten per-artifact binaries
+#      (one cmd/lazysim), the six per-area smoke targets (one `make
+#      smoke`) and the fleet, tracer and kernel options no workload set
+#      (fixed constants now: DESIGN.md §8, §9): their flags, tools, hooks
+#      and names.
+#   2. The netstack's subscription API and the closure-built blocked
+#      waits (readiness is version-stamped and a parked task's wait is a
+#      value: DESIGN.md §5); the second interpreter timer (one Go test
+#      holds the engine floors: EXPERIMENTS.md, "Engine bench"); the
+#      parked all-blocked wait with its activity hub (a cell runs on one
+#      goroutine); the striped listener table; the second source
+#      interface; the blocks' predecessor lists (a link into a dropped
+#      block is refused where it is used: DESIGN.md §3); the decode
+#      cache's sled views and FIFO overflow eviction (frame-backed blocks
+#      are decoded once per process and an overflow flushes the map:
+#      DESIGN.md §3); the address space's page map with its sizing
+#      constant and sort (a sorted list of mappings: DESIGN.md §4); the
+#      per-cell locks and the lock order they imposed (DESIGN.md §8 lists
+#      the shared objects that keep theirs); and the fast engine's second
+#      dispatcher with its per-Step block lookup and chained-arrival
+#      handler dispatch (one loop finds, links and runs each block:
+#      DESIGN.md §3).
+#   3, 4. The syscall ABI is one table (DESIGN.md §5): each row's name,
+#      handler and no-return flag give dispatch, the names, the assembler
+#      prelude and the call pairing of the mechanisms (DESIGN.md §6). The
+#      name map, the mechanisms' own no-return list, the kernel tests'
+#      header and every hand-written `.equ SYS_*` line in Go (the
+#      generator formats `SYS_%s`).
+#   5. One call lifecycle (DESIGN.md §6): interpose.CallStack opens,
+#      keeps and closes every interposed call, so the ptracer's own call
+#      list is gone. So is the Figure 5 request-tracer switch with its
+#      flag and seed, which only proved the tracer inert (a webbench test
+#      does that per mechanism).
+set -f
+tab=$(printf '\t')
+while IFS= read -r patterns && IFS= read -r paths && IFS= read -r removed; do
+    IFS=$tab
+    set -- $patterns
+    IFS=' '
+    for p; do set -- "$@" -e "$p"; shift; done
+    # shellcheck disable=SC2086 # paths split on spaces
+    if grep -rnE "$@" $paths; then
+        echo "$removed" >&2
+        exit 1
+    fi
+done <<'REMOVED'
+par[b]ench|par-[s]moke|RegisterHcall[C]oncurrent|Concurrent[S]afe|-[c]ores	-[d]ecodecache|-[s]uperblock|-[c]hain=|-[t]races|[t]lb-smoke|[c]hain-smoke	Disabl[e](DecodeCache|TLB|Superblocks|Chaining|Traces)	\b([m]acrobench|[p]intool|[p]olicybench|[f]leetbench|[c]pubench|[r]unsim|[s]asm|[t]racecat)\b	cmd/([m]icrobench|[e]xhaustive)	[t]racePromoteThreshold|[r]unTrace|[b]uildTrace|[h]ot trace|cpu\.trace\.([p]romotions|[i]nvalidations|[r]uns)	\b([c]haos|[p]rofile|[e]xec|[p]olicy|[f]leet|[o]bs)-smoke\b	[M]axClientConns|[R]etryBudget|[B]ackoffBase|[U]nhealthyAfter|[H]ealthyAfter|[S]LOObjective	[S]tartFrac|[M]axSpansPerTree|[F]lightSize|[S]pawnOpts|[R]andSeed
+README.md DESIGN.md Makefile scripts .claude
+removed parallel-scheduler, fast-path-toggle, trace-tier, per-artifact-binary, smoke-target or fixed-option surface is still named above
+[S]ubscribe\(|[n]otifier|[s]ysBlock\(|blocked\.([p]oll|[r]etry)	[c]puCmd|BENCH_[c]pu|lazysim [c]pu|[A]ddExternalWaiter|[A]ctivityGen|[A]waitActivity|[B]umpActivity	[a]ctivityHub|[s]tackShards|[S]ealedSource|[p]redLink|[r]emovePred	[f]aultsMu|[e]xMu|[L]ock order	[s]ledSuffix|[s]ledBase|[e]victForSpace|[c]ompactFIFO|[e]victBatch	[s]pawnPages|[s]ortU64	[c]achedInst|[r]unChained|[r]unSpecialized
+README.md DESIGN.md Makefile scripts .claude internal cmd
+removed readiness-subscription, blocked-closure, second-timer, parked-wait, sharded-stack, predecessor-list, sled-view, FIFO-eviction, page-map, per-cell-lock or second-dispatcher surface is still named above
+[s]ysNames|[n]oReturnSyscall|[g]uestHeader
+README.md DESIGN.md Makefile scripts .claude internal cmd
+removed syscall name map, no-return list, test header or hand-written SYS_ constant is still named above
+\.equ SYS_[a-z]
+--include=*.go .
+removed syscall name map, no-return list, test header or hand-written SYS_ constant is still named above
+[t]askCalls|[R]equestTraces|-[r]eqtrace|[T]raceSeed
+README.md DESIGN.md EXPERIMENTS.md Makefile scripts .claude internal cmd
+removed ptracer call list or Figure 5 request-tracer switch is still named above
+REMOVED
+unset IFS
+set +f
 
 # The gate for what stays shared across cells (DESIGN.md §8): address
 # spaces aliasing one frame while another privatizes its copy, pages
@@ -183,7 +181,10 @@ go test -race ./internal/mem ./internal/cpu ./internal/experiments \
 #     request allocates one small object whatever the file size, and a
 #     cell run a second time in one process reuses its receive buffers
 #     (DESIGN.md §7).
-go test -p 1 -count 1 -run '^(TestColdStartAllocs|TestEngineSpeedupFloors|TestInterposedSyscallAllocs|TestBlockedWakeAllocs|TestPathSyscallAllocs|TestGetdentsAllocs|TestSealedFrameRewriteAllocs|TestFreshCPUBlockHeaderAllocs|TestUnmapReleasesSlabs|TestSteadyStateRequestAllocs|TestWarmCellAllocs)$' \
+#   TestLentChunkAllocs: a warm 8 KiB read of a sealed file and its write
+#     to a socket allocate nothing: the pages are aliased and lent, not
+#     copied (DESIGN.md §7).
+go test -p 1 -count 1 -run '^(TestColdStartAllocs|TestEngineSpeedupFloors|TestInterposedSyscallAllocs|TestBlockedWakeAllocs|TestPathSyscallAllocs|TestGetdentsAllocs|TestSealedFrameRewriteAllocs|TestFreshCPUBlockHeaderAllocs|TestUnmapReleasesSlabs|TestSteadyStateRequestAllocs|TestWarmCellAllocs|TestLentChunkAllocs)$' \
     ./internal/cpu ./internal/experiments ./internal/kernel ./internal/mem ./internal/webbench
 
 # The intern table is process-wide and the slab test reads the heap, so
