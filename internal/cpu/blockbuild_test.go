@@ -269,7 +269,7 @@ func TestSledWriteDropsEnteredBlocks(t *testing.T) {
 			cached.Cycles, cached.Regs, plain.Cycles, plain.Regs)
 	}
 	for i, b := range old {
-		if !b.dropped || cached.cache.blocks[b.entry] == b {
+		if reachable(cached.cache, b) {
 			t.Errorf("block %d at %#x survived the write into its bytes", i, b.entry)
 		}
 	}

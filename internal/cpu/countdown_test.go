@@ -10,8 +10,8 @@ import (
 
 // The counted-loop guest: an endless outer loop that reloads the counter
 // from R9 and enters the countdown through a run of NOPs ending exactly
-// on a page boundary, so the run is its own block and a chained
-// fall-through lands on the countdown with the run's partial batch still
+// on a page boundary, so the run is its own block and its fall-through
+// lands on the countdown with the run's partial batch still
 // pending.
 //
 //	codeBase:        jmp pad
@@ -73,16 +73,18 @@ func archOf(c *CPU) archState {
 
 // hostState is the host-side accounting the closed form must share with
 // per-instruction execution: every instruction it retires counts as one
-// decode-cache hit and one superblock instruction. (Chain transitions
-// differ by design: per-instruction execution follows the block's link
-// to itself once per iteration.)
+// decode-cache hit and one superblock instruction. (Table hits differ by
+// design: per-instruction execution finds the block in the table once
+// per iteration.)
 type hostState struct {
 	cache           DecodeCacheStats
 	superblockInsts uint64
 }
 
 func hostOf(c *CPU) hostState {
-	return hostState{c.DecodeCacheStats(), c.SuperblockInsts}
+	s := c.DecodeCacheStats()
+	s.TableHits = 0
+	return hostState{s, c.SuperblockInsts}
 }
 
 // countedLoopRig holds three CPUs over the same guest: a Step-only
@@ -94,10 +96,10 @@ type countedLoopRig struct {
 }
 
 // newCountedLoopRig warms all three CPUs with single-iteration passes,
-// two arrivals at the tail, so every chain link into the countdown is
-// planted, stops each at the tail's reload and arms the reload with r.
-// The next arrival at the countdown is then a chained transition onto
-// its head, where the fused handler runs, with the pad run's NOPs
+// two arrivals at the tail, so every block is built and the countdown
+// is in its table slot, stops each at the tail's reload and arms the
+// reload with r. The next arrival at the countdown is then a table hit
+// on its head, where the fused handler runs, with the pad run's NOPs
 // pending.
 func newCountedLoopRig(t *testing.T, r uint64, nops int, costs Costs) *countedLoopRig {
 	t.Helper()
@@ -123,13 +125,6 @@ func newCountedLoopRig(t *testing.T, r uint64, nops int, costs Costs) *countedLo
 		if n := c.FusedStats().FusedLoopIters; n != 0 {
 			t.Fatalf("warm-up already ran a fused handler (%d iterations)", n)
 		}
-	}
-	// Warm-up never took the back edge (one iteration per pass), so plant
-	// the block's link to itself on both fast CPUs: both then follow the
-	// link on every back edge they take, from the first.
-	for _, c := range []*CPU{rig.closed, rig.perInst} {
-		b := c.cache.blocks[loopAddr]
-		c.cache.link(b, b)
 	}
 	rig.perInst.cache.blocks[loopAddr].fused = fusedNone
 	return rig
@@ -320,7 +315,7 @@ func TestCountedLoopShapeIsExact(t *testing.T) {
 }
 
 // FuzzCountedLoop: any counter, any budget sequence, any preceding NOP run
-// (long enough runs are a fused sled chaining into the countdown), either
+// (long enough runs are a fused sled falling into the countdown), either
 // cost knob — the three engines agree after every call.
 func FuzzCountedLoop(f *testing.F) {
 	f.Add(uint64(0), uint64(0x0102030405060708), uint8(0), uint8(1), uint8(8))

@@ -196,8 +196,8 @@ type CPU struct {
 type ExecMode uint8
 
 const (
-	// ExecFast is the default engine: the decode cache, the software
-	// D-TLB, chained blocks and the fused NOP-sled, countdown and
+	// ExecFast is the default engine: the decode cache with its block
+	// table, the software D-TLB and the fused NOP-sled, countdown and
 	// stack-run handlers.
 	ExecFast ExecMode = iota
 	// ExecReference is Step alone: every instruction is fetched and

@@ -27,6 +27,13 @@ const (
 	spawnBlocks = 32
 )
 
+// tableSize is the number of slots in the direct-mapped pc→block table
+// enter checks before the map. The table is inline in every CPU, so a
+// larger one costs a fresh CPU bytes: 64 slots raised coldstart's bytes
+// per unit where 32 lowered them, and 256 raised them 5 %
+// (EXPERIMENTS.md, "Block table").
+const tableSize = 32
+
 // cachedBlock is a predecoded straight-line run of instructions: it starts
 // at entry, never crosses into a second page except for a final straddling
 // instruction, and ends at the first control transfer, kernel-entry
@@ -48,20 +55,9 @@ type cachedBlock struct {
 	// a single load.
 	mut uint64
 
-	// succ holds the lazily chained successor blocks (DESIGN.md §3):
-	// slot 0 is the fall-through successor (entry == end), slot 1 a
-	// monomorphic slot for the most recent branch target. Links are
-	// shortcuts only — every use refuses a dropped successor and
-	// revalidates entry and generations — and are cleared when their
-	// block is invalidated.
-	succ [2]*cachedBlock
 	// fused classifies the block's head as one of the specialized hot
 	// idioms (NOP sled, countdown); fusedNone otherwise.
 	fused fusedKind
-	// dropped marks a block that left the map (invalidation or a flush);
-	// a dropped block must never be linked to or executed through a
-	// chain.
-	dropped bool
 	// run is the block's first stack run (stackrun.go), at == -1 if none.
 	run stackRun
 	// nopLen is the leading-NOP run length of a fusedNopSled block.
@@ -76,6 +72,9 @@ type DecodeCacheStats struct {
 	// Misses counts block entries that found no valid block at RIP and
 	// tried a build.
 	Misses uint64
+	// TableHits counts block entries resolved by the pc→block table,
+	// i.e. map lookups avoided.
+	TableHits uint64
 	// Builds counts blocks predecoded.
 	Builds uint64
 	// Invalidations counts blocks dropped because a recorded page
@@ -89,20 +88,22 @@ type DecodeCacheStats struct {
 	OverflowEvictions uint64
 }
 
-// decodeCache is the per-CPU decoded-block cache. Its map, chain links
-// and counters are private to its CPU, and every block is
-// validated against the AddressSpace generation counters, so two CPUs
-// over one address space (CLONE_VM) each observe the other's code writes.
+// decodeCache is the per-CPU decoded-block cache. Its map, table and
+// counters are private to its CPU, and every block is validated against
+// the AddressSpace generation counters, so two CPUs over one address
+// space (CLONE_VM) each observe the other's code writes.
 // What CPUs share is the decoded code of frame-backed pages (sharedCode):
 // a block built on such a page is a private header over instructions
 // decoded once per process and published in the frame.
 type decodeCache struct {
 	as     *mem.AddressSpace
 	blocks map[uint64]*cachedBlock // keyed by block entry pc
-	cur    *cachedBlock            // block the last instruction retired from
-	curIdx int                     // next sequential index into cur
+	// table is a direct-mapped cache of the map, indexed by entry pc: a
+	// slot holds only a block the map holds.
+	table  [tableSize]*cachedBlock
+	cur    *cachedBlock // block the last instruction retired from
+	curIdx int          // next sequential index into cur
 	stats  DecodeCacheStats
-	cstats ChainStats
 	fstats FusedStats
 	// privateDecodes counts blocks decoded from a page no frame backs
 	// (PrivateDecodes).
@@ -132,8 +133,8 @@ func newDecodeCache(as *mem.AddressSpace) *decodeCache {
 // newBlock returns b as a header in the current chunk, starting a new
 // chunk of blockChunk headers when it is used up: a fresh CPU that enters
 // N blocks allocates N/blockChunk headers' worth of objects, not N. A
-// chunk lives while any of its headers is reachable (from the map, a
-// chain link or cur); a dropped header is never reused.
+// chunk lives while any of its headers is reachable (from the map, the
+// table or cur); a dropped header is never reused.
 func (dc *decodeCache) newBlock(b cachedBlock) *cachedBlock {
 	if len(dc.free) == 0 {
 		dc.free = make([]cachedBlock, blockChunk)
@@ -168,10 +169,10 @@ func (c *CPU) PrivateDecodes() uint64 {
 
 // enter resolves RIP to a validated block, leaving it in cur and RIP's
 // index in it in curIdx. It tries, in order: the rest of cur, when RIP is
-// its next pc; a chain slot out of cur, when cur is complete
-// (Transitions); the map; a build (Misses). It links a completed cur to
-// the block it resolved. nil means the bytes at RIP do not decode into at
-// least one instruction and the caller takes the uncached path.
+// its next pc; the table slot of RIP (TableHits); the map; a build
+// (Misses). A map hit or a build fills the slot. nil means the bytes at
+// RIP do not decode into at least one instruction and the caller takes
+// the uncached path.
 func (dc *decodeCache) enter(c *CPU) *cachedBlock {
 	if dc.as != c.AS {
 		// The CPU was rebound to a different address space (execve); every
@@ -179,47 +180,24 @@ func (dc *decodeCache) enter(c *CPU) *cachedBlock {
 		dc.reset(c.AS)
 	}
 	pc, mut := c.RIP, dc.as.CodeMutations()
-	b, idx := dc.cur, dc.curIdx
-	// prev is the chain-link source: the block whose final instruction
-	// just transferred control to pc.
-	var prev *cachedBlock
-	switch {
-	case b == nil:
-	case idx == len(b.pcs):
-		prev, b, idx = b, b.chainSucc(pc), 0
-		if b != nil && b.dropped {
-			// Dropped since prev linked to it: the map or a build finds the
-			// block at pc and link replaces the slot.
-			b = nil
+	if b, idx := dc.cur, dc.curIdx; b != nil && idx < len(b.pcs) && b.pcs[idx] == pc && dc.current(b, mut) {
+		return b
+	}
+	slot := &dc.table[pc%tableSize]
+	b := *slot
+	if b != nil && b.entry == pc && dc.current(b, mut) {
+		dc.stats.TableHits++
+	} else {
+		if b = dc.blocks[pc]; b == nil || !dc.current(b, mut) {
+			dc.stats.Misses++
+			if b = dc.build(pc); b == nil {
+				dc.cur = nil
+				return nil
+			}
 		}
-	case b.pcs[idx] != pc:
-		b = nil
+		*slot = b
 	}
-	if b != nil && !dc.current(b, mut) {
-		b = nil
-	}
-	if b != nil && prev != nil {
-		dc.cstats.Transitions++
-	}
-	if b == nil {
-		idx = 0
-		if b = dc.blocks[pc]; b != nil && !dc.current(b, mut) {
-			b = nil
-		}
-	}
-	if b == nil {
-		dc.stats.Misses++
-		if b = dc.build(pc); b == nil {
-			dc.cur = nil
-			return nil
-		}
-	}
-	if prev != nil {
-		// A no-op when the slot already holds b, or when a flush in build
-		// dropped prev.
-		dc.link(prev, b)
-	}
-	dc.cur, dc.curIdx = b, idx
+	dc.cur, dc.curIdx = b, 0
 	return b
 }
 
@@ -243,11 +221,12 @@ func (dc *decodeCache) revalidate(b *cachedBlock) bool {
 	return false
 }
 
-// drop removes an invalidated block and clears its successor links.
+// drop removes an invalidated block from the map, its table slot and cur.
 func (dc *decodeCache) drop(b *cachedBlock) {
-	dc.unlink(b)
 	delete(dc.blocks, b.entry)
-	b.dropped = true
+	if slot := &dc.table[b.entry%tableSize]; *slot == b {
+		*slot = nil
+	}
 	if dc.cur == b {
 		dc.cur = nil
 	}
@@ -262,16 +241,13 @@ func (dc *decodeCache) reset(as *mem.AddressSpace) {
 	dc.stats.RebindFlushes++
 }
 
-// flush empties the map and returns how many blocks it held. Each is
-// marked dropped, so no chain link into it is followed again, and cur is
-// cleared: nothing built before the flush can execute after it. The map
-// walk only sets a flag, so its order cannot reach a simulated result.
+// flush empties the map and the table and clears cur, so nothing built
+// before the flush can execute after it, and returns how many blocks the
+// map held.
 func (dc *decodeCache) flush() uint64 {
-	for _, b := range dc.blocks {
-		b.dropped = true
-	}
 	n := len(dc.blocks)
 	clear(dc.blocks)
+	clear(dc.table[:])
 	dc.cur = nil
 	return uint64(n)
 }
@@ -375,8 +351,7 @@ func (dc *decodeCache) decode(pc uint64) *cachedBlock {
 // entry pc. A frame's bytes never change, so the decode is the block of
 // every address space whose page at that pc is still backed by the
 // frame; each CPU that enters it builds only its own cachedBlock header —
-// chain links and generations — over these slices and this
-// classification.
+// its generations — over these slices and this classification.
 type sharedCode struct {
 	end    uint64
 	pcs    []uint64

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 
 	"lazypoline/internal/isa"
@@ -72,61 +73,50 @@ func TestSelfModifyingCodeDirectStore(t *testing.T) {
 	}
 }
 
-func TestSelfModifyingCodeWriteForce(t *testing.T) {
-	// The ptrace/kernel-patch flavour: the host rewrites an RX page with
-	// WriteForce between two executions of the same instruction.
-	var e isa.Enc
-	e.MovImm64(isa.RDI, 1) // target
-	e.AddImm(isa.R9, 1)
-	e.CmpImm(isa.R9, 2)
-	e.Jnz(-(10 + 6 + 6) - 5)
-	e.Hlt()
-	c := load(t, e.Buf)
-	if ev := c.Step(); ev != EvNone { // executes (and caches) the target
-		t.Fatalf("event = %v", ev)
-	}
-	var patch isa.Enc
-	patch.MovImm64(isa.RDI, 2)
-	if err := c.AS.WriteForce(codeBase, patch.Buf); err != nil {
-		t.Fatal(err)
-	}
-	if ev := run(t, c, 100); ev != EvHlt {
-		t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
-	}
-	if c.Regs[isa.RDI] != 2 {
-		t.Errorf("rdi = %d, want 2 (WriteForce rewrite missed)", c.Regs[isa.RDI])
-	}
+// codeRewrite is a way the host rewrites code under a running guest.
+type codeRewrite struct {
+	name    string
+	rewrite func(c *CPU, at uint64, code []byte) error
 }
 
-func TestSelfModifyingCodeProtectFlip(t *testing.T) {
-	// The lazypoline slow-path flavour: mprotect RW, patch with an
-	// ordinary write, mprotect back to RX.
-	var e isa.Enc
+// hostRewrites are WriteForce (the ptrace/kernel-patch flavour) and the
+// lazypoline slow path's mprotect RW, ordinary write, mprotect RX, which
+// must bump the page's generation though the bytes are written with
+// ordinary stores.
+var hostRewrites = []codeRewrite{
+	{"WriteForce", func(c *CPU, at uint64, code []byte) error { return c.AS.WriteForce(at, code) }},
+	{"ProtectFlip", func(c *CPU, at uint64, code []byte) error {
+		return errors.Join(c.AS.Protect(codeBase, mem.PageSize, mem.ProtRW),
+			c.AS.WriteAt(at, code), c.AS.Protect(codeBase, mem.PageSize, mem.ProtRX))
+	}},
+}
+
+// TestSelfModifyingCodeHostRewrite: the host rewrites an instruction
+// between two executions of it, with the rest of its block in cur.
+func TestSelfModifyingCodeHostRewrite(t *testing.T) {
+	var e, patch isa.Enc
 	e.MovImm64(isa.RDI, 1) // target
 	e.AddImm(isa.R9, 1)
 	e.CmpImm(isa.R9, 2)
 	e.Jnz(-(10 + 6 + 6) - 5)
 	e.Hlt()
-	c := load(t, e.Buf)
-	if ev := c.Step(); ev != EvNone {
-		t.Fatalf("event = %v", ev)
-	}
-	var patch isa.Enc
 	patch.MovImm64(isa.RDI, 2)
-	if err := c.AS.Protect(codeBase, mem.PageSize, mem.ProtRW); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AS.WriteAt(codeBase, patch.Buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AS.Protect(codeBase, mem.PageSize, mem.ProtRX); err != nil {
-		t.Fatal(err)
-	}
-	if ev := run(t, c, 100); ev != EvHlt {
-		t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
-	}
-	if c.Regs[isa.RDI] != 2 {
-		t.Errorf("rdi = %d, want 2 (mprotect-patch-mprotect rewrite missed)", c.Regs[isa.RDI])
+	for _, tc := range hostRewrites {
+		t.Run(tc.name, func(t *testing.T) {
+			c := load(t, e.Buf)
+			if ev := c.Step(); ev != EvNone { // executes (and caches) the target
+				t.Fatalf("event = %v", ev)
+			}
+			if err := tc.rewrite(c, codeBase, patch.Buf); err != nil {
+				t.Fatal(err)
+			}
+			if ev := run(t, c, 100); ev != EvHlt {
+				t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
+			}
+			if c.Regs[isa.RDI] != 2 {
+				t.Errorf("rdi = %d, want 2 (rewrite missed)", c.Regs[isa.RDI])
+			}
+		})
 	}
 }
 
@@ -205,16 +195,24 @@ func TestForkIsolatesCaches(t *testing.T) {
 	}
 }
 
+// TestAddressSpaceSwapFlushesCache: the execve case. The kernel rebinds
+// the CPU to a fresh address space, with code at the same pc, so the old
+// block sits in the very table slot the new entry looks up. No block
+// from the old space may execute or stay reachable, even if the new
+// space's counters happen to coincide, and the flush counts as a rebind,
+// not an overflow.
 func TestAddressSpaceSwapFlushesCache(t *testing.T) {
-	// The execve case: the kernel rebinds the CPU to a fresh address
-	// space. A cached block from the old space must not execute even if
-	// the new space's counters happen to coincide.
 	var e1 isa.Enc
 	e1.MovImm64(isa.RDI, 1)
 	e1.Hlt()
 	c := load(t, e1.Buf)
 	if ev := run(t, c, 10); ev != EvHlt {
 		t.Fatalf("event = %v", ev)
+	}
+	dc := c.cache
+	old := maps.Clone(dc.blocks)
+	if len(old) == 0 || dc.table[codeBase%tableSize] == nil {
+		t.Fatal("no block cached before the swap; the test is vacuous")
 	}
 
 	var e2 isa.Enc
@@ -234,6 +232,14 @@ func TestAddressSpaceSwapFlushesCache(t *testing.T) {
 	}
 	if c.Regs[isa.RDI] != 7 {
 		t.Errorf("rdi = %d, want 7 (stale block from the old address space)", c.Regs[isa.RDI])
+	}
+	for _, b := range old {
+		if reachable(dc, b) {
+			t.Errorf("block at %#x from the old address space is reachable", b.entry)
+		}
+	}
+	if s := c.DecodeCacheStats(); s.RebindFlushes != 1 || s.OverflowEvictions != 0 {
+		t.Errorf("%+v; want 1 rebind flush and no overflow eviction", s)
 	}
 }
 

@@ -78,31 +78,41 @@ func lockstep(ref, fast *CPU, run func(*CPU, uint64) stepCall, budgets []uint64)
 // stops one instruction short of a block's end, and the next one runs
 // that instruction, the transition and the unit it leads to — a block, or
 // everything left for a countdown, whose closed form decides for itself
-// how much to retire — bar that unit's own last instruction. Where the
-// unit is not known yet (a branch whose links are not planted, to a block
-// the map does not hold) the segment is a single instruction.
+// how much to retire — bar that unit's own last instruction. The unit is
+// the map's block at the transfer's target, the longer one for a
+// conditional branch. Where it is not known (a ret, or a block the map
+// does not hold yet) the segment is a single instruction.
 func nextSegment(c *CPU, left uint64) uint64 {
 	dc := c.cache
 	if dc == nil {
 		return 1
 	}
 	b, i := dc.cur, dc.curIdx
-	if b == nil || b.dropped || i > len(b.pcs) || i < len(b.pcs) && b.pcs[i] != c.RIP {
+	if b == nil || i > len(b.pcs) || i < len(b.pcs) && b.pcs[i] != c.RIP {
 		b, i = nil, 0
 	}
 	var n uint64
-	var next []*cachedBlock
+	next := []uint64{c.RIP}
 	switch {
 	case b != nil && i < len(b.pcs)-1:
 		return min(uint64(len(b.pcs)-i-1), left)
 	case b != nil && i == len(b.pcs)-1:
-		n, next = 1, b.succ[:]
-	default:
-		next = []*cachedBlock{dc.blocks[c.RIP]}
+		n, next = 1, []uint64{b.end}
+		switch in := &b.insts[i]; {
+		case in.Mnem == isa.MJmpReg || in.Mnem == isa.MCallReg:
+			next[0] = c.Regs[in.A]
+		case in.Mnem != isa.MOp:
+		case in.Op == isa.OpRet:
+			next = nil
+		case in.Op == isa.OpJmp || in.Op == isa.OpCall:
+			next[0] += uint64(in.Imm)
+		case blockTerminator(in) && in.Op != isa.OpHlt && in.Op != isa.OpTrap && in.Op != isa.OpHcall:
+			next = append(next, b.end+uint64(in.Imm))
+		}
 	}
 	var unit uint64
-	for _, s := range next {
-		switch {
+	for _, pc := range next {
+		switch s := dc.blocks[pc]; {
 		case s == nil:
 		case s.fused == fusedCountdown:
 			unit = left

@@ -63,7 +63,7 @@ func TestLockstepFusedHandlers(t *testing.T) {
 		setup func(*CPU)
 		fused func(FusedStats) uint64
 	}{
-		{"nop sled", chainedProgram(), nil, func(s FusedStats) uint64 { return s.FusedNopInsts }},
+		{"nop sled", blockLoopProgram(), nil, func(s FusedStats) uint64 { return s.FusedNopInsts }},
 		{"countdown", countdownProgram(3), func(c *CPU) {
 			c.Regs[isa.R8], c.Regs[isa.R9] = 1, 900
 		}, func(s FusedStats) uint64 { return s.FusedLoopIters }},
@@ -90,8 +90,8 @@ func TestLockstepFusedHandlers(t *testing.T) {
 
 // TestStackRunHostCounters: a stack run moves no host counter but its
 // own and the D-TLB's. With rsp placed so that every run straddles a page
-// boundary every run falls back, and the decode-cache, superblock, chain
-// and other fused counters come out the same;
+// boundary every run falls back, and the decode-cache (table hits
+// included), superblock and other fused counters come out the same;
 // with a hook attached nothing fuses and the hook sees every instruction.
 func TestStackRunHostCounters(t *testing.T) {
 	run := func(straddle bool, hook InsnHook) (*CPU, uint64) {
@@ -121,9 +121,9 @@ func TestStackRunHostCounters(t *testing.T) {
 	}
 	ft, pt := fused.FusedStats(), plain.FusedStats()
 	ft.FusedStackInsts, pt.FusedStackInsts = 0, 0
-	if hostOf(fused) != hostOf(plain) || ft != pt || fused.ChainStats() != plain.ChainStats() {
-		t.Errorf("host counters moved:\nfused %+v %+v %+v\nplain %+v %+v %+v",
-			hostOf(fused), ft, fused.ChainStats(), hostOf(plain), pt, plain.ChainStats())
+	if fused.DecodeCacheStats() != plain.DecodeCacheStats() || fused.SuperblockInsts != plain.SuperblockInsts || ft != pt {
+		t.Errorf("host counters moved:\nfused %+v %d %+v\nplain %+v %d %+v", fused.DecodeCacheStats(), fused.SuperblockInsts, ft,
+			plain.DecodeCacheStats(), plain.SuperblockInsts, pt)
 	}
 	seen := uint64(0)
 	hooked, _ := run(false, func(uint64, isa.Inst) { seen++ })

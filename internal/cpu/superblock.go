@@ -3,7 +3,7 @@ package cpu
 // The fast engine's dispatch loop (DESIGN.md §3): the scheduler hands the
 // CPU a whole budget of instructions (the rest of the quantum), and
 // StepBlock resolves RIP to a block (decodeCache.enter: the current
-// block, a chain slot, the map or a build) and retires it (runBlock)
+// block, the block table, the map or a build) and retires it (runBlock)
 // until an event or the budget. Events — syscalls, faults, traps, hcalls,
 // halt — end the batch immediately, so the kernel observes exactly the
 // same stopping points as per-Step scheduling: signal checks, quantum
@@ -13,9 +13,9 @@ package cpu
 // Self-modifying code stays exact because enter validates every block it
 // resolves, and runBlock re-checks the address space's code-mutation
 // counter before every instruction and revalidates page generations the
-// moment it changes. Chain links (chain.go) add no trust: they are
-// routing shortcuts whose targets get the identical validation, and the
-// fused handlers (fused.go) run only on a block so validated.
+// moment it changes. The block table adds no trust: a block it yields
+// gets the identical validation, and the fused handlers (fused.go) run
+// only on a block so validated.
 
 // StepBlock executes up to max instructions, stopping early at the first
 // non-EvNone event. It returns the event (EvNone means the budget was

@@ -81,8 +81,8 @@ func coldStartAllocs(t *testing.T, mech string) (bytesPerRun, objsPerRun float64
 // block header was an allocation of its own and every address space held
 // a page map, 28 KiB in 109 and 46 KiB in 156. The budgets sit just above
 // the new numbers, so a load that copies, a build that decodes a shared
-// page again, a rewritten page left unsealed, a chain link or a block
-// header that allocates, or a mapping that costs an object per page fails
+// page again, a rewritten page left unsealed, a block header that
+// allocates, or a mapping that costs an object per page fails
 // here.
 //
 // Under -race, sync.Pool drops a share of what is put back and builds

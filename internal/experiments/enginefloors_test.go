@@ -29,11 +29,11 @@ type engineRun struct {
 // the best of each side is compared, so a swing in host speed hits both.
 // The decode cache alone clears these floors, so the tiers above it are
 // held by counters: every fast run must hit the decode cache, retire
-// superblock instructions, follow chain links (raw_loop: retire countdown
-// iterations in closed form, since the loop closes on first entry) and
-// (when it touches data) hit the D-TLB, and every reference run must
-// show none of these. Every
-// run of a workload must consume the same cycles on both engines.
+// superblock instructions, find blocks in the block table (raw_loop:
+// retire countdown iterations in closed form, since the loop closes on
+// first entry) and (when it touches data) hit the D-TLB, and every
+// reference run must show none of these. Every run of a workload must
+// consume the same cycles on both engines.
 // raw_loop, the counted loop the fast engine retires in closed form
 // (§3), has no floor: its fast side takes microseconds, and it checks
 // only that the closed form consumes the cycles of a million steps.
@@ -49,11 +49,11 @@ func TestEngineSpeedupFloors(t *testing.T) {
 		loop  string  // the counter of the tier that runs the workload's loop
 	}{
 		{"raw_loop", rawLoopRun, 0, false, "cpu.trace.fused_loop_iters"},
-		{"mem_loop", memLoopRun, 2.0, true, "cpu.chain.transitions"},
+		{"mem_loop", memLoopRun, 2.0, true, "cpu.decode_cache.table_hits"},
 		{"microbench", guestEngineRun(func() (*guest.Program, error) {
 			return guest.Microbench(kernel.NonexistentSyscall, 20_000)
-		}), 1.5, true, "cpu.chain.transitions"},
-		{"membench", guestEngineRun(func() (*guest.Program, error) { return guest.MemBench(200) }), 2.0, true, "cpu.chain.transitions"},
+		}), 1.5, true, "cpu.decode_cache.table_hits"},
+		{"membench", guestEngineRun(func() (*guest.Program, error) { return guest.MemBench(200) }), 2.0, true, "cpu.decode_cache.table_hits"},
 	}
 	for _, w := range workloads {
 		tiers := []string{"cpu.decode_cache.hits", "cpu.superblock.insts", w.loop}

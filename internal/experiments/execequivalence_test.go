@@ -11,7 +11,7 @@ package experiments
 // trace and the interposer-observed trace (webbench's Result for the web
 // servers). Non-vacuity is checked on the runs themselves: every fast run
 // used the decode cache, the D-TLB and superblocks, every fast
-// microbenchmark run also chained blocks and ran traces or fused
+// microbenchmark run also found blocks in the block table and ran fused
 // handlers, every reference run used none of them, and every sink
 // recorded the run, published the CPU's fast-engine counters and
 // attributed its syscalls to the mechanism's dispatch path.
@@ -243,10 +243,10 @@ type execCell struct {
 	// web server cell through webbench.
 	guest guestSpec
 	web   *guest.ServerStyle
-	// chains marks a cell whose fast runs must, under every mechanism,
-	// make chained block transitions and, under a stub mechanism, retire
-	// stack runs.
-	chains bool
+	// hot marks a cell whose fast runs must, under every mechanism, find
+	// blocks in the block table and, under a stub mechanism, retire stack
+	// runs.
+	hot bool
 }
 
 // execRun is what one run of a cell leaves to compare and check.
@@ -294,22 +294,22 @@ func (c execCell) run(t *testing.T, mech string, cfg kernel.Config) execRun {
 var fastCounters = []string{
 	"cpu.decode_cache.hits", "cpu.decode_cache.misses", "cpu.decode_cache.builds",
 	"cpu.decode_cache.invalidations", "cpu.decode_cache.rebind_flushes", "cpu.decode_cache.overflow_evictions",
+	"cpu.decode_cache.table_hits",
 	"cpu.tlb.hits", "cpu.tlb.misses", "cpu.tlb.evictions", "cpu.tlb.flushes",
 	"cpu.superblock.runs", "cpu.superblock.insts",
-	"cpu.chain.links", "cpu.chain.unlinks", "cpu.chain.transitions",
 	"cpu.trace.fused_nop_insts", "cpu.trace.fused_loop_iters", "cpu.trace.fused_stack_insts",
 }
 
 // engineCounters reads c's fast-engine counters, keyed by the names the
 // kernel's telemetry collector publishes them under.
 func engineCounters(c *cpu.CPU) map[string]uint64 {
-	cs, ls, hs, fs := c.DecodeCacheStats(), c.TLBStats(), c.ChainStats(), c.FusedStats()
+	cs, ls, fs := c.DecodeCacheStats(), c.TLBStats(), c.FusedStats()
 	n := make(map[string]uint64, len(fastCounters))
 	for i, v := range []uint64{
 		cs.Hits, cs.Misses, cs.Builds, cs.Invalidations, cs.RebindFlushes, cs.OverflowEvictions,
+		cs.TableHits,
 		ls.Hits, ls.Misses, ls.Evictions, ls.Flushes,
 		c.SuperblockRuns, c.SuperblockInsts,
-		hs.Links, hs.Unlinks, hs.Transitions,
 		fs.FusedNopInsts, fs.FusedLoopIters, fs.FusedStackInsts,
 	} {
 		n[fastCounters[i]] = v
@@ -324,9 +324,9 @@ var stubMechs = []string{MechZpoline, MechLazypolineNX, MechLazypoline, MechLazy
 
 // checkEngine fails unless a run's fast-engine counters match its
 // engine: all zero on the reference engine; on the fast engine the decode
-// cache, the D-TLB and superblocks at work and, for a chains cell, block
-// chaining too, and stack runs under a stub mechanism.
-func checkEngine(t *testing.T, run execRun, exec cpu.ExecMode, chains bool, mech string) {
+// cache, the D-TLB and superblocks at work and, for a hot cell, table hits
+// too, and stack runs under a stub mechanism.
+func checkEngine(t *testing.T, run execRun, exec cpu.ExecMode, hot bool, mech string) {
 	t.Helper()
 	n := run.engine
 	if exec == cpu.ExecReference {
@@ -342,11 +342,11 @@ func checkEngine(t *testing.T, run execRun, exec cpu.ExecMode, chains bool, mech
 			t.Errorf("the fast run reported %s=0 (vacuous)", key)
 		}
 	}
-	if !chains {
+	if !hot {
 		return
 	}
-	if n["cpu.chain.transitions"] == 0 {
-		t.Errorf("the fast run made no chained transitions (vacuous)")
+	if n["cpu.decode_cache.table_hits"] == 0 {
+		t.Errorf("the fast run found no block in the table (vacuous)")
 	}
 	if slices.Contains(stubMechs, mech) && n["cpu.trace.fused_stack_insts"] == 0 {
 		t.Errorf("the fast run retired no stack runs under %s (vacuous)", mech)
@@ -422,7 +422,7 @@ func execCells() []execCell {
 	policyVariants := []execVariant{reference, policyOff, and(policyOff, reference), and(policyOff, withSink)}
 
 	cells := []execCell{
-		{name: "microbench", guest: micro, chains: true, variants: []execVariant{
+		{name: "microbench", guest: micro, hot: true, variants: []execVariant{
 			reference, withSink, and(reference, withSink), policyOff, and(policyOff, reference), and(policyOff, withSink),
 		}},
 		{name: "microbench-chaos", guest: micro, base: policyChaos, variants: []execVariant{reference, policyOff}},
@@ -468,7 +468,7 @@ func TestExecEquivalence(t *testing.T) {
 			t.Run(cell.name+"/"+mech, func(t *testing.T) {
 				def := cell.run(t, mech, cell.base)
 				if def.engine != nil {
-					checkEngine(t, def, cell.base.Exec, cell.chains, mech)
+					checkEngine(t, def, cell.base.Exec, cell.hot, mech)
 				}
 				for _, v := range cell.variants {
 					t.Run(v.name, func(t *testing.T) {
@@ -480,7 +480,7 @@ func TestExecEquivalence(t *testing.T) {
 								def.out, v.name, got.out, firstDiff(def.out, got.out))
 						}
 						if got.engine != nil {
-							checkEngine(t, got, cfg.Exec, cell.chains, mech)
+							checkEngine(t, got, cfg.Exec, cell.hot, mech)
 						}
 						if cfg.Telemetry != nil {
 							checkSink(t, mech, cell.web != nil, cfg.Telemetry, cfg.Exec, got.engine)

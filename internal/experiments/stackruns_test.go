@@ -43,7 +43,7 @@ func microbenchCounters(t *testing.T, mech string, iters int64, quantum uint64) 
 // pops — as three stack runs, 37 fused instructions, whatever the stub
 // options. Measured as the difference between two loop lengths, so what
 // runs outside the loop cancels out: the blocks' first arrival, which
-// builds and links them, and the final exit, which never reaches the
+// builds them, and the final exit, which never reaches the
 // pops. The quantum never
 // expires: a run the quantum's end would split executes per instruction,
 // which at the default quantum costs the lazypoline cell 52 of 74 000.

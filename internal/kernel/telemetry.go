@@ -337,7 +337,7 @@ func (k *Kernel) telCollect(r *telemetry.Registry) {
 var cpuCounterNames = [...]string{
 	"cpu.decode_cache.hits", "cpu.decode_cache.misses", "cpu.decode_cache.builds",
 	"cpu.decode_cache.invalidations", "cpu.decode_cache.rebind_flushes", "cpu.decode_cache.overflow_evictions",
-	"cpu.chain.links", "cpu.chain.unlinks", "cpu.chain.transitions",
+	"cpu.decode_cache.table_hits",
 	"cpu.trace.fused_loop_iters", "cpu.trace.fused_nop_insts", "cpu.trace.fused_stack_insts",
 	"cpu.tlb.hits", "cpu.tlb.misses", "cpu.tlb.evictions", "cpu.tlb.flushes",
 	"cpu.superblock.runs", "cpu.superblock.insts",
@@ -346,10 +346,10 @@ var cpuCounterNames = [...]string{
 
 // cpuCounters reads c's counters in cpuCounterNames' order.
 func cpuCounters(c *cpu.CPU) [len(cpuCounterNames)]uint64 {
-	cs, hs, fs, ls := c.DecodeCacheStats(), c.ChainStats(), c.FusedStats(), c.TLBStats()
+	cs, fs, ls := c.DecodeCacheStats(), c.FusedStats(), c.TLBStats()
 	return [...]uint64{
 		cs.Hits, cs.Misses, cs.Builds, cs.Invalidations, cs.RebindFlushes, cs.OverflowEvictions,
-		hs.Links, hs.Unlinks, hs.Transitions,
+		cs.TableHits,
 		fs.FusedLoopIters, fs.FusedNopInsts, fs.FusedStackInsts,
 		ls.Hits, ls.Misses, ls.Evictions, ls.Flushes,
 		c.SuperblockRuns, c.SuperblockInsts,

@@ -78,8 +78,8 @@ go test -race ./...
 # bracketed letters keep a pattern from matching this file.)
 #   1. The in-kernel parallel scheduler (DESIGN.md §5), the five
 #      fast-path toggles (one fast engine, one reference engine: DESIGN.md
-#      §3), the hot-trace tier (chained blocks and fused handlers are the
-#      whole fast engine: DESIGN.md §3), the ten per-artifact binaries
+#      §3), the hot-trace tier (the decode cache and fused handlers are
+#      the whole fast engine: DESIGN.md §3), the ten per-artifact binaries
 #      (one cmd/lazysim), the six per-area smoke targets (one `make
 #      smoke`) and the fleet, tracer and kernel options no workload set
 #      (fixed constants now: DESIGN.md §8, §9): their flags, tools, hooks
@@ -90,17 +90,17 @@ go test -race ./...
 #      holds the engine floors: EXPERIMENTS.md, "Engine bench"); the
 #      parked all-blocked wait with its activity hub (a cell runs on one
 #      goroutine); the striped listener table; the second source
-#      interface; the blocks' predecessor lists (a link into a dropped
-#      block is refused where it is used: DESIGN.md §3); the decode
+#      interface; the blocks' predecessor lists (blocks hold no links to
+#      each other: DESIGN.md §3); the decode
 #      cache's sled views and FIFO overflow eviction (frame-backed blocks
 #      are decoded once per process and an overflow flushes the map:
 #      DESIGN.md §3); the address space's page map with its sizing
 #      constant and sort (a sorted list of mappings: DESIGN.md §4); the
 #      per-cell locks and the lock order they imposed (DESIGN.md §8 lists
 #      the shared objects that keep theirs); and the fast engine's second
-#      dispatcher with its per-Step block lookup and chained-arrival
-#      handler dispatch (one loop finds, links and runs each block:
-#      DESIGN.md §3).
+#      dispatcher with its per-Step block lookup and its handler dispatch
+#      on arrival through a successor slot (one loop finds and runs each
+#      block: DESIGN.md §3).
 #   3, 4. The syscall ABI is one table (DESIGN.md §5): each row's name,
 #      handler and no-return flag give dispatch, the names, the assembler
 #      prelude and the call pairing of the mechanisms (DESIGN.md §6). The
@@ -112,6 +112,10 @@ go test -race ./...
 #      list is gone. So is the Figure 5 request-tracer switch with its
 #      flag and seed, which only proved the tracer inert (a webbench test
 #      does that per mechanism).
+#   6. Block chaining (DESIGN.md §3): the successor slots, their
+#      counters and their stats type. A transfer between blocks is found
+#      in the block table or the map, like any other entry.
+#      EXPERIMENTS.md and CHANGES.md keep the history.
 set -f
 tab=$(printf '\t')
 while IFS= read -r patterns && IFS= read -r paths && IFS= read -r removed; do
@@ -140,6 +144,9 @@ removed syscall name map, no-return list, test header or hand-written SYS_ const
 [t]askCalls|[R]equestTraces|-[r]eqtrace|[T]raceSeed
 README.md DESIGN.md EXPERIMENTS.md Makefile scripts .claude internal cmd
 removed ptracer call list or Figure 5 request-tracer switch is still named above
+[c]hainSucc	[C]hainStats	[c]hainSlot	cpu\.[c]hain\.
+README.md DESIGN.md scripts internal cmd
+removed block-chaining surface is still named above
 REMOVED
 unset IFS
 set +f
